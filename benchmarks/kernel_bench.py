@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-compiled step kernels against the numpy fallback.
+"""Step-kernel throughput at the batch sizes the solver issues.
 
-The batch shapes mirror what system identification actually issues: one
-batched call per timestep with a few hundred perturbed rollout rows.
+Times ``step_batch`` of each preset's model (control routing and row
+chunking included) and reports microseconds per row:
+
+* Burgers (100 points, 250 substeps): 1 row (forward pass, line search),
+  22, 44, 96 rows (reduced identification, one call per timestep
+  stepping the + and - samples together) and 408 rows (full-order
+  identification, stepped as two chunks of 204);
+* Allen-Cahn 50x50: 1, 16, 32 rows;
+* Allen-Cahn and Cahn-Hilliard 20x20: 808 and 1616 rows (full-order
+  identification).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
-Whichever path the package selected at import (see ROILQR_PURE_NUMPY),
-both implementations are timed here directly.
+The kernels are the active path printed in the first line; set
+``ROILQR_PURE_NUMPY=1`` to time the numpy kernels where numba is installed.
 """
 
 import argparse
@@ -16,6 +24,14 @@ import time
 import numpy as np
 
 from roilqr import _kernels
+from roilqr.harness import build_problem, preset
+
+CASES = [
+    ("burgers", (1, 22, 44, 96, 408)),
+    ("allen_cahn", (1, 16, 32)),
+    ("allen_cahn_small", (808, 1616)),
+    ("cahn_hilliard", (808, 1616)),
+]
 
 
 def _time(fn, args, repeat):
@@ -34,47 +50,19 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    cases = []
-
-    batch, n = 408, 100
-    u = 0.5 * rng.standard_normal((batch, n))
-    bc = rng.standard_normal(batch), rng.standard_normal(batch)
-    cases.append((
-        f"burgers    batch={batch} n={n} substeps=250",
-        _kernels.burgers_batch_numba, _kernels.burgers_batch_numpy,
-        (u, bc[0], bc[1], 0.08, 2.0 / 99, 1e-3, 250),
-    ))
-
-    batch, p = 808, 20
-    phi = 0.3 * rng.standard_normal((batch, p * p))
-    temp = rng.standard_normal((batch, p * p))
-    h = rng.standard_normal((batch, p * p))
-    cases.append((
-        f"allen-cahn batch={batch} n={p * p} substeps=10",
-        _kernels.allen_cahn_batch_numba, _kernels.allen_cahn_batch_numpy,
-        (phi, temp, h, 1.0, 1.25e-3, 0.05, 0.01, 10, p),
-    ))
-    cases.append((
-        f"cahn-hill. batch={batch} n={p * p} substeps=40",
-        _kernels.cahn_hilliard_batch_numba, _kernels.cahn_hilliard_batch_numpy,
-        (phi, temp, h, 1.0, 1.25e-3, 0.05, 5e-5, 40, p),
-    ))
-
     print(f"active path: {'numba' if _kernels.USE_NUMBA else 'numpy'} "
           f"(numba available: {_kernels.HAVE_NUMBA})")
-    print(f"{'kernel':44s} {'numba':>10s} {'numpy':>10s} {'ratio':>8s}")
-    for label, fn_nb, fn_np, call_args in cases:
-        t_np = _time(fn_np, call_args, args.repeat)
-        if _kernels.HAVE_NUMBA:
-            t_nb = _time(fn_nb, call_args, args.repeat)
-            out_nb = fn_nb(*call_args)
-            out_np = fn_np(*call_args)
-            err = float(np.max(np.abs(out_nb - out_np)))
-            assert err < 1e-10, f"paths disagree: {err}"
-            print(f"{label:44s} {t_nb * 1e3:9.2f}ms {t_np * 1e3:9.2f}ms "
-                  f"{t_np / t_nb:7.1f}x")
-        else:
-            print(f"{label:44s} {'n/a':>10s} {t_np * 1e3:9.2f}ms {'':>8s}")
+    print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
+          f"{'call':>10s} {'per row':>10s}")
+    for name, batches in CASES:
+        problem = build_problem(preset(name))
+        model = problem.model
+        for rows in batches:
+            states = problem.x0 + 1e-2 * rng.standard_normal((rows, model.n_x))
+            controls = 0.3 * rng.standard_normal((rows, model.n_u))
+            t = _time(model.step_batch, (states, controls), args.repeat)
+            print(f"{name:18s} {model.n_x:5d} {model.params.substeps:8d} "
+                  f"{rows:5d} {t * 1e3:8.2f}ms {t / rows * 1e6:8.1f}µs")
 
 
 if __name__ == "__main__":

@@ -115,6 +115,30 @@ class Trajectory:
         return self.controls.shape[0]
 
 
+# Largest batch, in cells (rows x n_x), handed to one kernel call.  Larger
+# batches are stepped in equal row chunks, so stacking more samples into
+# one step_batch call never grows the kernels' temporaries or the control
+# routing arrays beyond this size.
+MAX_CHUNK_CELLS = 40_000
+
+
+def _step_in_chunks(kernel, states, controls, kernel_args):
+    """``kernel(states, *kernel_args(controls))`` in the fewest row chunks
+    of at most :data:`MAX_CHUNK_CELLS` cells, their sizes differing by at
+    most one row, written into one output array.  Rows are independent, so
+    the result equals one call on the whole batch."""
+    nb, n = states.shape
+    cap = max(1, MAX_CHUNK_CELLS // n)
+    if nb <= cap:
+        return kernel(states, *kernel_args(controls))
+    chunks = -(-nb // cap)
+    bounds = [i * nb // chunks for i in range(chunks + 1)]
+    out = np.empty_like(states)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = kernel(states[lo:hi], *kernel_args(controls[lo:hi]))
+    return out
+
+
 def _as_batch(x, n, what="state"):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -147,18 +171,16 @@ class BurgersModel:
         return self.grid.n_x
 
     def step_batch(self, states, controls):
-        p = self.params
         states = _as_batch(states, self.n_x)
         controls = _as_batch(controls, self.n_u, "control")
-        return _kernels.burgers_batch(
-            states,
-            np.ascontiguousarray(controls[:, 0]),
-            np.ascontiguousarray(controls[:, 1]),
-            p.nu,
-            self.grid.dx,
-            p.dt,
-            p.substeps,
-        )
+        return _step_in_chunks(_kernels.burgers_batch, states, controls,
+                               self._kernel_args)
+
+    def _kernel_args(self, controls):
+        p = self.params
+        return (np.ascontiguousarray(controls[:, 0]),
+                np.ascontiguousarray(controls[:, 1]),
+                p.nu, self.grid.dx, p.dt, p.substeps)
 
     def step(self, state, control):
         out = self.step_batch(state[None, :], np.asarray(control)[None, :])[0]
@@ -194,22 +216,21 @@ class _PhaseFieldModel:
     def n_x(self):
         return self.grid.n_x
 
-    def _route(self, controls):
+    def _kernel_args(self, controls):
         # (temp+, h+, temp-, h-) -> per-point fields by mask label
+        p = self.params
         plus = self.mask > 0
         temp = np.where(plus[None, :], controls[:, 0:1], controls[:, 2:3])
         h = np.where(plus[None, :], controls[:, 1:2], controls[:, 3:4])
-        return np.ascontiguousarray(temp), np.ascontiguousarray(h)
+        return (np.ascontiguousarray(temp), np.ascontiguousarray(h),
+                p.mobility, self.gamma, self.grid.dx, p.dt, p.substeps,
+                self.grid.points)
 
     def step_batch(self, states, controls):
-        p = self.params
         states = _as_batch(states, self.n_x)
         controls = _as_batch(controls, self.n_u, "control")
-        temp, h = self._route(controls)
-        return self._kernel(
-            states, temp, h, p.mobility, self.gamma, self.grid.dx, p.dt,
-            p.substeps, self.grid.points,
-        )
+        return _step_in_chunks(self._kernel, states, controls,
+                               self._kernel_args)
 
     def step(self, state, control):
         out = self.step_batch(state[None, :], np.asarray(control)[None, :])[0]

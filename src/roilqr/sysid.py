@@ -115,25 +115,29 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None):
 
     inputs = np.empty((horizon, dim + n_u, n_r))
     outputs = np.empty((horizon, dim, n_r))
+    # rows [:n_r] are the + samples, rows [n_r:] the - samples; one
+    # simulator call per timestep steps both
+    x_pm = np.empty((2 * n_r, model.n_x))
+    u_pm = np.empty((2 * n_r, n_u))
     for t in range(horizon):
         dz = s_x * rng.standard_normal((n_r, dim))
         du = s_u * rng.standard_normal((n_r, n_u))
         dx = dz @ basis.phi.T if basis is not None else dz
-        x_plus = nominal.states[t] + dx
-        x_minus = nominal.states[t] - dx
-        u_plus = nominal.controls[t] + du
-        u_minus = nominal.controls[t] - du
-        f_plus = model.step_batch(x_plus, u_plus)
-        f_minus = model.step_batch(x_minus, u_minus)
-        bad = ~(np.all(np.isfinite(f_plus), axis=1)
-                & np.all(np.isfinite(f_minus), axis=1))
+        np.add(nominal.states[t], dx, out=x_pm[:n_r])
+        np.subtract(nominal.states[t], dx, out=x_pm[n_r:])
+        np.add(nominal.controls[t], du, out=u_pm[:n_r])
+        np.subtract(nominal.controls[t], du, out=u_pm[n_r:])
+        f_pm = model.step_batch(x_pm, u_pm)
+        finite = np.all(np.isfinite(f_pm), axis=1)
+        bad = ~(finite[:n_r] & finite[n_r:])
         if np.any(bad):
             r = int(np.nonzero(bad)[0][0])
             raise DivergenceError(
                 f"perturbation rollout {r} diverged at timestep {t}",
                 timestep=t, rollout=r,
             )
-        dy = 0.5 * (f_plus - f_minus)
+        dy = 0.5 * (f_pm[:n_r] - f_pm[n_r:])
+        del f_pm   # not alive during the next timestep's simulator call
         if basis is not None:
             dy = dy @ basis.phi
         inputs[t, :dim, :] = dz.T

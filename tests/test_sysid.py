@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import LinearModel, random_stable_linear
 
-from roilqr.pde import BurgersModel, Grid, PdeParams, rollout
+from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import (PerturbationConfig, RankDeficientError,
                           RegressionData, fit_full_order_ltv, fit_ltv,
@@ -191,3 +191,84 @@ def test_full_order_needs_dimension_plus_one_samples():
     assert n_r == 103
     with pytest.raises(ValueError):
         PerturbationConfig(n_rollouts=102).resolved(100, 2, nominal)
+
+
+def _two_call_rollout_data(model, nominal, basis, cfg):
+    """Reference sampler: separate simulator calls for the + and - rows."""
+    dim = basis.n_modes if basis is not None else model.n_x
+    n_r, s_x, s_u = cfg.resolved(dim, model.n_u, nominal)
+    rng = np.random.default_rng(cfg.seed)
+    inputs = np.empty((nominal.horizon, dim + model.n_u, n_r))
+    outputs = np.empty((nominal.horizon, dim, n_r))
+    for t in range(nominal.horizon):
+        dz = s_x * rng.standard_normal((n_r, dim))
+        du = s_u * rng.standard_normal((n_r, model.n_u))
+        dx = dz @ basis.phi.T if basis is not None else dz
+        f_plus = model.step_batch(nominal.states[t] + dx,
+                                  nominal.controls[t] + du)
+        f_minus = model.step_batch(nominal.states[t] - dx,
+                                   nominal.controls[t] - du)
+        dy = 0.5 * (f_plus - f_minus)
+        if basis is not None:
+            dy = dy @ basis.phi
+        inputs[t, :dim] = dz.T
+        inputs[t, dim:] = du.T
+        outputs[t] = dy.T
+    return inputs, outputs
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_stacked_samples_bit_identical_to_two_calls(reduced):
+    rng = np.random.default_rng(13)
+    grid = Grid(ndim=1, points=24, dx=2.0 / 23)
+    model = BurgersModel(grid, PdeParams(dt=2e-3, substeps=20, nu=0.05))
+    nominal = rollout(model, 0.5 * rng.standard_normal(24),
+                      0.2 * rng.standard_normal((4, 2)))
+    basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
+             if reduced else None)
+    cfg = PerturbationConfig(seed=14)
+    data = generate_rollout_data(model, nominal, basis, cfg)
+    inputs, outputs = _two_call_rollout_data(model, nominal, basis, cfg)
+    np.testing.assert_array_equal(data.inputs.view(np.uint64),
+                                  inputs.view(np.uint64))
+    np.testing.assert_array_equal(data.outputs.view(np.uint64),
+                                  outputs.view(np.uint64))
+
+
+class _BlowsUpNear(LinearModel):
+    """Linear plant whose step is non-finite for states near ``center``
+    whose first coordinate lies beyond ``center[0] + offset`` (on the side
+    of the sign of ``offset``)."""
+
+    def __init__(self, plant, center, offset):
+        super().__init__(plant.a, plant.b)
+        self.center = center
+        self.offset = offset
+
+    def step_batch(self, states, controls):
+        out = super().step_batch(states, controls)
+        near = np.all(np.abs(states[:, 1:] - self.center[1:]) < 1e-3, axis=1)
+        beyond = np.sign(self.offset) * (states[:, 0] - self.center[0]) \
+            > abs(self.offset)
+        out[near & beyond] = np.inf
+        return out
+
+
+def test_minus_side_divergence_names_timestep_and_rollout():
+    rng = np.random.default_rng(15)
+    plant = random_stable_linear(5, 2, rng)
+    nominal = _nominal(plant, 4, rng)
+    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=16)
+    n_r = cfg.resolved(5, 2, nominal)[0]
+    t_bad = 2
+    # the sample with the largest |dx_0| at t_bad is the only one that
+    # reaches past the threshold, and only on its minus side
+    dx0 = generate_rollout_data(plant, nominal, None, cfg).inputs[t_bad, 0]
+    r_bad = int(np.argmax(np.abs(dx0)))
+    runner_up = np.sort(np.abs(dx0))[-2]
+    offset = -np.sign(dx0[r_bad]) * 0.5 * (runner_up + abs(dx0[r_bad]))
+    model = _BlowsUpNear(plant, nominal.states[t_bad], offset)
+    with pytest.raises(DivergenceError) as err:
+        generate_rollout_data(model, nominal, None, cfg)
+    assert err.value.timestep == t_bad
+    assert err.value.rollout == r_bad < n_r
