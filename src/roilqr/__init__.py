@@ -17,12 +17,10 @@ from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   DivergenceError, Grid, PdeParams, StabilityError,
                   Trajectory, mask_from_goal, rollout)
 from .pod import (DegenerateSnapshotsError, ReducedBasis, lift,
-                  load_basis, method_of_snapshots, project,
-                  projection_residual, save_basis)
+                  method_of_snapshots, project, projection_residual)
 from .solver import (ControlProblem, SolveReport, SolverConfig, forward_pass,
                      line_search, solve)
 from .sysid import (LtvModel, PerturbationConfig, RankDeficientError,
-                    RegressionData, fit_full_order_ltv, fit_ltv,
-                    generate_rollout_data)
+                    RegressionData, fit_ltv, generate_rollout_data)
 
 __version__ = "0.1.0"

@@ -20,17 +20,18 @@ Newton step at every accepted iterate and flags membership of
 { ||H^-1 grad|| <= delta }.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lqr import (ReducedCostTerms, _weight_matvec, _weight_project,
-                  lqr_solve_dense, reduce_cost, stack_quadratic)
-from .pde import rollout
+from .lqr import (_weight_matvec, lqr_solve_dense, quad_objective,
+                  reduce_cost, stack_quadratic)
+from .pde import Trajectory, rollout
 from .pod import method_of_snapshots, projection_residual
 from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 _SLACK = 1e-8  # absolute tolerance so exact-basis (eps ~ 0) cases pass
+_SIGMA_FLOOR = 1e-10  # smallest stacked-Hessian eigenvalue deemed uniform
 
 
 @dataclass
@@ -50,61 +51,24 @@ class LqrPair:
         return self.nominal.horizon
 
 
-def reduced_bound_terms(cost, nominal, basis):
-    """Cost expansion of the reduced objective.
-
-    Differs from :func:`roilqr.lqr.reduce_cost` in the linear terms: the
-    reduced objective's nominal is the projected trajectory, so gradients
-    are evaluated at the reconstruction phi phi^T x_t rather than x_t.
-    """
-    horizon = nominal.horizon
-    recon = nominal.states @ basis.phi @ basis.phi.T
-    grads = np.empty((horizon + 1, basis.n_modes))
-    for t in range(horizon):
-        grads[t] = basis.phi.T @ cost.state_grad(recon[t])
-    grads[horizon] = basis.phi.T @ cost.state_grad(recon[horizon],
-                                                   terminal=True)
-    return ReducedCostTerms(
-        lin_state=grads,
-        quad_state=_weight_project(cost.q, basis.phi),
-        quad_terminal=_weight_project(cost.q_terminal, basis.phi),
-        lin_control=nominal.controls @ cost.r.T,
-        r=cost.r,
-    )
-
-
 def build_lqr_pair(model, cost, nominal, basis, perturb=None):
     """Identify both LTV models around the nominal and assemble the pair."""
     perturb = perturb or PerturbationConfig()
     fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb)
     ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb)
+    # the reduced objective's nominal is the projected trajectory, so its
+    # cost gradients are taken at the reconstruction phi phi^T x_t
+    projected = Trajectory(states=nominal.states @ basis.phi @ basis.phi.T,
+                           controls=nominal.controls)
     return LqrPair(
         fo_ltv=fit_ltv(fo_data),
         fo_terms=reduce_cost(cost, nominal, None),
         ro_ltv=fit_ltv(ro_data),
-        ro_terms=reduced_bound_terms(cost, nominal, basis),
+        ro_terms=reduce_cost(cost, projected, basis),
         basis=basis,
         nominal=nominal,
         cost=cost,
     )
-
-
-def _eval_quadratic(ltv, terms, du):
-    """Objective value and the deviation states it visits."""
-    dz = np.zeros(ltv.dim)
-    devs = np.empty((ltv.horizon + 1, ltv.dim))
-    devs[0] = dz
-    val = 0.0
-    for t in range(ltv.horizon):
-        val += float(terms.lin_state[t] @ dz)
-        val += 0.5 * float(dz @ (terms.quad_state @ dz))
-        val += float(terms.lin_control[t] @ du[t])
-        val += 0.5 * float(du[t] @ (terms.r @ du[t]))
-        dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
-        devs[t + 1] = dz
-    val += float(terms.lin_state[-1] @ dz)
-    val += 0.5 * float(dz @ (terms.quad_terminal @ dz))
-    return val, devs
 
 
 def _measure_constants(pair, du_list):
@@ -125,8 +89,8 @@ def _measure_constants(pair, du_list):
     eps_linear = 0.0
     gaps = []
     for du in du_list:
-        val_fo, dx = _eval_quadratic(pair.fo_ltv, pair.fo_terms, du)
-        val_ro, dz = _eval_quadratic(pair.ro_ltv, pair.ro_terms, du)
+        val_fo, dx = quad_objective(pair.fo_ltv, pair.fo_terms, du)
+        val_ro, dz = quad_objective(pair.ro_ltv, pair.ro_terms, du)
         gaps.append(abs(val_fo - val_ro))
         lifted = dz @ basis.phi.T
         mism = np.linalg.norm(dx - lifted, axis=1)
@@ -147,6 +111,14 @@ def _measure_constants(pair, du_list):
         "cbar1": cbar1,
         "gaps": gaps,
     }
+
+
+def _delta(meas, sigma_min):
+    """Minimizer-distance radius sqrt(2 cbar1 eps / sigma_min); infinite
+    when the stacked Hessian is not uniformly positive definite."""
+    if sigma_min <= _SIGMA_FLOOR:
+        return float("inf")
+    return float(np.sqrt(2.0 * meas["cbar1"] * meas["eps"] / sigma_min))
 
 
 def _draw_controls(pair, samples, seed, sigma):
@@ -195,14 +167,14 @@ def check_minimizer_distance(pair, samples=100, seed=1, sigma=None):
 
     h_full, _ = stack_quadratic(pair.fo_ltv, pair.fo_terms)
     sigma_min = float(np.min(np.linalg.eigvalsh(h_full)))
-    uniform_ok = sigma_min > 1e-10
+    uniform_ok = sigma_min > _SIGMA_FLOOR
 
-    val_star, _ = _eval_quadratic(pair.fo_ltv, pair.fo_terms, du_star)
-    val_hat, _ = _eval_quadratic(pair.ro_ltv, pair.ro_terms, du_hat)
+    val_star, _ = quad_objective(pair.fo_ltv, pair.fo_terms, du_star)
+    val_hat, _ = quad_objective(pair.ro_ltv, pair.ro_terms, du_hat)
     minima_gap = abs(val_star - val_hat)
     bound = meas["cbar1"] * meas["eps"]
     distance = float(np.linalg.norm(du_star - du_hat))
-    delta = float(np.sqrt(2.0 * bound / sigma_min)) if uniform_ok else float("inf")
+    delta = _delta(meas, sigma_min)
     return {
         "eps": meas["eps"],
         "cbar": meas["cbar"],
@@ -288,10 +260,8 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         cost_k = cost.trajectory_cost(nominal)
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
-        pcfg = PerturbationConfig(
-            n_rollouts=perturb.n_rollouts, sigma_x=perturb.sigma_x,
-            sigma_u=perturb.sigma_u, seed=perturb.seed + 7919 * idx)
-        pair = build_lqr_pair(model, cost, nominal, basis, pcfg)
+        pair = build_lqr_pair(model, cost, nominal, basis,
+                              replace(perturb, seed=perturb.seed + 7919 * idx))
         h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
         evals = np.linalg.eigvalsh(h_full)
         hessian_ok = bool(evals[0] > 0.0)
@@ -302,8 +272,7 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         draws = _draw_controls(pair, samples, seed + idx, sigma)
         meas = _measure_constants(pair, draws)
         sigma_min = float(evals[0])
-        delta = float(np.sqrt(2.0 * meas["cbar1"] * meas["eps"] / sigma_min)) \
-            if sigma_min > 1e-10 else float("inf")
+        delta = _delta(meas, sigma_min)
         trace.append({
             "iteration": idx,
             "cost": cost_k,

@@ -31,6 +31,10 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
+_MODELS = {"burgers": BurgersModel, "allen_cahn": AllenCahnModel,
+           "cahn_hilliard": CahnHilliardModel}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """PDE task definition: grid, horizon, physics, cost weights, shapes."""
@@ -133,7 +137,7 @@ def config_from_dict(raw, base=None):
 
 def _validate(cfg):
     p = cfg.problem
-    if p.name not in ("burgers", "allen_cahn", "cahn_hilliard"):
+    if p.name not in _MODELS:
         raise ConfigError(f"problem.name: unknown problem '{p.name}'")
     if p.points < 2:
         raise ConfigError("problem.points: must be >= 2")
@@ -289,27 +293,20 @@ def build_problem(cfg, u_init=None):
     """Instantiate the model, cost and problem container from a config."""
     spec = cfg.problem
     try:
+        params = PdeParams(dt=spec.dt, substeps=spec.substeps, nu=spec.nu,
+                           mobility=spec.mobility, gamma=spec.gamma)
         if spec.name == "burgers":
             grid = Grid(ndim=1, points=spec.points,
                         dx=2.0 / (spec.points - 1))
-            params = PdeParams(dt=spec.dt, substeps=spec.substeps,
-                               nu=spec.nu, mobility=spec.mobility,
-                               gamma=spec.gamma)
+            goal = _goal_field(spec, grid)
             model = BurgersModel(grid, params)
         else:
             grid = Grid(ndim=2, points=spec.points, dx=1.0 / spec.points)
-            params = PdeParams(dt=spec.dt, substeps=spec.substeps,
-                               nu=spec.nu, mobility=spec.mobility,
-                               gamma=spec.gamma)
             goal = _goal_field(spec, grid)
-            mask = mask_from_goal(goal)
-            cls = AllenCahnModel if spec.name == "allen_cahn" \
-                else CahnHilliardModel
-            model = cls(grid, params, mask)
+            model = _MODELS[spec.name](grid, params, mask_from_goal(goal))
     except (StabilityError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}")
 
-    goal = _goal_field(spec, grid)
     cost = CostModel(
         q=spec.q_weight,
         r=spec.r_weight * np.eye(model.n_u),
@@ -323,7 +320,7 @@ def build_problem(cfg, u_init=None):
 
 def gaussian_guess(cfg, seed, std):
     rng = np.random.default_rng(seed)
-    n_u = 2 if cfg.problem.name == "burgers" else 4
+    n_u = _MODELS[cfg.problem.name].n_u
     return std * rng.standard_normal((cfg.problem.horizon, n_u))
 
 
@@ -526,7 +523,7 @@ def run_verify_bounds(cfg, out_dir=None):
     """Solve (reduced), then verify every bound inequality around the
     converged nominal and trace limit-set membership per iterate."""
     out_dir = out_dir or cfg.run.out_dir
-    n_u = 2 if cfg.problem.name == "burgers" else 4
+    n_u = _MODELS[cfg.problem.name].n_u
     if cfg.problem.horizon * n_u > 200:
         raise ConfigError(
             "run: bound verification needs a desk-scale instance "
@@ -571,13 +568,8 @@ def run_repeatability(cfg, out_dir=None):
     if cfg.run.repeats < 2:
         raise ConfigError("run.repeats: repeatability needs >= 2 runs")
     guess_std = cfg.run.guess_std if cfg.run.guess_std > 0 else 0.1
-
-    reports = []
-    for i in range(cfg.run.repeats):
-        seed = cfg.solver.seed + i * cfg.run.seed_stride
-        u_init = gaussian_guess(cfg, seed, guess_std)
-        sub = os.path.join(out_dir, f"seed_{seed:04d}") if out_dir else None
-        reports.append(_solve_once(cfg, seed, out_dir=sub, u_init=u_init))
+    reports = run_solve(replace(cfg, run=replace(cfg.run, guess_std=guess_std)),
+                        out_dir=out_dir)
 
     ok = [r for r in reports
           if r.status in ("converged", "no_descent", "max_iterations")]

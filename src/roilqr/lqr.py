@@ -1,5 +1,6 @@
-"""Quadratic cost machinery, the Riccati-style backward pass, and a dense
-quadratic-program oracle used by the tests.
+"""Quadratic cost machinery, the Riccati-style backward pass, and the
+dense stacked form of the perturbed quadratic (the backward pass's test
+oracle, and the exact minimizer for bound verification).
 
 Cost convention: J = sum_t [ 0.5 (x_t - g)^T Q (x_t - g) + 0.5 u_t^T R u_t ]
 + 0.5 (x_T - g)^T Q_T (x_T - g).  State weights may be scalar, diagonal
@@ -266,33 +267,6 @@ def backward_pass(ltv, terms, reg=None):
                         sum_k_qu=sum_k_qu, sum_k_quu_k=sum_k_quu_k)
 
 
-def value_recursion_direct(ltv, terms):
-    """Closed-form value recursion (no Q-function intermediates).
-
-    Test reference for the backward pass: v_t and V_t computed directly
-    from the one-step-ahead optimality conditions,
-
-        v_t = l_z + A^T v' - A^T V' B (R + B^T V' B)^{-1} (B^T v' + R u),
-        V_t = l_zz + A^T V' A - A^T V' B (R + B^T V' B)^{-1} B^T V' A.
-    """
-    horizon, dim = ltv.horizon, ltv.dim
-    v = np.empty((horizon + 1, dim))
-    big_v = np.empty((horizon + 1, dim, dim))
-    v[horizon] = terms.lin_state[horizon]
-    big_v[horizon] = terms.quad_terminal
-    for t in range(horizon - 1, -1, -1):
-        a_t, b_t = ltv.A[t], ltv.B[t]
-        v_next = big_v[t + 1]
-        inner = terms.r + b_t.T @ v_next @ b_t
-        gain = np.linalg.solve(inner, np.column_stack(
-            [b_t.T @ v[t + 1] + terms.lin_control[t], b_t.T @ v_next @ a_t]))
-        v[t] = terms.lin_state[t] + a_t.T @ v[t + 1] \
-            - a_t.T @ v_next @ b_t @ gain[:, 0]
-        big_v[t] = terms.quad_state + a_t.T @ v_next @ a_t \
-            - a_t.T @ v_next @ b_t @ gain[:, 1:]
-    return v, big_v
-
-
 def stack_quadratic(ltv, terms):
     """Dense stacked form of the perturbed objective.
 
@@ -320,8 +294,14 @@ def stack_quadratic(ltv, terms):
 
 
 def quad_objective(ltv, terms, du):
-    """Evaluate the perturbed objective at a control perturbation (T, n_u)."""
+    """Perturbed objective at a control perturbation ``du`` (T, n_u).
+
+    Returns ``(value, deviations)`` with the (T+1, d) deviation states
+    the perturbation drives the LTV model through.
+    """
     dz = np.zeros(ltv.dim)
+    devs = np.empty((ltv.horizon + 1, ltv.dim))
+    devs[0] = dz
     val = 0.0
     for t in range(ltv.horizon):
         val += float(terms.lin_state[t] @ dz)
@@ -329,9 +309,10 @@ def quad_objective(ltv, terms, du):
         val += float(terms.lin_control[t] @ du[t])
         val += 0.5 * float(du[t] @ (terms.r @ du[t]))
         dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
+        devs[t + 1] = dz
     val += float(terms.lin_state[-1] @ dz)
     val += 0.5 * float(dz @ (terms.quad_terminal @ dz))
-    return val
+    return val, devs
 
 
 def lqr_solve_dense(ltv, terms, max_size=500):
@@ -351,12 +332,3 @@ def lqr_solve_dense(ltv, terms, max_size=500):
     du = -sla.cho_solve(chol, g)
     return du.reshape(ltv.horizon, ltv.n_u)
 
-
-def simulate_feedback(ltv, gains, alpha=1.0):
-    """Open-loop perturbation produced by the feedback law on the LTV model."""
-    dz = np.zeros(ltv.dim)
-    du = np.empty((ltv.horizon, ltv.n_u))
-    for t in range(ltv.horizon):
-        du[t] = -alpha * gains.k[t] - gains.K[t] @ dz
-        dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
-    return du

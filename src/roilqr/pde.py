@@ -13,9 +13,10 @@ h-)``: every grid point is labeled +1 or -1 by a target mask and receives
 the (temp, h) pair of its label.  Bulk energy density: phi^4 + temp*phi^2
 + h*phi.
 
-Step and rollout functions are pure; models validate an explicit-scheme
-stability bound at construction and raise :class:`DivergenceError` when a
-trajectory blows up anyway (e.g. advection-dominated regimes).
+``step_batch`` and :func:`rollout` are pure; models validate an
+explicit-scheme stability bound at construction, and :func:`rollout`
+raises :class:`DivergenceError` when a trajectory blows up anyway (e.g.
+advection-dominated regimes).
 """
 
 from dataclasses import dataclass
@@ -182,12 +183,6 @@ class BurgersModel:
                 np.ascontiguousarray(controls[:, 1]),
                 p.nu, self.grid.dx, p.dt, p.substeps)
 
-    def step(self, state, control):
-        out = self.step_batch(state[None, :], np.asarray(control)[None, :])[0]
-        if not np.all(np.isfinite(out)):
-            raise DivergenceError("Burgers step produced non-finite values")
-        return out
-
 
 def mask_from_goal(goal):
     """Label grid points by the sign of the target order parameter."""
@@ -231,14 +226,6 @@ class _PhaseFieldModel:
         controls = _as_batch(controls, self.n_u, "control")
         return _step_in_chunks(self._kernel, states, controls,
                                self._kernel_args)
-
-    def step(self, state, control):
-        out = self.step_batch(state[None, :], np.asarray(control)[None, :])[0]
-        if not np.all(np.isfinite(out)):
-            raise DivergenceError(
-                f"{type(self).__name__} step produced non-finite values"
-            )
-        return out
 
 
 class AllenCahnModel(_PhaseFieldModel):

@@ -24,14 +24,12 @@ class ReducedBasis:
     ``eigenvalues`` holds the full kept spectrum of the snapshot Gram
     matrix (descending; equal to squared singular values of the snapshot
     matrix), not just the retained ``l`` leading entries, so truncation
-    error sums stay available.  ``mean`` is non-None only for a
-    mean-centered basis.
+    error sums stay available.
     """
 
     phi: np.ndarray
-    eigenvalues: np.ndarray | None
+    eigenvalues: np.ndarray
     captured_energy: float
-    mean: np.ndarray | None = None
 
     @property
     def n_modes(self):
@@ -50,8 +48,7 @@ def _fix_signs(phi):
     return phi * signs
 
 
-def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12,
-                        center=False):
+def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12):
     """Build a reduced basis from an ``(n_x, m)`` snapshot matrix.
 
     Retains the smallest mode count whose relative spectral energy
@@ -70,11 +67,6 @@ def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12,
         raise ValueError(f"snapshot matrix must be tall, got {n_x}x{m}")
     if not 0.0 < energy_cutoff <= 1.0:
         raise ValueError("energy_cutoff must be in (0, 1]")
-
-    mean = None
-    if center:
-        mean = x.mean(axis=1)
-        x = x - mean[:, None]
 
     gram = x.T @ x
     evals, evecs = np.linalg.eigh(gram)
@@ -98,7 +90,6 @@ def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12,
         phi=phi,
         eigenvalues=evals,
         captured_energy=float(energy[n_modes - 1]),
-        mean=mean,
     )
 
 
@@ -109,8 +100,6 @@ def project(basis, state):
         raise ValueError(
             f"state dimension {state.shape[0]} != basis n_x {basis.n_x}"
         )
-    if basis.mean is not None:
-        state = (state.T - basis.mean).T
     return basis.phi.T @ state
 
 
@@ -122,10 +111,7 @@ def lift(basis, coords):
             f"coordinate dimension {coords.shape[0]} != mode count "
             f"{basis.n_modes}"
         )
-    out = basis.phi @ coords
-    if basis.mean is not None:
-        out = (out.T + basis.mean).T
-    return out
+    return basis.phi @ coords
 
 
 def projection_residual(basis, states):
@@ -136,23 +122,6 @@ def projection_residual(basis, states):
     if hasattr(states, "states"):
         states = states.states
     x = np.asarray(states, dtype=np.float64).T  # (n_x, m)
-    if basis.mean is not None:
-        x = x - basis.mean[:, None]
     resid = x - basis.phi @ (basis.phi.T @ x)
     return float(np.max(np.linalg.norm(resid, axis=0)))
 
-
-def save_basis(path, basis):
-    """Debug export: CSV, header row with n_x and l, then row-major modes."""
-    header = f"n_x={basis.n_x},l={basis.n_modes}"
-    np.savetxt(path, basis.phi, delimiter=",", header=header)
-
-
-def load_basis(path):
-    with open(path) as fh:
-        header = fh.readline().lstrip("# ").strip()
-    fields = dict(kv.split("=") for kv in header.split(","))
-    phi = np.loadtxt(path, delimiter=",", ndmin=2)
-    if phi.shape != (int(fields["n_x"]), int(fields["l"])):
-        raise ValueError(f"basis file shape {phi.shape} disagrees with header")
-    return ReducedBasis(phi=phi, eigenvalues=None, captured_energy=float("nan"))

@@ -1,7 +1,7 @@
 """Outer trajectory-optimization loop.
 
 Each iteration: refresh the snapshot basis from the currently accepted
-trajectory (reduced mode only), identify a local LTV model around it,
+trajectory (reduced mode only), fit a local LTV model around it,
 run the backward pass for gains, and accept a new trajectory through a
 backtracking line search on the nonlinear model.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
@@ -54,6 +54,11 @@ class SolverConfig:
             raise ValueError("sigma1 must be in (0, 1)")
         if not 0.0 < self.alpha_shrink < 1.0:
             raise ValueError("alpha_shrink must be in (0, 1)")
+        if not 0.0 < self.alpha_min <= self.alpha_init:
+            # alpha_min <= 0 never stops the backtracking: alpha underflows
+            # to 0.0, which still satisfies alpha >= alpha_min
+            raise ValueError("need 0 < alpha_min <= alpha_init")
+        Regularizer(mu=self.mu_init)   # raises unless mu_init is in range
         if self.mode not in ("reduced", "full"):
             raise ValueError("mode must be 'reduced' or 'full'")
         if not 0.0 < self.energy_cutoff <= 1.0:

@@ -61,11 +61,6 @@ class RegressionData:
     inputs: np.ndarray
     outputs: np.ndarray
     n_u: int
-    full_order: bool
-
-    @property
-    def horizon(self):
-        return self.inputs.shape[0]
 
     @property
     def dim(self):
@@ -82,7 +77,6 @@ class LtvModel:
 
     A: np.ndarray
     B: np.ndarray
-    full_order: bool
 
     @property
     def horizon(self):
@@ -143,8 +137,7 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None):
         inputs[t, :dim, :] = dz.T
         inputs[t, dim:, :] = du.T
         outputs[t] = dy.T
-    return RegressionData(inputs=inputs, outputs=outputs, n_u=n_u,
-                          full_order=basis is None)
+    return RegressionData(inputs=inputs, outputs=outputs, n_u=n_u)
 
 
 def fit_ltv(data, cond_limit=1e10):
@@ -173,28 +166,4 @@ def fit_ltv(data, cond_limit=1e10):
         theta = theta.T
         a_all[t] = theta[:, :dim]
         b_all[t] = theta[:, dim:]
-    return LtvModel(A=a_all, B=b_all, full_order=data.full_order)
-
-
-def fit_full_order_ltv(model, nominal, cfg=None):
-    """Benchmark path: identify the LTV model in the full state space."""
-    data = generate_rollout_data(model, nominal, basis=None, cfg=cfg)
-    return fit_ltv(data)
-
-
-def identify(model, nominal, basis=None, cfg=None):
-    """One-call identification; returns the model and the sample count."""
-    data = generate_rollout_data(model, nominal, basis=basis, cfg=cfg)
-    return fit_ltv(data), data.n_samples
-
-
-def dump_regression_data(data, out_dir):
-    """Optional per-timestep CSV dump of the (X, Y) matrices."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    for t in range(data.horizon):
-        np.savetxt(os.path.join(out_dir, f"t{t:03d}_inputs.csv"),
-                   data.inputs[t], delimiter=",")
-        np.savetxt(os.path.join(out_dir, f"t{t:03d}_outputs.csv"),
-                   data.outputs[t], delimiter=",")
+    return LtvModel(A=a_all, B=b_all)

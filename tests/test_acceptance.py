@@ -8,18 +8,16 @@ module-scoped fixtures, so the whole gate runs in about a minute.
 
 import numpy as np
 import pytest
-from helpers import random_stable_linear
+from helpers import random_stable_linear, simulate_feedback, step
 
 from roilqr.bounds import build_lqr_pair, verify_bounds
 from roilqr.harness import (build_problem, gaussian_guess, preset,
                             run_benchmark, run_repeatability)
-from roilqr.lqr import (Regularizer, backward_pass, lqr_solve_dense,
-                        reduce_cost, simulate_feedback)
+from roilqr.lqr import Regularizer, backward_pass, lqr_solve_dense, reduce_cost
 from roilqr.pde import rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.solver import SolverConfig, solve
-from roilqr.sysid import (PerturbationConfig, fit_full_order_ltv, fit_ltv,
-                          generate_rollout_data)
+from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 BENCH_PRESETS = ("burgers", "allen_cahn_small", "cahn_hilliard")
 
@@ -146,8 +144,8 @@ def test_oracle_backward_vs_dense():
 
         cost = CostModel(q=1.0, r=0.5 * np.eye(model.n_u), q_terminal=2.0,
                          goal=rng.standard_normal(model.n_x))
-        ltv = fit_full_order_ltv(model, nominal,
-                                 PerturbationConfig(seed=seed))
+        ltv = fit_ltv(generate_rollout_data(
+            model, nominal, cfg=PerturbationConfig(seed=seed)))
         terms = reduce_cost(cost, nominal, None)
         gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
         du_bp = simulate_feedback(ltv, gains)
@@ -162,8 +160,8 @@ def test_oracle_ltv_recovery():
     model = random_stable_linear(5, 2, rng)
     nominal = rollout(model, rng.standard_normal(5),
                       0.3 * rng.standard_normal((6, 2)))
-    ltv = fit_full_order_ltv(model, nominal,
-                             PerturbationConfig(n_rollouts=20, seed=1))
+    ltv = fit_ltv(generate_rollout_data(
+        model, nominal, cfg=PerturbationConfig(n_rollouts=20, seed=1)))
     err = max(float(np.max(np.abs(ltv.A - model.a))),
               float(np.max(np.abs(ltv.B - model.b))))
     _criterion("oracle (b): noiseless LTV plant recovery", err <= 1e-8,
@@ -211,7 +209,7 @@ def test_conservation_and_properties(benchmarks):
     rng = np.random.default_rng(7)
     state = problem.x0
     for _ in range(5):
-        nxt = problem.model.step(state, 0.5 * rng.standard_normal(4))
+        nxt = step(problem.model, state, 0.5 * rng.standard_normal(4))
         drift = max(drift, abs(nxt.sum() - state.sum()))
         state = nxt
     mass_ok = drift <= 1e-10 * n_x

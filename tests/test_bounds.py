@@ -6,8 +6,8 @@ import pytest
 from helpers import LinearModel
 
 from roilqr.bounds import (LqrPair, build_lqr_pair, check_objective_gap,
-                           check_minimizer_distance, reduced_bound_terms,
-                           trace_limit_set, verify_bounds)
+                           check_minimizer_distance, trace_limit_set,
+                           verify_bounds)
 from roilqr.lqr import CostModel, ReducedCostTerms, reduce_cost
 from roilqr.pde import Trajectory, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
@@ -32,14 +32,12 @@ def _invariant_subspace_pair(seed=0, n=10, l=3, n_u=2, horizon=5):
     cost = CostModel(q=1.0, r=0.5 * np.eye(n_u), q_terminal=2.0,
                      goal=phi @ rng.standard_normal(l))
     fo_ltv = LtvModel(A=np.broadcast_to(a_full, (horizon, n, n)).copy(),
-                      B=np.broadcast_to(b_full, (horizon, n, n_u)).copy(),
-                      full_order=True)
+                      B=np.broadcast_to(b_full, (horizon, n, n_u)).copy())
     ro_ltv = LtvModel(A=np.broadcast_to(a_red, (horizon, l, l)).copy(),
-                      B=np.broadcast_to(b_red, (horizon, l, n_u)).copy(),
-                      full_order=False)
+                      B=np.broadcast_to(b_red, (horizon, l, n_u)).copy())
     return LqrPair(
         fo_ltv=fo_ltv, fo_terms=reduce_cost(cost, nominal, None),
-        ro_ltv=ro_ltv, ro_terms=reduced_bound_terms(cost, nominal, basis),
+        ro_ltv=ro_ltv, ro_terms=reduce_cost(cost, nominal, basis),
         basis=basis, nominal=nominal, cost=cost,
     )
 
@@ -70,8 +68,8 @@ def test_scalar_toy_hand_computable():
     # one state, one control, one step: everything solvable by hand
     a = np.ones((1, 1, 1))
     b = np.ones((1, 1, 1))
-    fo = LtvModel(A=a, B=b, full_order=True)
-    ro = LtvModel(A=a.copy(), B=b.copy(), full_order=False)
+    fo = LtvModel(A=a, B=b)
+    ro = LtvModel(A=a.copy(), B=b.copy())
     terms = ReducedCostTerms(
         lin_state=np.array([[1.0], [2.0]]), quad_state=np.eye(1),
         quad_terminal=np.eye(1), lin_control=np.array([[0.5]]), r=np.eye(1))

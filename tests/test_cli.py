@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 
 from roilqr.cli import main
@@ -37,6 +38,18 @@ def test_missing_config_is_exit_2(capsys, tmp_path):
     bad.write_text(yaml.safe_dump({"problem": {"name": "maxwell"}}))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", [{"mu_init": 0.0}, {"alpha_min": 0.0}])
+def test_out_of_range_solver_setting_is_exit_2(tmp_path, capsys, solver):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"solver": solver}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver:")
     assert not out.exists()
 
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from helpers import simulate_feedback, value_recursion_direct
 
 from roilqr.lqr import (BackwardPassError, CostModel, GainSchedule,
                         IndefiniteHessianError, Regularizer, ReducedCostTerms,
                         backward_pass, lqr_solve_dense, quad_objective,
-                        reduce_cost, simulate_feedback, stack_quadratic,
-                        value_recursion_direct)
+                        reduce_cost, stack_quadratic)
 from roilqr.pde import Trajectory
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import LtvModel
@@ -18,7 +18,7 @@ def _random_ltv(rng, dim, n_u, horizon, radius=0.9):
     for t in range(horizon):
         a[t] *= radius / max(np.abs(np.linalg.eigvals(a[t])))
     b = rng.standard_normal((horizon, dim, n_u))
-    return LtvModel(A=a, B=b, full_order=False)
+    return LtvModel(A=a, B=b)
 
 
 def _random_terms(rng, dim, n_u, horizon, q_scale=1.0):
@@ -36,8 +36,7 @@ def _random_terms(rng, dim, n_u, horizon, q_scale=1.0):
 
 def test_scalar_hand_riccati():
     # A=1, B=1, Q=1, R=1, Q_T=1, zero nominal: K_0 = 0.5, k_0 = 0
-    ltv = LtvModel(A=np.ones((1, 1, 1)), B=np.ones((1, 1, 1)),
-                   full_order=True)
+    ltv = LtvModel(A=np.ones((1, 1, 1)), B=np.ones((1, 1, 1)))
     terms = ReducedCostTerms(
         lin_state=np.zeros((2, 1)), quad_state=np.eye(1),
         quad_terminal=np.eye(1), lin_control=np.zeros((1, 1)), r=np.eye(1),
@@ -73,8 +72,8 @@ def test_backward_pass_matches_dense_oracle(seed):
     du_dense = lqr_solve_dense(ltv, terms)
     assert np.max(np.abs(du_bp - du_dense)) <= 1e-8
     # feedback law attains the dense-oracle optimal cost
-    assert quad_objective(ltv, terms, du_bp) == pytest.approx(
-        quad_objective(ltv, terms, du_dense), abs=1e-8)
+    assert quad_objective(ltv, terms, du_bp)[0] == pytest.approx(
+        quad_objective(ltv, terms, du_dense)[0], abs=1e-8)
 
 
 def test_value_recursion_equivalence():
@@ -113,10 +112,10 @@ def test_expected_improvement_predicts_quadratic_decrease():
     ltv = _random_ltv(rng, 3, 2, 5)
     terms = _random_terms(rng, 3, 2, 5)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
-    base = quad_objective(ltv, terms, np.zeros((5, 2)))
+    base, _ = quad_objective(ltv, terms, np.zeros((5, 2)))
     for alpha in (0.25, 0.5, 1.0):
         du = simulate_feedback(ltv, gains, alpha=alpha)
-        drop = base - quad_objective(ltv, terms, du)
+        drop = base - quad_objective(ltv, terms, du)[0]
         assert drop == pytest.approx(gains.expected_improvement(alpha),
                                      rel=1e-9, abs=1e-10)
 
@@ -186,8 +185,7 @@ def test_dense_oracle_scale_limit():
 
 
 def test_dense_oracle_indefinite_error():
-    ltv = LtvModel(A=np.zeros((1, 1, 1)), B=np.ones((1, 1, 1)),
-                   full_order=False)
+    ltv = LtvModel(A=np.zeros((1, 1, 1)), B=np.ones((1, 1, 1)))
     terms = ReducedCostTerms(
         lin_state=np.zeros((2, 1)), quad_state=np.zeros((1, 1)),
         quad_terminal=-np.eye(1), lin_control=np.zeros((1, 1)),
@@ -233,8 +231,8 @@ def test_stack_quadratic_matches_recursion():
         du = rng.standard_normal((4, 2))
         flat = du.ravel()
         direct = 0.5 * flat @ h @ flat + g @ flat
-        assert quad_objective(ltv, terms, du) == pytest.approx(direct,
-                                                               rel=1e-10)
+        assert quad_objective(ltv, terms, du)[0] == pytest.approx(direct,
+                                                                  rel=1e-10)
 
 
 def test_gain_schedule_dataclass_roundtrip():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import step
 
 from roilqr.pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                         DivergenceError, Grid, PdeParams, StabilityError,
@@ -60,19 +61,19 @@ def phase_grid():
 
 
 def test_burgers_zero_fixed_point(burgers):
-    out = burgers.step(np.zeros(100), np.zeros(2))
+    out = step(burgers, np.zeros(100), np.zeros(2))
     np.testing.assert_array_equal(out, np.zeros(100))
 
 
 def test_burgers_constant_field(burgers):
-    out = burgers.step(np.full(100, 0.7), np.array([0.7, 0.7]))
+    out = step(burgers, np.full(100, 0.7), np.array([0.7, 0.7]))
     np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-14)
 
 
 def test_burgers_matches_reference(burgers):
     x = np.linspace(-1.0, 1.0, 100)
     u0 = np.sin(np.pi * x)
-    got = burgers.step(u0, np.array([0.2, -0.3]))
+    got = step(burgers, u0, np.array([0.2, -0.3]))
     want = reference_burgers(u0, 0.2, -0.3, 0.01, 2.0 / 99, 1e-4, 10)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -81,7 +82,7 @@ def test_burgers_dissipation(burgers):
     x = np.linspace(-1.0, 1.0, 100)
     u = np.sin(np.pi * x)
     for _ in range(20):
-        nxt = burgers.step(u, np.zeros(2))
+        nxt = step(burgers, u, np.zeros(2))
         assert np.sum(nxt**2) <= np.sum(u**2) + 1e-12
         u = nxt
 
@@ -95,7 +96,7 @@ def test_burgers_stability_guard():
 def test_allen_cahn_zero_fixed_point(phase_grid):
     model = AllenCahnModel(phase_grid, PdeParams(dt=1e-4, substeps=5),
                            np.ones(64, dtype=np.int8))
-    out = model.step(np.zeros(64), np.array([1.3, 0.0, -0.7, 0.0]))
+    out = step(model, np.zeros(64), np.array([1.3, 0.0, -0.7, 0.0]))
     np.testing.assert_array_equal(out, np.zeros(64))
 
 
@@ -103,7 +104,7 @@ def test_allen_cahn_equilibrium_at_one(phase_grid):
     # bulk derivative 4 + 2T + h vanishes at phi=1 for T=-2, h=0
     model = AllenCahnModel(phase_grid, PdeParams(dt=1e-4, substeps=5),
                            np.ones(64, dtype=np.int8))
-    out = model.step(np.ones(64), np.array([-2.0, 0.0, -2.0, 0.0]))
+    out = step(model, np.ones(64), np.array([-2.0, 0.0, -2.0, 0.0]))
     np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-14)
 
 
@@ -117,7 +118,7 @@ def test_allen_cahn_matches_reference(phase_grid):
     h = np.where(mask.reshape(8, 8) > 0, u[1], u[3])
     want = reference_phase_field(phi.reshape(8, 8), temp, h, 1.0,
                                  model.gamma, 0.125, 1e-4, 3, False)
-    got = model.step(phi, u)
+    got = step(model, phi, u)
     np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-12)
 
 
@@ -131,14 +132,14 @@ def test_cahn_hilliard_matches_reference(phase_grid):
     h = np.where(mask.reshape(8, 8) > 0, u[1], u[3])
     want = reference_phase_field(phi.reshape(8, 8), temp, h, 1.0,
                                  model.gamma, 0.125, 1e-7, 3, True)
-    got = model.step(phi, u)
+    got = step(model, phi, u)
     np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-12)
 
 
 def test_cahn_hilliard_zero_with_zero_h(phase_grid):
     model = CahnHilliardModel(phase_grid, PdeParams(dt=1e-7, substeps=5),
                               np.ones(64, dtype=np.int8))
-    out = model.step(np.zeros(64), np.array([0.9, 0.0, 0.4, 0.0]))
+    out = step(model, np.zeros(64), np.array([0.9, 0.0, 0.4, 0.0]))
     np.testing.assert_array_equal(out, np.zeros(64))
 
 
@@ -149,7 +150,7 @@ def test_cahn_hilliard_mass_conservation(phase_grid):
     phi = 0.5 * rng.standard_normal(64)
     for _ in range(10):
         u = rng.standard_normal(4)
-        nxt = model.step(phi, u)
+        nxt = step(model, phi, u)
         assert abs(nxt.sum() - phi.sum()) <= 1e-10 * 64
         phi = nxt
 
@@ -171,7 +172,7 @@ def test_rollout_composes_steps(burgers):
     traj = rollout(burgers, u0, np.zeros((5, 2)))
     state = u0
     for t in range(5):
-        state = burgers.step(state, np.zeros(2))
+        state = step(burgers, state, np.zeros(2))
         np.testing.assert_array_equal(traj.states[t + 1], state)
 
 

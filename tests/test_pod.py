@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roilqr.pod import (DegenerateSnapshotsError, method_of_snapshots, lift,
-                        load_basis, project, projection_residual, save_basis)
+                        project, projection_residual)
 
 
 def _align_signs(a, b):
@@ -138,24 +138,3 @@ def test_sign_convention_deterministic():
     basis = method_of_snapshots(x)
     for col in basis.phi.T:
         assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_centering_switch():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((20, 6)) + 5.0
-    basis = method_of_snapshots(x, energy_cutoff=0.99, center=True)
-    assert basis.mean is not None
-    x_in = lift(basis, project(basis, x[:, 0]))
-    # projector reproduces a snapshot up to the truncation error
-    assert np.linalg.norm(x_in - x[:, 0]) <= np.sqrt(
-        np.sum(basis.eigenvalues[basis.n_modes:])) + 1e-10
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    basis = method_of_snapshots(rng.standard_normal((15, 5)),
-                                energy_cutoff=0.999)
-    path = tmp_path / "basis.csv"
-    save_basis(path, basis)
-    loaded = load_basis(path)
-    np.testing.assert_allclose(loaded.phi, basis.phi, atol=1e-12)

@@ -10,7 +10,7 @@ from roilqr.lqr import CostModel, GainSchedule, Regularizer, backward_pass, \
 from roilqr.pde import rollout
 from roilqr.solver import (ControlProblem, SolverConfig, forward_pass,
                            line_search, solve)
-from roilqr.sysid import PerturbationConfig, fit_full_order_ltv
+from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 
 @pytest.fixture
@@ -22,7 +22,8 @@ def lq_setup():
     x0 = rng.standard_normal(5)
     horizon = 7
     nominal = rollout(model, x0, 0.3 * rng.standard_normal((horizon, 2)))
-    ltv = fit_full_order_ltv(model, nominal, PerturbationConfig(seed=1))
+    ltv = fit_ltv(generate_rollout_data(model, nominal,
+                                        cfg=PerturbationConfig(seed=1)))
     terms = reduce_cost(cost, nominal, None)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     return model, cost, nominal, gains
@@ -216,6 +217,25 @@ def test_solver_config_validation():
         SolverConfig(mode="hybrid")
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+    # at alpha_min <= 0 a no-descent sweep never ends: alpha underflows to
+    # 0.0, which still satisfies alpha >= alpha_min
+    for alpha_min in (0.0, -1e-8, 2.0):
+        with pytest.raises(ValueError, match="alpha_min"):
+            SolverConfig(alpha_min=alpha_min)
+    for mu_init in (0.0, -1.0, 1e7):
+        with pytest.raises(ValueError, match="mu"):
+            SolverConfig(mu_init=mu_init)
+
+
+def test_smallest_alpha_min_still_ends_the_sweep(lq_setup):
+    model, cost, nominal, gains = lq_setup
+    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V=gains.V,
+                       sum_k_qu=gains.sum_k_qu,
+                       sum_k_quu_k=gains.sum_k_quu_k)
+    res = line_search(model, cost, nominal, cost.trajectory_cost(nominal),
+                      bad, None, SolverConfig(mode="full", alpha_min=5e-324))
+    # alpha = 2^0 ... 2^-1074 (the smallest positive double), then 0.0
+    assert not res.accepted and res.trials == 1075
 
 
 def test_initial_guess_shape_validation():

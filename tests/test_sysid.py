@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import LinearModel, random_stable_linear
+from helpers import LinearModel, random_stable_linear, step
 
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import (PerturbationConfig, RankDeficientError,
-                          RegressionData, fit_full_order_ltv, fit_ltv,
-                          generate_rollout_data)
+                          RegressionData, fit_ltv, generate_rollout_data)
 
 
 def _nominal(model, horizon, rng, scale=0.5):
@@ -33,8 +32,8 @@ def test_fit_recovers_linear_plant():
     rng = np.random.default_rng(1)
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 6, rng)
-    ltv = fit_full_order_ltv(model, nominal,
-                             PerturbationConfig(n_rollouts=20, seed=2))
+    ltv = fit_ltv(generate_rollout_data(
+        model, nominal, cfg=PerturbationConfig(n_rollouts=20, seed=2)))
     for t in range(6):
         np.testing.assert_allclose(ltv.A[t], model.a, atol=1e-8)
         np.testing.assert_allclose(ltv.B[t], model.b, atol=1e-8)
@@ -47,7 +46,7 @@ def test_fit_independent_of_sigma_on_linear_plant():
     fits = []
     for sigma in (1e-4, 1e-2, 1.0):
         cfg = PerturbationConfig(sigma_x=sigma, sigma_u=sigma, seed=3)
-        fits.append(fit_full_order_ltv(model, nominal, cfg))
+        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg)))
     for ltv in fits[1:]:
         np.testing.assert_allclose(ltv.A, fits[0].A, atol=1e-9)
         np.testing.assert_allclose(ltv.B, fits[0].B, atol=1e-9)
@@ -57,7 +56,8 @@ def test_identity_plant():
     model = LinearModel(np.eye(4), np.zeros((4, 2)))
     rng = np.random.default_rng(3)
     nominal = _nominal(model, 3, rng)
-    ltv = fit_full_order_ltv(model, nominal, PerturbationConfig(seed=4))
+    ltv = fit_ltv(generate_rollout_data(model, nominal,
+                                        cfg=PerturbationConfig(seed=4)))
     np.testing.assert_allclose(ltv.A, np.broadcast_to(np.eye(4), (3, 4, 4)),
                                atol=1e-8)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-8)
@@ -66,7 +66,8 @@ def test_identity_plant():
 def test_zero_dynamics_plant():
     model = LinearModel(np.zeros((4, 4)), np.zeros((4, 2)))
     nominal = _nominal(model, 3, np.random.default_rng(4))
-    ltv = fit_full_order_ltv(model, nominal, PerturbationConfig(seed=5))
+    ltv = fit_ltv(generate_rollout_data(model, nominal,
+                                        cfg=PerturbationConfig(seed=5)))
     np.testing.assert_allclose(ltv.A, 0.0, atol=1e-10)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-10)
 
@@ -92,7 +93,7 @@ def test_full_order_matches_finite_difference_jacobian():
     nominal = rollout(model, 0.5 * rng.standard_normal(20),
                       0.2 * rng.standard_normal((4, 2)))
     cfg = PerturbationConfig(sigma_x=1e-4, sigma_u=1e-4, seed=7)
-    ltv = fit_full_order_ltv(model, nominal, cfg)
+    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
     # central finite-difference Jacobian oracle, column by column
     h = 1e-5
     for t in (0, 3):
@@ -101,12 +102,12 @@ def test_full_order_matches_finite_difference_jacobian():
         for j in range(20):
             e = np.zeros(20)
             e[j] = h
-            jac_a[:, j] = (model.step(x + e, u) - model.step(x - e, u)) / (2 * h)
+            jac_a[:, j] = (step(model, x + e, u) - step(model, x - e, u)) / (2 * h)
         jac_b = np.empty((20, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            jac_b[:, j] = (model.step(x, u + e) - model.step(x, u - e)) / (2 * h)
+            jac_b[:, j] = (step(model, x, u + e) - step(model, x, u - e)) / (2 * h)
         np.testing.assert_allclose(ltv.A[t], jac_a, atol=1e-4)
         np.testing.assert_allclose(ltv.B[t], jac_b, atol=1e-4)
 
@@ -147,8 +148,7 @@ def test_rank_deficiency_fails_loudly():
     col = rng.standard_normal(5)
     inputs = np.tile(col[None, :, None], (2, 1, 8))
     outputs = rng.standard_normal((2, 3, 8))
-    data = RegressionData(inputs=inputs, outputs=outputs, n_u=2,
-                          full_order=False)
+    data = RegressionData(inputs=inputs, outputs=outputs, n_u=2)
     with pytest.raises(RankDeficientError, match="rollouts"):
         fit_ltv(data)
 
@@ -165,20 +165,6 @@ def test_sample_count_scaling():
     n_full = cfg.resolved(100, 2, nominal)[0]
     slack = 2
     assert n_red / n_full <= (basis.n_modes + 2 + slack) / (100 + 2)
-
-
-def test_regression_data_csv_dump(tmp_path):
-    rng = np.random.default_rng(12)
-    model = random_stable_linear(4, 2, rng)
-    nominal = _nominal(model, 3, rng)
-    data = generate_rollout_data(model, nominal, None,
-                                 PerturbationConfig(seed=13))
-    from roilqr.sysid import dump_regression_data
-
-    dump_regression_data(data, tmp_path)
-    loaded = np.loadtxt(tmp_path / "t001_inputs.csv", delimiter=",")
-    np.testing.assert_allclose(loaded, data.inputs[1], atol=1e-12)
-    assert (tmp_path / "t002_outputs.csv").exists()
 
 
 def test_full_order_needs_dimension_plus_one_samples():
