@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: solve, benchmark, verify-bounds, repeat.  Experiments are
-described by a preset name and/or a YAML config file (the file overlays
-the preset when both are given); --seed / --out / --mode override the
-corresponding config fields.
+described by a preset name and/or a YAML config file; --seed / --mode /
+--out / --repeats override the corresponding config fields.  Each layer
+overlays the previous one (preset < config file < flags) and is
+validated the same way.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 no-descent termination.
@@ -11,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 
 import argparse
 import sys
-from dataclasses import replace
 
 import yaml
 
@@ -23,6 +23,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_DESCENT = 4
 
+# flag -> (config section, field)
+_FLAG_FIELDS = {"seed": ("solver", "seed"), "mode": ("solver", "mode"),
+                "out": ("run", "out_dir"), "repeats": ("run", "repeats")}
+
 
 def _add_common(sub):
     sub.add_argument("--preset", help="named preset configuration")
@@ -31,8 +35,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--mode", choices=("reduced", "full"),
                      help="override solver mode")
-    sub.add_argument("--repeats", type=int,
-                     help="override run.repeats (solve and repeat commands)")
 
 
 def build_parser():
@@ -46,7 +48,11 @@ def build_parser():
         ("verify-bounds", "measure and check the suboptimality bounds"),
         ("repeat", "seeded initial-guess repeatability sweep"),
     ):
-        _add_common(subs.add_parser(name, help=text))
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        if name in ("solve", "repeat"):
+            sub.add_argument("--repeats", type=int,
+                             help="override run.repeats")
     return parser
 
 
@@ -63,15 +69,12 @@ def load_config(args):
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse error: {exc}")
         cfg = config_from_dict(raw, base=cfg)
-    if args.seed is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
-    if args.mode is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, mode=args.mode))
-    if args.out is not None:
-        cfg = replace(cfg, run=replace(cfg.run, out_dir=args.out))
-    if args.repeats is not None:
-        cfg = replace(cfg, run=replace(cfg.run, repeats=args.repeats))
-    return cfg
+    overlay = {}
+    for flag, (section, name) in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)   # --repeats: solve/repeat only
+        if value is not None:
+            overlay.setdefault(section, {})[name] = value
+    return config_from_dict(overlay, base=cfg)
 
 
 def _status_exit(status):

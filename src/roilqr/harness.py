@@ -96,8 +96,9 @@ _REQUIRED_PROBLEM_FIELDS = ("name", "points", "horizon", "dt")
 
 
 def config_from_dict(raw, base=None):
-    """Build a validated config from nested dicts, optionally overlaying
-    a preset.  Error messages carry the offending key path."""
+    """Build a validated config from nested dicts, optionally overlaid on
+    ``base`` (a preset, a config file, CLI flags: each layer comes through
+    here).  Error messages carry the offending key path."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     unknown = set(raw) - set(_SECTION_TYPES)
@@ -105,31 +106,23 @@ def config_from_dict(raw, base=None):
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     sections = {}
     for name, cls in _SECTION_TYPES.items():
-        current = getattr(base, name) if base is not None else None
         overlay = raw.get(name, {})
         if not isinstance(overlay, dict):
             raise ConfigError(f"{name}: must be a mapping")
-        valid = {f for f in cls.__dataclass_fields__}
-        bad = set(overlay) - valid
+        bad = set(overlay) - set(cls.__dataclass_fields__)
         if bad:
-            raise ConfigError(
-                f"{name}.{sorted(bad)[0]}: unknown field")
-        if current is not None:
-            try:
-                sections[name] = replace(current, **overlay)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}")
-        else:
-            if name == "problem":
-                missing = [f for f in _REQUIRED_PROBLEM_FIELDS
-                           if f not in overlay]
-                if missing:
-                    raise ConfigError(
-                        f"problem.{missing[0]}: required field missing")
-            try:
-                sections[name] = cls(**overlay)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}")
+            raise ConfigError(f"{name}.{sorted(bad)[0]}: unknown field")
+        if base is None and name == "problem":
+            missing = [f for f in _REQUIRED_PROBLEM_FIELDS
+                       if f not in overlay]
+            if missing:
+                raise ConfigError(
+                    f"problem.{missing[0]}: required field missing")
+        try:
+            sections[name] = cls(**overlay) if base is None \
+                else replace(getattr(base, name), **overlay)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}")
     cfg = ExperimentConfig(**sections)
     _validate(cfg)
     return cfg
@@ -165,94 +158,45 @@ def _validate(cfg):
 # ---------------------------------------------------------------------------
 
 
-# A seeded Gaussian initial guess ships with every preset: snapshots of a
-# zero-control nominal can span a subspace nearly orthogonal to the
-# control-reachable directions (the opening basis then hides the descent
-# direction from the reduced solver), while any mildly excited nominal
-# exposes them.
+_BURGERS = {"name": "burgers", "nu": 0.08,
+            "q_weight": 0.02, "r_weight": 0.05, "qt_weight": 2.0,
+            "goal_shape": "constant", "goal_value": -0.5,
+            "init_shape": "sine", "init_amplitude": 1.0}
 
-def _preset_burgers():
-    return ExperimentConfig(
-        problem=ProblemSpec(
-            name="burgers", points=100, horizon=20,
-            dt=1e-3, substeps=250, nu=0.08,
-            q_weight=0.02, r_weight=0.05, qt_weight=2.0,
-            goal_shape="constant", goal_value=-0.5,
-            init_shape="sine", init_amplitude=1.0,
-        ),
-        run=RunSpec(guess_std=0.3),
-    )
-
-
-def _preset_burgers_small():
-    # desk-scale variant for the bound-verification instances
-    return ExperimentConfig(
-        problem=ProblemSpec(
-            name="burgers", points=32, horizon=10,
-            dt=5e-3, substeps=50, nu=0.08,
-            q_weight=0.02, r_weight=0.05, qt_weight=2.0,
-            goal_shape="constant", goal_value=-0.5,
-            init_shape="sine", init_amplitude=1.0,
-        ),
-        run=RunSpec(guess_std=0.3),
-    )
-
-
-def _preset_allen_cahn():
-    return ExperimentConfig(
-        problem=ProblemSpec(
-            name="allen_cahn", points=50, horizon=10,
-            dt=0.01, substeps=10,
-            q_weight=0.05, r_weight=0.02, qt_weight=2.0,
-            goal_shape="disk", goal_value=1.0,
-            init_shape="cosine", init_amplitude=0.1,
-        ),
-        run=RunSpec(guess_std=0.3),
-    )
-
-
-def _preset_allen_cahn_small():
-    return ExperimentConfig(
-        problem=ProblemSpec(
-            name="allen_cahn", points=20, horizon=10,
-            dt=0.01, substeps=10,
-            q_weight=0.05, r_weight=0.02, qt_weight=2.0,
-            goal_shape="disk", goal_value=1.0,
-            init_shape="cosine", init_amplitude=0.1,
-        ),
-        run=RunSpec(guess_std=0.3),
-    )
-
-
-def _preset_cahn_hilliard():
-    return ExperimentConfig(
-        problem=ProblemSpec(
-            name="cahn_hilliard", points=20, horizon=10,
-            dt=5e-5, substeps=40,
-            q_weight=0.05, r_weight=0.3, qt_weight=1.0,
-            goal_shape="split", goal_value=0.5,
-            init_shape="cosine", init_amplitude=0.1,
-        ),
-        run=RunSpec(guess_std=0.3),
-    )
-
+_ALLEN_CAHN = {"name": "allen_cahn", "horizon": 10, "dt": 0.01,
+               "substeps": 10,
+               "q_weight": 0.05, "r_weight": 0.02, "qt_weight": 2.0,
+               "goal_shape": "disk", "goal_value": 1.0,
+               "init_shape": "cosine", "init_amplitude": 0.1}
 
 PRESETS = {
-    "burgers": _preset_burgers,
-    "burgers_small": _preset_burgers_small,
-    "allen_cahn": _preset_allen_cahn,
-    "allen_cahn_small": _preset_allen_cahn_small,
-    "cahn_hilliard": _preset_cahn_hilliard,
+    "burgers": {**_BURGERS, "points": 100, "horizon": 20,
+                "dt": 1e-3, "substeps": 250},
+    # desk-scale variant for the bound-verification instances
+    "burgers_small": {**_BURGERS, "points": 32, "horizon": 10,
+                      "dt": 5e-3, "substeps": 50},
+    "allen_cahn": {**_ALLEN_CAHN, "points": 50},
+    "allen_cahn_small": {**_ALLEN_CAHN, "points": 20},
+    "cahn_hilliard": {"name": "cahn_hilliard", "points": 20, "horizon": 10,
+                      "dt": 5e-5, "substeps": 40,
+                      "q_weight": 0.05, "r_weight": 0.3, "qt_weight": 1.0,
+                      "goal_shape": "split", "goal_value": 0.5,
+                      "init_shape": "cosine", "init_amplitude": 0.1},
 }
 
 
 def preset(name):
     try:
-        factory = PRESETS[name]
+        problem = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset '{name}' (have: {', '.join(sorted(PRESETS))})")
-    return factory()
+    # A seeded Gaussian initial guess ships with every preset: snapshots
+    # of a zero-control nominal can span a subspace nearly orthogonal to
+    # the control-reachable directions (the opening basis then hides the
+    # descent direction from the reduced solver), while any mildly
+    # excited nominal exposes them.
+    return config_from_dict({"problem": problem, "run": {"guess_std": 0.3}})
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +357,21 @@ def write_solve_artifacts(out_dir, cfg, report):
 # ---------------------------------------------------------------------------
 
 
-def _solve_once(cfg, seed, out_dir=None, mode=None, u_init=None,
-                time_budget=None):
-    solver_cfg = replace(cfg.solver, seed=seed,
-                         **({"mode": mode} if mode else {}),
-                         **({"time_budget_s": time_budget}
-                            if time_budget is not None else {}))
-    if u_init is None and cfg.run.guess_std > 0:
-        u_init = gaussian_guess(cfg, seed, cfg.run.guess_std)
+def _with_solver(cfg, **changes):
+    return replace(cfg, solver=replace(cfg.solver, **changes))
+
+
+def _solve_once(cfg, out_dir=None):
+    """Draw the seeded guess, build the problem and solve it exactly as
+    ``cfg`` says; with ``out_dir``, persist the report with that config.
+    Returns (problem, report)."""
+    u_init = gaussian_guess(cfg, cfg.solver.seed, cfg.run.guess_std) \
+        if cfg.run.guess_std > 0 else None
     problem = build_problem(cfg, u_init=u_init)
-    report = solve(problem, solver_cfg, cfg.perturb)
+    report = solve(problem, cfg.solver, cfg.perturb)
     if out_dir is not None:
         write_solve_artifacts(out_dir, cfg, report)
-    return report
+    return problem, report
 
 
 def run_solve(cfg, out_dir=None):
@@ -434,14 +380,13 @@ def run_solve(cfg, out_dir=None):
     Returns the list of reports.
     """
     out_dir = out_dir or cfg.run.out_dir
-    reports = []
     if cfg.run.repeats == 1:
-        reports.append(_solve_once(cfg, cfg.solver.seed, out_dir=out_dir))
-    else:
-        for i in range(cfg.run.repeats):
-            seed = cfg.solver.seed + i * cfg.run.seed_stride
-            sub = os.path.join(out_dir, f"seed_{seed:04d}") if out_dir else None
-            reports.append(_solve_once(cfg, seed, out_dir=sub))
+        return [_solve_once(cfg, out_dir)[1]]
+    reports = []
+    for i in range(cfg.run.repeats):
+        seed = cfg.solver.seed + i * cfg.run.seed_stride
+        sub = os.path.join(out_dir, f"seed_{seed:04d}") if out_dir else None
+        reports.append(_solve_once(_with_solver(cfg, seed=seed), sub)[1])
     return reports
 
 
@@ -476,16 +421,14 @@ def run_benchmark(cfg, out_dir=None):
     """Run reduced and full modes from the identical initial guess/seed
     and record the cost gap and wall-clock speedup."""
     out_dir = out_dir or cfg.run.out_dir
-    seed = cfg.solver.seed
-    u_init = gaussian_guess(cfg, seed, cfg.run.guess_std) \
-        if cfg.run.guess_std > 0 else None
-
     red_dir = os.path.join(out_dir, "reduced") if out_dir else None
     full_dir = os.path.join(out_dir, "full") if out_dir else None
-    red = _solve_once(cfg, seed, out_dir=red_dir, mode="reduced",
-                      u_init=u_init)
-    full = _solve_once(cfg, seed, out_dir=full_dir, mode="full",
-                       u_init=u_init, time_budget=cfg.run.full_time_budget_s)
+    budget = cfg.run.full_time_budget_s
+    _, red = _solve_once(_with_solver(cfg, mode="reduced"), red_dir)
+    _, full = _solve_once(_with_solver(
+        cfg, mode="full",
+        time_budget_s=cfg.solver.time_budget_s if budget is None else budget),
+        full_dir)
 
     full_ok = full.status in ("converged", "no_descent", "max_iterations")
     cost_gap = (red.final_cost / full.final_cost - 1.0) \
@@ -529,11 +472,7 @@ def run_verify_bounds(cfg, out_dir=None):
             "run: bound verification needs a desk-scale instance "
             f"(horizon*n_u <= 200, got {cfg.problem.horizon * n_u})")
 
-    problem = build_problem(
-        cfg, u_init=gaussian_guess(cfg, cfg.solver.seed, cfg.run.guess_std)
-        if cfg.run.guess_std > 0 else None)
-    solver_cfg = replace(cfg.solver, mode="reduced")
-    report = solve(problem, solver_cfg, cfg.perturb)
+    problem, report = _solve_once(_with_solver(cfg, mode="reduced"))
     if report.trajectory is None:
         raise RuntimeError(f"bounds run failed to produce a nominal: "
                            f"{report.status}")

@@ -50,6 +50,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.sigma1 < 1.0:
             raise ValueError("sigma1 must be in (0, 1)")
         if not 0.0 < self.alpha_shrink < 1.0:
@@ -116,13 +118,19 @@ class SolveReport:
     seed: int
     initial_cost: float
     iterations: list = field(default_factory=list)
-    converged: bool = False
     status: str = "max_iterations"
     trajectory: Trajectory | None = None
-    controls: np.ndarray | None = None
     iterate_controls: list = field(default_factory=list)
     error: str | None = None
     wall_time_s: float = 0.0
+
+    @property
+    def converged(self):
+        return self.status == "converged"
+
+    @property
+    def controls(self):
+        return None if self.trajectory is None else self.trajectory.controls
 
     @property
     def final_cost(self):
@@ -211,22 +219,18 @@ def solve(problem, cfg=None, perturb=None):
     try:
         traj = rollout(model, problem.x0, controls)
     except DivergenceError as exc:
-        report = SolveReport(mode=cfg.mode, seed=cfg.seed,
-                             initial_cost=float("inf"))
-        report.status = "numerical_failure"
-        report.error = str(exc)
-        return report
+        return SolveReport(mode=cfg.mode, seed=cfg.seed,
+                           initial_cost=float("inf"),
+                           status="numerical_failure", error=str(exc),
+                           wall_time_s=time.perf_counter() - start)
     current_cost = cost.trajectory_cost(traj)
 
     report = SolveReport(mode=cfg.mode, seed=cfg.seed,
-                         initial_cost=current_cost)
-    report.trajectory = traj
-    report.controls = traj.controls
+                         initial_cost=current_cost, trajectory=traj)
     report.iterate_controls.append(traj.controls.copy())
     reg = Regularizer(mu=cfg.mu_init)
 
     if current_cost == 0.0:
-        report.converged = True
         report.status = "converged"
         report.wall_time_s = time.perf_counter() - start
         return report
@@ -263,7 +267,6 @@ def solve(problem, cfg=None, perturb=None):
 
         if gains.expected_improvement(1.0) <= 1e-15 * max(1.0, current_cost):
             # gradient numerically zero: already stationary
-            report.converged = True
             report.status = "converged"
             break
 
@@ -282,13 +285,11 @@ def solve(problem, cfg=None, perturb=None):
         )
         report.iterations.append(record)
         report.trajectory = ls.trajectory
-        report.controls = ls.trajectory.controls
         report.iterate_controls.append(ls.trajectory.controls.copy())
         improved_below_gamma = ls.cost >= (1.0 - cfg.gamma) * current_cost
         traj = ls.trajectory
         current_cost = ls.cost
         if improved_below_gamma:
-            report.converged = True
             report.status = "converged"
             break
         if (cfg.time_budget_s is not None

@@ -35,10 +35,18 @@ class PerturbationConfig:
     sigma_u: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_rollouts is not None and self.n_rollouts < 1:
+            raise ValueError("n_rollouts must be >= 1")
+        for name in ("sigma_x", "sigma_u"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
+
     def resolved(self, dim, n_u, nominal):
         n_r = self.n_rollouts if self.n_rollouts is not None else 2 * (dim + n_u)
-        if n_r < dim + n_u + 1:
-            raise ValueError(
+        if n_r < dim + n_u + 1:   # d is the basis size, known at run time
+            raise RankDeficientError(
                 f"n_rollouts={n_r} below identifiability floor "
                 f"{dim + n_u + 1} (d + n_u + 1)"
             )
@@ -49,8 +57,6 @@ class PerturbationConfig:
         if s_u is None:
             s_u = 1e-2 * max(1.0, float(np.max(np.abs(nominal.controls)))
                              if nominal.controls.size else 1.0)
-        if not (s_x > 0 and s_u > 0):
-            raise ValueError("perturbation stds must be positive")
         return n_r, s_x, s_u
 
 

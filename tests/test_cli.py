@@ -41,7 +41,8 @@ def test_missing_config_is_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("solver", [{"mu_init": 0.0}, {"alpha_min": 0.0}])
+@pytest.mark.parametrize("solver", [{"mu_init": 0.0}, {"alpha_min": 0.0},
+                                    {"max_iterations": 0}])
 def test_out_of_range_solver_setting_is_exit_2(tmp_path, capsys, solver):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"solver": solver}))
@@ -51,6 +52,44 @@ def test_out_of_range_solver_setting_is_exit_2(tmp_path, capsys, solver):
     err = capsys.readouterr().err
     assert err.startswith("config error: solver:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--repeats", "0"]])
+def test_out_of_range_flag_is_exit_2(tmp_path, capsys, flags):
+    # flags are validated like the config file they override
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_repeats_flag_only_on_solve_and_repeat(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--preset", "burgers_small", "--repeats", "3"])
+    assert exc.value.code == 2
+    assert "--repeats" in capsys.readouterr().err
+
+
+def test_nonpositive_perturbation_std_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"perturb": {"sigma_x": -1.0}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: perturb:")
+    assert not out.exists()
+
+
+def test_samples_below_identifiability_floor_is_exit_3(tmp_path):
+    # the floor d + n_u + 1 depends on the basis, so it fails at run time
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"perturb": {"n_rollouts": 3}}))
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["status"] == "numerical_failure"
+    assert "identifiability floor" in payload["error"]
 
 
 def test_unknown_preset_is_exit_2():

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roilqr.harness import (ConfigError, ExperimentConfig, ProblemSpec,
-                            RunSpec, build_problem, config_from_dict,
-                            gaussian_guess, preset, run_benchmark,
-                            run_repeatability, run_solve, run_verify_bounds)
+from roilqr.harness import (PRESETS, ConfigError, ExperimentConfig,
+                            ProblemSpec, RunSpec, build_problem,
+                            config_from_dict, gaussian_guess, preset,
+                            run_benchmark, run_repeatability, run_solve,
+                            run_verify_bounds)
 
 
 def _tiny_burgers(**overrides):
@@ -30,6 +31,11 @@ def test_presets_build():
         assert problem.x0.shape == (problem.model.n_x,)
     with pytest.raises(ConfigError):
         preset("heat")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_round_trips_through_its_dict(name):
+    assert config_from_dict(preset(name).to_dict()) == preset(name)
 
 
 def test_config_from_dict_requires_problem_fields():
@@ -125,6 +131,21 @@ def test_benchmark_full_timeout_still_emits_reduced(tmp_path):
     assert record.cost_gap is None and record.speedup is None
     assert record.reduced["final_cost"] > 0
     assert (tmp_path / "reduced" / "report.json").exists()
+
+
+def test_report_config_reproduces_its_run(tmp_path):
+    cfg = _tiny_burgers()
+    run_benchmark(cfg, out_dir=str(tmp_path / "bench"))
+    run_solve(replace(cfg, run=replace(cfg.run, repeats=2)),
+              out_dir=str(tmp_path / "repeats"))
+    paths = [tmp_path / "bench" / "full" / "report.json",
+             *sorted((tmp_path / "repeats").glob("seed_*/report.json"))]
+    assert len(paths) == 3
+    for path in paths:
+        saved = json.loads(path.read_text())
+        rerun = run_solve(config_from_dict(saved["config"]))[0]
+        assert (rerun.mode, rerun.seed, rerun.final_cost) == \
+            (saved["mode"], saved["seed"], saved["final_cost"]), path
 
 
 def test_run_benchmark_record(tmp_path):

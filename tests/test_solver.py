@@ -180,6 +180,7 @@ def test_divergent_initial_guess_reports_failure():
     report = solve(problem, cfg.solver, cfg.perturb)
     assert report.status == "numerical_failure"
     assert report.error is not None
+    assert report.wall_time_s > 0
 
 
 def test_burgers_optimum_at_start():
@@ -217,6 +218,8 @@ def test_solver_config_validation():
         SolverConfig(mode="hybrid")
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=0)
     # at alpha_min <= 0 a no-descent sweep never ends: alpha underflows to
     # 0.0, which still satisfies alpha >= alpha_min
     for alpha_min in (0.0, -1e-8, 2.0):

@@ -137,7 +137,7 @@ def test_identifiability_floor():
     rng = np.random.default_rng(9)
     model = random_stable_linear(6, 2, rng)
     nominal = _nominal(model, 3, rng)
-    with pytest.raises(ValueError, match="identifiability"):
+    with pytest.raises(RankDeficientError, match="identifiability"):
         generate_rollout_data(model, nominal, None,
                               PerturbationConfig(n_rollouts=7))
 
@@ -175,8 +175,15 @@ def test_full_order_needs_dimension_plus_one_samples():
     nominal = rollout(model, np.zeros(100), 0.1 * np.ones((2, 2)))
     n_r, _, _ = cfg.resolved(100, 2, nominal)
     assert n_r == 103
-    with pytest.raises(ValueError):
+    with pytest.raises(RankDeficientError, match="identifiability floor"):
         PerturbationConfig(n_rollouts=102).resolved(100, 2, nominal)
+
+
+@pytest.mark.parametrize("bad", [{"n_rollouts": 0}, {"sigma_x": -1.0},
+                                 {"sigma_u": 0.0}])
+def test_perturbation_config_validation(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        PerturbationConfig(**bad)
 
 
 def _two_call_rollout_data(model, nominal, basis, cfg):
