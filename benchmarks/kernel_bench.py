@@ -9,8 +9,8 @@ chunking included) and reports microseconds per row:
   stepping the + and - samples together) and 408 rows (full-order
   identification, stepped as two chunks of 204);
 * Allen-Cahn 50x50: 1, 16, 32 rows;
-* Allen-Cahn and Cahn-Hilliard 20x20: 808 and 1616 rows (full-order
-  identification).
+* Allen-Cahn and Cahn-Hilliard 20x20: 1 row (forward pass, line search)
+  and 808 and 1616 rows (full-order identification).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
@@ -29,8 +29,8 @@ from roilqr.harness import build_problem, preset
 CASES = [
     ("burgers", (1, 22, 44, 96, 408)),
     ("allen_cahn", (1, 16, 32)),
-    ("allen_cahn_small", (808, 1616)),
-    ("cahn_hilliard", (808, 1616)),
+    ("allen_cahn_small", (1, 808, 1616)),
+    ("cahn_hilliard", (1, 808, 1616)),
 ]
 
 
@@ -50,7 +50,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"active path: {'numba' if _kernels.USE_NUMBA else 'numpy'} "
+    print(f"active path: {_kernels.KERNEL_PATH} "
           f"(numba available: {_kernels.HAVE_NUMBA})")
     print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
           f"{'call':>10s} {'per row':>10s}")

@@ -12,6 +12,14 @@ against.
 All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
 row-major with periodic boundaries.
+
+The numpy kernels step the batch node-major (the batch index varies
+fastest, so a stencil shift is a contiguous slice) and allocate all
+their temporaries once per call, writing each operation into them with
+``out=``.  They perform the operations of the plain whole-array
+expressions in the same order, so their results are bit-identical to
+them.  Those expressions (for the phase-field Laplacian, four periodic
+``roll`` shifts) are kept in ``tests/test_kernels.py`` as the reference.
 """
 
 import os
@@ -112,26 +120,80 @@ burgers_batch_numba = _njit(_burgers_batch_loops)
 # ---------------------------------------------------------------------------
 
 
-def _lap2_numpy(a, dx):
-    return (
-        np.roll(a, 1, axis=1)
-        + np.roll(a, -1, axis=1)
-        + np.roll(a, 1, axis=2)
-        + np.roll(a, -1, axis=2)
-        - 4.0 * a
-    ) / (dx * dx)
+def _node_major(a, nb, npts):
+    """Row batch ``(B, npts*npts)`` as an ``(npts, npts, B)`` view."""
+    return a.reshape(nb, npts, npts).transpose(1, 2, 0)
+
+
+def _lap2_into(lap, a, four_a, edge, dx):
+    # Periodic 5-point Laplacian of the node-major field ``a`` written into
+    # ``lap``, given ``four_a`` = 4.0*a and an ``(npts, B)`` scratch row
+    # ``edge``.  It reproduces the row-major expression
+    #   (roll(a, 1, 1) + roll(a, -1, 1) + roll(a, 1, 2) + roll(a, -1, 2)
+    #    - 4.0*a) / (dx*dx)
+    # operation for operation, so the result is bit-identical to it.
+    # Neighbours along the first axis are whole contiguous blocks, plus the
+    # wrapped first and last block.
+    np.add(a[:-2], a[2:], out=lap[1:-1])
+    np.add(a[-1], a[1], out=lap[0])
+    np.add(a[-2], a[0], out=lap[-1])
+    # Along the second axis a neighbour is B entries away in the flat
+    # array.  One contiguous add is right everywhere but in the wrapped
+    # column, which is summed into ``edge`` first and written back after.
+    nb = a.shape[2]
+    flat, a_flat = lap.reshape(-1), a.reshape(-1)
+    np.add(lap[:, 0], a[:, -1], out=edge)
+    np.add(flat[nb:], a_flat[:-nb], out=flat[nb:])
+    lap[:, 0] = edge
+    np.add(lap[:, -1], a[:, 0], out=edge)
+    np.add(flat[:-nb], a_flat[nb:], out=flat[:-nb])
+    lap[:, -1] = edge
+    np.subtract(lap, four_a, out=lap)
+    np.divide(lap, dx * dx, out=lap)
+
+
+def _phase_field_fields(phi, temp, h, npts):
+    # the state as a fresh node-major field, 2.0*temp (the same each
+    # substep) and h in the same layout; inputs are only read
+    nb = phi.shape[0]
+    f = np.empty((npts, npts, nb))
+    f[...] = _node_major(phi, nb, npts)
+    temp2 = np.empty_like(f)
+    np.multiply(2.0, _node_major(temp, nb, npts), out=temp2)
+    hf = np.ascontiguousarray(_node_major(h, nb, npts))
+    return f, temp2, hf
+
+
+def _row_major(f):
+    npts, _, nb = f.shape
+    return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(nb, npts * npts)
 
 
 def allen_cahn_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    nb = phi.shape[0]
-    f = phi.reshape(nb, npts, npts).copy()
-    tf = temp.reshape(nb, npts, npts)
-    hf = h.reshape(nb, npts, npts)
+    # Node-major (npts, npts, B), every temporary allocated once.  The
+    # operations and their order are those of
+    #   f - dt*mob*((4.0*f*f*f + 2.0*temp*f + h) - gamma*lap(f)),
+    # so the result is bit-identical to it.
+    f, temp2, hf = _phase_field_fields(phi, temp, h, npts)
+    scratch = np.empty_like(f)
+    lap = np.empty_like(f)
+    bulk = np.empty_like(f)
+    edge = np.empty_like(f[0])
+    c = dt * mob
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nsub):
-            bulk = 4.0 * f * f * f + 2.0 * tf * f + hf
-            f = f - dt * mob * (bulk - gamma * _lap2_numpy(f, dx))
-    return f.reshape(nb, npts * npts)
+            np.multiply(4.0, f, out=scratch)
+            _lap2_into(lap, f, scratch, edge, dx)
+            np.multiply(scratch, f, out=bulk)
+            np.multiply(bulk, f, out=bulk)
+            np.multiply(temp2, f, out=scratch)
+            np.add(bulk, scratch, out=bulk)
+            np.add(bulk, hf, out=bulk)
+            np.multiply(gamma, lap, out=lap)
+            np.subtract(bulk, lap, out=bulk)
+            np.multiply(c, bulk, out=bulk)
+            np.subtract(f, bulk, out=f)
+    return _row_major(f)
 
 
 def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
@@ -169,16 +231,31 @@ allen_cahn_batch_numba = _njit(_allen_cahn_loops)
 
 
 def cahn_hilliard_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    nb = phi.shape[0]
-    f = phi.reshape(nb, npts, npts).copy()
-    tf = temp.reshape(nb, npts, npts)
-    hf = h.reshape(nb, npts, npts)
+    # Layout and buffers as in allen_cahn_batch_numpy; the operation order
+    # is that of  mu = 4.0*f*f*f + 2.0*temp*f + h - gamma*lap(f);
+    # f + dt*mob*lap(mu).
+    f, temp2, hf = _phase_field_fields(phi, temp, h, npts)
+    scratch = np.empty_like(f)
+    lap = np.empty_like(f)
+    mu = np.empty_like(f)
+    edge = np.empty_like(f[0])
+    c = dt * mob
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nsub):
-            mu = 4.0 * f * f * f + 2.0 * tf * f + hf \
-                - gamma * _lap2_numpy(f, dx)
-            f = f + dt * mob * _lap2_numpy(mu, dx)
-    return f.reshape(nb, npts * npts)
+            np.multiply(4.0, f, out=scratch)
+            _lap2_into(lap, f, scratch, edge, dx)
+            np.multiply(scratch, f, out=mu)
+            np.multiply(mu, f, out=mu)
+            np.multiply(temp2, f, out=scratch)
+            np.add(mu, scratch, out=mu)
+            np.add(mu, hf, out=mu)
+            np.multiply(gamma, lap, out=lap)
+            np.subtract(mu, lap, out=mu)
+            np.multiply(4.0, mu, out=scratch)
+            _lap2_into(lap, mu, scratch, edge, dx)
+            np.multiply(c, lap, out=lap)
+            np.add(f, lap, out=f)
+    return _row_major(f)
 
 
 def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
@@ -229,6 +306,9 @@ def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
 
 cahn_hilliard_batch_numba = _njit(_cahn_hilliard_loops)
 
+
+# recorded with every run: the two paths agree only to about 1e-16
+KERNEL_PATH = "numba" if USE_NUMBA else "numpy"
 
 if USE_NUMBA:
     burgers_batch = burgers_batch_numba

@@ -15,8 +15,9 @@ import sys
 
 import yaml
 
-from .harness import (ConfigError, config_from_dict, preset, run_benchmark,
-                      run_repeatability, run_solve, run_verify_bounds)
+from .harness import (ConfigError, NumericalFailure, config_from_dict,
+                      preset, run_benchmark, run_repeatability, run_solve,
+                      run_verify_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,7 +115,11 @@ def _cmd_benchmark(cfg):
 
 
 def _cmd_verify_bounds(cfg):
-    bounds_report, solve_report = run_verify_bounds(cfg)
+    try:
+        bounds_report, solve_report = run_verify_bounds(cfg)
+    except NumericalFailure as exc:
+        print(f"[bounds] status=numerical_failure: {exc}")
+        return EXIT_NUMERICAL
     ok = (bounds_report.objective_gap_ok and bounds_report.minima_gap_ok
           and bounds_report.distance_ok)
     print(f"[bounds] eps={bounds_report.eps:.3g} "

@@ -15,13 +15,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .bounds import build_lqr_pair, trace_limit_set, verify_bounds
 from .lqr import CostModel
-from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel, Grid,
-                  PdeParams, StabilityError, mask_from_goal)
-from .pod import method_of_snapshots
+from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
+                  DivergenceError, Grid, PdeParams, StabilityError,
+                  mask_from_goal)
+from .pod import DegenerateSnapshotsError, method_of_snapshots
 from .solver import ControlProblem, SolverConfig, solve
-from .sysid import PerturbationConfig
+from .sysid import PerturbationConfig, RankDeficientError
 
 SCHEMA_ITERATIONS = "iterations-v1"
 SCHEMA_SNAPSHOTS = "snapshots-v1"
@@ -29,6 +31,11 @@ SCHEMA_SNAPSHOTS = "snapshots-v1"
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
+
+
+class NumericalFailure(RuntimeError):
+    """A run mode could not produce its result for numerical reasons
+    (divergence, a rank-deficient fit, a failed solve)."""
 
 
 _MODELS = {"burgers": BurgersModel, "allen_cahn": AllenCahnModel,
@@ -333,6 +340,8 @@ def _metadata_dict(report):
         "wall_time_s": report.wall_time_s,
         "phase_times": report.phase_times(),
         "per_iteration_elapsed": [it.elapsed for it in report.iterations],
+        "kernel_path": _kernels.KERNEL_PATH,
+        "numpy_version": np.__version__,
     }
 
 
@@ -464,7 +473,13 @@ def run_benchmark(cfg, out_dir=None):
 
 def run_verify_bounds(cfg, out_dir=None):
     """Solve (reduced), then verify every bound inequality around the
-    converged nominal and trace limit-set membership per iterate."""
+    converged nominal and trace limit-set membership per iterate.
+
+    Raises :class:`NumericalFailure` when the solve ends in a numerical
+    failure (there is no solved nominal to verify around) or when
+    identifying the models around a nominal fails; the solve's own
+    artifacts are written either way.
+    """
     out_dir = out_dir or cfg.run.out_dir
     n_u = _MODELS[cfg.problem.name].n_u
     if cfg.problem.horizon * n_u > 200:
@@ -473,22 +488,28 @@ def run_verify_bounds(cfg, out_dir=None):
             f"(horizon*n_u <= 200, got {cfg.problem.horizon * n_u})")
 
     problem, report = _solve_once(_with_solver(cfg, mode="reduced"))
-    if report.trajectory is None:
-        raise RuntimeError(f"bounds run failed to produce a nominal: "
-                           f"{report.status}")
+    if out_dir is not None:
+        write_solve_artifacts(os.path.join(out_dir, "solve"), cfg, report)
+    if report.status == "numerical_failure":
+        raise NumericalFailure(f"solve failed, no nominal to verify "
+                               f"around: {report.error}")
 
     nominal = report.trajectory
-    basis = method_of_snapshots(nominal.states.T,
-                                energy_cutoff=cfg.solver.energy_cutoff)
-    pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                          replace(cfg.perturb, seed=cfg.solver.seed))
-    bounds_report = verify_bounds(pair, samples=cfg.run.bounds_samples,
-                                  seed=cfg.solver.seed)
-    trace, consistent = trace_limit_set(
-        problem, report, energy_cutoff=cfg.solver.energy_cutoff,
-        perturb=replace(cfg.perturb, seed=cfg.solver.seed + 1),
-        samples=max(20, cfg.run.bounds_samples // 10),
-        seed=cfg.solver.seed + 2)
+    try:
+        basis = method_of_snapshots(nominal.states.T,
+                                    energy_cutoff=cfg.solver.energy_cutoff)
+        pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
+                              replace(cfg.perturb, seed=cfg.solver.seed))
+        bounds_report = verify_bounds(pair, samples=cfg.run.bounds_samples,
+                                      seed=cfg.solver.seed)
+        trace, consistent = trace_limit_set(
+            problem, report, energy_cutoff=cfg.solver.energy_cutoff,
+            perturb=replace(cfg.perturb, seed=cfg.solver.seed + 1),
+            samples=max(20, cfg.run.bounds_samples // 10),
+            seed=cfg.solver.seed + 2)
+    except (DivergenceError, RankDeficientError,
+            DegenerateSnapshotsError) as exc:
+        raise NumericalFailure(f"bound verification: {exc}") from exc
     bounds_report.limit_set_trace = trace
     bounds_report.limit_set_consistent = consistent
 
@@ -497,7 +518,6 @@ def run_verify_bounds(cfg, out_dir=None):
         payload = {"config": cfg.to_dict(), "solve_status": report.status,
                    **bounds_report.to_dict()}
         _dump_json(os.path.join(out_dir, "bounds.json"), payload)
-        write_solve_artifacts(os.path.join(out_dir, "solve"), cfg, report)
     return bounds_report, report
 
 

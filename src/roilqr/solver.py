@@ -91,6 +91,16 @@ class ControlProblem:
         return np.zeros((self.horizon, self.model.n_u))
 
 
+PHASES = ("t_basis", "t_sysid", "t_backward", "t_forward")
+
+
+def _phase_split(marks):
+    """Time between successive ``perf_counter`` marks, by phase; phases
+    not reached take 0.0."""
+    spans = [b - a for a, b in zip(marks, marks[1:])]
+    return dict(zip(PHASES, spans + [0.0] * (len(PHASES) - len(spans))))
+
+
 @dataclass
 class IterationRecord:
     iteration: int
@@ -123,6 +133,9 @@ class SolveReport:
     iterate_controls: list = field(default_factory=list)
     error: str | None = None
     wall_time_s: float = 0.0
+    # phase times of the iteration that ended the solve without being
+    # accepted (no descent, a numerical failure, a zero gradient)
+    terminal_phase_times: dict = field(default_factory=dict)
 
     @property
     def converged(self):
@@ -141,8 +154,10 @@ class SolveReport:
         return [self.initial_cost] + [it.cost for it in self.iterations]
 
     def phase_times(self):
-        keys = ("t_basis", "t_sysid", "t_backward", "t_forward")
-        return {k: sum(getattr(it, k) for it in self.iterations) for k in keys}
+        """Per-phase time summed over every iteration run, the terminal
+        unaccepted one included."""
+        return {k: sum(getattr(it, k) for it in self.iterations)
+                + self.terminal_phase_times.get(k, 0.0) for k in PHASES}
 
     def total_sysid_samples(self):
         return sum(it.sysid_samples for it in self.iterations)
@@ -236,7 +251,7 @@ def solve(problem, cfg=None, perturb=None):
         return report
 
     for it in range(1, cfg.max_iterations + 1):
-        t0 = time.perf_counter()
+        marks = [time.perf_counter()]
         try:
             if cfg.mode == "reduced":
                 basis = method_of_snapshots(
@@ -247,41 +262,43 @@ def solve(problem, cfg=None, perturb=None):
                 basis = None
                 eps = 0.0
                 n_modes = model.n_x
-            t1 = time.perf_counter()
+            marks.append(time.perf_counter())
 
             it_seed = cfg.seed * 100003 + it
             data = generate_rollout_data(
                 model, traj, basis=basis,
                 cfg=replace(perturb, seed=it_seed))
             ltv = fit_ltv(data)
-            t2 = time.perf_counter()
+            marks.append(time.perf_counter())
 
             terms = reduce_cost(cost, traj, basis)
             gains = backward_pass(ltv, terms, reg)
-            t3 = time.perf_counter()
+            marks.append(time.perf_counter())
         except (DivergenceError, RankDeficientError, BackwardPassError,
                 DegenerateSnapshotsError) as exc:
+            marks.append(time.perf_counter())
+            report.terminal_phase_times = _phase_split(marks)
             report.status = "numerical_failure"
             report.error = f"iteration {it}: {exc}"
             break
 
         if gains.expected_improvement(1.0) <= 1e-15 * max(1.0, current_cost):
             # gradient numerically zero: already stationary
+            report.terminal_phase_times = _phase_split(marks)
             report.status = "converged"
             break
 
         ls = line_search(model, cost, traj, current_cost, gains, basis, cfg)
-        t4 = time.perf_counter()
+        marks.append(time.perf_counter())
         if not ls.accepted:
+            report.terminal_phase_times = _phase_split(marks)
             report.status = "no_descent"
             break
 
         record = IterationRecord(
             iteration=it, cost=ls.cost, n_modes=n_modes,
             projection_eps=eps, alpha=ls.alpha, trials=ls.trials,
-            sysid_samples=data.n_samples,
-            t_basis=t1 - t0, t_sysid=t2 - t1, t_backward=t3 - t2,
-            t_forward=t4 - t3,
+            sysid_samples=data.n_samples, **_phase_split(marks),
         )
         report.iterations.append(record)
         report.trajectory = ls.trajectory

@@ -139,3 +139,28 @@ def test_verify_bounds_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "minimizer distance" in out and "VIOLATED" not in out
+
+
+@pytest.mark.parametrize("config,solve_status,message", [
+    # the solve itself fails: too few samples for even the reduced fit
+    ({"perturb": {"n_rollouts": 3}}, "numerical_failure",
+     "identifiability floor 11"),
+    # the solve succeeds; the full-order fit around its nominal needs 35
+    ({"perturb": {"n_rollouts": 20}}, "converged",
+     "identifiability floor 35"),
+    # the initial guess diverges: no nominal at all
+    ({"run": {"guess_std": 200.0}}, "numerical_failure", "diverged"),
+], ids=["solve_below_floor", "full_fit_below_floor", "divergent_guess"])
+def test_verify_bounds_failure_is_exit_3(tmp_path, capsys, config,
+                                         solve_status, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--preset", "burgers_small", "--config",
+                 str(path), "--out", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert printed.startswith("[bounds] status=numerical_failure:")
+    assert message in printed and printed.count("\n") == 1
+    payload = json.loads((out / "solve" / "report.json").read_text())
+    assert payload["status"] == solve_status
+    assert not (out / "bounds.json").exists()

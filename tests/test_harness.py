@@ -115,6 +115,25 @@ def test_artifacts_reproducible_byte_for_byte(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_metadata_records_kernel_path(tmp_path):
+    from roilqr import _kernels
+
+    run_solve(_tiny_burgers(), out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["kernel_path"] == ("numba" if _kernels.USE_NUMBA else "numpy")
+    assert meta["numpy_version"] == np.__version__
+
+
+def test_phase_times_include_the_terminal_iteration(tmp_path):
+    # this solve ends in a no-descent line-search sweep, a large share of
+    # its wall time that no accepted iteration records
+    cfg = config_from_dict({"solver": {"seed": 5}}, base=preset("allen_cahn"))
+    report, = run_solve(cfg, out_dir=str(tmp_path))
+    assert report.status == "no_descent"
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert sum(meta["phase_times"].values()) >= 0.9 * meta["wall_time_s"]
+
+
 def test_run_solve_repeats_subdirectories(tmp_path):
     cfg = replace(_tiny_burgers(), run=RunSpec(guess_std=0.3, repeats=3))
     reports = run_solve(cfg, out_dir=str(tmp_path))

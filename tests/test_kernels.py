@@ -32,6 +32,43 @@ def burgers_batch_rowwise(u, left, right, nu, dx, dt, nsub):
     return u
 
 
+def _lap2_rolled(a, dx):
+    return (
+        np.roll(a, 1, axis=1)
+        + np.roll(a, -1, axis=1)
+        + np.roll(a, 1, axis=2)
+        + np.roll(a, -1, axis=2)
+        - 4.0 * a
+    ) / (dx * dx)
+
+
+def allen_cahn_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    """Row-major Allen-Cahn step with a rolled Laplacian: the bit-exact
+    reference for the node-major numpy kernel."""
+    nb = phi.shape[0]
+    f = phi.reshape(nb, npts, npts).copy()
+    tf = temp.reshape(nb, npts, npts)
+    hf = h.reshape(nb, npts, npts)
+    for _ in range(nsub):
+        bulk = 4.0 * f * f * f + 2.0 * tf * f + hf
+        f = f - dt * mob * (bulk - gamma * _lap2_rolled(f, dx))
+    return f.reshape(nb, npts * npts)
+
+
+def cahn_hilliard_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    """Row-major Cahn-Hilliard step with rolled Laplacians: the bit-exact
+    reference for the node-major numpy kernel."""
+    nb = phi.shape[0]
+    f = phi.reshape(nb, npts, npts).copy()
+    tf = temp.reshape(nb, npts, npts)
+    hf = h.reshape(nb, npts, npts)
+    for _ in range(nsub):
+        mu = 4.0 * f * f * f + 2.0 * tf * f + hf \
+            - gamma * _lap2_rolled(f, dx)
+        f = f + dt * mob * _lap2_rolled(mu, dx)
+    return f.reshape(nb, npts * npts)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -45,6 +82,25 @@ def test_burgers_numpy_bit_identical_to_rowwise(rng, rows):
     out = _kernels.burgers_batch_numpy(*args)
     assert out.shape == (rows, 100) and out.flags.c_contiguous
     np.testing.assert_array_equal(_bits(out), _bits(burgers_batch_rowwise(*args)))
+
+
+@pytest.mark.parametrize("kernel,reference,dt", [
+    (_kernels.allen_cahn_batch_numpy, allen_cahn_batch_rolled, 1e-4),
+    (_kernels.cahn_hilliard_batch_numpy, cahn_hilliard_batch_rolled, 1e-6),
+], ids=["allen_cahn", "cahn_hilliard"])
+@pytest.mark.parametrize("rows", [1, 2, 16, 33])
+# 2 points is the smallest grid: there both neighbours along an axis are
+# the same point
+@pytest.mark.parametrize("npts", [2, 3, 20, 50])
+def test_phase_field_numpy_bit_identical_to_rolled(rng, kernel, reference, dt,
+                                                   rows, npts):
+    phi = 0.5 * rng.standard_normal((rows, npts * npts))
+    temp = rng.standard_normal((rows, npts * npts))
+    h = rng.standard_normal((rows, npts * npts))
+    args = (phi, temp, h, 1.0, 1e-3, 0.1, dt, 5, npts)
+    out = kernel(*args)
+    assert out.shape == phi.shape and out.flags.c_contiguous
+    np.testing.assert_array_equal(_bits(out), _bits(reference(*args)))
 
 
 def test_burgers_paths_agree(rng):
@@ -86,18 +142,21 @@ def test_kernels_do_not_mutate_inputs(rng):
         for name in (f"{kind}_batch", f"{kind}_batch_numpy"):
             for rows in (1, 3):
                 if kind == "burgers":
-                    inputs = [rng.standard_normal((rows, 20)),
-                              rng.standard_normal(rows),
-                              rng.standard_normal(rows)]
+                    inputs = {"u": rng.standard_normal((rows, 20)),
+                              "left": rng.standard_normal(rows),
+                              "right": rng.standard_normal(rows)}
                     params = (0.05, 0.1, 1e-4, 5)
                 else:
-                    inputs = [0.5 * rng.standard_normal((rows, p * p))
-                              for _ in range(3)]
+                    # temp and h are only read, though the kernels keep
+                    # node-major copies (or, for one row, views) of them
+                    inputs = {arg: 0.5 * rng.standard_normal((rows, p * p))
+                              for arg in ("phi", "temp", "h")}
                     params = (1.0, 1e-3, 0.1, 1e-6, 5, p)
-                saved = [a.copy() for a in inputs]
-                getattr(_kernels, name)(*inputs, *params)
-                for a, b in zip(inputs, saved):
-                    np.testing.assert_array_equal(a, b, err_msg=name)
+                saved = {arg: a.copy() for arg, a in inputs.items()}
+                getattr(_kernels, name)(*inputs.values(), *params)
+                for arg, a in inputs.items():
+                    np.testing.assert_array_equal(
+                        a, saved[arg], err_msg=f"{name}: {arg}, {rows} rows")
 
 
 @pytest.mark.parametrize("cls,name", [(AllenCahnModel, "allen_cahn_batch"),
