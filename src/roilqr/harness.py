@@ -23,7 +23,7 @@ from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   mask_from_goal)
 from .pod import DegenerateSnapshotsError, method_of_snapshots
 from .solver import ControlProblem, SolverConfig, solve
-from .sysid import PerturbationConfig, RankDeficientError
+from .sysid import PerturbationConfig
 
 SCHEMA_ITERATIONS = "iterations-v1"
 SCHEMA_SNAPSHOTS = "snapshots-v1"
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A run mode could not produce its result for numerical reasons
-    (divergence, a rank-deficient fit, a failed solve)."""
+    (divergence, degenerate snapshots, a failed solve)."""
 
 
 _MODELS = {"burgers": BurgersModel, "allen_cahn": AllenCahnModel,
@@ -158,6 +158,12 @@ def _validate(cfg):
         raise ConfigError("run.repeats: must be >= 1")
     if cfg.run.seed_stride < 0:
         raise ConfigError("run.seed_stride: must be >= 0")
+    if cfg.run.full_time_budget_s is not None \
+            and not cfg.run.full_time_budget_s > 0:
+        raise ConfigError("run.full_time_budget_s: must be positive")
+    if cfg.run.bounds_samples < 1:
+        # zero draws would pass every bound inequality vacuously
+        raise ConfigError("run.bounds_samples: must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +513,7 @@ def run_verify_bounds(cfg, out_dir=None):
             perturb=replace(cfg.perturb, seed=cfg.solver.seed + 1),
             samples=max(20, cfg.run.bounds_samples // 10),
             seed=cfg.solver.seed + 2)
-    except (DivergenceError, RankDeficientError,
-            DegenerateSnapshotsError) as exc:
+    except (DivergenceError, DegenerateSnapshotsError) as exc:
         raise NumericalFailure(f"bound verification: {exc}") from exc
     bounds_report.limit_set_trace = trace
     bounds_report.limit_set_consistent = consistent

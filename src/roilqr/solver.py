@@ -21,8 +21,7 @@ import numpy as np
 from .lqr import BackwardPassError, Regularizer, backward_pass, reduce_cost
 from .pde import DivergenceError, Trajectory, rollout
 from .pod import DegenerateSnapshotsError, method_of_snapshots, projection_residual
-from .sysid import PerturbationConfig, RankDeficientError, fit_ltv, \
-    generate_rollout_data
+from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,10 @@ class SolverConfig:
             raise ValueError("energy_cutoff must be in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.time_budget_s is not None and not self.time_budget_s > 0:
+            # checked after each accepted iteration, so a budget <= 0
+            # would still run one and then report a timeout
+            raise ValueError("time_budget_s must be positive")
 
 
 @dataclass
@@ -274,7 +277,7 @@ def solve(problem, cfg=None, perturb=None):
             terms = reduce_cost(cost, traj, basis)
             gains = backward_pass(ltv, terms, reg)
             marks.append(time.perf_counter())
-        except (DivergenceError, RankDeficientError, BackwardPassError,
+        except (DivergenceError, BackwardPassError,
                 DegenerateSnapshotsError) as exc:
             marks.append(time.perf_counter())
             report.terminal_phase_times = _phase_split(marks)

@@ -1,12 +1,12 @@
 """Data-driven linear time-varying model identification.
 
 Around a nominal trajectory, each timestep's local linear map is fitted
-by least squares on central-difference samples: simulator queries at
-symmetrically perturbed (state, control) pairs about the nominal point.
-When a reduced basis is supplied, state perturbations are drawn in the
-reduced coordinates and lifted, and next-step deviations are projected
-back, so the fit needs only O(l + n_u) samples per timestep instead of
-O(n_x + n_u).
+in closed form from d + n_u central-difference samples along a random
+orthogonal design: simulator queries at symmetrically perturbed
+(state, control) pairs about the nominal point.  When a reduced basis is
+supplied, state perturbations are drawn in the reduced coordinates and
+lifted, and next-step deviations are projected back, so d is the mode
+count l instead of n_x.
 """
 
 from dataclasses import dataclass
@@ -16,40 +16,28 @@ import numpy as np
 from .pde import DivergenceError
 
 
-class RankDeficientError(RuntimeError):
-    """Per-timestep regression data are too ill-conditioned to fit."""
-
-
 @dataclass(frozen=True)
 class PerturbationConfig:
-    """Sampling plan for the one-step perturbation experiments.
+    """Perturbation scales and seed for the one-step experiments.
 
-    ``None`` fields resolve against the nominal trajectory: sample count
-    defaults to 2*(d + n_u) for conditioning headroom, perturbation
-    scales to 1% of the nominal magnitude (floored at 1e-2 so zero
-    initial guesses still produce excitation).
+    ``None`` scales resolve against the nominal trajectory: 1% of the
+    nominal magnitude, floored at 1e-2 so zero initial guesses still
+    produce excitation.  The sample count is not a setting: every
+    timestep uses the d + n_u columns of one orthogonal design.
     """
 
-    n_rollouts: int | None = None
     sigma_x: float | None = None
     sigma_u: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rollouts is not None and self.n_rollouts < 1:
-            raise ValueError("n_rollouts must be >= 1")
         for name in ("sigma_x", "sigma_u"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
 
-    def resolved(self, dim, n_u, nominal):
-        n_r = self.n_rollouts if self.n_rollouts is not None else 2 * (dim + n_u)
-        if n_r < dim + n_u + 1:   # d is the basis size, known at run time
-            raise RankDeficientError(
-                f"n_rollouts={n_r} below identifiability floor "
-                f"{dim + n_u + 1} (d + n_u + 1)"
-            )
+    def resolved(self, nominal):
+        """Return the (state, control) perturbation scales (s_x, s_u)."""
         s_x = self.sigma_x
         if s_x is None:
             s_x = 1e-2 * max(1.0, float(np.max(np.abs(nominal.states))))
@@ -57,7 +45,7 @@ class PerturbationConfig:
         if s_u is None:
             s_u = 1e-2 * max(1.0, float(np.max(np.abs(nominal.controls)))
                              if nominal.controls.size else 1.0)
-        return n_r, s_x, s_u
+        return s_x, s_u
 
 
 @dataclass
@@ -97,79 +85,75 @@ class LtvModel:
         return self.B.shape[2]
 
 
+def orthogonal_design(rng, scale):
+    """Random design X = diag(scale) Q with Q Haar-orthogonal (p x p).
+
+    Its columns are the samples; its rows are orthogonal, so
+    X X^T = diag(scale**2).
+    """
+    q, r = np.linalg.qr(rng.standard_normal((scale.size, scale.size)))
+    return scale[:, None] * (q * np.sign(np.diag(r)))
+
+
 def generate_rollout_data(model, nominal, basis=None, cfg=None):
     """Run the perturbation experiments and assemble regression matrices.
 
-    For every timestep t, draws ``N`` zero-mean Gaussian perturbations of
-    the (reduced) state and control, queries the simulator at the +/-
-    perturbed points, and records the central difference of the next
-    state (projected if a basis is given).  Deterministic for a fixed
-    seed.
+    For every timestep t, draws one orthogonal design over the
+    p = d + n_u (reduced) state and control coordinates, with row scales
+    sqrt(p)*s_x and sqrt(p)*s_u (each coordinate's RMS perturbation is
+    s_x or s_u).  Each of its p columns is queried at the +/- perturbed
+    points, and the central difference of the next state (projected if a
+    basis is given) is recorded.  Deterministic for a fixed seed.
     """
     cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
     n_u = model.n_u
+    n_s = dim + n_u
     horizon = nominal.horizon
-    n_r, s_x, s_u = cfg.resolved(dim, n_u, nominal)
+    s_x, s_u = cfg.resolved(nominal)
+    scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, n_u])
     rng = np.random.default_rng(cfg.seed)
 
-    inputs = np.empty((horizon, dim + n_u, n_r))
-    outputs = np.empty((horizon, dim, n_r))
-    # rows [:n_r] are the + samples, rows [n_r:] the - samples; one
+    inputs = np.empty((horizon, n_s, n_s))
+    outputs = np.empty((horizon, dim, n_s))
+    # rows [:n_s] are the + samples, rows [n_s:] the - samples; one
     # simulator call per timestep steps both
-    x_pm = np.empty((2 * n_r, model.n_x))
-    u_pm = np.empty((2 * n_r, n_u))
+    x_pm = np.empty((2 * n_s, model.n_x))
+    u_pm = np.empty((2 * n_s, n_u))
     for t in range(horizon):
-        dz = s_x * rng.standard_normal((n_r, dim))
-        du = s_u * rng.standard_normal((n_r, n_u))
+        inputs[t] = orthogonal_design(rng, scale)
+        dz = inputs[t, :dim].T
+        du = inputs[t, dim:].T
         dx = dz @ basis.phi.T if basis is not None else dz
-        np.add(nominal.states[t], dx, out=x_pm[:n_r])
-        np.subtract(nominal.states[t], dx, out=x_pm[n_r:])
-        np.add(nominal.controls[t], du, out=u_pm[:n_r])
-        np.subtract(nominal.controls[t], du, out=u_pm[n_r:])
+        np.add(nominal.states[t], dx, out=x_pm[:n_s])
+        np.subtract(nominal.states[t], dx, out=x_pm[n_s:])
+        np.add(nominal.controls[t], du, out=u_pm[:n_s])
+        np.subtract(nominal.controls[t], du, out=u_pm[n_s:])
         f_pm = model.step_batch(x_pm, u_pm)
         finite = np.all(np.isfinite(f_pm), axis=1)
-        bad = ~(finite[:n_r] & finite[n_r:])
+        bad = ~(finite[:n_s] & finite[n_s:])
         if np.any(bad):
             r = int(np.nonzero(bad)[0][0])
             raise DivergenceError(
                 f"perturbation rollout {r} diverged at timestep {t}",
                 timestep=t, rollout=r,
             )
-        dy = 0.5 * (f_pm[:n_r] - f_pm[n_r:])
+        dy = 0.5 * (f_pm[:n_s] - f_pm[n_s:])
         del f_pm   # not alive during the next timestep's simulator call
         if basis is not None:
             dy = dy @ basis.phi
-        inputs[t, :dim, :] = dz.T
-        inputs[t, dim:, :] = du.T
         outputs[t] = dy.T
     return RegressionData(inputs=inputs, outputs=outputs, n_u=n_u)
 
 
-def fit_ltv(data, cond_limit=1e10):
-    """Least-squares fit [A_t | B_t] = Y X^T (X X^T)^{-1} per timestep.
+def fit_ltv(data):
+    """Fit [A_t | B_t] = Y X^T (X X^T)^{-1} per timestep in closed form.
 
-    Solved through an orthogonal factorization of X^T (equivalent to the
-    normal equations at full rank).  Raises :class:`RankDeficientError`
-    instead of falling back to a pseudo-inverse when X X^T is too ill
-    conditioned.
+    The inputs X of :func:`generate_rollout_data` have orthogonal rows,
+    so X X^T is diagonal and the fit is the product Y X^T divided
+    column-wise by the squared row norms of X.
     """
-    horizon, p, _ = data.inputs.shape
-    dim = data.dim
-    a_all = np.empty((horizon, dim, dim))
-    b_all = np.empty((horizon, dim, data.n_u))
-    for t in range(horizon):
-        x = data.inputs[t]
-        gram = x @ x.T
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise RankDeficientError(
-                f"timestep {t}: X X^T condition {cond:.3g} exceeds "
-                f"{cond_limit:g}; use more rollouts or a larger "
-                f"perturbation std"
-            )
-        theta, *_ = np.linalg.lstsq(x.T, data.outputs[t].T, rcond=None)
-        theta = theta.T
-        a_all[t] = theta[:, :dim]
-        b_all[t] = theta[:, dim:]
-    return LtvModel(A=a_all, B=b_all)
+    x = data.inputs
+    theta = (data.outputs @ x.transpose(0, 2, 1)) \
+        / np.einsum("tpn,tpn->tp", x, x)[:, None, :]
+    return LtvModel(A=theta[:, :, :data.dim], B=theta[:, :, data.dim:])

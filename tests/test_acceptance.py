@@ -161,7 +161,7 @@ def test_oracle_ltv_recovery():
     nominal = rollout(model, rng.standard_normal(5),
                       0.3 * rng.standard_normal((6, 2)))
     ltv = fit_ltv(generate_rollout_data(
-        model, nominal, cfg=PerturbationConfig(n_rollouts=20, seed=1)))
+        model, nominal, cfg=PerturbationConfig(seed=1)))
     err = max(float(np.max(np.abs(ltv.A - model.a))),
               float(np.max(np.abs(ltv.B - model.b))))
     _criterion("oracle (b): noiseless LTV plant recovery", err <= 1e-8,

@@ -42,7 +42,8 @@ def test_missing_config_is_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("solver", [{"mu_init": 0.0}, {"alpha_min": 0.0},
-                                    {"max_iterations": 0}])
+                                    {"max_iterations": 0},
+                                    {"time_budget_s": -1.0}])
 def test_out_of_range_solver_setting_is_exit_2(tmp_path, capsys, solver):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"solver": solver}))
@@ -81,15 +82,31 @@ def test_nonpositive_perturbation_std_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_samples_below_identifiability_floor_is_exit_3(tmp_path):
-    # the floor d + n_u + 1 depends on the basis, so it fails at run time
+def test_sample_count_is_not_a_setting(tmp_path, capsys):
+    # every timestep uses d + n_u samples; a config naming the removed
+    # knob is rejected before anything runs
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"perturb": {"n_rollouts": 3}}))
+    out = tmp_path / "out"
     assert main(["solve", "--preset", "burgers_small", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 3
-    payload = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert payload["status"] == "numerical_failure"
-    assert "identifiability floor" in payload["error"]
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: perturb.n_rollouts: unknown field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [{"bounds_samples": 0},
+                                 {"full_time_budget_s": 0.0}])
+def test_out_of_range_run_setting_is_exit_2(tmp_path, capsys, run):
+    # zero bound draws would pass every bound inequality vacuously
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"run": run}))
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--preset", "burgers_small", "--config",
+                 str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: run.{next(iter(run))}:")
+    assert not out.exists()
 
 
 def test_unknown_preset_is_exit_2():
@@ -142,15 +159,9 @@ def test_verify_bounds_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config,solve_status,message", [
-    # the solve itself fails: too few samples for even the reduced fit
-    ({"perturb": {"n_rollouts": 3}}, "numerical_failure",
-     "identifiability floor 11"),
-    # the solve succeeds; the full-order fit around its nominal needs 35
-    ({"perturb": {"n_rollouts": 20}}, "converged",
-     "identifiability floor 35"),
     # the initial guess diverges: no nominal at all
     ({"run": {"guess_std": 200.0}}, "numerical_failure", "diverged"),
-], ids=["solve_below_floor", "full_fit_below_floor", "divergent_guess"])
+], ids=["divergent_guess"])
 def test_verify_bounds_failure_is_exit_3(tmp_path, capsys, config,
                                          solve_status, message):
     path = tmp_path / "cfg.yaml"

@@ -144,7 +144,7 @@ def test_run_solve_repeats_subdirectories(tmp_path):
 
 def test_benchmark_full_timeout_still_emits_reduced(tmp_path):
     cfg = replace(_tiny_burgers(),
-                  run=RunSpec(guess_std=0.3, full_time_budget_s=0.0))
+                  run=RunSpec(guess_std=0.3, full_time_budget_s=1e-9))
     record = run_benchmark(cfg, out_dir=str(tmp_path))
     assert record.full["status"] == "timeout"
     assert record.cost_gap is None and record.speedup is None

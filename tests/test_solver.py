@@ -203,7 +203,7 @@ def test_time_budget_reports_timeout():
     cfg = preset("burgers_small")
     problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
     report = solve(problem,
-                   SolverConfig(mode="reduced", seed=0, time_budget_s=0.0),
+                   SolverConfig(mode="reduced", seed=0, time_budget_s=1e-9),
                    cfg.perturb)
     assert report.status == "timeout"
     assert len(report.iterations) >= 1
@@ -228,6 +228,11 @@ def test_solver_config_validation():
     for mu_init in (0.0, -1.0, 1e7):
         with pytest.raises(ValueError, match="mu"):
             SolverConfig(mu_init=mu_init)
+    # the budget is checked after an accepted iteration: a budget <= 0
+    # would run one and then report a timeout
+    for budget in (0.0, -1.0):
+        with pytest.raises(ValueError, match="time_budget_s"):
+            SolverConfig(time_budget_s=budget)
 
 
 def test_smallest_alpha_min_still_ends_the_sweep(lq_setup):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from helpers import LinearModel, random_stable_linear, step
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
-from roilqr.pod import method_of_snapshots
-from roilqr.sysid import (PerturbationConfig, RankDeficientError,
-                          RegressionData, fit_ltv, generate_rollout_data)
+from roilqr.pod import ReducedBasis, method_of_snapshots
+from roilqr.sysid import (PerturbationConfig, fit_ltv, generate_rollout_data,
+                          orthogonal_design)
 
 
 def _nominal(model, horizon, rng, scale=0.5):
@@ -33,7 +35,7 @@ def test_fit_recovers_linear_plant():
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 6, rng)
     ltv = fit_ltv(generate_rollout_data(
-        model, nominal, cfg=PerturbationConfig(n_rollouts=20, seed=2)))
+        model, nominal, cfg=PerturbationConfig(seed=2)))
     for t in range(6):
         np.testing.assert_allclose(ltv.A[t], model.a, atol=1e-8)
         np.testing.assert_allclose(ltv.B[t], model.b, atol=1e-8)
@@ -133,26 +135,6 @@ def test_seeded_data_is_byte_identical():
     np.testing.assert_array_equal(d1.outputs, d2.outputs)
 
 
-def test_identifiability_floor():
-    rng = np.random.default_rng(9)
-    model = random_stable_linear(6, 2, rng)
-    nominal = _nominal(model, 3, rng)
-    with pytest.raises(RankDeficientError, match="identifiability"):
-        generate_rollout_data(model, nominal, None,
-                              PerturbationConfig(n_rollouts=7))
-
-
-def test_rank_deficiency_fails_loudly():
-    rng = np.random.default_rng(10)
-    # duplicated sample columns make X X^T singular
-    col = rng.standard_normal(5)
-    inputs = np.tile(col[None, :, None], (2, 1, 8))
-    outputs = rng.standard_normal((2, 3, 8))
-    data = RegressionData(inputs=inputs, outputs=outputs, n_u=2)
-    with pytest.raises(RankDeficientError, match="rollouts"):
-        fit_ltv(data)
-
-
 def test_sample_count_scaling():
     rng = np.random.default_rng(11)
     grid = Grid(ndim=1, points=100, dx=2.0 / 99)
@@ -161,26 +143,46 @@ def test_sample_count_scaling():
                       0.1 * rng.standard_normal((6, 2)))
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
     cfg = PerturbationConfig(seed=12)
-    n_red = cfg.resolved(basis.n_modes, 2, nominal)[0]
-    n_full = cfg.resolved(100, 2, nominal)[0]
-    slack = 2
-    assert n_red / n_full <= (basis.n_modes + 2 + slack) / (100 + 2)
+    n_red = generate_rollout_data(model, nominal, basis, cfg).n_samples
+    n_full = generate_rollout_data(model, nominal, None, cfg).n_samples
+    assert (n_red, n_full) == (basis.n_modes + 2, 100 + 2)
 
 
-def test_full_order_needs_dimension_plus_one_samples():
-    # 100 states + 2 controls: identifiability floor is 103 samples
-    cfg = PerturbationConfig(n_rollouts=103)
-    grid = Grid(ndim=1, points=100, dx=2.0 / 99)
-    model = BurgersModel(grid, PdeParams(dt=1e-3, substeps=2, nu=0.05))
-    nominal = rollout(model, np.zeros(100), 0.1 * np.ones((2, 2)))
-    n_r, _, _ = cfg.resolved(100, 2, nominal)
-    assert n_r == 103
-    with pytest.raises(RankDeficientError, match="identifiability floor"):
-        PerturbationConfig(n_rollouts=102).resolved(100, 2, nominal)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 9), n_u=st.integers(1, 3),
+       s_x=st.floats(1e-4, 1e2), s_u=st.floats(1e-4, 1e2),
+       seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_orthogonal_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
+                                                 reduced):
+    rng = np.random.default_rng(seed)
+    n_x = dim + 4 if reduced else dim
+    model = random_stable_linear(n_x, n_u, rng)
+    nominal = _nominal(model, 3, rng)
+    basis = None
+    a_red, b_red = model.a, model.b
+    if reduced:
+        phi = np.linalg.qr(rng.standard_normal((n_x, dim)))[0]
+        basis = ReducedBasis(phi=phi, eigenvalues=np.ones(dim),
+                             captured_energy=1.0)
+        a_red, b_red = phi.T @ model.a @ phi, phi.T @ model.b
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u, seed=seed)
+    data = generate_rollout_data(model, nominal, basis, cfg)
+
+    n_s = dim + n_u
+    assert data.n_samples == n_s
+    # precondition of the closed-form fit: X X^T = (d + n_u) diag(sigma^2)
+    gram = n_s * np.diag(np.repeat([s_x, s_u], [dim, n_u]) ** 2)
+    for x in data.inputs:
+        np.testing.assert_allclose(x @ x.T, gram, rtol=1e-12,
+                                   atol=1e-12 * np.max(gram))
+    ltv = fit_ltv(data)
+    np.testing.assert_allclose(ltv.A, np.broadcast_to(a_red, ltv.A.shape),
+                               atol=1e-8)
+    np.testing.assert_allclose(ltv.B, np.broadcast_to(b_red, ltv.B.shape),
+                               atol=1e-8)
 
 
-@pytest.mark.parametrize("bad", [{"n_rollouts": 0}, {"sigma_x": -1.0},
-                                 {"sigma_u": 0.0}])
+@pytest.mark.parametrize("bad", [{"sigma_x": -1.0}, {"sigma_u": 0.0}])
 def test_perturbation_config_validation(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         PerturbationConfig(**bad)
@@ -189,13 +191,16 @@ def test_perturbation_config_validation(bad):
 def _two_call_rollout_data(model, nominal, basis, cfg):
     """Reference sampler: separate simulator calls for the + and - rows."""
     dim = basis.n_modes if basis is not None else model.n_x
-    n_r, s_x, s_u = cfg.resolved(dim, model.n_u, nominal)
+    n_s = dim + model.n_u
+    s_x, s_u = cfg.resolved(nominal)
+    scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, model.n_u])
     rng = np.random.default_rng(cfg.seed)
-    inputs = np.empty((nominal.horizon, dim + model.n_u, n_r))
-    outputs = np.empty((nominal.horizon, dim, n_r))
+    inputs = np.empty((nominal.horizon, n_s, n_s))
+    outputs = np.empty((nominal.horizon, dim, n_s))
     for t in range(nominal.horizon):
-        dz = s_x * rng.standard_normal((n_r, dim))
-        du = s_u * rng.standard_normal((n_r, model.n_u))
+        inputs[t] = orthogonal_design(rng, scale)
+        dz = inputs[t, :dim].T
+        du = inputs[t, dim:].T
         dx = dz @ basis.phi.T if basis is not None else dz
         f_plus = model.step_batch(nominal.states[t] + dx,
                                   nominal.controls[t] + du)
@@ -204,8 +209,6 @@ def _two_call_rollout_data(model, nominal, basis, cfg):
         dy = 0.5 * (f_plus - f_minus)
         if basis is not None:
             dy = dy @ basis.phi
-        inputs[t, :dim] = dz.T
-        inputs[t, dim:] = du.T
         outputs[t] = dy.T
     return inputs, outputs
 
@@ -252,7 +255,7 @@ def test_minus_side_divergence_names_timestep_and_rollout():
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 4, rng)
     cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=16)
-    n_r = cfg.resolved(5, 2, nominal)[0]
+    n_s = 5 + 2   # d + n_u samples per timestep
     t_bad = 2
     # the sample with the largest |dx_0| at t_bad is the only one that
     # reaches past the threshold, and only on its minus side
@@ -264,4 +267,4 @@ def test_minus_side_divergence_names_timestep_and_rollout():
     with pytest.raises(DivergenceError) as err:
         generate_rollout_data(model, nominal, None, cfg)
     assert err.value.timestep == t_bad
-    assert err.value.rollout == r_bad < n_r
+    assert err.value.rollout == r_bad < n_s
