@@ -5,12 +5,15 @@ Times ``step_batch`` of each preset's model (control routing and row
 chunking included) and reports microseconds per row:
 
 * Burgers (100 points, 250 substeps): 1 row (forward pass, line search),
-  22, 44, 96 rows (reduced identification, one call per timestep
-  stepping the + and - samples together) and 408 rows (full-order
-  identification, stepped as two chunks of 204);
-* Allen-Cahn 50x50: 1, 16, 32 rows;
-* Allen-Cahn and Cahn-Hilliard 20x20: 1 row (forward pass, line search)
-  and 808 and 1616 rows (full-order identification).
+  220 rows (reduced identification: the +/- samples of a group of 10
+  timesteps, 22 rows each, stepped in one call) and 408 rows
+  (full-order identification, one timestep per call, stepped as two
+  chunks of 204);
+* Allen-Cahn 50x50: 1 row and 16 rows (reduced identification, one
+  timestep per call);
+* Allen-Cahn and Cahn-Hilliard 20x20: 1 row, 90 and 100 rows (reduced
+  identification, groups of 2-3 timesteps) and 808 rows (full-order
+  identification, one timestep per call).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
@@ -27,10 +30,10 @@ from roilqr import _kernels
 from roilqr.harness import build_problem, preset
 
 CASES = [
-    ("burgers", (1, 22, 44, 96, 408)),
-    ("allen_cahn", (1, 16, 32)),
-    ("allen_cahn_small", (1, 808, 1616)),
-    ("cahn_hilliard", (1, 808, 1616)),
+    ("burgers", (1, 220, 408)),
+    ("allen_cahn", (1, 16)),
+    ("allen_cahn_small", (1, 90, 808)),
+    ("cahn_hilliard", (1, 100, 808)),
 ]
 
 

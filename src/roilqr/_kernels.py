@@ -2,12 +2,12 @@
 
 These inner loops dominate runtime (system identification evaluates
 thousands of one-step perturbations per solver iteration), so each kernel
-has a numba-compiled loop version and a vectorized numpy version.  The
-active path is chosen at import time: numba is used when importable (the
-optional ``numba`` extra) unless the environment variable
-``ROILQR_PURE_NUMPY=1`` is set.  Without numba the loop versions stay
-importable as plain Python, the oracle the numpy kernels are tested
-against.
+has a loop version (``_*_loops``) and a vectorized numpy version.  The
+active path is chosen at import time: the loop versions compiled with
+numba when it is importable (the optional ``numba`` extra), unless the
+environment variable ``ROILQR_PURE_NUMPY=1`` is set; otherwise the numpy
+versions.  The loop versions themselves stay plain Python, the oracle the
+numpy kernels are tested against.
 
 All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
@@ -39,12 +39,6 @@ USE_NUMBA = HAVE_NUMBA and os.environ.get("ROILQR_PURE_NUMPY", "0").lower() not 
     "true",
     "yes",
 )
-
-
-def _njit(fn):
-    if HAVE_NUMBA:
-        return numba.njit(fn, cache=True)
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +102,6 @@ def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
             for i in range(1, n - 1):
                 row[i] = buf[i]
     return out
-
-
-burgers_batch_numba = _njit(_burgers_batch_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +218,6 @@ def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return out
 
 
-allen_cahn_batch_numba = _njit(_allen_cahn_loops)
-
-
 def cahn_hilliard_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     # Layout and buffers as in allen_cahn_batch_numpy; the operation order
     # is that of  mu = 4.0*f*f*f + 2.0*temp*f + h - gamma*lap(f);
@@ -304,16 +292,13 @@ def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return out
 
 
-cahn_hilliard_batch_numba = _njit(_cahn_hilliard_loops)
-
-
 # recorded with every run: the two paths agree only to about 1e-16
 KERNEL_PATH = "numba" if USE_NUMBA else "numpy"
 
 if USE_NUMBA:
-    burgers_batch = burgers_batch_numba
-    allen_cahn_batch = allen_cahn_batch_numba
-    cahn_hilliard_batch = cahn_hilliard_batch_numba
+    burgers_batch = numba.njit(_burgers_batch_loops, cache=True)
+    allen_cahn_batch = numba.njit(_allen_cahn_loops, cache=True)
+    cahn_hilliard_batch = numba.njit(_cahn_hilliard_loops, cache=True)
 else:
     burgers_batch = burgers_batch_numpy
     allen_cahn_batch = allen_cahn_batch_numpy

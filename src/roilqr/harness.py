@@ -156,6 +156,8 @@ def _validate(cfg):
         raise ConfigError(f"problem.init_shape: unknown '{p.init_shape}'")
     if cfg.run.repeats < 1:
         raise ConfigError("run.repeats: must be >= 1")
+    if cfg.run.guess_std < 0:   # 0 means "no initial guess"
+        raise ConfigError("run.guess_std: must be >= 0")
     if cfg.run.seed_stride < 0:
         raise ConfigError("run.seed_stride: must be >= 0")
     if cfg.run.full_time_budget_s is not None \

@@ -119,23 +119,30 @@ class Trajectory:
 # Largest batch, in cells (rows x n_x), handed to one kernel call.  Larger
 # batches are stepped in equal row chunks, so stacking more samples into
 # one step_batch call never grows the kernels' temporaries or the control
-# routing arrays beyond this size.
+# routing arrays beyond this size.  It also sizes the groups of timesteps
+# whose identification experiments share one step_batch call.
 MAX_CHUNK_CELLS = 40_000
 
 
+def balanced_runs(count, item_cells):
+    """``(lo, hi)`` bounds of the fewest consecutive runs of ``count``
+    items of ``item_cells`` cells each that hold at most
+    :data:`MAX_CHUNK_CELLS` cells per run (at least one item each), their
+    lengths differing by at most one."""
+    per_run = max(1, MAX_CHUNK_CELLS // item_cells)
+    runs = -(-count // per_run)
+    return [(i * count // runs, (i + 1) * count // runs) for i in range(runs)]
+
+
 def _step_in_chunks(kernel, states, controls, kernel_args):
-    """``kernel(states, *kernel_args(controls))`` in the fewest row chunks
-    of at most :data:`MAX_CHUNK_CELLS` cells, their sizes differing by at
-    most one row, written into one output array.  Rows are independent, so
-    the result equals one call on the whole batch."""
-    nb, n = states.shape
-    cap = max(1, MAX_CHUNK_CELLS // n)
-    if nb <= cap:
+    """``kernel(states, *kernel_args(controls))`` in the row chunks of
+    :func:`balanced_runs`, written into one output array.  Rows are
+    independent, so the result equals one call on the whole batch."""
+    chunks = balanced_runs(*states.shape)
+    if len(chunks) <= 1:
         return kernel(states, *kernel_args(controls))
-    chunks = -(-nb // cap)
-    bounds = [i * nb // chunks for i in range(chunks + 1)]
     out = np.empty_like(states)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in chunks:
         out[lo:hi] = kernel(states[lo:hi], *kernel_args(controls[lo:hi]))
     return out
 

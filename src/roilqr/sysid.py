@@ -7,13 +7,19 @@ orthogonal design: simulator queries at symmetrically perturbed
 supplied, state perturbations are drawn in the reduced coordinates and
 lifted, and next-step deviations are projected back, so d is the mode
 count l instead of n_x.
+
+The experiments sit around a nominal trajectory known in advance, so
+those of consecutive timesteps are independent and are stepped together:
+one simulator call per group of timesteps, each group holding at most
+:data:`roilqr.pde.MAX_CHUNK_CELLS` cells unless one timestep alone is
+larger.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import DivergenceError
+from .pde import DivergenceError, balanced_runs
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,13 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None):
     sqrt(p)*s_x and sqrt(p)*s_u (each coordinate's RMS perturbation is
     s_x or s_u).  Each of its p columns is queried at the +/- perturbed
     points, and the central difference of the next state (projected if a
-    basis is given) is recorded.  Deterministic for a fixed seed.
+    basis is given) is recorded.  The queries of consecutive timesteps
+    share one simulator call, in balanced groups of at most
+    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a single
+    timestep is larger); every other operation is per timestep, so the
+    data are bit-identical to one call per timestep.  Raises
+    :class:`DivergenceError` naming the earliest diverged timestep and
+    its first diverged sample.  Deterministic for a fixed seed.
     """
     cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
@@ -116,33 +128,43 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None):
 
     inputs = np.empty((horizon, n_s, n_s))
     outputs = np.empty((horizon, dim, n_s))
-    # rows [:n_s] are the + samples, rows [n_s:] the - samples; one
-    # simulator call per timestep steps both
-    x_pm = np.empty((2 * n_s, model.n_x))
-    u_pm = np.empty((2 * n_s, n_u))
-    for t in range(horizon):
-        inputs[t] = orthogonal_design(rng, scale)
-        dz = inputs[t, :dim].T
-        du = inputs[t, dim:].T
-        dx = dz @ basis.phi.T if basis is not None else dz
-        np.add(nominal.states[t], dx, out=x_pm[:n_s])
-        np.subtract(nominal.states[t], dx, out=x_pm[n_s:])
-        np.add(nominal.controls[t], du, out=u_pm[:n_s])
-        np.subtract(nominal.controls[t], du, out=u_pm[n_s:])
-        f_pm = model.step_batch(x_pm, u_pm)
-        finite = np.all(np.isfinite(f_pm), axis=1)
-        bad = ~(finite[:n_s] & finite[n_s:])
-        if np.any(bad):
-            r = int(np.nonzero(bad)[0][0])
-            raise DivergenceError(
-                f"perturbation rollout {r} diverged at timestep {t}",
-                timestep=t, rollout=r,
-            )
-        dy = 0.5 * (f_pm[:n_s] - f_pm[n_s:])
-        del f_pm   # not alive during the next timestep's simulator call
-        if basis is not None:
-            dy = dy @ basis.phi
-        outputs[t] = dy.T
+    groups = balanced_runs(horizon, 2 * n_s * model.n_x)
+    longest = max((hi - lo for lo, hi in groups), default=0)
+    # timestep k of a group fills rows [2*n_s*k, 2*n_s*(k+1)): its n_s +
+    # samples, then its n_s - samples
+    x_pm = np.empty((longest * 2 * n_s, model.n_x))
+    u_pm = np.empty((longest * 2 * n_s, n_u))
+    for lo, hi in groups:
+        rows = (hi - lo) * 2 * n_s
+        x_grp = x_pm[:rows].reshape(hi - lo, 2, n_s, model.n_x)
+        u_grp = u_pm[:rows].reshape(hi - lo, 2, n_s, n_u)
+        for t in range(lo, hi):
+            inputs[t] = orthogonal_design(rng, scale)
+            dz = inputs[t, :dim].T
+            du = inputs[t, dim:].T
+            dx = dz @ basis.phi.T if basis is not None else dz
+            x_t, u_t = x_grp[t - lo], u_grp[t - lo]
+            np.add(nominal.states[t], dx, out=x_t[0])
+            np.subtract(nominal.states[t], dx, out=x_t[1])
+            np.add(nominal.controls[t], du, out=u_t[0])
+            np.subtract(nominal.controls[t], du, out=u_t[1])
+        f_grp = model.step_batch(x_pm[:rows], u_pm[:rows]) \
+            .reshape(hi - lo, 2, n_s, model.n_x)
+        for t in range(lo, hi):
+            f_plus, f_minus = f_grp[t - lo]
+            bad = ~(np.all(np.isfinite(f_plus), axis=1)
+                    & np.all(np.isfinite(f_minus), axis=1))
+            if np.any(bad):
+                r = int(np.nonzero(bad)[0][0])
+                raise DivergenceError(
+                    f"perturbation rollout {r} diverged at timestep {t}",
+                    timestep=t, rollout=r,
+                )
+            dy = 0.5 * (f_plus - f_minus)
+            if basis is not None:
+                dy = dy @ basis.phi
+            outputs[t] = dy.T
+        del f_grp   # not alive during the next group's simulator call
     return RegressionData(inputs=inputs, outputs=outputs, n_u=n_u)
 
 

@@ -96,9 +96,11 @@ def test_sample_count_is_not_a_setting(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("run", [{"bounds_samples": 0},
-                                 {"full_time_budget_s": 0.0}])
+                                 {"full_time_budget_s": 0.0},
+                                 {"guess_std": -0.3}])
 def test_out_of_range_run_setting_is_exit_2(tmp_path, capsys, run):
-    # zero bound draws would pass every bound inequality vacuously
+    # zero bound draws would pass every bound inequality vacuously; a
+    # negative guess std would run unguessed but be reported as given
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"run": run}))
     out = tmp_path / "out"

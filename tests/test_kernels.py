@@ -1,4 +1,4 @@
-"""The numba and numpy kernel paths must agree; steps must be local and
+"""The loop and numpy kernel paths must agree; steps must be local and
 deterministic."""
 
 import numpy as np
@@ -109,8 +109,9 @@ def test_burgers_paths_agree(rng):
     right = rng.standard_normal(7)
     args = (u, left, right, 0.05, 0.04, 1e-4, 12)
     out_np = _kernels.burgers_batch_numpy(*args)
-    out_nb = _kernels.burgers_batch_numba(*args)
-    np.testing.assert_allclose(out_nb, out_np, rtol=0, atol=1e-13)
+    # the active kernel: the numba-compiled loops where numba is active
+    np.testing.assert_allclose(_kernels.burgers_batch(*args), out_np,
+                               rtol=0, atol=1e-13)
     # same operations in the same order as the loop kernel run as Python
     np.testing.assert_array_equal(
         _bits(out_np), _bits(_kernels._burgers_batch_loops(*args)))
@@ -122,15 +123,14 @@ def test_phase_field_paths_agree(rng, kind):
     phi = 0.5 * rng.standard_normal((4, p * p))
     temp = rng.standard_normal((4, p * p))
     h = rng.standard_normal((4, p * p))
-    if kind == "allen_cahn":
-        args = (phi, temp, h, 1.0, 1e-3, 0.1, 1e-4, 6, p)
-        out_np = _kernels.allen_cahn_batch_numpy(*args)
-        out_nb = _kernels.allen_cahn_batch_numba(*args)
-    else:
-        args = (phi, temp, h, 1.0, 1e-3, 0.1, 1e-6, 6, p)
-        out_np = _kernels.cahn_hilliard_batch_numpy(*args)
-        out_nb = _kernels.cahn_hilliard_batch_numba(*args)
-    np.testing.assert_allclose(out_nb, out_np, rtol=0, atol=1e-12)
+    dt = 1e-4 if kind == "allen_cahn" else 1e-6
+    args = (phi, temp, h, 1.0, 1e-3, 0.1, dt, 6, p)
+    out_np = getattr(_kernels, f"{kind}_batch_numpy")(*args)
+    # the loops as plain Python, and the active kernel (the loops compiled
+    # where numba is active)
+    for kernel in (getattr(_kernels, f"_{kind}_loops"),
+                   getattr(_kernels, f"{kind}_batch")):
+        np.testing.assert_allclose(kernel(*args), out_np, rtol=0, atol=1e-12)
 
 
 def test_kernels_do_not_mutate_inputs(rng):

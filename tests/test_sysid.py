@@ -6,6 +6,7 @@ from helpers import LinearModel, random_stable_linear, step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roilqr import pde
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.sysid import (PerturbationConfig, fit_ltv, generate_rollout_data,
@@ -231,23 +232,91 @@ def test_stacked_samples_bit_identical_to_two_calls(reduced):
                                   outputs.view(np.uint64))
 
 
-class _BlowsUpNear(LinearModel):
-    """Linear plant whose step is non-finite for states near ``center``
-    whose first coordinate lies beyond ``center[0] + offset`` (on the side
-    of the sign of ``offset``)."""
+# (name, cap in cells given one timestep's cells c): the whole horizon
+# of 5 timesteps in one group, groups of 1, 2 and 2 timesteps, one
+# timestep per group, and a timestep larger than the cap (one timestep per
+# group, itself stepped in row chunks)
+_CAPS = [("whole", lambda c: 5 * c), ("uneven", lambda c: 2 * c + c // 2),
+         ("single", lambda c: c), ("over", lambda c: c // 3)]
 
-    def __init__(self, plant, center, offset):
+
+@pytest.mark.parametrize("cap", [f for _, f in _CAPS],
+                         ids=[name for name, _ in _CAPS])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_grouped_timesteps_bit_identical_to_per_timestep(monkeypatch, cap,
+                                                         reduced):
+    rng = np.random.default_rng(19)
+    grid = Grid(ndim=1, points=24, dx=2.0 / 23)
+    model = BurgersModel(grid, PdeParams(dt=2e-3, substeps=20, nu=0.05))
+    nominal = rollout(model, 0.5 * rng.standard_normal(24),
+                      0.2 * rng.standard_normal((5, 2)))
+    basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
+             if reduced else None)
+    cfg = PerturbationConfig(seed=20)
+    inputs, outputs = _two_call_rollout_data(model, nominal, basis, cfg)
+    n_s = (basis.n_modes if reduced else 24) + 2
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap(2 * n_s * 24))
+    data = generate_rollout_data(model, nominal, basis, cfg)
+    np.testing.assert_array_equal(data.inputs.view(np.uint64),
+                                  inputs.view(np.uint64))
+    np.testing.assert_array_equal(data.outputs.view(np.uint64),
+                                  outputs.view(np.uint64))
+
+
+class _Counting(LinearModel):
+    """Linear plant that records the row count of every simulator call."""
+
+    def __init__(self, plant):
         super().__init__(plant.a, plant.b)
-        self.center = center
-        self.offset = offset
+        self.calls = []
+
+    def step_batch(self, states, controls):
+        self.calls.append(len(states))
+        return super().step_batch(states, controls)
+
+
+@pytest.mark.parametrize("cap", [10**6, 3 * 96, 2 * 96, 96, 50])
+def test_one_simulator_call_per_group_within_cap(monkeypatch, cap):
+    rng = np.random.default_rng(21)
+    model = _Counting(random_stable_linear(6, 2, rng))
+    nominal = _nominal(model, 7, rng)
+    model.calls.clear()
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap)
+    generate_rollout_data(model, nominal, None, PerturbationConfig(seed=22))
+    rows_t = 2 * (6 + 2)   # +/- rows of one timestep: 96 cells
+    per_group = max(1, cap // (rows_t * 6))
+    assert len(model.calls) == -(-7 // per_group)
+    assert sum(model.calls) == 7 * rows_t
+    assert max(model.calls) - min(model.calls) <= rows_t
+    assert max(model.calls) * 6 <= max(cap, rows_t * 6)
+
+
+class _BlowsUpNear(LinearModel):
+    """Linear plant whose step is non-finite for states near a region's
+    ``center`` whose first coordinate lies beyond ``center[0] + offset``
+    (on the side of the sign of ``offset``), for each ``(center, offset)``
+    region."""
+
+    def __init__(self, plant, *regions):
+        super().__init__(plant.a, plant.b)
+        self.regions = regions
 
     def step_batch(self, states, controls):
         out = super().step_batch(states, controls)
-        near = np.all(np.abs(states[:, 1:] - self.center[1:]) < 1e-3, axis=1)
-        beyond = np.sign(self.offset) * (states[:, 0] - self.center[0]) \
-            > abs(self.offset)
-        out[near & beyond] = np.inf
+        for center, offset in self.regions:
+            near = np.all(np.abs(states[:, 1:] - center[1:]) < 1e-3, axis=1)
+            beyond = np.sign(offset) * (states[:, 0] - center[0]) \
+                > abs(offset)
+            out[near & beyond] = np.inf
         return out
+
+
+def _one_sided_offset(dx0):
+    """(sample, offset): the sample with the largest |dx_0| is the only one
+    that reaches past ``offset``, and only on its minus side."""
+    r_bad = int(np.argmax(np.abs(dx0)))
+    runner_up = np.sort(np.abs(dx0))[-2]
+    return r_bad, -np.sign(dx0[r_bad]) * 0.5 * (runner_up + abs(dx0[r_bad]))
 
 
 def test_minus_side_divergence_names_timestep_and_rollout():
@@ -257,14 +326,30 @@ def test_minus_side_divergence_names_timestep_and_rollout():
     cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=16)
     n_s = 5 + 2   # d + n_u samples per timestep
     t_bad = 2
-    # the sample with the largest |dx_0| at t_bad is the only one that
-    # reaches past the threshold, and only on its minus side
     dx0 = generate_rollout_data(plant, nominal, None, cfg).inputs[t_bad, 0]
-    r_bad = int(np.argmax(np.abs(dx0)))
-    runner_up = np.sort(np.abs(dx0))[-2]
-    offset = -np.sign(dx0[r_bad]) * 0.5 * (runner_up + abs(dx0[r_bad]))
-    model = _BlowsUpNear(plant, nominal.states[t_bad], offset)
+    r_bad, offset = _one_sided_offset(dx0)
+    model = _BlowsUpNear(plant, (nominal.states[t_bad], offset))
     with pytest.raises(DivergenceError) as err:
         generate_rollout_data(model, nominal, None, cfg)
     assert err.value.timestep == t_bad
     assert err.value.rollout == r_bad < n_s
+
+
+def test_earliest_diverged_timestep_of_a_group_is_reported():
+    rng = np.random.default_rng(17)
+    plant = random_stable_linear(5, 2, rng)
+    nominal = _nominal(plant, 5, rng)
+    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=18)
+    n_s = 5 + 2
+    assert pde.balanced_runs(5, 2 * n_s * 5) == [(0, 5)]   # one group
+    t_early, t_late = 1, 3
+    dx0 = generate_rollout_data(plant, nominal, None, cfg).inputs[t_early, 0]
+    r_bad, offset = _one_sided_offset(dx0)
+    assert r_bad > 0   # differs from the late timestep's first rollout
+    # at t_late every sample diverges on the side of its dx_0's sign
+    model = _BlowsUpNear(plant, (nominal.states[t_early], offset),
+                         (nominal.states[t_late], 1e-300))
+    with pytest.raises(DivergenceError) as err:
+        generate_rollout_data(model, nominal, None, cfg)
+    assert err.value.timestep == t_early
+    assert err.value.rollout == r_bad
