@@ -4,13 +4,16 @@
 Times ``step_batch`` of each preset's model (control routing and row
 chunking included) and reports microseconds per row:
 
-* Burgers (100 points, 250 substeps): 1 row (forward pass, line search),
+* Burgers (100 points, 250 substeps): 1 row (initial rollout, first
+  line-search trial),
   220 rows (reduced identification: the +/- samples of a group of 10
   timesteps, 22 rows each, stepped in one call) and 408 rows
   (full-order identification, one timestep per call, stepped as two
   chunks of 204);
-* Allen-Cahn 50x50: 1 row and 16 rows (reduced identification, one
-  timestep per call);
+* Allen-Cahn 50x50: 1 row (first line-search trial), 2, 4, 8 and 12
+  rows (the doubling line-search batches that follow it; a 27-step
+  no-descent sweep is 1 + 2 + 4 + 8 + 12 rows, at most 16 per batch) and
+  16 rows (reduced identification, one timestep per call);
 * Allen-Cahn and Cahn-Hilliard 20x20: 1 row, 90 and 100 rows (reduced
   identification, groups of 2-3 timesteps) and 808 rows (full-order
   identification, one timestep per call).
@@ -31,7 +34,7 @@ from roilqr.harness import build_problem, preset
 
 CASES = [
     ("burgers", (1, 220, 408)),
-    ("allen_cahn", (1, 16)),
+    ("allen_cahn", (1, 2, 4, 8, 12, 16)),
     ("allen_cahn_small", (1, 90, 808)),
     ("cahn_hilliard", (1, 100, 808)),
 ]

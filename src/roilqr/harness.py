@@ -308,14 +308,15 @@ def _write_iterations_csv(path, report):
 
 
 def _write_snapshots_csv(path, trajectory):
+    # the bytes csv.writer makes of the _fmt strings (no field needs
+    # quoting), written directly: one row per grid point
     horizon = trajectory.horizon
     times = sorted({0, round(horizon / 3), round(2 * horizon / 3), horizon})
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_SNAPSHOTS}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"t{t}" for t in times])
-        for row in trajectory.states[times, :].T:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(f"t{t}" for t in times) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in trajectory.states[times].T.tolist())
 
 
 def _report_dict(cfg, report):

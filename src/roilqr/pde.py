@@ -120,8 +120,15 @@ class Trajectory:
 # batches are stepped in equal row chunks, so stacking more samples into
 # one step_batch call never grows the kernels' temporaries or the control
 # routing arrays beyond this size.  It also sizes the groups of timesteps
-# whose identification experiments share one step_batch call.
+# whose identification experiments share one step_batch call, and the
+# line-search batches of step sizes.
 MAX_CHUNK_CELLS = 40_000
+
+
+def items_per_call(item_cells):
+    """How many items of ``item_cells`` cells fit in
+    :data:`MAX_CHUNK_CELLS` cells; at least one."""
+    return max(1, MAX_CHUNK_CELLS // item_cells)
 
 
 def balanced_runs(count, item_cells):
@@ -129,7 +136,7 @@ def balanced_runs(count, item_cells):
     items of ``item_cells`` cells each that hold at most
     :data:`MAX_CHUNK_CELLS` cells per run (at least one item each), their
     lengths differing by at most one."""
-    per_run = max(1, MAX_CHUNK_CELLS // item_cells)
+    per_run = items_per_call(item_cells)
     runs = -(-count // per_run)
     return [(i * count // runs, (i + 1) * count // runs) for i in range(runs)]
 

@@ -3,10 +3,17 @@
 Each iteration: refresh the snapshot basis from the currently accepted
 trajectory (reduced mode only), fit a local LTV model around it,
 run the backward pass for gains, and accept a new trajectory through a
-backtracking line search on the nonlinear model.  Terminates when the
+backtracking line search on the nonlinear model.  The line search tries
+``alpha_init`` alone, then rolls out the rest of the step-size ladder in
+doubling batches (2, 4, 8, ... step sizes, at most
+``pde.items_per_call(n_x)`` per batch), one row per step size and one
+simulator call per timestep; every row is bit-identical to a rollout of
+its step size alone, so the first step size in ladder order that passes
+is the one a one-at-a-time search would accept.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
 convergence coefficient, when no descent step can be found, or at the
-iteration/time budget.
+iteration/time budget, which is checked between line-search rollouts
+and after each accepted iteration.
 
 ``mode="full"`` runs the identical loop with the identity basis, which
 is the standard full-order algorithm and serves as the benchmark
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lqr import BackwardPassError, Regularizer, backward_pass, reduce_cost
-from .pde import DivergenceError, Trajectory, rollout
+from .pde import DivergenceError, Trajectory, items_per_call, rollout
 from .pod import DegenerateSnapshotsError, method_of_snapshots, projection_residual
 from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
@@ -67,8 +74,9 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.time_budget_s is not None and not self.time_budget_s > 0:
-            # checked after each accepted iteration, so a budget <= 0
-            # would still run one and then report a timeout
+            # checked only once an iteration has reached its line search,
+            # so a budget <= 0 would still run one and then report a
+            # timeout
             raise ValueError("time_budget_s must be positive")
 
 
@@ -136,6 +144,8 @@ class SolveReport:
     iterate_controls: list = field(default_factory=list)
     error: str | None = None
     wall_time_s: float = 0.0
+    # the initial rollout and its cost, part of the forward phase
+    initial_rollout_s: float = 0.0
     # phase times of the iteration that ended the solve without being
     # accepted (no descent, a numerical failure, a zero gradient)
     terminal_phase_times: dict = field(default_factory=dict)
@@ -158,41 +168,95 @@ class SolveReport:
 
     def phase_times(self):
         """Per-phase time summed over every iteration run, the terminal
-        unaccepted one included."""
-        return {k: sum(getattr(it, k) for it in self.iterations)
-                + self.terminal_phase_times.get(k, 0.0) for k in PHASES}
+        unaccepted one included; the initial rollout counts as forward
+        time."""
+        times = {k: sum(getattr(it, k) for it in self.iterations)
+                 + self.terminal_phase_times.get(k, 0.0) for k in PHASES}
+        times["t_forward"] += self.initial_rollout_s
+        return times
 
     def total_sysid_samples(self):
         return sum(it.sysid_samples for it in self.iterations)
 
 
-def forward_pass(model, cost, prev, gains, basis, alpha):
-    """Roll the nonlinear model under the feedback law.
+def forward_pass(model, cost, prev, gains, basis, alphas, buffers=None):
+    """Roll the nonlinear model under the feedback law, one row per step
+    size, all rows stepped by one ``step_batch`` call per timestep.
 
-    Controls: u_t = u_prev_t - alpha*k_t - K_t * P(x_t - x_prev_t) with P
-    the basis projection (identity when ``basis`` is None).  A divergent
-    rollout yields an infinite cost so the line search backs off.
-    Returns (trajectory_or_None, realized_cost, predicted_improvement).
+    Row j's controls: u_t = u_prev_t - alphas[j]*k_t - K_t * P(x_t -
+    x_prev_t) with P the basis projection (identity when ``basis`` is
+    None).  The projection and the feedback are matrix-vector products
+    row by row and the kernels act on each row alone, so every row is
+    bit-identical to a rollout of its step size by itself.  A row that
+    diverges is not stepped further and yields an infinite cost, so the
+    line search backs off; the other rows are unaffected.
+
+    ``buffers`` is a ``(states, controls)`` pair of shapes ``(T+1, B,
+    n_x)`` and ``(T, B, n_u)`` with ``B >= len(alphas)``, overwritten;
+    fresh ones are allocated when it is None.  Returns one
+    (trajectory_or_None, realized_cost, predicted_improvement) per step
+    size; the trajectories are views into the buffers.
     """
-    horizon = prev.horizon
-    predicted = gains.expected_improvement(alpha)
-    states = np.empty_like(prev.states)
-    controls = np.empty_like(prev.controls)
-    states[0] = prev.states[0]
-    x = states[0]
-    for t in range(horizon):
-        dev = x - prev.states[t]
-        dz = basis.phi.T @ dev if basis is not None else dev
-        controls[t] = prev.controls[t] - alpha * gains.k[t] - gains.K[t] @ dz
-        x = model.step_batch(x[None, :], controls[t][None, :])[0]
-        if not np.all(np.isfinite(x)):
-            return None, float("inf"), predicted
-        states[t + 1] = x
-    traj = Trajectory(states=states, controls=controls)
-    realized = cost.trajectory_cost(traj)
-    if not np.isfinite(realized):
-        return None, float("inf"), predicted
-    return traj, realized, predicted
+    n = len(alphas)
+    if buffers is None:
+        buffers = _rollout_buffers(model, prev.horizon, n)
+    states, controls = buffers
+    states[0, :n] = prev.states[0]
+    live = np.arange(n)
+    for t in range(prev.horizon):
+        if not live.size:
+            break
+        for j in live:
+            dev = states[t, j] - prev.states[t]
+            dz = basis.phi.T @ dev if basis is not None else dev
+            controls[t, j] = (prev.controls[t] - alphas[j] * gains.k[t]
+                              - gains.K[t] @ dz)
+        x = model.step_batch(states[t, live], controls[t, live])
+        finite = np.all(np.isfinite(x), axis=1)
+        states[t + 1, live] = x
+        live = live[finite]
+    results = []
+    for j, alpha in enumerate(alphas):
+        predicted = gains.expected_improvement(alpha)
+        traj, realized = None, float("inf")
+        if j in live:
+            row = Trajectory(states=states[:, j], controls=controls[:, j])
+            cost_j = cost.trajectory_cost(row)
+            if np.isfinite(cost_j):
+                traj, realized = row, cost_j
+        results.append((traj, realized, predicted))
+    return results
+
+
+def _rollout_buffers(model, horizon, rows):
+    return (np.empty((horizon + 1, rows, model.n_x)),
+            np.empty((horizon, rows, model.n_u)))
+
+
+def _alpha_ladder(cfg):
+    """The step sizes alpha_init * alpha_shrink**k >= alpha_min in
+    backtracking order, and the first one below alpha_min."""
+    alphas = []
+    alpha = cfg.alpha_init
+    while alpha >= cfg.alpha_min:
+        alphas.append(alpha)
+        alpha *= cfg.alpha_shrink
+    return alphas, alpha
+
+
+def _ladder_batches(count, max_rows):
+    """``(lo, hi)`` bounds of the rollouts of a ladder of ``count`` step
+    sizes: the first alone, then 2, 4, 8, ... at a time, at most
+    ``max_rows`` each."""
+    batches = []
+    lo = 0
+    size = 1
+    while lo < count:
+        hi = min(lo + size, count)
+        batches.append((lo, hi))
+        lo = hi
+        size = min(2 * size, max_rows)
+    return batches
 
 
 @dataclass
@@ -202,27 +266,43 @@ class LineSearchResult:
     alpha: float
     trials: int
     accepted: bool
+    timed_out: bool = False
 
 
-def line_search(model, cost, prev, prev_cost, gains, basis, cfg):
+def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
+                deadline=None):
     """Backtrack on alpha until realized/predicted improvement >= sigma1.
 
-    Every accepted step strictly decreases the cost (z*predicted > 0).
-    Returns an unaccepted result when alpha underflows without a valid
-    step (no-descent termination).
+    The ladder is rolled out in the batches of :func:`_ladder_batches`
+    into one pair of buffers sized to the largest batch; the first step
+    size in ladder order that passes is accepted and its rollout copied
+    out, and ``trials`` is its position in the ladder.  Every accepted
+    step strictly decreases the cost (z*predicted > 0).  Returns an
+    unaccepted result when the ladder ends below alpha_min without a
+    valid step (no-descent termination), or, with ``trials`` the step
+    sizes tried so far, when the ``time.perf_counter()`` value
+    ``deadline`` has passed before a rollout after the first.
     """
-    alpha = cfg.alpha_init
-    trials = 0
-    while alpha >= cfg.alpha_min:
-        trials += 1
-        traj, realized, predicted = forward_pass(
-            model, cost, prev, gains, basis, alpha)
-        if traj is not None and predicted > 0.0:
-            z = (prev_cost - realized) / predicted
-            if z >= cfg.sigma1:
-                return LineSearchResult(traj, realized, alpha, trials, True)
-        alpha *= cfg.alpha_shrink
-    return LineSearchResult(None, prev_cost, alpha, trials, False)
+    alphas, below_min = _alpha_ladder(cfg)
+    batches = _ladder_batches(len(alphas), items_per_call(model.n_x))
+    buffers = _rollout_buffers(model, prev.horizon,
+                               max(hi - lo for lo, hi in batches))
+    for lo, hi in batches:
+        if lo > 0 and deadline is not None \
+                and time.perf_counter() > deadline:
+            return LineSearchResult(None, prev_cost, alphas[lo], lo, False,
+                                    timed_out=True)
+        results = forward_pass(model, cost, prev, gains, basis,
+                               alphas[lo:hi], buffers)
+        for trial, (traj, realized, predicted) in enumerate(results, lo + 1):
+            if traj is not None and predicted > 0.0:
+                z = (prev_cost - realized) / predicted
+                if z >= cfg.sigma1:
+                    accepted = Trajectory(states=traj.states.copy(),
+                                          controls=traj.controls.copy())
+                    return LineSearchResult(accepted, realized,
+                                            alphas[trial - 1], trial, True)
+    return LineSearchResult(None, prev_cost, below_min, len(alphas), False)
 
 
 def solve(problem, cfg=None, perturb=None):
@@ -232,19 +312,23 @@ def solve(problem, cfg=None, perturb=None):
     perturb = perturb or PerturbationConfig()
     model, cost = problem.model, problem.cost
     start = time.perf_counter()
+    deadline = None if cfg.time_budget_s is None \
+        else start + cfg.time_budget_s
 
     controls = problem.initial_controls()
     try:
         traj = rollout(model, problem.x0, controls)
     except DivergenceError as exc:
+        elapsed = time.perf_counter() - start
         return SolveReport(mode=cfg.mode, seed=cfg.seed,
                            initial_cost=float("inf"),
                            status="numerical_failure", error=str(exc),
-                           wall_time_s=time.perf_counter() - start)
+                           wall_time_s=elapsed, initial_rollout_s=elapsed)
     current_cost = cost.trajectory_cost(traj)
 
     report = SolveReport(mode=cfg.mode, seed=cfg.seed,
-                         initial_cost=current_cost, trajectory=traj)
+                         initial_cost=current_cost, trajectory=traj,
+                         initial_rollout_s=time.perf_counter() - start)
     report.iterate_controls.append(traj.controls.copy())
     reg = Regularizer(mu=cfg.mu_init)
 
@@ -291,11 +375,12 @@ def solve(problem, cfg=None, perturb=None):
             report.status = "converged"
             break
 
-        ls = line_search(model, cost, traj, current_cost, gains, basis, cfg)
+        ls = line_search(model, cost, traj, current_cost, gains, basis, cfg,
+                         deadline=deadline)
         marks.append(time.perf_counter())
         if not ls.accepted:
             report.terminal_phase_times = _phase_split(marks)
-            report.status = "no_descent"
+            report.status = "timeout" if ls.timed_out else "no_descent"
             break
 
         record = IterationRecord(
@@ -312,8 +397,7 @@ def solve(problem, cfg=None, perturb=None):
         if improved_below_gamma:
             report.status = "converged"
             break
-        if (cfg.time_budget_s is not None
-                and time.perf_counter() - start > cfg.time_budget_s):
+        if deadline is not None and time.perf_counter() > deadline:
             report.status = "timeout"
             break
 

@@ -1,9 +1,11 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
-the one-row model step, and reference recursions for the backward pass."""
+the one-row model step, reference recursions for the backward pass, and
+the one-step-size-at-a-time line search."""
 
 import numpy as np
 
-from roilqr.pde import DivergenceError
+from roilqr.pde import DivergenceError, Trajectory
+from roilqr.solver import LineSearchResult
 
 
 class LinearModel:
@@ -72,3 +74,45 @@ def simulate_feedback(ltv, gains, alpha=1.0):
         du[t] = -alpha * gains.k[t] - gains.K[t] @ dz
         dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
     return du
+
+
+def forward_pass_one_row(model, cost, prev, gains, basis, alpha):
+    """Reference for one row of ``solver.forward_pass``: the rollout of one
+    step size by itself, one single-row simulator call per timestep.
+    Returns (trajectory_or_None, realized_cost, predicted_improvement)."""
+    horizon = prev.horizon
+    predicted = gains.expected_improvement(alpha)
+    states = np.empty_like(prev.states)
+    controls = np.empty_like(prev.controls)
+    states[0] = prev.states[0]
+    x = states[0]
+    for t in range(horizon):
+        dev = x - prev.states[t]
+        dz = basis.phi.T @ dev if basis is not None else dev
+        controls[t] = prev.controls[t] - alpha * gains.k[t] - gains.K[t] @ dz
+        x = model.step_batch(x[None, :], controls[t][None, :])[0]
+        if not np.all(np.isfinite(x)):
+            return None, float("inf"), predicted
+        states[t + 1] = x
+    traj = Trajectory(states=states, controls=controls)
+    realized = cost.trajectory_cost(traj)
+    if not np.isfinite(realized):
+        return None, float("inf"), predicted
+    return traj, realized, predicted
+
+
+def line_search_one_row(model, cost, prev, prev_cost, gains, basis, cfg):
+    """Reference for ``solver.line_search``: one rollout per step size, in
+    ladder order, until one passes the sigma1 test."""
+    alpha = cfg.alpha_init
+    trials = 0
+    while alpha >= cfg.alpha_min:
+        trials += 1
+        traj, realized, predicted = forward_pass_one_row(
+            model, cost, prev, gains, basis, alpha)
+        if traj is not None and predicted > 0.0:
+            z = (prev_cost - realized) / predicted
+            if z >= cfg.sigma1:
+                return LineSearchResult(traj, realized, alpha, trials, True)
+        alpha *= cfg.alpha_shrink
+    return LineSearchResult(None, prev_cost, alpha, trials, False)

@@ -100,6 +100,16 @@ def test_speedup(benchmarks):
     _criterion("speedup (reduced faster wherever full completes)", ok, detail)
 
 
+def test_phase_times_add_up_to_the_wall_time(benchmarks):
+    # a reduced and a full solve, each well over 0.2 s; what no phase
+    # covers is the loop's own bookkeeping between phases
+    record = benchmarks["burgers"]
+    for report in (record.reduced_report, record.full_report):
+        assert report.wall_time_s >= 0.2
+        assert sum(report.phase_times().values()) == \
+            pytest.approx(report.wall_time_s, rel=0.02)
+
+
 def test_burgers_task_success(benchmarks):
     traj = benchmarks["burgers"].reduced_report.trajectory
     err = float(np.max(np.abs(traj.states[-1] - (-0.5))))

@@ -1,5 +1,6 @@
 """Config validation, artifact persistence, reproducibility, run modes."""
 
+import csv
 import json
 import os
 from dataclasses import replace
@@ -104,6 +105,34 @@ def test_snapshot_csv_shape(tmp_path):
     assert len(lines) == 2 + 24
     times = lines[1].split(",")
     assert times[0] == "t0" and times[-1] == "t6"
+
+
+def _snapshots_csv_reference(path, trajectory):
+    # csv.writer over one repr(float) string per value
+    horizon = trajectory.horizon
+    times = sorted({0, round(horizon / 3), round(2 * horizon / 3), horizon})
+    with open(path, "w", newline="") as fh:
+        fh.write("# schema: snapshots-v1\n")
+        writer = csv.writer(fh)
+        writer.writerow([f"t{t}" for t in times])
+        for row in trajectory.states[times, :].T:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 20])
+def test_snapshot_csv_matches_csv_writer(tmp_path, horizon):
+    from roilqr.harness import _write_snapshots_csv
+    from roilqr.pde import Trajectory
+
+    rng = np.random.default_rng(horizon)
+    states = rng.standard_normal((horizon + 1, 30)) \
+        * 10.0 ** rng.integers(-300, 300, (horizon + 1, 30))
+    states[0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    traj = Trajectory(states=states, controls=np.zeros((horizon, 2)))
+    _write_snapshots_csv(tmp_path / "fast.csv", traj)
+    _snapshots_csv_reference(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_artifacts_reproducible_byte_for_byte(tmp_path):

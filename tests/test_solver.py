@@ -1,15 +1,20 @@
 """Outer-loop behavior: exactness on LQ problems, line-search guarantees,
 monotone descent and determinism on the PDE problems."""
 
+import math
+
 import numpy as np
 import pytest
-from helpers import LinearModel, random_stable_linear
+from helpers import (LinearModel, forward_pass_one_row, line_search_one_row,
+                     random_stable_linear)
 
+from roilqr import pde, solver
 from roilqr.lqr import CostModel, GainSchedule, Regularizer, backward_pass, \
     reduce_cost
 from roilqr.pde import rollout
-from roilqr.solver import (ControlProblem, SolverConfig, forward_pass,
-                           line_search, solve)
+from roilqr.pod import method_of_snapshots
+from roilqr.solver import (PHASES, ControlProblem, SolverConfig,
+                           forward_pass, line_search, solve)
 from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 
@@ -32,7 +37,8 @@ def lq_setup():
 def test_forward_alpha_zero_zero_feedforward_is_identity(lq_setup):
     model, cost, nominal, gains = lq_setup
     base = cost.trajectory_cost(nominal)
-    traj, realized, _ = forward_pass(model, cost, nominal, gains, None, 0.0)
+    [(traj, realized, _)] = forward_pass(model, cost, nominal, gains, None,
+                                         [0.0])
     # alpha=0 keeps the feedforward off; feedback sees zero deviation
     np.testing.assert_allclose(traj.states, nominal.states, atol=1e-12)
     assert realized == pytest.approx(base, rel=1e-12)
@@ -46,7 +52,8 @@ def test_forward_zero_gains_replays_controls(lq_setup):
         v=np.zeros((nominal.horizon + 1, 5)),
         V=np.zeros((nominal.horizon + 1, 5, 5)),
         sum_k_qu=0.0, sum_k_quu_k=0.0)
-    traj, _, _ = forward_pass(model, cost, nominal, zero_gains, None, 1.0)
+    [(traj, _, _)] = forward_pass(model, cost, nominal, zero_gains, None,
+                                  [1.0])
     np.testing.assert_array_equal(traj.controls, nominal.controls)
     np.testing.assert_allclose(traj.states, nominal.states, atol=1e-12)
 
@@ -54,8 +61,8 @@ def test_forward_zero_gains_replays_controls(lq_setup):
 def test_lq_realized_equals_predicted(lq_setup):
     model, cost, nominal, gains = lq_setup
     base = cost.trajectory_cost(nominal)
-    traj, realized, predicted = forward_pass(model, cost, nominal, gains,
-                                             None, 1.0)
+    [(traj, realized, predicted)] = forward_pass(model, cost, nominal,
+                                                 gains, None, [1.0])
     assert base - realized == pytest.approx(predicted, abs=1e-8)
 
 
@@ -228,8 +235,8 @@ def test_solver_config_validation():
     for mu_init in (0.0, -1.0, 1e7):
         with pytest.raises(ValueError, match="mu"):
             SolverConfig(mu_init=mu_init)
-    # the budget is checked after an accepted iteration: a budget <= 0
-    # would run one and then report a timeout
+    # the budget is checked only once an iteration reaches its line
+    # search: a budget <= 0 would run one and then report a timeout
     for budget in (0.0, -1.0):
         with pytest.raises(ValueError, match="time_budget_s"):
             SolverConfig(time_budget_s=budget)
@@ -254,3 +261,231 @@ def test_initial_guess_shape_validation():
                              horizon=5, u_init=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         problem.initial_controls()
+
+
+# ---------------------------------------------------------------------------
+# The batched line search against the one-step-size-at-a-time reference.
+# ---------------------------------------------------------------------------
+
+
+def _gains_with_prediction(shape, s, h, rng):
+    """Random (T, n_u, d) ``shape`` gains whose predicted improvement is
+    alpha*s - alpha^2*h/2: it is positive exactly for alpha < 2*s/h,
+    which fixes the first step size a search with a huge previous cost
+    accepts."""
+    horizon, n_u, dim = shape
+    k = 0.3 * rng.standard_normal((horizon, n_u))
+    big_k = rng.standard_normal((horizon, n_u, dim)) / (4.0 * dim)
+    return GainSchedule(k=k, K=big_k, v=np.zeros((horizon + 1, dim)),
+                        V=np.zeros((horizon + 1, dim, dim)),
+                        sum_k_qu=s, sum_k_quu_k=h)
+
+
+# (s, h) of the predicted improvement: accepted at trial 1, at trial 6
+# (alpha = 1/32, third of the four step sizes of the third rollout), and
+# never (predicted improvement negative for every step size)
+PREDICTIONS = {"trial_1": (1.0, 0.0), "trial_6": (0.75 / 32, 1.0),
+               "no_descent": (-1.0, 0.0)}
+EXPECTED_TRIALS = {"trial_1": 1, "trial_6": 6, "no_descent": 27}
+
+
+def _assert_same_search(res, ref):
+    assert (res.accepted, res.alpha, res.trials, res.cost) == \
+        (ref.accepted, ref.alpha, ref.trials, ref.cost)
+    if ref.accepted:
+        np.testing.assert_array_equal(res.trajectory.states.view(np.uint64),
+                                      ref.trajectory.states.view(np.uint64))
+        np.testing.assert_array_equal(
+            res.trajectory.controls.view(np.uint64),
+            ref.trajectory.controls.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def pde_nominals():
+    from roilqr.harness import build_problem, gaussian_guess, preset
+
+    out = {}
+    for name in ("burgers_small", "allen_cahn_small", "cahn_hilliard"):
+        cfg = preset(name)
+        problem = build_problem(
+            cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+        nominal = rollout(problem.model, problem.x0, problem.u_init)
+        out[name] = (problem, nominal)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTIONS))
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("name", ["burgers_small", "allen_cahn_small",
+                                  "cahn_hilliard"])
+def test_batched_line_search_is_bit_identical(pde_nominals, name, mode,
+                                              case):
+    problem, nominal = pde_nominals[name]
+    model = problem.model
+    basis = method_of_snapshots(nominal.states.T) if mode == "reduced" \
+        else None
+    dim = basis.n_modes if basis is not None else model.n_x
+    gains = _gains_with_prediction((nominal.horizon, model.n_u, dim),
+                                   *PREDICTIONS[case],
+                                   rng=np.random.default_rng(7))
+    cfg = SolverConfig(mode=mode)
+    prev_cost = 1e12   # any finite rollout passes once predicted > 0
+    res = line_search(model, problem.cost, nominal, prev_cost, gains, basis,
+                      cfg)
+    ref = line_search_one_row(model, problem.cost, nominal, prev_cost, gains,
+                              basis, cfg)
+    _assert_same_search(res, ref)
+    assert res.trials == EXPECTED_TRIALS[case]
+
+
+def test_solve_matches_the_one_row_line_search(monkeypatch):
+    # a whole solve whose searches reject step sizes on the realized
+    # improvement and which ends in a no-descent sweep
+    from roilqr.harness import build_problem, gaussian_guess, preset
+
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
+                                                       cfg.run.guess_std))
+    batched = solve(problem, cfg.solver, cfg.perturb)
+    monkeypatch.setattr(solver, "line_search",
+                        lambda *args, deadline=None:
+                        line_search_one_row(*args))
+    ref = solve(problem, cfg.solver, cfg.perturb)
+    assert batched.status == ref.status == "no_descent"
+    assert max(it.trials for it in ref.iterations) > 1
+    assert batched.costs == ref.costs
+    assert [(it.alpha, it.trials) for it in batched.iterations] == \
+        [(it.alpha, it.trials) for it in ref.iterations]
+    np.testing.assert_array_equal(batched.controls.view(np.uint64),
+                                  ref.controls.view(np.uint64))
+
+
+class _DivergesAbove:
+    """Wraps a model; a row whose first control exceeds ``limit`` steps to
+    infinity."""
+
+    def __init__(self, model, limit):
+        self.model = model
+        self.limit = limit
+        self.n_x, self.n_u = model.n_x, model.n_u
+
+    def step_batch(self, states, controls):
+        out = self.model.step_batch(states, controls)
+        out[np.atleast_2d(controls)[:, 0] > self.limit] = np.inf
+        return out
+
+
+def test_row_diverging_mid_batch_leaves_the_others(pde_nominals):
+    problem, nominal = pde_nominals["burgers_small"]
+    gains = _gains_with_prediction((nominal.horizon, 2, problem.model.n_x),
+                                   1.0, 0.0, rng=np.random.default_rng(3))
+    gains.k[:, 0] = -10.0    # the first control grows by about 10*alpha
+    plant = _DivergesAbove(problem.model, nominal.controls[:, 0].max() + 1.0)
+    cfg = SolverConfig(mode="full")
+    res = line_search(plant, problem.cost, nominal, 1e12, gains, None, cfg)
+    ref = line_search_one_row(plant, problem.cost, nominal, 1e12, gains,
+                              None, cfg)
+    _assert_same_search(res, ref)
+    # alpha = 1/8 (trial 4) diverges; alpha = 1/16 rode in the same rollout
+    assert res.accepted and res.trials == 5
+    [row4, row5] = forward_pass(plant, problem.cost, nominal, gains, None,
+                                [0.125, 0.0625])
+    assert row4[:2] == (None, float("inf"))
+    assert forward_pass_one_row(plant, problem.cost, nominal, gains, None,
+                                0.125)[:2] == (None, float("inf"))
+    np.testing.assert_array_equal(row5[0].states.view(np.uint64),
+                                  res.trajectory.states.view(np.uint64))
+
+
+class _Counting:
+    """Wraps a model and records the row count of every simulator call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.n_x, self.n_u = model.n_x, model.n_u
+        self.rows = []
+
+    def step_batch(self, states, controls):
+        self.rows.append(np.atleast_2d(states).shape[0])
+        return self.model.step_batch(states, controls)
+
+
+def _doubling_rollouts(trials, cap):
+    """Rollouts of a ladder stepped 1, 2, 4, ... at a time, at most
+    ``cap`` at a time, up to its ``trials``-th step size: the doubling
+    ones, then the capped tail."""
+    doubling = cap.bit_length()   # batches 1, 2, ..., 2**(doubling-1)
+    covered = 2**doubling - 1
+    if trials <= covered:
+        return math.ceil(math.log2(trials + 1))
+    return doubling + math.ceil((trials - covered) / cap)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4, 16, None])
+@pytest.mark.parametrize("case", sorted(PREDICTIONS))
+def test_line_search_rollout_and_row_counts(lq_setup, monkeypatch, cap,
+                                            case):
+    model, cost, nominal, _ = lq_setup
+    if cap is not None:
+        monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap * model.n_x)
+    cap = pde.items_per_call(model.n_x)
+    plant = _Counting(model)
+    gains = _gains_with_prediction((nominal.horizon, model.n_u, model.n_x),
+                                   *PREDICTIONS[case],
+                                   rng=np.random.default_rng(5))
+    res = line_search(plant, cost, nominal, 1e12, gains, None,
+                      SolverConfig(mode="full"))
+    assert res.trials == EXPECTED_TRIALS[case]
+    assert len(plant.rows) == nominal.horizon * _doubling_rollouts(
+        res.trials, cap)
+    assert max(plant.rows) <= cap
+    # one call per timestep: each rollout keeps its row count
+    per_rollout = plant.rows[::nominal.horizon]
+    assert plant.rows == [r for r in per_rollout
+                          for _ in range(nominal.horizon)]
+    assert per_rollout[0] == 1
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
+    # this solve ends in a no-descent sweep of 1 + 2 + 4 + 8 + 12 step
+    # sizes, after a search that accepts in its 2-row rollout.  The clock
+    # stands still until a 4-row rollout returns, then jumps past the
+    # budget: the sweep must stop before its 8-row rollout
+    from roilqr.cli import EXIT_NUMERICAL, _status_exit
+    from roilqr.harness import build_problem, gaussian_guess, preset
+
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
+                                                       cfg.run.guess_std))
+    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    assert unbounded.status == "no_descent"
+
+    clock = _FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    rollouts = []
+
+    def forward(model, cost, prev, gains, basis, alphas, buffers=None):
+        rollouts.append(len(alphas))
+        out = forward_pass(model, cost, prev, gains, basis, alphas, buffers)
+        if len(alphas) == 4:
+            clock.now = 10.0
+        return out
+
+    monkeypatch.setattr(solver, "forward_pass", forward)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
+                   cfg.perturb)
+    assert report.status == "timeout"
+    assert _status_exit(report.status) == EXIT_NUMERICAL == 3
+    assert rollouts[-3:] == [1, 2, 4]
+    assert report.costs == unbounded.costs
+    assert set(report.terminal_phase_times) == set(PHASES)
+    assert report.terminal_phase_times["t_forward"] == 10.0
+    assert report.wall_time_s == 10.0
