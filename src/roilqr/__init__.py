@@ -16,8 +16,8 @@ from .lqr import (BackwardPassError, CostModel, GainSchedule, Regularizer,
 from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   DivergenceError, Grid, PdeParams, StabilityError,
                   Trajectory, mask_from_goal, rollout)
-from .pod import (DegenerateSnapshotsError, ReducedBasis, lift,
-                  method_of_snapshots, project, projection_residual)
+from .pod import (DegenerateSnapshotsError, ReducedBasis, method_of_snapshots,
+                  projection_residual)
 from .solver import (ControlProblem, SolveReport, SolverConfig, forward_pass,
                      line_search, solve)
 from .sysid import (LtvModel, PerturbationConfig, RegressionData, fit_ltv,

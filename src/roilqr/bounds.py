@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lqr import (_weight_matvec, lqr_solve_dense, quad_objective,
-                  reduce_cost, stack_quadratic)
+from .lqr import lqr_solve_dense, quad_objective, reduce_cost, stack_quadratic
 from .pde import Trajectory, rollout
 from .pod import method_of_snapshots, projection_residual
 from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
@@ -83,9 +82,9 @@ def _measure_constants(pair, du_list):
     horizon = pair.horizon
     eps_nominal = projection_residual(basis, nominal)
     cbar = 0.0
-    for t in range(horizon + 1):
-        g = cost.state_grad(nominal.states[t], terminal=(t == horizon))
+    for g in cost.state_grads(nominal.states):
         cbar = max(cbar, float(np.linalg.norm(g)))
+    weights = [cost.q] * horizon + [cost.q_terminal]
     eps_linear = 0.0
     gaps = []
     for du in du_list:
@@ -95,12 +94,9 @@ def _measure_constants(pair, du_list):
         lifted = dz @ basis.phi.T
         mism = np.linalg.norm(dx - lifted, axis=1)
         eps_linear = max(eps_linear, 0.5 * float(np.max(mism)))
-        for t in range(horizon + 1):
-            terminal = t == horizon
-            w = cost.q_terminal if terminal else cost.q
-            cbar = max(cbar,
-                       float(np.linalg.norm(_weight_matvec(w, dx[t]))),
-                       float(np.linalg.norm(_weight_matvec(w, lifted[t]))))
+        for w, x, z in zip(weights, dx, lifted):
+            cbar = max(cbar, float(np.linalg.norm(w * x)),
+                       float(np.linalg.norm(w * z)))
     eps = max(eps_nominal, eps_linear)
     cbar1 = 7.0 * (horizon + 1) * cbar
     return {

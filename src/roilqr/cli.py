@@ -101,15 +101,15 @@ def _cmd_benchmark(cfg):
     record = run_benchmark(cfg)
     gap = "n/a" if record.cost_gap is None else f"{record.cost_gap:+.2%}"
     speedup = "n/a" if record.speedup is None else f"{record.speedup:.2f}x"
-    print(f"[benchmark] reduced: cost={record.reduced['final_cost']:.6g} "
-          f"({record.reduced['iterations']} iters, "
-          f"{record.reduced['wall_time_s']:.2f}s)")
-    print(f"[benchmark] full:    cost={record.full['final_cost']:.6g} "
-          f"({record.full['iterations']} iters, "
-          f"{record.full['wall_time_s']:.2f}s, "
-          f"status={record.full['status']})")
+    for name, rec in (("reduced", record.reduced), ("full", record.full)):
+        print(f"[benchmark] {name + ':':8s} cost={rec['final_cost']:.6g} "
+              f"({rec['iterations']} iters, {rec['wall_time_s']:.2f}s, "
+              f"status={rec['status']})")
     print(f"[benchmark] cost gap={gap} speedup={speedup}")
-    if record.full["status"] in ("numerical_failure",):
+    # a full-order run may time out under run.full_time_budget_s: the
+    # reduced result still stands on its own
+    if _status_exit(record.reduced["status"]) == EXIT_NUMERICAL \
+            or record.full["status"] == "numerical_failure":
         return EXIT_NUMERICAL
     return EXIT_OK
 

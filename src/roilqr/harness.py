@@ -7,7 +7,6 @@ fixed (config, seed); wall-clock data and timestamps live in separate
 metadata/timing files so they never break reproducibility.
 """
 
-import csv
 import json
 import os
 import time
@@ -27,6 +26,9 @@ from .sysid import PerturbationConfig
 
 SCHEMA_ITERATIONS = "iterations-v1"
 SCHEMA_SNAPSHOTS = "snapshots-v1"
+
+# solve statuses that end on a usable trajectory and cost
+COMPLETED = ("converged", "no_descent", "max_iterations")
 
 
 class ConfigError(ValueError):
@@ -154,6 +156,11 @@ def _validate(cfg):
         raise ConfigError(f"problem.goal_shape: unknown '{p.goal_shape}'")
     if p.init_shape not in ("sine", "cosine", "zero"):
         raise ConfigError(f"problem.init_shape: unknown '{p.init_shape}'")
+    for name in ("q_weight", "qt_weight"):
+        if not 0 <= getattr(p, name) < float("inf"):
+            raise ConfigError(f"problem.{name}: must be finite and >= 0")
+    if not 0 < p.r_weight < float("inf"):
+        raise ConfigError("problem.r_weight: must be finite and > 0")
     if cfg.run.repeats < 1:
         raise ConfigError("run.repeats: must be >= 1")
     if cfg.run.guess_std < 0:   # 0 means "no initial guess"
@@ -263,15 +270,10 @@ def build_problem(cfg, u_init=None):
             grid = Grid(ndim=2, points=spec.points, dx=1.0 / spec.points)
             goal = _goal_field(spec, grid)
             model = _MODELS[spec.name](grid, params, mask_from_goal(goal))
+        cost = CostModel(q=spec.q_weight, r=spec.r_weight * np.eye(model.n_u),
+                         q_terminal=spec.qt_weight, goal=goal)
     except (StabilityError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}")
-
-    cost = CostModel(
-        q=spec.q_weight,
-        r=spec.r_weight * np.eye(model.n_u),
-        q_terminal=spec.qt_weight,
-        goal=goal,
-    )
     x0 = _initial_state(spec, grid)
     return ControlProblem(model=model, cost=cost, x0=x0,
                           horizon=spec.horizon, u_init=u_init)
@@ -288,28 +290,23 @@ def gaussian_guess(cfg, seed, std):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return repr(float(x))
+# Both CSV files hold the bytes csv.writer makes of repr(float) and int
+# strings (no field needs quoting), written directly.
 
 
 def _write_iterations_csv(path, report):
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_ITERATIONS}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "cost", "modes", "eps", "alpha",
-                         "trials", "sysid_samples"])
-        writer.writerow([0, _fmt(report.initial_cost), "", "", "", "", ""])
-        for it in report.iterations:
-            writer.writerow([
-                it.iteration, _fmt(it.cost), it.n_modes,
-                _fmt(it.projection_eps), _fmt(it.alpha), it.trials,
-                it.sysid_samples,
-            ])
+        fh.write("iteration,cost,modes,eps,alpha,trials,sysid_samples\r\n")
+        fh.write(f"0,{float(report.initial_cost)!r},,,,,\r\n")
+        fh.writelines(
+            f"{it.iteration},{float(it.cost)!r},{it.n_modes},"
+            f"{float(it.projection_eps)!r},{float(it.alpha)!r},{it.trials},"
+            f"{it.sysid_samples}\r\n" for it in report.iterations)
 
 
 def _write_snapshots_csv(path, trajectory):
-    # the bytes csv.writer makes of the _fmt strings (no field needs
-    # quoting), written directly: one row per grid point
+    # one row per grid point
     horizon = trajectory.horizon
     times = sorted({0, round(horizon / 3), round(2 * horizon / 3), horizon})
     with open(path, "w", newline="") as fh:
@@ -448,11 +445,11 @@ def run_benchmark(cfg, out_dir=None):
         time_budget_s=cfg.solver.time_budget_s if budget is None else budget),
         full_dir)
 
-    full_ok = full.status in ("converged", "no_descent", "max_iterations")
+    both_ok = red.status in COMPLETED and full.status in COMPLETED
     cost_gap = (red.final_cost / full.final_cost - 1.0) \
-        if full_ok and full.final_cost > 0 else None
+        if both_ok and full.final_cost > 0 else None
     speedup = (full.wall_time_s / red.wall_time_s) \
-        if full_ok and red.wall_time_s > 0 else None
+        if both_ok and red.wall_time_s > 0 else None
     record = BenchmarkRecord(full=_mode_summary(full),
                              reduced=_mode_summary(red),
                              cost_gap=cost_gap, speedup=speedup,
@@ -538,8 +535,7 @@ def run_repeatability(cfg, out_dir=None):
     reports = run_solve(replace(cfg, run=replace(cfg.run, guess_std=guess_std)),
                         out_dir=out_dir)
 
-    ok = [r for r in reports
-          if r.status in ("converged", "no_descent", "max_iterations")]
+    ok = [r for r in reports if r.status in COMPLETED]
     partial = len(ok) < len(reports)
     finals = np.array([r.final_cost for r in ok]) if ok else np.array([])
 

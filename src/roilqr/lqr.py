@@ -3,8 +3,9 @@ dense stacked form of the perturbed quadratic (the backward pass's test
 oracle, and the exact minimizer for bound verification).
 
 Cost convention: J = sum_t [ 0.5 (x_t - g)^T Q (x_t - g) + 0.5 u_t^T R u_t ]
-+ 0.5 (x_T - g)^T Q_T (x_T - g).  State weights may be scalar, diagonal
-(1-D) or full matrices; large grids should use diagonal weights.
++ 0.5 (x_T - g)^T Q_T (x_T - g), Q = q I, Q_T = q_T I.  The expansion
+:class:`ReducedCostTerms` and all below it stay general over a symmetric
+state Hessian: scalar, diagonal or dense weights build the terms directly.
 
 The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
@@ -26,59 +27,23 @@ class IndefiniteHessianError(RuntimeError):
     """Stacked dense Hessian is not positive definite."""
 
 
-def _weight_matvec(w, x):
-    w = np.asarray(w)
-    if w.ndim == 0:
-        return w * x
-    if w.ndim == 1:
-        return (x.T * w).T if x.ndim > 1 else w * x
-    return w @ x
-
-
-def _weight_project(w, phi):
-    """phi^T W phi for scalar / diagonal / dense W."""
-    w = np.asarray(w)
-    if w.ndim == 0:
-        return float(w) * (phi.T @ phi)
-    if w.ndim == 1:
-        return phi.T @ (w[:, None] * phi)
-    return phi.T @ w @ phi
-
-
 class CostModel:
-    """Quadratic tracking cost toward a goal state."""
+    """Tracking cost toward ``goal``: scalars q, q_T >= 0 and SPD R."""
 
     def __init__(self, q, r, q_terminal, goal):
         self.goal = np.asarray(goal, dtype=np.float64)
-        self.q = self._check_state_weight(q, "q")
-        self.q_terminal = self._check_state_weight(q_terminal, "q_terminal")
+        for name, w in (("q", q), ("q_terminal", q_terminal)):
+            if np.ndim(w) != 0 or not 0.0 <= float(w) < np.inf:
+                raise ValueError(f"{name} must be a finite scalar >= 0")
+        self.q, self.q_terminal = float(q), float(q_terminal)
         r = np.asarray(r, dtype=np.float64)
-        if r.ndim == 0:
-            r = np.atleast_2d(r)
-        elif r.ndim == 1:
-            r = np.diag(r)
+        if r.ndim != 2:
+            raise ValueError("control weight R must be an (n_u, n_u) matrix")
         try:
             np.linalg.cholesky(0.5 * (r + r.T))
         except np.linalg.LinAlgError:
             raise ValueError("control weight R must be positive definite")
         self.r = 0.5 * (r + r.T)
-
-    @staticmethod
-    def _check_state_weight(w, name):
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim == 0:
-            if w < 0:
-                raise ValueError(f"{name} must be PSD")
-        elif w.ndim == 1:
-            if np.any(w < 0):
-                raise ValueError(f"{name} must be PSD")
-        else:
-            w = 0.5 * (w + w.T)
-            if np.min(np.linalg.eigvalsh(w)) < -1e-10 * max(
-                1.0, float(np.max(np.abs(w)))
-            ):
-                raise ValueError(f"{name} must be PSD")
-        return w
 
     @property
     def n_u(self):
@@ -87,14 +52,17 @@ class CostModel:
     def state_cost(self, x, terminal=False):
         d = x - self.goal
         w = self.q_terminal if terminal else self.q
-        return 0.5 * float(d @ _weight_matvec(w, d))
+        return 0.5 * float(d @ (w * d))
 
     def control_cost(self, u):
         return 0.5 * float(u @ (self.r @ u))
 
-    def state_grad(self, x, terminal=False):
-        w = self.q_terminal if terminal else self.q
-        return _weight_matvec(w, x - self.goal)
+    def state_grads(self, states):
+        """Gradients Q (x_t - g) of the ``(T+1, n_x)`` state rows; the
+        last row is terminal and takes ``q_terminal``."""
+        grads = self.q * (states - self.goal)
+        grads[-1] = self.q_terminal * (states[-1] - self.goal)
+        return grads
 
     def trajectory_cost(self, traj):
         total = sum(
@@ -133,29 +101,17 @@ def reduce_cost(cost, nominal, basis=None):
 
     With ``basis=None`` (identity) the terms are the full-order expansion.
     """
-    horizon = nominal.horizon
-    grads = np.empty((horizon + 1, nominal.states.shape[1]))
-    for t in range(horizon):
-        grads[t] = cost.state_grad(nominal.states[t])
-    grads[horizon] = cost.state_grad(nominal.states[horizon], terminal=True)
-    lin_control = nominal.controls @ cost.r.T
-
+    grads = cost.state_grads(nominal.states)
     if basis is None:
-        n = nominal.states.shape[1]
-        q = cost.q if np.ndim(cost.q) == 2 else np.diag(
-            np.broadcast_to(np.atleast_1d(cost.q), (n,)).astype(float))
-        qt = cost.q_terminal if np.ndim(cost.q_terminal) == 2 else np.diag(
-            np.broadcast_to(np.atleast_1d(cost.q_terminal), (n,)).astype(float))
-        return ReducedCostTerms(
-            lin_state=grads, quad_state=np.asarray(q, dtype=float),
-            quad_terminal=np.asarray(qt, dtype=float),
-            lin_control=lin_control, r=cost.r,
-        )
+        gram = np.eye(grads.shape[1])
+    else:
+        grads = grads @ basis.phi
+        gram = basis.phi.T @ basis.phi
     return ReducedCostTerms(
-        lin_state=grads @ basis.phi,
-        quad_state=_weight_project(cost.q, basis.phi),
-        quad_terminal=_weight_project(cost.q_terminal, basis.phi),
-        lin_control=lin_control,
+        lin_state=grads,
+        quad_state=cost.q * gram,
+        quad_terminal=cost.q_terminal * gram,
+        lin_control=nominal.controls @ cost.r.T,
         r=cost.r,
     )
 

@@ -35,10 +35,6 @@ class ReducedBasis:
     def n_modes(self):
         return self.phi.shape[1]
 
-    @property
-    def n_x(self):
-        return self.phi.shape[0]
-
 
 def _fix_signs(phi):
     # deterministic column signs: largest-magnitude entry positive
@@ -91,27 +87,6 @@ def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12):
         eigenvalues=evals,
         captured_energy=float(energy[n_modes - 1]),
     )
-
-
-def project(basis, state):
-    """Reduced coordinates of a full state (or column-stacked states)."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape[0] != basis.n_x:
-        raise ValueError(
-            f"state dimension {state.shape[0]} != basis n_x {basis.n_x}"
-        )
-    return basis.phi.T @ state
-
-
-def lift(basis, coords):
-    """Full-space reconstruction of reduced coordinates."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] != basis.n_modes:
-        raise ValueError(
-            f"coordinate dimension {coords.shape[0]} != mode count "
-            f"{basis.n_modes}"
-        )
-    return basis.phi @ coords
 
 
 def projection_residual(basis, states):

@@ -111,6 +111,22 @@ def test_out_of_range_run_setting_is_exit_2(tmp_path, capsys, run):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem", [
+    {"r_weight": 0.0}, {"r_weight": -1.0}, {"r_weight": float("inf")},
+    {"q_weight": -1.0}, {"q_weight": float("nan")},
+    {"qt_weight": -0.5}, {"qt_weight": float("inf")},
+])
+def test_out_of_range_cost_weight_is_exit_2(tmp_path, capsys, problem):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"problem": problem}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: problem.{next(iter(problem))}:")
+    assert not out.exists()
+
+
 def test_unknown_preset_is_exit_2():
     assert main(["solve", "--preset", "does_not_exist"]) == 2
 
@@ -129,6 +145,23 @@ def test_benchmark_command(tmp_path, capsys):
     assert code == 0
     assert "cost gap" in capsys.readouterr().out
     assert (tmp_path / "benchmark.json").exists()
+
+
+@pytest.mark.parametrize("config,code", [
+    # the reduced run stops on its budget: there is no result to compare
+    ({"solver": {"time_budget_s": 1e-9}, "run": {"full_time_budget_s": 1e3}},
+     3),
+    # the full baseline may time out on its own budget
+    ({"run": {"full_time_budget_s": 1e-9}}, 0),
+], ids=["reduced_timeout", "full_timeout"])
+def test_benchmark_timeout_exit_codes(tmp_path, capsys, config, code):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["benchmark", "--preset", "burgers_small", "--config",
+                 str(path), "--out", str(tmp_path / "out")]) == code
+    out = capsys.readouterr().out
+    assert "status=timeout" in out
+    assert "cost gap=n/a speedup=n/a" in out
 
 
 def test_repeat_command(tmp_path, capsys):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roilqr.harness import (PRESETS, ConfigError, ExperimentConfig,
+from roilqr.harness import (COMPLETED, PRESETS, ConfigError, ExperimentConfig,
                             ProblemSpec, RunSpec, build_problem,
                             config_from_dict, gaussian_guess, preset,
                             run_benchmark, run_repeatability, run_solve,
@@ -135,6 +135,44 @@ def test_snapshot_csv_matches_csv_writer(tmp_path, horizon):
         (tmp_path / "ref.csv").read_bytes()
 
 
+def _iterations_csv_reference(path, report):
+    # csv.writer over repr(float) strings, ints and the blank cells of row 0
+    with open(path, "w", newline="") as fh:
+        fh.write("# schema: iterations-v1\n")
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "cost", "modes", "eps", "alpha",
+                         "trials", "sysid_samples"])
+        writer.writerow([0, repr(float(report.initial_cost)),
+                         "", "", "", "", ""])
+        for it in report.iterations:
+            writer.writerow([
+                it.iteration, repr(float(it.cost)), it.n_modes,
+                repr(float(it.projection_eps)), repr(float(it.alpha)),
+                it.trials, it.sysid_samples,
+            ])
+
+
+def test_iterations_csv_matches_csv_writer(tmp_path):
+    from roilqr.harness import _write_iterations_csv
+    from roilqr.solver import IterationRecord
+
+    report, = run_solve(_tiny_burgers())
+    assert report.iterations
+    extremes = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.5e300,
+                np.float64(1 / 3)]
+    for i, value in enumerate(extremes):
+        report.iterations.append(IterationRecord(
+            iteration=np.int64(100 + i), cost=value, n_modes=np.int64(i),
+            projection_eps=value, alpha=np.float32(0.5) ** i, trials=i,
+            sysid_samples=10 ** i))
+    for initial in (report.initial_cost, np.nan, -0.0):
+        report.initial_cost = initial
+        _write_iterations_csv(tmp_path / "fast.csv", report)
+        _iterations_csv_reference(tmp_path / "ref.csv", report)
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
 def test_artifacts_reproducible_byte_for_byte(tmp_path):
     cfg = _tiny_burgers()
     run_solve(cfg, out_dir=str(tmp_path / "a"))
@@ -179,6 +217,21 @@ def test_benchmark_full_timeout_still_emits_reduced(tmp_path):
     assert record.cost_gap is None and record.speedup is None
     assert record.reduced["final_cost"] > 0
     assert (tmp_path / "reduced" / "report.json").exists()
+
+
+def test_benchmark_reduced_timeout_reports_no_gap(tmp_path):
+    # a reduced run stopped by its budget has no final cost to compare
+    cfg = _tiny_burgers()
+    cfg = replace(cfg, solver=replace(cfg.solver, time_budget_s=1e-9),
+                  run=replace(cfg.run, full_time_budget_s=1000.0))
+    record = run_benchmark(cfg, out_dir=str(tmp_path))
+    assert record.reduced["status"] == "timeout"
+    assert record.full["status"] in COMPLETED
+    assert record.cost_gap is None and record.speedup is None
+    assert json.loads((tmp_path / "benchmark.json").read_text())[
+        "cost_gap"] is None
+    assert json.loads((tmp_path / "benchmark_timing.json").read_text())[
+        "speedup"] is None
 
 
 def test_report_config_reproduces_its_run(tmp_path):

@@ -155,16 +155,68 @@ def test_reduce_cost_zero_state_weight():
 
 def test_projected_weight_symmetric_psd():
     rng = np.random.default_rng(12)
-    m = rng.standard_normal((8, 8))
-    q = m @ m.T
     traj = Trajectory(states=rng.standard_normal((4, 8)),
                       controls=rng.standard_normal((3, 2)))
-    cost = CostModel(q=q, r=np.eye(2), q_terminal=q, goal=np.zeros(8))
+    cost = CostModel(q=1.3, r=np.eye(2), q_terminal=2.0, goal=np.zeros(8))
     basis = method_of_snapshots(rng.standard_normal((8, 4)))
     terms = reduce_cost(cost, traj, basis)
-    np.testing.assert_allclose(terms.quad_state, terms.quad_state.T,
-                               atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(terms.quad_state)) >= -1e-10
+    for quad in (terms.quad_state, terms.quad_terminal):
+        np.testing.assert_allclose(quad, quad.T, atol=1e-12)
+        assert np.min(np.linalg.eigvalsh(quad)) >= -1e-10
+
+
+@pytest.mark.parametrize("weights", [
+    {"q": np.full(3, 0.5)}, {"q": 0.5 * np.eye(3)},
+    {"q_terminal": np.full(3, 2.0)}, {"q_terminal": 2.0 * np.eye(3)},
+    {"q": -1e-3}, {"q_terminal": -2.0}, {"q": np.nan}, {"q_terminal": np.nan},
+    {"q": np.inf}, {"r": 1.0}, {"r": np.ones(2)},
+], ids=["q_1d", "q_2d", "qt_1d", "qt_2d", "q_negative", "qt_negative",
+        "q_nan", "qt_nan", "q_inf", "r_scalar", "r_1d"])
+def test_cost_model_takes_one_form_per_weight(weights):
+    # scalar q and q_terminal, an (n_u, n_u) matrix R; nothing else
+    args = dict(q=0.5, r=np.eye(2), q_terminal=2.0, goal=np.zeros(3))
+    CostModel(**args)
+    with pytest.raises(ValueError):
+        CostModel(**{**args, **weights})
+
+
+def _state_grads_reference(cost, states):
+    # one row at a time: w (x_t - g), the terminal weight on the last row
+    horizon = states.shape[0] - 1
+    return np.array([
+        (cost.q_terminal if t == horizon else cost.q) * (states[t] - cost.goal)
+        for t in range(horizon + 1)])
+
+
+@pytest.mark.parametrize("q,q_terminal", [(0.0, 1.0), (0.02, 2.0),
+                                          (0.37, 0.0), (1e300, 3e-300)])
+def test_state_grads_match_per_row_form_bit_for_bit(q, q_terminal):
+    rng = np.random.default_rng(18)
+    states = rng.standard_normal((7, 9)) \
+        * 10.0 ** rng.integers(-8, 8, (7, 9))
+    cost = CostModel(q=q, r=np.eye(2), q_terminal=q_terminal,
+                     goal=rng.standard_normal(9))
+    got = cost.state_grads(states)
+    ref = _state_grads_reference(cost, states)
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("q,q_terminal", [(0.0, 1.0), (0.02, 2.0),
+                                          (1e300, 3e-300)])
+def test_full_order_quad_state_matches_diagonal_form_bit_for_bit(
+        q, q_terminal):
+    rng = np.random.default_rng(19)
+    n = 6
+    traj = Trajectory(states=rng.standard_normal((4, n)),
+                      controls=rng.standard_normal((3, 2)))
+    cost = CostModel(q=q, r=np.eye(2), q_terminal=q_terminal,
+                     goal=np.zeros(n))
+    terms = reduce_cost(cost, traj, None)
+    for w, got in ((q, terms.quad_state), (q_terminal, terms.quad_terminal)):
+        # the diagonal matrix built from the broadcast weight vector
+        ref = np.diag(np.broadcast_to(np.atleast_1d(w), (n,)).astype(float))
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      ref.view(np.uint64))
 
 
 def test_dense_oracle_zero_linear_term():
