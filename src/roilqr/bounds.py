@@ -20,14 +20,14 @@ Newton step at every accepted iterate and flags membership of
 { ||H^-1 grad|| <= delta }.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lqr import lqr_solve_dense, quad_objective, reduce_cost, stack_quadratic
 from .pde import Trajectory, rollout
 from .pod import method_of_snapshots, projection_residual
-from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from .sysid import fit_ltv, generate_rollout_data
 
 _SLACK = 1e-8  # absolute tolerance so exact-basis (eps ~ 0) cases pass
 _SIGMA_FLOOR = 1e-10  # smallest stacked-Hessian eigenvalue deemed uniform
@@ -50,11 +50,13 @@ class LqrPair:
         return self.nominal.horizon
 
 
-def build_lqr_pair(model, cost, nominal, basis, perturb=None):
-    """Identify both LTV models around the nominal and assemble the pair."""
-    perturb = perturb or PerturbationConfig()
-    fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb)
-    ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb)
+def build_lqr_pair(model, cost, nominal, basis, perturb=None, seed=0):
+    """Identify both LTV models around the nominal, each from the design
+    drawn from ``seed``, and assemble the pair."""
+    fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb,
+                                    seed=seed)
+    ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb,
+                                    seed=seed)
     # the reduced objective's nominal is the projected trajectory, so its
     # cost gradients are taken at the reconstruction phi phi^T x_t
     projected = Trajectory(states=nominal.states @ basis.phi @ basis.phi.T,
@@ -244,11 +246,12 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
 
     Uses the identified full-order LTV at each accepted iterate (data
     driven, consistent with the rest of the pipeline), so it is meant
-    for desk-scale problems only.  Returns (trace, consistent) where
+    for desk-scale problems only.  Iterate ``idx`` is identified from
+    seed ``seed + 7919 * idx`` and its constants are measured over draws
+    from seed ``seed + 1 + idx``.  Returns (trace, consistent) where
     ``consistent`` is the exhaustion property: once the cost falls below
     every non-member iterate's cost, membership never flips back off.
     """
-    perturb = perturb or PerturbationConfig()
     model, cost = problem.model, problem.cost
     trace = []
     for idx, controls in enumerate(report.iterate_controls):
@@ -256,8 +259,8 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         cost_k = cost.trajectory_cost(nominal)
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
-        pair = build_lqr_pair(model, cost, nominal, basis,
-                              replace(perturb, seed=perturb.seed + 7919 * idx))
+        pair = build_lqr_pair(model, cost, nominal, basis, perturb,
+                              seed=seed + 7919 * idx)
         h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
         evals = np.linalg.eigvalsh(h_full)
         hessian_ok = bool(evals[0] > 0.0)
@@ -265,7 +268,7 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
             newton = float(np.linalg.norm(np.linalg.solve(h_full, grad)))
         else:
             newton = float("nan")
-        draws = _draw_controls(pair, samples, seed + idx, sigma)
+        draws = _draw_controls(pair, samples, seed + 1 + idx, sigma)
         meas = _measure_constants(pair, draws)
         sigma_min = float(evals[0])
         delta = _delta(meas, sigma_min)

@@ -8,8 +8,10 @@ metadata/timing files so they never break reproducibility.
 """
 
 import json
+import numbers
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -121,6 +123,9 @@ def config_from_dict(raw, base=None):
         bad = set(overlay) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"{name}.{sorted(bad)[0]}: unknown field")
+        for key, value in overlay.items():
+            _check_type(f"{name}.{key}", value,
+                        cls.__dataclass_fields__[key].type)
         if base is None and name == "problem":
             missing = [f for f in _REQUIRED_PROBLEM_FIELDS
                        if f not in overlay]
@@ -135,6 +140,30 @@ def config_from_dict(raw, base=None):
     cfg = ExperimentConfig(**sections)
     _validate(cfg)
     return cfg
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               type(None): "null"}
+
+
+def _fits(value, kind):
+    if kind is type(None):
+        return value is None
+    if kind in (int, float):
+        # bool is an int subclass; YAML's yes/no must not pass as 1/0
+        return not isinstance(value, bool) and isinstance(
+            value, numbers.Integral if kind is int else numbers.Real)
+    return isinstance(value, kind)
+
+
+def _check_type(path, value, annotation):
+    """Reject a value of the wrong type for its field (ints for int
+    fields, any real number for float fields, None only where the field
+    is optional) before any comparison sees it."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    if not any(_fits(value, kind) for kind in kinds):
+        expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
+        raise ConfigError(f"{path}: must be {expected}, got {value!r}")
 
 
 def _validate(cfg):
@@ -505,14 +534,14 @@ def run_verify_bounds(cfg, out_dir=None):
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=cfg.solver.energy_cutoff)
         pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                              replace(cfg.perturb, seed=cfg.solver.seed))
+                              cfg.perturb, seed=cfg.solver.seed)
         bounds_report = verify_bounds(pair, samples=cfg.run.bounds_samples,
                                       seed=cfg.solver.seed)
         trace, consistent = trace_limit_set(
             problem, report, energy_cutoff=cfg.solver.energy_cutoff,
-            perturb=replace(cfg.perturb, seed=cfg.solver.seed + 1),
+            perturb=cfg.perturb,
             samples=max(20, cfg.run.bounds_samples // 10),
-            seed=cfg.solver.seed + 2)
+            seed=cfg.solver.seed + 1)
     except (DivergenceError, DegenerateSnapshotsError) as exc:
         raise NumericalFailure(f"bound verification: {exc}") from exc
     bounds_report.limit_set_trace = trace
@@ -544,12 +573,16 @@ def run_repeatability(cfg, out_dir=None):
         r.costs + [r.final_cost] * (longest - len(r.costs)) for r in ok
     ]) if ok else np.zeros((0, 0))
     mean_curve = padded.mean(axis=0).tolist() if ok else []
-    std_curve = padded.std(axis=0).tolist() if ok else []
+    # dispersion is taken of the deviations from the first run, so equal
+    # costs give exactly 0 (their mean may round away from them)
+    std_curve = (padded - padded[:1]).std(axis=0).tolist() if ok else []
 
     mean_final = float(finals.mean()) if finals.size else float("nan")
-    cv = float(finals.std() / mean_final) if finals.size and mean_final > 0 \
+    dev = finals - finals[:1]
+    std_final = float(dev.std()) if finals.size else float("nan")
+    cv = std_final / mean_final if finals.size and mean_final > 0 \
         else float("nan")
-    spread = float((finals.max() - finals.min()) / mean_final) \
+    spread = float((dev.max() - dev.min()) / mean_final) \
         if finals.size and mean_final > 0 else float("nan")
     aggregate = {
         "runs": len(reports),
@@ -557,7 +590,7 @@ def run_repeatability(cfg, out_dir=None):
         "partial": partial,
         "final_costs": finals.tolist(),
         "final_cost_mean": mean_final,
-        "final_cost_std": float(finals.std()) if finals.size else float("nan"),
+        "final_cost_std": std_final,
         "final_cost_cv": cv,
         "final_cost_rel_spread": spread,
         "cv_threshold": cfg.run.cv_threshold,

@@ -12,8 +12,9 @@ its step size alone, so the first step size in ladder order that passes
 is the one a one-at-a-time search would accept.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
 convergence coefficient, when no descent step can be found, or at the
-iteration/time budget, which is checked between line-search rollouts
-and after each accepted iteration.
+iteration/time budget, which is checked between line-search rollouts,
+after each accepted iteration and, from the second iteration on,
+between identification groups and before the backward pass.
 
 ``mode="full"`` runs the identical loop with the identity basis, which
 is the standard full-order algorithm and serves as the benchmark
@@ -21,7 +22,7 @@ baseline.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +75,8 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.time_budget_s is not None and not self.time_budget_s > 0:
-            # checked only once an iteration has reached its line search,
-            # so a budget <= 0 would still run one and then report a
-            # timeout
+            # the first iteration always reaches its line search, so a
+            # budget <= 0 would still run one and then report a timeout
             raise ValueError("time_budget_s must be positive")
 
 
@@ -305,15 +305,31 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
     return LineSearchResult(None, prev_cost, below_min, len(alphas), False)
 
 
+class _BudgetExpired(Exception):
+    """The solve's time budget ran out inside an iteration."""
+
+
 def solve(problem, cfg=None, perturb=None):
     """Run the full iteration loop; always returns a report, recording a
-    numerical failure in ``status`` rather than raising."""
+    numerical failure or an expired budget in ``status`` rather than
+    raising.
+
+    The time budget is checked between the line-search rollouts and
+    after each accepted iteration, and from the second iteration on also
+    between identification groups and before the backward pass, so the
+    first iteration always reaches its first rollout: every budgeted
+    solve tries at least one step.
+    """
     cfg = cfg or SolverConfig()
     perturb = perturb or PerturbationConfig()
     model, cost = problem.model, problem.cost
     start = time.perf_counter()
     deadline = None if cfg.time_budget_s is None \
         else start + cfg.time_budget_s
+
+    def check_budget():
+        if deadline is not None and time.perf_counter() > deadline:
+            raise _BudgetExpired
 
     controls = problem.initial_controls()
     try:
@@ -351,16 +367,23 @@ def solve(problem, cfg=None, perturb=None):
                 n_modes = model.n_x
             marks.append(time.perf_counter())
 
-            it_seed = cfg.seed * 100003 + it
             data = generate_rollout_data(
-                model, traj, basis=basis,
-                cfg=replace(perturb, seed=it_seed))
+                model, traj, basis=basis, cfg=perturb,
+                seed=cfg.seed * 100003 + it,
+                checkpoint=check_budget if it > 1 else None)
             ltv = fit_ltv(data)
             marks.append(time.perf_counter())
+            if it > 1:
+                check_budget()
 
             terms = reduce_cost(cost, traj, basis)
             gains = backward_pass(ltv, terms, reg)
             marks.append(time.perf_counter())
+        except _BudgetExpired:
+            marks.append(time.perf_counter())
+            report.terminal_phase_times = _phase_split(marks)
+            report.status = "timeout"
+            break
         except (DivergenceError, BackwardPassError,
                 DegenerateSnapshotsError) as exc:
             marks.append(time.perf_counter())

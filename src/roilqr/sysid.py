@@ -3,10 +3,13 @@
 Around a nominal trajectory, each timestep's local linear map is fitted
 in closed form from d + n_u central-difference samples along a random
 orthogonal design: simulator queries at symmetrically perturbed
-(state, control) pairs about the nominal point.  When a reduced basis is
-supplied, state perturbations are drawn in the reduced coordinates and
-lifted, and next-step deviations are projected back, so d is the mode
-count l instead of n_x.
+(state, control) pairs about the nominal point.  One design is drawn per
+identification and shared by every timestep, as coordinate-direction
+finite differences would be: each timestep's fit is exactly determined
+by its own d + n_u samples, so nothing is gained by a fresh draw per
+timestep.  When a reduced basis is supplied, state perturbations are
+drawn in the reduced coordinates and lifted, and next-step deviations
+are projected back, so d is the mode count l instead of n_x.
 
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent and are stepped together:
@@ -24,17 +27,17 @@ from .pde import DivergenceError, balanced_runs
 
 @dataclass(frozen=True)
 class PerturbationConfig:
-    """Perturbation scales and seed for the one-step experiments.
+    """Perturbation scales for the one-step experiments.
 
     ``None`` scales resolve against the nominal trajectory: 1% of the
     nominal magnitude, floored at 1e-2 so zero initial guesses still
     produce excitation.  The sample count is not a setting: every
-    timestep uses the d + n_u columns of one orthogonal design.
+    timestep uses the d + n_u columns of one orthogonal design.  The
+    design's seed is an argument of :func:`generate_rollout_data`.
     """
 
     sigma_x: float | None = None
     sigma_u: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_u"):
@@ -56,7 +59,8 @@ class PerturbationConfig:
 
 @dataclass
 class RegressionData:
-    """Stacked per-timestep samples: inputs (T, d+n_u, N), outputs (T, d, N)."""
+    """One design shared by all timesteps and the per-timestep samples:
+    inputs (d+n_u, N) with N = d + n_u, outputs (T, d, N)."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -68,7 +72,7 @@ class RegressionData:
 
     @property
     def n_samples(self):
-        return self.inputs.shape[2]
+        return self.inputs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -101,81 +105,80 @@ def orthogonal_design(rng, scale):
     return scale[:, None] * (q * np.sign(np.diag(r)))
 
 
-def generate_rollout_data(model, nominal, basis=None, cfg=None):
+def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
+                          checkpoint=None):
     """Run the perturbation experiments and assemble regression matrices.
 
-    For every timestep t, draws one orthogonal design over the
-    p = d + n_u (reduced) state and control coordinates, with row scales
-    sqrt(p)*s_x and sqrt(p)*s_u (each coordinate's RMS perturbation is
-    s_x or s_u).  Each of its p columns is queried at the +/- perturbed
-    points, and the central difference of the next state (projected if a
-    basis is given) is recorded.  The queries of consecutive timesteps
-    share one simulator call, in balanced groups of at most
-    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a single
-    timestep is larger); every other operation is per timestep, so the
-    data are bit-identical to one call per timestep.  Raises
-    :class:`DivergenceError` naming the earliest diverged timestep and
-    its first diverged sample.  Deterministic for a fixed seed.
+    Draws one orthogonal design from ``seed`` over the p = d + n_u
+    (reduced) state and control coordinates, with row scales sqrt(p)*s_x
+    and sqrt(p)*s_u (each coordinate's RMS perturbation is s_x or s_u),
+    and queries each of its p columns at the +/- perturbed points about
+    every timestep's nominal; the central difference of the next state
+    (projected if a basis is given) is recorded.  The queries of
+    consecutive timesteps share one simulator call, in balanced groups of
+    at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a
+    single timestep is larger).  ``checkpoint``, if given, is called
+    before every simulator call after the first and may raise to abandon
+    the identification.  Raises :class:`DivergenceError` naming the
+    earliest diverged timestep and its first diverged sample.
+    Deterministic for a fixed seed.
     """
     cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
-    n_u = model.n_u
+    n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
     horizon = nominal.horizon
     s_x, s_u = cfg.resolved(nominal)
     scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, n_u])
-    rng = np.random.default_rng(cfg.seed)
+    design = orthogonal_design(np.random.default_rng(seed), scale)
+    dz, du = design[:dim].T, design[dim:].T
+    dx = dz @ basis.phi.T if basis is not None else dz
 
-    inputs = np.empty((horizon, n_s, n_s))
     outputs = np.empty((horizon, dim, n_s))
-    groups = balanced_runs(horizon, 2 * n_s * model.n_x)
+    groups = balanced_runs(horizon, 2 * n_s * n_x)
     longest = max((hi - lo for lo, hi in groups), default=0)
-    # timestep k of a group fills rows [2*n_s*k, 2*n_s*(k+1)): its n_s +
-    # samples, then its n_s - samples
-    x_pm = np.empty((longest * 2 * n_s, model.n_x))
-    u_pm = np.empty((longest * 2 * n_s, n_u))
+    # timestep k of a group holds its n_s + samples, then its n_s - samples
+    x_pm = np.empty((longest, 2, n_s, n_x))
+    u_pm = np.empty((longest, 2, n_s, n_u))
     for lo, hi in groups:
-        rows = (hi - lo) * 2 * n_s
-        x_grp = x_pm[:rows].reshape(hi - lo, 2, n_s, model.n_x)
-        u_grp = u_pm[:rows].reshape(hi - lo, 2, n_s, n_u)
-        for t in range(lo, hi):
-            inputs[t] = orthogonal_design(rng, scale)
-            dz = inputs[t, :dim].T
-            du = inputs[t, dim:].T
-            dx = dz @ basis.phi.T if basis is not None else dz
-            x_t, u_t = x_grp[t - lo], u_grp[t - lo]
-            np.add(nominal.states[t], dx, out=x_t[0])
-            np.subtract(nominal.states[t], dx, out=x_t[1])
-            np.add(nominal.controls[t], du, out=u_t[0])
-            np.subtract(nominal.controls[t], du, out=u_t[1])
-        f_grp = model.step_batch(x_pm[:rows], u_pm[:rows]) \
-            .reshape(hi - lo, 2, n_s, model.n_x)
-        for t in range(lo, hi):
-            f_plus, f_minus = f_grp[t - lo]
-            bad = ~(np.all(np.isfinite(f_plus), axis=1)
-                    & np.all(np.isfinite(f_minus), axis=1))
-            if np.any(bad):
-                r = int(np.nonzero(bad)[0][0])
-                raise DivergenceError(
-                    f"perturbation rollout {r} diverged at timestep {t}",
-                    timestep=t, rollout=r,
-                )
-            dy = 0.5 * (f_plus - f_minus)
-            if basis is not None:
-                dy = dy @ basis.phi
-            outputs[t] = dy.T
+        if checkpoint is not None and lo > 0:
+            checkpoint()
+        x_grp, u_grp = x_pm[:hi - lo], u_pm[:hi - lo]
+        x_nom = nominal.states[lo:hi, None]
+        u_nom = nominal.controls[lo:hi, None]
+        np.add(x_nom, dx, out=x_grp[:, 0])
+        np.subtract(x_nom, dx, out=x_grp[:, 1])
+        np.add(u_nom, du, out=u_grp[:, 0])
+        np.subtract(u_nom, du, out=u_grp[:, 1])
+        f_grp = model.step_batch(x_grp.reshape(-1, n_x),
+                                 u_grp.reshape(-1, n_u)) \
+            .reshape(hi - lo, 2, n_s, n_x)
+        # a sample diverged when either of its sides did; the first in
+        # (timestep, sample) order is reported
+        bad = ~np.all(np.isfinite(f_grp), axis=(1, 3))
+        if np.any(bad):
+            k, r = (int(i) for i in np.argwhere(bad)[0])
+            raise DivergenceError(
+                f"perturbation rollout {r} diverged at timestep {lo + k}",
+                timestep=lo + k, rollout=r,
+            )
+        dy = 0.5 * (f_grp[:, 0] - f_grp[:, 1])
         del f_grp   # not alive during the next group's simulator call
-    return RegressionData(inputs=inputs, outputs=outputs, n_u=n_u)
+        if basis is not None:
+            dy = dy @ basis.phi
+        outputs[lo:hi] = dy.transpose(0, 2, 1)
+    return RegressionData(inputs=design, outputs=outputs, n_u=n_u)
 
 
 def fit_ltv(data):
-    """Fit [A_t | B_t] = Y X^T (X X^T)^{-1} per timestep in closed form.
+    """Fit [A_t | B_t] = Y_t X^T (X X^T)^{-1} for every timestep in closed
+    form.
 
-    The inputs X of :func:`generate_rollout_data` have orthogonal rows,
-    so X X^T is diagonal and the fit is the product Y X^T divided
-    column-wise by the squared row norms of X.
+    The design X of :func:`generate_rollout_data` has orthogonal rows and
+    is shared by all timesteps, so (X X^T)^{-1} is the reciprocal of its
+    squared row norms and the whole fit is one product of the stacked
+    outputs with X^T scaled column-wise.
     """
     x = data.inputs
-    theta = (data.outputs @ x.transpose(0, 2, 1)) \
-        / np.einsum("tpn,tpn->tp", x, x)[:, None, :]
+    theta = data.outputs @ (x.T / np.sum(x * x, axis=1))
     return LtvModel(A=theta[:, :, :data.dim], B=theta[:, :, data.dim:])

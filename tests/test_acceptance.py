@@ -17,7 +17,7 @@ from roilqr.lqr import Regularizer, backward_pass, lqr_solve_dense, reduce_cost
 from roilqr.pde import rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.solver import SolverConfig, solve
-from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from roilqr.sysid import fit_ltv, generate_rollout_data
 
 BENCH_PRESETS = ("burgers", "allen_cahn_small", "cahn_hilliard")
 
@@ -53,7 +53,7 @@ def bound_instances():
         nominal = report.trajectory
         basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
         pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                              PerturbationConfig(seed=100 + seed))
+                              seed=100 + seed)
         results.append(verify_bounds(pair, samples=150, seed=seed))
     return results
 
@@ -154,8 +154,7 @@ def test_oracle_backward_vs_dense():
 
         cost = CostModel(q=1.0, r=0.5 * np.eye(model.n_u), q_terminal=2.0,
                          goal=rng.standard_normal(model.n_x))
-        ltv = fit_ltv(generate_rollout_data(
-            model, nominal, cfg=PerturbationConfig(seed=seed)))
+        ltv = fit_ltv(generate_rollout_data(model, nominal, seed=seed))
         terms = reduce_cost(cost, nominal, None)
         gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
         du_bp = simulate_feedback(ltv, gains)
@@ -170,8 +169,7 @@ def test_oracle_ltv_recovery():
     model = random_stable_linear(5, 2, rng)
     nominal = rollout(model, rng.standard_normal(5),
                       0.3 * rng.standard_normal((6, 2)))
-    ltv = fit_ltv(generate_rollout_data(
-        model, nominal, cfg=PerturbationConfig(seed=1)))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=1))
     err = max(float(np.max(np.abs(ltv.A - model.a))),
               float(np.max(np.abs(ltv.B - model.b))))
     _criterion("oracle (b): noiseless LTV plant recovery", err <= 1e-8,
@@ -184,8 +182,7 @@ def test_oracle_galerkin_projection():
     nominal = rollout(model, rng.standard_normal(12),
                       0.3 * rng.standard_normal((5, 3)))
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=1.0)
-    data = generate_rollout_data(model, nominal, basis,
-                                 PerturbationConfig(seed=2))
+    data = generate_rollout_data(model, nominal, basis, seed=2)
     ltv = fit_ltv(data)
     phi = basis.phi
     err = 0.0
@@ -250,8 +247,7 @@ def test_conservation_and_properties(benchmarks):
     prob = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
     nominal = rollout(prob.model, prob.x0, prob.u_init)
     basis = method_of_snapshots(nominal.states.T)
-    data = generate_rollout_data(prob.model, nominal, basis,
-                                 PerturbationConfig(seed=9))
+    data = generate_rollout_data(prob.model, nominal, basis, seed=9)
     gains = backward_pass(fit_ltv(data),
                           reduce_cost(prob.cost, nominal, basis),
                           Regularizer())

@@ -12,7 +12,7 @@ from roilqr.lqr import CostModel, ReducedCostTerms, reduce_cost
 from roilqr.pde import Trajectory, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.solver import SolverConfig, solve
-from roilqr.sysid import LtvModel, PerturbationConfig
+from roilqr.sysid import LtvModel
 
 
 def _invariant_subspace_pair(seed=0, n=10, l=3, n_u=2, horizon=5):
@@ -102,7 +102,7 @@ def burgers_pair():
     nominal = report.trajectory
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
     pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                          PerturbationConfig(seed=11))
+                          seed=11)
     return problem, report, pair
 
 

@@ -95,6 +95,48 @@ def test_sample_count_is_not_a_setting(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_perturbation_seed_is_not_a_setting(tmp_path, capsys):
+    # each identification's seed follows from solver.seed; a config naming
+    # the removed field is rejected before anything runs
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"perturb": {"seed": 7}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: perturb.seed: unknown field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,field,value,expected", [
+    ("problem", "dt", "abc", "a number"),
+    ("problem", "points", "many", "an integer"),
+    ("problem", "points", 20.5, "an integer"),
+    ("problem", "horizon", None, "an integer"),
+    ("problem", "gamma", "abc", "a number or null"),
+    ("problem", "q_weight", "abc", "a number"),
+    ("problem", "r_weight", [1.0], "a number"),
+    ("problem", "qt_weight", "1e-3", "a number"),
+    ("run", "repeats", "two", "an integer"),
+    ("run", "guess_std", "abc", "a number"),
+    ("run", "full_time_budget_s", "abc", "a number or null"),
+    ("run", "bounds_samples", True, "an integer"),
+])
+def test_wrongly_typed_value_is_exit_2(tmp_path, capsys, section, field,
+                                       value, expected):
+    # "1e-3" is also what YAML 1.1 makes of an unquoted 1e-3 (its floats
+    # need a dot: 1.0e-3)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({section: {field: value}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {section}.{field}: must be {expected}, " \
+        f"got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [{"bounds_samples": 0},
                                  {"full_time_budget_s": 0.0},
                                  {"guess_std": -0.3}])

@@ -27,8 +27,7 @@ def lq_setup():
     x0 = rng.standard_normal(5)
     horizon = 7
     nominal = rollout(model, x0, 0.3 * rng.standard_normal((horizon, 2)))
-    ltv = fit_ltv(generate_rollout_data(model, nominal,
-                                        cfg=PerturbationConfig(seed=1)))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=1))
     terms = reduce_cost(cost, nominal, None)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     return model, cost, nominal, gains
@@ -489,3 +488,164 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     assert set(report.terminal_phase_times) == set(PHASES)
     assert report.terminal_phase_times["t_forward"] == 10.0
     assert report.wall_time_s == 10.0
+
+
+def _allen_cahn_small_problem():
+    from roilqr.harness import build_problem, gaussian_guess, preset
+
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
+                                                       cfg.run.guess_std))
+    return cfg, problem
+
+
+def test_time_budget_stops_identification_between_groups(monkeypatch):
+    # reduced allen_cahn_small identifies each iteration in several
+    # simulator calls of 2-3 timesteps.  The clock stands still until the
+    # first call of the second iteration's identification returns, then
+    # jumps past the budget: no further call of that identification runs
+    from roilqr.cli import EXIT_NUMERICAL, _status_exit
+
+    cfg, problem = _allen_cahn_small_problem()
+    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    assert len(unbounded.iterations) >= 2
+
+    clock = _FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    calls = []   # simulator calls of each identification
+    inside = [False]
+
+    def identify(*args, **kwargs):
+        calls.append(0)
+        inside[0] = True
+        try:
+            return generate_rollout_data(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    step_batch = problem.model.step_batch
+
+    def counting_step(states, controls):
+        out = step_batch(states, controls)
+        if inside[0]:
+            calls[-1] += 1
+            if len(calls) == 2:
+                clock.now = 10.0
+        return out
+
+    monkeypatch.setattr(solver, "generate_rollout_data", identify)
+    monkeypatch.setattr(problem.model, "step_batch", counting_step)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
+                   cfg.perturb)
+    assert report.status == "timeout"
+    assert _status_exit(report.status) == EXIT_NUMERICAL == 3
+    rows = 2 * unbounded.iterations[0].sysid_samples
+    groups = len(pde.balanced_runs(problem.horizon,
+                                   rows * problem.model.n_x))
+    assert groups >= 2
+    assert calls == [groups, 1]
+    assert report.costs == unbounded.costs[:2]
+    assert report.terminal_phase_times == {
+        "t_basis": 0.0, "t_sysid": 10.0, "t_backward": 0.0,
+        "t_forward": 0.0}
+    assert report.wall_time_s == 10.0
+
+
+def test_time_budget_stops_before_the_backward_pass(monkeypatch):
+    cfg, problem = _allen_cahn_small_problem()
+    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    assert len(unbounded.iterations) >= 2
+
+    clock = _FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    fits, passes = [], []
+
+    def fit(data):
+        fits.append(data)
+        if len(fits) == 2:
+            clock.now = 10.0
+        return fit_ltv(data)
+
+    def backward(*args):
+        passes.append(args)
+        return backward_pass(*args)
+
+    monkeypatch.setattr(solver, "fit_ltv", fit)
+    monkeypatch.setattr(solver, "backward_pass", backward)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
+                   cfg.perturb)
+    assert report.status == "timeout"
+    assert (len(fits), len(passes)) == (2, 1)
+    assert report.costs == unbounded.costs[:2]
+    assert report.terminal_phase_times["t_sysid"] == 10.0
+    assert report.terminal_phase_times["t_backward"] == 0.0
+    assert report.terminal_phase_times["t_forward"] == 0.0
+
+
+class _DivergesOnCall(LinearModel):
+    """Linear plant whose ``fail_on``-th batch of more than one row comes
+    back with a non-finite last row."""
+
+    def __init__(self, plant, fail_on):
+        super().__init__(plant.a, plant.b)
+        self.fail_on = fail_on
+        self.batches = 0
+
+    def step_batch(self, states, controls):
+        out = super().step_batch(states, controls)
+        if len(out) > 1:
+            self.batches += 1
+            if self.batches == self.fail_on:
+                out[-1] = np.nan
+        return out
+
+
+def test_divergence_mid_identification_is_a_numerical_failure(monkeypatch):
+    from roilqr.cli import EXIT_NUMERICAL, _status_exit
+
+    rng = np.random.default_rng(9)
+    model = _DivergesOnCall(random_stable_linear(4, 2, rng), fail_on=3)
+    cost = CostModel(q=1.0, r=np.eye(2), q_terminal=2.0,
+                     goal=rng.standard_normal(4))
+    problem = ControlProblem(model=model, cost=cost,
+                             x0=rng.standard_normal(4), horizon=5)
+    # one timestep of 2 * (4 + 2) rows per simulator call
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 2 * 6 * 4)
+    report = solve(problem, SolverConfig(mode="full", seed=0))
+    assert report.status == "numerical_failure"
+    assert _status_exit(report.status) == EXIT_NUMERICAL == 3
+    # the last row of a timestep's call is the minus side of its last
+    # sample
+    assert report.error == \
+        "iteration 1: perturbation rollout 5 diverged at timestep 2"
+    assert report.iterations == [] and model.batches == 3
+    assert report.terminal_phase_times["t_sysid"] > 0.0
+    assert report.terminal_phase_times["t_forward"] == 0.0
+
+
+def test_mu_at_its_ceiling_is_a_numerical_failure(monkeypatch):
+    # a concave terminal term keeps the control Hessian indefinite however
+    # far the regularizer damps it
+    from dataclasses import replace
+
+    from roilqr.cli import EXIT_NUMERICAL, _status_exit
+
+    rng = np.random.default_rng(10)
+    model = random_stable_linear(4, 2, rng)
+    cost = CostModel(q=1.0, r=np.eye(2), q_terminal=2.0,
+                     goal=rng.standard_normal(4))
+    problem = ControlProblem(model=model, cost=cost,
+                             x0=rng.standard_normal(4), horizon=5)
+
+    def concave(cost, nominal, basis=None):
+        terms = reduce_cost(cost, nominal, basis)
+        return replace(terms, quad_terminal=-1e9 * np.eye(terms.dim))
+
+    monkeypatch.setattr(solver, "reduce_cost", concave)
+    report = solve(problem, SolverConfig(mode="full", seed=0))
+    assert report.status == "numerical_failure"
+    assert _status_exit(report.status) == EXIT_NUMERICAL == 3
+    assert report.error.startswith("iteration 1: control Hessian non-PD")
+    assert "mu at ceiling" in report.error
+    assert report.iterations == []
+    assert report.terminal_phase_times["t_backward"] > 0.0

@@ -6,7 +6,7 @@ from helpers import LinearModel, random_stable_linear, step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import pde
+from roilqr import pde, sysid
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.sysid import (PerturbationConfig, fit_ltv, generate_rollout_data,
@@ -23,11 +23,10 @@ def test_linear_plant_data_is_exact():
     rng = np.random.default_rng(0)
     model = random_stable_linear(6, 2, rng)
     nominal = _nominal(model, 5, rng)
-    data = generate_rollout_data(model, nominal, None,
-                                 PerturbationConfig(seed=1))
+    data = generate_rollout_data(model, nominal, seed=1)
     block = np.hstack([model.a, model.b])
     for t in range(5):
-        np.testing.assert_allclose(data.outputs[t], block @ data.inputs[t],
+        np.testing.assert_allclose(data.outputs[t], block @ data.inputs,
                                    atol=1e-12)
 
 
@@ -35,8 +34,7 @@ def test_fit_recovers_linear_plant():
     rng = np.random.default_rng(1)
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 6, rng)
-    ltv = fit_ltv(generate_rollout_data(
-        model, nominal, cfg=PerturbationConfig(seed=2)))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=2))
     for t in range(6):
         np.testing.assert_allclose(ltv.A[t], model.a, atol=1e-8)
         np.testing.assert_allclose(ltv.B[t], model.b, atol=1e-8)
@@ -48,8 +46,9 @@ def test_fit_independent_of_sigma_on_linear_plant():
     nominal = _nominal(model, 4, rng)
     fits = []
     for sigma in (1e-4, 1e-2, 1.0):
-        cfg = PerturbationConfig(sigma_x=sigma, sigma_u=sigma, seed=3)
-        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg)))
+        cfg = PerturbationConfig(sigma_x=sigma, sigma_u=sigma)
+        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg,
+                                                  seed=3)))
     for ltv in fits[1:]:
         np.testing.assert_allclose(ltv.A, fits[0].A, atol=1e-9)
         np.testing.assert_allclose(ltv.B, fits[0].B, atol=1e-9)
@@ -59,8 +58,7 @@ def test_identity_plant():
     model = LinearModel(np.eye(4), np.zeros((4, 2)))
     rng = np.random.default_rng(3)
     nominal = _nominal(model, 3, rng)
-    ltv = fit_ltv(generate_rollout_data(model, nominal,
-                                        cfg=PerturbationConfig(seed=4)))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=4))
     np.testing.assert_allclose(ltv.A, np.broadcast_to(np.eye(4), (3, 4, 4)),
                                atol=1e-8)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-8)
@@ -69,8 +67,7 @@ def test_identity_plant():
 def test_zero_dynamics_plant():
     model = LinearModel(np.zeros((4, 4)), np.zeros((4, 2)))
     nominal = _nominal(model, 3, np.random.default_rng(4))
-    ltv = fit_ltv(generate_rollout_data(model, nominal,
-                                        cfg=PerturbationConfig(seed=5)))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=5))
     np.testing.assert_allclose(ltv.A, 0.0, atol=1e-10)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-10)
 
@@ -80,8 +77,7 @@ def test_reduced_fit_equals_galerkin_projection():
     model = random_stable_linear(12, 3, rng)
     nominal = _nominal(model, 5, rng)
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=1.0)
-    data = generate_rollout_data(model, nominal, basis,
-                                 PerturbationConfig(seed=6))
+    data = generate_rollout_data(model, nominal, basis, seed=6)
     ltv = fit_ltv(data)
     phi = basis.phi
     for t in range(5):
@@ -95,8 +91,8 @@ def test_full_order_matches_finite_difference_jacobian():
     rng = np.random.default_rng(6)
     nominal = rollout(model, 0.5 * rng.standard_normal(20),
                       0.2 * rng.standard_normal((4, 2)))
-    cfg = PerturbationConfig(sigma_x=1e-4, sigma_u=1e-4, seed=7)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
+    cfg = PerturbationConfig(sigma_x=1e-4, sigma_u=1e-4)
+    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg, seed=7))
     # central finite-difference Jacobian oracle, column by column
     h = 1e-5
     for t in (0, 3):
@@ -119,8 +115,8 @@ def test_vanishing_perturbations_give_vanishing_data():
     rng = np.random.default_rng(7)
     model = random_stable_linear(4, 2, rng)
     nominal = _nominal(model, 3, rng)
-    cfg = PerturbationConfig(sigma_x=1e-12, sigma_u=1e-12, seed=8)
-    data = generate_rollout_data(model, nominal, None, cfg)
+    cfg = PerturbationConfig(sigma_x=1e-12, sigma_u=1e-12)
+    data = generate_rollout_data(model, nominal, None, cfg, seed=8)
     assert np.max(np.abs(data.inputs)) < 1e-10
     assert np.max(np.abs(data.outputs)) < 1e-10
 
@@ -129,9 +125,8 @@ def test_seeded_data_is_byte_identical():
     rng = np.random.default_rng(8)
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 4, rng)
-    cfg = PerturbationConfig(seed=99)
-    d1 = generate_rollout_data(model, nominal, None, cfg)
-    d2 = generate_rollout_data(model, nominal, None, cfg)
+    d1 = generate_rollout_data(model, nominal, seed=99)
+    d2 = generate_rollout_data(model, nominal, seed=99)
     np.testing.assert_array_equal(d1.inputs, d2.inputs)
     np.testing.assert_array_equal(d1.outputs, d2.outputs)
 
@@ -143,9 +138,8 @@ def test_sample_count_scaling():
     nominal = rollout(model, 0.3 * rng.standard_normal(100),
                       0.1 * rng.standard_normal((6, 2)))
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
-    cfg = PerturbationConfig(seed=12)
-    n_red = generate_rollout_data(model, nominal, basis, cfg).n_samples
-    n_full = generate_rollout_data(model, nominal, None, cfg).n_samples
+    n_red = generate_rollout_data(model, nominal, basis, seed=12).n_samples
+    n_full = generate_rollout_data(model, nominal, None, seed=12).n_samples
     assert (n_red, n_full) == (basis.n_modes + 2, 100 + 2)
 
 
@@ -166,16 +160,17 @@ def test_orthogonal_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
         basis = ReducedBasis(phi=phi, eigenvalues=np.ones(dim),
                              captured_energy=1.0)
         a_red, b_red = phi.T @ model.a @ phi, phi.T @ model.b
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u, seed=seed)
-    data = generate_rollout_data(model, nominal, basis, cfg)
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u)
+    data = generate_rollout_data(model, nominal, basis, cfg, seed=seed)
 
     n_s = dim + n_u
     assert data.n_samples == n_s
+    assert data.inputs.shape == (n_s, n_s)
     # precondition of the closed-form fit: X X^T = (d + n_u) diag(sigma^2)
     gram = n_s * np.diag(np.repeat([s_x, s_u], [dim, n_u]) ** 2)
-    for x in data.inputs:
-        np.testing.assert_allclose(x @ x.T, gram, rtol=1e-12,
-                                   atol=1e-12 * np.max(gram))
+    x = data.inputs
+    np.testing.assert_allclose(x @ x.T, gram, rtol=1e-12,
+                               atol=1e-12 * np.max(gram))
     ltv = fit_ltv(data)
     np.testing.assert_allclose(ltv.A, np.broadcast_to(a_red, ltv.A.shape),
                                atol=1e-8)
@@ -189,20 +184,19 @@ def test_perturbation_config_validation(bad):
         PerturbationConfig(**bad)
 
 
-def _two_call_rollout_data(model, nominal, basis, cfg):
-    """Reference sampler: separate simulator calls for the + and - rows."""
+def _two_call_rollout_data(model, nominal, basis, seed):
+    """Reference sampler: one timestep at a time, separate simulator calls
+    for the + and - rows, one design for every timestep."""
     dim = basis.n_modes if basis is not None else model.n_x
     n_s = dim + model.n_u
-    s_x, s_u = cfg.resolved(nominal)
+    s_x, s_u = PerturbationConfig().resolved(nominal)
     scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, model.n_u])
-    rng = np.random.default_rng(cfg.seed)
-    inputs = np.empty((nominal.horizon, n_s, n_s))
+    inputs = orthogonal_design(np.random.default_rng(seed), scale)
+    dz = inputs[:dim].T
+    du = inputs[dim:].T
+    dx = dz @ basis.phi.T if basis is not None else dz
     outputs = np.empty((nominal.horizon, dim, n_s))
     for t in range(nominal.horizon):
-        inputs[t] = orthogonal_design(rng, scale)
-        dz = inputs[t, :dim].T
-        du = inputs[t, dim:].T
-        dx = dz @ basis.phi.T if basis is not None else dz
         f_plus = model.step_batch(nominal.states[t] + dx,
                                   nominal.controls[t] + du)
         f_minus = model.step_batch(nominal.states[t] - dx,
@@ -223,9 +217,8 @@ def test_stacked_samples_bit_identical_to_two_calls(reduced):
                       0.2 * rng.standard_normal((4, 2)))
     basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
              if reduced else None)
-    cfg = PerturbationConfig(seed=14)
-    data = generate_rollout_data(model, nominal, basis, cfg)
-    inputs, outputs = _two_call_rollout_data(model, nominal, basis, cfg)
+    data = generate_rollout_data(model, nominal, basis, seed=14)
+    inputs, outputs = _two_call_rollout_data(model, nominal, basis, 14)
     np.testing.assert_array_equal(data.inputs.view(np.uint64),
                                   inputs.view(np.uint64))
     np.testing.assert_array_equal(data.outputs.view(np.uint64),
@@ -252,11 +245,10 @@ def test_grouped_timesteps_bit_identical_to_per_timestep(monkeypatch, cap,
                       0.2 * rng.standard_normal((5, 2)))
     basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
              if reduced else None)
-    cfg = PerturbationConfig(seed=20)
-    inputs, outputs = _two_call_rollout_data(model, nominal, basis, cfg)
+    inputs, outputs = _two_call_rollout_data(model, nominal, basis, 20)
     n_s = (basis.n_modes if reduced else 24) + 2
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap(2 * n_s * 24))
-    data = generate_rollout_data(model, nominal, basis, cfg)
+    data = generate_rollout_data(model, nominal, basis, seed=20)
     np.testing.assert_array_equal(data.inputs.view(np.uint64),
                                   inputs.view(np.uint64))
     np.testing.assert_array_equal(data.outputs.view(np.uint64),
@@ -282,13 +274,66 @@ def test_one_simulator_call_per_group_within_cap(monkeypatch, cap):
     nominal = _nominal(model, 7, rng)
     model.calls.clear()
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap)
-    generate_rollout_data(model, nominal, None, PerturbationConfig(seed=22))
+    generate_rollout_data(model, nominal, seed=22)
     rows_t = 2 * (6 + 2)   # +/- rows of one timestep: 96 cells
     per_group = max(1, cap // (rows_t * 6))
     assert len(model.calls) == -(-7 // per_group)
     assert sum(model.calls) == 7 * rows_t
     assert max(model.calls) - min(model.calls) <= rows_t
     assert max(model.calls) * 6 <= max(cap, rows_t * 6)
+
+
+class _Recording(LinearModel):
+    """Linear plant that keeps a copy of every state batch it steps."""
+
+    def __init__(self, plant):
+        super().__init__(plant.a, plant.b)
+        self.batches = []
+
+    def step_batch(self, states, controls):
+        self.batches.append((states.copy(), controls.copy()))
+        return super().step_batch(states, controls)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_one_design_per_identification(monkeypatch, reduced):
+    rng = np.random.default_rng(23)
+    model = _Recording(random_stable_linear(8, 2, rng))
+    nominal = _nominal(model, 6, rng)
+    basis = None
+    if reduced:
+        phi = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        basis = ReducedBasis(phi=phi, eigenvalues=np.ones(3),
+                             captured_energy=1.0)
+    draws = []
+
+    def counting(rng, scale):
+        draws.append(orthogonal_design(rng, scale))
+        return draws[-1]
+
+    monkeypatch.setattr(sysid, "orthogonal_design", counting)
+    # timesteps of 2 * 5 * 8 cells (reduced) or 2 * 10 * 8: groups of two
+    n_s = (3 if reduced else 8) + 2
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 2 * (2 * n_s * 8))
+    model.batches.clear()
+    data = generate_rollout_data(model, nominal, basis, seed=24)
+    assert len(draws) == 1 and len(model.batches) == 3
+    assert data.inputs is draws[0]
+    dz, du = data.inputs[:n_s - 2].T, data.inputs[n_s - 2:].T
+    dx = dz @ basis.phi.T if reduced else dz
+    states = np.concatenate([x for x, _ in model.batches])
+    controls = np.concatenate([u for _, u in model.batches])
+    states = states.reshape(6, 2, n_s, 8)
+    controls = controls.reshape(6, 2, n_s, 2)
+    for t in range(6):
+        np.testing.assert_array_equal(states[t, 0], nominal.states[t] + dx)
+        np.testing.assert_array_equal(states[t, 1], nominal.states[t] - dx)
+        np.testing.assert_array_equal(controls[t, 0],
+                                      nominal.controls[t] + du)
+        np.testing.assert_array_equal(controls[t, 1],
+                                      nominal.controls[t] - du)
+    generate_rollout_data(model, nominal, basis, seed=24)
+    assert len(draws) == 2
 
 
 class _BlowsUpNear(LinearModel):
@@ -323,14 +368,14 @@ def test_minus_side_divergence_names_timestep_and_rollout():
     rng = np.random.default_rng(15)
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 4, rng)
-    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=16)
+    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5)
     n_s = 5 + 2   # d + n_u samples per timestep
     t_bad = 2
-    dx0 = generate_rollout_data(plant, nominal, None, cfg).inputs[t_bad, 0]
+    dx0 = generate_rollout_data(plant, nominal, None, cfg, seed=16).inputs[0]
     r_bad, offset = _one_sided_offset(dx0)
     model = _BlowsUpNear(plant, (nominal.states[t_bad], offset))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg)
+        generate_rollout_data(model, nominal, None, cfg, seed=16)
     assert err.value.timestep == t_bad
     assert err.value.rollout == r_bad < n_s
 
@@ -339,17 +384,17 @@ def test_earliest_diverged_timestep_of_a_group_is_reported():
     rng = np.random.default_rng(17)
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 5, rng)
-    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5, seed=18)
+    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5)
     n_s = 5 + 2
     assert pde.balanced_runs(5, 2 * n_s * 5) == [(0, 5)]   # one group
     t_early, t_late = 1, 3
-    dx0 = generate_rollout_data(plant, nominal, None, cfg).inputs[t_early, 0]
+    dx0 = generate_rollout_data(plant, nominal, None, cfg, seed=18).inputs[0]
     r_bad, offset = _one_sided_offset(dx0)
     assert r_bad > 0   # differs from the late timestep's first rollout
     # at t_late every sample diverges on the side of its dx_0's sign
     model = _BlowsUpNear(plant, (nominal.states[t_early], offset),
                          (nominal.states[t_late], 1e-300))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg)
+        generate_rollout_data(model, nominal, None, cfg, seed=18)
     assert err.value.timestep == t_early
     assert err.value.rollout == r_bad
