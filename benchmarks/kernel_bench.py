@@ -2,7 +2,9 @@
 """Step-kernel throughput at the batch sizes the solver issues.
 
 Times ``step_batch`` of each preset's model (control routing and row
-chunking included) and reports microseconds per row:
+chunking included) and reports microseconds per row, and nanoseconds per
+cell-substep (per row, divided by n_x * substeps) so that kernels of
+different sizes compare:
 
 * Burgers (100 points, 250 substeps): 1 row (initial rollout, first
   line-search trial),
@@ -59,7 +61,7 @@ def main():
     print(f"active path: {_kernels.KERNEL_PATH} "
           f"(numba available: {_kernels.HAVE_NUMBA})")
     print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
-          f"{'call':>10s} {'per row':>10s}")
+          f"{'call':>10s} {'per row':>10s} {'per cell-substep':>16s}")
     for name, batches in CASES:
         problem = build_problem(preset(name))
         model = problem.model
@@ -67,8 +69,11 @@ def main():
             states = problem.x0 + 1e-2 * rng.standard_normal((rows, model.n_x))
             controls = 0.3 * rng.standard_normal((rows, model.n_u))
             t = _time(model.step_batch, (states, controls), args.repeat)
-            print(f"{name:18s} {model.n_x:5d} {model.params.substeps:8d} "
-                  f"{rows:5d} {t * 1e3:8.2f}ms {t / rows * 1e6:8.1f}µs")
+            substeps = model.params.substeps
+            cell_ns = t / (rows * model.n_x * substeps) * 1e9
+            print(f"{name:18s} {model.n_x:5d} {substeps:8d} "
+                  f"{rows:5d} {t * 1e3:8.2f}ms {t / rows * 1e6:8.1f}µs "
+                  f"{cell_ns:14.2f}ns")
 
 
 if __name__ == "__main__":

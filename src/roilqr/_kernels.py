@@ -13,13 +13,29 @@ All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
 row-major with periodic boundaries.
 
+Each scheme is evaluated in a folded form: its constant factors are
+gathered into scalars and per-point coefficient fields built once per
+call, before the substep loop.  With N(f) the sum of the four periodic
+neighbours of a point, ``c = dt*mob`` and Burgers' ``c_adv = dt/(2 dx)``,
+``c_dif = nu*dt/dx^2``, one substep is
+
+* Burgers:  u' = u*(1 - 2 c_dif - c_adv*(u+ - u-)) + c_dif*(u+ + u-)
+  (7 array passes);
+* Allen-Cahn:  f' = f*(A - 4c f^2) + k N(f) + H, with ``k = c*gamma/dx^2``,
+  ``A = 1 - 4k - 2c*temp`` and ``H = -c*h`` (10 passes);
+* Cahn-Hilliard:  mu' = f*(B + 4s f^2) - k N(f) + s*h, the chemical
+  potential scaled by ``s = c/dx^2``, then f' = f - 4 mu' + N(mu'), with
+  ``k = s*gamma/dx^2`` and ``B = 2s*temp + 4k`` (16 passes).
+
+The loop versions evaluate the same expressions in the same order.
+
 The numpy kernels step the batch node-major (the batch index varies
-fastest, so a stencil shift is a contiguous slice) and allocate all
-their temporaries once per call, writing each operation into them with
-``out=``.  They perform the operations of the plain whole-array
-expressions in the same order, so their results are bit-identical to
-them.  Those expressions (for the phase-field Laplacian, four periodic
-``roll`` shifts) are kept in ``tests/test_kernels.py`` as the reference.
+fastest, so a stencil shift is a contiguous slice of the flat buffer),
+allocate their buffers and build their stencil views once per call, and
+write each operation into those buffers.  Their results are
+bit-identical to the folded whole-array expressions kept in
+``tests/test_kernels.py``, next to the unfolded expressions of the scheme
+they agree with to rounding.
 """
 
 import os
@@ -41,6 +57,14 @@ USE_NUMBA = HAVE_NUMBA and os.environ.get("ROILQR_PURE_NUMPY", "0").lower() not 
 )
 
 
+def _factors(*values):
+    # Scalar factors of the substep loops as 0-d arrays, and ``out``
+    # passed positionally there: both cut numpy's fixed cost per ufunc
+    # call, which is most of the time of a one-row call (a one-row Burgers
+    # step makes 1750 calls on arrays of 98 values).
+    return [np.array(v) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # 1-D viscous Burgers, Dirichlet boundary actuation.
 # du/dt + u du/dx = nu d2u/dx2; boundary nodes overwritten each substep.
@@ -48,38 +72,38 @@ USE_NUMBA = HAVE_NUMBA and os.environ.get("ROILQR_PURE_NUMPY", "0").lower() not 
 
 
 def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
-    # Node-major layout (n, B): each stencil slice is one contiguous block.
-    # The elementary operations and their order are those of the row-wise
-    # expression  uc - c_adv*uc*(up - um) + c_dif*(up - 2.0*uc + um),
-    # so the result is bit-identical to it.
+    # Node-major layout (n, B): a stencil shift by one node is a shift by
+    # B in the flat buffer, so every stencil operand is one contiguous
+    # slice.  Two buffers alternate as source and destination; the views
+    # of both directions are made once.
     nb, n = u.shape
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
-    cur = np.empty((n, nb))
-    cur[...] = u.T   # a copy even for one row, where u.T is contiguous
-    cur[0] = left
-    cur[-1] = right
-    nxt = cur.copy()
-    s1 = np.empty((n - 2, nb))
-    s2 = np.empty((n - 2, nb))
+    c_adv, c_dif, k = _factors(c_adv, c_dif, 1.0 - 2.0 * c_dif)
+    bufs = (np.empty((n, nb)), np.empty((n, nb)))
+    bufs[0][...] = u.T   # a copy even for one row, where u.T is contiguous
+    for buf in bufs:
+        buf[0] = left
+        buf[-1] = right
+    m = (n - 2) * nb
+    flat = [buf.reshape(-1) for buf in bufs]
+    views = [(src[:m], src[nb:nb + m], src[2 * nb:], dst[nb:nb + m])
+             for src, dst in (flat, flat[::-1])]
+    s1 = np.empty(m)
+    s2 = np.empty(m)
     # divergence shows up as inf/nan and is detected by the callers'
     # finiteness checks; don't warn mid-blowup
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nsub):
-            um = cur[:-2]
-            uc = cur[1:-1]
-            up = cur[2:]
-            np.multiply(c_adv, uc, out=s1)
-            np.subtract(up, um, out=s2)
-            np.multiply(s1, s2, out=s1)
-            np.subtract(uc, s1, out=s1)
-            np.multiply(2.0, uc, out=s2)
-            np.subtract(up, s2, out=s2)
-            np.add(s2, um, out=s2)
-            np.multiply(c_dif, s2, out=s2)
-            np.add(s1, s2, out=nxt[1:-1])
-            cur, nxt = nxt, cur
-    return np.ascontiguousarray(cur.T)
+        for i in range(nsub):
+            um, uc, up, out = views[i & 1]
+            np.subtract(up, um, s1)
+            np.multiply(c_adv, s1, s1)
+            np.subtract(k, s1, s1)
+            np.multiply(uc, s1, s1)
+            np.add(up, um, s2)
+            np.multiply(c_dif, s2, s2)
+            np.add(s1, s2, out)
+    return np.ascontiguousarray(bufs[nsub & 1].T)
 
 
 def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
@@ -88,6 +112,7 @@ def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
     buf = np.empty(n)
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
+    k = 1.0 - 2.0 * c_dif
     for b in range(nb):
         row = out[b]
         row[0] = left[b]
@@ -95,9 +120,8 @@ def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
         for _ in range(nsub):
             for i in range(1, n - 1):
                 buf[i] = (
-                    row[i]
-                    - c_adv * row[i] * (row[i + 1] - row[i - 1])
-                    + c_dif * (row[i + 1] - 2.0 * row[i] + row[i - 1])
+                    row[i] * (k - c_adv * (row[i + 1] - row[i - 1]))
+                    + c_dif * (row[i + 1] + row[i - 1])
                 )
             for i in range(1, n - 1):
                 row[i] = buf[i]
@@ -116,43 +140,42 @@ def _node_major(a, nb, npts):
     return a.reshape(nb, npts, npts).transpose(1, 2, 0)
 
 
-def _lap2_into(lap, a, four_a, edge, dx):
-    # Periodic 5-point Laplacian of the node-major field ``a`` written into
-    # ``lap``, given ``four_a`` = 4.0*a and an ``(npts, B)`` scratch row
-    # ``edge``.  It reproduces the row-major expression
-    #   (roll(a, 1, 1) + roll(a, -1, 1) + roll(a, 1, 2) + roll(a, -1, 2)
-    #    - 4.0*a) / (dx*dx)
-    # operation for operation, so the result is bit-identical to it.
-    # Neighbours along the first axis are whole contiguous blocks, plus the
-    # wrapped first and last block.
-    np.add(a[:-2], a[2:], out=lap[1:-1])
-    np.add(a[-1], a[1], out=lap[0])
-    np.add(a[-2], a[0], out=lap[-1])
-    # Along the second axis a neighbour is B entries away in the flat
-    # array.  One contiguous add is right everywhere but in the wrapped
-    # column, which is summed into ``edge`` first and written back after.
-    nb = a.shape[2]
-    flat, a_flat = lap.reshape(-1), a.reshape(-1)
-    np.add(lap[:, 0], a[:, -1], out=edge)
-    np.add(flat[nb:], a_flat[:-nb], out=flat[nb:])
-    lap[:, 0] = edge
-    np.add(lap[:, -1], a[:, 0], out=edge)
-    np.add(flat[:-nb], a_flat[nb:], out=flat[:-nb])
-    lap[:, -1] = edge
-    np.subtract(lap, four_a, out=lap)
-    np.divide(lap, dx * dx, out=lap)
+def _neighbour_views(a, out, tmp):
+    """``(destination, operand, operand)`` view triples whose additions,
+    in order, write into ``out`` the periodic four-neighbour sum
+    (left + right) + (up + down) of the node-major field ``a``, with
+    ``tmp`` as scratch.  All three are contiguous ``(npts, npts, B)``."""
+    npts, _, nb = a.shape
+    af, of, tf = a.reshape(-1), out.reshape(-1), tmp.reshape(-1)
+    n = af.size
+    blk = npts * nb
+    return (
+        # Along the second axis a neighbour is B entries away in the flat
+        # array.  One contiguous add is right everywhere but in the two
+        # wrapped columns, which are rewritten after it.
+        (of[nb:n - nb], af[:n - 2 * nb], af[2 * nb:]),
+        (out[:, 0], a[:, -1], a[:, 1]),
+        (out[:, -1], a[:, -2], a[:, 0]),
+        # along the first axis neighbours are whole contiguous blocks, plus
+        # the wrapped first and last block
+        (tf[blk:n - blk], af[:n - 2 * blk], af[2 * blk:]),
+        (tmp[0], a[-1], a[1]),
+        (tmp[-1], a[-2], a[0]),
+        (of, of, tf),
+    )
 
 
-def _phase_field_fields(phi, temp, h, npts):
-    # the state as a fresh node-major field, 2.0*temp (the same each
-    # substep) and h in the same layout; inputs are only read
+def _neighbour_sum(views):
+    for dst, x, y in views:
+        np.add(x, y, dst)
+
+
+def _node_major_copy(phi, npts):
+    # the state as a fresh node-major field; inputs are only read
     nb = phi.shape[0]
     f = np.empty((npts, npts, nb))
     f[...] = _node_major(phi, nb, npts)
-    temp2 = np.empty_like(f)
-    np.multiply(2.0, _node_major(temp, nb, npts), out=temp2)
-    hf = np.ascontiguousarray(_node_major(h, nb, npts))
-    return f, temp2, hf
+    return f
 
 
 def _row_major(f):
@@ -161,29 +184,31 @@ def _row_major(f):
 
 
 def allen_cahn_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    # Node-major (npts, npts, B), every temporary allocated once.  The
-    # operations and their order are those of
-    #   f - dt*mob*((4.0*f*f*f + 2.0*temp*f + h) - gamma*lap(f)),
-    # so the result is bit-identical to it.
-    f, temp2, hf = _phase_field_fields(phi, temp, h, npts)
-    scratch = np.empty_like(f)
-    lap = np.empty_like(f)
-    bulk = np.empty_like(f)
-    edge = np.empty_like(f[0])
+    # f' = f*(A - 4c f^2) + k N(f) + H; node-major, every buffer allocated
+    # once, the neighbour sum's scratch reused for the bulk term
+    nb = phi.shape[0]
     c = dt * mob
+    k = c * gamma / (dx * dx)
+    f = _node_major_copy(phi, npts)
+    a = np.empty_like(f)
+    np.multiply(2.0 * c, _node_major(temp, nb, npts), out=a)
+    np.subtract(1.0 - 4.0 * k, a, out=a)
+    hc = np.empty_like(f)
+    np.multiply(-c, _node_major(h, nb, npts), out=hc)
+    nbr = np.empty_like(f)
+    t = np.empty_like(f)
+    views = _neighbour_views(f, nbr, t)
+    c4, k = _factors(4.0 * c, k)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nsub):
-            np.multiply(4.0, f, out=scratch)
-            _lap2_into(lap, f, scratch, edge, dx)
-            np.multiply(scratch, f, out=bulk)
-            np.multiply(bulk, f, out=bulk)
-            np.multiply(temp2, f, out=scratch)
-            np.add(bulk, scratch, out=bulk)
-            np.add(bulk, hf, out=bulk)
-            np.multiply(gamma, lap, out=lap)
-            np.subtract(bulk, lap, out=bulk)
-            np.multiply(c, bulk, out=bulk)
-            np.subtract(f, bulk, out=f)
+            _neighbour_sum(views)
+            np.multiply(f, f, t)
+            np.multiply(c4, t, t)
+            np.subtract(a, t, t)
+            np.multiply(t, f, t)
+            np.multiply(k, nbr, nbr)
+            np.add(t, nbr, t)
+            np.add(t, hc, f)
     return _row_major(f)
 
 
@@ -191,11 +216,17 @@ def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     nb, n = phi.shape
     out = phi.copy()
     buf = np.empty(n)
-    inv_dx2 = 1.0 / (dx * dx)
+    a = np.empty(n)
+    hc = np.empty(n)
+    c = dt * mob
+    k = c * gamma / (dx * dx)
+    c4 = 4.0 * c
+    a0 = 1.0 - 4.0 * k
     for b in range(nb):
         f = out[b]
-        tf = temp[b]
-        hf = h[b]
+        for p in range(n):
+            a[p] = a0 - 2.0 * c * temp[b, p]
+            hc[p] = -c * h[b, p]
         for _ in range(nsub):
             for j in range(npts):
                 jm = j - 1 if j > 0 else npts - 1
@@ -203,46 +234,48 @@ def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
                 for i in range(npts):
                     im = i - 1 if i > 0 else npts - 1
                     ip = i + 1 if i < npts - 1 else 0
-                    c = j * npts + i
-                    v = f[c]
-                    lap = (
-                        f[jm * npts + i]
-                        + f[jp * npts + i]
-                        + f[j * npts + im]
-                        + f[j * npts + ip]
-                        - 4.0 * v
-                    ) * inv_dx2
-                    bulk = 4.0 * v * v * v + 2.0 * tf[c] * v + hf[c]
-                    buf[c] = v - dt * mob * (bulk - gamma * lap)
+                    p = j * npts + i
+                    v = f[p]
+                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
+                        + (f[jm * npts + i] + f[jp * npts + i])
+                    buf[p] = v * (a[p] - c4 * (v * v)) + k * nsum + hc[p]
             f[:] = buf
     return out
 
 
 def cahn_hilliard_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    # Layout and buffers as in allen_cahn_batch_numpy; the operation order
-    # is that of  mu = 4.0*f*f*f + 2.0*temp*f + h - gamma*lap(f);
-    # f + dt*mob*lap(mu).
-    f, temp2, hf = _phase_field_fields(phi, temp, h, npts)
-    scratch = np.empty_like(f)
-    lap = np.empty_like(f)
+    # mu' = f*(B + 4s f^2) - k N(f) + s h, then f' = f - 4 mu' + N(mu');
+    # layout and buffers as in allen_cahn_batch_numpy, one view set per
+    # field whose neighbours are summed
+    nb = phi.shape[0]
+    s = dt * mob / (dx * dx)
+    k = s * gamma / (dx * dx)
+    f = _node_major_copy(phi, npts)
+    bc = np.empty_like(f)
+    np.multiply(2.0 * s, _node_major(temp, nb, npts), out=bc)
+    np.add(bc, 4.0 * k, out=bc)
+    hs = np.empty_like(f)
+    np.multiply(s, _node_major(h, nb, npts), out=hs)
     mu = np.empty_like(f)
-    edge = np.empty_like(f[0])
-    c = dt * mob
+    nbr = np.empty_like(f)
+    t = np.empty_like(f)
+    f_views = _neighbour_views(f, nbr, t)
+    mu_views = _neighbour_views(mu, nbr, t)
+    s4, k, four = _factors(4.0 * s, k, 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nsub):
-            np.multiply(4.0, f, out=scratch)
-            _lap2_into(lap, f, scratch, edge, dx)
-            np.multiply(scratch, f, out=mu)
-            np.multiply(mu, f, out=mu)
-            np.multiply(temp2, f, out=scratch)
-            np.add(mu, scratch, out=mu)
-            np.add(mu, hf, out=mu)
-            np.multiply(gamma, lap, out=lap)
-            np.subtract(mu, lap, out=mu)
-            np.multiply(4.0, mu, out=scratch)
-            _lap2_into(lap, mu, scratch, edge, dx)
-            np.multiply(c, lap, out=lap)
-            np.add(f, lap, out=f)
+            _neighbour_sum(f_views)
+            np.multiply(f, f, t)
+            np.multiply(s4, t, t)
+            np.add(bc, t, t)
+            np.multiply(t, f, t)
+            np.multiply(k, nbr, nbr)
+            np.subtract(t, nbr, t)
+            np.add(t, hs, mu)
+            _neighbour_sum(mu_views)
+            np.multiply(four, mu, t)
+            np.subtract(f, t, f)
+            np.add(f, nbr, f)
     return _row_major(f)
 
 
@@ -251,11 +284,16 @@ def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     out = phi.copy()
     mu = np.empty(n)
     buf = np.empty(n)
-    inv_dx2 = 1.0 / (dx * dx)
+    bc = np.empty(n)
+    hs = np.empty(n)
+    s = dt * mob / (dx * dx)
+    k = s * gamma / (dx * dx)
+    s4 = 4.0 * s
     for b in range(nb):
         f = out[b]
-        tf = temp[b]
-        hf = h[b]
+        for p in range(n):
+            bc[p] = 2.0 * s * temp[b, p] + 4.0 * k
+            hs[p] = s * h[b, p]
         for _ in range(nsub):
             for j in range(npts):
                 jm = j - 1 if j > 0 else npts - 1
@@ -263,31 +301,21 @@ def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
                 for i in range(npts):
                     im = i - 1 if i > 0 else npts - 1
                     ip = i + 1 if i < npts - 1 else 0
-                    c = j * npts + i
-                    v = f[c]
-                    lap = (
-                        f[jm * npts + i]
-                        + f[jp * npts + i]
-                        + f[j * npts + im]
-                        + f[j * npts + ip]
-                        - 4.0 * v
-                    ) * inv_dx2
-                    mu[c] = 4.0 * v * v * v + 2.0 * tf[c] * v + hf[c] - gamma * lap
+                    p = j * npts + i
+                    v = f[p]
+                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
+                        + (f[jm * npts + i] + f[jp * npts + i])
+                    mu[p] = v * (bc[p] + s4 * (v * v)) - k * nsum + hs[p]
             for j in range(npts):
                 jm = j - 1 if j > 0 else npts - 1
                 jp = j + 1 if j < npts - 1 else 0
                 for i in range(npts):
                     im = i - 1 if i > 0 else npts - 1
                     ip = i + 1 if i < npts - 1 else 0
-                    c = j * npts + i
-                    lap_mu = (
-                        mu[jm * npts + i]
-                        + mu[jp * npts + i]
-                        + mu[j * npts + im]
-                        + mu[j * npts + ip]
-                        - 4.0 * mu[c]
-                    ) * inv_dx2
-                    buf[c] = f[c] + dt * mob * lap_mu
+                    p = j * npts + i
+                    nsum = (mu[j * npts + im] + mu[j * npts + ip]) \
+                        + (mu[jm * npts + i] + mu[jp * npts + i])
+                    buf[p] = f[p] - 4.0 * mu[p] + nsum
             f[:] = buf
     return out
 

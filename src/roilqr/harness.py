@@ -202,6 +202,10 @@ def _validate(cfg):
     if cfg.run.bounds_samples < 1:
         # zero draws would pass every bound inequality vacuously
         raise ConfigError("run.bounds_samples: must be >= 1")
+    if not 0 <= cfg.run.cv_threshold < float("inf"):
+        # a NaN or negative threshold fails every sweep, an infinite one
+        # passes any
+        raise ConfigError("run.cv_threshold: must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,18 @@ Three explicit second-order central-difference schemes:
 * 2-D Cahn-Hilliard (conserved order parameter),
 
 each advanced one "control step" = ``substeps`` explicit solver substeps
-per call.  The phase-field models take four controls ``(temp+, h+, temp-,
-h-)``: every grid point is labeled +1 or -1 by a target mask and receives
-the (temp, h) pair of its label.  Bulk energy density: phi^4 + temp*phi^2
-+ h*phi.
+per call.  The phase-field models take four controls ``(temp+, h+,
+temp-, h-)``: every grid point is labeled +1 or -1 by a target mask and
+receives the (temp, h) pair of its label.  Bulk energy density: phi^4 +
+temp*phi^2 + h*phi.
+
+The kernels in :mod:`roilqr._kernels` evaluate each scheme with its
+constants folded into per-call coefficients: Allen-Cahn's
+phi' = phi - dt*M*(dF/dphi - gamma*lap(phi)) as
+phi' = phi*(A - 4 dt M phi^2) + k*N(phi) + H, with N the sum of the four
+periodic neighbours, ``k = dt*M*gamma/dx^2``, ``A = 1 - 4k - 2 dt M temp``
+and ``H = -dt*M*h`` (10 array passes per substep); the Burgers (7) and
+Cahn-Hilliard (16) forms are given in that module.
 
 ``step_batch`` and :func:`rollout` are pure; models validate an
 explicit-scheme stability bound at construction, and :func:`rollout`

@@ -217,6 +217,20 @@ def test_repeat_single_run_is_config_error():
     assert main(["repeat", "--preset", "burgers_small", "--repeats", "1"]) == 2
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
+def test_out_of_range_cv_threshold_is_exit_2(tmp_path, capsys, threshold):
+    # a NaN threshold used to run the sweep, report it not repeatable and
+    # exit 3
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"run": {"cv_threshold": threshold}}))
+    out = tmp_path / "out"
+    assert main(["repeat", "--preset", "burgers_small", "--repeats", "2",
+                 "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: run.cv_threshold:")
+    assert not out.exists()
+
+
 def test_status_exit_codes():
     from roilqr.cli import _status_exit
 

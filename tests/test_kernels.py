@@ -4,8 +4,11 @@ deterministic."""
 import numpy as np
 import pytest
 from helpers import step
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roilqr import _kernels, pde
+from roilqr.harness import build_problem, preset
 from roilqr.pde import (AllenCahnModel, BurgersModel, CahnHilliardModel, Grid,
                         PdeParams)
 
@@ -16,8 +19,68 @@ def rng():
 
 
 def burgers_batch_rowwise(u, left, right, nu, dx, dt, nsub):
-    """Row-major Burgers step, one whole-array expression per substep: the
-    bit-exact reference for the node-major numpy kernel."""
+    """Row-major Burgers step in the folded form, one whole-array
+    expression per substep: the bit-exact reference for the node-major
+    numpy kernel."""
+    u = u.copy()
+    c_adv = dt / (2.0 * dx)
+    c_dif = nu * dt / (dx * dx)
+    k = 1.0 - 2.0 * c_dif
+    u[:, 0] = left
+    u[:, -1] = right
+    for _ in range(nsub):
+        um = u[:, :-2]
+        uc = u[:, 1:-1]
+        up = u[:, 2:]
+        u[:, 1:-1] = uc * (k - c_adv * (up - um)) + c_dif * (up + um)
+    return u
+
+
+def _neighbours_rolled(a):
+    # the four periodic neighbours, summed in the kernels' order
+    return (np.roll(a, 1, axis=2) + np.roll(a, -1, axis=2)) \
+        + (np.roll(a, 1, axis=1) + np.roll(a, -1, axis=1))
+
+
+def _fields(phi, temp, h, npts):
+    nb = phi.shape[0]
+    return [a.reshape(nb, npts, npts) for a in (phi, temp, h)]
+
+
+def allen_cahn_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    """Row-major Allen-Cahn step in the folded form with a rolled
+    neighbour sum: the bit-exact reference for the node-major numpy
+    kernel."""
+    f, tf, hf = _fields(phi, temp, h, npts)
+    c = dt * mob
+    k = c * gamma / (dx * dx)
+    a = (1.0 - 4.0 * k) - 2.0 * c * tf
+    hc = -c * hf
+    for _ in range(nsub):
+        f = f * (a - 4.0 * c * (f * f)) + k * _neighbours_rolled(f) + hc
+    return f.reshape(phi.shape)
+
+
+def cahn_hilliard_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    """Row-major Cahn-Hilliard step in the folded form with rolled
+    neighbour sums: the bit-exact reference for the node-major numpy
+    kernel."""
+    f, tf, hf = _fields(phi, temp, h, npts)
+    s = dt * mob / (dx * dx)
+    k = s * gamma / (dx * dx)
+    bc = 2.0 * s * tf + 4.0 * k
+    hs = s * hf
+    for _ in range(nsub):
+        mu = f * (bc + 4.0 * s * (f * f)) - k * _neighbours_rolled(f) + hs
+        f = f - 4.0 * mu + _neighbours_rolled(mu)
+    return f.reshape(phi.shape)
+
+
+# The schemes as written before their constants are folded: the folded
+# kernels agree with these to rounding.
+
+
+def burgers_scheme(u, left, right, nu, dx, dt, nsub):
     u = u.copy()
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
@@ -42,31 +105,21 @@ def _lap2_rolled(a, dx):
     ) / (dx * dx)
 
 
-def allen_cahn_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    """Row-major Allen-Cahn step with a rolled Laplacian: the bit-exact
-    reference for the node-major numpy kernel."""
-    nb = phi.shape[0]
-    f = phi.reshape(nb, npts, npts).copy()
-    tf = temp.reshape(nb, npts, npts)
-    hf = h.reshape(nb, npts, npts)
+def allen_cahn_scheme(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    f, tf, hf = _fields(phi, temp, h, npts)
     for _ in range(nsub):
         bulk = 4.0 * f * f * f + 2.0 * tf * f + hf
         f = f - dt * mob * (bulk - gamma * _lap2_rolled(f, dx))
-    return f.reshape(nb, npts * npts)
+    return f.reshape(phi.shape)
 
 
-def cahn_hilliard_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    """Row-major Cahn-Hilliard step with rolled Laplacians: the bit-exact
-    reference for the node-major numpy kernel."""
-    nb = phi.shape[0]
-    f = phi.reshape(nb, npts, npts).copy()
-    tf = temp.reshape(nb, npts, npts)
-    hf = h.reshape(nb, npts, npts)
+def cahn_hilliard_scheme(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+    f, tf, hf = _fields(phi, temp, h, npts)
     for _ in range(nsub):
         mu = 4.0 * f * f * f + 2.0 * tf * f + hf \
             - gamma * _lap2_rolled(f, dx)
         f = f + dt * mob * _lap2_rolled(mu, dx)
-    return f.reshape(nb, npts * npts)
+    return f.reshape(phi.shape)
 
 
 def _bits(a):
@@ -101,6 +154,70 @@ def test_phase_field_numpy_bit_identical_to_rolled(rng, kernel, reference, dt,
     out = kernel(*args)
     assert out.shape == phi.shape and out.flags.c_contiguous
     np.testing.assert_array_equal(_bits(out), _bits(reference(*args)))
+
+
+# Largest difference between a folded kernel and the unfolded scheme,
+# relative to the largest magnitude of the scheme's result.
+SCHEME_RTOL = 1e-13
+
+
+LOOPS = {"burgers": _kernels._burgers_batch_loops,
+         "allen_cahn": _kernels._allen_cahn_loops,
+         "cahn_hilliard": _kernels._cahn_hilliard_loops}
+
+
+def _preset_case(name, points, rng):
+    """The preset's model and initial state, or its model on a grid of
+    ``points`` per axis with a random mask and a zero state."""
+    problem = build_problem(preset(name))
+    model = problem.model
+    if points == model.grid.points:
+        return model, problem.x0
+    grid = Grid(ndim=2, points=points, dx=1.0 / points)
+    mask = np.where(rng.random(points**2) < 0.5, 1, -1)
+    return type(model)(grid, model.params, mask), np.zeros(points**2)
+
+
+@pytest.mark.parametrize("name,points,scheme", [
+    ("burgers", 100, burgers_scheme),
+    ("allen_cahn", 50, allen_cahn_scheme),
+    ("allen_cahn", 2, allen_cahn_scheme),
+    ("allen_cahn", 3, allen_cahn_scheme),
+    ("cahn_hilliard", 20, cahn_hilliard_scheme),
+    ("cahn_hilliard", 2, cahn_hilliard_scheme),
+    ("cahn_hilliard", 3, cahn_hilliard_scheme),
+])
+def test_folded_kernels_agree_with_scheme(rng, name, points, scheme):
+    # preset steps (Burgers 250 substeps, Allen-Cahn 10, Cahn-Hilliard 40)
+    # from perturbed initial states under random controls
+    model, x0 = _preset_case(name, points, rng)
+    states = x0 + 0.1 * rng.standard_normal((3, model.n_x))
+    controls = 0.3 * rng.standard_normal((3, model.n_u))
+    args = (states, *model._kernel_args(controls))
+    ref = scheme(*args)
+    for kernel in (getattr(_kernels, f"{name}_batch_numpy"), LOOPS[name]):
+        err = np.max(np.abs(kernel(*args) - ref))
+        assert err <= SCHEME_RTOL * np.max(np.abs(ref)), (kernel.__name__, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(npts=st.integers(2, 20), rows=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_cahn_hilliard_kernel_conserves_mass(npts, rows, seed):
+    # the cahn_hilliard preset's time step on random grids, masks, fields
+    # and controls
+    rng = np.random.default_rng(seed)
+    grid = Grid(ndim=2, points=npts, dx=1.0 / npts)
+    mask = np.where(rng.random(npts * npts) < 0.5, 1, -1)
+    model = CahnHilliardModel(grid, PdeParams(dt=5e-5, substeps=40), mask)
+    phi = rng.uniform(-1.0, 1.0, (rows, model.n_x))
+    args = (phi, *model._kernel_args(rng.standard_normal((rows, 4))))
+    for kernel in (_kernels.cahn_hilliard_batch_numpy,
+                   _kernels.cahn_hilliard_batch):
+        out = kernel(*args)
+        assert np.all(np.isfinite(out))
+        drift = np.abs(out.sum(axis=1) - phi.sum(axis=1))
+        assert np.all(drift <= 1e-10 * model.n_x), (kernel.__name__, drift)
 
 
 def test_burgers_paths_agree(rng):
