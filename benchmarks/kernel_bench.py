@@ -22,11 +22,17 @@ different sizes compare:
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
+Each case is warmed up once; then the cases are timed round by round,
+one call of each per round, for ``--repeat`` rounds, so that a slow
+spell of a shared machine falls on every case alike.  The table gives
+the median of the rounds and, for the time per row, their min-max.
+
 The kernels are the active path printed in the first line; set
 ``ROILQR_PURE_NUMPY=1`` to time the numpy kernels where numba is installed.
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -42,38 +48,48 @@ CASES = [
 ]
 
 
-def _time(fn, args, repeat):
-    fn(*args)  # warm-up (JIT compile on the numba path)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _time_once(fn, args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
 
     rng = np.random.default_rng(0)
-    print(f"active path: {_kernels.KERNEL_PATH} "
-          f"(numba available: {_kernels.HAVE_NUMBA})")
-    print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
-          f"{'call':>10s} {'per row':>10s} {'per cell-substep':>16s}")
+    cases = []
     for name, batches in CASES:
         problem = build_problem(preset(name))
         model = problem.model
         for rows in batches:
             states = problem.x0 + 1e-2 * rng.standard_normal((rows, model.n_x))
             controls = 0.3 * rng.standard_normal((rows, model.n_u))
-            t = _time(model.step_batch, (states, controls), args.repeat)
-            substeps = model.params.substeps
-            cell_ns = t / (rows * model.n_x * substeps) * 1e9
-            print(f"{name:18s} {model.n_x:5d} {substeps:8d} "
-                  f"{rows:5d} {t * 1e3:8.2f}ms {t / rows * 1e6:8.1f}µs "
-                  f"{cell_ns:14.2f}ns")
+            call = (model.step_batch, (states, controls))
+            _time_once(*call)  # warm-up (JIT compile on the numba path)
+            cases.append((name, model, rows, call, []))
+    for _ in range(args.repeat):
+        for *_, call, times in cases:
+            times.append(_time_once(*call))
+
+    print(f"active path: {_kernels.KERNEL_PATH} "
+          f"(numba available: {_kernels.HAVE_NUMBA}); "
+          f"median of {args.repeat} interleaved rounds")
+    print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
+          f"{'call':>10s} {'per row':>10s} {'per row min-max':>19s} "
+          f"{'per cell-substep':>16s}")
+    for name, model, rows, _, times in cases:
+        t = statistics.median(times)
+        lo, hi = min(times) / rows * 1e6, max(times) / rows * 1e6
+        substeps = model.params.substeps
+        cell_ns = t / (rows * model.n_x * substeps) * 1e9
+        print(f"{name:18s} {model.n_x:5d} {substeps:8d} "
+              f"{rows:5d} {t * 1e3:8.2f}ms {t / rows * 1e6:8.1f}µs "
+              f"{lo:9.1f}-{hi:<9.1f} {cell_ns:14.2f}ns")
 
 
 if __name__ == "__main__":

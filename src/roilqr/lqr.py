@@ -10,13 +10,15 @@ state Hessian: scalar, diagonal or dense weights build the terms directly.
 The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
 case).  Gains follow the convention du_t = -k_t - K_t dz_t, so k, K are
-the positive-form products of the inverted control Hessian.
+the positive-form products of the inverted control Hessian.  Both the
+backward pass and the dense oracle solve through one Cholesky factor
+(``np.linalg.cholesky``) and forward and back substitution; numpy is the
+only numerical dependency.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class BackwardPassError(RuntimeError):
@@ -157,6 +159,18 @@ class GainSchedule:
         return alpha * self.sum_k_qu - 0.5 * alpha * alpha * self.sum_k_quu_k
 
 
+def _cho_solve(chol, rhs):
+    """Solve L L^T X = ``rhs`` for the lower Cholesky factor L = ``chol``
+    by forward and back substitution; ``rhs`` is (n,) or (n, k)."""
+    x = np.array(rhs, dtype=np.float64)
+    n = chol.shape[0]
+    for i in range(n):
+        x[i] = (x[i] - chol[i, :i] @ x[:i]) / chol[i, i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - chol[i + 1:, i] @ x[i + 1:]) / chol[i, i]
+    return x
+
+
 def backward_pass(ltv, terms, reg=None):
     """Backward-in-time value recursion producing the gain schedule.
 
@@ -164,7 +178,8 @@ def backward_pass(ltv, terms, reg=None):
     through the next-step value Hessian (damping enters Q_uu and Q_uz
     only, never the stored value function).  A non-PD control Hessian
     bumps mu and retries the same timestep; exceeding the ceiling raises
-    :class:`BackwardPassError`.  A clean sweep relaxes mu once.
+    :class:`BackwardPassError`, as does a non-finite control Hessian or
+    gain (damping cannot repair those).  A clean sweep relaxes mu once.
     """
     if reg is None:
         reg = Regularizer()
@@ -195,8 +210,11 @@ def backward_pass(ltv, terms, reg=None):
             q_uz = b_t.T @ v_damped @ a_t
             q_uu = terms.r + b_t.T @ v_damped @ b_t
             q_uu = 0.5 * (q_uu + q_uu.T)
+            if not np.isfinite(q_uu).all():
+                raise BackwardPassError(
+                    f"control Hessian not finite at timestep {t}")
             try:
-                chol = sla.cho_factor(q_uu, lower=True)
+                chol = np.linalg.cholesky(q_uu)
             except np.linalg.LinAlgError:
                 if reg.mu >= reg.mu_max:
                     raise BackwardPassError(
@@ -207,8 +225,10 @@ def backward_pass(ltv, terms, reg=None):
                 bumped = True
                 continue
             break
-        k_t = sla.cho_solve(chol, q_u)
-        big_k_t = sla.cho_solve(chol, q_uz)
+        gains_t = _cho_solve(chol, np.column_stack((q_u, q_uz)))
+        if not np.isfinite(gains_t).all():
+            raise BackwardPassError(f"gains not finite at timestep {t}")
+        k_t, big_k_t = gains_t[:, 0], gains_t[:, 1:]
         k_all[t] = k_t
         big_k[t] = big_k_t
         v[t] = q_z + big_k_t.T @ (q_uu @ k_t) - big_k_t.T @ q_u - q_uz.T @ k_t
@@ -275,16 +295,19 @@ def lqr_solve_dense(ltv, terms, max_size=500):
     """Exact minimizer of the perturbed objective by one dense solve.
 
     Independent oracle for the backward pass; restricted to small
-    stacked problems (T*n_u <= ``max_size``).
+    stacked problems (T*n_u <= ``max_size``).  A non-finite stacked
+    Hessian or gradient is a ``ValueError``.
     """
     m = ltv.horizon * ltv.n_u
     if m > max_size:
         raise ValueError(f"stacked size {m} exceeds oracle limit {max_size}")
     h, g = stack_quadratic(ltv, terms)
+    if not (np.isfinite(h).all() and np.isfinite(g).all()):
+        raise ValueError("stacked Hessian or gradient is not finite")
     try:
-        chol = sla.cho_factor(h, lower=True)
+        chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         raise IndefiniteHessianError("stacked Hessian is not positive definite")
-    du = -sla.cho_solve(chol, g)
+    du = -_cho_solve(chol, g)
     return du.reshape(ltv.horizon, ltv.n_u)
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from helpers import simulate_feedback, value_recursion_direct
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roilqr.lqr import (BackwardPassError, CostModel, GainSchedule,
                         IndefiniteHessianError, Regularizer, ReducedCostTerms,
-                        backward_pass, lqr_solve_dense, quad_objective,
-                        reduce_cost, stack_quadratic)
+                        _cho_solve, backward_pass, lqr_solve_dense,
+                        quad_objective, reduce_cost, stack_quadratic)
 from roilqr.pde import Trajectory
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import LtvModel
@@ -74,6 +76,98 @@ def test_backward_pass_matches_dense_oracle(seed):
     # feedback law attains the dense-oracle optimal cost
     assert quad_objective(ltv, terms, du_bp)[0] == pytest.approx(
         quad_objective(ltv, terms, du_dense)[0], abs=1e-8)
+
+
+def _state_weight(rng, dim, form):
+    # a symmetric PSD state Hessian in each of the forms the terms take
+    if form == "scalar":
+        return rng.uniform(0.0, 3.0) * np.eye(dim)
+    if form == "diagonal":
+        return np.diag(rng.uniform(0.0, 3.0, dim))
+    m = rng.standard_normal((dim, dim))
+    return m @ m.T + 0.1 * np.eye(dim)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(horizon=st.integers(1, 6), dim=st.integers(1, 6),
+       n_u=st.integers(1, 4),
+       form=st.sampled_from(["scalar", "diagonal", "dense"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_backward_pass_matches_dense_oracle_property(horizon, dim, n_u,
+                                                     form, seed):
+    rng = np.random.default_rng(seed)
+    ltv = _random_ltv(rng, dim, n_u, horizon)
+    m = rng.standard_normal((n_u, n_u))
+    terms = ReducedCostTerms(
+        lin_state=rng.standard_normal((horizon + 1, dim)),
+        quad_state=_state_weight(rng, dim, form),
+        quad_terminal=_state_weight(rng, dim, form),
+        lin_control=rng.standard_normal((horizon, n_u)),
+        r=0.2 * m @ m.T + 0.5 * np.eye(n_u),
+    )
+    gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
+    du_bp = simulate_feedback(ltv, gains, alpha=1.0)
+    du_dense = lqr_solve_dense(ltv, terms)
+    assert np.max(np.abs(du_bp - du_dense)) <= 1e-8
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), cols=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_substitution_matches_dense_solve(n, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    spd = m @ m.T + n * np.eye(n)
+    rhs = rng.standard_normal((n, cols))
+    chol = np.linalg.cholesky(spd)
+    ref = np.linalg.solve(spd, rhs)
+    before = (chol.copy(), rhs.copy())
+    np.testing.assert_allclose(_cho_solve(chol, rhs), ref, rtol=1e-10,
+                               atol=1e-12)
+    # the solve works on a copy: factor and right-hand side are untouched
+    np.testing.assert_array_equal(chol, before[0])
+    np.testing.assert_array_equal(rhs, before[1])
+    # a vector right-hand side is the one-column case
+    np.testing.assert_allclose(_cho_solve(chol, rhs[:, 0]), ref[:, 0],
+                               rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_control_hessian_is_a_backward_pass_error():
+    # B^T V B overflows; damping cannot make it finite again
+    rng = np.random.default_rng(21)
+    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv.B[:] = 1e200
+    terms = _random_terms(rng, 3, 2, 4)
+    with pytest.raises(BackwardPassError,
+                       match="control Hessian not finite at timestep 3"):
+        backward_pass(ltv, terms, Regularizer())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_is_a_backward_pass_error():
+    # a finite control Hessian with an infinite gradient gives infinite gains
+    rng = np.random.default_rng(22)
+    ltv = _random_ltv(rng, 3, 2, 4)
+    terms = _random_terms(rng, 3, 2, 4)
+    terms.lin_control[2] = np.inf
+    with pytest.raises(BackwardPassError,
+                       match="gains not finite at timestep 2"):
+        backward_pass(ltv, terms, Regularizer())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field", ["B", "lin_control"])
+def test_dense_oracle_rejects_non_finite_input(field):
+    rng = np.random.default_rng(23)
+    ltv = _random_ltv(rng, 3, 2, 4)
+    terms = _random_terms(rng, 3, 2, 4)
+    if field == "B":
+        ltv.B[:] = 1e200
+    else:
+        terms.lin_control[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        lqr_solve_dense(ltv, terms)
 
 
 def test_value_recursion_equivalence():

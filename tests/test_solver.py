@@ -649,3 +649,31 @@ def test_mu_at_its_ceiling_is_a_numerical_failure(monkeypatch):
     assert "mu at ceiling" in report.error
     assert report.iterations == []
     assert report.terminal_phase_times["t_backward"] > 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_control_hessian_is_a_numerical_failure(monkeypatch):
+    # an identified B of 1e200 overflows B^T V B; the run ends typed, not
+    # in a traceback
+    from roilqr.cli import EXIT_NUMERICAL, _status_exit
+
+    rng = np.random.default_rng(11)
+    model = random_stable_linear(4, 2, rng)
+    cost = CostModel(q=1.0, r=np.eye(2), q_terminal=2.0,
+                     goal=rng.standard_normal(4))
+    problem = ControlProblem(model=model, cost=cost,
+                             x0=rng.standard_normal(4), horizon=5)
+
+    def overflowing(data):
+        ltv = fit_ltv(data)
+        ltv.B[:] = 1e200
+        return ltv
+
+    monkeypatch.setattr(solver, "fit_ltv", overflowing)
+    report = solve(problem, SolverConfig(mode="full", seed=0))
+    assert report.status == "numerical_failure"
+    assert _status_exit(report.status) == EXIT_NUMERICAL == 3
+    assert report.error == \
+        "iteration 1: control Hessian not finite at timestep 4"
+    assert report.iterations == []
+    assert report.terminal_phase_times["t_backward"] > 0.0
