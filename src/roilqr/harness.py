@@ -8,6 +8,7 @@ metadata/timing files so they never break reproducibility.
 """
 
 import json
+import math
 import numbers
 import os
 import time
@@ -159,11 +160,15 @@ def _fits(value, kind):
 def _check_type(path, value, annotation):
     """Reject a value of the wrong type for its field (ints for int
     fields, any real number for float fields, None only where the field
-    is optional) before any comparison sees it."""
+    is optional) before any comparison sees it, and a NaN or infinite
+    number: no field means anything by one, and NaN passes no range
+    check (``nan > 0`` and ``nan < 0`` are both false)."""
     kinds = typing.get_args(annotation) or (annotation,)
     if not any(_fits(value, kind) for kind in kinds):
         expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
         raise ConfigError(f"{path}: must be {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
 
 
 def _validate(cfg):
@@ -186,10 +191,10 @@ def _validate(cfg):
     if p.init_shape not in ("sine", "cosine", "zero"):
         raise ConfigError(f"problem.init_shape: unknown '{p.init_shape}'")
     for name in ("q_weight", "qt_weight"):
-        if not 0 <= getattr(p, name) < float("inf"):
-            raise ConfigError(f"problem.{name}: must be finite and >= 0")
-    if not 0 < p.r_weight < float("inf"):
-        raise ConfigError("problem.r_weight: must be finite and > 0")
+        if getattr(p, name) < 0:
+            raise ConfigError(f"problem.{name}: must be >= 0")
+    if p.r_weight <= 0:
+        raise ConfigError("problem.r_weight: must be > 0")
     if cfg.run.repeats < 1:
         raise ConfigError("run.repeats: must be >= 1")
     if cfg.run.guess_std < 0:   # 0 means "no initial guess"
@@ -202,10 +207,9 @@ def _validate(cfg):
     if cfg.run.bounds_samples < 1:
         # zero draws would pass every bound inequality vacuously
         raise ConfigError("run.bounds_samples: must be >= 1")
-    if not 0 <= cfg.run.cv_threshold < float("inf"):
-        # a NaN or negative threshold fails every sweep, an infinite one
-        # passes any
-        raise ConfigError("run.cv_threshold: must be finite and >= 0")
+    if cfg.run.cv_threshold < 0:
+        # a negative threshold fails every sweep
+        raise ConfigError("run.cv_threshold: must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ state Hessian: scalar, diagonal or dense weights build the terms directly.
 The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
 case).  Gains follow the convention du_t = -k_t - K_t dz_t, so k, K are
-the positive-form products of the inverted control Hessian.  Both the
-backward pass and the dense oracle solve through one Cholesky factor
+the positive-form products of the inverted control Hessian.  The
+backward pass carries one value Hessian, V_{t+1}, down the horizon and
+keeps only V_0, never a (T+1, d, d) stack.  Both the backward pass and
+the dense oracle solve through one Cholesky factor
 (``np.linalg.cholesky``) and forward and back substitution; numpy is the
 only numerical dependency.
 """
@@ -143,15 +145,18 @@ class Regularizer:
 class GainSchedule:
     """Feedback law du_t = -k_t - K_t dz_t plus the value recursion.
 
-    ``sum_k_qu`` and ``sum_k_quu_k`` accumulate k^T Q_u and k^T Q_uu k
-    over the horizon; the predicted cost decrease of a step scaled by
-    ``alpha`` is alpha * sum_k_qu - alpha^2/2 * sum_k_quu_k.
+    ``v`` holds the value gradients of every timestep; of the value
+    Hessians only the t = 0 one, ``V0``, is kept (V_t is the ``V0`` of
+    the suffix problem that starts at t).  ``sum_k_qu`` and
+    ``sum_k_quu_k`` accumulate k^T Q_u and k^T Q_uu k over the horizon;
+    the predicted cost decrease of a step scaled by ``alpha`` is
+    alpha * sum_k_qu - alpha^2/2 * sum_k_quu_k.
     """
 
     k: np.ndarray            # (T, n_u)
     K: np.ndarray            # (T, n_u, d)
     v: np.ndarray            # (T+1, d)
-    V: np.ndarray            # (T+1, d, d)
+    V0: np.ndarray           # (d, d)
     sum_k_qu: float
     sum_k_quu_k: float
 
@@ -180,6 +185,7 @@ def backward_pass(ltv, terms, reg=None):
     bumps mu and retries the same timestep; exceeding the ceiling raises
     :class:`BackwardPassError`, as does a non-finite control Hessian or
     gain (damping cannot repair those).  A clean sweep relaxes mu once.
+    Only V_0 of the value Hessians is returned.
     """
     if reg is None:
         reg = Regularizer()
@@ -191,9 +197,8 @@ def backward_pass(ltv, terms, reg=None):
     k_all = np.empty((horizon, n_u))
     big_k = np.empty((horizon, n_u, dim))
     v = np.empty((horizon + 1, dim))
-    big_v = np.empty((horizon + 1, dim, dim))
     v[horizon] = terms.lin_state[horizon]
-    big_v[horizon] = 0.5 * (terms.quad_terminal + terms.quad_terminal.T)
+    v_next = 0.5 * (terms.quad_terminal + terms.quad_terminal.T)
 
     sum_k_qu = 0.0
     sum_k_quu_k = 0.0
@@ -202,7 +207,6 @@ def backward_pass(ltv, terms, reg=None):
     for t in range(horizon - 1, -1, -1):
         a_t, b_t = ltv.A[t], ltv.B[t]
         while True:
-            v_next = big_v[t + 1]
             v_damped = v_next + reg.mu * eye
             q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
             q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
@@ -232,14 +236,19 @@ def backward_pass(ltv, terms, reg=None):
         k_all[t] = k_t
         big_k[t] = big_k_t
         v[t] = q_z + big_k_t.T @ (q_uu @ k_t) - big_k_t.T @ q_u - q_uz.T @ k_t
-        vt = q_zz + big_k_t.T @ (q_uu @ big_k_t) - big_k_t.T @ q_uz \
-            - q_uz.T @ big_k_t
-        big_v[t] = 0.5 * (vt + vt.T)
+        # V_t = Q_zz + K^T Q_uu K - K^T Q_uz - Q_uz^T K, summed in that
+        # order in Q_zz's buffer, then symmetrized
+        q_zz += big_k_t.T @ (q_uu @ big_k_t)
+        q_zz -= big_k_t.T @ q_uz
+        q_zz -= q_uz.T @ big_k_t
+        q_zz += q_zz.T
+        q_zz *= 0.5
+        v_next = q_zz
         sum_k_qu += float(k_t @ q_u)
         sum_k_quu_k += float(k_t @ (q_uu @ k_t))
     if not bumped:
         reg.decrease()
-    return GainSchedule(k=k_all, K=big_k, v=v, V=big_v,
+    return GainSchedule(k=k_all, K=big_k, v=v, V0=v_next,
                         sum_k_qu=sum_k_qu, sum_k_quu_k=sum_k_quu_k)
 
 

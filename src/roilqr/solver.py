@@ -371,13 +371,17 @@ def solve(problem, cfg=None, perturb=None):
                 model, traj, basis=basis, cfg=perturb,
                 seed=cfg.seed * 100003 + it,
                 checkpoint=check_budget if it > 1 else None)
-            ltv = fit_ltv(data)
+            n_samples = data.n_samples
+            ltv = fit_ltv(data)   # in place: ltv and data share one array
+            del data
             marks.append(time.perf_counter())
             if it > 1:
                 check_budget()
 
-            terms = reduce_cost(cost, traj, basis)
-            gains = backward_pass(ltv, terms, reg)
+            gains = backward_pass(ltv, reduce_cost(cost, traj, basis), reg)
+            # neither the line search nor the next identification holds
+            # the model
+            del ltv
             marks.append(time.perf_counter())
         except _BudgetExpired:
             marks.append(time.perf_counter())
@@ -409,7 +413,7 @@ def solve(problem, cfg=None, perturb=None):
         record = IterationRecord(
             iteration=it, cost=ls.cost, n_modes=n_modes,
             projection_eps=eps, alpha=ls.alpha, trials=ls.trials,
-            sysid_samples=data.n_samples, **_phase_split(marks),
+            sysid_samples=n_samples, **_phase_split(marks),
         )
         report.iterations.append(record)
         report.trajectory = ls.trajectory

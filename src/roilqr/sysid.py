@@ -15,7 +15,8 @@ The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent and are stepped together:
 one simulator call per group of timesteps, each group holding at most
 :data:`roilqr.pde.MAX_CHUNK_CELLS` cells unless one timestep alone is
-larger.
+larger.  The fit overwrites the outputs buffer with the model, so an
+identification holds one (T, d, d + n_u) array, not two.
 """
 
 from dataclasses import dataclass
@@ -60,7 +61,8 @@ class PerturbationConfig:
 @dataclass
 class RegressionData:
     """One design shared by all timesteps and the per-timestep samples:
-    inputs (d+n_u, N) with N = d + n_u, outputs (T, d, N)."""
+    inputs (d+n_u, N) with N = d + n_u, outputs (T, d, N).
+    :func:`fit_ltv` overwrites ``outputs`` with the fitted model."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -172,13 +174,20 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
 
 def fit_ltv(data):
     """Fit [A_t | B_t] = Y_t X^T (X X^T)^{-1} for every timestep in closed
-    form.
+    form, in place: the fit consumes its data.
 
     The design X of :func:`generate_rollout_data` has orthogonal rows and
     is shared by all timesteps, so (X X^T)^{-1} is the reciprocal of its
-    squared row norms and the whole fit is one product of the stacked
-    outputs with X^T scaled column-wise.
+    squared row norms and each timestep's fit is one product of its
+    outputs with X^T scaled column-wise.  Each product goes through one
+    (d, d + n_u) scratch back into ``data.outputs``, and the returned A
+    and B are views of it.
     """
     x = data.inputs
-    theta = data.outputs @ (x.T / np.sum(x * x, axis=1))
+    theta = data.outputs
+    weights = x.T / np.sum(x * x, axis=1)
+    scratch = np.empty(theta.shape[1:])
+    for theta_t in theta:
+        np.matmul(theta_t, weights, out=scratch)
+        theta_t[...] = scratch
     return LtvModel(A=theta[:, :, :data.dim], B=theta[:, :, data.dim:])

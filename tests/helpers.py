@@ -1,11 +1,16 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
-the one-row model step, reference recursions for the backward pass, and
-the one-step-size-at-a-time line search."""
+the one-row model step, reference recursions for the backward pass, every
+value Hessian of a backward pass, and the one-step-size-at-a-time line
+search."""
+
+from dataclasses import replace
 
 import numpy as np
 
+from roilqr.lqr import Regularizer, backward_pass
 from roilqr.pde import DivergenceError, Trajectory
 from roilqr.solver import LineSearchResult
+from roilqr.sysid import LtvModel
 
 
 class LinearModel:
@@ -64,6 +69,18 @@ def value_recursion_direct(ltv, terms):
         big_v[t] = terms.quad_state + a_t.T @ v_next @ a_t \
             - a_t.T @ v_next @ b_t @ gain[:, 1:]
     return v, big_v
+
+
+def value_hessians(ltv, terms, **reg):
+    """The (T+1, d, d) value Hessians V_t of ``backward_pass``, which
+    keeps only V_0: V_t is the V_0 of the suffix problem that starts at
+    t, each swept with a fresh ``Regularizer(**reg)``."""
+    return np.array([
+        backward_pass(LtvModel(A=ltv.A[t:], B=ltv.B[t:]),
+                      replace(terms, lin_state=terms.lin_state[t:],
+                              lin_control=terms.lin_control[t:]),
+                      Regularizer(**reg)).V0
+        for t in range(ltv.horizon + 1)])
 
 
 def simulate_feedback(ltv, gains, alpha=1.0):

@@ -8,7 +8,8 @@ module-scoped fixtures, so the whole gate runs in about a minute.
 
 import numpy as np
 import pytest
-from helpers import random_stable_linear, simulate_feedback, step
+from helpers import (random_stable_linear, simulate_feedback, step,
+                     value_hessians)
 
 from roilqr.bounds import build_lqr_pair, verify_bounds
 from roilqr.harness import (build_problem, gaussian_guess, preset,
@@ -248,10 +249,9 @@ def test_conservation_and_properties(benchmarks):
     nominal = rollout(prob.model, prob.x0, prob.u_init)
     basis = method_of_snapshots(nominal.states.T)
     data = generate_rollout_data(prob.model, nominal, basis, seed=9)
-    gains = backward_pass(fit_ltv(data),
-                          reduce_cost(prob.cost, nominal, basis),
-                          Regularizer())
-    asym = max(float(np.max(np.abs(vt - vt.T))) for vt in gains.V)
+    hessians = value_hessians(fit_ltv(data),
+                              reduce_cost(prob.cost, nominal, basis))
+    asym = max(float(np.max(np.abs(vt - vt.T))) for vt in hessians)
     sym_ok = asym <= 1e-10
     details.append(f"value-Hessian asymmetry {asym:.3g}")
 

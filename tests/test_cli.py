@@ -137,6 +137,26 @@ def test_wrongly_typed_value_is_exit_2(tmp_path, capsys, section, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("problem", "goal_value", float("nan")),
+    ("problem", "init_amplitude", float("inf")),
+    ("perturb", "sigma_x", float("inf")),
+    ("run", "guess_std", float("nan")),
+])
+def test_non_finite_value_is_exit_2(tmp_path, capsys, section, field, value):
+    # past the type check each would run: a NaN goal or an infinite
+    # amplitude or perturbation ends in a numerical failure (exit 3), and
+    # a NaN guess std runs without a guess (nan > 0 is false)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({section: {field: value}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {section}.{field}: must be finite, got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [{"bounds_samples": 0},
                                  {"full_time_budget_s": 0.0},
                                  {"guess_std": -0.3}])

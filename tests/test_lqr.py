@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import simulate_feedback, value_recursion_direct
+from helpers import simulate_feedback, value_hessians, value_recursion_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,15 +179,17 @@ def test_value_recursion_equivalence():
         gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
         v_ref, big_v_ref = value_recursion_direct(ltv, terms)
         np.testing.assert_allclose(gains.v, v_ref, atol=1e-9)
-        np.testing.assert_allclose(gains.V, big_v_ref, atol=1e-9)
+        np.testing.assert_allclose(gains.V0, big_v_ref[0], atol=1e-9)
+        np.testing.assert_allclose(
+            value_hessians(ltv, terms, mu=0.0, mu_min=0.0), big_v_ref,
+            atol=1e-9)
 
 
 def test_value_hessian_symmetric_psd():
     rng = np.random.default_rng(7)
     ltv = _random_ltv(rng, 4, 2, 6)
     terms = _random_terms(rng, 4, 2, 6)
-    gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
-    for vt in gains.V:
+    for vt in value_hessians(ltv, terms, mu=0.0, mu_min=0.0):
         np.testing.assert_allclose(vt, vt.T, atol=1e-10)
         assert np.min(np.linalg.eigvalsh(vt)) >= -1e-9
 
@@ -383,7 +385,7 @@ def test_stack_quadratic_matches_recursion():
 
 def test_gain_schedule_dataclass_roundtrip():
     g = GainSchedule(k=np.zeros((2, 1)), K=np.zeros((2, 1, 3)),
-                     v=np.zeros((3, 3)), V=np.zeros((3, 3, 3)),
+                     v=np.zeros((3, 3)), V0=np.zeros((3, 3)),
                      sum_k_qu=2.0, sum_k_quu_k=2.0)
     assert g.expected_improvement(1.0) == pytest.approx(1.0)
     assert g.expected_improvement(0.0) == 0.0

@@ -2,6 +2,7 @@
 monotone descent and determinism on the PDE problems."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import (LinearModel, forward_pass_one_row, line_search_one_row,
                      random_stable_linear)
 
 from roilqr import pde, solver
+from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import CostModel, GainSchedule, Regularizer, backward_pass, \
     reduce_cost
 from roilqr.pde import rollout
@@ -49,7 +51,7 @@ def test_forward_zero_gains_replays_controls(lq_setup):
         k=np.zeros_like(nominal.controls),
         K=np.zeros((nominal.horizon, 2, 5)),
         v=np.zeros((nominal.horizon + 1, 5)),
-        V=np.zeros((nominal.horizon + 1, 5, 5)),
+        V0=np.zeros((5, 5)),
         sum_k_qu=0.0, sum_k_quu_k=0.0)
     [(traj, _, _)] = forward_pass(model, cost, nominal, zero_gains, None,
                                   [1.0])
@@ -76,7 +78,7 @@ def test_line_search_accepts_first_trial_on_lq(lq_setup):
 
 def test_inverted_gains_terminate_no_descent(lq_setup):
     model, cost, nominal, gains = lq_setup
-    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V=gains.V,
+    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V0=gains.V0,
                        sum_k_qu=gains.sum_k_qu,
                        sum_k_quu_k=gains.sum_k_quu_k)
     base = cost.trajectory_cost(nominal)
@@ -243,7 +245,7 @@ def test_solver_config_validation():
 
 def test_smallest_alpha_min_still_ends_the_sweep(lq_setup):
     model, cost, nominal, gains = lq_setup
-    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V=gains.V,
+    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V0=gains.V0,
                        sum_k_qu=gains.sum_k_qu,
                        sum_k_quu_k=gains.sum_k_quu_k)
     res = line_search(model, cost, nominal, cost.trajectory_cost(nominal),
@@ -276,7 +278,7 @@ def _gains_with_prediction(shape, s, h, rng):
     k = 0.3 * rng.standard_normal((horizon, n_u))
     big_k = rng.standard_normal((horizon, n_u, dim)) / (4.0 * dim)
     return GainSchedule(k=k, K=big_k, v=np.zeros((horizon + 1, dim)),
-                        V=np.zeros((horizon + 1, dim, dim)),
+                        V0=np.zeros((dim, dim)),
                         sum_k_qu=s, sum_k_quu_k=h)
 
 
@@ -677,3 +679,25 @@ def test_non_finite_control_hessian_is_a_numerical_failure(monkeypatch):
         "iteration 1: control Hessian not finite at timestep 4"
     assert report.iterations == []
     assert report.terminal_phase_times["t_backward"] > 0.0
+
+
+def test_full_order_solve_holds_one_ltv_model():
+    # a solve holds at most one (T, d, d + n_u) array: the fit overwrites
+    # the regression data, data and model are dropped once the gains
+    # exist, and the backward pass keeps one value Hessian; keeping the
+    # previous iteration's data, model and value-Hessian stack into the
+    # next identification peaks at about 5 such arrays
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 1000, 0.3))
+    n_x, n_u = problem.model.n_x, problem.model.n_u
+    model_bytes = problem.horizon * n_x * (n_x + n_u) * 8
+    tracemalloc.start()
+    try:
+        report = solve(problem, SolverConfig(mode="full", seed=1000,
+                                             max_iterations=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.iterations) == 2
+    assert peak < 2.5 * model_bytes, \
+        f"traced peak {peak / model_bytes:.2f} LTV models"

@@ -111,6 +111,30 @@ def test_full_order_matches_finite_difference_jacobian():
         np.testing.assert_allclose(ltv.B[t], jac_b, atol=1e-4)
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_fit_overwrites_outputs_bit_identical_to_one_product(reduced):
+    # the fit writes theta into the outputs buffer; A and B are views of
+    # it, and theta equals the whole-stack product to the last bit
+    rng = np.random.default_rng(25)
+    grid = Grid(ndim=1, points=40, dx=2.0 / 39)
+    model = BurgersModel(grid, PdeParams(dt=2e-3, substeps=5, nu=0.05))
+    nominal = rollout(model, 0.5 * rng.standard_normal(40),
+                      0.2 * rng.standard_normal((6, 2)))
+    basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
+             if reduced else None)
+    data = generate_rollout_data(model, nominal, basis, seed=26)
+    x = data.inputs
+    theta = data.outputs @ (x.T / np.sum(x * x, axis=1))
+    ltv = fit_ltv(data)
+    assert np.shares_memory(ltv.A, data.outputs)
+    assert np.shares_memory(ltv.B, data.outputs)
+    np.testing.assert_array_equal(data.outputs.view(np.uint64),
+                                  theta.view(np.uint64))
+    np.testing.assert_array_equal(
+        np.concatenate([ltv.A, ltv.B], axis=2).view(np.uint64),
+        theta.view(np.uint64))
+
+
 def test_vanishing_perturbations_give_vanishing_data():
     rng = np.random.default_rng(7)
     model = random_stable_linear(4, 2, rng)
