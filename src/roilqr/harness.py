@@ -30,9 +30,6 @@ from .sysid import PerturbationConfig
 SCHEMA_ITERATIONS = "iterations-v1"
 SCHEMA_SNAPSHOTS = "snapshots-v1"
 
-# solve statuses that end on a usable trajectory and cost
-COMPLETED = ("converged", "no_descent", "max_iterations")
-
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
@@ -45,6 +42,12 @@ class NumericalFailure(RuntimeError):
 
 _MODELS = {"burgers": BurgersModel, "allen_cahn": AllenCahnModel,
            "cahn_hilliard": CahnHilliardModel}
+
+# the (goal, initial) shapes _goal_field and _initial_state build
+_PHASE_FIELD_SHAPES = (("constant", "split", "disk"), ("cosine", "zero"))
+_SHAPES = {"burgers": (("constant",), ("sine", "zero")),
+           "allen_cahn": _PHASE_FIELD_SHAPES,
+           "cahn_hilliard": _PHASE_FIELD_SHAPES}
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class ProblemSpec:
     q_weight: float = 0.0
     r_weight: float = 1.0
     qt_weight: float = 1.0
-    goal_shape: str = "constant"   # constant | split | disk
+    goal_shape: str = "constant"   # constant | split | disk (see _SHAPES)
     goal_value: float = -0.5
-    init_shape: str = "sine"       # sine | cosine | zero
+    init_shape: str = "sine"       # sine | cosine | zero (see _SHAPES)
     init_amplitude: float = 1.0
 
 
@@ -186,10 +189,11 @@ def _validate(cfg):
             f"the state dimension {n_x}")
     if p.dt <= 0:
         raise ConfigError("problem.dt: must be positive")
-    if p.goal_shape not in ("constant", "split", "disk"):
-        raise ConfigError(f"problem.goal_shape: unknown '{p.goal_shape}'")
-    if p.init_shape not in ("sine", "cosine", "zero"):
-        raise ConfigError(f"problem.init_shape: unknown '{p.init_shape}'")
+    for name, shapes in zip(("goal_shape", "init_shape"), _SHAPES[p.name]):
+        if getattr(p, name) not in shapes:
+            raise ConfigError(
+                f"problem.{name}: {p.name} takes one of {list(shapes)}, "
+                f"got '{getattr(p, name)}'")
     for name in ("q_weight", "qt_weight"):
         if getattr(p, name) < 0:
             raise ConfigError(f"problem.{name}: must be >= 0")
@@ -264,26 +268,24 @@ def preset(name):
 
 
 def _goal_field(spec, grid):
-    if spec.name == "burgers":
+    if spec.goal_shape == "constant":
         return np.full(grid.n_x, spec.goal_value)
     p = grid.points
-    amp = abs(spec.goal_value) if spec.goal_shape != "constant" else 1.0
+    amp = abs(spec.goal_value)
     ii, jj = np.meshgrid(np.arange(p), np.arange(p), indexing="xy")
     if spec.goal_shape == "split":
         goal = np.where(ii < p // 2, amp, -amp)
-    elif spec.goal_shape == "disk":
+    else:   # disk
         cx = cy = (p - 1) / 2.0
         r = np.hypot(ii - cx, jj - cy)
         goal = np.where(r <= 0.30 * p, amp, -amp)
-    else:
-        goal = np.full((p, p), spec.goal_value)
     return goal.ravel()
 
 
 def _initial_state(spec, grid):
     if spec.init_shape == "zero":
         return np.zeros(grid.n_x)
-    if spec.name == "burgers":
+    if spec.init_shape == "sine":   # burgers
         x = np.linspace(-1.0, 1.0, grid.points)
         return spec.init_amplitude * np.sin(np.pi * x)
     p = grid.points
@@ -482,7 +484,7 @@ def run_benchmark(cfg, out_dir=None):
         time_budget_s=cfg.solver.time_budget_s if budget is None else budget),
         full_dir)
 
-    both_ok = red.status in COMPLETED and full.status in COMPLETED
+    both_ok = red.completed and full.completed
     cost_gap = (red.final_cost / full.final_cost - 1.0) \
         if both_ok and full.final_cost > 0 else None
     speedup = (full.wall_time_s / red.wall_time_s) \
@@ -530,9 +532,9 @@ def run_verify_bounds(cfg, out_dir=None):
             "run: bound verification needs a desk-scale instance "
             f"(horizon*n_u <= 200, got {cfg.problem.horizon * n_u})")
 
-    problem, report = _solve_once(_with_solver(cfg, mode="reduced"))
-    if out_dir is not None:
-        write_solve_artifacts(os.path.join(out_dir, "solve"), cfg, report)
+    cfg = _with_solver(cfg, mode="reduced")
+    problem, report = _solve_once(
+        cfg, os.path.join(out_dir, "solve") if out_dir else None)
     if report.status == "numerical_failure":
         raise NumericalFailure(f"solve failed, no nominal to verify "
                                f"around: {report.error}")
@@ -564,15 +566,16 @@ def run_verify_bounds(cfg, out_dir=None):
 
 
 def run_repeatability(cfg, out_dir=None):
-    """Seeded initial-guess sweep with per-iteration cost statistics."""
+    """Seeded initial-guess sweep with per-iteration cost statistics;
+    ``run.guess_std`` 0 runs (and is recorded) as 0.1."""
     out_dir = out_dir or cfg.run.out_dir
     if cfg.run.repeats < 2:
         raise ConfigError("run.repeats: repeatability needs >= 2 runs")
-    guess_std = cfg.run.guess_std if cfg.run.guess_std > 0 else 0.1
-    reports = run_solve(replace(cfg, run=replace(cfg.run, guess_std=guess_std)),
-                        out_dir=out_dir)
+    if cfg.run.guess_std == 0:
+        cfg = replace(cfg, run=replace(cfg.run, guess_std=0.1))
+    reports = run_solve(cfg, out_dir=out_dir)
 
-    ok = [r for r in reports if r.status in COMPLETED]
+    ok = [r for r in reports if r.completed]
     partial = len(ok) < len(reports)
     finals = np.array([r.final_cost for r in ok]) if ok else np.array([])
 

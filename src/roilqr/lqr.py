@@ -203,11 +203,12 @@ def backward_pass(ltv, terms, reg=None):
     sum_k_qu = 0.0
     sum_k_quu_k = 0.0
     bumped = False
-    eye = np.eye(dim)
+    v_damped = np.empty((dim, dim))
     for t in range(horizon - 1, -1, -1):
         a_t, b_t = ltv.A[t], ltv.B[t]
         while True:
-            v_damped = v_next + reg.mu * eye
+            v_damped[...] = v_next
+            v_damped.flat[::dim + 1] += reg.mu
             q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
             q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
             q_zz = terms.quad_state + a_t.T @ v_next @ a_t

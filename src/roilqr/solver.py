@@ -11,10 +11,9 @@ simulator call per timestep; every row is bit-identical to a rollout of
 its step size alone, so the first step size in ladder order that passes
 is the one a one-at-a-time search would accept.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
-convergence coefficient, when no descent step can be found, or at the
-iteration/time budget, which is checked between line-search rollouts,
-after each accepted iteration and, from the second iteration on,
-between identification groups and before the backward pass.
+convergence coefficient, when the gradient is numerically zero, when no
+descent step can be found, or at the iteration/time budget (see
+:func:`solve` for where the budget is checked).
 
 ``mode="full"`` runs the identical loop with the identity basis, which
 is the standard full-order algorithm and serves as the benchmark
@@ -147,12 +146,16 @@ class SolveReport:
     # the initial rollout and its cost, part of the forward phase
     initial_rollout_s: float = 0.0
     # phase times of the iteration that ended the solve without being
-    # accepted (no descent, a numerical failure, a zero gradient)
+    # accepted (zero gradient, no descent, numerical failure, budget out)
     terminal_phase_times: dict = field(default_factory=dict)
 
     @property
     def converged(self):
         return self.status == "converged"
+
+    @property
+    def completed(self):   # ended on a usable trajectory and cost
+        return self.status in ("converged", "no_descent", "max_iterations")
 
     @property
     def controls(self):
@@ -266,11 +269,10 @@ class LineSearchResult:
     alpha: float
     trials: int
     accepted: bool
-    timed_out: bool = False
 
 
 def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
-                deadline=None):
+                checkpoint=None):
     """Backtrack on alpha until realized/predicted improvement >= sigma1.
 
     The ladder is rolled out in the batches of :func:`_ladder_batches`
@@ -279,19 +281,17 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
     out, and ``trials`` is its position in the ladder.  Every accepted
     step strictly decreases the cost (z*predicted > 0).  Returns an
     unaccepted result when the ladder ends below alpha_min without a
-    valid step (no-descent termination), or, with ``trials`` the step
-    sizes tried so far, when the ``time.perf_counter()`` value
-    ``deadline`` has passed before a rollout after the first.
+    valid step (no-descent termination).  ``checkpoint``, if given, is
+    called before every rollout after the first and may raise to abandon
+    the search.
     """
     alphas, below_min = _alpha_ladder(cfg)
     batches = _ladder_batches(len(alphas), items_per_call(model.n_x))
     buffers = _rollout_buffers(model, prev.horizon,
                                max(hi - lo for lo, hi in batches))
     for lo, hi in batches:
-        if lo > 0 and deadline is not None \
-                and time.perf_counter() > deadline:
-            return LineSearchResult(None, prev_cost, alphas[lo], lo, False,
-                                    timed_out=True)
+        if checkpoint is not None and lo > 0:
+            checkpoint()
         results = forward_pass(model, cost, prev, gains, basis,
                                alphas[lo:hi], buffers)
         for trial, (traj, realized, predicted) in enumerate(results, lo + 1):
@@ -305,8 +305,8 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
     return LineSearchResult(None, prev_cost, below_min, len(alphas), False)
 
 
-class _BudgetExpired(Exception):
-    """The solve's time budget ran out inside an iteration."""
+class _Stop(Exception):
+    """Ends the solve inside an iteration; ``args[0]`` is the status."""
 
 
 def solve(problem, cfg=None, perturb=None):
@@ -314,22 +314,25 @@ def solve(problem, cfg=None, perturb=None):
     numerical failure or an expired budget in ``status`` rather than
     raising.
 
-    The time budget is checked between the line-search rollouts and
-    after each accepted iteration, and from the second iteration on also
-    between identification groups and before the backward pass, so the
-    first iteration always reaches its first rollout: every budgeted
-    solve tries at least one step.
+    The time budget is one checkpoint, called before every line-search
+    rollout after the first and, from the second iteration on, before
+    every identification simulator call after the first and before the
+    backward pass (so every budgeted solve tries a step); it is also
+    read after each accepted iteration.  A stop inside an iteration
+    records that iteration's phases in ``terminal_phase_times``.
     """
     cfg = cfg or SolverConfig()
     perturb = perturb or PerturbationConfig()
     model, cost = problem.model, problem.cost
     start = time.perf_counter()
-    deadline = None if cfg.time_budget_s is None \
-        else start + cfg.time_budget_s
+
+    def budget_expired():
+        return cfg.time_budget_s is not None \
+            and time.perf_counter() - start > cfg.time_budget_s
 
     def check_budget():
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _BudgetExpired
+        if budget_expired():
+            raise _Stop("timeout")
 
     controls = problem.initial_controls()
     try:
@@ -379,35 +382,27 @@ def solve(problem, cfg=None, perturb=None):
                 check_budget()
 
             gains = backward_pass(ltv, reduce_cost(cost, traj, basis), reg)
-            # neither the line search nor the next identification holds
-            # the model
-            del ltv
+            del ltv   # held by neither the line search nor the next fit
+            if gains.expected_improvement(1.0) \
+                    <= 1e-15 * max(1.0, current_cost):
+                # gradient numerically zero: already stationary
+                raise _Stop("converged")
             marks.append(time.perf_counter())
-        except _BudgetExpired:
+
+            ls = line_search(model, cost, traj, current_cost, gains, basis,
+                             cfg, checkpoint=check_budget)
+            if not ls.accepted:
+                raise _Stop("no_descent")
             marks.append(time.perf_counter())
-            report.terminal_phase_times = _phase_split(marks)
-            report.status = "timeout"
-            break
-        except (DivergenceError, BackwardPassError,
+        except (_Stop, DivergenceError, BackwardPassError,
                 DegenerateSnapshotsError) as exc:
             marks.append(time.perf_counter())
             report.terminal_phase_times = _phase_split(marks)
-            report.status = "numerical_failure"
-            report.error = f"iteration {it}: {exc}"
-            break
-
-        if gains.expected_improvement(1.0) <= 1e-15 * max(1.0, current_cost):
-            # gradient numerically zero: already stationary
-            report.terminal_phase_times = _phase_split(marks)
-            report.status = "converged"
-            break
-
-        ls = line_search(model, cost, traj, current_cost, gains, basis, cfg,
-                         deadline=deadline)
-        marks.append(time.perf_counter())
-        if not ls.accepted:
-            report.terminal_phase_times = _phase_split(marks)
-            report.status = "timeout" if ls.timed_out else "no_descent"
+            if isinstance(exc, _Stop):
+                report.status = exc.args[0]
+            else:
+                report.status = "numerical_failure"
+                report.error = f"iteration {it}: {exc}"
             break
 
         record = IterationRecord(
@@ -418,15 +413,14 @@ def solve(problem, cfg=None, perturb=None):
         report.iterations.append(record)
         report.trajectory = ls.trajectory
         report.iterate_controls.append(ls.trajectory.controls.copy())
-        improved_below_gamma = ls.cost >= (1.0 - cfg.gamma) * current_cost
-        traj = ls.trajectory
-        current_cost = ls.cost
-        if improved_below_gamma:
+        # its phases are in the record: terminal_phase_times stays empty
+        if ls.cost >= (1.0 - cfg.gamma) * current_cost:
             report.status = "converged"
             break
-        if deadline is not None and time.perf_counter() > deadline:
+        if budget_expired():
             report.status = "timeout"
             break
+        traj, current_cost = ls.trajectory, ls.cost
 
     report.wall_time_s = time.perf_counter() - start
     return report

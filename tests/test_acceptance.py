@@ -93,8 +93,7 @@ def test_reduction_scale(benchmarks):
 def test_speedup(benchmarks):
     ratios = {}
     for name, record in benchmarks.items():
-        if record.full["status"] in ("converged", "no_descent",
-                                     "max_iterations"):
+        if record.full_report.completed:
             ratios[name] = record.speedup
     ok = len(ratios) > 0 and all(r > 1.0 for r in ratios.values())
     detail = ", ".join(f"{n}: {r:.1f}x" for n, r in ratios.items())

@@ -189,6 +189,28 @@ def test_out_of_range_cost_weight_is_exit_2(tmp_path, capsys, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,problem", [
+    ("burgers_small", {"goal_shape": "disk", "init_shape": "cosine"}),
+    ("burgers_small", {"goal_shape": "split"}),
+    ("burgers_small", {"init_shape": "cosine"}),
+    ("allen_cahn_small", {"init_shape": "sine"}),
+    ("cahn_hilliard", {"init_shape": "sine"}),
+])
+def test_shape_the_problem_does_not_build_is_exit_2(tmp_path, capsys, name,
+                                                    problem):
+    # Burgers builds only a constant goal and a sine start, the phase
+    # fields only a cosine start: any other shape would run as one of
+    # those and be recorded as asked
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"problem": problem}))
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", name, "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: problem.{next(iter(problem))}:")
+    assert not out.exists()
+
+
 def test_unknown_preset_is_exit_2():
     assert main(["solve", "--preset", "does_not_exist"]) == 2
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roilqr.harness import (COMPLETED, PRESETS, ConfigError, ExperimentConfig,
+from roilqr.harness import (PRESETS, ConfigError, ExperimentConfig,
                             ProblemSpec, RunSpec, build_problem,
                             config_from_dict, gaussian_guess, preset,
                             run_benchmark, run_repeatability, run_solve,
@@ -226,7 +226,7 @@ def test_benchmark_reduced_timeout_reports_no_gap(tmp_path):
                   run=replace(cfg.run, full_time_budget_s=1000.0))
     record = run_benchmark(cfg, out_dir=str(tmp_path))
     assert record.reduced["status"] == "timeout"
-    assert record.full["status"] in COMPLETED
+    assert record.full_report.completed
     assert record.cost_gap is None and record.speedup is None
     assert json.loads((tmp_path / "benchmark.json").read_text())[
         "cost_gap"] is None
@@ -295,6 +295,19 @@ def test_run_repeatability(tmp_path):
     assert (tmp_path / "seed_0000" / "report.json").exists()
 
 
+def test_repeat_records_the_guess_it_ran(tmp_path):
+    # guess_std 0 runs with the sweep's default guess of 0.1
+    cfg = replace(_tiny_burgers(), run=RunSpec(guess_std=0.0, repeats=2))
+    run_repeatability(cfg, out_dir=str(tmp_path))
+    aggregate = json.loads((tmp_path / "aggregate.json").read_text())
+    assert aggregate["config"]["run"]["guess_std"] == 0.1
+    runs = sorted(tmp_path.glob("seed_*/report.json"))
+    assert len(runs) == 2
+    for path in runs:
+        saved = json.loads(path.read_text())
+        assert saved["config"]["run"] == aggregate["config"]["run"]
+
+
 def test_repeatability_requires_two_runs():
     with pytest.raises(ConfigError, match="repeats"):
         run_repeatability(_tiny_burgers())
@@ -317,6 +330,19 @@ def test_run_verify_bounds(tmp_path):
     assert payload["cbar1"] == pytest.approx(
         7 * (cfg.problem.horizon + 1) * payload["cbar"])
     assert "limit_set_trace" in payload and payload["objective_gap_looseness"] >= 1.0
+
+
+def test_verify_bounds_records_the_reduced_config_it_ran(tmp_path):
+    # the bounds are verified around a reduced solve whatever the mode
+    cfg = preset("burgers_small")
+    cfg = replace(cfg, solver=replace(cfg.solver, mode="full"))
+    run_verify_bounds(cfg, out_dir=str(tmp_path))
+    saved = json.loads((tmp_path / "solve" / "report.json").read_text())
+    bounds = json.loads((tmp_path / "bounds.json").read_text())
+    assert saved["mode"] == saved["config"]["solver"]["mode"] == "reduced"
+    assert bounds["config"] == saved["config"]
+    rerun = run_solve(config_from_dict(saved["config"]))[0]
+    assert (rerun.mode, rerun.final_cost) == ("reduced", saved["final_cost"])
 
 
 def test_verify_bounds_scale_precondition():

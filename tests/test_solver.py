@@ -349,7 +349,7 @@ def test_solve_matches_the_one_row_line_search(monkeypatch):
                                                        cfg.run.guess_std))
     batched = solve(problem, cfg.solver, cfg.perturb)
     monkeypatch.setattr(solver, "line_search",
-                        lambda *args, deadline=None:
+                        lambda *args, checkpoint=None:
                         line_search_one_row(*args))
     ref = solve(problem, cfg.solver, cfg.perturb)
     assert batched.status == ref.status == "no_descent"
@@ -359,6 +359,50 @@ def test_solve_matches_the_one_row_line_search(monkeypatch):
         [(it.alpha, it.trials) for it in ref.iterations]
     np.testing.assert_array_equal(batched.controls.view(np.uint64),
                                   ref.controls.view(np.uint64))
+
+
+class _Abandon(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_line_search_checkpoint_stops_after_rollout_k(lq_setup, k):
+    # a no-descent sweep of 27 step sizes in 5 rollouts; a checkpoint
+    # raising on its k-th call stops the search after rollout k
+    model, cost, nominal, _ = lq_setup
+    plant = _Counting(model)
+    gains = _gains_with_prediction((nominal.horizon, model.n_u, model.n_x),
+                                   *PREDICTIONS["no_descent"],
+                                   rng=np.random.default_rng(5))
+    done = []   # rollouts finished at each checkpoint call
+
+    def checkpoint():
+        done.append(len(plant.rows) // nominal.horizon)
+        if len(done) == k:
+            raise _Abandon
+
+    with pytest.raises(_Abandon):
+        line_search(plant, cost, nominal, 1e12, gains, None,
+                    SolverConfig(mode="full"), checkpoint=checkpoint)
+    assert done == list(range(1, k + 1))
+    assert len(plant.rows) == k * nominal.horizon
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTIONS))
+def test_quiet_checkpoint_leaves_the_search_unchanged(lq_setup, case):
+    model, cost, nominal, _ = lq_setup
+    gains = _gains_with_prediction((nominal.horizon, model.n_u, model.n_x),
+                                   *PREDICTIONS[case],
+                                   rng=np.random.default_rng(5))
+    cfg = SolverConfig(mode="full")
+    calls = []
+    res = line_search(model, cost, nominal, 1e12, gains, None, cfg,
+                      checkpoint=lambda: calls.append(None))
+    ref = line_search(model, cost, nominal, 1e12, gains, None, cfg)
+    _assert_same_search(res, ref)
+    assert res.trials == EXPECTED_TRIALS[case]
+    assert len(calls) == _doubling_rollouts(
+        res.trials, pde.items_per_call(model.n_x)) - 1
 
 
 class _DivergesAbove:
@@ -490,6 +534,43 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     assert set(report.terminal_phase_times) == set(PHASES)
     assert report.terminal_phase_times["t_forward"] == 10.0
     assert report.wall_time_s == 10.0
+
+
+def test_stops_after_an_accept_leave_no_terminal_phases(monkeypatch):
+    # gamma-convergence and a budget found expired after an accepted
+    # step end the solve on that iteration, whose phases are in its record
+    cfg, problem = _allen_cahn_small_problem()
+    converged = solve(problem, SolverConfig(seed=0, gamma=0.99),
+                      cfg.perturb)
+    assert converged.status == "converged"
+    assert len(converged.iterations) == 1
+    assert converged.terminal_phase_times == {}
+
+    clock = _FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+
+    def search(*args, **kwargs):
+        ls = line_search(*args, **kwargs)
+        clock.now = 10.0
+        return ls
+
+    monkeypatch.setattr(solver, "line_search", search)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
+                   cfg.perturb)
+    assert report.status == "timeout"
+    assert report.costs == converged.costs
+    assert report.terminal_phase_times == {}
+    assert report.iterations[0].t_forward == 10.0
+    assert sum(report.phase_times().values()) == report.wall_time_s == 10.0
+
+
+@pytest.mark.parametrize("status,completed", [
+    ("converged", True), ("no_descent", True), ("max_iterations", True),
+    ("timeout", False), ("numerical_failure", False)])
+def test_completed_statuses_end_on_a_usable_cost(status, completed):
+    report = solver.SolveReport(mode="full", seed=0, initial_cost=1.0,
+                                status=status)
+    assert report.completed is completed
 
 
 def _allen_cahn_small_problem():
