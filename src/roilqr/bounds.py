@@ -2,25 +2,29 @@
 
 Around one nominal trajectory, the full-order and reduced-order
 perturbed quadratic problems are built from identified LTV models and
-the cost expansion.  The module measures every constant appearing in
-the suboptimality analysis -- worst projection residual eps, the
-cost-gradient bound cbar over the sampled perturbations, the stacked
-Hessian's smallest eigenvalue -- and checks the resulting inequalities:
+the cost expansion.  Each check measures its constants over its own set
+of control draws: the residual eps, the cost-gradient bound cbar with
+cbar1 = 7 (T+1) cbar, and the full-order stacked Hessian's smallest
+eigenvalue sigma_min.  :func:`verify_bounds` checks
 
-* objective gap: |dJ(dU) - dJ_red(dU)| <= cbar1 * eps for shared inputs,
-  with cbar1 = 7 (T+1) cbar;
-* minima gap: |dJ(dU*) - dJ_red(dU_red*)| <= cbar1 * eps;
-* minimizer distance: ||dU* - dU_red*|| <= delta = sqrt(2 cbar1 eps / sigma).
+* ``objective_gap_ok``: max |dJ(dU) - dJ_red(dU)| over ``samples`` draws
+  from ``seed`` against ``gap_bound`` = cbar1 eps of those draws;
+* ``minima_gap_ok``: |dJ(dU*) - dJ_red(dU_red*)| against
+  ``minima_gap_bound`` = cbar1 eps of max(20, samples // 2) draws from
+  ``seed + 1`` plus the two minimizers;
+* ``distance_ok``: ||dU* - dU_red*|| against ``delta`` =
+  sqrt(2 cbar1 eps / sigma_min) of that second set (infinite, and
+  ``uniformity_ok`` false, when sigma_min <= 1e-10).
 
-Constants are measured over the same perturbation draws the checks are
-evaluated on (plus the two minimizers), which makes each inequality a
-falsification test: a violation indicates an implementation bug, not a
-modeling judgement.  The limit-set trace re-derives the full-order
-Newton step at every accepted iterate and flags membership of
-{ ||H^-1 grad|| <= delta }.
+The reported ``eps``, ``cbar`` and ``cbar1`` are the larger of the two
+sets' values.  Because every inequality is checked against constants
+measured on its own draws, a violation indicates an implementation bug,
+not a modeling judgement.  :func:`trace_limit_set` re-identifies the
+full-order model at every accepted iterate and flags membership of
+{ ||H^-1 grad|| <= delta }, with delta measured the same way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,14 +76,36 @@ def build_lqr_pair(model, cost, nominal, basis, perturb=None, seed=0):
     )
 
 
-def _measure_constants(pair, du_list):
-    """Measured eps / cbar / objective gaps over the given control draws.
+@dataclass
+class _Measurement:
+    """Constants measured over one set of control draws.
 
     eps covers both residual clauses: the nominal projection residual and
     half the worst sampled deviation mismatch ||dx_t - phi dz_t||.  cbar
     is the max norm of every weighted state vector entering the gap
-    bound (nominal gradients and weighted deviations, terminal included).
+    bound (nominal gradients and weighted deviations, terminal included),
+    and cbar1 = 7 (T+1) cbar.  ``values`` holds the (full, reduced)
+    objective values at each draw, in draw order.
     """
+
+    eps: float
+    eps_nominal: float
+    eps_linearized: float
+    cbar: float
+    cbar1: float
+    values: list
+
+    def delta(self, sigma_min):
+        """Minimizer-distance radius sqrt(2 cbar1 eps / sigma_min);
+        infinite when the stacked Hessian is not uniformly positive
+        definite."""
+        if sigma_min <= _SIGMA_FLOOR:
+            return float("inf")
+        return float(np.sqrt(2.0 * self.cbar1 * self.eps / sigma_min))
+
+
+def _measure(pair, du_list):
+    """Measure eps, cbar and the objective values over ``du_list``."""
     cost, basis, nominal = pair.cost, pair.basis, pair.nominal
     horizon = pair.horizon
     eps_nominal = projection_residual(basis, nominal)
@@ -88,35 +114,21 @@ def _measure_constants(pair, du_list):
         cbar = max(cbar, float(np.linalg.norm(g)))
     weights = [cost.q] * horizon + [cost.q_terminal]
     eps_linear = 0.0
-    gaps = []
+    values = []
     for du in du_list:
         val_fo, dx = quad_objective(pair.fo_ltv, pair.fo_terms, du)
         val_ro, dz = quad_objective(pair.ro_ltv, pair.ro_terms, du)
-        gaps.append(abs(val_fo - val_ro))
+        values.append((val_fo, val_ro))
         lifted = dz @ basis.phi.T
         mism = np.linalg.norm(dx - lifted, axis=1)
         eps_linear = max(eps_linear, 0.5 * float(np.max(mism)))
         for w, x, z in zip(weights, dx, lifted):
             cbar = max(cbar, float(np.linalg.norm(w * x)),
                        float(np.linalg.norm(w * z)))
-    eps = max(eps_nominal, eps_linear)
-    cbar1 = 7.0 * (horizon + 1) * cbar
-    return {
-        "eps": eps,
-        "eps_nominal": eps_nominal,
-        "eps_linearized": eps_linear,
-        "cbar": cbar,
-        "cbar1": cbar1,
-        "gaps": gaps,
-    }
-
-
-def _delta(meas, sigma_min):
-    """Minimizer-distance radius sqrt(2 cbar1 eps / sigma_min); infinite
-    when the stacked Hessian is not uniformly positive definite."""
-    if sigma_min <= _SIGMA_FLOOR:
-        return float("inf")
-    return float(np.sqrt(2.0 * meas["cbar1"] * meas["eps"] / sigma_min))
+    return _Measurement(eps=max(eps_nominal, eps_linear),
+                        eps_nominal=eps_nominal, eps_linearized=eps_linear,
+                        cbar=cbar, cbar1=7.0 * (horizon + 1) * cbar,
+                        values=values)
 
 
 def _draw_controls(pair, samples, seed, sigma):
@@ -130,68 +142,13 @@ def _draw_controls(pair, samples, seed, sigma):
             for _ in range(samples)]
 
 
-def check_objective_gap(pair, samples=200, seed=0, sigma=None):
-    """Shared-input objective gap against the measured bound cbar1*eps."""
-    draws = _draw_controls(pair, samples, seed, sigma)
-    meas = _measure_constants(pair, draws)
-    max_gap = float(np.max(meas["gaps"])) if meas["gaps"] else 0.0
-    bound = meas["cbar1"] * meas["eps"]
-    return {
-        "samples": samples,
-        "eps": meas["eps"],
-        "eps_nominal": meas["eps_nominal"],
-        "eps_linearized": meas["eps_linearized"],
-        "cbar": meas["cbar"],
-        "cbar1": meas["cbar1"],
-        "max_objective_gap": max_gap,
-        "gap_bound": bound,
-        "holds": bool(max_gap <= bound + _SLACK),
-        "looseness": float(bound / max_gap) if max_gap > 0 else float("inf"),
-    }
-
-
-def check_minimizer_distance(pair, samples=100, seed=1, sigma=None):
-    """Minima gap and minimizer-distance bounds via the dense oracle.
-
-    The measured constants include the two minimizers in the draw set so
-    the asserted inequalities follow from the measurements.  A stacked
-    Hessian smallest eigenvalue below 1e-10 is reported as a uniformity
-    violation instead of asserting the distance bound.
-    """
-    du_star = lqr_solve_dense(pair.fo_ltv, pair.fo_terms)
-    du_hat = lqr_solve_dense(pair.ro_ltv, pair.ro_terms)
-    draws = _draw_controls(pair, samples, seed, sigma)
-    meas = _measure_constants(pair, draws + [du_star, du_hat])
-
-    h_full, _ = stack_quadratic(pair.fo_ltv, pair.fo_terms)
-    sigma_min = float(np.min(np.linalg.eigvalsh(h_full)))
-    uniform_ok = sigma_min > _SIGMA_FLOOR
-
-    val_star, _ = quad_objective(pair.fo_ltv, pair.fo_terms, du_star)
-    val_hat, _ = quad_objective(pair.ro_ltv, pair.ro_terms, du_hat)
-    minima_gap = abs(val_star - val_hat)
-    bound = meas["cbar1"] * meas["eps"]
-    distance = float(np.linalg.norm(du_star - du_hat))
-    delta = _delta(meas, sigma_min)
-    return {
-        "eps": meas["eps"],
-        "cbar": meas["cbar"],
-        "cbar1": meas["cbar1"],
-        "sigma_min": sigma_min,
-        "uniformity_ok": uniform_ok,
-        "minima_gap": minima_gap,
-        "minima_gap_bound": bound,
-        "minima_gap_ok": bool(minima_gap <= bound + _SLACK),
-        "minimizer_distance": distance,
-        "delta": delta,
-        "distance_ok": bool(distance <= delta + _SLACK),
-        "looseness": float(delta / distance) if distance > 0 else float("inf"),
-    }
+def _ratio(bound, measured):
+    return float(bound / measured) if measured > 0 else float("inf")
 
 
 @dataclass
 class BoundsReport:
-    """Aggregated bound measurements for one instance."""
+    """Measured constants, checked bounds and verdicts for one instance."""
 
     eps: float
     cbar: float
@@ -199,7 +156,9 @@ class BoundsReport:
     sigma_min: float
     delta: float
     max_objective_gap: float
+    gap_bound: float
     minima_gap: float
+    minima_gap_bound: float
     minimizer_distance: float
     objective_gap_ok: bool
     minima_gap_ok: bool
@@ -211,31 +170,44 @@ class BoundsReport:
     limit_set_consistent: bool | None = None
 
     def to_dict(self):
-        from dataclasses import asdict
-
         return asdict(self)
 
 
 def verify_bounds(pair, samples=200, seed=0, sigma=None):
-    """Run both bound checks and assemble a single report."""
-    frag1 = check_objective_gap(pair, samples=samples, seed=seed, sigma=sigma)
-    frag3 = check_minimizer_distance(pair, samples=max(20, samples // 2), seed=seed + 1,
-                         sigma=sigma)
+    """Check the three inequalities of the module docstring, each
+    against the bound measured on its own draws, and report them."""
+    gap = _measure(pair, _draw_controls(pair, samples, seed, sigma))
+    du_star = lqr_solve_dense(pair.fo_ltv, pair.fo_terms)
+    du_hat = lqr_solve_dense(pair.ro_ltv, pair.ro_terms)
+    draws = _draw_controls(pair, max(20, samples // 2), seed + 1, sigma)
+    mini = _measure(pair, draws + [du_star, du_hat])
+    h_full, _ = stack_quadratic(pair.fo_ltv, pair.fo_terms)
+    sigma_min = float(np.min(np.linalg.eigvalsh(h_full)))
+
+    max_gap = float(max((abs(fo - ro) for fo, ro in gap.values), default=0.0))
+    gap_bound = gap.cbar1 * gap.eps
+    # J(dU*) and J_red(dU_red*) were evaluated as the last two draws
+    minima_gap = abs(mini.values[-2][0] - mini.values[-1][1])
+    minima_gap_bound = mini.cbar1 * mini.eps
+    distance = float(np.linalg.norm(du_star - du_hat))
+    delta = mini.delta(sigma_min)
     return BoundsReport(
-        eps=max(frag1["eps"], frag3["eps"]),
-        cbar=max(frag1["cbar"], frag3["cbar"]),
-        cbar1=max(frag1["cbar1"], frag3["cbar1"]),
-        sigma_min=frag3["sigma_min"],
-        delta=frag3["delta"],
-        max_objective_gap=frag1["max_objective_gap"],
-        minima_gap=frag3["minima_gap"],
-        minimizer_distance=frag3["minimizer_distance"],
-        objective_gap_ok=frag1["holds"],
-        minima_gap_ok=frag3["minima_gap_ok"],
-        distance_ok=frag3["distance_ok"],
-        objective_gap_looseness=frag1["looseness"],
-        distance_looseness=frag3["looseness"],
-        uniformity_ok=frag3["uniformity_ok"],
+        eps=max(gap.eps, mini.eps),
+        cbar=max(gap.cbar, mini.cbar),
+        cbar1=max(gap.cbar1, mini.cbar1),
+        sigma_min=sigma_min,
+        delta=delta,
+        max_objective_gap=max_gap,
+        gap_bound=gap_bound,
+        minima_gap=minima_gap,
+        minima_gap_bound=minima_gap_bound,
+        minimizer_distance=distance,
+        objective_gap_ok=bool(max_gap <= gap_bound + _SLACK),
+        minima_gap_ok=bool(minima_gap <= minima_gap_bound + _SLACK),
+        distance_ok=bool(distance <= delta + _SLACK),
+        objective_gap_looseness=_ratio(gap_bound, max_gap),
+        distance_looseness=_ratio(delta, distance),
+        uniformity_ok=sigma_min > _SIGMA_FLOOR,
     )
 
 
@@ -262,16 +234,13 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         pair = build_lqr_pair(model, cost, nominal, basis, perturb,
                               seed=seed + 7919 * idx)
         h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
-        evals = np.linalg.eigvalsh(h_full)
-        hessian_ok = bool(evals[0] > 0.0)
-        if hessian_ok:
-            newton = float(np.linalg.norm(np.linalg.solve(h_full, grad)))
-        else:
-            newton = float("nan")
-        draws = _draw_controls(pair, samples, seed + 1 + idx, sigma)
-        meas = _measure_constants(pair, draws)
-        sigma_min = float(evals[0])
-        delta = _delta(meas, sigma_min)
+        sigma_min = float(np.linalg.eigvalsh(h_full)[0])
+        hessian_ok = sigma_min > 0.0
+        newton = float(np.linalg.norm(np.linalg.solve(h_full, grad))) \
+            if hessian_ok else float("nan")
+        meas = _measure(pair, _draw_controls(pair, samples, seed + 1 + idx,
+                                             sigma))
+        delta = meas.delta(sigma_min)
         trace.append({
             "iteration": idx,
             "cost": cost_k,
@@ -280,7 +249,7 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
             "member": bool(hessian_ok and newton <= delta + _SLACK),
             "hessian_ok": hessian_ok,
             "sigma_min": sigma_min,
-            "eps": meas["eps"],
+            "eps": meas.eps,
         })
     non_member_costs = [e["cost"] for e in trace if not e["member"]]
     floor = min(non_member_costs) if non_member_costs else float("inf")

@@ -127,8 +127,11 @@ def _cmd_verify_bounds(cfg):
           f"sigma_min={bounds_report.sigma_min:.3g} "
           f"delta={bounds_report.delta:.3g}")
     print(f"[bounds] objective gap {bounds_report.max_objective_gap:.3g} "
-          f"(bound {bounds_report.cbar1 * bounds_report.eps:.3g}) "
+          f"(bound {bounds_report.gap_bound:.3g}) "
           f"-> {'ok' if bounds_report.objective_gap_ok else 'VIOLATED'}")
+    print(f"[bounds] minima gap {bounds_report.minima_gap:.3g} "
+          f"(bound {bounds_report.minima_gap_bound:.3g}) "
+          f"-> {'ok' if bounds_report.minima_gap_ok else 'VIOLATED'}")
     print(f"[bounds] minimizer distance "
           f"{bounds_report.minimizer_distance:.3g} "
           f"(delta {bounds_report.delta:.3g}) "

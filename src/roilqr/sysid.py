@@ -66,7 +66,6 @@ class RegressionData:
 
     inputs: np.ndarray
     outputs: np.ndarray
-    n_u: int
 
     @property
     def dim(self):
@@ -169,7 +168,7 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
         if basis is not None:
             dy = dy @ basis.phi
         outputs[lo:hi] = dy.transpose(0, 2, 1)
-    return RegressionData(inputs=design, outputs=outputs, n_u=n_u)
+    return RegressionData(inputs=design, outputs=outputs)
 
 
 def fit_ltv(data):

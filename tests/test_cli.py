@@ -291,6 +291,19 @@ def test_verify_bounds_command(tmp_path, capsys):
     assert "minimizer distance" in out and "VIOLATED" not in out
 
 
+def test_verify_bounds_prints_the_bounds_it_checked(tmp_path, capsys):
+    assert main(["verify-bounds", "--preset", "burgers_small", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    saved = json.loads((tmp_path / "bounds.json").read_text())
+    assert (f"objective gap {saved['max_objective_gap']:.3g} "
+            f"(bound {saved['gap_bound']:.3g}) -> ok") in out
+    assert (f"minima gap {saved['minima_gap']:.3g} "
+            f"(bound {saved['minima_gap_bound']:.3g}) -> ok") in out
+    assert saved["max_objective_gap"] <= saved["gap_bound"]
+    assert saved["minima_gap"] <= saved["minima_gap_bound"]
+
+
 @pytest.mark.parametrize("config,solve_status,message", [
     # the initial guess diverges: no nominal at all
     ({"run": {"guess_std": 200.0}}, "numerical_failure", "diverged"),
