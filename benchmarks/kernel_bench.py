@@ -6,19 +6,22 @@ chunking included) and reports microseconds per row, and nanoseconds per
 cell-substep (per row, divided by n_x * substeps) so that kernels of
 different sizes compare:
 
-* Burgers (100 points, 250 substeps): 1 row (initial rollout, first
-  line-search trial),
-  220 rows (reduced identification: the +/- samples of a group of 10
-  timesteps, 22 rows each, stepped in one call) and 408 rows
-  (full-order identification, one timestep per call, stepped as two
-  chunks of 204);
-* Allen-Cahn 50x50: 1 row (first line-search trial), 2, 4, 8 and 12
-  rows (the doubling line-search batches that follow it; a 27-step
-  no-descent sweep is 1 + 2 + 4 + 8 + 12 rows, at most 16 per batch) and
-  16 rows (reduced identification, one timestep per call);
-* Allen-Cahn and Cahn-Hilliard 20x20: 1 row, 90 and 100 rows (reduced
-  identification, groups of 2-3 timesteps) and 808 rows (full-order
-  identification, one timestep per call).
+* Burgers (100 points, 250 substeps): 1 row (initial rollout and line
+  search; the line search accepts its first step size), 204 rows
+  (full-order identification: the +/- samples of one timestep, 2(100 + 2)
+  rows, per call) and 220 rows (reduced identification: a group of 10
+  timesteps of 22 rows each per call);
+* Allen-Cahn 50x50: 1 row (initial rollout, first line-search trial), 2,
+  4, 8 and 12 rows (the doubling line-search batches that follow it; a
+  27-step no-descent sweep is 1 + 2 + 4 + 8 + 12 rows, at most 16 per
+  batch) and 16 and 20 rows (reduced identification, 2(l + 4) rows for l
+  modes, one timestep per call; above 16 rows a call steps as a 16-row
+  chunk and the rest);
+* Allen-Cahn 20x20: 1 row, 80 and 90 rows (reduced identification,
+  groups of 5 timesteps) and 808 rows (full-order identification, one
+  timestep per call, stepped as eight chunks of 96 rows and one of 40);
+* Cahn-Hilliard 20x20: 1 row, 100 rows (reduced identification, groups
+  of 2-5 timesteps of 52-100 rows) and 808 rows (full order).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
@@ -41,9 +44,9 @@ from roilqr import _kernels
 from roilqr.harness import build_problem, preset
 
 CASES = [
-    ("burgers", (1, 220, 408)),
-    ("allen_cahn", (1, 2, 4, 8, 12, 16)),
-    ("allen_cahn_small", (1, 90, 808)),
+    ("burgers", (1, 204, 220)),
+    ("allen_cahn", (1, 2, 4, 8, 12, 16, 20)),
+    ("allen_cahn_small", (1, 80, 90, 808)),
     ("cahn_hilliard", (1, 100, 808)),
 ]
 

@@ -27,17 +27,25 @@ neighbours of a point, ``c = dt*mob`` and Burgers' ``c_adv = dt/(2 dx)``,
   potential scaled by ``s = c/dx^2``, then f' = f - 4 mu' + N(mu'), with
   ``k = s*gamma/dx^2`` and ``B = 2s*temp + 4k`` (16 passes).
 
+The phase-field kernels take each row's controls ``(temp+, h+, temp-,
+h-)`` and the +1/-1 label mask, not per-point fields: a row's A and H
+(B and s*h) take one value per label, computed as a scalar with the
+operations of the per-point expression, and are then placed by label.
 The loop versions evaluate the same expressions in the same order.
 
 The numpy kernels step the batch node-major (the batch index varies
 fastest, so a stencil shift is a contiguous slice of the flat buffer),
 allocate their buffers and build their stencil views once per call, and
-write each operation into those buffers.  Their results are
-bit-identical to the folded whole-array expressions kept in
+write each operation into those buffers.  Every buffer comes from
+:func:`_workspace` and starts a 64-byte cache line; with a row count
+that is a multiple of 8, as in every chunk but the last of
+``pde._step_in_chunks``, every stencil shift starts a line too.  Their
+results are bit-identical to the folded whole-array expressions kept in
 ``tests/test_kernels.py``, next to the unfolded expressions of the scheme
 they agree with to rounding.
 """
 
+import math
 import os
 
 import numpy as np
@@ -65,6 +73,24 @@ def _factors(*values):
     return [np.array(v) for v in values]
 
 
+# A ufunc whose operands start mid cache line runs up to about twice as
+# slow as one on line-aligned operands, and numpy's own buffers start 16
+# bytes into a 64-byte line.
+_LINE_BYTES = 64
+# float64 values per cache line: in the node-major layout, a batch of a
+# multiple of this many rows puts every stencil shift on a line boundary
+VALUES_PER_LINE = _LINE_BYTES // 8
+
+
+def _workspace(shape):
+    """Uninitialized float64 array of ``shape`` whose first element starts
+    a 64-byte cache line."""
+    size = math.prod(shape)
+    raw = np.empty(size + VALUES_PER_LINE)
+    lead = (-raw.ctypes.data % _LINE_BYTES) // 8
+    return raw[lead:lead + size].reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # 1-D viscous Burgers, Dirichlet boundary actuation.
 # du/dt + u du/dx = nu d2u/dx2; boundary nodes overwritten each substep.
@@ -80,7 +106,7 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
     c_adv, c_dif, k = _factors(c_adv, c_dif, 1.0 - 2.0 * c_dif)
-    bufs = (np.empty((n, nb)), np.empty((n, nb)))
+    bufs = (_workspace((n, nb)), _workspace((n, nb)))
     bufs[0][...] = u.T   # a copy even for one row, where u.T is contiguous
     for buf in bufs:
         buf[0] = left
@@ -89,8 +115,8 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
     flat = [buf.reshape(-1) for buf in bufs]
     views = [(src[:m], src[nb:nb + m], src[2 * nb:], dst[nb:nb + m])
              for src, dst in (flat, flat[::-1])]
-    s1 = np.empty(m)
-    s2 = np.empty(m)
+    s1 = _workspace((m,))
+    s2 = _workspace((m,))
     # divergence shows up as inf/nan and is detected by the callers'
     # finiteness checks; don't warn mid-blowup
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,8 +156,10 @@ def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
 
 # ---------------------------------------------------------------------------
 # 2-D phase-field steppers, periodic boundaries.
-# Bulk driving term dF/dphi = 4 phi^3 + 2*temp*phi + h with per-point
-# (temp, h) fields routed from the control channels by the caller.
+# Bulk driving term dF/dphi = 4 phi^3 + 2*temp*phi + h.  The kernels take
+# each row's four controls (temp+, h+, temp-, h-) and route them by the
+# label mask: a point labeled +1 gets (temp+, h+), one labeled -1
+# (temp-, h-).
 # ---------------------------------------------------------------------------
 
 
@@ -173,9 +201,19 @@ def _neighbour_sum(views):
 def _node_major_copy(phi, npts):
     # the state as a fresh node-major field; inputs are only read
     nb = phi.shape[0]
-    f = np.empty((npts, npts, nb))
+    f = _workspace((npts, npts, nb))
     f[...] = _node_major(phi, nb, npts)
     return f
+
+
+def _routed(mask, plus, minus, npts):
+    """Node-major field holding, at each point, the row values ``plus``
+    (B,) where ``mask`` is +1 and ``minus`` where it is -1."""
+    nb = plus.size
+    field = _workspace((npts, npts, nb))
+    np.take(np.stack([minus, plus]), (mask > 0).astype(np.intp), axis=0,
+            out=field.reshape(npts * npts, nb), mode="clip")
+    return field
 
 
 def _row_major(f):
@@ -183,20 +221,20 @@ def _row_major(f):
     return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(nb, npts * npts)
 
 
-def allen_cahn_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+def allen_cahn_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
+                           npts):
     # f' = f*(A - 4c f^2) + k N(f) + H; node-major, every buffer allocated
-    # once, the neighbour sum's scratch reused for the bulk term
-    nb = phi.shape[0]
+    # once, the neighbour sum's scratch reused for the bulk term.  A and H
+    # take two values per row, one per label, computed before routing.
     c = dt * mob
     k = c * gamma / (dx * dx)
+    a0 = 1.0 - 4.0 * k
     f = _node_major_copy(phi, npts)
-    a = np.empty_like(f)
-    np.multiply(2.0 * c, _node_major(temp, nb, npts), out=a)
-    np.subtract(1.0 - 4.0 * k, a, out=a)
-    hc = np.empty_like(f)
-    np.multiply(-c, _node_major(h, nb, npts), out=hc)
-    nbr = np.empty_like(f)
-    t = np.empty_like(f)
+    a = _routed(mask, a0 - 2.0 * c * controls[:, 0],
+                a0 - 2.0 * c * controls[:, 2], npts)
+    hc = _routed(mask, -c * controls[:, 1], -c * controls[:, 3], npts)
+    nbr = _workspace(f.shape)
+    t = _workspace(f.shape)
     views = _neighbour_views(f, nbr, t)
     c4, k = _factors(4.0 * c, k)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,7 +250,7 @@ def allen_cahn_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return _row_major(f)
 
 
-def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+def _allen_cahn_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
     nb, n = phi.shape
     out = phi.copy()
     buf = np.empty(n)
@@ -224,9 +262,17 @@ def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     a0 = 1.0 - 4.0 * k
     for b in range(nb):
         f = out[b]
+        a_plus = a0 - 2.0 * c * controls[b, 0]
+        a_minus = a0 - 2.0 * c * controls[b, 2]
+        h_plus = -c * controls[b, 1]
+        h_minus = -c * controls[b, 3]
         for p in range(n):
-            a[p] = a0 - 2.0 * c * temp[b, p]
-            hc[p] = -c * h[b, p]
+            if mask[p] > 0:
+                a[p] = a_plus
+                hc[p] = h_plus
+            else:
+                a[p] = a_minus
+                hc[p] = h_minus
         for _ in range(nsub):
             for j in range(npts):
                 jm = j - 1 if j > 0 else npts - 1
@@ -243,22 +289,20 @@ def _allen_cahn_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return out
 
 
-def cahn_hilliard_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
+                              npts):
     # mu' = f*(B + 4s f^2) - k N(f) + s h, then f' = f - 4 mu' + N(mu');
-    # layout and buffers as in allen_cahn_batch_numpy, one view set per
-    # field whose neighbours are summed
-    nb = phi.shape[0]
+    # layout, buffers and routing as in allen_cahn_batch_numpy, one view
+    # set per field whose neighbours are summed
     s = dt * mob / (dx * dx)
     k = s * gamma / (dx * dx)
     f = _node_major_copy(phi, npts)
-    bc = np.empty_like(f)
-    np.multiply(2.0 * s, _node_major(temp, nb, npts), out=bc)
-    np.add(bc, 4.0 * k, out=bc)
-    hs = np.empty_like(f)
-    np.multiply(s, _node_major(h, nb, npts), out=hs)
-    mu = np.empty_like(f)
-    nbr = np.empty_like(f)
-    t = np.empty_like(f)
+    bc = _routed(mask, 2.0 * s * controls[:, 0] + 4.0 * k,
+                 2.0 * s * controls[:, 2] + 4.0 * k, npts)
+    hs = _routed(mask, s * controls[:, 1], s * controls[:, 3], npts)
+    mu = _workspace(f.shape)
+    nbr = _workspace(f.shape)
+    t = _workspace(f.shape)
     f_views = _neighbour_views(f, nbr, t)
     mu_views = _neighbour_views(mu, nbr, t)
     s4, k, four = _factors(4.0 * s, k, 4.0)
@@ -279,7 +323,7 @@ def cahn_hilliard_batch_numpy(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return _row_major(f)
 
 
-def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
+def _cahn_hilliard_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
     nb, n = phi.shape
     out = phi.copy()
     mu = np.empty(n)
@@ -291,9 +335,17 @@ def _cahn_hilliard_loops(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     s4 = 4.0 * s
     for b in range(nb):
         f = out[b]
+        bc_plus = 2.0 * s * controls[b, 0] + 4.0 * k
+        bc_minus = 2.0 * s * controls[b, 2] + 4.0 * k
+        hs_plus = s * controls[b, 1]
+        hs_minus = s * controls[b, 3]
         for p in range(n):
-            bc[p] = 2.0 * s * temp[b, p] + 4.0 * k
-            hs[p] = s * h[b, p]
+            if mask[p] > 0:
+                bc[p] = bc_plus
+                hs[p] = hs_plus
+            else:
+                bc[p] = bc_minus
+                hs[p] = hs_minus
         for _ in range(nsub):
             for j in range(npts):
                 jm = j - 1 if j > 0 else npts - 1

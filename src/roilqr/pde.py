@@ -125,9 +125,9 @@ class Trajectory:
 
 
 # Largest batch, in cells (rows x n_x), handed to one kernel call.  Larger
-# batches are stepped in equal row chunks, so stacking more samples into
-# one step_batch call never grows the kernels' temporaries or the control
-# routing arrays beyond this size.  It also sizes the groups of timesteps
+# batches are stepped in row chunks (see _row_chunks), so stacking more
+# samples into one step_batch call never grows the kernels' workspaces
+# beyond this size.  It also sizes the groups of timesteps
 # whose identification experiments share one step_batch call, and the
 # line-search batches of step sizes.
 MAX_CHUNK_CELLS = 40_000
@@ -149,11 +149,27 @@ def balanced_runs(count, item_cells):
     return [(i * count // runs, (i + 1) * count // runs) for i in range(runs)]
 
 
+def _row_chunks(rows, n_x):
+    """``(lo, hi)`` row chunks of a ``(rows, n_x)`` step, each of at most
+    :data:`MAX_CHUNK_CELLS` cells: one chunk if the rows fit, else equal
+    chunks and a shorter last one.  The equal chunks hold a multiple of
+    ``_kernels.VALUES_PER_LINE`` rows, so that the kernels' stencil shifts
+    start cache lines, unless fewer rows than that fit."""
+    per_call = items_per_call(n_x)
+    runs = -(-rows // per_call)
+    if runs <= 1:
+        return [(0, rows)]
+    line = _kernels.VALUES_PER_LINE
+    size = -(-rows // runs)
+    size = min(per_call - per_call % line or per_call, size + -size % line)
+    return [(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
+
+
 def _step_in_chunks(kernel, states, controls, kernel_args):
     """``kernel(states, *kernel_args(controls))`` in the row chunks of
-    :func:`balanced_runs`, written into one output array.  Rows are
+    :func:`_row_chunks`, written into one output array.  Rows are
     independent, so the result equals one call on the whole batch."""
-    chunks = balanced_runs(*states.shape)
+    chunks = _row_chunks(*states.shape)
     if len(chunks) <= 1:
         return kernel(states, *kernel_args(controls))
     out = np.empty_like(states)
@@ -234,14 +250,10 @@ class _PhaseFieldModel:
         return self.grid.n_x
 
     def _kernel_args(self, controls):
-        # (temp+, h+, temp-, h-) -> per-point fields by mask label
+        # the kernels route (temp+, h+, temp-, h-) by the mask labels
         p = self.params
-        plus = self.mask > 0
-        temp = np.where(plus[None, :], controls[:, 0:1], controls[:, 2:3])
-        h = np.where(plus[None, :], controls[:, 1:2], controls[:, 3:4])
-        return (np.ascontiguousarray(temp), np.ascontiguousarray(h),
-                p.mobility, self.gamma, self.grid.dx, p.dt, p.substeps,
-                self.grid.points)
+        return (controls, self.mask, p.mobility, self.gamma, self.grid.dx,
+                p.dt, p.substeps, self.grid.points)
 
     def step_batch(self, states, controls):
         states = _as_batch(states, self.n_x)

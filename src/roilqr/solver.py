@@ -334,6 +334,15 @@ def solve(problem, cfg=None, perturb=None):
         if budget_expired():
             raise _Stop("timeout")
 
+    if cfg.mode == "reduced" and problem.horizon + 1 > model.n_x:
+        # the snapshot basis needs at least as many states as snapshots
+        return SolveReport(
+            mode=cfg.mode, seed=cfg.seed, initial_cost=float("inf"),
+            status="numerical_failure",
+            error=f"reduced mode needs horizon + 1 <= n_x: "
+                  f"{problem.horizon + 1} snapshots of {model.n_x} states",
+            wall_time_s=time.perf_counter() - start)
+
     controls = problem.initial_controls()
     try:
         traj = rollout(model, problem.x0, controls)

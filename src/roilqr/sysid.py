@@ -133,7 +133,9 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
     scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, n_u])
     design = orthogonal_design(np.random.default_rng(seed), scale)
     dz, du = design[:dim].T, design[dim:].T
-    dx = dz @ basis.phi.T if basis is not None else dz
+    # contiguous once: at full order dz is a transposed view, which every
+    # group's broadcast +/- would otherwise read strided
+    dx = np.ascontiguousarray(dz @ basis.phi.T if basis is not None else dz)
 
     outputs = np.empty((horizon, dim, n_s))
     groups = balanced_runs(horizon, 2 * n_s * n_x)

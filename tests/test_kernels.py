@@ -42,16 +42,22 @@ def _neighbours_rolled(a):
         + (np.roll(a, 1, axis=1) + np.roll(a, -1, axis=1))
 
 
-def _fields(phi, temp, h, npts):
+def _fields(phi, controls, mask, npts):
+    """The state and the per-point (temp, h) fields as ``(B, npts, npts)``
+    arrays, the controls routed by label row-major."""
     nb = phi.shape[0]
+    plus = np.asarray(mask)[None, :] > 0
+    temp = np.where(plus, controls[:, 0:1], controls[:, 2:3])
+    h = np.where(plus, controls[:, 1:2], controls[:, 3:4])
     return [a.reshape(nb, npts, npts) for a in (phi, temp, h)]
 
 
-def allen_cahn_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    """Row-major Allen-Cahn step in the folded form with a rolled
-    neighbour sum: the bit-exact reference for the node-major numpy
-    kernel."""
-    f, tf, hf = _fields(phi, temp, h, npts)
+def allen_cahn_batch_rolled(phi, controls, mask, mob, gamma, dx, dt, nsub,
+                            npts):
+    """Row-major Allen-Cahn step in the folded form with per-point
+    coefficient fields and a rolled neighbour sum: the bit-exact reference
+    for the node-major numpy kernel."""
+    f, tf, hf = _fields(phi, controls, mask, npts)
     c = dt * mob
     k = c * gamma / (dx * dx)
     a = (1.0 - 4.0 * k) - 2.0 * c * tf
@@ -61,11 +67,12 @@ def allen_cahn_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
     return f.reshape(phi.shape)
 
 
-def cahn_hilliard_batch_rolled(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    """Row-major Cahn-Hilliard step in the folded form with rolled
-    neighbour sums: the bit-exact reference for the node-major numpy
-    kernel."""
-    f, tf, hf = _fields(phi, temp, h, npts)
+def cahn_hilliard_batch_rolled(phi, controls, mask, mob, gamma, dx, dt, nsub,
+                               npts):
+    """Row-major Cahn-Hilliard step in the folded form with per-point
+    coefficient fields and rolled neighbour sums: the bit-exact reference
+    for the node-major numpy kernel."""
+    f, tf, hf = _fields(phi, controls, mask, npts)
     s = dt * mob / (dx * dx)
     k = s * gamma / (dx * dx)
     bc = 2.0 * s * tf + 4.0 * k
@@ -105,16 +112,17 @@ def _lap2_rolled(a, dx):
     ) / (dx * dx)
 
 
-def allen_cahn_scheme(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    f, tf, hf = _fields(phi, temp, h, npts)
+def allen_cahn_scheme(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
+    f, tf, hf = _fields(phi, controls, mask, npts)
     for _ in range(nsub):
         bulk = 4.0 * f * f * f + 2.0 * tf * f + hf
         f = f - dt * mob * (bulk - gamma * _lap2_rolled(f, dx))
     return f.reshape(phi.shape)
 
 
-def cahn_hilliard_scheme(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
-    f, tf, hf = _fields(phi, temp, h, npts)
+def cahn_hilliard_scheme(phi, controls, mask, mob, gamma, dx, dt, nsub,
+                         npts):
+    f, tf, hf = _fields(phi, controls, mask, npts)
     for _ in range(nsub):
         mu = 4.0 * f * f * f + 2.0 * tf * f + hf \
             - gamma * _lap2_rolled(f, dx)
@@ -124,6 +132,10 @@ def cahn_hilliard_scheme(phi, temp, h, mob, gamma, dx, dt, nsub, npts):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_mask(rng, npts):
+    return np.where(rng.random(npts * npts) < 0.5, 1, -1).astype(np.int8)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 22, 44, 97])
@@ -148,9 +160,8 @@ def test_burgers_numpy_bit_identical_to_rowwise(rng, rows):
 def test_phase_field_numpy_bit_identical_to_rolled(rng, kernel, reference, dt,
                                                    rows, npts):
     phi = 0.5 * rng.standard_normal((rows, npts * npts))
-    temp = rng.standard_normal((rows, npts * npts))
-    h = rng.standard_normal((rows, npts * npts))
-    args = (phi, temp, h, 1.0, 1e-3, 0.1, dt, 5, npts)
+    args = (phi, rng.standard_normal((rows, 4)), _random_mask(rng, npts),
+            1.0, 1e-3, 0.1, dt, 5, npts)
     out = kernel(*args)
     assert out.shape == phi.shape and out.flags.c_contiguous
     np.testing.assert_array_equal(_bits(out), _bits(reference(*args)))
@@ -238,16 +249,16 @@ def test_burgers_paths_agree(rng):
 def test_phase_field_paths_agree(rng, kind):
     p = 12
     phi = 0.5 * rng.standard_normal((4, p * p))
-    temp = rng.standard_normal((4, p * p))
-    h = rng.standard_normal((4, p * p))
     dt = 1e-4 if kind == "allen_cahn" else 1e-6
-    args = (phi, temp, h, 1.0, 1e-3, 0.1, dt, 6, p)
+    args = (phi, rng.standard_normal((4, 4)), _random_mask(rng, p),
+            1.0, 1e-3, 0.1, dt, 6, p)
     out_np = getattr(_kernels, f"{kind}_batch_numpy")(*args)
-    # the loops as plain Python, and the active kernel (the loops compiled
-    # where numba is active)
-    for kernel in (getattr(_kernels, f"_{kind}_loops"),
-                   getattr(_kernels, f"{kind}_batch")):
-        np.testing.assert_allclose(kernel(*args), out_np, rtol=0, atol=1e-12)
+    # the active kernel: the numba-compiled loops where numba is active
+    np.testing.assert_allclose(getattr(_kernels, f"{kind}_batch")(*args),
+                               out_np, rtol=0, atol=1e-12)
+    # same operations in the same order as the loop kernel run as Python
+    np.testing.assert_array_equal(
+        _bits(out_np), _bits(getattr(_kernels, f"_{kind}_loops")(*args)))
 
 
 def test_kernels_do_not_mutate_inputs(rng):
@@ -264,10 +275,9 @@ def test_kernels_do_not_mutate_inputs(rng):
                               "right": rng.standard_normal(rows)}
                     params = (0.05, 0.1, 1e-4, 5)
                 else:
-                    # temp and h are only read, though the kernels keep
-                    # node-major copies (or, for one row, views) of them
-                    inputs = {arg: 0.5 * rng.standard_normal((rows, p * p))
-                              for arg in ("phi", "temp", "h")}
+                    inputs = {"phi": 0.5 * rng.standard_normal((rows, p * p)),
+                              "controls": rng.standard_normal((rows, 4)),
+                              "mask": _random_mask(rng, p)}
                     params = (1.0, 1e-3, 0.1, 1e-6, 5, p)
                 saved = {arg: a.copy() for arg, a in inputs.items()}
                 getattr(_kernels, name)(*inputs.values(), *params)
@@ -294,16 +304,67 @@ def test_chunked_step_batch_bit_identical_to_one_kernel_call(rng, cls, name,
 
     monkeypatch.setattr(_kernels, name, recording)
     chunk = pde.MAX_CHUNK_CELLS // model.n_x
-    for rows in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+    for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 1):
         states = 0.5 * rng.standard_normal((rows, model.n_x))
         controls = rng.standard_normal((rows, model.n_u))
         whole = kernel(states, *model._kernel_args(controls))
         calls.clear()
         np.testing.assert_array_equal(
             _bits(model.step_batch(states, controls)), _bits(whole))
-        # the fewest chunks that fit, of sizes at most one row apart
-        assert sum(calls) == rows and len(calls) == -(-rows // chunk)
-        assert max(calls) <= chunk and max(calls) - min(calls) <= 1
+        # one call if the rows fit; else equal chunks of a multiple of 8
+        # rows and a shorter last one, each within the cap
+        assert sum(calls) == rows and max(calls) <= chunk
+        if rows <= chunk:
+            assert calls == [rows]
+        else:
+            assert calls[0] % 8 == 0 and set(calls[:-1]) == {calls[0]}
+            assert calls[-1] <= calls[0]
+            assert len(calls) <= -(-rows // (chunk - chunk % 8))
+
+
+@pytest.mark.parametrize("rows,n_x,chunks", [
+    (0, 400, [(0, 0)]),
+    (100, 400, [(0, 100)]),                     # fits: one call
+    (101, 400, [(0, 56), (56, 101)]),
+    (808, 400, [(i, i + 96) for i in range(0, 768, 96)] + [(768, 808)]),
+    # two chunks of 100 would fit, but 100 is no multiple of 8
+    (200, 400, [(0, 96), (96, 192), (192, 200)]),
+    (20, 2500, [(0, 16), (16, 20)]),
+    # fewer than 8 rows fit: as many as fit
+    (20, 9000, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]),
+    (21, 9000, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 21)]),
+])
+def test_row_chunks(rows, n_x, chunks):
+    assert pde._row_chunks(rows, n_x) == chunks
+
+
+@pytest.mark.parametrize("name", ["burgers", "allen_cahn", "allen_cahn_small",
+                                  "cahn_hilliard"])
+def test_step_batch_bit_identical_to_per_row_calls(rng, name):
+    # batch sizes below, at and above one cache line of rows (8), and
+    # batches the models step in several chunks (97 rows at 50x50, 808 at
+    # 20x20)
+    problem = build_problem(preset(name))
+    model = problem.model
+    states = problem.x0 + 0.1 * rng.standard_normal((808, model.n_x))
+    controls = 0.3 * rng.standard_normal((808, model.n_u))
+    per_row = np.array([model.step_batch(x[None, :], u[None, :])[0]
+                        for x, u in zip(states, controls)])
+    assert np.all(np.isfinite(per_row))
+    for rows in (1, 7, 8, 9, 20, 97, 808):
+        out = model.step_batch(states[:rows], controls[:rows])
+        np.testing.assert_array_equal(_bits(out), _bits(per_row[:rows]),
+                                      err_msg=f"{rows} rows")
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (98 * 220,), (100, 220),
+                                   (20, 20, 96), (50, 50, 4), (3, 3, 1)])
+def test_workspace_starts_a_cache_line(shape):
+    for _ in range(5):   # fresh allocations land at different offsets
+        a = _kernels._workspace(shape)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
 
 
 def test_step_determinism(rng):

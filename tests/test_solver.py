@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from helpers import (LinearModel, forward_pass_one_row, line_search_one_row,
                      random_stable_linear)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roilqr import pde, solver
 from roilqr.harness import build_problem, gaussian_guess, preset
@@ -189,6 +191,44 @@ def test_divergent_initial_guess_reports_failure():
     assert report.status == "numerical_failure"
     assert report.error is not None
     assert report.wall_time_s > 0
+
+
+def test_reduced_mode_with_more_snapshots_than_states_reports_failure():
+    # 7 snapshots of a 4-dimensional state: no snapshot basis exists
+    rng = np.random.default_rng(4)
+    model = random_stable_linear(4, 1, rng)
+    cost = CostModel(q=1.0, r=np.eye(1), q_terminal=1.0, goal=np.zeros(4))
+    problem = ControlProblem(model=model, cost=cost,
+                             x0=rng.standard_normal(4), horizon=6)
+    report = solve(problem, SolverConfig(mode="reduced"))
+    assert report.status == "numerical_failure" and not report.completed
+    assert "7" in report.error and "4" in report.error
+    assert report.iterations == []
+    # full order has no snapshot basis and solves it
+    assert solve(problem, SolverConfig(mode="full")).completed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["reduced", "full"]), n_x=st.integers(3, 10),
+       n_u=st.integers(1, 3), q=st.floats(0.0, 5.0),
+       q_terminal=st.floats(0.0, 5.0), r=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_accepted_costs_strictly_decrease_on_random_lq(mode, n_x, n_u, q,
+                                                       q_terminal, r, seed,
+                                                       data):
+    horizon = data.draw(st.integers(1, min(6, n_x - 1)), label="horizon")
+    rng = np.random.default_rng(seed)
+    model = random_stable_linear(n_x, n_u, rng)
+    cost = CostModel(q=q, r=r * np.eye(n_u), q_terminal=q_terminal,
+                     goal=rng.standard_normal(n_x))
+    problem = ControlProblem(model=model, cost=cost,
+                             x0=rng.standard_normal(n_x), horizon=horizon,
+                             u_init=0.5 * rng.standard_normal((horizon, n_u)))
+    report = solve(problem, SolverConfig(mode=mode, seed=seed % 1000,
+                                         max_iterations=20))
+    assert report.completed, (report.status, report.error)
+    costs = report.costs
+    assert all(b < a for a, b in zip(costs, costs[1:])), costs
 
 
 def test_burgers_optimum_at_start():

@@ -85,6 +85,26 @@ def test_reduced_fit_equals_galerkin_projection():
         np.testing.assert_allclose(ltv.B[t], phi.T @ model.b, atol=1e-6)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_x=st.integers(3, 12), n_u=st.integers(1, 3),
+       cutoff=st.sampled_from([0.9, 0.99, 0.999999, 1.0]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reduced_fit_equals_galerkin_projection_on_random_plants(
+        n_x, n_u, cutoff, seed, data):
+    # a linear plant's reduced fit is exact for any basis, truncated or not
+    horizon = data.draw(st.integers(1, min(6, n_x - 1)), label="horizon")
+    rng = np.random.default_rng(seed)
+    model = random_stable_linear(n_x, n_u, rng)
+    nominal = _nominal(model, horizon, rng)
+    basis = method_of_snapshots(nominal.states.T, energy_cutoff=cutoff)
+    ltv = fit_ltv(generate_rollout_data(model, nominal, basis,
+                                        seed=seed % 1000))
+    phi = basis.phi
+    for t in range(horizon):
+        np.testing.assert_allclose(ltv.A[t], phi.T @ model.a @ phi, atol=1e-6)
+        np.testing.assert_allclose(ltv.B[t], phi.T @ model.b, atol=1e-6)
+
+
 def test_full_order_matches_finite_difference_jacobian():
     grid = Grid(ndim=1, points=20, dx=2.0 / 19)
     model = BurgersModel(grid, PdeParams(dt=2e-3, substeps=5, nu=0.05))
