@@ -54,13 +54,12 @@ class LqrPair:
         return self.nominal.horizon
 
 
-def build_lqr_pair(model, cost, nominal, basis, perturb=None, seed=0):
-    """Identify both LTV models around the nominal, each from the design
-    drawn from ``seed``, and assemble the pair."""
-    fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb,
-                                    seed=seed)
-    ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb,
-                                    seed=seed)
+def build_lqr_pair(model, cost, nominal, basis, perturb=None):
+    """Identify both LTV models around the nominal, the full-order one
+    from coordinate samples of the state and the reduced one from samples
+    along the modes of ``basis``, and assemble the pair."""
+    fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb)
+    ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb)
     # the reduced objective's nominal is the projected trajectory, so its
     # cost gradients are taken at the reconstruction phi phi^T x_t
     projected = Trajectory(states=nominal.states @ basis.phi @ basis.phi.T,
@@ -218,9 +217,9 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
 
     Uses the identified full-order LTV at each accepted iterate (data
     driven, consistent with the rest of the pipeline), so it is meant
-    for desk-scale problems only.  Iterate ``idx`` is identified from
-    seed ``seed + 7919 * idx`` and its constants are measured over draws
-    from seed ``seed + 1 + idx``.  Returns (trace, consistent) where
+    for desk-scale problems only.  Identification draws nothing, and
+    iterate ``idx``'s constants are measured over draws from seed
+    ``seed + 1 + idx``.  Returns (trace, consistent) where
     ``consistent`` is the exhaustion property: once the cost falls below
     every non-member iterate's cost, membership never flips back off.
     """
@@ -231,8 +230,7 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         cost_k = cost.trajectory_cost(nominal)
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
-        pair = build_lqr_pair(model, cost, nominal, basis, perturb,
-                              seed=seed + 7919 * idx)
+        pair = build_lqr_pair(model, cost, nominal, basis, perturb)
         h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
         sigma_min = float(np.linalg.eigvalsh(h_full)[0])
         hessian_ok = sigma_min > 0.0

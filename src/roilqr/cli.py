@@ -122,10 +122,6 @@ def _cmd_verify_bounds(cfg):
         return EXIT_NUMERICAL
     ok = (bounds_report.objective_gap_ok and bounds_report.minima_gap_ok
           and bounds_report.distance_ok)
-    print(f"[bounds] eps={bounds_report.eps:.3g} "
-          f"cbar1={bounds_report.cbar1:.3g} "
-          f"sigma_min={bounds_report.sigma_min:.3g} "
-          f"delta={bounds_report.delta:.3g}")
     print(f"[bounds] objective gap {bounds_report.max_objective_gap:.3g} "
           f"(bound {bounds_report.gap_bound:.3g}) "
           f"-> {'ok' if bounds_report.objective_gap_ok else 'VIOLATED'}")
@@ -134,7 +130,8 @@ def _cmd_verify_bounds(cfg):
           f"-> {'ok' if bounds_report.minima_gap_ok else 'VIOLATED'}")
     print(f"[bounds] minimizer distance "
           f"{bounds_report.minimizer_distance:.3g} "
-          f"(delta {bounds_report.delta:.3g}) "
+          f"(delta {bounds_report.delta:.3g}, "
+          f"sigma_min {bounds_report.sigma_min:.3g}) "
           f"-> {'ok' if bounds_report.distance_ok else 'VIOLATED'}")
     members = sum(1 for e in bounds_report.limit_set_trace if e["member"])
     print(f"[bounds] limit-set members {members}/"

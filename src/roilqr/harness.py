@@ -544,7 +544,7 @@ def run_verify_bounds(cfg, out_dir=None):
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=cfg.solver.energy_cutoff)
         pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                              cfg.perturb, seed=cfg.solver.seed)
+                              cfg.perturb)
         bounds_report = verify_bounds(pair, samples=cfg.run.bounds_samples,
                                       seed=cfg.solver.seed)
         trace, consistent = trace_limit_set(

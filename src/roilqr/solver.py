@@ -38,7 +38,8 @@ class SolverConfig:
     ``gamma`` is the convergence coefficient (terminate when an accepted
     iteration improves the cost by less than this fraction), ``sigma1``
     the line-search acceptance threshold on the realized-to-predicted
-    improvement ratio.
+    improvement ratio.  ``seed`` labels the run: the harness draws the
+    Gaussian initial guess from it, and the solve itself draws nothing.
     """
 
     gamma: float = 1e-4
@@ -381,7 +382,6 @@ def solve(problem, cfg=None, perturb=None):
 
             data = generate_rollout_data(
                 model, traj, basis=basis, cfg=perturb,
-                seed=cfg.seed * 100003 + it,
                 checkpoint=check_budget if it > 1 else None)
             n_samples = data.n_samples
             ltv = fit_ltv(data)   # in place: ltv and data share one array

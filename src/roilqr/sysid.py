@@ -1,15 +1,15 @@
 """Data-driven linear time-varying model identification.
 
 Around a nominal trajectory, each timestep's local linear map is fitted
-in closed form from d + n_u central-difference samples along a random
-orthogonal design: simulator queries at symmetrically perturbed
-(state, control) pairs about the nominal point.  One design is drawn per
-identification and shared by every timestep, as coordinate-direction
-finite differences would be: each timestep's fit is exactly determined
-by its own d + n_u samples, so nothing is gained by a fresh draw per
-timestep.  When a reduced basis is supplied, state perturbations are
-drawn in the reduced coordinates and lifted, and next-step deviations
-are projected back, so d is the mode count l instead of n_x.
+in closed form from d + n_u central-difference samples along the
+coordinate directions: simulator queries at symmetrically perturbed
+(state, control) pairs about the nominal point.  Sample i < d moves
+state coordinate i by +/- s_x, and sample d + j moves control j by
++/- s_u, so each timestep's fit is exactly determined by its own
+samples and is a column scaling of their central differences.  When a
+reduced basis is supplied, the state coordinates are the reduced ones:
+sample i moves the state along mode i, and next-step deviations are
+projected back, so d is the mode count l instead of n_x.
 
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent and are stepped together:
@@ -33,8 +33,8 @@ class PerturbationConfig:
     ``None`` scales resolve against the nominal trajectory: 1% of the
     nominal magnitude, floored at 1e-2 so zero initial guesses still
     produce excitation.  The sample count is not a setting: every
-    timestep uses the d + n_u columns of one orthogonal design.  The
-    design's seed is an argument of :func:`generate_rollout_data`.
+    timestep perturbs each of its d + n_u coordinates once, by s_x or
+    s_u.
     """
 
     sigma_x: float | None = None
@@ -60,11 +60,11 @@ class PerturbationConfig:
 
 @dataclass
 class RegressionData:
-    """One design shared by all timesteps and the per-timestep samples:
-    inputs (d+n_u, N) with N = d + n_u, outputs (T, d, N).
+    """The perturbation size of each sample, scale (N,) with N = d + n_u,
+    and the per-timestep central differences, outputs (T, d, N).
     :func:`fit_ltv` overwrites ``outputs`` with the fitted model."""
 
-    inputs: np.ndarray
+    scale: np.ndarray
     outputs: np.ndarray
 
     @property
@@ -73,7 +73,7 @@ class RegressionData:
 
     @property
     def n_samples(self):
-        return self.inputs.shape[1]
+        return self.scale.size
 
 
 @dataclass(frozen=True)
@@ -96,33 +96,20 @@ class LtvModel:
         return self.B.shape[2]
 
 
-def orthogonal_design(rng, scale):
-    """Random design X = diag(scale) Q with Q Haar-orthogonal (p x p).
-
-    Its columns are the samples; its rows are orthogonal, so
-    X X^T = diag(scale**2).
-    """
-    q, r = np.linalg.qr(rng.standard_normal((scale.size, scale.size)))
-    return scale[:, None] * (q * np.sign(np.diag(r)))
-
-
-def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
+def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
                           checkpoint=None):
     """Run the perturbation experiments and assemble regression matrices.
 
-    Draws one orthogonal design from ``seed`` over the p = d + n_u
-    (reduced) state and control coordinates, with row scales sqrt(p)*s_x
-    and sqrt(p)*s_u (each coordinate's RMS perturbation is s_x or s_u),
-    and queries each of its p columns at the +/- perturbed points about
-    every timestep's nominal; the central difference of the next state
-    (projected if a basis is given) is recorded.  The queries of
-    consecutive timesteps share one simulator call, in balanced groups of
-    at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a
+    About every timestep's nominal, sample i < d queries the state moved
+    by +/- s_x e_i (+/- s_x phi_i if a basis is given) and sample d + j
+    the control moved by +/- s_u e_j; half the difference of the two
+    next states (projected if a basis is given) is recorded.  The queries
+    of consecutive timesteps share one simulator call, in balanced groups
+    of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a
     single timestep is larger).  ``checkpoint``, if given, is called
     before every simulator call after the first and may raise to abandon
     the identification.  Raises :class:`DivergenceError` naming the
     earliest diverged timestep and its first diverged sample.
-    Deterministic for a fixed seed.
     """
     cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
@@ -130,12 +117,10 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
     n_s = dim + n_u
     horizon = nominal.horizon
     s_x, s_u = cfg.resolved(nominal)
-    scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, n_u])
-    design = orthogonal_design(np.random.default_rng(seed), scale)
-    dz, du = design[:dim].T, design[dim:].T
-    # contiguous once: at full order dz is a transposed view, which every
-    # group's broadcast +/- would otherwise read strided
-    dx = np.ascontiguousarray(dz @ basis.phi.T if basis is not None else dz)
+    dx = np.zeros((n_s, n_x))
+    dx[:dim] = s_x * (basis.phi.T if basis is not None else np.eye(n_x))
+    du = np.zeros((n_s, n_u))
+    du[dim:] = s_u * np.eye(n_u)
 
     outputs = np.empty((horizon, dim, n_s))
     groups = balanced_runs(horizon, 2 * n_s * n_x)
@@ -170,25 +155,19 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *, seed,
         if basis is not None:
             dy = dy @ basis.phi
         outputs[lo:hi] = dy.transpose(0, 2, 1)
-    return RegressionData(inputs=design, outputs=outputs)
+    return RegressionData(scale=np.repeat([s_x, s_u], [dim, n_u]),
+                          outputs=outputs)
 
 
 def fit_ltv(data):
-    """Fit [A_t | B_t] = Y_t X^T (X X^T)^{-1} for every timestep in closed
+    """Fit [A_t | B_t] = Y_t diag(scale)^{-1} for every timestep in closed
     form, in place: the fit consumes its data.
 
-    The design X of :func:`generate_rollout_data` has orthogonal rows and
-    is shared by all timesteps, so (X X^T)^{-1} is the reciprocal of its
-    squared row norms and each timestep's fit is one product of its
-    outputs with X^T scaled column-wise.  Each product goes through one
-    (d, d + n_u) scratch back into ``data.outputs``, and the returned A
-    and B are views of it.
+    Each sample of :func:`generate_rollout_data` moves one coordinate, so
+    the least-squares fit of its central differences divides each
+    column by its perturbation size.  The returned A and B are views of
+    ``data.outputs``.
     """
-    x = data.inputs
     theta = data.outputs
-    weights = x.T / np.sum(x * x, axis=1)
-    scratch = np.empty(theta.shape[1:])
-    for theta_t in theta:
-        np.matmul(theta_t, weights, out=scratch)
-        theta_t[...] = scratch
+    theta /= data.scale
     return LtvModel(A=theta[:, :, :data.dim], B=theta[:, :, data.dim:])

@@ -53,8 +53,7 @@ def bound_instances():
                        cfg.perturb)
         nominal = report.trajectory
         basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
-        pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                              seed=100 + seed)
+        pair = build_lqr_pair(problem.model, problem.cost, nominal, basis)
         results.append(verify_bounds(pair, samples=150, seed=seed))
     return results
 
@@ -154,7 +153,7 @@ def test_oracle_backward_vs_dense():
 
         cost = CostModel(q=1.0, r=0.5 * np.eye(model.n_u), q_terminal=2.0,
                          goal=rng.standard_normal(model.n_x))
-        ltv = fit_ltv(generate_rollout_data(model, nominal, seed=seed))
+        ltv = fit_ltv(generate_rollout_data(model, nominal))
         terms = reduce_cost(cost, nominal, None)
         gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
         du_bp = simulate_feedback(ltv, gains)
@@ -169,7 +168,7 @@ def test_oracle_ltv_recovery():
     model = random_stable_linear(5, 2, rng)
     nominal = rollout(model, rng.standard_normal(5),
                       0.3 * rng.standard_normal((6, 2)))
-    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=1))
+    ltv = fit_ltv(generate_rollout_data(model, nominal))
     err = max(float(np.max(np.abs(ltv.A - model.a))),
               float(np.max(np.abs(ltv.B - model.b))))
     _criterion("oracle (b): noiseless LTV plant recovery", err <= 1e-8,
@@ -182,7 +181,7 @@ def test_oracle_galerkin_projection():
     nominal = rollout(model, rng.standard_normal(12),
                       0.3 * rng.standard_normal((5, 3)))
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=1.0)
-    data = generate_rollout_data(model, nominal, basis, seed=2)
+    data = generate_rollout_data(model, nominal, basis)
     ltv = fit_ltv(data)
     phi = basis.phi
     err = 0.0
@@ -247,7 +246,7 @@ def test_conservation_and_properties(benchmarks):
     prob = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
     nominal = rollout(prob.model, prob.x0, prob.u_init)
     basis = method_of_snapshots(nominal.states.T)
-    data = generate_rollout_data(prob.model, nominal, basis, seed=9)
+    data = generate_rollout_data(prob.model, nominal, basis)
     hessians = value_hessians(fit_ltv(data),
                               reduce_cost(prob.cost, nominal, basis))
     asym = max(float(np.max(np.abs(vt - vt.T))) for vt in hessians)

@@ -84,7 +84,7 @@ def test_bounds_hold_on_random_linear_plants(n_x, n_u, cutoff, q,
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=cutoff)
     cost = CostModel(q=q, r=r * np.eye(n_u), q_terminal=q_terminal,
                      goal=rng.standard_normal(n_x))
-    pair = build_lqr_pair(model, cost, nominal, basis, seed=seed)
+    pair = build_lqr_pair(model, cost, nominal, basis)
     report = verify_bounds(pair, samples=40, seed=seed)
     assert report.objective_gap_ok
     assert report.minima_gap_ok
@@ -128,8 +128,7 @@ def burgers_pair():
     report = solve(problem, SolverConfig(mode="reduced", seed=0), cfg.perturb)
     nominal = report.trajectory
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
-    pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                          seed=11)
+    pair = build_lqr_pair(problem.model, problem.cost, nominal, basis)
     return problem, report, pair
 
 

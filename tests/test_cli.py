@@ -300,8 +300,14 @@ def test_verify_bounds_prints_the_bounds_it_checked(tmp_path, capsys):
             f"(bound {saved['gap_bound']:.3g}) -> ok") in out
     assert (f"minima gap {saved['minima_gap']:.3g} "
             f"(bound {saved['minima_gap_bound']:.3g}) -> ok") in out
+    assert (f"minimizer distance {saved['minimizer_distance']:.3g} "
+            f"(delta {saved['delta']:.3g}, "
+            f"sigma_min {saved['sigma_min']:.3g}) -> ok") in out
+    # delta is printed only beside the sigma_min it was computed with
+    assert out.count("delta") == 1 and out.count("sigma_min") == 1
     assert saved["max_objective_gap"] <= saved["gap_bound"]
     assert saved["minima_gap"] <= saved["minima_gap_bound"]
+    assert saved["minimizer_distance"] <= saved["delta"]
 
 
 @pytest.mark.parametrize("config,solve_status,message", [

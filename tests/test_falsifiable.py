@@ -1,0 +1,90 @@
+"""Each paper check must be able to fail: a named mutant of the claim it
+guards, written here, is rejected by that check."""
+
+import numpy as np
+import pytest
+
+from roilqr.harness import build_problem, gaussian_guess, preset
+from roilqr.pde import rollout
+from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+
+_TIMESTEPS = (0, 1, 2)
+
+
+def _coordinate_moves(model, h_x, h_u):
+    """(states, controls) moves of the p = n_x + n_u coordinate samples."""
+    n_x, n_u = model.n_x, model.n_u
+    dx = np.vstack([h_x * np.eye(n_x), np.zeros((n_u, n_x))])
+    du = np.vstack([np.zeros((n_x, n_u)), h_u * np.eye(n_u)])
+    return dx, du, np.repeat([h_x, h_u], [n_x, n_u])
+
+
+def _reference_jacobian(model, x, u, h=1e-6):
+    """[A | B] at (x, u) by an h-step coordinate central difference."""
+    dx, du, _ = _coordinate_moves(model, h, h)
+    f_plus = model.step_batch(x + dx, u + du)
+    f_minus = model.step_batch(x - dx, u - du)
+    return ((f_plus - f_minus) / (2 * h)).T
+
+
+def _central(model, nominal, s_x, s_u):
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u)
+    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
+    return np.concatenate([ltv.A, ltv.B], axis=2)
+
+
+def _one_sided(model, nominal, s_x, s_u):
+    # mutant: f(x+) - f(x_bar) in place of (f(x+) - f(x-)) / 2
+    dx, du, scale = _coordinate_moves(model, s_x, s_u)
+    theta = np.empty((nominal.horizon, model.n_x, len(scale)))
+    for t in range(nominal.horizon):
+        x, u = nominal.states[t], nominal.controls[t]
+        f_plus = model.step_batch(x + dx, u + du)
+        f_bar = model.step_batch(x[None], u[None])
+        theta[t] = ((f_plus - f_bar) / scale[:, None]).T
+    return theta
+
+
+@pytest.fixture(scope="module")
+def burgers_nominal():
+    """The seed-0 guess nominal of ``burgers_small``, cut to the first
+    timesteps, and its default perturbation scales."""
+    cfg = preset("burgers_small")
+    problem = build_problem(
+        cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+    nominal = rollout(problem.model, problem.x0,
+                      problem.u_init[:len(_TIMESTEPS)])
+    references = [_reference_jacobian(problem.model, nominal.states[t],
+                                      nominal.controls[t])
+                  for t in _TIMESTEPS]
+    return problem.model, nominal, references, \
+        PerturbationConfig().resolved(nominal)
+
+
+def _error_ratios(identify, burgers_nominal):
+    """Max relative Jacobian errors at sigma, sigma/2, sigma/4 and the
+    ratios of consecutive ones."""
+    model, nominal, references, (s_x, s_u) = burgers_nominal
+    errors = []
+    for k in range(3):
+        theta = identify(model, nominal, s_x / 2**k, s_u / 2**k)
+        errors.append(max(np.max(np.abs(theta[t] - ref)) / np.max(np.abs(ref))
+                          for t, ref in zip(_TIMESTEPS, references)))
+    return errors, [errors[0] / errors[1], errors[1] / errors[2]]
+
+
+def _second_order(ratios):
+    """The order check: halving sigma cuts the error 4x (O(sigma^2))."""
+    return all(3.5 <= r <= 4.5 for r in ratios)
+
+
+def test_identification_error_is_second_order_in_sigma(burgers_nominal):
+    errors, ratios = _error_ratios(_central, burgers_nominal)
+    assert errors[-1] > 1e-9, "error at the reference's noise floor"
+    assert _second_order(ratios), (errors, ratios)
+
+
+def test_order_check_rejects_one_sided_differences(burgers_nominal):
+    errors, ratios = _error_ratios(_one_sided, burgers_nominal)
+    assert not _second_order(ratios), (errors, ratios)
+    assert all(1.5 <= r <= 2.5 for r in ratios), (errors, ratios)

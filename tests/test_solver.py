@@ -31,7 +31,7 @@ def lq_setup():
     x0 = rng.standard_normal(5)
     horizon = 7
     nominal = rollout(model, x0, 0.3 * rng.standard_normal((horizon, 2)))
-    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=1))
+    ltv = fit_ltv(generate_rollout_data(model, nominal))
     terms = reduce_cost(cost, nominal, None)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     return model, cost, nominal, gains

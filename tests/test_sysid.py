@@ -6,11 +6,10 @@ from helpers import LinearModel, random_stable_linear, step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import pde, sysid
+from roilqr import pde
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
-from roilqr.sysid import (PerturbationConfig, fit_ltv, generate_rollout_data,
-                          orthogonal_design)
+from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 
 def _nominal(model, horizon, rng, scale=0.5):
@@ -23,10 +22,10 @@ def test_linear_plant_data_is_exact():
     rng = np.random.default_rng(0)
     model = random_stable_linear(6, 2, rng)
     nominal = _nominal(model, 5, rng)
-    data = generate_rollout_data(model, nominal, seed=1)
+    data = generate_rollout_data(model, nominal)
     block = np.hstack([model.a, model.b])
     for t in range(5):
-        np.testing.assert_allclose(data.outputs[t], block @ data.inputs,
+        np.testing.assert_allclose(data.outputs[t], block * data.scale,
                                    atol=1e-12)
 
 
@@ -34,7 +33,7 @@ def test_fit_recovers_linear_plant():
     rng = np.random.default_rng(1)
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 6, rng)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=2))
+    ltv = fit_ltv(generate_rollout_data(model, nominal))
     for t in range(6):
         np.testing.assert_allclose(ltv.A[t], model.a, atol=1e-8)
         np.testing.assert_allclose(ltv.B[t], model.b, atol=1e-8)
@@ -47,8 +46,7 @@ def test_fit_independent_of_sigma_on_linear_plant():
     fits = []
     for sigma in (1e-4, 1e-2, 1.0):
         cfg = PerturbationConfig(sigma_x=sigma, sigma_u=sigma)
-        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg,
-                                                  seed=3)))
+        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg)))
     for ltv in fits[1:]:
         np.testing.assert_allclose(ltv.A, fits[0].A, atol=1e-9)
         np.testing.assert_allclose(ltv.B, fits[0].B, atol=1e-9)
@@ -58,7 +56,7 @@ def test_identity_plant():
     model = LinearModel(np.eye(4), np.zeros((4, 2)))
     rng = np.random.default_rng(3)
     nominal = _nominal(model, 3, rng)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=4))
+    ltv = fit_ltv(generate_rollout_data(model, nominal))
     np.testing.assert_allclose(ltv.A, np.broadcast_to(np.eye(4), (3, 4, 4)),
                                atol=1e-8)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-8)
@@ -67,7 +65,7 @@ def test_identity_plant():
 def test_zero_dynamics_plant():
     model = LinearModel(np.zeros((4, 4)), np.zeros((4, 2)))
     nominal = _nominal(model, 3, np.random.default_rng(4))
-    ltv = fit_ltv(generate_rollout_data(model, nominal, seed=5))
+    ltv = fit_ltv(generate_rollout_data(model, nominal))
     np.testing.assert_allclose(ltv.A, 0.0, atol=1e-10)
     np.testing.assert_allclose(ltv.B, 0.0, atol=1e-10)
 
@@ -77,7 +75,7 @@ def test_reduced_fit_equals_galerkin_projection():
     model = random_stable_linear(12, 3, rng)
     nominal = _nominal(model, 5, rng)
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=1.0)
-    data = generate_rollout_data(model, nominal, basis, seed=6)
+    data = generate_rollout_data(model, nominal, basis)
     ltv = fit_ltv(data)
     phi = basis.phi
     for t in range(5):
@@ -97,8 +95,7 @@ def test_reduced_fit_equals_galerkin_projection_on_random_plants(
     model = random_stable_linear(n_x, n_u, rng)
     nominal = _nominal(model, horizon, rng)
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=cutoff)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, basis,
-                                        seed=seed % 1000))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, basis))
     phi = basis.phi
     for t in range(horizon):
         np.testing.assert_allclose(ltv.A[t], phi.T @ model.a @ phi, atol=1e-6)
@@ -112,7 +109,7 @@ def test_full_order_matches_finite_difference_jacobian():
     nominal = rollout(model, 0.5 * rng.standard_normal(20),
                       0.2 * rng.standard_normal((4, 2)))
     cfg = PerturbationConfig(sigma_x=1e-4, sigma_u=1e-4)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg, seed=7))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
     # central finite-difference Jacobian oracle, column by column
     h = 1e-5
     for t in (0, 3):
@@ -134,7 +131,8 @@ def test_full_order_matches_finite_difference_jacobian():
 @pytest.mark.parametrize("reduced", [False, True])
 def test_fit_overwrites_outputs_bit_identical_to_one_product(reduced):
     # the fit writes theta into the outputs buffer; A and B are views of
-    # it, and theta equals the whole-stack product to the last bit
+    # it, and theta equals the outputs scaled column by column to the last
+    # bit
     rng = np.random.default_rng(25)
     grid = Grid(ndim=1, points=40, dx=2.0 / 39)
     model = BurgersModel(grid, PdeParams(dt=2e-3, substeps=5, nu=0.05))
@@ -142,9 +140,8 @@ def test_fit_overwrites_outputs_bit_identical_to_one_product(reduced):
                       0.2 * rng.standard_normal((6, 2)))
     basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
              if reduced else None)
-    data = generate_rollout_data(model, nominal, basis, seed=26)
-    x = data.inputs
-    theta = data.outputs @ (x.T / np.sum(x * x, axis=1))
+    data = generate_rollout_data(model, nominal, basis)
+    theta = data.outputs / data.scale
     ltv = fit_ltv(data)
     assert np.shares_memory(ltv.A, data.outputs)
     assert np.shares_memory(ltv.B, data.outputs)
@@ -160,19 +157,21 @@ def test_vanishing_perturbations_give_vanishing_data():
     model = random_stable_linear(4, 2, rng)
     nominal = _nominal(model, 3, rng)
     cfg = PerturbationConfig(sigma_x=1e-12, sigma_u=1e-12)
-    data = generate_rollout_data(model, nominal, None, cfg, seed=8)
-    assert np.max(np.abs(data.inputs)) < 1e-10
+    data = generate_rollout_data(model, nominal, None, cfg)
+    assert np.max(data.scale) < 1e-10
     assert np.max(np.abs(data.outputs)) < 1e-10
 
 
-def test_seeded_data_is_byte_identical():
+def test_repeated_data_is_byte_identical():
     rng = np.random.default_rng(8)
     model = random_stable_linear(5, 2, rng)
     nominal = _nominal(model, 4, rng)
-    d1 = generate_rollout_data(model, nominal, seed=99)
-    d2 = generate_rollout_data(model, nominal, seed=99)
-    np.testing.assert_array_equal(d1.inputs, d2.inputs)
-    np.testing.assert_array_equal(d1.outputs, d2.outputs)
+    d1 = generate_rollout_data(model, nominal)
+    d2 = generate_rollout_data(model, nominal)
+    np.testing.assert_array_equal(d1.scale.view(np.uint64),
+                                  d2.scale.view(np.uint64))
+    np.testing.assert_array_equal(d1.outputs.view(np.uint64),
+                                  d2.outputs.view(np.uint64))
 
 
 def test_sample_count_scaling():
@@ -182,8 +181,8 @@ def test_sample_count_scaling():
     nominal = rollout(model, 0.3 * rng.standard_normal(100),
                       0.1 * rng.standard_normal((6, 2)))
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
-    n_red = generate_rollout_data(model, nominal, basis, seed=12).n_samples
-    n_full = generate_rollout_data(model, nominal, None, seed=12).n_samples
+    n_red = generate_rollout_data(model, nominal, basis).n_samples
+    n_full = generate_rollout_data(model, nominal, None).n_samples
     assert (n_red, n_full) == (basis.n_modes + 2, 100 + 2)
 
 
@@ -191,7 +190,7 @@ def test_sample_count_scaling():
 @given(dim=st.integers(1, 9), n_u=st.integers(1, 3),
        s_x=st.floats(1e-4, 1e2), s_u=st.floats(1e-4, 1e2),
        seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
-def test_orthogonal_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
+def test_coordinate_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
                                                  reduced):
     rng = np.random.default_rng(seed)
     n_x = dim + 4 if reduced else dim
@@ -205,16 +204,14 @@ def test_orthogonal_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
                              captured_energy=1.0)
         a_red, b_red = phi.T @ model.a @ phi, phi.T @ model.b
     cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u)
-    data = generate_rollout_data(model, nominal, basis, cfg, seed=seed)
+    data = generate_rollout_data(model, nominal, basis, cfg)
 
-    n_s = dim + n_u
-    assert data.n_samples == n_s
-    assert data.inputs.shape == (n_s, n_s)
-    # precondition of the closed-form fit: X X^T = (d + n_u) diag(sigma^2)
-    gram = n_s * np.diag(np.repeat([s_x, s_u], [dim, n_u]) ** 2)
-    x = data.inputs
-    np.testing.assert_allclose(x @ x.T, gram, rtol=1e-12,
-                               atol=1e-12 * np.max(gram))
+    assert data.n_samples == dim + n_u
+    # precondition of the closed-form fit: sample i moves coordinate i by
+    # the resolved s_x (state) or s_u (control)
+    assert cfg.resolved(nominal) == (s_x, s_u)
+    np.testing.assert_array_equal(data.scale,
+                                  np.repeat([s_x, s_u], [dim, n_u]))
     ltv = fit_ltv(data)
     np.testing.assert_allclose(ltv.A, np.broadcast_to(a_red, ltv.A.shape),
                                atol=1e-8)
@@ -228,17 +225,17 @@ def test_perturbation_config_validation(bad):
         PerturbationConfig(**bad)
 
 
-def _two_call_rollout_data(model, nominal, basis, seed):
+def _two_call_rollout_data(model, nominal, basis):
     """Reference sampler: one timestep at a time, separate simulator calls
-    for the + and - rows, one design for every timestep."""
+    for the + and - rows, one coordinate per sample."""
     dim = basis.n_modes if basis is not None else model.n_x
-    n_s = dim + model.n_u
+    n_x, n_u = model.n_x, model.n_u
+    n_s = dim + n_u
     s_x, s_u = PerturbationConfig().resolved(nominal)
-    scale = np.sqrt(n_s) * np.repeat([s_x, s_u], [dim, model.n_u])
-    inputs = orthogonal_design(np.random.default_rng(seed), scale)
-    dz = inputs[:dim].T
-    du = inputs[dim:].T
-    dx = dz @ basis.phi.T if basis is not None else dz
+    modes = basis.phi.T if basis is not None else np.eye(n_x)
+    dx = np.vstack([s_x * modes, np.zeros((n_u, n_x))])
+    du = np.vstack([np.zeros((dim, n_u)), s_u * np.eye(n_u)])
+    scale = np.repeat([s_x, s_u], [dim, n_u])
     outputs = np.empty((nominal.horizon, dim, n_s))
     for t in range(nominal.horizon):
         f_plus = model.step_batch(nominal.states[t] + dx,
@@ -249,7 +246,7 @@ def _two_call_rollout_data(model, nominal, basis, seed):
         if basis is not None:
             dy = dy @ basis.phi
         outputs[t] = dy.T
-    return inputs, outputs
+    return scale, outputs
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -261,10 +258,10 @@ def test_stacked_samples_bit_identical_to_two_calls(reduced):
                       0.2 * rng.standard_normal((4, 2)))
     basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
              if reduced else None)
-    data = generate_rollout_data(model, nominal, basis, seed=14)
-    inputs, outputs = _two_call_rollout_data(model, nominal, basis, 14)
-    np.testing.assert_array_equal(data.inputs.view(np.uint64),
-                                  inputs.view(np.uint64))
+    data = generate_rollout_data(model, nominal, basis)
+    scale, outputs = _two_call_rollout_data(model, nominal, basis)
+    np.testing.assert_array_equal(data.scale.view(np.uint64),
+                                  scale.view(np.uint64))
     np.testing.assert_array_equal(data.outputs.view(np.uint64),
                                   outputs.view(np.uint64))
 
@@ -289,12 +286,12 @@ def test_grouped_timesteps_bit_identical_to_per_timestep(monkeypatch, cap,
                       0.2 * rng.standard_normal((5, 2)))
     basis = (method_of_snapshots(nominal.states.T, energy_cutoff=0.9999)
              if reduced else None)
-    inputs, outputs = _two_call_rollout_data(model, nominal, basis, 20)
+    scale, outputs = _two_call_rollout_data(model, nominal, basis)
     n_s = (basis.n_modes if reduced else 24) + 2
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap(2 * n_s * 24))
-    data = generate_rollout_data(model, nominal, basis, seed=20)
-    np.testing.assert_array_equal(data.inputs.view(np.uint64),
-                                  inputs.view(np.uint64))
+    data = generate_rollout_data(model, nominal, basis)
+    np.testing.assert_array_equal(data.scale.view(np.uint64),
+                                  scale.view(np.uint64))
     np.testing.assert_array_equal(data.outputs.view(np.uint64),
                                   outputs.view(np.uint64))
 
@@ -318,7 +315,7 @@ def test_one_simulator_call_per_group_within_cap(monkeypatch, cap):
     nominal = _nominal(model, 7, rng)
     model.calls.clear()
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap)
-    generate_rollout_data(model, nominal, seed=22)
+    generate_rollout_data(model, nominal)
     rows_t = 2 * (6 + 2)   # +/- rows of one timestep: 96 cells
     per_group = max(1, cap // (rows_t * 6))
     assert len(model.calls) == -(-7 // per_group)
@@ -341,50 +338,62 @@ class _Recording(LinearModel):
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_one_design_per_identification(monkeypatch, reduced):
+    # every timestep's sample i < d is the nominal moved by +/- s_x along
+    # state coordinate i (mode i if reduced), and sample d + j the nominal
+    # moved by +/- s_u along control j, to the last bit
     rng = np.random.default_rng(23)
     model = _Recording(random_stable_linear(8, 2, rng))
     nominal = _nominal(model, 6, rng)
+    modes = np.eye(8)
     basis = None
     if reduced:
         phi = np.linalg.qr(rng.standard_normal((8, 3)))[0]
         basis = ReducedBasis(phi=phi, eigenvalues=np.ones(3),
                              captured_energy=1.0)
-    draws = []
-
-    def counting(rng, scale):
-        draws.append(orthogonal_design(rng, scale))
-        return draws[-1]
-
-    monkeypatch.setattr(sysid, "orthogonal_design", counting)
+        modes = phi.T
+    dim = len(modes)
+    s_x, s_u = PerturbationConfig().resolved(nominal)
     # timesteps of 2 * 5 * 8 cells (reduced) or 2 * 10 * 8: groups of two
-    n_s = (3 if reduced else 8) + 2
+    n_s = dim + 2
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 2 * (2 * n_s * 8))
     model.batches.clear()
-    data = generate_rollout_data(model, nominal, basis, seed=24)
-    assert len(draws) == 1 and len(model.batches) == 3
-    assert data.inputs is draws[0]
-    dz, du = data.inputs[:n_s - 2].T, data.inputs[n_s - 2:].T
-    dx = dz @ basis.phi.T if reduced else dz
-    states = np.concatenate([x for x, _ in model.batches])
-    controls = np.concatenate([u for _, u in model.batches])
-    states = states.reshape(6, 2, n_s, 8)
-    controls = controls.reshape(6, 2, n_s, 2)
+    generate_rollout_data(model, nominal, basis)
+    assert len(model.batches) == 3
+    batches = model.batches[:]
+    states = np.concatenate([x for x, _ in batches]).reshape(6, 2, n_s, 8)
+    controls = np.concatenate([u for _, u in batches]).reshape(6, 2, n_s, 2)
     for t in range(6):
-        np.testing.assert_array_equal(states[t, 0], nominal.states[t] + dx)
-        np.testing.assert_array_equal(states[t, 1], nominal.states[t] - dx)
-        np.testing.assert_array_equal(controls[t, 0],
-                                      nominal.controls[t] + du)
-        np.testing.assert_array_equal(controls[t, 1],
-                                      nominal.controls[t] - du)
-    generate_rollout_data(model, nominal, basis, seed=24)
-    assert len(draws) == 2
+        x_bar, u_bar = nominal.states[t], nominal.controls[t]
+        for i in range(dim):
+            np.testing.assert_array_equal(states[t, 0, i],
+                                          x_bar + s_x * modes[i])
+            np.testing.assert_array_equal(states[t, 1, i],
+                                          x_bar - s_x * modes[i])
+        for j in range(2):
+            e_j = np.eye(2)[j]
+            np.testing.assert_array_equal(controls[t, 0, dim + j],
+                                          u_bar + s_u * e_j)
+            np.testing.assert_array_equal(controls[t, 1, dim + j],
+                                          u_bar - s_u * e_j)
+        # a state sample keeps the nominal control, and a control sample
+        # the nominal state
+        np.testing.assert_array_equal(controls[t, :, :dim],
+                                      np.broadcast_to(u_bar, (2, dim, 2)))
+        np.testing.assert_array_equal(states[t, :, dim:],
+                                      np.broadcast_to(x_bar, (2, 2, 8)))
+    # a second identification issues the same queries
+    model.batches.clear()
+    generate_rollout_data(model, nominal, basis)
+    for (x1, u1), (x2, u2) in zip(batches, model.batches, strict=True):
+        np.testing.assert_array_equal(x1.view(np.uint64), x2.view(np.uint64))
+        np.testing.assert_array_equal(u1.view(np.uint64), u2.view(np.uint64))
 
 
 class _BlowsUpNear(LinearModel):
     """Linear plant whose step is non-finite for states near a region's
-    ``center`` whose first coordinate lies beyond ``center[0] + offset``
-    (on the side of the sign of ``offset``), for each ``(center, offset)``
-    region."""
+    ``center`` whose coordinate ``k`` lies beyond ``center[k] + offset``
+    (on the side of the sign of ``offset``), for each
+    ``(center, k, offset)`` region."""
 
     def __init__(self, plant, *regions):
         super().__init__(plant.a, plant.b)
@@ -392,53 +401,44 @@ class _BlowsUpNear(LinearModel):
 
     def step_batch(self, states, controls):
         out = super().step_batch(states, controls)
-        for center, offset in self.regions:
-            near = np.all(np.abs(states[:, 1:] - center[1:]) < 1e-3, axis=1)
-            beyond = np.sign(offset) * (states[:, 0] - center[0]) \
+        for center, k, offset in self.regions:
+            near = np.all(np.abs(states - center) < 1e-3, axis=1)
+            beyond = np.sign(offset) * (states[:, k] - center[k]) \
                 > abs(offset)
             out[near & beyond] = np.inf
         return out
-
-
-def _one_sided_offset(dx0):
-    """(sample, offset): the sample with the largest |dx_0| is the only one
-    that reaches past ``offset``, and only on its minus side."""
-    r_bad = int(np.argmax(np.abs(dx0)))
-    runner_up = np.sort(np.abs(dx0))[-2]
-    return r_bad, -np.sign(dx0[r_bad]) * 0.5 * (runner_up + abs(dx0[r_bad]))
 
 
 def test_minus_side_divergence_names_timestep_and_rollout():
     rng = np.random.default_rng(15)
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 4, rng)
-    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5)
-    n_s = 5 + 2   # d + n_u samples per timestep
-    t_bad = 2
-    dx0 = generate_rollout_data(plant, nominal, None, cfg, seed=16).inputs[0]
-    r_bad, offset = _one_sided_offset(dx0)
-    model = _BlowsUpNear(plant, (nominal.states[t_bad], offset))
+    s_x = 1e-5
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
+    t_bad, r_bad = 2, 3
+    # only sample r_bad moves coordinate r_bad, and only its minus side
+    # reaches past -s_x / 2
+    model = _BlowsUpNear(plant, (nominal.states[t_bad], r_bad, -0.5 * s_x))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg, seed=16)
+        generate_rollout_data(model, nominal, None, cfg)
     assert err.value.timestep == t_bad
-    assert err.value.rollout == r_bad < n_s
+    assert err.value.rollout == r_bad
 
 
 def test_earliest_diverged_timestep_of_a_group_is_reported():
     rng = np.random.default_rng(17)
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 5, rng)
-    cfg = PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5)
+    s_x = 1e-5
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
     n_s = 5 + 2
     assert pde.balanced_runs(5, 2 * n_s * 5) == [(0, 5)]   # one group
-    t_early, t_late = 1, 3
-    dx0 = generate_rollout_data(plant, nominal, None, cfg, seed=18).inputs[0]
-    r_bad, offset = _one_sided_offset(dx0)
-    assert r_bad > 0   # differs from the late timestep's first rollout
-    # at t_late every sample diverges on the side of its dx_0's sign
-    model = _BlowsUpNear(plant, (nominal.states[t_early], offset),
-                         (nominal.states[t_late], 1e-300))
+    t_early, t_late, r_bad = 1, 3, 2
+    # at t_early only sample r_bad diverges (its minus side); at t_late
+    # sample 0 does (its plus side), which comes first in sample order
+    model = _BlowsUpNear(plant, (nominal.states[t_early], r_bad, -0.5 * s_x),
+                         (nominal.states[t_late], 0, 1e-300))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg, seed=18)
+        generate_rollout_data(model, nominal, None, cfg)
     assert err.value.timestep == t_early
     assert err.value.rollout == r_bad
