@@ -11,11 +11,10 @@ The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
 case).  Gains follow the convention du_t = -k_t - K_t dz_t, so k, K are
 the positive-form products of the inverted control Hessian.  The
-backward pass carries one value Hessian, V_{t+1}, down the horizon and
-keeps only V_0, never a (T+1, d, d) stack.  Both the backward pass and
-the dense oracle solve through one Cholesky factor
-(``np.linalg.cholesky``) and forward and back substitution; numpy is the
-only numerical dependency.
+backward pass never forms a d x d value Hessian: O(T^2 d^2 n_u) work in
+place of the O(T d^3) of the V-forming sweep.  Both it and the dense
+oracle solve through one Cholesky factor (``np.linalg.cholesky``) and
+forward and back substitution; numpy is the only numerical dependency.
 """
 
 from dataclasses import dataclass
@@ -145,9 +144,8 @@ class Regularizer:
 class GainSchedule:
     """Feedback law du_t = -k_t - K_t dz_t plus the value recursion.
 
-    ``v`` holds the value gradients of every timestep; of the value
-    Hessians only the t = 0 one, ``V0``, is kept (V_t is the ``V0`` of
-    the suffix problem that starts at t).  ``sum_k_qu`` and
+    ``v`` holds the value gradients of every timestep; no value Hessian
+    is kept (the backward pass never forms one).  ``sum_k_qu`` and
     ``sum_k_quu_k`` accumulate k^T Q_u and k^T Q_uu k over the horizon;
     the predicted cost decrease of a step scaled by ``alpha`` is
     alpha * sum_k_qu - alpha^2/2 * sum_k_quu_k.
@@ -156,7 +154,6 @@ class GainSchedule:
     k: np.ndarray            # (T, n_u)
     K: np.ndarray            # (T, n_u, d)
     v: np.ndarray            # (T+1, d)
-    V0: np.ndarray           # (d, d)
     sum_k_qu: float
     sum_k_quu_k: float
 
@@ -179,41 +176,46 @@ def _cho_solve(chol, rhs):
 def backward_pass(ltv, terms, reg=None):
     """Backward-in-time value recursion producing the gain schedule.
 
+    V_{t+1} is needed only through V_{t+1} B_t and V_{t+1} A_t, so the
+    sweep carries G_t = V_t F_t, where the (d, t n_u) sensitivity F_t
+    maps u_0..u_{t-1} to z_t (F_0 empty, F_{t+1} = [A_t F_t | B_t]): the
+    last block of G_{t+1} is V_{t+1} B_t, the rest is V_{t+1} A_t F_t.
+
     Q-function form: at each step the control Hessian gets mu*I damping
     through the next-step value Hessian (damping enters Q_uu and Q_uz
-    only, never the stored value function).  A non-PD control Hessian
-    bumps mu and retries the same timestep; exceeding the ceiling raises
-    :class:`BackwardPassError`, as does a non-finite control Hessian or
-    gain (damping cannot repair those).  A clean sweep relaxes mu once.
-    Only V_0 of the value Hessians is returned.
+    only, never the value function carried on).  A non-PD control
+    Hessian bumps mu and retries the same timestep; exceeding the
+    ceiling raises :class:`BackwardPassError`, as does a non-finite
+    control Hessian or gain (damping cannot repair those).  A clean sweep
+    relaxes mu once.
     """
     if reg is None:
         reg = Regularizer()
-    horizon, dim = ltv.horizon, ltv.dim
-    n_u = ltv.n_u
+    horizon, dim, n_u = ltv.horizon, ltv.dim, ltv.n_u
     if terms.dim != dim or terms.horizon != horizon:
         raise ValueError("cost terms and LTV model disagree on dimensions")
 
+    sens = [np.empty((dim, 0))]
+    for t in range(horizon):
+        sens.append(np.hstack((ltv.A[t] @ sens[t], ltv.B[t])))
     k_all = np.empty((horizon, n_u))
     big_k = np.empty((horizon, n_u, dim))
     v = np.empty((horizon + 1, dim))
     v[horizon] = terms.lin_state[horizon]
-    v_next = 0.5 * (terms.quad_terminal + terms.quad_terminal.T)
+    g_next = 0.5 * (terms.quad_terminal + terms.quad_terminal.T) @ sens[-1]
 
     sum_k_qu = 0.0
     sum_k_quu_k = 0.0
     bumped = False
-    v_damped = np.empty((dim, dim))
     for t in range(horizon - 1, -1, -1):
         a_t, b_t = ltv.A[t], ltv.B[t]
+        m = t * n_u
+        v_b = g_next[:, m:]
+        q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
+        q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
         while True:
-            v_damped[...] = v_next
-            v_damped.flat[::dim + 1] += reg.mu
-            q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
-            q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
-            q_zz = terms.quad_state + a_t.T @ v_next @ a_t
-            q_uz = b_t.T @ v_damped @ a_t
-            q_uu = terms.r + b_t.T @ v_damped @ b_t
+            q_uz = v_b.T @ a_t + reg.mu * (b_t.T @ a_t)
+            q_uu = terms.r + b_t.T @ v_b + reg.mu * (b_t.T @ b_t)
             q_uu = 0.5 * (q_uu + q_uu.T)
             if not np.isfinite(q_uu).all():
                 raise BackwardPassError(
@@ -237,19 +239,16 @@ def backward_pass(ltv, terms, reg=None):
         k_all[t] = k_t
         big_k[t] = big_k_t
         v[t] = q_z + big_k_t.T @ (q_uu @ k_t) - big_k_t.T @ q_u - q_uz.T @ k_t
-        # V_t = Q_zz + K^T Q_uu K - K^T Q_uz - Q_uz^T K, summed in that
-        # order in Q_zz's buffer, then symmetrized
-        q_zz += big_k_t.T @ (q_uu @ big_k_t)
-        q_zz -= big_k_t.T @ q_uz
-        q_zz -= q_uz.T @ big_k_t
-        q_zz += q_zz.T
-        q_zz *= 0.5
-        v_next = q_zz
+        # G_t = V_t F_t, V_t = Q + A^T V' A + K^T Q_uu K - K^T Q_uz - Q_uz^T K
+        f_t = sens[t]
+        kf = big_k_t @ f_t
+        g_next = terms.quad_state @ f_t + a_t.T @ g_next[:, :m] \
+            + big_k_t.T @ (q_uu @ kf - q_uz @ f_t) - q_uz.T @ kf
         sum_k_qu += float(k_t @ q_u)
         sum_k_quu_k += float(k_t @ (q_uu @ k_t))
     if not bumped:
         reg.decrease()
-    return GainSchedule(k=k_all, K=big_k, v=v, V0=v_next,
+    return GainSchedule(k=k_all, K=big_k, v=v,
                         sum_k_qu=sum_k_qu, sum_k_quu_k=sum_k_quu_k)
 
 

@@ -1,13 +1,13 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
-the one-row model step, reference recursions for the backward pass, every
-value Hessian of a backward pass, and the one-step-size-at-a-time line
-search."""
-
-from dataclasses import replace
+random LQ problems, the one-row model step, reference recursions for the
+backward pass (the V-forming Riccati sweep among them, which gives every
+value Hessian), and the one-step-size-at-a-time line search."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from roilqr.lqr import Regularizer, backward_pass
+from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
+                        Regularizer, _cho_solve)
 from roilqr.pde import DivergenceError, Trajectory
 from roilqr.solver import LineSearchResult
 from roilqr.sysid import LtvModel
@@ -35,6 +35,49 @@ def random_stable_linear(n_x, n_u, rng, radius=0.9):
     return LinearModel(a, b)
 
 
+def random_ltv(rng, dim, n_u, horizon, radius=0.9):
+    a = rng.standard_normal((horizon, dim, dim))
+    for t in range(horizon):
+        a[t] *= radius / max(np.abs(np.linalg.eigvals(a[t])))
+    b = rng.standard_normal((horizon, dim, n_u))
+    return LtvModel(A=a, B=b)
+
+
+def state_weight(rng, dim, form):
+    """A symmetric PSD state Hessian in one of the forms the cost terms
+    take: ``"scalar"``, ``"diagonal"`` or ``"dense"``."""
+    if form == "scalar":
+        return rng.uniform(0.0, 3.0) * np.eye(dim)
+    if form == "diagonal":
+        return np.diag(rng.uniform(0.0, 3.0, dim))
+    m = rng.standard_normal((dim, dim))
+    return m @ m.T + 0.1 * np.eye(dim)
+
+
+# hypothesis strategies for ``lq_case``: dim up to 12 so that both
+# dim < horizon * n_u and dim > horizon * n_u are drawn
+LQ_CASE = dict(horizon=st.integers(1, 8), dim=st.integers(1, 12),
+               n_u=st.integers(1, 4),
+               form=st.sampled_from(["scalar", "diagonal", "dense"]),
+               seed=st.integers(0, 2**32 - 1))
+
+
+def lq_case(horizon, dim, n_u, form, seed):
+    """A random stable LTV model and cost terms whose state weights take
+    the given ``form``; returns (ltv, terms)."""
+    rng = np.random.default_rng(seed)
+    ltv = random_ltv(rng, dim, n_u, horizon)
+    m = rng.standard_normal((n_u, n_u))
+    terms = ReducedCostTerms(
+        lin_state=rng.standard_normal((horizon + 1, dim)),
+        quad_state=state_weight(rng, dim, form),
+        quad_terminal=state_weight(rng, dim, form),
+        lin_control=rng.standard_normal((horizon, n_u)),
+        r=0.2 * m @ m.T + 0.5 * np.eye(n_u),
+    )
+    return ltv, terms
+
+
 def step(model, state, control):
     """One control step of one state; non-finite output raises."""
     out = model.step_batch(state[None, :], np.asarray(control)[None, :])[0]
@@ -47,13 +90,18 @@ def step(model, state, control):
 def value_recursion_direct(ltv, terms):
     """Closed-form value recursion (no Q-function intermediates).
 
-    Test reference for the backward pass: v_t and V_t computed directly
-    from the one-step-ahead optimality conditions,
+    Test reference for the undamped backward pass: k_t, K_t, v_t and V_t
+    computed directly from the one-step-ahead optimality conditions,
 
-        v_t = l_z + A^T v' - A^T V' B (R + B^T V' B)^{-1} (B^T v' + R u),
-        V_t = l_zz + A^T V' A - A^T V' B (R + B^T V' B)^{-1} B^T V' A.
+        [k_t | K_t] = (R + B^T V' B)^{-1} [B^T v' + R u | B^T V' A],
+        v_t = l_z + A^T v' - A^T V' B k_t,
+        V_t = l_zz + A^T V' A - A^T V' B K_t.
+
+    Returns (k, K, v, V) with V the (T+1, d, d) value Hessians.
     """
     horizon, dim = ltv.horizon, ltv.dim
+    k = np.empty((horizon, ltv.n_u))
+    big_k = np.empty((horizon, ltv.n_u, dim))
     v = np.empty((horizon + 1, dim))
     big_v = np.empty((horizon + 1, dim, dim))
     v[horizon] = terms.lin_state[horizon]
@@ -64,23 +112,83 @@ def value_recursion_direct(ltv, terms):
         inner = terms.r + b_t.T @ v_next @ b_t
         gain = np.linalg.solve(inner, np.column_stack(
             [b_t.T @ v[t + 1] + terms.lin_control[t], b_t.T @ v_next @ a_t]))
+        k[t], big_k[t] = gain[:, 0], gain[:, 1:]
         v[t] = terms.lin_state[t] + a_t.T @ v[t + 1] \
             - a_t.T @ v_next @ b_t @ gain[:, 0]
         big_v[t] = terms.quad_state + a_t.T @ v_next @ a_t \
             - a_t.T @ v_next @ b_t @ gain[:, 1:]
-    return v, big_v
+    return k, big_k, v, big_v
+
+
+def riccati_backward_pass(ltv, terms, reg):
+    """The V-forming Riccati sweep: test reference for ``backward_pass``.
+
+    The same Q-function form, mu*I damping of V_{t+1} in Q_uu and Q_uz,
+    bump-and-retry and mu relaxation as the production pass, but it
+    carries the (d, d) value Hessian itself, O(T d^3).  Returns the
+    ``GainSchedule`` and the (T+1, d, d) value Hessians V_t.
+    """
+    horizon, dim, n_u = ltv.horizon, ltv.dim, ltv.n_u
+    k_all = np.empty((horizon, n_u))
+    big_k = np.empty((horizon, n_u, dim))
+    v = np.empty((horizon + 1, dim))
+    big_v = np.empty((horizon + 1, dim, dim))
+    v[horizon] = terms.lin_state[horizon]
+    big_v[horizon] = 0.5 * (terms.quad_terminal + terms.quad_terminal.T)
+    sum_k_qu = sum_k_quu_k = 0.0
+    bumped = False
+    for t in range(horizon - 1, -1, -1):
+        a_t, b_t = ltv.A[t], ltv.B[t]
+        while True:
+            v_damped = big_v[t + 1] + reg.mu * np.eye(dim)
+            q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
+            q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
+            q_zz = terms.quad_state + a_t.T @ big_v[t + 1] @ a_t
+            q_uz = b_t.T @ v_damped @ a_t
+            q_uu = terms.r + b_t.T @ v_damped @ b_t
+            q_uu = 0.5 * (q_uu + q_uu.T)
+            try:
+                chol = np.linalg.cholesky(q_uu)
+            except np.linalg.LinAlgError:
+                if reg.mu >= reg.mu_max:
+                    raise BackwardPassError(f"non-PD at timestep {t}")
+                reg.increase()
+                bumped = True
+                continue
+            break
+        gains_t = _cho_solve(chol, np.column_stack((q_u, q_uz)))
+        k_t, big_k_t = gains_t[:, 0], gains_t[:, 1:]
+        k_all[t], big_k[t] = k_t, big_k_t
+        v[t] = q_z + big_k_t.T @ (q_uu @ k_t) - big_k_t.T @ q_u - q_uz.T @ k_t
+        v_t = q_zz + big_k_t.T @ (q_uu @ big_k_t) - big_k_t.T @ q_uz \
+            - q_uz.T @ big_k_t
+        big_v[t] = 0.5 * (v_t + v_t.T)
+        sum_k_qu += float(k_t @ q_u)
+        sum_k_quu_k += float(k_t @ (q_uu @ k_t))
+    if not bumped:
+        reg.decrease()
+    gains = GainSchedule(k=k_all, K=big_k, v=v, sum_k_qu=sum_k_qu,
+                         sum_k_quu_k=sum_k_quu_k)
+    return gains, big_v
 
 
 def value_hessians(ltv, terms, **reg):
-    """The (T+1, d, d) value Hessians V_t of ``backward_pass``, which
-    keeps only V_0: V_t is the V_0 of the suffix problem that starts at
-    t, each swept with a fresh ``Regularizer(**reg)``."""
-    return np.array([
-        backward_pass(LtvModel(A=ltv.A[t:], B=ltv.B[t:]),
-                      replace(terms, lin_state=terms.lin_state[t:],
-                              lin_control=terms.lin_control[t:]),
-                      Regularizer(**reg)).V0
-        for t in range(ltv.horizon + 1)])
+    """The (T+1, d, d) value Hessians V_t of the Riccati reference swept
+    with ``Regularizer(**reg)``."""
+    return riccati_backward_pass(ltv, terms, Regularizer(**reg))[1]
+
+
+def gains_match(got, ref, rtol=1e-9):
+    """Whether the gain schedule ``got`` equals ``ref``: k, K and v each
+    within ``rtol`` of the reference array's largest entry, and both
+    predicted-improvement sums within ``rtol`` relative."""
+    arrays = all(np.max(np.abs(getattr(got, f) - getattr(ref, f)))
+                 <= rtol * np.max(np.abs(getattr(ref, f)))
+                 for f in ("k", "K", "v"))
+    sums = all(abs(getattr(got, f) - getattr(ref, f))
+               <= rtol * abs(getattr(ref, f))
+               for f in ("sum_k_qu", "sum_k_quu_k"))
+    return arrays and sums
 
 
 def simulate_feedback(ltv, gains, alpha=1.0):

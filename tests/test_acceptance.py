@@ -8,8 +8,8 @@ module-scoped fixtures, so the whole gate runs in about a minute.
 
 import numpy as np
 import pytest
-from helpers import (random_stable_linear, simulate_feedback, step,
-                     value_hessians)
+from helpers import (gains_match, random_stable_linear,
+                     riccati_backward_pass, simulate_feedback, step)
 
 from roilqr.bounds import build_lqr_pair, verify_bounds
 from roilqr.harness import (build_problem, gaussian_guess, preset,
@@ -241,20 +241,24 @@ def test_conservation_and_properties(benchmarks):
     details.append(f"orthonormality {ortho:.3g}")
     details.append(f"energy identity rel {energy_mismatch:.3g}")
 
-    # value-Hessian symmetry on an identified instance
+    # on an identified instance, the production gains equal those of the
+    # V-forming Riccati reference, whose value Hessians stay symmetric
     cfg = preset("burgers_small")
     prob = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
     nominal = rollout(prob.model, prob.x0, prob.u_init)
     basis = method_of_snapshots(nominal.states.T)
-    data = generate_rollout_data(prob.model, nominal, basis)
-    hessians = value_hessians(fit_ltv(data),
-                              reduce_cost(prob.cost, nominal, basis))
+    ltv = fit_ltv(generate_rollout_data(prob.model, nominal, basis))
+    terms = reduce_cost(prob.cost, nominal, basis)
+    gains = backward_pass(ltv, terms, Regularizer())
+    ref, hessians = riccati_backward_pass(ltv, terms, Regularizer())
+    ref_ok = gains_match(gains, ref)
+    details.append(f"gains match the Riccati reference: {ref_ok}")
     asym = max(float(np.max(np.abs(vt - vt.T))) for vt in hessians)
     sym_ok = asym <= 1e-10
-    details.append(f"value-Hessian asymmetry {asym:.3g}")
+    details.append(f"reference value-Hessian asymmetry {asym:.3g}")
 
     _criterion("conservation/property suite",
-               mass_ok and ortho_ok and energy_ok and sym_ok,
+               mass_ok and ortho_ok and energy_ok and ref_ok and sym_ok,
                "; ".join(details))
 
 

@@ -3,8 +3,12 @@ guards, written here, is rejected by that check."""
 
 import numpy as np
 import pytest
+from helpers import LQ_CASE, gains_match, lq_case, riccati_backward_pass
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roilqr.harness import build_problem, gaussian_guess, preset
+from roilqr.lqr import Regularizer, backward_pass
 from roilqr.pde import rollout
 from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
@@ -88,3 +92,15 @@ def test_order_check_rejects_one_sided_differences(burgers_nominal):
     errors, ratios = _error_ratios(_one_sided, burgers_nominal)
     assert not _second_order(ratios), (errors, ratios)
     assert all(1.5 <= r <= 2.5 for r in ratios), (errors, ratios)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=st.sampled_from([1e-6, 1e-2, 1.0]), **LQ_CASE)
+def test_gain_comparison_rejects_undamped_gains(mu, horizon, dim, n_u, form,
+                                                seed):
+    # mutant: a backward pass that ignores mu, offered as the damped answer
+    # to the comparison the damped reference test makes
+    ltv, terms = lq_case(horizon, dim, n_u, form, seed)
+    ref, _ = riccati_backward_pass(ltv, terms, Regularizer(mu=mu, mu_min=0.0))
+    undamped = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
+    assert not gains_match(undamped, ref)

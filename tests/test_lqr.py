@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import simulate_feedback, value_hessians, value_recursion_direct
+from helpers import (LQ_CASE, gains_match, lq_case, random_ltv,
+                     riccati_backward_pass, simulate_feedback, value_hessians,
+                     value_recursion_direct)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +15,6 @@ from roilqr.lqr import (BackwardPassError, CostModel, GainSchedule,
 from roilqr.pde import Trajectory
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import LtvModel
-
-
-def _random_ltv(rng, dim, n_u, horizon, radius=0.9):
-    a = rng.standard_normal((horizon, dim, dim))
-    for t in range(horizon):
-        a[t] *= radius / max(np.abs(np.linalg.eigvals(a[t])))
-    b = rng.standard_normal((horizon, dim, n_u))
-    return LtvModel(A=a, B=b)
 
 
 def _random_terms(rng, dim, n_u, horizon, q_scale=1.0):
@@ -52,7 +46,7 @@ def test_scalar_hand_riccati():
 
 def test_zero_cost_zero_gains():
     rng = np.random.default_rng(0)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     terms = ReducedCostTerms(
         lin_state=np.zeros((5, 3)), quad_state=np.zeros((3, 3)),
         quad_terminal=np.zeros((3, 3)), lin_control=np.zeros((4, 2)),
@@ -67,7 +61,7 @@ def test_zero_cost_zero_gains():
 def test_backward_pass_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     dim, n_u, horizon = 2 + seed % 3, 1 + seed % 2, 3 + seed % 4
-    ltv = _random_ltv(rng, dim, n_u, horizon)
+    ltv = random_ltv(rng, dim, n_u, horizon)
     terms = _random_terms(rng, dim, n_u, horizon)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     du_bp = simulate_feedback(ltv, gains, alpha=1.0)
@@ -78,16 +72,6 @@ def test_backward_pass_matches_dense_oracle(seed):
         quad_objective(ltv, terms, du_dense)[0], abs=1e-8)
 
 
-def _state_weight(rng, dim, form):
-    # a symmetric PSD state Hessian in each of the forms the terms take
-    if form == "scalar":
-        return rng.uniform(0.0, 3.0) * np.eye(dim)
-    if form == "diagonal":
-        return np.diag(rng.uniform(0.0, 3.0, dim))
-    m = rng.standard_normal((dim, dim))
-    return m @ m.T + 0.1 * np.eye(dim)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(horizon=st.integers(1, 6), dim=st.integers(1, 6),
        n_u=st.integers(1, 4),
@@ -95,20 +79,25 @@ def _state_weight(rng, dim, form):
        seed=st.integers(0, 2**32 - 1))
 def test_backward_pass_matches_dense_oracle_property(horizon, dim, n_u,
                                                      form, seed):
-    rng = np.random.default_rng(seed)
-    ltv = _random_ltv(rng, dim, n_u, horizon)
-    m = rng.standard_normal((n_u, n_u))
-    terms = ReducedCostTerms(
-        lin_state=rng.standard_normal((horizon + 1, dim)),
-        quad_state=_state_weight(rng, dim, form),
-        quad_terminal=_state_weight(rng, dim, form),
-        lin_control=rng.standard_normal((horizon, n_u)),
-        r=0.2 * m @ m.T + 0.5 * np.eye(n_u),
-    )
+    ltv, terms = lq_case(horizon, dim, n_u, form, seed)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     du_bp = simulate_feedback(ltv, gains, alpha=1.0)
     du_dense = lqr_solve_dense(ltv, terms)
     assert np.max(np.abs(du_bp - du_dense)) <= 1e-8
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mu=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), **LQ_CASE)
+def test_backward_pass_matches_riccati_reference_when_damped(
+        mu, horizon, dim, n_u, form, seed):
+    # damping enters as mu B^T B and mu B^T A, never through a value
+    # Hessian; the reference damps V_{t+1} itself
+    ltv, terms = lq_case(horizon, dim, n_u, form, seed)
+    reg, reg_ref = (Regularizer(mu=mu, mu_min=0.0) for _ in range(2))
+    gains = backward_pass(ltv, terms, reg)
+    ref, _ = riccati_backward_pass(ltv, terms, reg_ref)
+    assert gains_match(gains, ref)
+    assert reg.mu == reg_ref.mu
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -136,7 +125,7 @@ def test_cholesky_substitution_matches_dense_solve(n, cols, seed):
 def test_non_finite_control_hessian_is_a_backward_pass_error():
     # B^T V B overflows; damping cannot make it finite again
     rng = np.random.default_rng(21)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     ltv.B[:] = 1e200
     terms = _random_terms(rng, 3, 2, 4)
     with pytest.raises(BackwardPassError,
@@ -148,7 +137,7 @@ def test_non_finite_control_hessian_is_a_backward_pass_error():
 def test_non_finite_gradient_is_a_backward_pass_error():
     # a finite control Hessian with an infinite gradient gives infinite gains
     rng = np.random.default_rng(22)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     terms = _random_terms(rng, 3, 2, 4)
     terms.lin_control[2] = np.inf
     with pytest.raises(BackwardPassError,
@@ -160,7 +149,7 @@ def test_non_finite_gradient_is_a_backward_pass_error():
 @pytest.mark.parametrize("field", ["B", "lin_control"])
 def test_dense_oracle_rejects_non_finite_input(field):
     rng = np.random.default_rng(23)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     terms = _random_terms(rng, 3, 2, 4)
     if field == "B":
         ltv.B[:] = 1e200
@@ -171,15 +160,17 @@ def test_dense_oracle_rejects_non_finite_input(field):
 
 
 def test_value_recursion_equivalence():
-    # Q-function sweep equals the direct closed-form recursion
+    # Q-function sweeps equal the direct closed-form recursion
     rng = np.random.default_rng(42)
     for _ in range(5):
-        ltv = _random_ltv(rng, 3, 2, 5)
+        ltv = random_ltv(rng, 3, 2, 5)
         terms = _random_terms(rng, 3, 2, 5)
         gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
-        v_ref, big_v_ref = value_recursion_direct(ltv, terms)
+        k_ref, big_k_ref, v_ref, big_v_ref = value_recursion_direct(
+            ltv, terms)
+        np.testing.assert_allclose(gains.k, k_ref, atol=1e-9)
+        np.testing.assert_allclose(gains.K, big_k_ref, atol=1e-9)
         np.testing.assert_allclose(gains.v, v_ref, atol=1e-9)
-        np.testing.assert_allclose(gains.V0, big_v_ref[0], atol=1e-9)
         np.testing.assert_allclose(
             value_hessians(ltv, terms, mu=0.0, mu_min=0.0), big_v_ref,
             atol=1e-9)
@@ -187,7 +178,7 @@ def test_value_recursion_equivalence():
 
 def test_value_hessian_symmetric_psd():
     rng = np.random.default_rng(7)
-    ltv = _random_ltv(rng, 4, 2, 6)
+    ltv = random_ltv(rng, 4, 2, 6)
     terms = _random_terms(rng, 4, 2, 6)
     for vt in value_hessians(ltv, terms, mu=0.0, mu_min=0.0):
         np.testing.assert_allclose(vt, vt.T, atol=1e-10)
@@ -196,7 +187,7 @@ def test_value_hessian_symmetric_psd():
 
 def test_expected_improvement_nonnegative():
     rng = np.random.default_rng(8)
-    ltv = _random_ltv(rng, 3, 2, 5)
+    ltv = random_ltv(rng, 3, 2, 5)
     terms = _random_terms(rng, 3, 2, 5)
     gains = backward_pass(ltv, terms, Regularizer())
     for alpha in (1e-3, 0.1, 0.5, 1.0):
@@ -205,7 +196,7 @@ def test_expected_improvement_nonnegative():
 
 def test_expected_improvement_predicts_quadratic_decrease():
     rng = np.random.default_rng(9)
-    ltv = _random_ltv(rng, 3, 2, 5)
+    ltv = random_ltv(rng, 3, 2, 5)
     terms = _random_terms(rng, 3, 2, 5)
     gains = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     base, _ = quad_objective(ltv, terms, np.zeros((5, 2)))
@@ -231,7 +222,7 @@ def test_identity_basis_reproduces_full_order():
     red = reduce_cost(cost, traj, eye_basis)
     np.testing.assert_allclose(red.lin_state, full.lin_state, atol=1e-12)
     np.testing.assert_allclose(red.quad_state, full.quad_state, atol=1e-12)
-    ltv = _random_ltv(rng, 6, 2, 4)
+    ltv = random_ltv(rng, 6, 2, 4)
     g_full = backward_pass(ltv, full, Regularizer(mu=0.0, mu_min=0.0))
     g_red = backward_pass(ltv, red, Regularizer(mu=0.0, mu_min=0.0))
     np.testing.assert_array_equal(g_red.k, g_full.k)
@@ -317,7 +308,7 @@ def test_full_order_quad_state_matches_diagonal_form_bit_for_bit(
 
 def test_dense_oracle_zero_linear_term():
     rng = np.random.default_rng(13)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     terms = _random_terms(rng, 3, 2, 4)
     terms.lin_state[:] = 0.0
     terms.lin_control[:] = 0.0
@@ -326,7 +317,7 @@ def test_dense_oracle_zero_linear_term():
 
 def test_dense_oracle_scale_limit():
     rng = np.random.default_rng(14)
-    ltv = _random_ltv(rng, 2, 2, 5)
+    ltv = random_ltv(rng, 2, 2, 5)
     terms = _random_terms(rng, 2, 2, 5)
     with pytest.raises(ValueError, match="oracle"):
         lqr_solve_dense(ltv, terms, max_size=4)
@@ -346,18 +337,22 @@ def test_dense_oracle_indefinite_error():
 def test_regularizer_recovers_from_indefinite_value():
     # negative state curvature forces damping of the control Hessian
     rng = np.random.default_rng(15)
-    ltv = _random_ltv(rng, 2, 1, 3)
+    ltv = random_ltv(rng, 2, 1, 3)
     terms = _random_terms(rng, 2, 1, 3)
     terms.quad_terminal = -50.0 * np.eye(2)
-    reg = Regularizer(mu=1e-6)
+    reg, reg_ref = Regularizer(mu=1e-6), Regularizer(mu=1e-6)
     gains = backward_pass(ltv, terms, reg)
     assert reg.mu > 1e-6
     assert np.all(np.isfinite(gains.k))
+    # the bumped sweep matches the reference's, bump for bump
+    ref, _ = riccati_backward_pass(ltv, terms, reg_ref)
+    assert gains_match(gains, ref)
+    assert reg.mu == reg_ref.mu
 
 
 def test_regularizer_ceiling_raises():
     rng = np.random.default_rng(16)
-    ltv = _random_ltv(rng, 2, 1, 3)
+    ltv = random_ltv(rng, 2, 1, 3)
     terms = _random_terms(rng, 2, 1, 3)
     terms.quad_terminal = -50.0 * np.eye(2)
     terms.r = -1e3 * np.eye(1)  # unsalvageable control curvature
@@ -372,7 +367,7 @@ def test_regularizer_bounds_validation():
 
 def test_stack_quadratic_matches_recursion():
     rng = np.random.default_rng(17)
-    ltv = _random_ltv(rng, 3, 2, 4)
+    ltv = random_ltv(rng, 3, 2, 4)
     terms = _random_terms(rng, 3, 2, 4)
     h, g = stack_quadratic(ltv, terms)
     for _ in range(5):
@@ -385,7 +380,7 @@ def test_stack_quadratic_matches_recursion():
 
 def test_gain_schedule_dataclass_roundtrip():
     g = GainSchedule(k=np.zeros((2, 1)), K=np.zeros((2, 1, 3)),
-                     v=np.zeros((3, 3)), V0=np.zeros((3, 3)),
+                     v=np.zeros((3, 3)),
                      sum_k_qu=2.0, sum_k_quu_k=2.0)
     assert g.expected_improvement(1.0) == pytest.approx(1.0)
     assert g.expected_improvement(0.0) == 0.0

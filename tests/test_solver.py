@@ -53,7 +53,6 @@ def test_forward_zero_gains_replays_controls(lq_setup):
         k=np.zeros_like(nominal.controls),
         K=np.zeros((nominal.horizon, 2, 5)),
         v=np.zeros((nominal.horizon + 1, 5)),
-        V0=np.zeros((5, 5)),
         sum_k_qu=0.0, sum_k_quu_k=0.0)
     [(traj, _, _)] = forward_pass(model, cost, nominal, zero_gains, None,
                                   [1.0])
@@ -80,7 +79,7 @@ def test_line_search_accepts_first_trial_on_lq(lq_setup):
 
 def test_inverted_gains_terminate_no_descent(lq_setup):
     model, cost, nominal, gains = lq_setup
-    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V0=gains.V0,
+    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v,
                        sum_k_qu=gains.sum_k_qu,
                        sum_k_quu_k=gains.sum_k_quu_k)
     base = cost.trajectory_cost(nominal)
@@ -285,7 +284,7 @@ def test_solver_config_validation():
 
 def test_smallest_alpha_min_still_ends_the_sweep(lq_setup):
     model, cost, nominal, gains = lq_setup
-    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v, V0=gains.V0,
+    bad = GainSchedule(k=-gains.k, K=gains.K, v=gains.v,
                        sum_k_qu=gains.sum_k_qu,
                        sum_k_quu_k=gains.sum_k_quu_k)
     res = line_search(model, cost, nominal, cost.trajectory_cost(nominal),
@@ -318,7 +317,6 @@ def _gains_with_prediction(shape, s, h, rng):
     k = 0.3 * rng.standard_normal((horizon, n_u))
     big_k = rng.standard_normal((horizon, n_u, dim)) / (4.0 * dim)
     return GainSchedule(k=k, K=big_k, v=np.zeros((horizon + 1, dim)),
-                        V0=np.zeros((dim, dim)),
                         sum_k_qu=s, sum_k_quu_k=h)
 
 
