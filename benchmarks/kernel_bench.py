@@ -14,14 +14,16 @@ different sizes compare:
 * Allen-Cahn 50x50: 1 row (initial rollout, first line-search trial), 2,
   4, 8 and 12 rows (the doubling line-search batches that follow it; a
   27-step no-descent sweep is 1 + 2 + 4 + 8 + 12 rows, at most 16 per
-  batch) and 16 and 20 rows (reduced identification, 2(l + 4) rows for l
-  modes, one timestep per call; above 16 rows a call steps as a 16-row
-  chunk and the rest);
+  batch) and 16 rows (reduced identification, 2(l + 4) rows for l
+  modes, one timestep per call; a timestep of more rows is stepped as
+  units of 16 rows and the rest, 4 rows for l = 6);
 * Allen-Cahn 20x20: 1 row, 80 and 90 rows (reduced identification,
-  groups of 5 timesteps) and 808 rows (full-order identification, one
-  timestep per call, stepped as eight chunks of 96 rows and one of 40);
+  groups of 5 timesteps) and 96 and 40 rows (full-order identification:
+  a timestep's 2(400 + 4) rows do not fit in one call, so they are
+  stepped as eight units of 48 samples, 96 rows, and one of 20, 40 rows);
 * Cahn-Hilliard 20x20: 1 row, 100 rows (reduced identification, groups
-  of 2-5 timesteps of 52-100 rows) and 808 rows (full order).
+  of 2-5 timesteps of 52-100 rows) and 96 and 40 rows (full order, as
+  for Allen-Cahn).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
@@ -45,9 +47,9 @@ from roilqr.harness import build_problem, preset
 
 CASES = [
     ("burgers", (1, 204, 220)),
-    ("allen_cahn", (1, 2, 4, 8, 12, 16, 20)),
-    ("allen_cahn_small", (1, 80, 90, 808)),
-    ("cahn_hilliard", (1, 100, 808)),
+    ("allen_cahn", (1, 2, 4, 8, 12, 16)),
+    ("allen_cahn_small", (1, 80, 90, 96, 40)),
+    ("cahn_hilliard", (1, 100, 96, 40)),
 ]
 
 

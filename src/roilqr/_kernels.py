@@ -35,18 +35,24 @@ The loop versions evaluate the same expressions in the same order.
 
 The numpy kernels step the batch node-major (the batch index varies
 fastest, so a stencil shift is a contiguous slice of the flat buffer),
-allocate their buffers and build their stencil views once per call, and
-write each operation into those buffers.  Every buffer comes from
-:func:`_workspace` and starts a 64-byte cache line; with a row count
-that is a multiple of 8, as in every chunk but the last of
-``pde._step_in_chunks``, every stencil shift starts a line too.  Their
-results are bit-identical to the folded whole-array expressions kept in
+take all their buffers as one allocation and build their stencil views
+once per call, and write each operation into those buffers.  One block
+per call matters for long runs of equal calls (identification steps
+thousands of equal units): the allocator keeps a freed block of that
+size for the next call instead of returning its pages to the system and
+faulting them in again.  Every buffer comes from :func:`_workspaces` and
+starts a 64-byte cache line; with a row count that is a multiple of 8,
+as in every chunk but the last of ``pde._step_in_chunks`` and every
+identification unit but a timestep's last, every stencil shift starts a
+line too.  The results are fresh arrays, never views of the buffers,
+and are bit-identical to the folded whole-array expressions kept in
 ``tests/test_kernels.py``, next to the unfolded expressions of the scheme
 they agree with to rounding.
 """
 
 import math
 import os
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,13 +88,18 @@ _LINE_BYTES = 64
 VALUES_PER_LINE = _LINE_BYTES // 8
 
 
-def _workspace(shape):
-    """Uninitialized float64 array of ``shape`` whose first element starts
-    a 64-byte cache line."""
-    size = math.prod(shape)
-    raw = np.empty(size + VALUES_PER_LINE)
+def _workspaces(*shapes):
+    """Uninitialized float64 arrays of ``shapes``, each starting a 64-byte
+    cache line, carved from one allocation: a kernel call takes all its
+    buffers at once, so the allocator sees one block per call, whose size
+    it then keeps on hand for the next call of the same size."""
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = list(accumulate((n + -n % VALUES_PER_LINE for n in sizes),
+                             initial=0))
+    raw = np.empty(starts[-1] + VALUES_PER_LINE)
     lead = (-raw.ctypes.data % _LINE_BYTES) // 8
-    return raw[lead:lead + size].reshape(shape)
+    return [raw[lead + lo:lead + lo + n].reshape(shape)
+            for lo, n, shape in zip(starts, sizes, shapes)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +117,15 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
     c_adv, c_dif, k = _factors(c_adv, c_dif, 1.0 - 2.0 * c_dif)
-    bufs = (_workspace((n, nb)), _workspace((n, nb)))
+    m = (n - 2) * nb
+    *bufs, s1, s2 = _workspaces((n, nb), (n, nb), (m,), (m,))
     bufs[0][...] = u.T   # a copy even for one row, where u.T is contiguous
     for buf in bufs:
         buf[0] = left
         buf[-1] = right
-    m = (n - 2) * nb
     flat = [buf.reshape(-1) for buf in bufs]
     views = [(src[:m], src[nb:nb + m], src[2 * nb:], dst[nb:nb + m])
              for src, dst in (flat, flat[::-1])]
-    s1 = _workspace((m,))
-    s2 = _workspace((m,))
     # divergence shows up as inf/nan and is detected by the callers'
     # finiteness checks; don't warn mid-blowup
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,7 +138,7 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
             np.add(up, um, s2)
             np.multiply(c_dif, s2, s2)
             np.add(s1, s2, out)
-    return np.ascontiguousarray(bufs[nsub & 1].T)
+    return bufs[nsub & 1].T.copy()
 
 
 def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
@@ -198,27 +207,28 @@ def _neighbour_sum(views):
         np.add(x, y, dst)
 
 
-def _node_major_copy(phi, npts):
-    # the state as a fresh node-major field; inputs are only read
+def _phase_field_workspaces(phi, npts, count):
+    """The state ``phi`` (B, npts*npts) as a node-major field, and
+    ``count`` more node-major buffers; inputs are only read."""
     nb = phi.shape[0]
-    f = _workspace((npts, npts, nb))
+    f, *bufs = _workspaces(*[(npts, npts, nb)] * (count + 1))
     f[...] = _node_major(phi, nb, npts)
-    return f
+    return f, bufs
 
 
-def _routed(mask, plus, minus, npts):
-    """Node-major field holding, at each point, the row values ``plus``
-    (B,) where ``mask`` is +1 and ``minus`` where it is -1."""
-    nb = plus.size
-    field = _workspace((npts, npts, nb))
+def _route(field, mask, plus, minus):
+    """Write into the node-major ``field``, at each point, the row values
+    ``plus`` (B,) where ``mask`` is +1 and ``minus`` where it is -1."""
+    npts, _, nb = field.shape
     np.take(np.stack([minus, plus]), (mask > 0).astype(np.intp), axis=0,
             out=field.reshape(npts * npts, nb), mode="clip")
-    return field
 
 
 def _row_major(f):
+    # a fresh array, even for one row, so that no result holds on to the
+    # workspaces
     npts, _, nb = f.shape
-    return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(nb, npts * npts)
+    return f.transpose(2, 0, 1).copy().reshape(nb, npts * npts)
 
 
 def allen_cahn_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
@@ -229,12 +239,10 @@ def allen_cahn_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
     c = dt * mob
     k = c * gamma / (dx * dx)
     a0 = 1.0 - 4.0 * k
-    f = _node_major_copy(phi, npts)
-    a = _routed(mask, a0 - 2.0 * c * controls[:, 0],
-                a0 - 2.0 * c * controls[:, 2], npts)
-    hc = _routed(mask, -c * controls[:, 1], -c * controls[:, 3], npts)
-    nbr = _workspace(f.shape)
-    t = _workspace(f.shape)
+    f, (a, hc, nbr, t) = _phase_field_workspaces(phi, npts, 4)
+    _route(a, mask, a0 - 2.0 * c * controls[:, 0],
+           a0 - 2.0 * c * controls[:, 2])
+    _route(hc, mask, -c * controls[:, 1], -c * controls[:, 3])
     views = _neighbour_views(f, nbr, t)
     c4, k = _factors(4.0 * c, k)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,13 +304,10 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
     # set per field whose neighbours are summed
     s = dt * mob / (dx * dx)
     k = s * gamma / (dx * dx)
-    f = _node_major_copy(phi, npts)
-    bc = _routed(mask, 2.0 * s * controls[:, 0] + 4.0 * k,
-                 2.0 * s * controls[:, 2] + 4.0 * k, npts)
-    hs = _routed(mask, s * controls[:, 1], s * controls[:, 3], npts)
-    mu = _workspace(f.shape)
-    nbr = _workspace(f.shape)
-    t = _workspace(f.shape)
+    f, (bc, hs, mu, nbr, t) = _phase_field_workspaces(phi, npts, 5)
+    _route(bc, mask, 2.0 * s * controls[:, 0] + 4.0 * k,
+           2.0 * s * controls[:, 2] + 4.0 * k)
+    _route(hs, mask, s * controls[:, 1], s * controls[:, 3])
     f_views = _neighbour_views(f, nbr, t)
     mu_views = _neighbour_views(mu, nbr, t)
     s4, k, four = _factors(4.0 * s, k, 4.0)

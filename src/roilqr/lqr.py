@@ -6,6 +6,10 @@ Cost convention: J = sum_t [ 0.5 (x_t - g)^T Q (x_t - g) + 0.5 u_t^T R u_t ]
 + 0.5 (x_T - g)^T Q_T (x_T - g), Q = q I, Q_T = q_T I.  The expansion
 :class:`ReducedCostTerms` and all below it stay general over a symmetric
 state Hessian: scalar, diagonal or dense weights build the terms directly.
+A state weight is a (d, d) array or a scalar meaning scalar * I; the
+full-order expansion keeps q and q_T as scalars, so no (d, d) weight
+exists at full order, and every reader applies a weight through
+:func:`apply_weight`.
 
 The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
@@ -80,12 +84,14 @@ class ReducedCostTerms:
     """Cost expansion along a nominal trajectory, in model coordinates.
 
     ``lin_state[t]`` is the projected gradient (terminal row included),
-    ``quad_state`` / ``quad_terminal`` the projected Hessians, and
-    ``lin_control[t] = R u_t`` the control-linear terms.
+    ``quad_state`` / ``quad_terminal`` the projected Hessians, each a
+    (d, d) array or a scalar meaning scalar * I (read them through
+    :func:`apply_weight`), and ``lin_control[t] = R u_t`` the
+    control-linear terms.
     """
 
     lin_state: np.ndarray    # (T+1, d)
-    quad_state: np.ndarray   # (d, d)
+    quad_state: np.ndarray   # (d, d), or a scalar meaning scalar * I
     quad_terminal: np.ndarray
     lin_control: np.ndarray  # (T, n_u)
     r: np.ndarray            # (n_u, n_u)
@@ -99,14 +105,21 @@ class ReducedCostTerms:
         return self.lin_state.shape[1]
 
 
+def apply_weight(w, f):
+    """The state weight ``w`` applied to ``f`` ((d,) or (d, k)): ``w * f``
+    for a scalar weight (scalar * I), ``w @ f`` for a (d, d) one."""
+    return w * f if np.ndim(w) == 0 else w @ f
+
+
 def reduce_cost(cost, nominal, basis=None):
     """Project the cost expansion along the nominal onto the basis.
 
-    With ``basis=None`` (identity) the terms are the full-order expansion.
+    With ``basis=None`` (identity) the terms are the full-order expansion,
+    whose state weights are the scalars q and q_T (meaning q I, q_T I).
     """
     grads = cost.state_grads(nominal.states)
     if basis is None:
-        gram = np.eye(grads.shape[1])
+        gram = 1.0   # the identity, as a scalar weight
     else:
         grads = grads @ basis.phi
         gram = basis.phi.T @ basis.phi
@@ -202,7 +215,8 @@ def backward_pass(ltv, terms, reg=None):
     big_k = np.empty((horizon, n_u, dim))
     v = np.empty((horizon + 1, dim))
     v[horizon] = terms.lin_state[horizon]
-    g_next = 0.5 * (terms.quad_terminal + terms.quad_terminal.T) @ sens[-1]
+    q_t = terms.quad_terminal
+    g_next = apply_weight(0.5 * (q_t + np.transpose(q_t)), sens[-1])
 
     sum_k_qu = 0.0
     sum_k_quu_k = 0.0
@@ -242,7 +256,7 @@ def backward_pass(ltv, terms, reg=None):
         # G_t = V_t F_t, V_t = Q + A^T V' A + K^T Q_uu K - K^T Q_uz - Q_uz^T K
         f_t = sens[t]
         kf = big_k_t @ f_t
-        g_next = terms.quad_state @ f_t + a_t.T @ g_next[:, :m] \
+        g_next = apply_weight(terms.quad_state, f_t) + a_t.T @ g_next[:, :m] \
             + big_k_t.T @ (q_uu @ kf - q_uz @ f_t) - q_uz.T @ kf
         sum_k_qu += float(k_t @ q_u)
         sum_k_quu_k += float(k_t @ (q_uu @ k_t))
@@ -268,8 +282,7 @@ def stack_quadratic(ltv, terms):
     g = np.zeros(m)
     for t in range(horizon + 1):
         w = terms.quad_terminal if t == horizon else terms.quad_state
-        wf = w @ f_maps[t]
-        h += f_maps[t].T @ wf
+        h += f_maps[t].T @ apply_weight(w, f_maps[t])
         g += f_maps[t].T @ terms.lin_state[t]
     for t in range(horizon):
         sl = slice(t * n_u, (t + 1) * n_u)
@@ -290,13 +303,13 @@ def quad_objective(ltv, terms, du):
     val = 0.0
     for t in range(ltv.horizon):
         val += float(terms.lin_state[t] @ dz)
-        val += 0.5 * float(dz @ (terms.quad_state @ dz))
+        val += 0.5 * float(dz @ apply_weight(terms.quad_state, dz))
         val += float(terms.lin_control[t] @ du[t])
         val += 0.5 * float(du[t] @ (terms.r @ du[t]))
         dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
         devs[t + 1] = dz
     val += float(terms.lin_state[-1] @ dz)
-    val += 0.5 * float(dz @ (terms.quad_terminal @ dz))
+    val += 0.5 * float(dz @ apply_weight(terms.quad_terminal, dz))
     return val, devs
 
 

@@ -125,11 +125,11 @@ class Trajectory:
 
 
 # Largest batch, in cells (rows x n_x), handed to one kernel call.  Larger
-# batches are stepped in row chunks (see _row_chunks), so stacking more
+# batches are stepped in row chunks (see aligned_runs), so stacking more
 # samples into one step_batch call never grows the kernels' workspaces
-# beyond this size.  It also sizes the groups of timesteps
-# whose identification experiments share one step_batch call, and the
-# line-search batches of step sizes.
+# beyond this size.  It also sizes the units of identification
+# experiments that share one step_batch call, and the line-search
+# batches of step sizes.
 MAX_CHUNK_CELLS = 40_000
 
 
@@ -149,27 +149,28 @@ def balanced_runs(count, item_cells):
     return [(i * count // runs, (i + 1) * count // runs) for i in range(runs)]
 
 
-def _row_chunks(rows, n_x):
-    """``(lo, hi)`` row chunks of a ``(rows, n_x)`` step, each of at most
-    :data:`MAX_CHUNK_CELLS` cells: one chunk if the rows fit, else equal
-    chunks and a shorter last one.  The equal chunks hold a multiple of
+def aligned_runs(count, item_rows, n_x):
+    """``(lo, hi)`` runs of ``count`` items of ``item_rows`` rows of
+    ``n_x`` cells each, every run of at most :data:`MAX_CHUNK_CELLS` cells
+    (at least one item): one run if the items fit, else equal runs and a
+    shorter last one.  The equal runs hold a multiple of
     ``_kernels.VALUES_PER_LINE`` rows, so that the kernels' stencil shifts
     start cache lines, unless fewer rows than that fit."""
-    per_call = items_per_call(n_x)
-    runs = -(-rows // per_call)
+    per_call = items_per_call(item_rows * n_x)
+    runs = -(-count // per_call)
     if runs <= 1:
-        return [(0, rows)]
-    line = _kernels.VALUES_PER_LINE
-    size = -(-rows // runs)
+        return [(0, count)]
+    line = max(1, _kernels.VALUES_PER_LINE // item_rows)
+    size = -(-count // runs)
     size = min(per_call - per_call % line or per_call, size + -size % line)
-    return [(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _step_in_chunks(kernel, states, controls, kernel_args):
     """``kernel(states, *kernel_args(controls))`` in the row chunks of
-    :func:`_row_chunks`, written into one output array.  Rows are
+    :func:`aligned_runs`, written into one output array.  Rows are
     independent, so the result equals one call on the whole batch."""
-    chunks = _row_chunks(*states.shape)
+    chunks = aligned_runs(states.shape[0], 1, states.shape[1])
     if len(chunks) <= 1:
         return kernel(states, *kernel_args(controls))
     out = np.empty_like(states)

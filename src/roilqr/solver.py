@@ -317,10 +317,11 @@ def solve(problem, cfg=None, perturb=None):
 
     The time budget is one checkpoint, called before every line-search
     rollout after the first and, from the second iteration on, before
-    every identification simulator call after the first and before the
-    backward pass (so every budgeted solve tries a step); it is also
-    read after each accepted iteration.  A stop inside an iteration
-    records that iteration's phases in ``terminal_phase_times``.
+    every identification simulator call after the first (so also between
+    the units of one full-order timestep) and before the backward pass
+    (so every budgeted solve tries a step); it is also read after each
+    accepted iteration.  A stop inside an iteration records that
+    iteration's phases in ``terminal_phase_times``.
     """
     cfg = cfg or SolverConfig()
     perturb = perturb or PerturbationConfig()

@@ -12,18 +12,23 @@ sample i moves the state along mode i, and next-step deviations are
 projected back, so d is the mode count l instead of n_x.
 
 The experiments sit around a nominal trajectory known in advance, so
-those of consecutive timesteps are independent and are stepped together:
-one simulator call per group of timesteps, each group holding at most
-:data:`roilqr.pde.MAX_CHUNK_CELLS` cells unless one timestep alone is
-larger.  The fit overwrites the outputs buffer with the model, so an
-identification holds one (T, d, d + n_u) array, not two.
+those of consecutive timesteps are independent.  They are stepped in
+units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, one simulator
+call each: groups of whole timesteps when one timestep fits, else
+consecutive sample ranges of one timestep (at full order, where a
+timestep holds 2 (n_x + n_u) rows of n_x cells).  Each unit builds only
+its own design rows and writes its central differences straight into
+the (T, d, d + n_u) outputs, so besides them an identification holds
+one unit's working set, never a whole timestep's queries or the dense
+(d + n_u, n_x) design.  The fit overwrites the outputs buffer with the
+model, so an identification holds one (T, d, d + n_u) array, not two.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import DivergenceError, balanced_runs
+from .pde import DivergenceError, aligned_runs, balanced_runs
 
 
 @dataclass(frozen=True)
@@ -104,34 +109,60 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
     by +/- s_x e_i (+/- s_x phi_i if a basis is given) and sample d + j
     the control moved by +/- s_u e_j; half the difference of the two
     next states (projected if a basis is given) is recorded.  The queries
-    of consecutive timesteps share one simulator call, in balanced groups
-    of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells (one timestep if a
-    single timestep is larger).  ``checkpoint``, if given, is called
-    before every simulator call after the first and may raise to abandon
-    the identification.  Raises :class:`DivergenceError` naming the
-    earliest diverged timestep and its first diverged sample.
+    are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
+    cells, one simulator call each: balanced groups of whole timesteps
+    if one timestep's queries fit, else consecutive sample ranges of one
+    timestep (see :func:`_units`).  ``checkpoint``, if given, is called
+    before every simulator call after the first, so also between the
+    units of one timestep, and may raise to abandon the identification.
+    Raises :class:`DivergenceError` naming the earliest diverged timestep
+    and its first diverged sample.
     """
     cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
     n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
-    horizon = nominal.horizon
     s_x, s_u = cfg.resolved(nominal)
-    dx = np.zeros((n_s, n_x))
-    dx[:dim] = s_x * (basis.phi.T if basis is not None else np.eye(n_x))
-    du = np.zeros((n_s, n_u))
-    du[dim:] = s_u * np.eye(n_u)
+    modes = basis.phi.T if basis is not None else None
 
-    outputs = np.empty((horizon, dim, n_s))
-    groups = balanced_runs(horizon, 2 * n_s * n_x)
-    longest = max((hi - lo for lo, hi in groups), default=0)
-    # timestep k of a group holds its n_s + samples, then its n_s - samples
-    x_pm = np.empty((longest, 2, n_s, n_x))
-    u_pm = np.empty((longest, 2, n_s, n_u))
-    for lo, hi in groups:
-        if checkpoint is not None and lo > 0:
+    outputs = np.empty((nominal.horizon, dim, n_s))
+    units = _units(nominal.horizon, n_s, n_x)
+    longest = max(((hi - lo) * (b - a) for lo, hi, a, b in units), default=0)
+    widest = max((b - a for _, _, a, b in units), default=0)
+    # a unit holds the + rows of its samples, then their - rows, for each
+    # of its timesteps, and the design rows of its samples
+    x_buf = np.empty(2 * longest * n_x)
+    u_buf = np.empty(2 * longest * n_u)
+    dx_buf = np.empty((widest, n_x))
+    du_buf = np.empty((widest, n_u))
+
+    def design(a, b):
+        # the design rows of samples a..b-1: s_x times a state coordinate
+        # (mode) or s_u times a control coordinate, zero elsewhere
+        dx, du = dx_buf[:b - a], du_buf[:b - a]
+        dx.fill(0.0)
+        du.fill(0.0)
+        state = np.arange(a, min(b, dim))
+        if modes is None:
+            dx[state - a, state] = s_x
+        else:
+            np.multiply(s_x, modes[a:a + state.size], out=dx[:state.size])
+        control = np.arange(max(a, dim), b)
+        du[control - a, control - dim] = s_u
+        return dx, du
+
+    # reduced mode projects each timestep's central differences with one
+    # product, so a timestep stepped in parts gathers them first
+    dy_t = np.empty((1, n_s, n_x)) \
+        if basis is not None and widest < n_s else None
+    for lo, hi, a, b in units:
+        if checkpoint is not None and (lo, a) != (0, 0):
             checkpoint()
-        x_grp, u_grp = x_pm[:hi - lo], u_pm[:hi - lo]
+        shape = (hi - lo, 2, b - a)
+        rows = 2 * (hi - lo) * (b - a)
+        x_grp = x_buf[:rows * n_x].reshape(*shape, n_x)
+        u_grp = u_buf[:rows * n_u].reshape(*shape, n_u)
+        dx, du = design(a, b)
         x_nom = nominal.states[lo:hi, None]
         u_nom = nominal.controls[lo:hi, None]
         np.add(x_nom, dx, out=x_grp[:, 0])
@@ -139,24 +170,47 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
         np.add(u_nom, du, out=u_grp[:, 0])
         np.subtract(u_nom, du, out=u_grp[:, 1])
         f_grp = model.step_batch(x_grp.reshape(-1, n_x),
-                                 u_grp.reshape(-1, n_u)) \
-            .reshape(hi - lo, 2, n_s, n_x)
+                                 u_grp.reshape(-1, n_u)).reshape(*shape, n_x)
         # a sample diverged when either of its sides did; the first in
         # (timestep, sample) order is reported
         bad = ~np.all(np.isfinite(f_grp), axis=(1, 3))
         if np.any(bad):
             k, r = (int(i) for i in np.argwhere(bad)[0])
             raise DivergenceError(
-                f"perturbation rollout {r} diverged at timestep {lo + k}",
-                timestep=lo + k, rollout=r,
+                f"perturbation rollout {a + r} diverged at timestep {lo + k}",
+                timestep=lo + k, rollout=a + r,
             )
-        dy = 0.5 * (f_grp[:, 0] - f_grp[:, 1])
-        del f_grp   # not alive during the next group's simulator call
-        if basis is not None:
-            dy = dy @ basis.phi
-        outputs[lo:hi] = dy.transpose(0, 2, 1)
+        # half the difference of the two sides, into the + rows
+        dy = f_grp[:, 0]
+        np.subtract(dy, f_grp[:, 1], out=dy)
+        dy *= 0.5
+        if basis is None:
+            outputs[lo:hi, :, a:b] = dy.transpose(0, 2, 1)
+        elif dy_t is None:
+            outputs[lo:hi] = (dy @ basis.phi).transpose(0, 2, 1)
+        else:
+            dy_t[:, a:b] = dy
+            if b == n_s:
+                outputs[lo:hi] = (dy_t @ basis.phi).transpose(0, 2, 1)
+        del f_grp, dy   # not alive during the next unit's simulator call
     return RegressionData(scale=np.repeat([s_x, s_u], [dim, n_u]),
                           outputs=outputs)
+
+
+def _units(horizon, n_s, n_x):
+    """``(lo, hi, a, b)`` experiment units, in (timestep, sample) order:
+    samples a..b-1 of timesteps lo..hi-1, each unit of at most
+    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells.  If one timestep's 2 n_s
+    rows fit, units are the balanced groups of whole timesteps of
+    :func:`roilqr.pde.balanced_runs`; else each timestep is cut into the
+    sample ranges of :func:`roilqr.pde.aligned_runs`, equal ranges of a
+    multiple of 4 samples (8 rows), or of as many as fit if fewer do,
+    and a shorter last one."""
+    spans = aligned_runs(n_s, 2, n_x)
+    if len(spans) == 1:
+        return [(lo, hi, 0, n_s)
+                for lo, hi in balanced_runs(horizon, 2 * n_s * n_x)]
+    return [(t, t + 1, a, b) for t in range(horizon) for a, b in spans]
 
 
 def fit_ltv(data):

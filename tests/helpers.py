@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
-                        Regularizer, _cho_solve)
+                        Regularizer, _cho_solve, apply_weight)
 from roilqr.pde import DivergenceError, Trajectory
 from roilqr.solver import LineSearchResult
 from roilqr.sysid import LtvModel
@@ -45,9 +45,10 @@ def random_ltv(rng, dim, n_u, horizon, radius=0.9):
 
 def state_weight(rng, dim, form):
     """A symmetric PSD state Hessian in one of the forms the cost terms
-    take: ``"scalar"``, ``"diagonal"`` or ``"dense"``."""
+    take: ``"scalar"`` (a float meaning float * I, as at full order),
+    ``"diagonal"`` or ``"dense"``."""
     if form == "scalar":
-        return rng.uniform(0.0, 3.0) * np.eye(dim)
+        return rng.uniform(0.0, 3.0)
     if form == "diagonal":
         return np.diag(rng.uniform(0.0, 3.0, dim))
     m = rng.standard_normal((dim, dim))
@@ -78,6 +79,12 @@ def lq_case(horizon, dim, n_u, form, seed):
     return ltv, terms
 
 
+def dense_weight(w, dim):
+    """The (dim, dim) matrix of the state weight ``w``: ``w`` itself, or
+    w * I for a scalar weight."""
+    return apply_weight(w, np.eye(dim))
+
+
 def step(model, state, control):
     """One control step of one state; non-finite output raises."""
     out = model.step_batch(state[None, :], np.asarray(control)[None, :])[0]
@@ -105,7 +112,8 @@ def value_recursion_direct(ltv, terms):
     v = np.empty((horizon + 1, dim))
     big_v = np.empty((horizon + 1, dim, dim))
     v[horizon] = terms.lin_state[horizon]
-    big_v[horizon] = terms.quad_terminal
+    big_v[horizon] = dense_weight(terms.quad_terminal, dim)
+    q_state = dense_weight(terms.quad_state, dim)
     for t in range(horizon - 1, -1, -1):
         a_t, b_t = ltv.A[t], ltv.B[t]
         v_next = big_v[t + 1]
@@ -115,7 +123,7 @@ def value_recursion_direct(ltv, terms):
         k[t], big_k[t] = gain[:, 0], gain[:, 1:]
         v[t] = terms.lin_state[t] + a_t.T @ v[t + 1] \
             - a_t.T @ v_next @ b_t @ gain[:, 0]
-        big_v[t] = terms.quad_state + a_t.T @ v_next @ a_t \
+        big_v[t] = q_state + a_t.T @ v_next @ a_t \
             - a_t.T @ v_next @ b_t @ gain[:, 1:]
     return k, big_k, v, big_v
 
@@ -134,7 +142,9 @@ def riccati_backward_pass(ltv, terms, reg):
     v = np.empty((horizon + 1, dim))
     big_v = np.empty((horizon + 1, dim, dim))
     v[horizon] = terms.lin_state[horizon]
-    big_v[horizon] = 0.5 * (terms.quad_terminal + terms.quad_terminal.T)
+    q_terminal = dense_weight(terms.quad_terminal, dim)
+    big_v[horizon] = 0.5 * (q_terminal + q_terminal.T)
+    q_state = dense_weight(terms.quad_state, dim)
     sum_k_qu = sum_k_quu_k = 0.0
     bumped = False
     for t in range(horizon - 1, -1, -1):
@@ -143,7 +153,7 @@ def riccati_backward_pass(ltv, terms, reg):
             v_damped = big_v[t + 1] + reg.mu * np.eye(dim)
             q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
             q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
-            q_zz = terms.quad_state + a_t.T @ big_v[t + 1] @ a_t
+            q_zz = q_state + a_t.T @ big_v[t + 1] @ a_t
             q_uz = b_t.T @ v_damped @ a_t
             q_uu = terms.r + b_t.T @ v_damped @ b_t
             q_uu = 0.5 * (q_uu + q_uu.T)

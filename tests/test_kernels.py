@@ -335,7 +335,7 @@ def test_chunked_step_batch_bit_identical_to_one_kernel_call(rng, cls, name,
     (21, 9000, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 21)]),
 ])
 def test_row_chunks(rows, n_x, chunks):
-    assert pde._row_chunks(rows, n_x) == chunks
+    assert pde.aligned_runs(rows, 1, n_x) == chunks
 
 
 @pytest.mark.parametrize("name", ["burgers", "allen_cahn", "allen_cahn_small",
@@ -361,10 +361,13 @@ def test_step_batch_bit_identical_to_per_row_calls(rng, name):
                                    (20, 20, 96), (50, 50, 4), (3, 3, 1)])
 def test_workspace_starts_a_cache_line(shape):
     for _ in range(5):   # fresh allocations land at different offsets
-        a = _kernels._workspace(shape)
-        assert a.shape == shape and a.dtype == np.float64
-        assert a.flags.c_contiguous and a.flags.writeable
-        assert a.ctypes.data % 64 == 0
+        # two buffers carved from one allocation, each on its own line
+        bufs = _kernels._workspaces(shape, shape)
+        for a in bufs:
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+        assert not np.shares_memory(*bufs)
 
 
 def test_step_determinism(rng):

@@ -1,8 +1,10 @@
 """Backward pass against hand computations and the dense QP oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import (LQ_CASE, gains_match, lq_case, random_ltv,
+from helpers import (LQ_CASE, dense_weight, gains_match, lq_case, random_ltv,
                      riccati_backward_pass, simulate_feedback, value_hessians,
                      value_recursion_direct)
 from hypothesis import given, settings
@@ -221,7 +223,8 @@ def test_identity_basis_reproduces_full_order():
                              captured_energy=1.0)
     red = reduce_cost(cost, traj, eye_basis)
     np.testing.assert_allclose(red.lin_state, full.lin_state, atol=1e-12)
-    np.testing.assert_allclose(red.quad_state, full.quad_state, atol=1e-12)
+    np.testing.assert_allclose(red.quad_state,
+                               dense_weight(full.quad_state, 6), atol=1e-12)
     ltv = random_ltv(rng, 6, 2, 4)
     g_full = backward_pass(ltv, full, Regularizer(mu=0.0, mu_min=0.0))
     g_red = backward_pass(ltv, red, Regularizer(mu=0.0, mu_min=0.0))
@@ -300,10 +303,78 @@ def test_full_order_quad_state_matches_diagonal_form_bit_for_bit(
                      goal=np.zeros(n))
     terms = reduce_cost(cost, traj, None)
     for w, got in ((q, terms.quad_state), (q_terminal, terms.quad_terminal)):
-        # the diagonal matrix built from the broadcast weight vector
+        # a scalar weight, whose matrix is the diagonal matrix built from
+        # the broadcast weight vector
+        assert np.ndim(got) == 0 and got == w
         ref = np.diag(np.broadcast_to(np.atleast_1d(w), (n,)).astype(float))
-        np.testing.assert_array_equal(got.view(np.uint64),
+        np.testing.assert_array_equal(dense_weight(got, n).view(np.uint64),
                                       ref.view(np.uint64))
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_full_order_weights_match_dense_identity_weights(seed):
+    # full-order terms keep q and q_T as scalars; every reader must treat
+    # them as q I and q_T I, never as q 1 1^T
+    rng = np.random.default_rng(40 + seed)
+    n, n_u, horizon = 7, 2, 5
+    traj = Trajectory(states=rng.standard_normal((horizon + 1, n)),
+                      controls=rng.standard_normal((horizon, n_u)))
+    cost = CostModel(q=rng.uniform(0.1, 2.0), r=np.eye(n_u),
+                     q_terminal=rng.uniform(1.0, 5.0),
+                     goal=rng.standard_normal(n))
+    scalar = reduce_cost(cost, traj, None)
+    dense = ReducedCostTerms(
+        lin_state=scalar.lin_state, quad_state=cost.q * np.eye(n),
+        quad_terminal=cost.q_terminal * np.eye(n),
+        lin_control=scalar.lin_control, r=scalar.r)
+    ltv = random_ltv(rng, n, n_u, horizon)
+    for mu in (0.0, 1e-2):
+        got = backward_pass(ltv, scalar, Regularizer(mu=mu, mu_min=0.0))
+        ref = backward_pass(ltv, dense, Regularizer(mu=mu, mu_min=0.0))
+        for f in ("k", "K", "v"):
+            np.testing.assert_array_equal(_bits(getattr(got, f)),
+                                          _bits(getattr(ref, f)))
+        assert (got.sum_k_qu, got.sum_k_quu_k) == \
+            (ref.sum_k_qu, ref.sum_k_quu_k)
+        sweep, _ = riccati_backward_pass(ltv, scalar,
+                                         Regularizer(mu=mu, mu_min=0.0))
+        assert gains_match(got, sweep)
+    direct = value_recursion_direct(ltv, scalar)
+    for a, b in zip(direct, value_recursion_direct(ltv, dense), strict=True):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    for a, b in zip(stack_quadratic(ltv, scalar), stack_quadratic(ltv, dense),
+                    strict=True):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(lqr_solve_dense(ltv, scalar),
+                               lqr_solve_dense(ltv, dense), rtol=1e-10)
+    du = rng.standard_normal((horizon, n_u))
+    (val, devs), (val_ref, devs_ref) = (quad_objective(ltv, t, du)
+                                        for t in (scalar, dense))
+    assert val == pytest.approx(val_ref, rel=1e-12)
+    np.testing.assert_array_equal(devs, devs_ref)
+
+
+def test_full_order_cost_terms_allocate_no_square_array():
+    # q and q_T stay scalars: the full-order expansion allocates the
+    # (T+1, d) gradients and the (T, n_u) control terms, nothing (d, d)
+    rng = np.random.default_rng(42)
+    n, horizon = 400, 10
+    traj = Trajectory(states=rng.standard_normal((horizon + 1, n)),
+                      controls=rng.standard_normal((horizon, 4)))
+    cost = CostModel(q=0.5, r=np.eye(4), q_terminal=2.0,
+                     goal=rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        terms = reduce_cost(cost, traj, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert terms.dim == n
+    assert peak < n * n * 8 // 4
 
 
 def test_dense_oracle_zero_linear_term():

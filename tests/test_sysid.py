@@ -1,12 +1,15 @@
 """Identification checks against analytic plants and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import LinearModel, random_stable_linear, step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import pde
+from roilqr import _kernels, pde
+from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
@@ -268,10 +271,13 @@ def test_stacked_samples_bit_identical_to_two_calls(reduced):
 
 # (name, cap in cells given one timestep's cells c): the whole horizon
 # of 5 timesteps in one group, groups of 1, 2 and 2 timesteps, one
-# timestep per group, and a timestep larger than the cap (one timestep per
-# group, itself stepped in row chunks)
+# timestep per group, and three caps that cut each timestep into units
+# of consecutive samples: all samples but one fit (full order: 16 and 10
+# of 26 samples), a third fit (8, 8, 8 and 2), and fewer than 4 fit
+# (full order: 2 samples per unit; reduced: 1)
 _CAPS = [("whole", lambda c: 5 * c), ("uneven", lambda c: 2 * c + c // 2),
-         ("single", lambda c: c), ("over", lambda c: c // 3)]
+         ("single", lambda c: c), ("split", lambda c: c - 1),
+         ("over", lambda c: c // 3), ("tiny", lambda c: c // 9)]
 
 
 @pytest.mark.parametrize("cap", [f for _, f in _CAPS],
@@ -308,20 +314,121 @@ class _Counting(LinearModel):
         return super().step_batch(states, controls)
 
 
-@pytest.mark.parametrize("cap", [10**6, 3 * 96, 2 * 96, 96, 50])
-def test_one_simulator_call_per_group_within_cap(monkeypatch, cap):
+# (cap in cells, rows of each simulator call) for 7 timesteps of a plant
+# with n_x = 6 and 6 + 2 samples: one timestep's +/- rows are 16 rows of
+# 96 cells, one sample's pair 2 rows of 12 cells.  Whole timesteps fit in
+# the first four caps and go in balanced groups; below 96 cells each
+# timestep is cut into sample ranges of a multiple of 4 pairs (8 rows)
+# and a shorter last one, or of as many pairs as fit if fewer than 4 do.
+_UNIT_CAPS = [
+    (10**6, [112]),
+    (3 * 96, [32, 32, 48]),
+    (2 * 96, [16, 32, 32, 32]),
+    (96, [16] * 7),
+    (95, [8, 8] * 7),
+    (50, [8, 8] * 7),
+    (40, [6, 6, 4] * 7),
+    (12, [2] * 56),
+]
+
+
+@pytest.mark.parametrize("cap,calls", _UNIT_CAPS,
+                         ids=[str(cap) for cap, _ in _UNIT_CAPS])
+def test_one_simulator_call_per_group_within_cap(monkeypatch, cap, calls):
     rng = np.random.default_rng(21)
     model = _Counting(random_stable_linear(6, 2, rng))
     nominal = _nominal(model, 7, rng)
     model.calls.clear()
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap)
     generate_rollout_data(model, nominal)
-    rows_t = 2 * (6 + 2)   # +/- rows of one timestep: 96 cells
-    per_group = max(1, cap // (rows_t * 6))
-    assert len(model.calls) == -(-7 // per_group)
-    assert sum(model.calls) == 7 * rows_t
-    assert max(model.calls) - min(model.calls) <= rows_t
-    assert max(model.calls) * 6 <= max(cap, rows_t * 6)
+    assert model.calls == calls
+    assert max(model.calls) * 6 <= cap
+
+
+class _Abandon(Exception):
+    pass
+
+
+def test_budget_checkpoint_runs_between_the_units_of_a_timestep(
+        monkeypatch):
+    rng = np.random.default_rng(31)
+    model = _Counting(random_stable_linear(6, 2, rng))
+    nominal = _nominal(model, 3, rng)
+    # 3 pairs of 12 cells fit: samples 0-2, 3-5 and 6-7 of each timestep
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 40)
+    model.calls.clear()
+    seen = []
+    generate_rollout_data(model, nominal,
+                          checkpoint=lambda: seen.append(len(model.calls)))
+    # called units - 1 times, before every unit after the first
+    assert model.calls == [6, 6, 4] * 3
+    assert seen == list(range(1, 9))
+    for k in (1, 2, 5):
+        # raising at unit k (0-based) abandons the identification there,
+        # within a timestep (k = 1, 2) or at a timestep's first unit
+        model.calls.clear()
+
+        def stop():
+            if len(model.calls) == k:
+                raise _Abandon
+
+        with pytest.raises(_Abandon):
+            generate_rollout_data(model, nominal, checkpoint=stop)
+        assert len(model.calls) == k
+
+
+def _allen_cahn_small_nominal():
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
+    return problem.model, rollout(problem.model, problem.x0, problem.u_init)
+
+
+def test_full_order_units_fit_one_kernel_call(monkeypatch):
+    # no full-order simulator call is cut into row chunks by step_batch
+    model, nominal = _allen_cahn_small_nominal()
+    rows, kernel_calls = [], []
+    step_batch, kernel = model.step_batch, _kernels.allen_cahn_batch
+
+    def recording(states, controls):
+        rows.append(len(states))
+        return step_batch(states, controls)
+
+    def counting(states, *args):
+        kernel_calls.append(len(states))
+        return kernel(states, *args)
+
+    monkeypatch.setattr(model, "step_batch", recording)
+    monkeypatch.setattr(_kernels, "allen_cahn_batch", counting)
+    generate_rollout_data(model, nominal)
+    # 404 samples of 2 rows of 400 cells: 48-sample units, then 20
+    assert rows == ([96] * 8 + [40]) * nominal.horizon
+    assert max(rows) * model.n_x <= pde.MAX_CHUNK_CELLS
+    assert kernel_calls == rows
+
+
+def test_full_order_identification_holds_its_output_and_one_unit():
+    model, nominal = _allen_cahn_small_nominal()
+    n_s = model.n_x + model.n_u
+    output = nominal.horizon * model.n_x * n_s * 8
+    # Bound on everything but the output, in units of one full unit's
+    # state rows, MAX_CHUNK_CELLS float64 values.  Kept for the whole
+    # identification are the state rows (1) and the design rows (1/2).
+    # During a unit's simulator call the Allen-Cahn kernel adds its block
+    # of five node-major workspaces (field, linear coefficient, bulk term,
+    # neighbour sum, scratch: 5) and its row-major result (1): 7.5 units.
+    # After the call only the result (1) stays, the central differences
+    # computed in place in it, until the next unit.  Half a unit more
+    # covers the control rows (1/100 of the state rows here), the
+    # workspaces' cache-line padding and the small per-call arrays.
+    bound = 8 * pde.MAX_CHUNK_CELLS * 8
+    tracemalloc.start()
+    try:
+        data = generate_rollout_data(model, nominal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.outputs.nbytes == output
+    assert peak <= output + bound
 
 
 class _Recording(LinearModel):
@@ -442,3 +549,24 @@ def test_earliest_diverged_timestep_of_a_group_is_reported():
         generate_rollout_data(model, nominal, None, cfg)
     assert err.value.timestep == t_early
     assert err.value.rollout == r_bad
+
+
+def test_divergence_in_a_later_unit_names_its_global_sample(monkeypatch):
+    rng = np.random.default_rng(33)
+    plant = random_stable_linear(10, 2, rng)
+    nominal = _nominal(plant, 5, rng)
+    s_x = 1e-5
+    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
+    # 12 samples of 2 rows of 10 cells: units of samples 0-3, 4-7, 8-11
+    monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 4 * 2 * 10)
+    t_early, t_late, r_bad = 2, 3, 9
+    # at t_early sample r_bad diverges (its minus side), in the third unit
+    # of the timestep; at t_late sample 0 does (its plus side)
+    model = _BlowsUpNear(plant, (nominal.states[t_early], r_bad, -0.5 * s_x),
+                         (nominal.states[t_late], 0, 1e-300))
+    with pytest.raises(DivergenceError) as err:
+        generate_rollout_data(model, nominal, None, cfg)
+    assert err.value.timestep == t_early
+    assert err.value.rollout == r_bad
+    assert str(err.value) == \
+        "perturbation rollout 9 diverged at timestep 2"
