@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Step-kernel throughput at the batch sizes the solver issues.
 
-Times ``step_batch`` of each preset's model (control routing and row
-chunking included) and reports microseconds per row, and nanoseconds per
-cell-substep (per row, divided by n_x * substeps) so that kernels of
-different sizes compare:
+Times ``step_batch`` of each preset's model (control routing included),
+one kernel call per batch, and reports microseconds per row, and
+nanoseconds per cell-substep (per row, divided by n_x * substeps) so
+that kernels of different sizes compare:
 
 * Burgers (100 points, 250 substeps): 1 row (initial rollout and line
   search; the line search accepts its first step size), 204 rows
@@ -21,9 +21,10 @@ different sizes compare:
   groups of 5 timesteps) and 96 and 40 rows (full-order identification:
   a timestep's 2(400 + 4) rows do not fit in one call, so they are
   stepped as eight units of 48 samples, 96 rows, and one of 20, 40 rows);
-* Cahn-Hilliard 20x20: 1 row, 100 rows (reduced identification, groups
-  of 2-5 timesteps of 52-100 rows) and 96 and 40 rows (full order, as
-  for Allen-Cahn).
+* Cahn-Hilliard 20x20: 1 row, 100 rows (reduced identification: runs
+  of up to 5 whole timesteps, equal runs and a shorter last one, of
+  26-100 rows; e.g. 84, 84, 84 and 28 rows at 14 samples) and 96 and
+  40 rows (full order, as for Allen-Cahn).
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 

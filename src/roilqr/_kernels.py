@@ -42,12 +42,12 @@ thousands of equal units): the allocator keeps a freed block of that
 size for the next call instead of returning its pages to the system and
 faulting them in again.  Every buffer comes from :func:`_workspaces` and
 starts a 64-byte cache line; with a row count that is a multiple of 8,
-as in every chunk but the last of ``pde._step_in_chunks`` and every
-identification unit but a timestep's last, every stencil shift starts a
-line too.  The results are fresh arrays, never views of the buffers,
-and are bit-identical to the folded whole-array expressions kept in
-``tests/test_kernels.py``, next to the unfolded expressions of the scheme
-they agree with to rounding.
+as in every identification unit that cuts a timestep into sample
+ranges but its last, every stencil shift starts a line too.  The results
+are fresh arrays, never views of the buffers, and are bit-identical to
+the folded whole-array expressions kept in ``tests/test_kernels.py``,
+next to the unfolded expressions of the scheme they agree with to
+rounding.
 """
 
 import math

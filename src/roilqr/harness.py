@@ -13,7 +13,7 @@ import numbers
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,7 +107,9 @@ _SECTION_TYPES = {
     "run": RunSpec,
 }
 
-_REQUIRED_PROBLEM_FIELDS = ("name", "points", "horizon", "dt")
+_REQUIRED_PROBLEM_FIELDS = [
+    f.name for f in fields(ProblemSpec)
+    if f.default is MISSING and f.default_factory is MISSING]
 
 
 def config_from_dict(raw, base=None):

@@ -124,12 +124,12 @@ class Trajectory:
         return self.controls.shape[0]
 
 
-# Largest batch, in cells (rows x n_x), handed to one kernel call.  Larger
-# batches are stepped in row chunks (see aligned_runs), so stacking more
-# samples into one step_batch call never grows the kernels' workspaces
-# beyond this size.  It also sizes the units of identification
-# experiments that share one step_batch call, and the line-search
-# batches of step sizes.
+# Largest batch, in cells (rows x n_x), that a caller hands to one
+# step_batch call.  step_batch steps its batch in one kernel call, so
+# this bounds the kernels' workspaces only because the callers keep to
+# it: identification steps its experiments in units cut by aligned_runs,
+# and the line search its step sizes in batches of items_per_call rows.
+# Either still steps one item whole where a single item is larger.
 MAX_CHUNK_CELLS = 40_000
 
 
@@ -139,44 +139,21 @@ def items_per_call(item_cells):
     return max(1, MAX_CHUNK_CELLS // item_cells)
 
 
-def balanced_runs(count, item_cells):
-    """``(lo, hi)`` bounds of the fewest consecutive runs of ``count``
-    items of ``item_cells`` cells each that hold at most
-    :data:`MAX_CHUNK_CELLS` cells per run (at least one item each), their
-    lengths differing by at most one."""
-    per_run = items_per_call(item_cells)
-    runs = -(-count // per_run)
-    return [(i * count // runs, (i + 1) * count // runs) for i in range(runs)]
-
-
 def aligned_runs(count, item_rows, n_x):
     """``(lo, hi)`` runs of ``count`` items of ``item_rows`` rows of
     ``n_x`` cells each, every run of at most :data:`MAX_CHUNK_CELLS` cells
-    (at least one item): one run if the items fit, else equal runs and a
-    shorter last one.  The equal runs hold a multiple of
-    ``_kernels.VALUES_PER_LINE`` rows, so that the kernels' stencil shifts
-    start cache lines, unless fewer rows than that fit."""
+    (at least one item): none if ``count`` is 0, one run if the items
+    fit, else equal runs and a shorter last one.  The equal runs hold a
+    multiple of ``_kernels.VALUES_PER_LINE`` rows, so that the kernels'
+    stencil shifts start cache lines, unless fewer rows than that fit."""
     per_call = items_per_call(item_rows * n_x)
     runs = -(-count // per_call)
     if runs <= 1:
-        return [(0, count)]
+        return [(0, count)] if count else []
     line = max(1, _kernels.VALUES_PER_LINE // item_rows)
     size = -(-count // runs)
     size = min(per_call - per_call % line or per_call, size + -size % line)
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-def _step_in_chunks(kernel, states, controls, kernel_args):
-    """``kernel(states, *kernel_args(controls))`` in the row chunks of
-    :func:`aligned_runs`, written into one output array.  Rows are
-    independent, so the result equals one call on the whole batch."""
-    chunks = aligned_runs(states.shape[0], 1, states.shape[1])
-    if len(chunks) <= 1:
-        return kernel(states, *kernel_args(controls))
-    out = np.empty_like(states)
-    for lo, hi in chunks:
-        out[lo:hi] = kernel(states[lo:hi], *kernel_args(controls[lo:hi]))
-    return out
 
 
 def _as_batch(x, n, what="state"):
@@ -188,7 +165,24 @@ def _as_batch(x, n, what="state"):
     return x
 
 
-class BurgersModel:
+class _Model:
+    """The state dimension and ``step_batch`` of the three models, each
+    of which gives its ``_kernel`` and ``_kernel_args``."""
+
+    @property
+    def n_x(self):
+        return self.grid.n_x
+
+    def step_batch(self, states, controls):
+        """Step each row of ``states`` once under its row of ``controls``
+        with one call of the model's kernel, however many rows there are
+        (see :data:`MAX_CHUNK_CELLS`)."""
+        states = _as_batch(states, self.n_x)
+        controls = _as_batch(controls, self.n_u, "control")
+        return self._kernel(states, *self._kernel_args(controls))
+
+
+class BurgersModel(_Model):
     """du/dt + u du/dx = nu d2u/dx2 on a 1-D grid, boundaries pinned to
     the two control values each substep."""
 
@@ -207,14 +201,8 @@ class BurgersModel:
         self.params = params
 
     @property
-    def n_x(self):
-        return self.grid.n_x
-
-    def step_batch(self, states, controls):
-        states = _as_batch(states, self.n_x)
-        controls = _as_batch(controls, self.n_u, "control")
-        return _step_in_chunks(_kernels.burgers_batch, states, controls,
-                               self._kernel_args)
+    def _kernel(self):
+        return _kernels.burgers_batch
 
     def _kernel_args(self, controls):
         p = self.params
@@ -229,7 +217,7 @@ def mask_from_goal(goal):
     return mask
 
 
-class _PhaseFieldModel:
+class _PhaseFieldModel(_Model):
     n_u = 4
 
     def __init__(self, grid, params, mask):
@@ -246,21 +234,11 @@ class _PhaseFieldModel:
         self.gamma = params.gamma if params.gamma is not None else 0.5 * grid.dx**2
         self._check_stability()
 
-    @property
-    def n_x(self):
-        return self.grid.n_x
-
     def _kernel_args(self, controls):
         # the kernels route (temp+, h+, temp-, h-) by the mask labels
         p = self.params
         return (controls, self.mask, p.mobility, self.gamma, self.grid.dx,
                 p.dt, p.substeps, self.grid.points)
-
-    def step_batch(self, states, controls):
-        states = _as_batch(states, self.n_x)
-        controls = _as_batch(controls, self.n_u, "control")
-        return _step_in_chunks(self._kernel, states, controls,
-                               self._kernel_args)
 
 
 class AllenCahnModel(_PhaseFieldModel):

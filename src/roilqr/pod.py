@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Eigenvalues below this fraction of the largest are numerically zero.
+_RANK_RTOL = 1e-12
+
+
 class DegenerateSnapshotsError(ValueError):
     """Snapshot matrix has no usable energy (all columns zero)."""
 
@@ -44,12 +48,12 @@ def _fix_signs(phi):
     return phi * signs
 
 
-def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12):
+def method_of_snapshots(snapshots, energy_cutoff=0.99999):
     """Build a reduced basis from an ``(n_x, m)`` snapshot matrix.
 
     Retains the smallest mode count whose relative spectral energy
     (cumulative eigenvalue fraction) reaches ``energy_cutoff``.
-    Eigenvalues below ``rank_rtol`` times the largest are dropped before
+    Eigenvalues below ``_RANK_RTOL`` times the largest are dropped before
     the energy normalization so the ``1/sqrt(lambda)`` recovery never
     blows up on numerically zero directions.
     """
@@ -72,7 +76,7 @@ def method_of_snapshots(snapshots, energy_cutoff=0.99999, rank_rtol=1e-12):
     if evals[0] <= 0.0:
         raise DegenerateSnapshotsError("snapshot matrix has zero energy")
 
-    kept = int(np.count_nonzero(evals >= rank_rtol * evals[0]))
+    kept = int(np.count_nonzero(evals >= _RANK_RTOL * evals[0]))
     evals = evals[:kept]
     evecs = evecs[:, :kept]
 

@@ -14,21 +14,22 @@ projected back, so d is the mode count l instead of n_x.
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent.  They are stepped in
 units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, one simulator
-call each: groups of whole timesteps when one timestep fits, else
-consecutive sample ranges of one timestep (at full order, where a
-timestep holds 2 (n_x + n_u) rows of n_x cells).  Each unit builds only
-its own design rows and writes its central differences straight into
-the (T, d, d + n_u) outputs, so besides them an identification holds
-one unit's working set, never a whole timestep's queries or the dense
-(d + n_u, n_x) design.  The fit overwrites the outputs buffer with the
-model, so an identification holds one (T, d, d + n_u) array, not two.
+call each, cut by one rule (:func:`roilqr.pde.aligned_runs`): runs of
+whole timesteps when one timestep fits, else runs of consecutive samples
+of one timestep (at full order, where a timestep holds 2 (n_x + n_u)
+rows of n_x cells).  Each unit builds only its own design rows and
+writes its central differences straight into the (T, d, d + n_u)
+outputs, so besides them an identification holds one unit's working
+set, never a whole timestep's queries or the dense (d + n_u, n_x)
+design.  The fit overwrites the outputs buffer with the model, so an
+identification holds one (T, d, d + n_u) array, not two.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import DivergenceError, aligned_runs, balanced_runs
+from .pde import DivergenceError, aligned_runs
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,12 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
     the control moved by +/- s_u e_j; half the difference of the two
     next states (projected if a basis is given) is recorded.  The queries
     are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
-    cells, one simulator call each: balanced groups of whole timesteps
-    if one timestep's queries fit, else consecutive sample ranges of one
-    timestep (see :func:`_units`).  ``checkpoint``, if given, is called
-    before every simulator call after the first, so also between the
-    units of one timestep, and may raise to abandon the identification.
+    cells, one simulator call each: runs of whole timesteps if one
+    timestep's queries fit, else consecutive sample ranges of one
+    timestep (see :func:`_units`); a horizon of 0 makes no call.
+    ``checkpoint``, if given, is called before every simulator call
+    after the first, so also between the units of one timestep, and may
+    raise to abandon the identification.
     Raises :class:`DivergenceError` naming the earliest diverged timestep
     and its first diverged sample.
     """
@@ -200,16 +202,15 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
 def _units(horizon, n_s, n_x):
     """``(lo, hi, a, b)`` experiment units, in (timestep, sample) order:
     samples a..b-1 of timesteps lo..hi-1, each unit of at most
-    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells.  If one timestep's 2 n_s
-    rows fit, units are the balanced groups of whole timesteps of
-    :func:`roilqr.pde.balanced_runs`; else each timestep is cut into the
-    sample ranges of :func:`roilqr.pde.aligned_runs`, equal ranges of a
-    multiple of 4 samples (8 rows), or of as many as fit if fewer do,
-    and a shorter last one."""
+    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, all cut by
+    :func:`roilqr.pde.aligned_runs` into equal runs and a shorter last
+    one.  If one timestep's 2 n_s rows fit, units are runs of whole
+    timesteps; else each timestep is cut into runs of a multiple of 4
+    samples (8 rows), or of as many as fit if fewer do."""
     spans = aligned_runs(n_s, 2, n_x)
     if len(spans) == 1:
         return [(lo, hi, 0, n_s)
-                for lo, hi in balanced_runs(horizon, 2 * n_s * n_x)]
+                for lo, hi in aligned_runs(horizon, 2 * n_s, n_x)]
     return [(t, t + 1, a, b) for t in range(horizon) for a, b in spans]
 
 

@@ -42,6 +42,16 @@ def test_preset_round_trips_through_its_dict(name):
 def test_config_from_dict_requires_problem_fields():
     with pytest.raises(ConfigError, match="problem.name"):
         config_from_dict({"problem": {"points": 10}})
+    # exactly the fields without a default are required
+    spec = preset("burgers_small").problem
+    given = {key: getattr(spec, key)
+             for key in ("name", "points", "horizon", "dt")}
+    config_from_dict({"problem": given})
+    for key in given:
+        partial = {k: v for k, v in given.items() if k != key}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"problem": partial})
+        assert str(err.value) == f"problem.{key}: required field missing"
 
 
 def test_config_from_dict_rejects_unknown_keys():

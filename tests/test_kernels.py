@@ -286,44 +286,8 @@ def test_kernels_do_not_mutate_inputs(rng):
                         a, saved[arg], err_msg=f"{name}: {arg}, {rows} rows")
 
 
-@pytest.mark.parametrize("cls,name", [(AllenCahnModel, "allen_cahn_batch"),
-                                      (CahnHilliardModel,
-                                       "cahn_hilliard_batch")])
-def test_chunked_step_batch_bit_identical_to_one_kernel_call(rng, cls, name,
-                                                             monkeypatch):
-    p = 20
-    grid = Grid(ndim=2, points=p, dx=1.0 / p)
-    mask = np.where(rng.random(p * p) < 0.5, 1, -1)
-    model = cls(grid, PdeParams(dt=1e-7, substeps=2), mask)
-    kernel = getattr(_kernels, name)
-    calls = []
-
-    def recording(states, *args):
-        calls.append(states.shape[0])
-        return kernel(states, *args)
-
-    monkeypatch.setattr(_kernels, name, recording)
-    chunk = pde.MAX_CHUNK_CELLS // model.n_x
-    for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 1):
-        states = 0.5 * rng.standard_normal((rows, model.n_x))
-        controls = rng.standard_normal((rows, model.n_u))
-        whole = kernel(states, *model._kernel_args(controls))
-        calls.clear()
-        np.testing.assert_array_equal(
-            _bits(model.step_batch(states, controls)), _bits(whole))
-        # one call if the rows fit; else equal chunks of a multiple of 8
-        # rows and a shorter last one, each within the cap
-        assert sum(calls) == rows and max(calls) <= chunk
-        if rows <= chunk:
-            assert calls == [rows]
-        else:
-            assert calls[0] % 8 == 0 and set(calls[:-1]) == {calls[0]}
-            assert calls[-1] <= calls[0]
-            assert len(calls) <= -(-rows // (chunk - chunk % 8))
-
-
 @pytest.mark.parametrize("rows,n_x,chunks", [
-    (0, 400, [(0, 0)]),
+    (0, 400, []),
     (100, 400, [(0, 100)]),                     # fits: one call
     (101, 400, [(0, 56), (56, 101)]),
     (808, 400, [(i, i + 96) for i in range(0, 768, 96)] + [(768, 808)]),
@@ -340,19 +304,31 @@ def test_row_chunks(rows, n_x, chunks):
 
 @pytest.mark.parametrize("name", ["burgers", "allen_cahn", "allen_cahn_small",
                                   "cahn_hilliard"])
-def test_step_batch_bit_identical_to_per_row_calls(rng, name):
+def test_step_batch_bit_identical_to_per_row_calls(rng, name, monkeypatch):
     # batch sizes below, at and above one cache line of rows (8), and
-    # batches the models step in several chunks (97 rows at 50x50, 808 at
-    # 20x20)
-    problem = build_problem(preset(name))
+    # batches above pde.MAX_CHUNK_CELLS cells (97 rows at 50x50, 808 at
+    # 20x20), each stepped in one kernel call
+    cfg = preset(name)
+    problem = build_problem(cfg)
     model = problem.model
+    kernel_name = f"{cfg.problem.name}_batch"
+    kernel = getattr(_kernels, kernel_name)
+    calls = []
+
+    def counting(states, *args):
+        calls.append(len(states))
+        return kernel(states, *args)
+
+    monkeypatch.setattr(_kernels, kernel_name, counting)
     states = problem.x0 + 0.1 * rng.standard_normal((808, model.n_x))
     controls = 0.3 * rng.standard_normal((808, model.n_u))
     per_row = np.array([model.step_batch(x[None, :], u[None, :])[0]
                         for x, u in zip(states, controls)])
     assert np.all(np.isfinite(per_row))
     for rows in (1, 7, 8, 9, 20, 97, 808):
+        calls.clear()
         out = model.step_batch(states[:rows], controls[:rows])
+        assert calls == [rows]
         np.testing.assert_array_equal(_bits(out), _bits(per_row[:rows]),
                                       err_msg=f"{rows} rows")
 

@@ -661,8 +661,8 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3
     rows = 2 * unbounded.iterations[0].sysid_samples
-    groups = len(pde.balanced_runs(problem.horizon,
-                                   rows * problem.model.n_x))
+    groups = len(pde.aligned_runs(problem.horizon, rows,
+                                  problem.model.n_x))
     assert groups >= 2
     assert calls == [groups, 1]
     assert report.costs == unbounded.costs[:2]

@@ -8,8 +8,9 @@ from helpers import LinearModel, random_stable_linear, step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import _kernels, pde
-from roilqr.harness import build_problem, gaussian_guess, preset
+from roilqr import pde
+from roilqr.harness import (build_problem, config_from_dict, gaussian_guess,
+                            preset, run_solve)
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
@@ -317,13 +318,14 @@ class _Counting(LinearModel):
 # (cap in cells, rows of each simulator call) for 7 timesteps of a plant
 # with n_x = 6 and 6 + 2 samples: one timestep's +/- rows are 16 rows of
 # 96 cells, one sample's pair 2 rows of 12 cells.  Whole timesteps fit in
-# the first four caps and go in balanced groups; below 96 cells each
-# timestep is cut into sample ranges of a multiple of 4 pairs (8 rows)
-# and a shorter last one, or of as many pairs as fit if fewer than 4 do.
+# the first four caps and go in equal runs and a shorter last one; below
+# 96 cells each timestep is cut into sample ranges of a multiple of 4
+# pairs (8 rows) and a shorter last one, or of as many pairs as fit if
+# fewer than 4 do.
 _UNIT_CAPS = [
     (10**6, [112]),
-    (3 * 96, [32, 32, 48]),
-    (2 * 96, [16, 32, 32, 32]),
+    (3 * 96, [48, 48, 16]),
+    (2 * 96, [32, 32, 32, 16]),
     (96, [16] * 7),
     (95, [8, 8] * 7),
     (50, [8, 8] * 7),
@@ -343,6 +345,15 @@ def test_one_simulator_call_per_group_within_cap(monkeypatch, cap, calls):
     generate_rollout_data(model, nominal)
     assert model.calls == calls
     assert max(model.calls) * 6 <= cap
+
+
+def test_zero_horizon_makes_no_simulator_call():
+    rng = np.random.default_rng(21)
+    model = _Counting(random_stable_linear(6, 2, rng))
+    nominal = _nominal(model, 0, rng)
+    data = generate_rollout_data(model, nominal)
+    assert model.calls == []
+    assert data.outputs.shape == (0, 6, 8)
 
 
 class _Abandon(Exception):
@@ -384,26 +395,47 @@ def _allen_cahn_small_nominal():
 
 
 def test_full_order_units_fit_one_kernel_call(monkeypatch):
-    # no full-order simulator call is cut into row chunks by step_batch
+    # step_batch steps whatever it is given in one kernel call, so the
+    # callers keep every call within pde.MAX_CHUNK_CELLS cells
     model, nominal = _allen_cahn_small_nominal()
-    rows, kernel_calls = [], []
-    step_batch, kernel = model.step_batch, _kernels.allen_cahn_batch
+    rows = []
+    step_batch = model.step_batch
 
     def recording(states, controls):
         rows.append(len(states))
         return step_batch(states, controls)
 
-    def counting(states, *args):
-        kernel_calls.append(len(states))
-        return kernel(states, *args)
-
     monkeypatch.setattr(model, "step_batch", recording)
-    monkeypatch.setattr(_kernels, "allen_cahn_batch", counting)
     generate_rollout_data(model, nominal)
     # 404 samples of 2 rows of 400 cells: 48-sample units, then 20
     assert rows == ([96] * 8 + [40]) * nominal.horizon
-    assert max(rows) * model.n_x <= pde.MAX_CHUNK_CELLS
-    assert kernel_calls == rows
+
+    # every call of one solver iteration: rollouts, identification units
+    # and line-search batches, as (rows, n_x)
+    calls = []
+    for cls in (pde.BurgersModel, pde.AllenCahnModel, pde.CahnHilliardModel):
+        def recording_cls(self, states, controls, step_batch=cls.step_batch):
+            calls.append((len(states), self.n_x))
+            return step_batch(self, states, controls)
+
+        monkeypatch.setattr(cls, "step_batch", recording_cls)
+    cap = pde.MAX_CHUNK_CELLS
+    for name, mode in [("burgers", "full"), ("allen_cahn", "reduced"),
+                       ("allen_cahn_small", "full"),
+                       ("cahn_hilliard", "full")]:
+        cfg = config_from_dict({"solver": {"mode": mode, "seed": 0,
+                                           "max_iterations": 1}},
+                               base=preset(name))
+        calls.clear()
+        run_solve(cfg)
+        # one sample's pair of rows fits, so every call fits
+        assert calls and all(2 * n_x <= cap and r * n_x <= cap
+                             for r, n_x in calls), \
+            (name, mode)
+        if name == "allen_cahn":
+            # after the 10-step rollout, identification cuts each
+            # timestep's 9 samples (5 modes, 4 controls) into 8 and 1
+            assert [r for r, _ in calls[10:30]] == [16, 2] * 10
 
 
 def test_full_order_identification_holds_its_output_and_one_unit():
@@ -539,7 +571,7 @@ def test_earliest_diverged_timestep_of_a_group_is_reported():
     s_x = 1e-5
     cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
     n_s = 5 + 2
-    assert pde.balanced_runs(5, 2 * n_s * 5) == [(0, 5)]   # one group
+    assert pde.aligned_runs(5, 2 * n_s, 5) == [(0, 5)]   # one group
     t_early, t_late, r_bad = 1, 3, 2
     # at t_early only sample r_bad diverges (its minus side); at t_late
     # sample 0 does (its plus side), which comes first in sample order
