@@ -9,8 +9,8 @@ verifies the suboptimality guarantees of the reduced solution.
 """
 
 from ._kernels import HAVE_NUMBA, USE_NUMBA
-from .bounds import (BoundsReport, LqrPair, build_lqr_pair, trace_limit_set,
-                     verify_bounds)
+from .bounds import (BoundsReport, LqrPair, build_lqr_pair, verify_bounds,
+                     verify_iterates)
 from .lqr import (BackwardPassError, CostModel, GainSchedule, Regularizer,
                   backward_pass, lqr_solve_dense, reduce_cost)
 from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,

@@ -19,12 +19,13 @@ eigenvalue sigma_min.  :func:`verify_bounds` checks
 The reported ``eps``, ``cbar`` and ``cbar1`` are the larger of the two
 sets' values.  Because every inequality is checked against constants
 measured on its own draws, a violation indicates an implementation bug,
-not a modeling judgement.  :func:`trace_limit_set` re-identifies the
-full-order model at every accepted iterate and flags membership of
-{ ||H^-1 grad|| <= delta }, with delta measured the same way.
+not a modeling judgement.  :func:`verify_iterates` verifies a solve:
+one walk over its accepted iterates flags each one's membership of the
+limit set { ||H^-1 grad|| <= delta }, with delta measured the same way,
+and the three inequalities are checked on the last iterate's pair.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -88,8 +89,6 @@ class _Measurement:
     """
 
     eps: float
-    eps_nominal: float
-    eps_linearized: float
     cbar: float
     cbar1: float
     values: list
@@ -124,10 +123,8 @@ def _measure(pair, du_list):
         for w, x, z in zip(weights, dx, lifted):
             cbar = max(cbar, float(np.linalg.norm(w * x)),
                        float(np.linalg.norm(w * z)))
-    return _Measurement(eps=max(eps_nominal, eps_linear),
-                        eps_nominal=eps_nominal, eps_linearized=eps_linear,
-                        cbar=cbar, cbar1=7.0 * (horizon + 1) * cbar,
-                        values=values)
+    return _Measurement(eps=max(eps_nominal, eps_linear), cbar=cbar,
+                        cbar1=7.0 * (horizon + 1) * cbar, values=values)
 
 
 def _draw_controls(pair, samples, seed, sigma):
@@ -210,24 +207,25 @@ def verify_bounds(pair, samples=200, seed=0, sigma=None):
     )
 
 
-def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
-                     samples=40, seed=0, sigma=None):
-    """Per-iterate Newton-step norms of the full-order problem and
-    membership in the limit set { ||H^-1 grad|| <= delta }.
-
-    Uses the identified full-order LTV at each accepted iterate (data
-    driven, consistent with the rest of the pipeline), so it is meant
-    for desk-scale problems only.  Identification draws nothing, and
-    iterate ``idx``'s constants are measured over draws from seed
-    ``seed + 1 + idx``.  Returns (trace, consistent) where
-    ``consistent`` is the exhaustion property: once the cost falls below
-    every non-member iterate's cost, membership never flips back off.
+def verify_iterates(problem, report, energy_cutoff=0.99999, perturb=None,
+                    samples=200, seed=0, sigma=None):
+    """Verify the solve ``report`` of ``problem`` in one walk over its
+    accepted iterates, one pair alive at a time: around each re-rolled
+    iterate ``idx``, flag limit-set membership with delta measured over
+    max(20, samples // 10) draws from ``seed + 2 + idx``; then run
+    :func:`verify_bounds` on the last iterate's pair with ``samples``
+    draws from ``seed``.  ``limit_set_consistent`` is the exhaustion
+    property: once the cost falls below every non-member iterate's
+    cost, membership never flips back off.  Desk-scale problems only:
+    each iterate's full-order model is identified.
     """
+    if not report.iterate_controls:
+        raise ValueError("the report has no iterate to verify around")
     model, cost = problem.model, problem.cost
     trace = []
     for idx, controls in enumerate(report.iterate_controls):
+        pair = None   # dropped before the next pair is identified
         nominal = rollout(model, problem.x0, controls)
-        cost_k = cost.trajectory_cost(nominal)
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
         pair = build_lqr_pair(model, cost, nominal, basis, perturb)
@@ -236,12 +234,12 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
         hessian_ok = sigma_min > 0.0
         newton = float(np.linalg.norm(np.linalg.solve(h_full, grad))) \
             if hessian_ok else float("nan")
-        meas = _measure(pair, _draw_controls(pair, samples, seed + 1 + idx,
-                                             sigma))
+        meas = _measure(pair, _draw_controls(
+            pair, max(20, samples // 10), seed + 2 + idx, sigma))
         delta = meas.delta(sigma_min)
         trace.append({
             "iteration": idx,
-            "cost": cost_k,
+            "cost": cost.trajectory_cost(nominal),
             "newton_norm": newton,
             "delta": delta,
             "member": bool(hessian_ok and newton <= delta + _SLACK),
@@ -252,4 +250,5 @@ def trace_limit_set(problem, report, energy_cutoff=0.99999, perturb=None,
     non_member_costs = [e["cost"] for e in trace if not e["member"]]
     floor = min(non_member_costs) if non_member_costs else float("inf")
     consistent = all(e["member"] for e in trace if e["cost"] < floor)
-    return trace, consistent
+    return replace(verify_bounds(pair, samples, seed, sigma),
+                   limit_set_trace=trace, limit_set_consistent=consistent)

@@ -18,12 +18,12 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import _kernels
-from .bounds import build_lqr_pair, trace_limit_set, verify_bounds
+from .bounds import verify_iterates
 from .lqr import CostModel
 from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   DivergenceError, Grid, PdeParams, StabilityError,
                   mask_from_goal)
-from .pod import DegenerateSnapshotsError, method_of_snapshots
+from .pod import DegenerateSnapshotsError
 from .solver import ControlProblem, SolverConfig, solve
 from .sysid import PerturbationConfig
 
@@ -519,8 +519,9 @@ def run_benchmark(cfg, out_dir=None):
 
 
 def run_verify_bounds(cfg, out_dir=None):
-    """Solve (reduced), then verify every bound inequality around the
-    converged nominal and trace limit-set membership per iterate.
+    """Solve (reduced), then verify the solve with
+    :func:`roilqr.bounds.verify_iterates`: the limit-set trace over its
+    accepted iterates and every bound inequality around the last one.
 
     Raises :class:`NumericalFailure` when the solve ends in a numerical
     failure (there is no solved nominal to verify around) or when
@@ -541,23 +542,13 @@ def run_verify_bounds(cfg, out_dir=None):
         raise NumericalFailure(f"solve failed, no nominal to verify "
                                f"around: {report.error}")
 
-    nominal = report.trajectory
     try:
-        basis = method_of_snapshots(nominal.states.T,
-                                    energy_cutoff=cfg.solver.energy_cutoff)
-        pair = build_lqr_pair(problem.model, problem.cost, nominal, basis,
-                              cfg.perturb)
-        bounds_report = verify_bounds(pair, samples=cfg.run.bounds_samples,
-                                      seed=cfg.solver.seed)
-        trace, consistent = trace_limit_set(
+        bounds_report = verify_iterates(
             problem, report, energy_cutoff=cfg.solver.energy_cutoff,
-            perturb=cfg.perturb,
-            samples=max(20, cfg.run.bounds_samples // 10),
-            seed=cfg.solver.seed + 1)
+            perturb=cfg.perturb, samples=cfg.run.bounds_samples,
+            seed=cfg.solver.seed)
     except (DivergenceError, DegenerateSnapshotsError) as exc:
         raise NumericalFailure(f"bound verification: {exc}") from exc
-    bounds_report.limit_set_trace = trace
-    bounds_report.limit_set_consistent = consistent
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

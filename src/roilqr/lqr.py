@@ -132,13 +132,15 @@ def reduce_cost(cost, nominal, basis=None):
     )
 
 
+_MU_GROW = 10.0     # damping factor after a failed factorization
+_MU_SHRINK = 0.5    # and after a backward pass without one
+
+
 @dataclass
 class Regularizer:
     """Levenberg-style damping schedule for the control Hessian."""
 
     mu: float = 1e-6
-    grow: float = 10.0
-    shrink: float = 0.5
     mu_min: float = 1e-9
     mu_max: float = 1e6
 
@@ -147,10 +149,10 @@ class Regularizer:
             raise ValueError("need 0 <= mu_min <= mu <= mu_max")
 
     def increase(self):
-        self.mu = max(self.mu * self.grow, self.mu_min, 1e-9)
+        self.mu = max(self.mu * _MU_GROW, self.mu_min, 1e-9)
 
     def decrease(self):
-        self.mu = max(self.mu * self.shrink, self.mu_min)
+        self.mu = max(self.mu * _MU_SHRINK, self.mu_min)
 
 
 @dataclass

@@ -28,6 +28,7 @@ advection-dominated regimes).
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -150,7 +151,8 @@ def aligned_runs(count, item_rows, n_x):
     runs = -(-count // per_call)
     if runs <= 1:
         return [(0, count)] if count else []
-    line = max(1, _kernels.VALUES_PER_LINE // item_rows)
+    # the fewest items whose rows fill whole cache lines
+    line = _kernels.VALUES_PER_LINE // gcd(item_rows, _kernels.VALUES_PER_LINE)
     size = -(-count // runs)
     size = min(per_call - per_call % line or per_call, size + -size % line)
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
@@ -179,6 +181,9 @@ class _Model:
         (see :data:`MAX_CHUNK_CELLS`)."""
         states = _as_batch(states, self.n_x)
         controls = _as_batch(controls, self.n_u, "control")
+        if len(states) != len(controls):
+            raise ValueError(f"{len(states)} state rows but "
+                             f"{len(controls)} control rows")
         return self._kernel(states, *self._kernel_args(controls))
 
 

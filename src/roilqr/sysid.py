@@ -205,8 +205,9 @@ def _units(horizon, n_s, n_x):
     :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, all cut by
     :func:`roilqr.pde.aligned_runs` into equal runs and a shorter last
     one.  If one timestep's 2 n_s rows fit, units are runs of whole
-    timesteps; else each timestep is cut into runs of a multiple of 4
-    samples (8 rows), or of as many as fit if fewer do."""
+    timesteps; else each timestep is cut into runs of samples.  Either
+    way the equal runs hold a multiple of 8 rows, or as many items as
+    fit if fewer do."""
     spans = aligned_runs(n_s, 2, n_x)
     if len(spans) == 1:
         return [(lo, hi, 0, n_s)

@@ -1,14 +1,16 @@
 """Bound inequalities on synthetic exact cases, a scalar hand-check, and
 identified PDE instances."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import LinearModel, random_stable_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr.bounds import (LqrPair, build_lqr_pair, trace_limit_set,
-                           verify_bounds)
+from roilqr.bounds import (LqrPair, build_lqr_pair, verify_bounds,
+                           verify_iterates)
 from roilqr.lqr import CostModel, ReducedCostTerms, reduce_cost
 from roilqr.pde import Trajectory, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
@@ -160,11 +162,19 @@ def test_report_assembly(burgers_pair):
                             "minima_gap_bound", "minimizer_distance"}
 
 
-def test_limit_set_trace(burgers_pair):
+@pytest.fixture(scope="module")
+def burgers_walk(burgers_pair):
+    # checks: 60 draws from seed 5, 30 from seed 6; trace iterate idx:
+    # max(20, 60 // 10) = 20 draws from seed 7 + idx
     problem, report, _ = burgers_pair
-    trace, consistent = trace_limit_set(problem, report, samples=20, seed=6)
+    return verify_iterates(problem, report, samples=60, seed=5)
+
+
+def test_limit_set_trace(burgers_pair, burgers_walk):
+    _, report, _ = burgers_pair
+    trace = burgers_walk.limit_set_trace
     assert len(trace) == len(report.iterate_controls)
-    assert consistent
+    assert burgers_walk.limit_set_consistent
     # converged run: final iterate inside the limit set
     assert trace[-1]["member"]
     # accepted iterations strictly decrease cost while outside the set
@@ -173,6 +183,18 @@ def test_limit_set_trace(burgers_pair):
         if not prev["member"]:
             assert nxt["cost"] < prev["cost"]
     assert costs[0] >= costs[-1]
+
+
+def test_walk_checks_the_last_iterate(burgers_pair, burgers_walk):
+    # the last iterate re-rolled is the solve's trajectory bit for bit,
+    # so the walk's checks are those of the pair built around it
+    _, report, pair = burgers_pair
+    walk = burgers_walk.to_dict()
+    checks = verify_bounds(pair, samples=60, seed=5).to_dict()
+    for key in ("limit_set_trace", "limit_set_consistent"):
+        del walk[key], checks[key]
+    assert walk == checks
+    assert burgers_walk.limit_set_trace[-1]["cost"] == report.final_cost
 
 
 def test_far_start_first_iterate_outside_set():
@@ -187,7 +209,12 @@ def test_far_start_first_iterate_outside_set():
                    SolverConfig(mode="reduced", seed=2, max_iterations=6,
                                 energy_cutoff=1.0 - 1e-12),
                    cfg.perturb)
-    trace, _ = trace_limit_set(problem, report,
-                                energy_cutoff=1.0 - 1e-12,
-                                samples=20, seed=7, sigma=1e-3)
-    assert not trace[0]["member"]
+    # trace iterate idx: 20 draws from seed 8 + idx
+    walk = verify_iterates(problem, report, energy_cutoff=1.0 - 1e-12,
+                           samples=20, seed=6, sigma=1e-3)
+    assert not walk.limit_set_trace[0]["member"]
+
+
+def test_walk_needs_an_iterate():
+    with pytest.raises(ValueError, match="no iterate"):
+        verify_iterates(None, SimpleNamespace(iterate_controls=[]))

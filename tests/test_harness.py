@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +341,31 @@ def test_run_verify_bounds(tmp_path):
     assert payload["cbar1"] == pytest.approx(
         7 * (cfg.problem.horizon + 1) * payload["cbar"])
     assert "limit_set_trace" in payload and payload["objective_gap_looseness"] >= 1.0
+
+
+def test_verify_bounds_holds_one_full_order_model_at_a_time(monkeypatch):
+    # one walk: each accepted iterate's pair is identified once, the last
+    # one's included, and each full-order model is gone before the next
+    # full-order identification starts
+    from roilqr import bounds
+
+    identify = bounds.generate_rollout_data
+    full_order, alive, calls = [], [], []
+
+    def watching(model, nominal, basis=None, cfg=None, **kwargs):
+        if basis is None:
+            alive.append(sum(ref() is not None for ref in full_order))
+        data = identify(model, nominal, basis, cfg, **kwargs)
+        calls.append(basis)
+        if basis is None:
+            full_order.append(weakref.ref(data.outputs))
+        return data
+
+    monkeypatch.setattr(bounds, "generate_rollout_data", watching)
+    _, report = run_verify_bounds(preset("burgers_small"))
+    iterates = len(report.iterate_controls)
+    assert len(calls) == 2 * iterates
+    assert alive == [0] * iterates
 
 
 def test_verify_bounds_records_the_reduced_config_it_ran(tmp_path):

@@ -302,6 +302,30 @@ def test_row_chunks(rows, n_x, chunks):
     assert pde.aligned_runs(rows, 1, n_x) == chunks
 
 
+@pytest.mark.parametrize("count,item_rows,n_x,sizes", [
+    # reduced burgers: 11 samples of 2 rows per timestep; 18 timesteps
+    # fit, 4 of them fill whole cache lines (88 rows)
+    (20, 22, 100, [12, 8]),
+    # reduced allen_cahn_small at 9 samples: 5 timesteps fit, 4 are
+    # the fewest that fill whole lines (72 rows)
+    (10, 18, 400, [4, 4, 2]),
+    (20, 12, 400, [8, 8, 4]),     # 2 timesteps (24 rows) fill whole lines
+    (10, 28, 400, [2, 2, 2, 2, 2]),
+    (9, 28, 400, [2, 2, 2, 2, 1]),
+    (20, 28, 100, [10, 10]),      # already a multiple of 2 timesteps
+    # fewer timesteps fit than fill whole lines: as many as fit
+    (5, 22, 500, [3, 2]),
+    (7, 18, 1000, [2, 2, 2, 1]),
+])
+def test_whole_timestep_runs(count, item_rows, n_x, sizes):
+    runs = pde.aligned_runs(count, item_rows, n_x)
+    assert [hi - lo for lo, hi in runs] == sizes
+    assert runs[0][0] == 0 and runs[-1][1] == count
+    assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+    assert all((hi - lo) * item_rows * n_x <= pde.MAX_CHUNK_CELLS
+               for lo, hi in runs)
+
+
 @pytest.mark.parametrize("name", ["burgers", "allen_cahn", "allen_cahn_small",
                                   "cahn_hilliard"])
 def test_step_batch_bit_identical_to_per_row_calls(rng, name, monkeypatch):

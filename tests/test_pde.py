@@ -207,3 +207,17 @@ def test_mask_validation(phase_grid):
     with pytest.raises(ValueError):
         AllenCahnModel(phase_grid, PdeParams(dt=1e-4),
                        np.ones(63, dtype=np.int8))
+
+
+def test_step_batch_rejects_mismatched_row_counts(burgers, phase_grid):
+    mask = np.where(np.arange(64) % 2 == 0, 1, -1)
+    for model in (burgers,
+                  AllenCahnModel(phase_grid, PdeParams(dt=1e-4), mask),
+                  CahnHilliardModel(phase_grid, PdeParams(dt=1e-6), mask)):
+        states = np.zeros((3, model.n_x))
+        with pytest.raises(ValueError, match="3 state rows but 1 control"):
+            model.step_batch(states, np.zeros((1, model.n_u)))
+        with pytest.raises(ValueError, match="1 state rows but 2 control"):
+            model.step_batch(states[0], np.zeros((2, model.n_u)))
+        assert model.step_batch(states, np.zeros((3, model.n_u))).shape \
+            == states.shape
