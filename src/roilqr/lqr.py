@@ -315,16 +315,21 @@ def quad_objective(ltv, terms, du):
     return val, devs
 
 
-def lqr_solve_dense(ltv, terms, max_size=500):
+# Largest stacked size T*n_u that the dense oracle solves.
+DENSE_ORACLE_LIMIT = 500
+
+
+def lqr_solve_dense(ltv, terms):
     """Exact minimizer of the perturbed objective by one dense solve.
 
     Independent oracle for the backward pass; restricted to small
-    stacked problems (T*n_u <= ``max_size``).  A non-finite stacked
-    Hessian or gradient is a ``ValueError``.
+    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`).  A non-finite
+    stacked Hessian or gradient is a ``ValueError``.
     """
     m = ltv.horizon * ltv.n_u
-    if m > max_size:
-        raise ValueError(f"stacked size {m} exceeds oracle limit {max_size}")
+    if m > DENSE_ORACLE_LIMIT:
+        raise ValueError(f"stacked size {m} exceeds oracle limit "
+                         f"{DENSE_ORACLE_LIMIT}")
     h, g = stack_quadratic(ltv, terms)
     if not (np.isfinite(h).all() and np.isfinite(g).all()):
         raise ValueError("stacked Hessian or gradient is not finite")

@@ -130,7 +130,9 @@ class Trajectory:
 # this bounds the kernels' workspaces only because the callers keep to
 # it: identification steps its experiments in units cut by aligned_runs,
 # and the line search its step sizes in batches of items_per_call rows.
-# Either still steps one item whole where a single item is larger.
+# Either still steps one item whole where a single item is larger: a
+# step size's row, or a reduced timestep's queries.  Only full order
+# cuts a timestep into sample ranges.
 MAX_CHUNK_CELLS = 40_000
 
 

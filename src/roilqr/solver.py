@@ -3,13 +3,14 @@
 Each iteration: refresh the snapshot basis from the currently accepted
 trajectory (reduced mode only), fit a local LTV model around it,
 run the backward pass for gains, and accept a new trajectory through a
-backtracking line search on the nonlinear model.  The line search tries
-``alpha_init`` alone, then rolls out the rest of the step-size ladder in
-doubling batches (2, 4, 8, ... step sizes, at most
-``pde.items_per_call(n_x)`` per batch), one row per step size and one
-simulator call per timestep; every row is bit-identical to a rollout of
-its step size alone, so the first step size in ladder order that passes
-is the one a one-at-a-time search would accept.  Terminates when the
+backtracking line search on the nonlinear model.  The line search walks
+one fixed ladder of step sizes, 1, 1/2, ..., 2^-26 (:data:`STEP_SIZES`):
+it tries 1 alone, then rolls out the rest of the ladder in doubling
+batches (2, 4, 8, ... step sizes, at most ``pde.items_per_call(n_x)``
+per batch), one row per step size and one simulator call per timestep;
+every row is bit-identical to a rollout of its step size alone, so the
+first step size in ladder order that passes is the one a
+one-at-a-time search would accept.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
 convergence coefficient, when the gradient is numerically zero, when no
 descent step can be found, or at the iteration/time budget (see
@@ -38,20 +39,19 @@ class SolverConfig:
     ``gamma`` is the convergence coefficient (terminate when an accepted
     iteration improves the cost by less than this fraction), ``sigma1``
     the line-search acceptance threshold on the realized-to-predicted
-    improvement ratio.  ``seed`` labels the run: the harness draws the
-    Gaussian initial guess from it, and the solve itself draws nothing.
+    improvement ratio; the step sizes it is tried on are the fixed ladder
+    :data:`STEP_SIZES`, and the backward pass's damping starts at the
+    :class:`~roilqr.lqr.Regularizer` default.  ``seed`` labels the run:
+    the harness draws the Gaussian initial guess from it, and the solve
+    itself draws nothing.
     """
 
     gamma: float = 1e-4
     max_iterations: int = 60
     sigma1: float = 0.3
-    alpha_init: float = 1.0
-    alpha_shrink: float = 0.5
-    alpha_min: float = 1e-8
     energy_cutoff: float = 0.99999
     mode: str = "reduced"
     seed: int = 0
-    mu_init: float = 1e-6
     time_budget_s: float | None = None
 
     def __post_init__(self):
@@ -61,13 +61,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.sigma1 < 1.0:
             raise ValueError("sigma1 must be in (0, 1)")
-        if not 0.0 < self.alpha_shrink < 1.0:
-            raise ValueError("alpha_shrink must be in (0, 1)")
-        if not 0.0 < self.alpha_min <= self.alpha_init:
-            # alpha_min <= 0 never stops the backtracking: alpha underflows
-            # to 0.0, which still satisfies alpha >= alpha_min
-            raise ValueError("need 0 < alpha_min <= alpha_init")
-        Regularizer(mu=self.mu_init)   # raises unless mu_init is in range
         if self.mode not in ("reduced", "full"):
             raise ValueError("mode must be 'reduced' or 'full'")
         if not 0.0 < self.energy_cutoff <= 1.0:
@@ -101,6 +94,11 @@ class ControlProblem:
             return u.copy()
         return np.zeros((self.horizon, self.model.n_u))
 
+
+# The line search's step sizes in backtracking order: 2^0 ... 2^-26, the
+# halvings of 1 down to the last one above 1e-8.  Powers of two, so each
+# is exact.
+STEP_SIZES = tuple(2.0 ** -k for k in range(27))
 
 PHASES = ("t_basis", "t_sysid", "t_backward", "t_forward")
 
@@ -237,17 +235,6 @@ def _rollout_buffers(model, horizon, rows):
             np.empty((horizon, rows, model.n_u)))
 
 
-def _alpha_ladder(cfg):
-    """The step sizes alpha_init * alpha_shrink**k >= alpha_min in
-    backtracking order, and the first one below alpha_min."""
-    alphas = []
-    alpha = cfg.alpha_init
-    while alpha >= cfg.alpha_min:
-        alphas.append(alpha)
-        alpha *= cfg.alpha_shrink
-    return alphas, alpha
-
-
 def _ladder_batches(count, max_rows):
     """``(lo, hi)`` bounds of the rollouts of a ladder of ``count`` step
     sizes: the first alone, then 2, 4, 8, ... at a time, at most
@@ -274,27 +261,27 @@ class LineSearchResult:
 
 def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
                 checkpoint=None):
-    """Backtrack on alpha until realized/predicted improvement >= sigma1.
+    """Backtrack on alpha along :data:`STEP_SIZES` until the realized /
+    predicted improvement is >= sigma1.
 
     The ladder is rolled out in the batches of :func:`_ladder_batches`
     into one pair of buffers sized to the largest batch; the first step
     size in ladder order that passes is accepted and its rollout copied
     out, and ``trials`` is its position in the ladder.  Every accepted
     step strictly decreases the cost (z*predicted > 0).  Returns an
-    unaccepted result when the ladder ends below alpha_min without a
-    valid step (no-descent termination).  ``checkpoint``, if given, is
-    called before every rollout after the first and may raise to abandon
-    the search.
+    unaccepted result, with alpha 0.0, when no step size of the ladder
+    passes (no-descent termination).  ``checkpoint``, if given, is called
+    before every rollout after the first and may raise to abandon the
+    search.
     """
-    alphas, below_min = _alpha_ladder(cfg)
-    batches = _ladder_batches(len(alphas), items_per_call(model.n_x))
+    batches = _ladder_batches(len(STEP_SIZES), items_per_call(model.n_x))
     buffers = _rollout_buffers(model, prev.horizon,
                                max(hi - lo for lo, hi in batches))
     for lo, hi in batches:
         if checkpoint is not None and lo > 0:
             checkpoint()
         results = forward_pass(model, cost, prev, gains, basis,
-                               alphas[lo:hi], buffers)
+                               STEP_SIZES[lo:hi], buffers)
         for trial, (traj, realized, predicted) in enumerate(results, lo + 1):
             if traj is not None and predicted > 0.0:
                 z = (prev_cost - realized) / predicted
@@ -302,8 +289,9 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
                     accepted = Trajectory(states=traj.states.copy(),
                                           controls=traj.controls.copy())
                     return LineSearchResult(accepted, realized,
-                                            alphas[trial - 1], trial, True)
-    return LineSearchResult(None, prev_cost, below_min, len(alphas), False)
+                                            STEP_SIZES[trial - 1], trial,
+                                            True)
+    return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False)
 
 
 class _Stop(Exception):
@@ -360,7 +348,7 @@ def solve(problem, cfg=None, perturb=None):
                          initial_cost=current_cost, trajectory=traj,
                          initial_rollout_s=time.perf_counter() - start)
     report.iterate_controls.append(traj.controls.copy())
-    reg = Regularizer(mu=cfg.mu_init)
+    reg = Regularizer()
 
     if current_cost == 0.0:
         report.status = "converged"

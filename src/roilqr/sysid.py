@@ -14,13 +14,15 @@ projected back, so d is the mode count l instead of n_x.
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent.  They are stepped in
 units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, one simulator
-call each, cut by one rule (:func:`roilqr.pde.aligned_runs`): runs of
-whole timesteps when one timestep fits, else runs of consecutive samples
-of one timestep (at full order, where a timestep holds 2 (n_x + n_u)
-rows of n_x cells).  Each unit builds only its own design rows and
-writes its central differences straight into the (T, d, d + n_u)
-outputs, so besides them an identification holds one unit's working
-set, never a whole timestep's queries or the dense (d + n_u, n_x)
+call each, cut by one rule (:func:`roilqr.pde.aligned_runs`) into runs
+of whole timesteps.  Only full order, where a timestep holds 2 (n_x +
+n_u) rows of n_x cells, cuts a timestep that does not fit into runs of
+consecutive samples; a reduced timestep of 2 (l + n_u) rows is stepped
+whole even where it exceeds the cap, so each is projected in one
+product.  Each unit builds only its own design rows and writes its
+central differences straight into the (T, d, d + n_u) outputs, so
+besides them an identification holds one unit's working set, never a
+whole full-order timestep's queries or the dense (n_x + n_u, n_x)
 design.  The fit overwrites the outputs buffer with the model, so an
 identification holds one (T, d, d + n_u) array, not two.
 """
@@ -111,12 +113,12 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
     the control moved by +/- s_u e_j; half the difference of the two
     next states (projected if a basis is given) is recorded.  The queries
     are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
-    cells, one simulator call each: runs of whole timesteps if one
-    timestep's queries fit, else consecutive sample ranges of one
-    timestep (see :func:`_units`); a horizon of 0 makes no call.
-    ``checkpoint``, if given, is called before every simulator call
-    after the first, so also between the units of one timestep, and may
-    raise to abandon the identification.
+    cells, one simulator call each: runs of whole timesteps, and only at
+    full order, where one timestep's queries do not fit, consecutive
+    sample ranges of one timestep (see :func:`_units`); a horizon of 0
+    makes no call.  ``checkpoint``, if given, is called before every
+    simulator call after the first, so also between the units of one
+    full-order timestep, and may raise to abandon the identification.
     Raises :class:`DivergenceError` naming the earliest diverged timestep
     and its first diverged sample.
     """
@@ -128,7 +130,7 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
     modes = basis.phi.T if basis is not None else None
 
     outputs = np.empty((nominal.horizon, dim, n_s))
-    units = _units(nominal.horizon, n_s, n_x)
+    units = _units(nominal.horizon, n_s, n_x, cut=basis is None)
     longest = max(((hi - lo) * (b - a) for lo, hi, a, b in units), default=0)
     widest = max((b - a for _, _, a, b in units), default=0)
     # a unit holds the + rows of its samples, then their - rows, for each
@@ -153,10 +155,6 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
         du[control - a, control - dim] = s_u
         return dx, du
 
-    # reduced mode projects each timestep's central differences with one
-    # product, so a timestep stepped in parts gathers them first
-    dy_t = np.empty((1, n_s, n_x)) \
-        if basis is not None and widest < n_s else None
     for lo, hi, a, b in units:
         if checkpoint is not None and (lo, a) != (0, 0):
             checkpoint()
@@ -186,29 +184,25 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
         dy = f_grp[:, 0]
         np.subtract(dy, f_grp[:, 1], out=dy)
         dy *= 0.5
-        if basis is None:
-            outputs[lo:hi, :, a:b] = dy.transpose(0, 2, 1)
-        elif dy_t is None:
-            outputs[lo:hi] = (dy @ basis.phi).transpose(0, 2, 1)
-        else:
-            dy_t[:, a:b] = dy
-            if b == n_s:
-                outputs[lo:hi] = (dy_t @ basis.phi).transpose(0, 2, 1)
+        if basis is not None:
+            dy = dy @ basis.phi   # a reduced unit holds whole timesteps
+        outputs[lo:hi, :, a:b] = dy.transpose(0, 2, 1)
         del f_grp, dy   # not alive during the next unit's simulator call
     return RegressionData(scale=np.repeat([s_x, s_u], [dim, n_u]),
                           outputs=outputs)
 
 
-def _units(horizon, n_s, n_x):
+def _units(horizon, n_s, n_x, cut):
     """``(lo, hi, a, b)`` experiment units, in (timestep, sample) order:
-    samples a..b-1 of timesteps lo..hi-1, each unit of at most
-    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, all cut by
+    samples a..b-1 of timesteps lo..hi-1, all cut by
     :func:`roilqr.pde.aligned_runs` into equal runs and a shorter last
-    one.  If one timestep's 2 n_s rows fit, units are runs of whole
-    timesteps; else each timestep is cut into runs of samples.  Either
-    way the equal runs hold a multiple of 8 rows, or as many items as
-    fit if fewer do."""
-    spans = aligned_runs(n_s, 2, n_x)
+    one.  Units are runs of whole timesteps of at most
+    :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, or one timestep where a
+    timestep's 2 n_s rows exceed them.  Only if ``cut`` (full order) is
+    such a timestep cut into runs of samples that fit.  Either way the
+    equal runs hold a multiple of 8 rows, or as many items as fit if
+    fewer do."""
+    spans = aligned_runs(n_s, 2, n_x) if cut else [(0, n_s)]
     if len(spans) == 1:
         return [(lo, hi, 0, n_s)
                 for lo, hi in aligned_runs(horizon, 2 * n_s, n_x)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
                         Regularizer, _cho_solve, apply_weight)
 from roilqr.pde import DivergenceError, Trajectory
-from roilqr.solver import LineSearchResult
+from roilqr.solver import STEP_SIZES, LineSearchResult
 from roilqr.sysid import LtvModel
 
 
@@ -236,18 +236,20 @@ def forward_pass_one_row(model, cost, prev, gains, basis, alpha):
     return traj, realized, predicted
 
 
+def cost_increase(costs):
+    """Largest rise between consecutive costs, 0.0 if none rises: the
+    monotone-descent check passes a run exactly when this is 0.0."""
+    return max([0.0] + [b - a for a, b in zip(costs, costs[1:])])
+
+
 def line_search_one_row(model, cost, prev, prev_cost, gains, basis, cfg):
     """Reference for ``solver.line_search``: one rollout per step size, in
     ladder order, until one passes the sigma1 test."""
-    alpha = cfg.alpha_init
-    trials = 0
-    while alpha >= cfg.alpha_min:
-        trials += 1
+    for trials, alpha in enumerate(STEP_SIZES, 1):
         traj, realized, predicted = forward_pass_one_row(
             model, cost, prev, gains, basis, alpha)
         if traj is not None and predicted > 0.0:
             z = (prev_cost - realized) / predicted
             if z >= cfg.sigma1:
                 return LineSearchResult(traj, realized, alpha, trials, True)
-        alpha *= cfg.alpha_shrink
-    return LineSearchResult(None, prev_cost, alpha, trials, False)
+    return LineSearchResult(None, prev_cost, 0.0, trials, False)

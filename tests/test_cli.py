@@ -41,7 +41,7 @@ def test_missing_config_is_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("solver", [{"mu_init": 0.0}, {"alpha_min": 0.0},
+@pytest.mark.parametrize("solver", [{"sigma1": 1.5}, {"gamma": 0.0},
                                     {"max_iterations": 0},
                                     {"time_budget_s": -1.0}])
 def test_out_of_range_solver_setting_is_exit_2(tmp_path, capsys, solver):

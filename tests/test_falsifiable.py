@@ -1,15 +1,21 @@
 """Each paper check must be able to fail: a named mutant of the claim it
 guards, written here, is rejected by that check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import LQ_CASE, gains_match, lq_case, riccati_backward_pass
+from helpers import (LQ_CASE, cost_increase, gains_match, lq_case,
+                     riccati_backward_pass)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roilqr import solver
 from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import Regularizer, backward_pass
-from roilqr.pde import rollout
+from roilqr.pde import Trajectory, rollout
+from roilqr.solver import (STEP_SIZES, LineSearchResult, forward_pass,
+                           solve)
 from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
 
 _TIMESTEPS = (0, 1, 2)
@@ -104,3 +110,35 @@ def test_gain_comparison_rejects_undamped_gains(mu, horizon, dim, n_u, form,
     ref, _ = riccati_backward_pass(ltv, terms, Regularizer(mu=mu, mu_min=0.0))
     undamped = backward_pass(ltv, terms, Regularizer(mu=0.0, mu_min=0.0))
     assert not gains_match(undamped, ref)
+
+
+def _accept_first_finite(model, cost, prev, prev_cost, gains, basis, cfg,
+                         checkpoint=None):
+    # mutant: the line search without its z >= sigma1 test, accepting the
+    # first step size whose rollout stays finite
+    for trial, alpha in enumerate(STEP_SIZES, 1):
+        [(traj, realized, _)] = forward_pass(model, cost, prev, gains, basis,
+                                             [alpha])
+        if traj is not None:
+            return LineSearchResult(
+                Trajectory(states=traj.states.copy(),
+                           controls=traj.controls.copy()),
+                realized, alpha, trial, True)
+    return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False)
+
+
+def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(
+        cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+    real = solve(problem, cfg.solver, cfg.perturb)
+    assert real.status == "no_descent"
+    assert cost_increase(real.costs) == 0.0
+    # From the guess the mutant's full steps happen to descend.  At the
+    # real solve's endpoint every step size fails the sigma1 test, and
+    # the full step the mutant takes there ascends.
+    monkeypatch.setattr(solver, "line_search", _accept_first_finite)
+    mutant = solve(replace(problem, u_init=real.controls),
+                   replace(cfg.solver, max_iterations=1), cfg.perturb)
+    assert [it.alpha for it in mutant.iterations] == [1.0]
+    assert cost_increase(mutant.costs) > 0.0

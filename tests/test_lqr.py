@@ -387,11 +387,13 @@ def test_dense_oracle_zero_linear_term():
 
 
 def test_dense_oracle_scale_limit():
+    # 126 timesteps of 4 controls stack to 504 > 500; the limit is checked
+    # before anything is stacked
     rng = np.random.default_rng(14)
-    ltv = random_ltv(rng, 2, 2, 5)
-    terms = _random_terms(rng, 2, 2, 5)
-    with pytest.raises(ValueError, match="oracle"):
-        lqr_solve_dense(ltv, terms, max_size=4)
+    ltv = random_ltv(rng, 2, 4, 126)
+    terms = _random_terms(rng, 2, 4, 126)
+    with pytest.raises(ValueError, match="stacked size 504 exceeds oracle"):
+        lqr_solve_dense(ltv, terms)
 
 
 def test_dense_oracle_indefinite_error():
