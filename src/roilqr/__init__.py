@@ -20,7 +20,7 @@ from .pod import (DegenerateSnapshotsError, ReducedBasis, method_of_snapshots,
                   projection_residual)
 from .solver import (ControlProblem, SolveReport, SolverConfig, forward_pass,
                      line_search, solve)
-from .sysid import (LtvModel, PerturbationConfig, RegressionData, fit_ltv,
-                    generate_rollout_data)
+from .sysid import (LtvModel, RegressionData, fit_ltv, generate_rollout_data,
+                    perturbation_scales)
 
 __version__ = "0.1.0"

@@ -31,7 +31,8 @@ import numpy as np
 
 from .lqr import lqr_solve_dense, quad_objective, reduce_cost, stack_quadratic
 from .pde import Trajectory, rollout
-from .pod import method_of_snapshots, projection_residual
+from .pod import (DEFAULT_ENERGY_CUTOFF, method_of_snapshots,
+                  projection_residual)
 from .sysid import fit_ltv, generate_rollout_data
 
 _SLACK = 1e-8  # absolute tolerance so exact-basis (eps ~ 0) cases pass
@@ -55,12 +56,12 @@ class LqrPair:
         return self.nominal.horizon
 
 
-def build_lqr_pair(model, cost, nominal, basis, perturb=None):
+def build_lqr_pair(model, cost, nominal, basis):
     """Identify both LTV models around the nominal, the full-order one
     from coordinate samples of the state and the reduced one from samples
     along the modes of ``basis``, and assemble the pair."""
-    fo_data = generate_rollout_data(model, nominal, basis=None, cfg=perturb)
-    ro_data = generate_rollout_data(model, nominal, basis=basis, cfg=perturb)
+    fo_data = generate_rollout_data(model, nominal, basis=None)
+    ro_data = generate_rollout_data(model, nominal, basis=basis)
     # the reduced objective's nominal is the projected trajectory, so its
     # cost gradients are taken at the reconstruction phi phi^T x_t
     projected = Trajectory(states=nominal.states @ basis.phi @ basis.phi.T,
@@ -207,7 +208,7 @@ def verify_bounds(pair, samples=200, seed=0, sigma=None):
     )
 
 
-def verify_iterates(problem, report, energy_cutoff=0.99999, perturb=None,
+def verify_iterates(problem, report, energy_cutoff=DEFAULT_ENERGY_CUTOFF,
                     samples=200, seed=0, sigma=None):
     """Verify the solve ``report`` of ``problem`` in one walk over its
     accepted iterates, one pair alive at a time: around each re-rolled
@@ -228,7 +229,7 @@ def verify_iterates(problem, report, energy_cutoff=0.99999, perturb=None,
         nominal = rollout(model, problem.x0, controls)
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
-        pair = build_lqr_pair(model, cost, nominal, basis, perturb)
+        pair = build_lqr_pair(model, cost, nominal, basis)
         h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
         sigma_min = float(np.linalg.eigvalsh(h_full)[0])
         hessian_ok = sigma_min > 0.0

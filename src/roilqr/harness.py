@@ -19,16 +19,19 @@ import numpy as np
 
 from . import _kernels
 from .bounds import verify_iterates
-from .lqr import CostModel
+from .lqr import DENSE_ORACLE_LIMIT, CostModel
 from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   DivergenceError, Grid, PdeParams, StabilityError,
                   mask_from_goal)
 from .pod import DegenerateSnapshotsError
 from .solver import ControlProblem, SolverConfig, solve
-from .sysid import PerturbationConfig
 
 SCHEMA_ITERATIONS = "iterations-v1"
 SCHEMA_SNAPSHOTS = "snapshots-v1"
+
+# A repeatability sweep is repeatable when the coefficient of variation
+# of its final costs is at most this.
+CV_THRESHOLD = 0.05
 
 
 class ConfigError(ValueError):
@@ -78,24 +81,19 @@ class RunSpec:
     out_dir: str | None = None
     repeats: int = 1
     guess_std: float = 0.0
-    seed_stride: int = 1
-    cv_threshold: float = 0.05
     full_time_budget_s: float | None = None
-    bounds_samples: int = 200
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec
     solver: SolverConfig = field(default_factory=SolverConfig)
-    perturb: PerturbationConfig = field(default_factory=PerturbationConfig)
     run: RunSpec = field(default_factory=RunSpec)
 
     def to_dict(self):
         return {
             "problem": asdict(self.problem),
             "solver": asdict(self.solver),
-            "perturb": asdict(self.perturb),
             "run": asdict(self.run),
         }
 
@@ -103,7 +101,6 @@ class ExperimentConfig:
 _SECTION_TYPES = {
     "problem": ProblemSpec,
     "solver": SolverConfig,
-    "perturb": PerturbationConfig,
     "run": RunSpec,
 }
 
@@ -205,17 +202,9 @@ def _validate(cfg):
         raise ConfigError("run.repeats: must be >= 1")
     if cfg.run.guess_std < 0:   # 0 means "no initial guess"
         raise ConfigError("run.guess_std: must be >= 0")
-    if cfg.run.seed_stride < 0:
-        raise ConfigError("run.seed_stride: must be >= 0")
     if cfg.run.full_time_budget_s is not None \
             and not cfg.run.full_time_budget_s > 0:
         raise ConfigError("run.full_time_budget_s: must be positive")
-    if cfg.run.bounds_samples < 1:
-        # zero draws would pass every bound inequality vacuously
-        raise ConfigError("run.bounds_samples: must be >= 1")
-    if cfg.run.cv_threshold < 0:
-        # a negative threshold fails every sweep
-        raise ConfigError("run.cv_threshold: must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +388,7 @@ def _dump_json(path, obj):
 
 
 def write_solve_artifacts(out_dir, cfg, report):
-    os.makedirs(out_dir, exist_ok=True)
+    """Persist ``report`` into the existing directory ``out_dir``."""
     _dump_json(os.path.join(out_dir, "report.json"), _report_dict(cfg, report))
     _write_iterations_csv(os.path.join(out_dir, "iterations.csv"), report)
     if report.trajectory is not None:
@@ -420,18 +409,25 @@ def _with_solver(cfg, **changes):
 def _solve_once(cfg, out_dir=None):
     """Draw the seeded guess, build the problem and solve it exactly as
     ``cfg`` says; with ``out_dir``, persist the report with that config.
-    Returns (problem, report)."""
+    The directory is made before the solve: one that cannot be made is a
+    config error, raised before any work.  Returns (problem, report)."""
     u_init = gaussian_guess(cfg, cfg.solver.seed, cfg.run.guess_std) \
         if cfg.run.guess_std > 0 else None
     problem = build_problem(cfg, u_init=u_init)
-    report = solve(problem, cfg.solver, cfg.perturb)
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"run.out_dir: {exc}")
+    report = solve(problem, cfg.solver)
     if out_dir is not None:
         write_solve_artifacts(out_dir, cfg, report)
     return problem, report
 
 
 def run_solve(cfg, out_dir=None):
-    """Run one solve (or ``run.repeats`` seeded solves in subdirectories).
+    """Run one solve (or ``run.repeats`` solves in subdirectories, at
+    seeds ``solver.seed``, ``solver.seed + 1``, ...).
 
     Returns the list of reports.
     """
@@ -440,7 +436,7 @@ def run_solve(cfg, out_dir=None):
         return [_solve_once(cfg, out_dir)[1]]
     reports = []
     for i in range(cfg.run.repeats):
-        seed = cfg.solver.seed + i * cfg.run.seed_stride
+        seed = cfg.solver.seed + i
         sub = os.path.join(out_dir, f"seed_{seed:04d}") if out_dir else None
         reports.append(_solve_once(_with_solver(cfg, seed=seed), sub)[1])
     return reports
@@ -496,8 +492,7 @@ def run_benchmark(cfg, out_dir=None):
                              cost_gap=cost_gap, speedup=speedup,
                              full_report=full, reduced_report=red)
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    if out_dir is not None:   # made with its reduced/ subdirectory
         deterministic = {
             "config": cfg.to_dict(),
             "cost_gap": cost_gap,
@@ -530,10 +525,11 @@ def run_verify_bounds(cfg, out_dir=None):
     """
     out_dir = out_dir or cfg.run.out_dir
     n_u = _MODELS[cfg.problem.name].n_u
-    if cfg.problem.horizon * n_u > 200:
+    if cfg.problem.horizon * n_u > DENSE_ORACLE_LIMIT:
         raise ConfigError(
             "run: bound verification needs a desk-scale instance "
-            f"(horizon*n_u <= 200, got {cfg.problem.horizon * n_u})")
+            f"(horizon*n_u <= {DENSE_ORACLE_LIMIT}, "
+            f"got {cfg.problem.horizon * n_u})")
 
     cfg = _with_solver(cfg, mode="reduced")
     problem, report = _solve_once(
@@ -545,13 +541,11 @@ def run_verify_bounds(cfg, out_dir=None):
     try:
         bounds_report = verify_iterates(
             problem, report, energy_cutoff=cfg.solver.energy_cutoff,
-            perturb=cfg.perturb, samples=cfg.run.bounds_samples,
             seed=cfg.solver.seed)
     except (DivergenceError, DegenerateSnapshotsError) as exc:
         raise NumericalFailure(f"bound verification: {exc}") from exc
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    if out_dir is not None:   # made with its solve/ subdirectory
         payload = {"config": cfg.to_dict(), "solve_status": report.status,
                    **bounds_report.to_dict()}
         _dump_json(os.path.join(out_dir, "bounds.json"), payload)
@@ -597,13 +591,12 @@ def run_repeatability(cfg, out_dir=None):
         "final_cost_std": std_final,
         "final_cost_cv": cv,
         "final_cost_rel_spread": spread,
-        "cv_threshold": cfg.run.cv_threshold,
-        "repeatable": bool(not partial and cv <= cfg.run.cv_threshold),
+        "cv_threshold": CV_THRESHOLD,
+        "repeatable": bool(not partial and cv <= CV_THRESHOLD),
         "cost_mean_curve": mean_curve,
         "cost_std_curve": std_curve,
     }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    if out_dir is not None:   # made with its seed_* subdirectories
         _dump_json(os.path.join(out_dir, "aggregate.json"),
                    {"config": cfg.to_dict(), **aggregate})
     return aggregate, reports

@@ -315,16 +315,18 @@ def quad_objective(ltv, terms, du):
     return val, devs
 
 
-# Largest stacked size T*n_u that the dense oracle solves.
-DENSE_ORACLE_LIMIT = 500
+# Largest stacked size T*n_u that the dense oracle solves: the desk scale
+# that bound verification accepts.
+DENSE_ORACLE_LIMIT = 200
 
 
 def lqr_solve_dense(ltv, terms):
     """Exact minimizer of the perturbed objective by one dense solve.
 
-    Independent oracle for the backward pass; restricted to small
-    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`).  A non-finite
-    stacked Hessian or gradient is a ``ValueError``.
+    Independent oracle for the backward pass; restricted to desk-scale
+    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`, which
+    :func:`roilqr.harness.run_verify_bounds` checks before it solves).
+    A non-finite stacked Hessian or gradient is a ``ValueError``.
     """
     m = ltv.horizon * ltv.n_u
     if m > DENSE_ORACLE_LIMIT:

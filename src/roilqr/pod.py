@@ -16,6 +16,9 @@ import numpy as np
 # Eigenvalues below this fraction of the largest are numerically zero.
 _RANK_RTOL = 1e-12
 
+# The share of snapshot energy a basis keeps unless told otherwise.
+DEFAULT_ENERGY_CUTOFF = 0.99999
+
 
 class DegenerateSnapshotsError(ValueError):
     """Snapshot matrix has no usable energy (all columns zero)."""
@@ -48,7 +51,7 @@ def _fix_signs(phi):
     return phi * signs
 
 
-def method_of_snapshots(snapshots, energy_cutoff=0.99999):
+def method_of_snapshots(snapshots, energy_cutoff=DEFAULT_ENERGY_CUTOFF):
     """Build a reduced basis from an ``(n_x, m)`` snapshot matrix.
 
     Retains the smallest mode count whose relative spectral energy

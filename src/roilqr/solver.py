@@ -28,8 +28,9 @@ import numpy as np
 
 from .lqr import BackwardPassError, Regularizer, backward_pass, reduce_cost
 from .pde import DivergenceError, Trajectory, items_per_call, rollout
-from .pod import DegenerateSnapshotsError, method_of_snapshots, projection_residual
-from .sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from .pod import (DEFAULT_ENERGY_CUTOFF, DegenerateSnapshotsError,
+                  method_of_snapshots, projection_residual)
+from .sysid import fit_ltv, generate_rollout_data
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,10 @@ class SolverConfig:
     the line-search acceptance threshold on the realized-to-predicted
     improvement ratio; the step sizes it is tried on are the fixed ladder
     :data:`STEP_SIZES`, and the backward pass's damping starts at the
-    :class:`~roilqr.lqr.Regularizer` default.  ``seed`` labels the run:
+    :class:`~roilqr.lqr.Regularizer` default.  ``energy_cutoff`` is the
+    share of snapshot energy each reduced basis keeps.  Identification
+    takes no setting: its perturbation scales follow from each nominal
+    (:func:`roilqr.sysid.perturbation_scales`).  ``seed`` labels the run:
     the harness draws the Gaussian initial guess from it, and the solve
     itself draws nothing.
     """
@@ -49,7 +53,7 @@ class SolverConfig:
     gamma: float = 1e-4
     max_iterations: int = 60
     sigma1: float = 0.3
-    energy_cutoff: float = 0.99999
+    energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
     mode: str = "reduced"
     seed: int = 0
     time_budget_s: float | None = None
@@ -298,7 +302,7 @@ class _Stop(Exception):
     """Ends the solve inside an iteration; ``args[0]`` is the status."""
 
 
-def solve(problem, cfg=None, perturb=None):
+def solve(problem, cfg=None):
     """Run the full iteration loop; always returns a report, recording a
     numerical failure or an expired budget in ``status`` rather than
     raising.
@@ -312,7 +316,6 @@ def solve(problem, cfg=None, perturb=None):
     iteration's phases in ``terminal_phase_times``.
     """
     cfg = cfg or SolverConfig()
-    perturb = perturb or PerturbationConfig()
     model, cost = problem.model, problem.cost
     start = time.perf_counter()
 
@@ -370,7 +373,7 @@ def solve(problem, cfg=None, perturb=None):
             marks.append(time.perf_counter())
 
             data = generate_rollout_data(
-                model, traj, basis=basis, cfg=perturb,
+                model, traj, basis=basis,
                 checkpoint=check_budget if it > 1 else None)
             n_samples = data.n_samples
             ltv = fit_ltv(data)   # in place: ltv and data share one array

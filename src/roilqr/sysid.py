@@ -6,10 +6,12 @@ coordinate directions: simulator queries at symmetrically perturbed
 (state, control) pairs about the nominal point.  Sample i < d moves
 state coordinate i by +/- s_x, and sample d + j moves control j by
 +/- s_u, so each timestep's fit is exactly determined by its own
-samples and is a column scaling of their central differences.  When a
-reduced basis is supplied, the state coordinates are the reduced ones:
-sample i moves the state along mode i, and next-step deviations are
-projected back, so d is the mode count l instead of n_x.
+samples and is a column scaling of their central differences.  The
+scales follow from the nominal (:func:`perturbation_scales`); nothing
+configures them.  When a reduced basis is supplied, the state
+coordinates are the reduced ones: sample i moves the state along mode
+i, and next-step deviations are projected back, so d is the mode count
+l instead of n_x.
 
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent.  They are stepped in
@@ -34,36 +36,14 @@ import numpy as np
 from .pde import DivergenceError, aligned_runs
 
 
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """Perturbation scales for the one-step experiments.
-
-    ``None`` scales resolve against the nominal trajectory: 1% of the
-    nominal magnitude, floored at 1e-2 so zero initial guesses still
-    produce excitation.  The sample count is not a setting: every
-    timestep perturbs each of its d + n_u coordinates once, by s_x or
-    s_u.
-    """
-
-    sigma_x: float | None = None
-    sigma_u: float | None = None
-
-    def __post_init__(self):
-        for name in ("sigma_x", "sigma_u"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
-
-    def resolved(self, nominal):
-        """Return the (state, control) perturbation scales (s_x, s_u)."""
-        s_x = self.sigma_x
-        if s_x is None:
-            s_x = 1e-2 * max(1.0, float(np.max(np.abs(nominal.states))))
-        s_u = self.sigma_u
-        if s_u is None:
-            s_u = 1e-2 * max(1.0, float(np.max(np.abs(nominal.controls)))
-                             if nominal.controls.size else 1.0)
-        return s_x, s_u
+def perturbation_scales(nominal):
+    """Return the (state, control) perturbation scales (s_x, s_u): 1% of
+    the nominal's state and control magnitudes, floored at 1e-2 so zero
+    initial guesses still produce excitation."""
+    s_x = 1e-2 * max(1.0, float(np.max(np.abs(nominal.states))))
+    s_u = 1e-2 * max(1.0, float(np.max(np.abs(nominal.controls)))
+                     if nominal.controls.size else 1.0)
+    return s_x, s_u
 
 
 @dataclass
@@ -104,14 +84,16 @@ class LtvModel:
         return self.B.shape[2]
 
 
-def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
+def generate_rollout_data(model, nominal, basis=None, *, scales=None,
                           checkpoint=None):
     """Run the perturbation experiments and assemble regression matrices.
 
     About every timestep's nominal, sample i < d queries the state moved
     by +/- s_x e_i (+/- s_x phi_i if a basis is given) and sample d + j
     the control moved by +/- s_u e_j; half the difference of the two
-    next states (projected if a basis is given) is recorded.  The queries
+    next states (projected if a basis is given) is recorded.  The scales
+    are :func:`perturbation_scales` of the nominal; ``scales=(s_x, s_u)``
+    replaces them where a test must choose the step.  The queries
     are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
     cells, one simulator call each: runs of whole timesteps, and only at
     full order, where one timestep's queries do not fit, consecutive
@@ -122,11 +104,10 @@ def generate_rollout_data(model, nominal, basis=None, cfg=None, *,
     Raises :class:`DivergenceError` naming the earliest diverged timestep
     and its first diverged sample.
     """
-    cfg = cfg or PerturbationConfig()
     dim = basis.n_modes if basis is not None else model.n_x
     n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
-    s_x, s_u = cfg.resolved(nominal)
+    s_x, s_u = scales or perturbation_scales(nominal)
     modes = basis.phi.T if basis is not None else None
 
     outputs = np.empty((nominal.horizon, dim, n_s))

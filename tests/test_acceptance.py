@@ -49,8 +49,7 @@ def bound_instances():
     for seed in (0, 1, 2):
         problem = build_problem(
             cfg, u_init=gaussian_guess(cfg, seed, cfg.run.guess_std))
-        report = solve(problem, SolverConfig(mode="reduced", seed=seed),
-                       cfg.perturb)
+        report = solve(problem, SolverConfig(mode="reduced", seed=seed))
         nominal = report.trajectory
         basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
         pair = build_lqr_pair(problem.model, problem.cost, nominal, basis)

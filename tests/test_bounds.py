@@ -127,7 +127,7 @@ def burgers_pair():
 
     cfg = preset("burgers_small")
     problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
-    report = solve(problem, SolverConfig(mode="reduced", seed=0), cfg.perturb)
+    report = solve(problem, SolverConfig(mode="reduced", seed=0))
     nominal = report.trajectory
     basis = method_of_snapshots(nominal.states.T, energy_cutoff=0.99999)
     pair = build_lqr_pair(problem.model, problem.cost, nominal, basis)
@@ -207,8 +207,7 @@ def test_far_start_first_iterate_outside_set():
     problem = build_problem(cfg, u_init=3.0 * gaussian_guess(cfg, 2, 0.3))
     report = solve(problem,
                    SolverConfig(mode="reduced", seed=2, max_iterations=6,
-                                energy_cutoff=1.0 - 1e-12),
-                   cfg.perturb)
+                                energy_cutoff=1.0 - 1e-12))
     # trace iterate idx: 20 draws from seed 8 + idx
     walk = verify_iterates(problem, report, energy_cutoff=1.0 - 1e-12,
                            samples=20, seed=6, sigma=1e-3)

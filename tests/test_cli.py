@@ -1,11 +1,15 @@
 """CLI exit codes and artifact emission."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
-from roilqr.cli import main
+from roilqr import harness
+from roilqr.cli import build_parser, load_config, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_solve_preset(tmp_path, capsys):
@@ -72,40 +76,74 @@ def test_repeats_flag_only_on_solve_and_repeat(capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
-def test_nonpositive_perturbation_std_is_exit_2(tmp_path, capsys):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({"perturb": {"sigma_x": -1.0}}))
-    out = tmp_path / "out"
-    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: perturb:")
-    assert not out.exists()
-
-
 def test_sample_count_is_not_a_setting(tmp_path, capsys):
-    # every timestep uses d + n_u samples; a config naming the removed
-    # knob is rejected before anything runs
+    # every timestep uses d + n_u samples, at scales that follow from the
+    # nominal; a config naming the removed section is rejected before
+    # anything runs
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"perturb": {"n_rollouts": 3}}))
     out = tmp_path / "out"
     assert main(["solve", "--preset", "burgers_small", "--config", str(path),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
-        "config error: perturb.n_rollouts: unknown field\n"
+        "config error: unknown config section(s): ['perturb']\n"
     assert not out.exists()
 
 
 def test_perturbation_seed_is_not_a_setting(tmp_path, capsys):
-    # each identification's seed follows from solver.seed; a config naming
-    # the removed field is rejected before anything runs
+    # identification draws nothing; a config naming the removed section
+    # is rejected before anything runs
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"perturb": {"seed": 7}}))
     out = tmp_path / "out"
     assert main(["solve", "--preset", "burgers_small", "--config", str(path),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
-        "config error: perturb.seed: unknown field\n"
+        "config error: unknown config section(s): ['perturb']\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("repeat", "seed_stride", 0),          # a sweep steps the seed by 1
+    ("verify-bounds", "bounds_samples", 50),   # verify_iterates' 200
+])
+def test_derived_run_setting_is_not_a_setting(tmp_path, capsys, command,
+                                              field, value):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"run": {field: value}}))
+    out = tmp_path / "out"
+    assert main([command, "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: run.{field}: unknown field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "benchmark"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_is_exit_2(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  under):
+    # rejected before the solve runs, the file left as it was
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(harness, "solve", no_solve)
+    blocker = tmp_path / "f"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if under else blocker
+    assert main([command, "--preset", "burgers_small", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: run.out_dir:")
+    assert blocker.read_text() == "kept\n"
+
+
+def test_example_overlay_restates_the_burgers_preset():
+    # the README's example: every field it names must still exist
+    args = build_parser().parse_args(
+        ["solve", "--preset", "burgers",
+         "--config", str(CONFIGS / "burgers_overlay.yaml")])
+    assert load_config(args) == harness.preset("burgers")
 
 
 @pytest.mark.parametrize("section,field,value,expected", [
@@ -120,7 +158,6 @@ def test_perturbation_seed_is_not_a_setting(tmp_path, capsys):
     ("run", "repeats", "two", "an integer"),
     ("run", "guess_std", "abc", "a number"),
     ("run", "full_time_budget_s", "abc", "a number or null"),
-    ("run", "bounds_samples", True, "an integer"),
 ])
 def test_wrongly_typed_value_is_exit_2(tmp_path, capsys, section, field,
                                        value, expected):
@@ -140,12 +177,11 @@ def test_wrongly_typed_value_is_exit_2(tmp_path, capsys, section, field,
 @pytest.mark.parametrize("section,field,value", [
     ("problem", "goal_value", float("nan")),
     ("problem", "init_amplitude", float("inf")),
-    ("perturb", "sigma_x", float("inf")),
     ("run", "guess_std", float("nan")),
 ])
 def test_non_finite_value_is_exit_2(tmp_path, capsys, section, field, value):
     # past the type check each would run: a NaN goal or an infinite
-    # amplitude or perturbation ends in a numerical failure (exit 3), and
+    # amplitude ends in a numerical failure (exit 3), and
     # a NaN guess std runs without a guess (nan > 0 is false)
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({section: {field: value}}))
@@ -157,12 +193,11 @@ def test_non_finite_value_is_exit_2(tmp_path, capsys, section, field, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("run", [{"bounds_samples": 0},
+@pytest.mark.parametrize("run", [{"repeats": 0},
                                  {"full_time_budget_s": 0.0},
                                  {"guess_std": -0.3}])
 def test_out_of_range_run_setting_is_exit_2(tmp_path, capsys, run):
-    # zero bound draws would pass every bound inequality vacuously; a
-    # negative guess std would run unguessed but be reported as given
+    # a negative guess std would run unguessed but be reported as given
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"run": run}))
     out = tmp_path / "out"
@@ -261,15 +296,15 @@ def test_repeat_single_run_is_config_error():
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
 def test_out_of_range_cv_threshold_is_exit_2(tmp_path, capsys, threshold):
-    # a NaN threshold used to run the sweep, report it not repeatable and
-    # exit 3
+    # the threshold is the constant harness.CV_THRESHOLD: a config naming
+    # it, in range or not, is rejected before the sweep runs
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"run": {"cv_threshold": threshold}}))
     out = tmp_path / "out"
     assert main(["repeat", "--preset", "burgers_small", "--repeats", "2",
                  "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: run.cv_threshold:")
+    assert capsys.readouterr().err == \
+        "config error: run.cv_threshold: unknown field\n"
     assert not out.exists()
 
 

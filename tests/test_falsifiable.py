@@ -16,7 +16,7 @@ from roilqr.lqr import Regularizer, backward_pass
 from roilqr.pde import Trajectory, rollout
 from roilqr.solver import (STEP_SIZES, LineSearchResult, forward_pass,
                            solve)
-from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from roilqr.sysid import fit_ltv, generate_rollout_data, perturbation_scales
 
 _TIMESTEPS = (0, 1, 2)
 
@@ -38,8 +38,7 @@ def _reference_jacobian(model, x, u, h=1e-6):
 
 
 def _central(model, nominal, s_x, s_u):
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, scales=(s_x, s_u)))
     return np.concatenate([ltv.A, ltv.B], axis=2)
 
 
@@ -68,7 +67,7 @@ def burgers_nominal():
                                       nominal.controls[t])
                   for t in _TIMESTEPS]
     return problem.model, nominal, references, \
-        PerturbationConfig().resolved(nominal)
+        perturbation_scales(nominal)
 
 
 def _error_ratios(identify, burgers_nominal):
@@ -131,7 +130,7 @@ def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
     cfg = preset("allen_cahn_small")
     problem = build_problem(
         cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
-    real = solve(problem, cfg.solver, cfg.perturb)
+    real = solve(problem, cfg.solver)
     assert real.status == "no_descent"
     assert cost_increase(real.costs) == 0.0
     # From the guess the mutant's full steps happen to descend.  At the
@@ -139,6 +138,6 @@ def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
     # the full step the mutant takes there ascends.
     monkeypatch.setattr(solver, "line_search", _accept_first_finite)
     mutant = solve(replace(problem, u_init=real.controls),
-                   replace(cfg.solver, max_iterations=1), cfg.perturb)
+                   replace(cfg.solver, max_iterations=1))
     assert [it.alpha for it in mutant.iterations] == [1.0]
     assert cost_increase(mutant.costs) > 0.0

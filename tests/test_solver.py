@@ -19,7 +19,7 @@ from roilqr.pde import rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.solver import (PHASES, ControlProblem, SolverConfig,
                            forward_pass, line_search, solve)
-from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from roilqr.sysid import fit_ltv, generate_rollout_data
 
 
 @pytest.fixture
@@ -102,8 +102,7 @@ def test_optimum_at_start_converges_fast():
     goal = np.zeros(4)
     cost = CostModel(q=0.0, r=np.eye(2), q_terminal=5.0, goal=goal)
     problem = ControlProblem(model=model, cost=cost, x0=goal, horizon=5)
-    report = solve(problem, SolverConfig(mode="full", seed=0),
-                   PerturbationConfig(sigma_x=1e-6, sigma_u=1e-6))
+    report = solve(problem, SolverConfig(mode="full", seed=0))
     assert report.converged
     assert len(report.iterations) <= 2
     assert report.final_cost <= 1e-12
@@ -116,8 +115,7 @@ def test_full_mode_converges_on_lq_in_one_step():
                      goal=rng.standard_normal(5))
     problem = ControlProblem(model=model, cost=cost,
                              x0=rng.standard_normal(5), horizon=6)
-    report = solve(problem, SolverConfig(mode="full", seed=3),
-                   PerturbationConfig(sigma_x=1e-5, sigma_u=1e-5))
+    report = solve(problem, SolverConfig(mode="full", seed=3))
     assert report.converged
     assert len(report.iterations) <= 2
     assert report.iterations[0].alpha == 1.0
@@ -133,8 +131,7 @@ def burgers_small_reports():
     out = {}
     for mode in ("reduced", "full"):
         out[mode] = solve(problem,
-                          SolverConfig(mode=mode, seed=0, max_iterations=40),
-                          cfg.perturb)
+                          SolverConfig(mode=mode, seed=0, max_iterations=40))
     return out
 
 
@@ -172,8 +169,8 @@ def test_solve_determinism():
     u0 = gaussian_guess(cfg, 5, cfg.run.guess_std)
     problem = build_problem(cfg, u_init=u0)
     scfg = SolverConfig(mode="reduced", seed=5, max_iterations=10)
-    rep1 = solve(problem, scfg, cfg.perturb)
-    rep2 = solve(problem, scfg, cfg.perturb)
+    rep1 = solve(problem, scfg)
+    rep2 = solve(problem, scfg)
     assert rep1.costs == rep2.costs
     np.testing.assert_array_equal(rep1.controls, rep2.controls)
     assert [it.n_modes for it in rep1.iterations] == \
@@ -186,7 +183,7 @@ def test_divergent_initial_guess_reports_failure():
     cfg = preset("burgers_small")
     u0 = np.tile([200.0, -200.0], (cfg.problem.horizon, 1))
     problem = build_problem(cfg, u_init=u0)
-    report = solve(problem, cfg.solver, cfg.perturb)
+    report = solve(problem, cfg.solver)
     assert report.status == "numerical_failure"
     assert report.error is not None
     assert report.wall_time_s > 0
@@ -239,7 +236,7 @@ def test_burgers_optimum_at_start():
     cfg = replace(cfg, problem=replace(cfg.problem, goal_value=0.0,
                                        init_shape="zero"))
     problem = build_problem(cfg)
-    report = solve(problem, cfg.solver, cfg.perturb)
+    report = solve(problem, cfg.solver)
     assert report.converged and len(report.iterations) == 0
     assert report.final_cost == 0.0
 
@@ -250,8 +247,7 @@ def test_time_budget_reports_timeout():
     cfg = preset("burgers_small")
     problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0, 0.3))
     report = solve(problem,
-                   SolverConfig(mode="reduced", seed=0, time_budget_s=1e-9),
-                   cfg.perturb)
+                   SolverConfig(mode="reduced", seed=0, time_budget_s=1e-9))
     assert report.status == "timeout"
     assert len(report.iterations) >= 1
 
@@ -366,11 +362,11 @@ def test_solve_matches_the_one_row_line_search(monkeypatch):
     cfg = preset("allen_cahn_small")
     problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
                                                        cfg.run.guess_std))
-    batched = solve(problem, cfg.solver, cfg.perturb)
+    batched = solve(problem, cfg.solver)
     monkeypatch.setattr(solver, "line_search",
                         lambda *args, checkpoint=None:
                         line_search_one_row(*args))
-    ref = solve(problem, cfg.solver, cfg.perturb)
+    ref = solve(problem, cfg.solver)
     assert batched.status == ref.status == "no_descent"
     assert max(it.trials for it in ref.iterations) > 1
     assert batched.costs == ref.costs
@@ -529,7 +525,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     cfg = preset("allen_cahn_small")
     problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
                                                        cfg.run.guess_std))
-    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    unbounded = solve(problem, SolverConfig(seed=0))
     assert unbounded.status == "no_descent"
 
     clock = _FakeClock()
@@ -544,8 +540,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "forward_pass", forward)
-    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
-                   cfg.perturb)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3
     assert rollouts[-3:] == [1, 2, 4]
@@ -559,8 +554,7 @@ def test_stops_after_an_accept_leave_no_terminal_phases(monkeypatch):
     # gamma-convergence and a budget found expired after an accepted
     # step end the solve on that iteration, whose phases are in its record
     cfg, problem = _allen_cahn_small_problem()
-    converged = solve(problem, SolverConfig(seed=0, gamma=0.99),
-                      cfg.perturb)
+    converged = solve(problem, SolverConfig(seed=0, gamma=0.99))
     assert converged.status == "converged"
     assert len(converged.iterations) == 1
     assert converged.terminal_phase_times == {}
@@ -574,8 +568,7 @@ def test_stops_after_an_accept_leave_no_terminal_phases(monkeypatch):
         return ls
 
     monkeypatch.setattr(solver, "line_search", search)
-    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
-                   cfg.perturb)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert report.costs == converged.costs
     assert report.terminal_phase_times == {}
@@ -609,7 +602,7 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
     from roilqr.cli import EXIT_NUMERICAL, _status_exit
 
     cfg, problem = _allen_cahn_small_problem()
-    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    unbounded = solve(problem, SolverConfig(seed=0))
     assert len(unbounded.iterations) >= 2
 
     clock = _FakeClock()
@@ -637,8 +630,7 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
 
     monkeypatch.setattr(solver, "generate_rollout_data", identify)
     monkeypatch.setattr(problem.model, "step_batch", counting_step)
-    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
-                   cfg.perturb)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3
     rows = 2 * unbounded.iterations[0].sysid_samples
@@ -655,7 +647,7 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
 
 def test_time_budget_stops_before_the_backward_pass(monkeypatch):
     cfg, problem = _allen_cahn_small_problem()
-    unbounded = solve(problem, SolverConfig(seed=0), cfg.perturb)
+    unbounded = solve(problem, SolverConfig(seed=0))
     assert len(unbounded.iterations) >= 2
 
     clock = _FakeClock()
@@ -674,8 +666,7 @@ def test_time_budget_stops_before_the_backward_pass(monkeypatch):
 
     monkeypatch.setattr(solver, "fit_ltv", fit)
     monkeypatch.setattr(solver, "backward_pass", backward)
-    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0),
-                   cfg.perturb)
+    report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert (len(fits), len(passes)) == (2, 1)
     assert report.costs == unbounded.costs[:2]

@@ -13,7 +13,7 @@ from roilqr.harness import (build_problem, config_from_dict, gaussian_guess,
                             preset, run_solve)
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
-from roilqr.sysid import PerturbationConfig, fit_ltv, generate_rollout_data
+from roilqr.sysid import fit_ltv, generate_rollout_data, perturbation_scales
 
 
 def _nominal(model, horizon, rng, scale=0.5):
@@ -49,8 +49,8 @@ def test_fit_independent_of_sigma_on_linear_plant():
     nominal = _nominal(model, 4, rng)
     fits = []
     for sigma in (1e-4, 1e-2, 1.0):
-        cfg = PerturbationConfig(sigma_x=sigma, sigma_u=sigma)
-        fits.append(fit_ltv(generate_rollout_data(model, nominal, cfg=cfg)))
+        fits.append(fit_ltv(generate_rollout_data(
+            model, nominal, scales=(sigma, sigma))))
     for ltv in fits[1:]:
         np.testing.assert_allclose(ltv.A, fits[0].A, atol=1e-9)
         np.testing.assert_allclose(ltv.B, fits[0].B, atol=1e-9)
@@ -112,8 +112,7 @@ def test_full_order_matches_finite_difference_jacobian():
     rng = np.random.default_rng(6)
     nominal = rollout(model, 0.5 * rng.standard_normal(20),
                       0.2 * rng.standard_normal((4, 2)))
-    cfg = PerturbationConfig(sigma_x=1e-4, sigma_u=1e-4)
-    ltv = fit_ltv(generate_rollout_data(model, nominal, cfg=cfg))
+    ltv = fit_ltv(generate_rollout_data(model, nominal, scales=(1e-4, 1e-4)))
     # central finite-difference Jacobian oracle, column by column
     h = 1e-5
     for t in (0, 3):
@@ -160,8 +159,7 @@ def test_vanishing_perturbations_give_vanishing_data():
     rng = np.random.default_rng(7)
     model = random_stable_linear(4, 2, rng)
     nominal = _nominal(model, 3, rng)
-    cfg = PerturbationConfig(sigma_x=1e-12, sigma_u=1e-12)
-    data = generate_rollout_data(model, nominal, None, cfg)
+    data = generate_rollout_data(model, nominal, scales=(1e-12, 1e-12))
     assert np.max(data.scale) < 1e-10
     assert np.max(np.abs(data.outputs)) < 1e-10
 
@@ -207,13 +205,11 @@ def test_coordinate_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
         basis = ReducedBasis(phi=phi, eigenvalues=np.ones(dim),
                              captured_energy=1.0)
         a_red, b_red = phi.T @ model.a @ phi, phi.T @ model.b
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=s_u)
-    data = generate_rollout_data(model, nominal, basis, cfg)
+    data = generate_rollout_data(model, nominal, basis, scales=(s_x, s_u))
 
     assert data.n_samples == dim + n_u
     # precondition of the closed-form fit: sample i moves coordinate i by
-    # the resolved s_x (state) or s_u (control)
-    assert cfg.resolved(nominal) == (s_x, s_u)
+    # s_x (state) or s_u (control)
     np.testing.assert_array_equal(data.scale,
                                   np.repeat([s_x, s_u], [dim, n_u]))
     ltv = fit_ltv(data)
@@ -223,19 +219,13 @@ def test_coordinate_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
                                atol=1e-8)
 
 
-@pytest.mark.parametrize("bad", [{"sigma_x": -1.0}, {"sigma_u": 0.0}])
-def test_perturbation_config_validation(bad):
-    with pytest.raises(ValueError, match=next(iter(bad))):
-        PerturbationConfig(**bad)
-
-
 def _two_call_rollout_data(model, nominal, basis):
     """Reference sampler: one timestep at a time, separate simulator calls
     for the + and - rows, one coordinate per sample."""
     dim = basis.n_modes if basis is not None else model.n_x
     n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
-    s_x, s_u = PerturbationConfig().resolved(nominal)
+    s_x, s_u = perturbation_scales(nominal)
     modes = basis.phi.T if basis is not None else np.eye(n_x)
     dx = np.vstack([s_x * modes, np.zeros((n_u, n_x))])
     du = np.vstack([np.zeros((dim, n_u)), s_u * np.eye(n_u)])
@@ -493,7 +483,7 @@ def test_one_design_per_identification(monkeypatch, reduced):
                              captured_energy=1.0)
         modes = phi.T
     dim = len(modes)
-    s_x, s_u = PerturbationConfig().resolved(nominal)
+    s_x, s_u = perturbation_scales(nominal)
     # timesteps of 2 * 5 * 8 cells (reduced) or 2 * 10 * 8: groups of two
     n_s = dim + 2
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 2 * (2 * n_s * 8))
@@ -555,13 +545,12 @@ def test_minus_side_divergence_names_timestep_and_rollout():
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 4, rng)
     s_x = 1e-5
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
     t_bad, r_bad = 2, 3
     # only sample r_bad moves coordinate r_bad, and only its minus side
     # reaches past -s_x / 2
     model = _BlowsUpNear(plant, (nominal.states[t_bad], r_bad, -0.5 * s_x))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg)
+        generate_rollout_data(model, nominal, scales=(s_x, 1e-5))
     assert err.value.timestep == t_bad
     assert err.value.rollout == r_bad
 
@@ -571,7 +560,6 @@ def test_earliest_diverged_timestep_of_a_group_is_reported():
     plant = random_stable_linear(5, 2, rng)
     nominal = _nominal(plant, 5, rng)
     s_x = 1e-5
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
     n_s = 5 + 2
     assert pde.aligned_runs(5, 2 * n_s, 5) == [(0, 5)]   # one group
     t_early, t_late, r_bad = 1, 3, 2
@@ -580,7 +568,7 @@ def test_earliest_diverged_timestep_of_a_group_is_reported():
     model = _BlowsUpNear(plant, (nominal.states[t_early], r_bad, -0.5 * s_x),
                          (nominal.states[t_late], 0, 1e-300))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg)
+        generate_rollout_data(model, nominal, scales=(s_x, 1e-5))
     assert err.value.timestep == t_early
     assert err.value.rollout == r_bad
 
@@ -590,7 +578,6 @@ def test_divergence_in_a_later_unit_names_its_global_sample(monkeypatch):
     plant = random_stable_linear(10, 2, rng)
     nominal = _nominal(plant, 5, rng)
     s_x = 1e-5
-    cfg = PerturbationConfig(sigma_x=s_x, sigma_u=1e-5)
     # 12 samples of 2 rows of 10 cells: units of samples 0-3, 4-7, 8-11
     monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", 4 * 2 * 10)
     t_early, t_late, r_bad = 2, 3, 9
@@ -599,7 +586,7 @@ def test_divergence_in_a_later_unit_names_its_global_sample(monkeypatch):
     model = _BlowsUpNear(plant, (nominal.states[t_early], r_bad, -0.5 * s_x),
                          (nominal.states[t_late], 0, 1e-300))
     with pytest.raises(DivergenceError) as err:
-        generate_rollout_data(model, nominal, None, cfg)
+        generate_rollout_data(model, nominal, scales=(s_x, 1e-5))
     assert err.value.timestep == t_early
     assert err.value.rollout == r_bad
     assert str(err.value) == \
