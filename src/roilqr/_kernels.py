@@ -2,12 +2,27 @@
 
 These inner loops dominate runtime (system identification evaluates
 thousands of one-step perturbations per solver iteration), so each kernel
-has a loop version (``_*_loops``) and a vectorized numpy version.  The
-active path is chosen at import time: the loop versions compiled with
-numba when it is importable (the optional ``numba`` extra), unless the
-environment variable ``ROILQR_PURE_NUMPY=1`` is set; otherwise the numpy
-versions.  The loop versions themselves stay plain Python, the oracle the
-numpy kernels are tested against.
+has a loop version (``_*_loops``), a vectorized numpy version and a C
+version in ``_kernels.c``.  The active path is chosen once, at import,
+and recorded in :data:`KERNEL_PATH`:
+
+* ``"numba"``: the loop versions compiled with numba, where it is
+  importable (the optional ``numba`` extra);
+* ``"c"``: else the C versions, where the system C compiler (``cc`` on
+  the ``PATH``) builds them.  The library is compiled at import, never at
+  a first step, with the fixed flags :data:`CFLAGS`, into a per-user
+  cache (``~/.cache/roilqr``, mode 0700) keyed by source, flags and
+  compiler, published there atomically and loaded with ``ctypes``;
+  later imports load it without running the compiler.  No compiler, a
+  failed or timed-out build, a cache that cannot be written and a
+  library that does not load all fall through, silently, to:
+* ``"numpy"``: the numpy versions, also forced by the environment
+  variable ``ROILQR_PURE_NUMPY=1``.
+
+The loop versions themselves stay plain Python, the oracle the other
+kernels are tested against.  The C kernels evaluate the numpy kernels'
+expressions in the same order and are bit-identical to them; the numba
+kernels agree with them to about 1e-16.
 
 All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
@@ -50,8 +65,12 @@ next to the unfolded expressions of the scheme they agree with to
 rounding.
 """
 
+import ctypes
+import hashlib
 import math
 import os
+import shutil
+import tempfile
 from itertools import accumulate
 
 import numpy as np
@@ -64,11 +83,9 @@ except ImportError:  # numba is an optional extra
     numba = None
     HAVE_NUMBA = False
 
-USE_NUMBA = HAVE_NUMBA and os.environ.get("ROILQR_PURE_NUMPY", "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
+_PURE_NUMPY = os.environ.get("ROILQR_PURE_NUMPY", "0").lower() in (
+    "1", "true", "yes")
+USE_NUMBA = HAVE_NUMBA and not _PURE_NUMPY
 
 
 def _factors(*values):
@@ -377,14 +394,179 @@ def _cahn_hilliard_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
     return out
 
 
-# recorded with every run: the two paths agree only to about 1e-16
-KERNEL_PATH = "numba" if USE_NUMBA else "numpy"
+# ---------------------------------------------------------------------------
+# The C path: _kernels.c compiled once per source, flags and compiler into a
+# per-user cache, and bound with ctypes.
+# ---------------------------------------------------------------------------
 
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "_kernels.c")
+# IEEE double arithmetic as written: no fused multiply-adds, no fast-math
+# reassociation and no host-specific instructions, so every operation
+# rounds as in the numpy kernels
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE_TIMEOUT_S = 60.0
+
+
+def _cache_dir():
+    return os.path.join(os.path.expanduser("~"), ".cache", "roilqr")
+
+
+def _library_key(source, compiler):
+    """Hash of the C source, the flags and the compiler (its resolved
+    path, size and modification time: reading them runs no compiler)."""
+    real = os.path.realpath(compiler)
+    st = os.stat(real)
+    h = hashlib.sha256(source)
+    h.update(repr((CFLAGS, real, st.st_size, st.st_mtime_ns)).encode())
+    return h.hexdigest()[:24]
+
+
+def _private(directory):
+    """Whether ``directory`` is ours and no one else can write to it: a
+    library loaded from it runs as this process."""
+    st = os.stat(directory)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _compile(compiler, cache_dir, target):
+    """Compile ``_kernels.c`` into a temporary file of ``cache_dir`` and
+    publish it as ``target`` with one atomic rename.  Returns whether it
+    did; a failed, killed or timed-out build leaves no file and, in its
+    own process group, no process behind."""
+    import signal
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=cache_dir)
+    os.close(fd)
+    try:
+        with subprocess.Popen([compiler, *CFLAGS, "-o", tmp, _C_SOURCE],
+                              stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL,
+                              start_new_session=True) as proc:
+            try:
+                built = proc.wait(timeout=_COMPILE_TIMEOUT_S) == 0
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                built = False
+        if built:
+            os.replace(tmp, target)
+        return built
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def load_compiled(cache_dir, compiler):
+    """The C kernels of ``_kernels.c``, loaded from ``cache_dir`` and
+    compiled there first by ``compiler`` (a path, or ``None`` for none)
+    when no library in it matches the source, flags and compiler.  Returns
+    ``None`` instead of raising when there is no compiler, the build fails
+    or times out, the cache cannot be written or the library not loaded."""
+    if compiler is None:
+        return None
+    try:
+        with open(_C_SOURCE, "rb") as fh:
+            key = _library_key(fh.read(), compiler)
+        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+        if not _private(cache_dir):
+            return None
+        target = os.path.join(cache_dir, f"kernels-{key}.so")
+        if not os.path.exists(target) and not _compile(compiler, cache_dir,
+                                                       target):
+            return None
+        return CompiledKernels(ctypes.CDLL(target))
+    except (OSError, AttributeError):   # AttributeError: a missing symbol
+        return None
+
+
+def _c_array(a, shape, what):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
+class CompiledKernels:
+    """The steppers of one loaded ``_kernels.c`` library, with the
+    signatures and results of the numpy kernels."""
+
+    def __init__(self, lib):
+        # keeps the library loaded while its functions are bound here
+        self._lib = lib
+        ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+        for name, reals in (("burgers_batch", 3), ("allen_cahn_batch", 4),
+                            ("cahn_hilliard_batch", 4)):
+            fn = getattr(lib, name)
+            fn.argtypes = [ptr] * 4 + [size] * 2 + [real] * reals + [size]
+            fn.restype = ctypes.c_int
+
+    @staticmethod
+    def _check(status):
+        if status != 0:
+            raise MemoryError("step kernel workspace")
+
+    def burgers_batch(self, u, left, right, nu, dx, dt, nsub):
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        nb, n = u.shape
+        left = _c_array(left, (nb,), "left")
+        right = _c_array(right, (nb,), "right")
+        out = np.empty((nb, n))
+        self._check(self._lib.burgers_batch(
+            u.ctypes.data, left.ctypes.data, right.ctypes.data,
+            out.ctypes.data, nb, n, nu, dx, dt, nsub))
+        return out
+
+    def _phase_field(self, fn, phi, controls, mask, mob, gamma, dx, dt,
+                     nsub, npts):
+        if npts < 2:
+            raise ValueError(f"npts must be >= 2, got {npts}")
+        nb = len(phi)
+        phi = _c_array(phi, (nb, npts * npts), "phi")
+        controls = _c_array(controls, (nb, 4), "controls")
+        plus = np.ascontiguousarray(np.asarray(mask) > 0)
+        if plus.shape != (npts * npts,):
+            raise ValueError(f"mask has shape {plus.shape}, expected "
+                             f"({npts * npts},)")
+        out = np.empty_like(phi)
+        self._check(fn(phi.ctypes.data, controls.ctypes.data,
+                       plus.ctypes.data, out.ctypes.data, nb, npts,
+                       mob, gamma, dx, dt, nsub))
+        return out
+
+    def allen_cahn_batch(self, phi, controls, mask, mob, gamma, dx, dt,
+                         nsub, npts):
+        return self._phase_field(self._lib.allen_cahn_batch, phi, controls,
+                                 mask, mob, gamma, dx, dt, nsub, npts)
+
+    def cahn_hilliard_batch(self, phi, controls, mask, mob, gamma, dx, dt,
+                            nsub, npts):
+        return self._phase_field(self._lib.cahn_hilliard_batch, phi,
+                                 controls, mask, mob, gamma, dx, dt, nsub,
+                                 npts)
+
+
+# The active path, chosen once here and recorded with every run: numba
+# where it is installed, else the C kernels where they build and load,
+# else numpy; ROILQR_PURE_NUMPY=1 forces numpy.  The C kernels are
+# bit-identical to the numpy kernels, the numba ones agree to about 1e-16.
 if USE_NUMBA:
+    KERNEL_PATH = "numba"
     burgers_batch = numba.njit(_burgers_batch_loops, cache=True)
     allen_cahn_batch = numba.njit(_allen_cahn_loops, cache=True)
     cahn_hilliard_batch = numba.njit(_cahn_hilliard_loops, cache=True)
 else:
-    burgers_batch = burgers_batch_numpy
-    allen_cahn_batch = allen_cahn_batch_numpy
-    cahn_hilliard_batch = cahn_hilliard_batch_numpy
+    _compiled = None if _PURE_NUMPY else load_compiled(
+        _cache_dir(), shutil.which("cc"))
+    if _compiled is not None:
+        KERNEL_PATH = "c"
+        burgers_batch = _compiled.burgers_batch
+        allen_cahn_batch = _compiled.allen_cahn_batch
+        cahn_hilliard_batch = _compiled.cahn_hilliard_batch
+    else:
+        KERNEL_PATH = "numpy"
+        burgers_batch = burgers_batch_numpy
+        allen_cahn_batch = allen_cahn_batch_numpy
+        cahn_hilliard_batch = cahn_hilliard_batch_numpy

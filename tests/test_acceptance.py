@@ -99,11 +99,13 @@ def test_speedup(benchmarks):
 
 
 def test_phase_times_add_up_to_the_wall_time(benchmarks):
-    # a reduced and a full solve, each well over 0.2 s; what no phase
-    # covers is the loop's own bookkeeping between phases
+    # a reduced and a full solve; what no phase covers is the loop's own
+    # bookkeeping between phases, about 0.3 ms a solve, so each must take
+    # well over the 15 ms in which that is 2% (the reduced one takes about
+    # 0.15 s on the C kernels, 0.5 s on numpy)
     record = benchmarks["burgers"]
     for report in (record.reduced_report, record.full_report):
-        assert report.wall_time_s >= 0.2
+        assert report.wall_time_s >= 0.05
         assert sum(report.phase_times().values()) == \
             pytest.approx(report.wall_time_s, rel=0.02)
 

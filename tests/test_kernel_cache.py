@@ -1,0 +1,194 @@
+"""Kernel path selection and the compiled-library cache: the C kernels
+are built once per source, flags and compiler, published atomically, and
+every way the build or load can fail ends on the numpy path."""
+
+import os
+import shutil
+import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from roilqr import _kernels
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CC = shutil.which("cc")
+needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
+
+
+def _import_path(env_updates):
+    """KERNEL_PATH of a fresh interpreter importing ``roilqr._kernels``."""
+    env = {k: v for k, v in os.environ.items() if k != "ROILQR_PURE_NUMPY"}
+    env.update(PYTHONPATH=str(SRC), **env_updates)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from roilqr import _kernels; print(_kernels.KERNEL_PATH)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stderr == ""
+    return out.stdout.strip()
+
+
+def _script(directory, name, body):
+    path = directory / name
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def _files(directory):
+    return sorted(p.name for p in Path(directory).iterdir())
+
+
+def _works(kernels):
+    rng = np.random.default_rng(0)
+    args = (rng.standard_normal((3, 20)), rng.standard_normal(3),
+            rng.standard_normal(3), 0.05, 0.1, 1e-4, 5)
+    np.testing.assert_array_equal(kernels.burgers_batch(*args),
+                                  _kernels.burgers_batch_numpy(*args))
+    return True
+
+
+def test_pure_numpy_forces_numpy(tmp_path):
+    assert _import_path({"ROILQR_PURE_NUMPY": "1",
+                         "HOME": str(tmp_path)}) == "numpy"
+    assert not (tmp_path / ".cache").exists()   # nothing was built
+
+
+def test_failing_compiler_at_import_gives_numpy(tmp_path):
+    # a cc first on PATH that fails: the import raises nothing, prints
+    # nothing and leaves no file in the cache
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    _script(bin_dir, "cc", "exit 1\n")
+    path = _import_path({"PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+                         "HOME": str(tmp_path)})
+    assert path == ("numba" if _kernels.HAVE_NUMBA else "numpy")
+    if not _kernels.HAVE_NUMBA:
+        assert _files(tmp_path / ".cache" / "roilqr") == []
+
+
+def test_no_compiler_gives_none(tmp_path):
+    assert _kernels.load_compiled(str(tmp_path / "cache"), None) is None
+
+
+@pytest.mark.parametrize("body", [
+    "exit 1\n",
+    # a build error that leaves a partial output behind
+    'while [ "$1" != -o ]; do shift; done; echo partial > "$2"; exit 1\n',
+])
+def test_failed_build_leaves_no_file(tmp_path, body):
+    cache = tmp_path / "cache"
+    compiler = _script(tmp_path, "cc", body)
+    assert _kernels.load_compiled(str(cache), compiler) is None
+    assert _files(cache) == []
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:   # a zombie is dead but not yet reaped by its new parent
+        return Path(f"/proc/{pid}/stat").read_text().split()[2] != "Z"
+    except OSError:
+        return True
+
+
+def test_build_timeout_kills_the_compiler(tmp_path, monkeypatch):
+    # the compiler's own child must die with it
+    monkeypatch.setattr(_kernels, "_COMPILE_TIMEOUT_S", 0.5)
+    pid_file = tmp_path / "pid"
+    compiler = _script(tmp_path, "cc",
+                       f'sleep 60 &\necho $! > "{pid_file}"\nwait\n')
+    cache = tmp_path / "cache"
+    t0 = time.monotonic()
+    assert _kernels.load_compiled(str(cache), compiler) is None
+    assert time.monotonic() - t0 < 10
+    assert _files(cache) == []
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 5
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
+
+
+@needs_cc
+def test_unwritable_cache_gives_none(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _kernels.load_compiled(str(blocker / "cache"), CC) is None
+
+
+@needs_cc
+def test_cache_others_can_write_is_not_used(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o777)
+    assert _kernels.load_compiled(str(cache), CC) is None
+    assert _files(cache) == []
+
+
+@needs_cc
+def test_failed_load_gives_none(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    key = _kernels._library_key(Path(_kernels._C_SOURCE).read_bytes(), CC)
+    (cache / f"kernels-{key}.so").write_text("not a library")
+    assert _kernels.load_compiled(str(cache), CC) is None
+
+
+class _CountingPopen(subprocess.Popen):
+    calls = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).calls += 1
+        super().__init__(*args, **kwargs)
+
+
+@needs_cc
+def test_cold_build_then_warm_load(tmp_path, monkeypatch):
+    monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
+    _CountingPopen.calls = 0
+    cache = tmp_path / "a" / "cache"
+    assert _works(_kernels.load_compiled(str(cache), CC))
+    assert _CountingPopen.calls == 1
+    # a private directory, holding the one published library
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    [name] = _files(cache)
+    assert name.startswith("kernels-") and name.endswith(".so")
+    # warm: loaded without running the compiler
+    assert _works(_kernels.load_compiled(str(cache), CC))
+    assert _CountingPopen.calls == 1
+    assert _files(cache) == [name]
+
+
+@needs_cc
+def test_changed_source_is_rebuilt(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert _kernels.load_compiled(str(cache), CC) is not None
+    [old] = _files(cache)
+    # the same kernels with one more comment: another key
+    source = tmp_path / "_kernels.c"
+    source.write_text(Path(_kernels._C_SOURCE).read_text() + "/* v2 */\n")
+    monkeypatch.setattr(_kernels, "_C_SOURCE", str(source))
+    monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
+    _CountingPopen.calls = 0
+    assert _works(_kernels.load_compiled(str(cache), CC))
+    assert _CountingPopen.calls == 1
+    assert len(_files(cache)) == 2 and old in _files(cache)
+
+
+@needs_cc
+def test_changed_flags_are_rebuilt(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert _kernels.load_compiled(str(cache), CC) is not None
+    monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-DUNUSED",))
+    monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
+    _CountingPopen.calls = 0
+    assert _works(_kernels.load_compiled(str(cache), CC))
+    assert _CountingPopen.calls == 1
+    assert len(_files(cache)) == 2

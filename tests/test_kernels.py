@@ -1,5 +1,7 @@
-"""The loop and numpy kernel paths must agree; steps must be local and
+"""The loop, numpy and C kernel paths must agree; steps must be local and
 deterministic."""
+
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +18,19 @@ from roilqr.pde import (AllenCahnModel, BurgersModel, CahnHilliardModel, Grid,
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The C kernels: the active ones on the C path, else built into a
+    fresh cache, so that a run on numpy or numba checks them too."""
+    if _kernels.KERNEL_PATH == "c":
+        return _kernels._compiled
+    kernels = _kernels.load_compiled(tmp_path_factory.mktemp("cache"),
+                                     shutil.which("cc"))
+    if kernels is None:
+        pytest.skip("no C compiler to build the C kernels with")
+    return kernels
 
 
 def burgers_batch_rowwise(u, left, right, nu, dx, dt, nsub):
@@ -231,15 +246,21 @@ def test_cahn_hilliard_kernel_conserves_mass(npts, rows, seed):
         assert np.all(drift <= 1e-10 * model.n_x), (kernel.__name__, drift)
 
 
+def _assert_active_agrees(active, out_np, atol):
+    if _kernels.KERNEL_PATH == "numba":
+        np.testing.assert_allclose(active, out_np, rtol=0, atol=atol)
+    else:   # the C kernels, or the numpy ones themselves
+        np.testing.assert_array_equal(_bits(active), _bits(out_np))
+
+
 def test_burgers_paths_agree(rng):
     u = rng.standard_normal((7, 50))
     left = rng.standard_normal(7)
     right = rng.standard_normal(7)
     args = (u, left, right, 0.05, 0.04, 1e-4, 12)
     out_np = _kernels.burgers_batch_numpy(*args)
-    # the active kernel: the numba-compiled loops where numba is active
-    np.testing.assert_allclose(_kernels.burgers_batch(*args), out_np,
-                               rtol=0, atol=1e-13)
+    # the active kernel: to rounding on numba, bit for bit on C
+    _assert_active_agrees(_kernels.burgers_batch(*args), out_np, 1e-13)
     # same operations in the same order as the loop kernel run as Python
     np.testing.assert_array_equal(
         _bits(out_np), _bits(_kernels._burgers_batch_loops(*args)))
@@ -253,12 +274,73 @@ def test_phase_field_paths_agree(rng, kind):
     args = (phi, rng.standard_normal((4, 4)), _random_mask(rng, p),
             1.0, 1e-3, 0.1, dt, 6, p)
     out_np = getattr(_kernels, f"{kind}_batch_numpy")(*args)
-    # the active kernel: the numba-compiled loops where numba is active
-    np.testing.assert_allclose(getattr(_kernels, f"{kind}_batch")(*args),
-                               out_np, rtol=0, atol=1e-12)
+    # the active kernel: to rounding on numba, bit for bit on C
+    _assert_active_agrees(getattr(_kernels, f"{kind}_batch")(*args), out_np,
+                          1e-12)
     # same operations in the same order as the loop kernel run as Python
     np.testing.assert_array_equal(
         _bits(out_np), _bits(getattr(_kernels, f"_{kind}_loops")(*args)))
+
+
+# Batch sizes below, at and above one cache line of rows and the unit
+# sizes identification issues; grid sizes down to 2 points per axis,
+# where both neighbours along an axis are the same point.
+C_ROWS = [1, 2, 3, 8, 9, 16, 40, 96]
+C_POINTS = [2, 3, 20, 50]
+
+
+def _c_case(rng, kind, rows, points):
+    """Arguments of a ``kind`` kernel call: the preset's time step and
+    coefficients, on ``points`` nodes (Burgers) or points per axis."""
+    if kind == "burgers":
+        return (0.5 * rng.standard_normal((rows, points)),
+                rng.standard_normal(rows), rng.standard_normal(rows),
+                0.08, 2.0 / 99, 1e-3, 250)
+    dt = 1e-4 if kind == "allen_cahn" else 1e-6
+    return (0.5 * rng.standard_normal((rows, points * points)),
+            rng.standard_normal((rows, 4)), _random_mask(rng, points),
+            1.0, 1e-3, 0.1, dt, 5, points)
+
+
+@pytest.mark.parametrize("kind", ["burgers", "allen_cahn", "cahn_hilliard"])
+@pytest.mark.parametrize("rows", C_ROWS)
+@pytest.mark.parametrize("points", C_POINTS)
+def test_c_kernel_bit_identical_to_numpy(rng, compiled, kind, rows, points):
+    args = _c_case(rng, kind, rows, points)
+    out = getattr(compiled, f"{kind}_batch")(*args)
+    assert out.shape == args[0].shape and out.flags.c_contiguous
+    np.testing.assert_array_equal(
+        _bits(out), _bits(getattr(_kernels, f"{kind}_batch_numpy")(*args)))
+
+
+@pytest.mark.parametrize("kind", ["burgers", "allen_cahn", "cahn_hilliard"])
+def test_c_kernel_diverging_row(rng, compiled, kind):
+    # one row of 9 blows up (to inf, then nan); the others stay finite
+    args = list(_c_case(rng, kind, 9, 20))
+    args[0][4] *= 1e120
+    out = getattr(compiled, f"{kind}_batch")(*args)
+    ref = getattr(_kernels, f"{kind}_batch_numpy")(*args)
+    finite = np.isfinite(ref)
+    assert not finite[4].all() and finite[np.arange(9) != 4].all()
+    np.testing.assert_array_equal(np.isfinite(out), finite)
+    np.testing.assert_array_equal(_bits(out[finite]), _bits(ref[finite]))
+
+
+@pytest.mark.parametrize("kind,arg,bad", [
+    ("burgers", 1, np.zeros(2)),              # left: 2 values for 3 rows
+    ("burgers", 2, np.zeros((3, 1))),
+    ("allen_cahn", 1, np.zeros((3, 3))),      # controls: 3 per row
+    ("allen_cahn", 2, np.ones(8)),            # mask: 8 labels for 9 points
+    ("cahn_hilliard", 0, np.zeros((3, 10))),  # phi: 10 values per row
+    ("cahn_hilliard", 8, 1),                  # npts below 2
+])
+def test_c_kernel_rejects_mismatched_arguments(rng, compiled, kind, arg,
+                                               bad):
+    # sizes are checked before any pointer is handed to C
+    args = list(_c_case(rng, kind, 3, 3))
+    args[arg] = bad
+    with pytest.raises(ValueError):
+        getattr(compiled, f"{kind}_batch")(*args)
 
 
 def test_kernels_do_not_mutate_inputs(rng):
