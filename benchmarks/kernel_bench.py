@@ -33,9 +33,8 @@ alike.  The table gives the median of the rounds and, for the active
 path's time per row, their min-max; the last column is the numpy time
 over the active path's.
 
-The active path is printed in the first line: numba where it is
-installed, else the C kernels where they build, else numpy
-(``ROILQR_PURE_NUMPY=1`` forces numpy).
+The active path is printed in the first line: the C kernels where they
+build, else numpy (``ROILQR_PURE_NUMPY=1`` forces numpy).
 """
 
 import argparse
@@ -82,7 +81,7 @@ def main():
             call_args = (states, *model._kernel_args(controls))
             calls = [(kernel, call_args) for kernel in kernels]
             for call in calls:
-                _time_once(*call)  # warm-up (JIT compile on the numba path)
+                _time_once(*call)  # warm-up
             cases.append((name, model, rows, calls, ([], [])))
     for _ in range(args.repeat):
         for *_, calls, times in cases:
@@ -90,8 +89,7 @@ def main():
                 path_times.append(_time_once(*call))
 
     active = _kernels.KERNEL_PATH
-    print(f"active path: {active} "
-          f"(numba available: {_kernels.HAVE_NUMBA}); "
+    print(f"active path: {active}; "
           f"median of {args.repeat} interleaved rounds")
     print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
           f"{active + ' per row':>14s} {'min-max':>19s} {'per cell-substep':>16s} "

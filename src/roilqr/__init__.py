@@ -8,7 +8,6 @@ basis) provides the benchmark baseline, and a bounds module empirically
 verifies the suboptimality guarantees of the reduced solution.
 """
 
-from ._kernels import HAVE_NUMBA, USE_NUMBA
 from .bounds import (BoundsReport, LqrPair, build_lqr_pair, verify_bounds,
                      verify_iterates)
 from .lqr import (BackwardPassError, CostModel, GainSchedule, Regularizer,

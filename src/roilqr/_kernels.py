@@ -2,27 +2,24 @@
 
 These inner loops dominate runtime (system identification evaluates
 thousands of one-step perturbations per solver iteration), so each kernel
-has a loop version (``_*_loops``), a vectorized numpy version and a C
-version in ``_kernels.c``.  The active path is chosen once, at import,
-and recorded in :data:`KERNEL_PATH`:
+has a vectorized numpy version and a C version in ``_kernels.c``.  The
+active path is chosen once, at import, and recorded in
+:data:`KERNEL_PATH`:
 
-* ``"numba"``: the loop versions compiled with numba, where it is
-  importable (the optional ``numba`` extra);
-* ``"c"``: else the C versions, where the system C compiler (``cc`` on
-  the ``PATH``) builds them.  The library is compiled at import, never at
-  a first step, with the fixed flags :data:`CFLAGS`, into a per-user
-  cache (``~/.cache/roilqr``, mode 0700) keyed by source, flags and
-  compiler, published there atomically and loaded with ``ctypes``;
-  later imports load it without running the compiler.  No compiler, a
-  failed or timed-out build, a cache that cannot be written and a
-  library that does not load all fall through, silently, to:
+* ``"c"``: the C versions, where the system C compiler (``cc`` on the
+  ``PATH``) builds them.  The library is compiled at import, never at a
+  first step, with the fixed flags :data:`CFLAGS`, into a per-user cache
+  (``~/.cache/roilqr``, mode 0700) keyed by source, flags and compiler,
+  published there atomically and loaded with ``ctypes``; later imports
+  load it without running the compiler.  No compiler, a failed or
+  timed-out build, a cache that cannot be written and a library that does
+  not load all fall through, silently, to:
 * ``"numpy"``: the numpy versions, also forced by the environment
   variable ``ROILQR_PURE_NUMPY=1``.
 
-The loop versions themselves stay plain Python, the oracle the other
-kernels are tested against.  The C kernels evaluate the numpy kernels'
-expressions in the same order and are bit-identical to them; the numba
-kernels agree with them to about 1e-16.
+The C kernels evaluate the numpy kernels' expressions in the same order
+and are bit-identical to them.  The plain-Python loop versions, the
+oracle both are tested against, live in ``tests/test_kernels.py``.
 
 All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
@@ -46,7 +43,7 @@ The phase-field kernels take each row's controls ``(temp+, h+, temp-,
 h-)`` and the +1/-1 label mask, not per-point fields: a row's A and H
 (B and s*h) take one value per label, computed as a scalar with the
 operations of the per-point expression, and are then placed by label.
-The loop versions evaluate the same expressions in the same order.
+The loop oracles evaluate the same expressions in the same order.
 
 The numpy kernels step the batch node-major (the batch index varies
 fastest, so a stencil shift is a contiguous slice of the flat buffer),
@@ -75,17 +72,10 @@ from itertools import accumulate
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra
-    numba = None
-    HAVE_NUMBA = False
-
 _PURE_NUMPY = os.environ.get("ROILQR_PURE_NUMPY", "0").lower() in (
     "1", "true", "yes")
-USE_NUMBA = HAVE_NUMBA and not _PURE_NUMPY
+# there is no numba path; perfbench/run.py is the only reader of these
+USE_NUMBA = HAVE_NUMBA = False
 
 
 def _factors(*values):
@@ -156,28 +146,6 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
             np.multiply(c_dif, s2, s2)
             np.add(s1, s2, out)
     return bufs[nsub & 1].T.copy()
-
-
-def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
-    nb, n = u.shape
-    out = u.copy()
-    buf = np.empty(n)
-    c_adv = dt / (2.0 * dx)
-    c_dif = nu * dt / (dx * dx)
-    k = 1.0 - 2.0 * c_dif
-    for b in range(nb):
-        row = out[b]
-        row[0] = left[b]
-        row[n - 1] = right[b]
-        for _ in range(nsub):
-            for i in range(1, n - 1):
-                buf[i] = (
-                    row[i] * (k - c_adv * (row[i + 1] - row[i - 1]))
-                    + c_dif * (row[i + 1] + row[i - 1])
-                )
-            for i in range(1, n - 1):
-                row[i] = buf[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +243,6 @@ def allen_cahn_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
     return _row_major(f)
 
 
-def _allen_cahn_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
-    nb, n = phi.shape
-    out = phi.copy()
-    buf = np.empty(n)
-    a = np.empty(n)
-    hc = np.empty(n)
-    c = dt * mob
-    k = c * gamma / (dx * dx)
-    c4 = 4.0 * c
-    a0 = 1.0 - 4.0 * k
-    for b in range(nb):
-        f = out[b]
-        a_plus = a0 - 2.0 * c * controls[b, 0]
-        a_minus = a0 - 2.0 * c * controls[b, 2]
-        h_plus = -c * controls[b, 1]
-        h_minus = -c * controls[b, 3]
-        for p in range(n):
-            if mask[p] > 0:
-                a[p] = a_plus
-                hc[p] = h_plus
-            else:
-                a[p] = a_minus
-                hc[p] = h_minus
-        for _ in range(nsub):
-            for j in range(npts):
-                jm = j - 1 if j > 0 else npts - 1
-                jp = j + 1 if j < npts - 1 else 0
-                for i in range(npts):
-                    im = i - 1 if i > 0 else npts - 1
-                    ip = i + 1 if i < npts - 1 else 0
-                    p = j * npts + i
-                    v = f[p]
-                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
-                        + (f[jm * npts + i] + f[jp * npts + i])
-                    buf[p] = v * (a[p] - c4 * (v * v)) + k * nsum + hc[p]
-            f[:] = buf
-    return out
-
-
 def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
                               npts):
     # mu' = f*(B + 4s f^2) - k N(f) + s h, then f' = f - 4 mu' + N(mu');
@@ -343,55 +272,6 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
             np.subtract(f, t, f)
             np.add(f, nbr, f)
     return _row_major(f)
-
-
-def _cahn_hilliard_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
-    nb, n = phi.shape
-    out = phi.copy()
-    mu = np.empty(n)
-    buf = np.empty(n)
-    bc = np.empty(n)
-    hs = np.empty(n)
-    s = dt * mob / (dx * dx)
-    k = s * gamma / (dx * dx)
-    s4 = 4.0 * s
-    for b in range(nb):
-        f = out[b]
-        bc_plus = 2.0 * s * controls[b, 0] + 4.0 * k
-        bc_minus = 2.0 * s * controls[b, 2] + 4.0 * k
-        hs_plus = s * controls[b, 1]
-        hs_minus = s * controls[b, 3]
-        for p in range(n):
-            if mask[p] > 0:
-                bc[p] = bc_plus
-                hs[p] = hs_plus
-            else:
-                bc[p] = bc_minus
-                hs[p] = hs_minus
-        for _ in range(nsub):
-            for j in range(npts):
-                jm = j - 1 if j > 0 else npts - 1
-                jp = j + 1 if j < npts - 1 else 0
-                for i in range(npts):
-                    im = i - 1 if i > 0 else npts - 1
-                    ip = i + 1 if i < npts - 1 else 0
-                    p = j * npts + i
-                    v = f[p]
-                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
-                        + (f[jm * npts + i] + f[jp * npts + i])
-                    mu[p] = v * (bc[p] + s4 * (v * v)) - k * nsum + hs[p]
-            for j in range(npts):
-                jm = j - 1 if j > 0 else npts - 1
-                jp = j + 1 if j < npts - 1 else 0
-                for i in range(npts):
-                    im = i - 1 if i > 0 else npts - 1
-                    ip = i + 1 if i < npts - 1 else 0
-                    p = j * npts + i
-                    nsum = (mu[j * npts + im] + mu[j * npts + ip]) \
-                        + (mu[jm * npts + i] + mu[jp * npts + i])
-                    buf[p] = f[p] - 4.0 * mu[p] + nsum
-            f[:] = buf
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,25 +428,18 @@ class CompiledKernels:
                                  npts)
 
 
-# The active path, chosen once here and recorded with every run: numba
-# where it is installed, else the C kernels where they build and load,
-# else numpy; ROILQR_PURE_NUMPY=1 forces numpy.  The C kernels are
-# bit-identical to the numpy kernels, the numba ones agree to about 1e-16.
-if USE_NUMBA:
-    KERNEL_PATH = "numba"
-    burgers_batch = numba.njit(_burgers_batch_loops, cache=True)
-    allen_cahn_batch = numba.njit(_allen_cahn_loops, cache=True)
-    cahn_hilliard_batch = numba.njit(_cahn_hilliard_loops, cache=True)
+# The active path, chosen once here and recorded with every run: the C
+# kernels where they build and load, else numpy; ROILQR_PURE_NUMPY=1
+# forces numpy.  The C kernels are bit-identical to the numpy kernels.
+_compiled = None if _PURE_NUMPY else load_compiled(_cache_dir(),
+                                                   shutil.which("cc"))
+if _compiled is not None:
+    KERNEL_PATH = "c"
+    burgers_batch = _compiled.burgers_batch
+    allen_cahn_batch = _compiled.allen_cahn_batch
+    cahn_hilliard_batch = _compiled.cahn_hilliard_batch
 else:
-    _compiled = None if _PURE_NUMPY else load_compiled(
-        _cache_dir(), shutil.which("cc"))
-    if _compiled is not None:
-        KERNEL_PATH = "c"
-        burgers_batch = _compiled.burgers_batch
-        allen_cahn_batch = _compiled.allen_cahn_batch
-        cahn_hilliard_batch = _compiled.cahn_hilliard_batch
-    else:
-        KERNEL_PATH = "numpy"
-        burgers_batch = burgers_batch_numpy
-        allen_cahn_batch = allen_cahn_batch_numpy
-        cahn_hilliard_batch = cahn_hilliard_batch_numpy
+    KERNEL_PATH = "numpy"
+    burgers_batch = burgers_batch_numpy
+    allen_cahn_batch = allen_cahn_batch_numpy
+    cahn_hilliard_batch = cahn_hilliard_batch_numpy

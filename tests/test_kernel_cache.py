@@ -20,16 +20,19 @@ CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
 
 
-def _import_path(env_updates):
-    """KERNEL_PATH of a fresh interpreter importing ``roilqr._kernels``."""
+def _fresh_import(env_updates):
+    """``(KERNEL_PATH, whether numba was loaded)`` of a fresh interpreter
+    importing ``roilqr``."""
     env = {k: v for k, v in os.environ.items() if k != "ROILQR_PURE_NUMPY"}
-    env.update(PYTHONPATH=str(SRC), **env_updates)
+    env.update({"PYTHONPATH": str(SRC), **env_updates})
     out = subprocess.run(
         [sys.executable, "-c",
-         "from roilqr import _kernels; print(_kernels.KERNEL_PATH)"],
+         "import sys; from roilqr import _kernels; "
+         "print(_kernels.KERNEL_PATH, 'numba' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stderr == ""
-    return out.stdout.strip()
+    path, numba_loaded = out.stdout.split()
+    return path, numba_loaded == "True"
 
 
 def _script(directory, name, body):
@@ -53,8 +56,8 @@ def _works(kernels):
 
 
 def test_pure_numpy_forces_numpy(tmp_path):
-    assert _import_path({"ROILQR_PURE_NUMPY": "1",
-                         "HOME": str(tmp_path)}) == "numpy"
+    assert _fresh_import({"ROILQR_PURE_NUMPY": "1",
+                          "HOME": str(tmp_path)}) == ("numpy", False)
     assert not (tmp_path / ".cache").exists()   # nothing was built
 
 
@@ -64,11 +67,23 @@ def test_failing_compiler_at_import_gives_numpy(tmp_path):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     _script(bin_dir, "cc", "exit 1\n")
-    path = _import_path({"PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
-                         "HOME": str(tmp_path)})
-    assert path == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-    if not _kernels.HAVE_NUMBA:
-        assert _files(tmp_path / ".cache" / "roilqr") == []
+    env = {"PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+           "HOME": str(tmp_path)}
+    assert _fresh_import(env) == ("numpy", False)
+    assert _files(tmp_path / ".cache" / "roilqr") == []
+
+
+def test_installed_numba_is_not_used(tmp_path):
+    # a numba whose njit returns its argument, first on the path: the
+    # import neither selects it nor loads it
+    stub = tmp_path / "stub" / "numba"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        "def njit(fn, **options):\n    return fn\n")
+    path, numba_loaded = _fresh_import(
+        {"PYTHONPATH": f"{stub.parent}{os.pathsep}{SRC}"})
+    assert path in ("c", "numpy")
+    assert not numba_loaded
 
 
 def test_no_compiler_gives_none(tmp_path):

@@ -1,5 +1,5 @@
-"""The loop, numpy and C kernel paths must agree; steps must be local and
-deterministic."""
+"""The numpy and C kernel paths must agree with each other and with the
+loop oracles kept here; steps must be local and deterministic."""
 
 import shutil
 
@@ -23,7 +23,7 @@ def rng():
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
     """The C kernels: the active ones on the C path, else built into a
-    fresh cache, so that a run on numpy or numba checks them too."""
+    fresh cache, so that a run on the numpy path checks them too."""
     if _kernels.KERNEL_PATH == "c":
         return _kernels._compiled
     kernels = _kernels.load_compiled(tmp_path_factory.mktemp("cache"),
@@ -96,6 +96,121 @@ def cahn_hilliard_batch_rolled(phi, controls, mask, mob, gamma, dx, dt, nsub,
         mu = f * (bc + 4.0 * s * (f * f)) - k * _neighbours_rolled(f) + hs
         f = f - 4.0 * mu + _neighbours_rolled(mu)
     return f.reshape(phi.shape)
+
+
+# The loop oracles: each kernel as plain Python loops over rows, substeps
+# and points, evaluating the numpy kernels' expressions in the same
+# order.  The numpy kernels are bit-identical to them.
+
+
+def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
+    nb, n = u.shape
+    out = u.copy()
+    buf = np.empty(n)
+    c_adv = dt / (2.0 * dx)
+    c_dif = nu * dt / (dx * dx)
+    k = 1.0 - 2.0 * c_dif
+    for b in range(nb):
+        row = out[b]
+        row[0] = left[b]
+        row[n - 1] = right[b]
+        for _ in range(nsub):
+            for i in range(1, n - 1):
+                buf[i] = (
+                    row[i] * (k - c_adv * (row[i + 1] - row[i - 1]))
+                    + c_dif * (row[i + 1] + row[i - 1])
+                )
+            for i in range(1, n - 1):
+                row[i] = buf[i]
+    return out
+
+
+def _allen_cahn_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
+    nb, n = phi.shape
+    out = phi.copy()
+    buf = np.empty(n)
+    a = np.empty(n)
+    hc = np.empty(n)
+    c = dt * mob
+    k = c * gamma / (dx * dx)
+    c4 = 4.0 * c
+    a0 = 1.0 - 4.0 * k
+    for b in range(nb):
+        f = out[b]
+        a_plus = a0 - 2.0 * c * controls[b, 0]
+        a_minus = a0 - 2.0 * c * controls[b, 2]
+        h_plus = -c * controls[b, 1]
+        h_minus = -c * controls[b, 3]
+        for p in range(n):
+            if mask[p] > 0:
+                a[p] = a_plus
+                hc[p] = h_plus
+            else:
+                a[p] = a_minus
+                hc[p] = h_minus
+        for _ in range(nsub):
+            for j in range(npts):
+                jm = j - 1 if j > 0 else npts - 1
+                jp = j + 1 if j < npts - 1 else 0
+                for i in range(npts):
+                    im = i - 1 if i > 0 else npts - 1
+                    ip = i + 1 if i < npts - 1 else 0
+                    p = j * npts + i
+                    v = f[p]
+                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
+                        + (f[jm * npts + i] + f[jp * npts + i])
+                    buf[p] = v * (a[p] - c4 * (v * v)) + k * nsum + hc[p]
+            f[:] = buf
+    return out
+
+
+def _cahn_hilliard_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
+    nb, n = phi.shape
+    out = phi.copy()
+    mu = np.empty(n)
+    buf = np.empty(n)
+    bc = np.empty(n)
+    hs = np.empty(n)
+    s = dt * mob / (dx * dx)
+    k = s * gamma / (dx * dx)
+    s4 = 4.0 * s
+    for b in range(nb):
+        f = out[b]
+        bc_plus = 2.0 * s * controls[b, 0] + 4.0 * k
+        bc_minus = 2.0 * s * controls[b, 2] + 4.0 * k
+        hs_plus = s * controls[b, 1]
+        hs_minus = s * controls[b, 3]
+        for p in range(n):
+            if mask[p] > 0:
+                bc[p] = bc_plus
+                hs[p] = hs_plus
+            else:
+                bc[p] = bc_minus
+                hs[p] = hs_minus
+        for _ in range(nsub):
+            for j in range(npts):
+                jm = j - 1 if j > 0 else npts - 1
+                jp = j + 1 if j < npts - 1 else 0
+                for i in range(npts):
+                    im = i - 1 if i > 0 else npts - 1
+                    ip = i + 1 if i < npts - 1 else 0
+                    p = j * npts + i
+                    v = f[p]
+                    nsum = (f[j * npts + im] + f[j * npts + ip]) \
+                        + (f[jm * npts + i] + f[jp * npts + i])
+                    mu[p] = v * (bc[p] + s4 * (v * v)) - k * nsum + hs[p]
+            for j in range(npts):
+                jm = j - 1 if j > 0 else npts - 1
+                jp = j + 1 if j < npts - 1 else 0
+                for i in range(npts):
+                    im = i - 1 if i > 0 else npts - 1
+                    ip = i + 1 if i < npts - 1 else 0
+                    p = j * npts + i
+                    nsum = (mu[j * npts + im] + mu[j * npts + ip]) \
+                        + (mu[jm * npts + i] + mu[jp * npts + i])
+                    buf[p] = f[p] - 4.0 * mu[p] + nsum
+            f[:] = buf
+    return out
 
 
 # The schemes as written before their constants are folded: the folded
@@ -187,9 +302,9 @@ def test_phase_field_numpy_bit_identical_to_rolled(rng, kernel, reference, dt,
 SCHEME_RTOL = 1e-13
 
 
-LOOPS = {"burgers": _kernels._burgers_batch_loops,
-         "allen_cahn": _kernels._allen_cahn_loops,
-         "cahn_hilliard": _kernels._cahn_hilliard_loops}
+LOOPS = {"burgers": _burgers_batch_loops,
+         "allen_cahn": _allen_cahn_loops,
+         "cahn_hilliard": _cahn_hilliard_loops}
 
 
 def _preset_case(name, points, rng):
@@ -246,24 +361,18 @@ def test_cahn_hilliard_kernel_conserves_mass(npts, rows, seed):
         assert np.all(drift <= 1e-10 * model.n_x), (kernel.__name__, drift)
 
 
-def _assert_active_agrees(active, out_np, atol):
-    if _kernels.KERNEL_PATH == "numba":
-        np.testing.assert_allclose(active, out_np, rtol=0, atol=atol)
-    else:   # the C kernels, or the numpy ones themselves
-        np.testing.assert_array_equal(_bits(active), _bits(out_np))
-
-
 def test_burgers_paths_agree(rng):
     u = rng.standard_normal((7, 50))
     left = rng.standard_normal(7)
     right = rng.standard_normal(7)
     args = (u, left, right, 0.05, 0.04, 1e-4, 12)
     out_np = _kernels.burgers_batch_numpy(*args)
-    # the active kernel: to rounding on numba, bit for bit on C
-    _assert_active_agrees(_kernels.burgers_batch(*args), out_np, 1e-13)
+    # the active kernel (C, or numpy itself) bit for bit
+    np.testing.assert_array_equal(_bits(_kernels.burgers_batch(*args)),
+                                  _bits(out_np))
     # same operations in the same order as the loop kernel run as Python
     np.testing.assert_array_equal(
-        _bits(out_np), _bits(_kernels._burgers_batch_loops(*args)))
+        _bits(out_np), _bits(_burgers_batch_loops(*args)))
 
 
 @pytest.mark.parametrize("kind", ["allen_cahn", "cahn_hilliard"])
@@ -274,12 +383,11 @@ def test_phase_field_paths_agree(rng, kind):
     args = (phi, rng.standard_normal((4, 4)), _random_mask(rng, p),
             1.0, 1e-3, 0.1, dt, 6, p)
     out_np = getattr(_kernels, f"{kind}_batch_numpy")(*args)
-    # the active kernel: to rounding on numba, bit for bit on C
-    _assert_active_agrees(getattr(_kernels, f"{kind}_batch")(*args), out_np,
-                          1e-12)
-    # same operations in the same order as the loop kernel run as Python
+    # the active kernel (C, or numpy itself) bit for bit
     np.testing.assert_array_equal(
-        _bits(out_np), _bits(getattr(_kernels, f"_{kind}_loops")(*args)))
+        _bits(getattr(_kernels, f"{kind}_batch")(*args)), _bits(out_np))
+    # same operations in the same order as the loop kernel run as Python
+    np.testing.assert_array_equal(_bits(out_np), _bits(LOOPS[kind](*args)))
 
 
 # Batch sizes below, at and above one cache line of rows and the unit
