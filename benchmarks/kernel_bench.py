@@ -34,7 +34,10 @@ path's time per row, their min-max; the last column is the numpy time
 over the active path's.
 
 The active path is printed in the first line: the C kernels where they
-build, else numpy (``ROILQR_PURE_NUMPY=1`` forces numpy).
+build, else numpy (``ROILQR_PURE_NUMPY=1`` forces numpy).  On the C path
+the line also names the kernel clone the loader picked for this CPU
+(``_kernels.KERNEL_ISA``: ``avx512f``, ``avx2`` or ``baseline``), since
+the C times depend on its vector width.
 """
 
 import argparse
@@ -89,7 +92,8 @@ def main():
                 path_times.append(_time_once(*call))
 
     active = _kernels.KERNEL_PATH
-    print(f"active path: {active}; "
+    isa = f" ({_kernels.KERNEL_ISA})" if _kernels.KERNEL_ISA else ""
+    print(f"active path: {active}{isa}; "
           f"median of {args.repeat} interleaved rounds")
     print(f"{'preset':18s} {'n_x':>5s} {'substeps':>8s} {'rows':>5s} "
           f"{active + ' per row':>14s} {'min-max':>19s} {'per cell-substep':>16s} "

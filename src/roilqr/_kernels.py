@@ -11,15 +11,20 @@ active path is chosen once, at import, and recorded in
   first step, with the fixed flags :data:`CFLAGS`, into a per-user cache
   (``~/.cache/roilqr``, mode 0700) keyed by source, flags and compiler,
   published there atomically and loaded with ``ctypes``; later imports
-  load it without running the compiler.  No compiler, a failed or
+  load it without running the compiler.  On x86-64 with glibc the
+  library holds an AVX-512F, an AVX2 and a baseline clone of each kernel,
+  and the dynamic loader picks one for the CPU when it loads the library;
+  :data:`KERNEL_ISA` names the clone picked (``"avx512f"``, ``"avx2"`` or
+  ``"baseline"``; ``None`` on the numpy path).  No compiler, a failed or
   timed-out build, a cache that cannot be written and a library that does
   not load all fall through, silently, to:
 * ``"numpy"``: the numpy versions, also forced by the environment
   variable ``ROILQR_PURE_NUMPY=1``.
 
-The C kernels evaluate the numpy kernels' expressions in the same order
-and are bit-identical to them.  The plain-Python loop versions, the
-oracle both are tested against, live in ``tests/test_kernels.py``.
+The C kernels evaluate the numpy kernels' expressions in the same order,
+in every clone, and are bit-identical to them.  The plain-Python loop
+versions, the oracle both are tested against, live in
+``tests/test_kernels.py``.
 
 All kernels take a batch of flattened float64 state rows ``(B, n)`` and
 return a new array; inputs are never mutated.  2-D fields are stored
@@ -38,6 +43,10 @@ neighbours of a point, ``c = dt*mob`` and Burgers' ``c_adv = dt/(2 dx)``,
 * Cahn-Hilliard:  mu' = f*(B + 4s f^2) - k N(f) + s*h, the chemical
   potential scaled by ``s = c/dx^2``, then f' = f - 4 mu' + N(mu'), with
   ``k = s*gamma/dx^2`` and ``B = 2s*temp + 4k`` (16 passes).
+
+Those are the numpy kernels' passes.  A C substep is one pass over the
+state (Cahn-Hilliard: two, one per neighbour sum) that sums each point's
+neighbours where it updates the point.
 
 The phase-field kernels take each row's controls ``(temp+, h+, temp-,
 h-)`` and the +1/-1 label mask, not per-point fields: a row's A and H
@@ -281,9 +290,12 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "_kernels.c")
-# IEEE double arithmetic as written: no fused multiply-adds, no fast-math
-# reassociation and no host-specific instructions, so every operation
-# rounds as in the numpy kernels
+# IEEE double arithmetic as written: no fused multiply-adds and no
+# fast-math reassociation, so every operation rounds as in the numpy
+# kernels.  No target either: on x86-64 glibc the source itself asks for
+# AVX-512F, AVX2 and baseline clones of each kernel, and the loader picks
+# one for the host, so one cached library serves every host of an
+# architecture.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 60.0
 
@@ -376,6 +388,11 @@ class CompiledKernels:
     def __init__(self, lib):
         # keeps the library loaded while its functions are bound here
         self._lib = lib
+        lib.kernel_isa.argtypes = []
+        lib.kernel_isa.restype = ctypes.c_char_p
+        # the kernel clone the loader picked: "avx512f", "avx2" or
+        # "baseline"
+        self.isa = lib.kernel_isa().decode()
         ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
         for name, reals in (("burgers_batch", 3), ("allen_cahn_batch", 4),
                             ("cahn_hilliard_batch", 4)):
@@ -431,15 +448,18 @@ class CompiledKernels:
 # The active path, chosen once here and recorded with every run: the C
 # kernels where they build and load, else numpy; ROILQR_PURE_NUMPY=1
 # forces numpy.  The C kernels are bit-identical to the numpy kernels.
+# KERNEL_ISA names the C kernels' clone, None on the numpy path.
 _compiled = None if _PURE_NUMPY else load_compiled(_cache_dir(),
                                                    shutil.which("cc"))
 if _compiled is not None:
     KERNEL_PATH = "c"
+    KERNEL_ISA = _compiled.isa
     burgers_batch = _compiled.burgers_batch
     allen_cahn_batch = _compiled.allen_cahn_batch
     cahn_hilliard_batch = _compiled.cahn_hilliard_batch
 else:
     KERNEL_PATH = "numpy"
+    KERNEL_ISA = None
     burgers_batch = burgers_batch_numpy
     allen_cahn_batch = allen_cahn_batch_numpy
     cahn_hilliard_batch = cahn_hilliard_batch_numpy

@@ -377,6 +377,7 @@ def _metadata_dict(report):
         "phase_times": report.phase_times(),
         "per_iteration_elapsed": [it.elapsed for it in report.iterations],
         "kernel_path": _kernels.KERNEL_PATH,
+        "kernel_isa": _kernels.KERNEL_ISA,
         "numpy_version": np.__version__,
     }
 

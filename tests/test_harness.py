@@ -200,6 +200,7 @@ def test_metadata_records_kernel_path(tmp_path):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["kernel_path"] == _kernels.KERNEL_PATH
     assert meta["kernel_path"] in ("c", "numpy")
+    assert meta["kernel_isa"] == _kernels.KERNEL_ISA
     assert meta["numpy_version"] == np.__version__
 
 

@@ -181,10 +181,18 @@ def test_cold_build_then_warm_load(tmp_path, monkeypatch):
     assert _files(cache) == [name]
 
 
-@needs_cc
-def test_changed_source_is_rebuilt(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """A cache holding the library of the current source, flags and
+    compiler, built once for the tests that start from one."""
+    cache = tmp_path_factory.mktemp("built") / "cache"
     assert _kernels.load_compiled(str(cache), CC) is not None
+    return cache
+
+
+@needs_cc
+def test_changed_source_is_rebuilt(tmp_path, monkeypatch, built_cache):
+    cache = shutil.copytree(built_cache, tmp_path / "cache")
     [old] = _files(cache)
     # the same kernels with one more comment: another key
     source = tmp_path / "_kernels.c"
@@ -198,9 +206,8 @@ def test_changed_source_is_rebuilt(tmp_path, monkeypatch):
 
 
 @needs_cc
-def test_changed_flags_are_rebuilt(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    assert _kernels.load_compiled(str(cache), CC) is not None
+def test_changed_flags_are_rebuilt(tmp_path, monkeypatch, built_cache):
+    cache = shutil.copytree(built_cache, tmp_path / "cache")
     monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-DUNUSED",))
     monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
     _CountingPopen.calls = 0

@@ -1,7 +1,9 @@
 """The numpy and C kernel paths must agree with each other and with the
 loop oracles kept here; steps must be local and deterministic."""
 
+import platform
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,10 +392,12 @@ def test_phase_field_paths_agree(rng, kind):
     np.testing.assert_array_equal(_bits(out_np), _bits(LOOPS[kind](*args)))
 
 
-# Batch sizes below, at and above one cache line of rows and the unit
-# sizes identification issues; grid sizes down to 2 points per axis,
-# where both neighbours along an axis are the same point.
-C_ROWS = [1, 2, 3, 8, 9, 16, 40, 96]
+# Batch sizes below, at and above one cache line of rows, every row count
+# modulo 8 (so every remainder of a vector of 2, 4 or 8 doubles) and the
+# unit sizes identification issues; grid sizes down to 2 points per axis, where both
+# neighbours along an axis are the same point and a grid row has no
+# interior columns (3: one).
+C_ROWS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 31, 33, 40, 96]
 C_POINTS = [2, 3, 20, 50]
 
 
@@ -419,6 +423,71 @@ def test_c_kernel_bit_identical_to_numpy(rng, compiled, kind, rows, points):
     assert out.shape == args[0].shape and out.flags.c_contiguous
     np.testing.assert_array_equal(
         _bits(out), _bits(getattr(_kernels, f"{kind}_batch_numpy")(*args)))
+
+
+def _cpu_flags():
+    """The instruction-set flags ``/proc/cpuinfo`` lists (none where it
+    lists no x86 ``flags`` line)."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+# Where the C source builds its kernels as clones (x86-64 with glibc,
+# whose loader dispatches them)
+CLONES = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
+CLONE_GUARD = "#if defined(__x86_64__) && defined(__GLIBC__)"
+
+
+def test_kernel_isa_names_the_host_clone(compiled):
+    # the first clone target, in the source's order, that the CPU has
+    flags = _cpu_flags() if CLONES else set()
+    expected = next((isa for isa in ("avx512f", "avx2") if isa in flags),
+                    "baseline")
+    assert compiled.isa == expected
+    assert _kernels.KERNEL_ISA == (
+        expected if _kernels.KERNEL_PATH == "c" else None)
+
+
+@pytest.fixture(scope="module", params=["", "-mavx2", "-mavx512f"])
+def unclone_build(request, tmp_path_factory):
+    """The C kernels built without clones, with the flags alone (as on a
+    host without them) and with each clone's target added where the CPU
+    has it: every code path a clone stands for, whichever one the loader
+    picks here."""
+    target = request.param
+    if target and not (platform.machine() == "x86_64"
+                       and target[2:] in _cpu_flags()):
+        pytest.skip(f"the CPU runs no {target[2:]} code")
+    source = Path(_kernels._C_SOURCE).read_text()
+    assert source.count(CLONE_GUARD) == 1
+    directory = tmp_path_factory.mktemp("unclone")
+    (directory / "_kernels.c").write_text(
+        source.replace(CLONE_GUARD, "#if 0"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_C_SOURCE", str(directory / "_kernels.c"))
+        mp.setattr(_kernels, "CFLAGS",
+                   _kernels.CFLAGS + ((target,) if target else ()))
+        kernels = _kernels.load_compiled(directory / "cache",
+                                         shutil.which("cc"))
+    if kernels is None:
+        pytest.skip("no C compiler to build the C kernels with")
+    assert kernels.isa == "baseline"
+    return kernels
+
+
+@pytest.mark.parametrize("kind", ["burgers", "allen_cahn", "cahn_hilliard"])
+def test_unclone_build_bit_identical_to_numpy(rng, unclone_build, kind):
+    for rows in C_ROWS:
+        for points in C_POINTS:
+            args = _c_case(rng, kind, rows, points)
+            np.testing.assert_array_equal(
+                _bits(getattr(unclone_build, f"{kind}_batch")(*args)),
+                _bits(getattr(_kernels, f"{kind}_batch_numpy")(*args)),
+                err_msg=f"{rows} rows, {points} points")
 
 
 @pytest.mark.parametrize("kind", ["burgers", "allen_cahn", "cahn_hilliard"])
