@@ -2,11 +2,13 @@
 """Step-kernel throughput at the batch sizes the solver issues, on the
 active kernel path and on the numpy path.
 
-Times each preset's kernel called as ``step_batch`` calls it (one call
-per batch, control routing included), and reports microseconds per row
-and nanoseconds per cell-substep (per row, divided by n_x * substeps),
-so that kernels of different sizes compare.  The row counts are those of
-seed-0 solves:
+Times each preset's batch kernel called as ``step_batch`` calls it (one
+call per batch, control routing included), and reports microseconds per
+row and nanoseconds per cell-substep (per row, divided by n_x *
+substeps), so that kernels of different sizes compare.  The row counts
+are those of seed-0 solves; the identification ones are the rows of its
+units, which identification steps through ``<pde>_central`` (second
+table) and which show the batch kernels' throughput on large batches:
 
 * Burgers (100 points, 250 substeps): 1 row (rollouts and line search),
   176 and 264 rows (reduced identification: 11 samples of 2 rows per
@@ -23,6 +25,28 @@ seed-0 solves:
   one of 40);
 * Cahn-Hilliard 20x20 (40 substeps): 1 row, 56 and 80 rows (reduced
   identification) and 96 and 40 rows (full order, as for Allen-Cahn).
+
+A second table times identification units at the sizes those solves
+issue: the k timesteps and m samples of one ``<pde>_central`` call, which
+builds the 2 k m rows, steps them and writes the halved differences:
+
+* Burgers: reduced units of 12 and 8 timesteps of 11 samples (264 and
+  176 rows) and the full-order unit of one timestep's 102 samples;
+* Allen-Cahn 50x50: reduced units of one timestep of 8 and 9 samples (16
+  and 18 rows);
+* Allen-Cahn and Cahn-Hilliard 20x20: full-order units of 48 and 20
+  samples (96 and 40 rows).
+
+Each unit is timed as ``<pde>_central`` on the active path, as its
+``<pde>_batch`` call alone on the same rows, and as that batch call with
+the numpy passes around it that build the rows and take the differences
+(:func:`roilqr._kernels.central_numpy` over the active batch kernel, the
+way identification ran a unit before the central kernels); "gain" is the
+last over the first.  ``<pde>_central_numpy`` gives the numpy path.  A
+unit's time is the mean of a burst of UNIT_BURST consecutive calls, as
+identification makes its units one after another: a single call between
+other cases finds its megabyte-sized workspace out of cache, which no
+unit of a solve but the first does.
 
     python3 benchmarks/kernel_bench.py [--repeat N]
 
@@ -43,6 +67,7 @@ the C times depend on its vector width.
 import argparse
 import statistics
 import time
+from functools import partial
 
 import numpy as np
 
@@ -56,11 +81,54 @@ CASES = [
     ("cahn_hilliard", (1, 56, 80, 96, 40)),
 ]
 
+# (preset, full order, (timesteps, samples) of each unit)
+UNIT_BURST = 4
+UNITS = [
+    ("burgers", False, ((12, 11), (8, 11))),
+    ("burgers", True, ((1, 102),)),
+    ("allen_cahn", False, ((1, 8), (1, 9))),
+    ("allen_cahn_small", True, ((1, 48), (1, 20))),
+    ("cahn_hilliard", True, ((1, 48), (1, 20))),
+]
+
 
 def _time_once(fn, args):
     t0 = time.perf_counter()
     fn(*args)
     return time.perf_counter() - t0
+
+
+def _unit_args(rng, problem, k, m, full):
+    """The arguments of one unit of k timesteps and m samples about
+    perturbed initial states: at full order the last m samples of a
+    timestep (state coordinates, then the controls), else m - n_u modes
+    and the controls, each moved by 1e-2."""
+    model = problem.model
+    n_x, n_u = model.n_x, model.n_u
+    states = problem.x0 + 1e-2 * rng.standard_normal((k, n_x))
+    controls = 0.3 * rng.standard_normal((k, n_u))
+    if full:
+        moves = np.zeros((n_x + n_u, m))
+        moves[n_x + n_u - m + np.arange(m), np.arange(m)] = 1e-2
+        design_x, design_u = moves[:n_x], moves[n_x:].T.copy()
+    else:
+        modes = np.linalg.qr(rng.standard_normal((n_x, m - n_u)))[0]
+        design_x = np.zeros((n_x, m))
+        design_x[:, :m - n_u] = 1e-2 * modes
+        design_u = np.zeros((m, n_u))
+        design_u[m - n_u + np.arange(n_u), np.arange(n_u)] = 1e-2
+    return states, controls, design_x, design_u, np.empty((k, n_x, m))
+
+
+def _round_robin(cases, repeat):
+    # warm each call up once, then time one call of each per round
+    for *_, calls, _ in cases:
+        for call in calls:
+            _time_once(*call)
+    for _ in range(repeat):
+        for *_, calls, times in cases:
+            for call, path_times in zip(calls, times):
+                path_times.append(_time_once(*call))
 
 
 def main():
@@ -72,6 +140,7 @@ def main():
 
     rng = np.random.default_rng(0)
     cases = []
+    units = []
     for name, batches in CASES:
         cfg = preset(name)
         problem = build_problem(cfg)
@@ -83,13 +152,29 @@ def main():
             controls = 0.3 * rng.standard_normal((rows, model.n_u))
             call_args = (states, *model._kernel_args(controls))
             calls = [(kernel, call_args) for kernel in kernels]
-            for call in calls:
-                _time_once(*call)  # warm-up
             cases.append((name, model, rows, calls, ([], [])))
-    for _ in range(args.repeat):
-        for *_, calls, times in cases:
-            for call, path_times in zip(calls, times):
-                path_times.append(_time_once(*call))
+    for name, full, sizes in UNITS:
+        problem = build_problem(preset(name))
+        model = problem.model
+        pde = preset(name).problem.name
+        params = model._params
+        batch = getattr(_kernels, f"{pde}_batch")
+        for k, m in sizes:
+            unit = _unit_args(rng, problem, k, m, full)
+            x = np.repeat(unit[0], 2 * m, axis=0)
+            u = np.repeat(unit[1], 2 * m, axis=0)
+            calls = [
+                (getattr(_kernels, f"{pde}_central"), (*unit, *params)),
+                (model.step_batch, (x, u)),
+                (_kernels.central_numpy,
+                 (partial(_batched, batch, model), *unit)),
+                (getattr(_kernels, f"{pde}_central_numpy"),
+                 (*unit, *params)),
+            ]
+            calls = [(_burst, call) for call in calls]
+            units.append((name, full, model, k, m, calls,
+                          tuple([] for _ in calls)))
+    _round_robin(cases + units, args.repeat)
 
     active = _kernels.KERNEL_PATH
     isa = f" ({_kernels.KERNEL_ISA})" if _kernels.KERNEL_ISA else ""
@@ -106,6 +191,31 @@ def main():
               f"{rows:5d} {t / rows * 1e6:12.1f}µs {lo:9.1f}-{hi:<9.1f} "
               f"{t / cells * 1e9:14.2f}ns {t_np / rows * 1e6:12.1f}µs "
               f"{t_np / cells * 1e9:14.2f}ns {t_np / t:11.2f}x")
+
+    print()
+    print(f"identification units: {active} per unit, mean of "
+          f"{UNIT_BURST} consecutive calls, median of {args.repeat} "
+          f"interleaved rounds")
+    print(f"{'preset':18s} {'order':>7s} {'k':>3s} {'m':>4s} {'rows':>5s} "
+          f"{'central':>10s} {'batch':>10s} {'batch+numpy':>12s} "
+          f"{'gain':>6s} {'numpy central':>14s}")
+    for name, full, model, k, m, _, times in units:
+        central, batch, composed, numpy_central = (
+            statistics.median(t) / UNIT_BURST * 1e6 for t in times)
+        print(f"{name:18s} {'full' if full else 'reduced':>7s} {k:3d} {m:4d} "
+              f"{2 * k * m:5d} {central:8.1f}µs {batch:8.1f}µs "
+              f"{composed:10.1f}µs {composed / central:5.2f}x "
+              f"{numpy_central:12.1f}µs")
+
+
+def _burst(fn, args):
+    for _ in range(UNIT_BURST):
+        fn(*args)
+
+
+def _batched(batch, model, states, controls):
+    # the active batch kernel called as step_batch calls it
+    return batch(states, *model._kernel_args(controls))
 
 
 if __name__ == "__main__":

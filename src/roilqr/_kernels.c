@@ -1,15 +1,21 @@
 /* Batched explicit finite-difference step kernels: the C path of
- * roilqr._kernels, one function per PDE.
+ * roilqr._kernels, two entries per PDE.
  *
- * Each function takes the arguments of its numpy kernel in
- * _kernels.py (the batch as row pointers and sizes) and evaluates the
- * same folded expressions in the same order: the same scalar factors,
- * the same per-row routed coefficients, the four-neighbour sum grouped
- * (left + right) + (up + down), and each substep's update with the
- * numpy kernel's association.  _kernels.py compiles this file without
- * floating-point contraction (-ffp-contract=off) or fast-math, so every
- * operation rounds as it does in numpy and the results are bit-identical
- * to the numpy kernels.
+ * <pde>_batch takes the arguments of its numpy kernel in _kernels.py
+ * (the batch as row pointers and sizes) and steps the caller's rows.
+ * <pde>_central runs one central-difference identification unit: from k
+ * nominal states and controls and a design of m samples it builds the +
+ * and - rows in its workspace, steps them, checks them for divergence
+ * and writes the halved differences (f+ - f-) * 0.5 into the caller's
+ * (k, n, m) output, at any strides.  Both entries of a PDE run the same
+ * substep code and evaluate the same folded expressions in the same
+ * order as the numpy kernels: the same scalar factors, the same per-row
+ * routed coefficients, the four-neighbour sum grouped (left + right) +
+ * (up + down), and each substep's update with the numpy kernel's
+ * association.  _kernels.py compiles this file without floating-point
+ * contraction (-ffp-contract=off) or fast-math, so every operation
+ * rounds as it does in numpy and the results are bit-identical to the
+ * numpy kernels.
  *
  * The batch is stepped node-major, as in the numpy kernels: value
  * (point p, row b) sits at p * nb + b, so the batch index runs innermost
@@ -17,21 +23,30 @@
  * compiler vectorizes across rows, whatever the row count.  A phase-field
  * substep evaluates its neighbour sum inside its update pass (per grid
  * row, the first column, the interior columns and the last column), so
- * no neighbour sum is written to memory and read back.
+ * no neighbour sum is written to memory and read back.  A _batch entry
+ * transposes the caller's rows into that layout and back; a _central
+ * entry builds its rows node-major from the node-major design and reads
+ * its differences from there, so it transposes nothing.
  *
- * On x86-64 with glibc, each exported kernel is built three times, for
- * AVX-512F, for AVX2 and for the baseline instruction set, and the
- * dynamic loader picks one clone per kernel for the host when the
- * library is loaded (an ifunc): the compiler flags carry no target, so
- * one cached library serves every x86-64 host.  Neither target enables
- * FMA, and without contraction a vector add or multiply rounds as the
- * scalar one does at any width, so every clone gives the same bits.
+ * On x86-64 with glibc, each exported kernel and each helper that
+ * several kernels share is built three times, for AVX-512F, for AVX2 and
+ * for the baseline instruction set, and the dynamic loader picks one
+ * clone per kernel for the host when the library is loaded (an ifunc; a
+ * kernel's clone calls the shared helpers' clone of its own target
+ * directly): the compiler flags carry no target, so one cached library
+ * serves every x86-64 host.  Neither target enables FMA, and without
+ * contraction a vector add or multiply rounds as the scalar one does at
+ * any width, so every clone gives the same bits.
  * kernel_isa() names the clone picked.  Elsewhere the kernels are built
  * once, for the flags' target.
  *
- * Every kernel returns 0, or -1 when its workspace cannot be allocated.
+ * A _batch kernel returns 0, or -1 when its workspace cannot be
+ * allocated.  A _central kernel returns the first diverged sample
+ * t * m + j, -1 when none diverged, or -2 when its workspace cannot be
+ * allocated.
  */
 
+#include <math.h>
 #include <stdlib.h>
 
 /* target_clones needs ifunc support, which glibc provides on x86-64 */
@@ -44,10 +59,17 @@
 #define HAVE_VECTOR_CLONES 0
 #endif
 
-/* Every helper a clone calls is inlined into it, and so compiled for the
- * clone's target: an out-of-line helper is compiled once, for the
- * baseline. */
+/* Every helper a clone calls runs at the clone's vector width: an
+ * out-of-line helper would be compiled once, for the baseline.  A helper
+ * that more than one exported kernel calls is SHARED: cloned like the
+ * kernels and called, so that each of its clones is compiled once and
+ * both kernels of a PDE run the same machine code for their substeps.
+ * (Inlined into every kernel instead, the helpers made a build take about
+ * 4 s against 2 s, and burgers_central's substep loop came out with one
+ * more load per vector than burgers_batch's, up to 5% slower on the same
+ * rows.)  The helpers those call are INLINE. */
 #define INLINE static inline __attribute__((always_inline))
+#define SHARED VECTOR_CLONES __attribute__((noinline)) static
 
 #define LINE_BYTES 64
 
@@ -72,19 +94,95 @@ INLINE double *workspace(long count)
     return aligned_alloc(LINE_BYTES, bytes ? bytes : LINE_BYTES);
 }
 
+/* count doubles rounded up to whole cache lines */
+INLINE long padded(long count)
+{
+    const long line = LINE_BYTES / sizeof(double);
+    return (count + line - 1) / line * line;
+}
+
 /* rows (nb, n) row-major -> f (n, nb) node-major, and back */
-INLINE void to_node_major(const double *rows, double *f, long nb, long n)
+SHARED void to_node_major(const double *rows, double *f, long nb, long n)
 {
     for (long b = 0; b < nb; b++)
         for (long p = 0; p < n; p++)
             f[p * nb + b] = rows[b * n + p];
 }
 
-INLINE void to_row_major(const double *f, double *rows, long nb, long n)
+SHARED void to_row_major(const double *f, double *rows, long nb, long n)
 {
     for (long b = 0; b < nb; b++)
         for (long p = 0; p < n; p++)
             rows[b * n + p] = f[p * nb + b];
+}
+
+/* ------------------------------------------------------------------------
+ * Central-difference units.  A unit is k nominal states x (k, n) and
+ * controls u (k, nu), and m samples: state moves d (n, m), node-major,
+ * and control moves du (m, nu).  Its nb = 2 k m rows are ordered as the
+ * numpy path orders them: timestep t's + rows t*2m + j (x_t + d_j,
+ * u_t + du_j), then its - rows t*2m + m + j (x_t - d_j, u_t - du_j).
+ * ---------------------------------------------------------------------- */
+
+/* the state rows, node-major into f (n, nb) */
+SHARED void plus_minus_states(const double *restrict x,
+                              const double *restrict d, double *restrict f,
+                              long k, long m, long n)
+{
+    const long nb = 2 * k * m;
+    for (long p = 0; p < n; p++)
+        for (long t = 0; t < k; t++) {
+            const double v = x[t * n + p], *dp = d + p * m;
+            double *fp = f + p * nb + 2 * t * m, *fm = fp + m;
+            for (long j = 0; j < m; j++) {
+                fp[j] = v + dp[j];
+                fm[j] = v - dp[j];
+            }
+        }
+}
+
+/* the control rows, row-major into ctl (nb, nu) */
+SHARED void plus_minus_controls(const double *restrict u,
+                                const double *restrict du,
+                                double *restrict ctl, long k, long m, long nu)
+{
+    for (long t = 0; t < k; t++)
+        for (long j = 0; j < m; j++)
+            for (long c = 0; c < nu; c++) {
+                const double v = u[t * nu + c], e = du[j * nu + c];
+                ctl[(2 * t * m + j) * nu + c] = v + e;
+                ctl[((2 * t + 1) * m + j) * nu + c] = v - e;
+            }
+}
+
+/* The end of a unit whose rows were stepped into f (n, nb): the first
+ * sample t*m + j, in (timestep, sample) order, one of whose two rows
+ * holds a non-finite value, else -1 after writing out[t, p, j] =
+ * (f+ - f-) * 0.5 at the element strides (st, sp, sj).  One sequential
+ * pass sums 0 * value over each row into flag (nb values of scratch),
+ * which comes out NaN exactly for the rows holding an inf or a NaN. */
+SHARED long central_result(const double *restrict f, double *restrict flag,
+                           double *restrict out, long k, long m, long n,
+                           long st, long sp, long sj)
+{
+    const long nb = 2 * k * m;
+    for (long b = 0; b < nb; b++)
+        flag[b] = 0.0;
+    for (long p = 0; p < n; p++)
+        for (long b = 0; b < nb; b++)
+            flag[b] += 0.0 * f[p * nb + b];
+    for (long t = 0; t < k; t++)
+        for (long j = 0; j < m; j++)
+            if (isnan(flag[2 * t * m + j]) || isnan(flag[(2 * t + 1) * m + j]))
+                return t * m + j;
+    for (long p = 0; p < n; p++)
+        for (long t = 0; t < k; t++) {
+            const double *fp = f + p * nb + 2 * t * m, *fm = fp + m;
+            double *o = out + t * st + p * sp;
+            for (long j = 0; j < m; j++)
+                o[j * sj] = (fp[j] - fm[j]) * 0.5;
+        }
+    return -1;
 }
 
 /* ------------------------------------------------------------------------
@@ -103,34 +201,62 @@ INLINE void burgers_substep(const double *restrict src, double *restrict dst,
     }
 }
 
+/* Step the node-major rows (n, nb) of bufs[0] nsub times, bufs[1] the
+ * other buffer and the boundary nodes of both pinned to left[b * cs] and
+ * right[b * cs]; returns the buffer of the result. */
+SHARED double *burgers_steps(double *bufs[2], const double *left,
+                             const double *right, long cs, long nb, long n,
+                             double nu, double dx, double dt, long nsub)
+{
+    const double c_adv = dt / (2.0 * dx);
+    const double c_dif = nu * dt / (dx * dx);
+    const double k = 1.0 - 2.0 * c_dif;
+    for (int w = 0; w < 2; w++)
+        for (long b = 0; b < nb; b++) {
+            bufs[w][b] = left[b * cs];
+            bufs[w][(n - 1) * nb + b] = right[b * cs];
+        }
+    for (long s = 0; s < nsub; s++)
+        burgers_substep(bufs[s & 1], bufs[(s + 1) & 1], (n - 2) * nb, nb,
+                        c_adv, c_dif, k);
+    return bufs[nsub & 1];
+}
+
 VECTOR_CLONES
 int burgers_batch(const double *u, const double *left, const double *right,
                   double *out, long nb, long n, double nu, double dx,
                   double dt, long nsub)
 {
-    const double c_adv = dt / (2.0 * dx);
-    const double c_dif = nu * dt / (dx * dx);
-    const double k = 1.0 - 2.0 * c_dif;
-    double *buf[2] = {workspace(n * nb), workspace(n * nb)};
-    if (!buf[0] || !buf[1]) {
-        free(buf[0]);
-        free(buf[1]);
+    const long span = padded(n * nb);
+    double *w = workspace(2 * span);
+    if (!w)
         return -1;
-    }
-    to_node_major(u, buf[0], nb, n);
-    /* the boundary nodes of both buffers hold the controls throughout */
-    for (int w = 0; w < 2; w++)
-        for (long b = 0; b < nb; b++) {
-            buf[w][b] = left[b];
-            buf[w][(n - 1) * nb + b] = right[b];
-        }
-    for (long s = 0; s < nsub; s++)
-        burgers_substep(buf[s & 1], buf[(s + 1) & 1], (n - 2) * nb, nb,
-                        c_adv, c_dif, k);
-    to_row_major(buf[nsub & 1], out, nb, n);
-    free(buf[0]);
-    free(buf[1]);
+    double *bufs[2] = {w, w + span};
+    to_node_major(u, w, nb, n);
+    to_row_major(burgers_steps(bufs, left, right, 1, nb, n, nu, dx, dt, nsub),
+                 out, nb, n);
+    free(w);
     return 0;
+}
+
+VECTOR_CLONES
+long burgers_central(const double *x, const double *u, const double *d,
+                     const double *du, double *out, long k, long m, long n,
+                     long st, long sp, long sj, double nu, double dx,
+                     double dt, long nsub)
+{
+    const long nb = 2 * k * m, span = padded(n * nb);
+    double *w = workspace(2 * span + 2 * nb);
+    if (!w)
+        return -2;
+    double *bufs[2] = {w, w + span}, *ctl = w + 2 * span;
+    plus_minus_states(x, d, w, k, m, n);
+    plus_minus_controls(u, du, ctl, k, m, 2);
+    const double *f = burgers_steps(bufs, ctl, ctl + 1, 2, nb, n, nu, dx, dt,
+                                    nsub);
+    const long bad = central_result(f, ctl, out, k, m, n, st, sp, sj);
+    free(w);
+    return bad;
 }
 
 /* ------------------------------------------------------------------------
@@ -188,25 +314,22 @@ INLINE void allen_cahn_segment(const double *restrict f,
     }
 }
 
-/* f' = f*(A - 4c f^2) + k N(f) + H, with c = dt*mob, k = c*gamma/dx^2,
- * A = 1 - 4k - 2c*temp and H = -c*h */
-VECTOR_CLONES
-int allen_cahn_batch(const double *phi, const double *controls,
-                     const unsigned char *plus, double *out, long nb,
-                     long npts, double mob, double gamma, double dx,
-                     double dt, long nsub)
+/* Step the node-major field at w nsub times under the control rows
+ * controls (nb, 4): f' = f*(A - 4c f^2) + k N(f) + H, with c = dt*mob,
+ * k = c*gamma/dx^2, A = 1 - 4k - 2c*temp and H = -c*h.  w holds 4 n
+ * values (the field, its next value, A and H; n = npts^2 nb) and rows
+ * 4 nb; returns the field of the result. */
+SHARED double *allen_cahn_steps(double *w, double *rows,
+                                const double *controls,
+                                const unsigned char *plus, long nb,
+                                long npts, double mob, double gamma,
+                                double dx, double dt, long nsub)
 {
     const double c = dt * mob;
     const double k = c * gamma / (dx * dx);
     const double a0 = 1.0 - 4.0 * k;
     const double c4 = 4.0 * c;
     const long points = npts * npts, n = points * nb;
-    double *rows = workspace(4 * nb), *w = workspace(4 * n);
-    if (!rows || !w) {
-        free(rows);
-        free(w);
-        return -1;
-    }
     double *ap = rows, *am = rows + nb, *hp = rows + 2 * nb,
            *hm = rows + 3 * nb;
     for (long b = 0; b < nb; b++) {
@@ -219,7 +342,6 @@ int allen_cahn_batch(const double *phi, const double *controls,
     double *f = w, *g = w + n, *a = w + 2 * n, *hc = w + 3 * n;
     route(a, plus, ap, am, points, nb);
     route(hc, plus, hp, hm, points, nb);
-    to_node_major(phi, f, nb, points);
     for (long s = 0; s < nsub; s++) {
         for (long j = 0; j < npts; j++) {
             struct segment seg[3];
@@ -231,10 +353,46 @@ int allen_cahn_batch(const double *phi, const double *controls,
         f = g;
         g = t;
     }
-    to_row_major(f, out, nb, points);
-    free(rows);
+    return f;
+}
+
+VECTOR_CLONES
+int allen_cahn_batch(const double *phi, const double *controls,
+                     const unsigned char *plus, double *out, long nb,
+                     long npts, double mob, double gamma, double dx,
+                     double dt, long nsub)
+{
+    const long points = npts * npts, n = points * nb;
+    double *w = workspace(4 * n + 4 * nb);
+    if (!w)
+        return -1;
+    to_node_major(phi, w, nb, points);
+    to_row_major(allen_cahn_steps(w, w + 4 * n, controls, plus, nb, npts,
+                                  mob, gamma, dx, dt, nsub),
+                 out, nb, points);
     free(w);
     return 0;
+}
+
+VECTOR_CLONES
+long allen_cahn_central(const double *x, const double *u, const double *d,
+                        const double *du, double *out,
+                        const unsigned char *plus, long k, long m, long npts, long st,
+                        long sp, long sj, double mob, double gamma,
+                        double dx, double dt, long nsub)
+{
+    const long nb = 2 * k * m, points = npts * npts, n = points * nb;
+    double *w = workspace(4 * n + 8 * nb);
+    if (!w)
+        return -2;
+    double *ctl = w + 4 * n;
+    plus_minus_states(x, d, w, k, m, points);
+    plus_minus_controls(u, du, ctl, k, m, 4);
+    const double *f = allen_cahn_steps(w, ctl + 4 * nb, ctl, plus, nb, npts,
+                                       mob, gamma, dx, dt, nsub);
+    const long bad = central_result(f, ctl, out, k, m, points, st, sp, sj);
+    free(w);
+    return bad;
 }
 
 /* mu = f*(bc + s4 f^2) - k N(f) + hs on one segment */
@@ -264,24 +422,22 @@ INLINE void conserve_segment(const double *restrict f,
         g[q] = f[q] - 4.0 * mu[q] + ((l[q] + r[q]) + (u[q] + d[q]));
 }
 
-/* mu' = f*(B + 4s f^2) - k N(f) + s*h, then f' = f - 4 mu' + N(mu'),
- * with s = dt*mob/dx^2, k = s*gamma/dx^2 and B = 2s*temp + 4k */
-VECTOR_CLONES
-int cahn_hilliard_batch(const double *phi, const double *controls,
-                        const unsigned char *plus, double *out, long nb,
-                        long npts, double mob, double gamma, double dx,
-                        double dt, long nsub)
+/* Step the node-major field at w nsub times under the control rows
+ * controls (nb, 4): mu' = f*(B + 4s f^2) - k N(f) + s*h, then
+ * f' = f - 4 mu' + N(mu'), with s = dt*mob/dx^2, k = s*gamma/dx^2 and
+ * B = 2s*temp + 4k.  w holds 5 n values (the field, its next value, B,
+ * s*h and mu; n = npts^2 nb) and rows 4 nb; returns the field of the
+ * result. */
+SHARED double *cahn_hilliard_steps(double *w, double *rows,
+                                   const double *controls,
+                                   const unsigned char *plus, long nb,
+                                   long npts, double mob, double gamma,
+                                   double dx, double dt, long nsub)
 {
     const double s = dt * mob / (dx * dx);
     const double k = s * gamma / (dx * dx);
     const double s4 = 4.0 * s;
     const long points = npts * npts, n = points * nb;
-    double *rows = workspace(4 * nb), *w = workspace(5 * n);
-    if (!rows || !w) {
-        free(rows);
-        free(w);
-        return -1;
-    }
     double *bp = rows, *bm = rows + nb, *hp = rows + 2 * nb,
            *hm = rows + 3 * nb;
     for (long b = 0; b < nb; b++) {
@@ -295,7 +451,6 @@ int cahn_hilliard_batch(const double *phi, const double *controls,
            *mu = w + 4 * n;
     route(bc, plus, bp, bm, points, nb);
     route(hs, plus, hp, hm, points, nb);
-    to_node_major(phi, f, nb, points);
     for (long st = 0; st < nsub; st++) {
         struct segment seg[3];
         for (long j = 0; j < npts; j++) {
@@ -312,8 +467,44 @@ int cahn_hilliard_batch(const double *phi, const double *controls,
         f = g;
         g = t;
     }
-    to_row_major(f, out, nb, points);
-    free(rows);
+    return f;
+}
+
+VECTOR_CLONES
+int cahn_hilliard_batch(const double *phi, const double *controls,
+                        const unsigned char *plus, double *out, long nb,
+                        long npts, double mob, double gamma, double dx,
+                        double dt, long nsub)
+{
+    const long points = npts * npts, n = points * nb;
+    double *w = workspace(5 * n + 4 * nb);
+    if (!w)
+        return -1;
+    to_node_major(phi, w, nb, points);
+    to_row_major(cahn_hilliard_steps(w, w + 5 * n, controls, plus, nb, npts,
+                                     mob, gamma, dx, dt, nsub),
+                 out, nb, points);
     free(w);
     return 0;
+}
+
+VECTOR_CLONES
+long cahn_hilliard_central(const double *x, const double *u, const double *d,
+                           const double *du, double *out,
+                           const unsigned char *plus, long k, long m, long npts, long st,
+                           long sp, long sj, double mob, double gamma,
+                           double dx, double dt, long nsub)
+{
+    const long nb = 2 * k * m, points = npts * npts, n = points * nb;
+    double *w = workspace(5 * n + 8 * nb);
+    if (!w)
+        return -2;
+    double *ctl = w + 5 * n;
+    plus_minus_states(x, d, w, k, m, points);
+    plus_minus_controls(u, du, ctl, k, m, 4);
+    const double *f = cahn_hilliard_steps(w, ctl + 4 * nb, ctl, plus, nb,
+                                          npts, mob, gamma, dx, dt, nsub);
+    const long bad = central_result(f, ctl, out, k, m, points, st, sp, sj);
+    free(w);
+    return bad;
 }

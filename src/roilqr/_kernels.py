@@ -2,9 +2,11 @@
 
 These inner loops dominate runtime (system identification evaluates
 thousands of one-step perturbations per solver iteration), so each kernel
-has a vectorized numpy version and a C version in ``_kernels.c``.  The
-active path is chosen once, at import, and recorded in
-:data:`KERNEL_PATH`:
+has a vectorized numpy version and a C version in ``_kernels.c``.  Each
+PDE has two kernels: ``<pde>_batch`` steps a batch of rows (the models'
+``step_batch``), and ``<pde>_central`` runs one central-difference
+identification unit (the models' ``central``).  The active path is
+chosen once, at import, and recorded in :data:`KERNEL_PATH`:
 
 * ``"c"``: the C versions, where the system C compiler (``cc`` on the
   ``PATH``) builds them.  The library is compiled at import, never at a
@@ -26,9 +28,24 @@ in every clone, and are bit-identical to them.  The plain-Python loop
 versions, the oracle both are tested against, live in
 ``tests/test_kernels.py``.
 
-All kernels take a batch of flattened float64 state rows ``(B, n)`` and
-return a new array; inputs are never mutated.  2-D fields are stored
-row-major with periodic boundaries.
+The batch kernels take a batch of flattened float64 state rows
+``(B, n)`` and return a new array; inputs are never mutated.  2-D fields
+are stored row-major with periodic boundaries.
+
+A central kernel takes k nominal states ``(k, n)`` and controls
+``(k, n_u)``, the state moves of m samples node-major ``(n, m)`` and
+their control moves ``(m, n_u)``, and an output ``(k, n, m)`` of any
+strides, followed by the batch kernel's parameters.  It steps the 2 k m
+rows x_t +/- d_j under u_t +/- du_j and writes the halved differences
+``(f+ - f-) * 0.5`` into the output; it returns the first sample
+``t * m + j``, in (timestep, sample) order, of which a side is not
+finite, leaving the output unwritten, or -1.  On the numpy path it is
+:func:`central_numpy` over the batch kernel: identification's
+composition of row building, one batch call and numpy difference passes,
+which any model with only a ``step_batch`` also goes through.  The C
+version builds the rows directly in its node-major workspace and reads
+the differences from there, so it spends no pass transposing rows in or
+out; it is bit-identical to the numpy version.
 
 Each scheme is evaluated in a folded form: its constant factors are
 gathered into scalars and per-point coefficient fields built once per
@@ -284,6 +301,67 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
 
 
 # ---------------------------------------------------------------------------
+# Central-difference identification units: one call builds the + and - rows
+# of k nominal states and m samples, steps them and writes the halved
+# differences.
+# ---------------------------------------------------------------------------
+
+
+def central_numpy(step, states, controls, design_x, design_u, out):
+    """One central-difference unit stepped by ``step``, a batch stepper
+    ``(B, n_x), (B, n_u) -> (B, n_x)``: the numpy path of the
+    ``<pde>_central`` kernels, and the one for any model that has only a
+    ``step_batch``.
+
+    ``states`` (k, n_x) and ``controls`` (k, n_u) are k nominal points,
+    ``design_x`` (n_x, m) the state moves of m samples, node-major, and
+    ``design_u`` (m, n_u) their control moves.  Sample j of timestep t
+    steps x_t +/- design_x[:, j] under u_t +/- design_u[j], all 2 k m rows
+    in one call, timestep t's + rows and then its - rows.  Returns the
+    first sample t * m + j, in (timestep, sample) order, one of whose two
+    next states is not finite; else -1, after writing into ``out``
+    (k, n_x, m), a view of any strides, the halved differences
+    ``(f+ - f-) * 0.5``.
+    """
+    k, n_x = states.shape
+    m, n_u = design_u.shape
+    x = np.empty((k, 2, m, n_x))
+    u = np.empty((k, 2, m, n_u))
+    np.add(states[:, None], design_x.T, out=x[:, 0])
+    np.subtract(states[:, None], design_x.T, out=x[:, 1])
+    np.add(controls[:, None], design_u, out=u[:, 0])
+    np.subtract(controls[:, None], design_u, out=u[:, 1])
+    f = step(x.reshape(-1, n_x), u.reshape(-1, n_u)).reshape(k, 2, m, n_x)
+    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=(1, 3)))
+    if bad.size:
+        return int(bad[0])
+    dy = f[:, 0]
+    np.subtract(dy, f[:, 1], out=dy)
+    dy *= 0.5
+    out[...] = dy.transpose(0, 2, 1)
+    return -1
+
+
+def burgers_central_numpy(states, controls, design_x, design_u, out, nu, dx,
+                          dt, nsub):
+    return central_numpy(
+        lambda x, u: burgers_batch_numpy(x, u[:, 0], u[:, 1], nu, dx, dt,
+                                         nsub),
+        states, controls, design_x, design_u, out)
+
+
+def allen_cahn_central_numpy(states, controls, design_x, design_u, out, *args):
+    return central_numpy(lambda x, u: allen_cahn_batch_numpy(x, u, *args),
+                         states, controls, design_x, design_u, out)
+
+
+def cahn_hilliard_central_numpy(states, controls, design_x, design_u, out,
+                                *args):
+    return central_numpy(lambda x, u: cahn_hilliard_batch_numpy(x, u, *args),
+                         states, controls, design_x, design_u, out)
+
+
+# ---------------------------------------------------------------------------
 # The C path: _kernels.c compiled once per source, flags and compiler into a
 # per-user cache, and bound with ctypes.
 # ---------------------------------------------------------------------------
@@ -394,11 +472,16 @@ class CompiledKernels:
         # "baseline"
         self.isa = lib.kernel_isa().decode()
         ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-        for name, reals in (("burgers_batch", 3), ("allen_cahn_batch", 4),
-                            ("cahn_hilliard_batch", 4)):
-            fn = getattr(lib, name)
+        for name, reals in (("burgers", 3), ("allen_cahn", 4),
+                            ("cahn_hilliard", 4)):
+            fn = getattr(lib, f"{name}_batch")
             fn.argtypes = [ptr] * 4 + [size] * 2 + [real] * reals + [size]
             fn.restype = ctypes.c_int
+            # the phase-field units take the label mask after the output
+            fn = getattr(lib, f"{name}_central")
+            fn.argtypes = ([ptr] * (5 if name == "burgers" else 6)
+                           + [size] * 6 + [real] * reals + [size])
+            fn.restype = ctypes.c_long
 
     @staticmethod
     def _check(status):
@@ -416,17 +499,23 @@ class CompiledKernels:
             out.ctypes.data, nb, n, nu, dx, dt, nsub))
         return out
 
-    def _phase_field(self, fn, phi, controls, mask, mob, gamma, dx, dt,
-                     nsub, npts):
+    @staticmethod
+    def _plus(mask, npts):
+        # the +1 labels of an npts x npts grid, one byte per point
         if npts < 2:
             raise ValueError(f"npts must be >= 2, got {npts}")
-        nb = len(phi)
-        phi = _c_array(phi, (nb, npts * npts), "phi")
-        controls = _c_array(controls, (nb, 4), "controls")
         plus = np.ascontiguousarray(np.asarray(mask) > 0)
         if plus.shape != (npts * npts,):
             raise ValueError(f"mask has shape {plus.shape}, expected "
                              f"({npts * npts},)")
+        return plus
+
+    def _phase_field(self, fn, phi, controls, mask, mob, gamma, dx, dt,
+                     nsub, npts):
+        plus = self._plus(mask, npts)
+        nb = len(phi)
+        phi = _c_array(phi, (nb, npts * npts), "phi")
+        controls = _c_array(controls, (nb, 4), "controls")
         out = np.empty_like(phi)
         self._check(fn(phi.ctypes.data, controls.ctypes.data,
                        plus.ctypes.data, out.ctypes.data, nb, npts,
@@ -444,6 +533,56 @@ class CompiledKernels:
                                  controls, mask, mob, gamma, dx, dt, nsub,
                                  npts)
 
+    @staticmethod
+    def _unit(states, controls, design_x, design_u, out, n_u):
+        """The arrays of a ``<pde>_central`` call, the unit's inputs made
+        contiguous and ``out``, which is written in place at its own
+        strides; then (k, m, n_x) and the element strides of ``out``."""
+        states = np.ascontiguousarray(states, dtype=np.float64)
+        (k, n_x), m = states.shape, len(design_u)
+        arrays = (states, _c_array(controls, (k, n_u), "controls"),
+                  _c_array(design_x, (n_x, m), "design_x"),
+                  _c_array(design_u, (m, n_u), "design_u"), out)
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == (k, n_x, m) and out.flags.writeable
+                and out.flags.aligned):
+            raise ValueError(f"out must be a writeable, aligned float64 "
+                             f"array of shape {(k, n_x, m)}")
+        return arrays, (k, m, n_x), [s // 8 for s in out.strides]
+
+    @staticmethod
+    def _first_diverged(status):
+        if status == -2:
+            raise MemoryError("step kernel workspace")
+        return status
+
+    def burgers_central(self, states, controls, design_x, design_u, out, nu,
+                        dx, dt, nsub):
+        arrays, sizes, strides = self._unit(states, controls, design_x,
+                                            design_u, out, 2)
+        return self._first_diverged(self._lib.burgers_central(
+            *(a.ctypes.data for a in arrays), *sizes, *strides, nu, dx, dt,
+            nsub))
+
+    def _phase_field_central(self, fn, states, controls, design_x, design_u,
+                             out, mask, mob, gamma, dx, dt, nsub, npts):
+        plus = self._plus(mask, npts)
+        arrays, (k, m, n_x), strides = self._unit(
+            states, controls, design_x, design_u, out, 4)
+        if n_x != npts * npts:
+            raise ValueError(f"states have {n_x} values, expected "
+                             f"{npts * npts}")
+        return self._first_diverged(fn(
+            *(a.ctypes.data for a in arrays), plus.ctypes.data, k, m, npts,
+            *strides, mob, gamma, dx, dt, nsub))
+
+    def allen_cahn_central(self, *args):
+        return self._phase_field_central(self._lib.allen_cahn_central, *args)
+
+    def cahn_hilliard_central(self, *args):
+        return self._phase_field_central(self._lib.cahn_hilliard_central,
+                                         *args)
+
 
 # The active path, chosen once here and recorded with every run: the C
 # kernels where they build and load, else numpy; ROILQR_PURE_NUMPY=1
@@ -457,9 +596,15 @@ if _compiled is not None:
     burgers_batch = _compiled.burgers_batch
     allen_cahn_batch = _compiled.allen_cahn_batch
     cahn_hilliard_batch = _compiled.cahn_hilliard_batch
+    burgers_central = _compiled.burgers_central
+    allen_cahn_central = _compiled.allen_cahn_central
+    cahn_hilliard_central = _compiled.cahn_hilliard_central
 else:
     KERNEL_PATH = "numpy"
     KERNEL_ISA = None
     burgers_batch = burgers_batch_numpy
     allen_cahn_batch = allen_cahn_batch_numpy
     cahn_hilliard_batch = cahn_hilliard_batch_numpy
+    burgers_central = burgers_central_numpy
+    allen_cahn_central = allen_cahn_central_numpy
+    cahn_hilliard_central = cahn_hilliard_central_numpy

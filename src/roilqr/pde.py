@@ -126,7 +126,7 @@ class Trajectory:
 
 
 # Largest batch, in cells (rows x n_x), that a caller hands to one
-# step_batch call.  step_batch steps its batch in one kernel call, so
+# step_batch or central call.  Each steps its rows in one kernel call, so
 # this bounds the kernels' workspaces only because the callers keep to
 # it: identification steps its experiments in units cut by aligned_runs,
 # and the line search its step sizes in batches of items_per_call rows.
@@ -170,8 +170,9 @@ def _as_batch(x, n, what="state"):
 
 
 class _Model:
-    """The state dimension and ``step_batch`` of the three models, each
-    of which gives its ``_kernel`` and ``_kernel_args``."""
+    """The state dimension, ``step_batch`` and ``central`` of the three
+    models, each of which gives its ``_kernel``, ``_central``, the kernels'
+    trailing ``_params`` and its ``_kernel_args``."""
 
     @property
     def n_x(self):
@@ -187,6 +188,21 @@ class _Model:
             raise ValueError(f"{len(states)} state rows but "
                              f"{len(controls)} control rows")
         return self._kernel(states, *self._kernel_args(controls))
+
+    def central(self, states, controls, design_x, design_u, out):
+        """One central-difference identification unit with one call of
+        the model's central-difference kernel: sample j of each nominal
+        point t (``states`` (k, n_x), ``controls`` (k, n_u)) steps
+        x_t +/- design_x[:, j] under u_t +/- design_u[j], for the node-major
+        state design ``design_x`` (n_x, m) and the control design
+        ``design_u`` (m, n_u).  Writes the halved differences of the two
+        next states into ``out`` (k, n_x, m), a view of any strides, and
+        returns -1; or returns the first sample t * m + j, in (timestep,
+        sample) order, whose next states are not finite, and leaves
+        ``out`` unwritten.  Bit-identical to stepping the 2 k m rows with
+        :meth:`step_batch` (:func:`roilqr._kernels.central_numpy`)."""
+        return self._central(states, controls, design_x, design_u, out,
+                             *self._params)
 
 
 class BurgersModel(_Model):
@@ -211,11 +227,18 @@ class BurgersModel(_Model):
     def _kernel(self):
         return _kernels.burgers_batch
 
-    def _kernel_args(self, controls):
+    @property
+    def _central(self):
+        return _kernels.burgers_central
+
+    @property
+    def _params(self):
         p = self.params
+        return p.nu, self.grid.dx, p.dt, p.substeps
+
+    def _kernel_args(self, controls):
         return (np.ascontiguousarray(controls[:, 0]),
-                np.ascontiguousarray(controls[:, 1]),
-                p.nu, self.grid.dx, p.dt, p.substeps)
+                np.ascontiguousarray(controls[:, 1]), *self._params)
 
 
 def mask_from_goal(goal):
@@ -241,11 +264,15 @@ class _PhaseFieldModel(_Model):
         self.gamma = params.gamma if params.gamma is not None else 0.5 * grid.dx**2
         self._check_stability()
 
-    def _kernel_args(self, controls):
+    @property
+    def _params(self):
         # the kernels route (temp+, h+, temp-, h-) by the mask labels
         p = self.params
-        return (controls, self.mask, p.mobility, self.gamma, self.grid.dx,
-                p.dt, p.substeps, self.grid.points)
+        return (self.mask, p.mobility, self.gamma, self.grid.dx, p.dt,
+                p.substeps, self.grid.points)
+
+    def _kernel_args(self, controls):
+        return (controls, *self._params)
 
 
 class AllenCahnModel(_PhaseFieldModel):
@@ -264,6 +291,10 @@ class AllenCahnModel(_PhaseFieldModel):
     def _kernel(self):
         return _kernels.allen_cahn_batch
 
+    @property
+    def _central(self):
+        return _kernels.allen_cahn_central
+
 
 class CahnHilliardModel(_PhaseFieldModel):
     """dphi/dt = div(M grad(dF/dphi - gamma lap(phi))); conserves the
@@ -281,6 +312,10 @@ class CahnHilliardModel(_PhaseFieldModel):
     @property
     def _kernel(self):
         return _kernels.cahn_hilliard_batch
+
+    @property
+    def _central(self):
+        return _kernels.cahn_hilliard_central
 
 
 def rollout(model, x0, controls):

@@ -15,24 +15,33 @@ l instead of n_x.
 
 The experiments sit around a nominal trajectory known in advance, so
 those of consecutive timesteps are independent.  They are stepped in
-units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, one simulator
-call each, cut by one rule (:func:`roilqr.pde.aligned_runs`) into runs
-of whole timesteps.  Only full order, where a timestep holds 2 (n_x +
-n_u) rows of n_x cells, cuts a timestep that does not fit into runs of
-consecutive samples; a reduced timestep of 2 (l + n_u) rows is stepped
-whole even where it exceeds the cap, so each is projected in one
-product.  Each unit builds only its own design rows and writes its
-central differences straight into the (T, d, d + n_u) outputs, so
-besides them an identification holds one unit's working set, never a
-whole full-order timestep's queries or the dense (n_x + n_u, n_x)
-design.  The fit overwrites the outputs buffer with the model, so an
-identification holds one (T, d, d + n_u) array, not two.
+units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS` cells, cut by one
+rule (:func:`roilqr.pde.aligned_runs`) into runs of whole timesteps.
+Only full order, where a timestep holds 2 (n_x + n_u) rows of n_x
+cells, cuts a timestep that does not fit into runs of consecutive
+samples; a reduced timestep of 2 (l + n_u) rows is stepped whole even
+where it exceeds the cap, so each is projected in one product.  Each
+unit is one call of the model's ``central``, the central-difference
+kernel of its PDE (a model with only a ``step_batch`` goes through
+:func:`roilqr._kernels.central_numpy` over it): from the unit's nominal
+points and its own design, node-major, the kernel builds the + and -
+rows, steps them, checks them for divergence and writes the halved
+differences.  At full order it writes them straight into the
+(T, d, d + n_u) outputs; a reduced unit writes them into a buffer of its
+timesteps' (n_s, n_x) differences, which are then projected.  So besides
+the outputs an identification holds one unit's design and the kernel's
+workspace, never a whole full-order timestep's queries or the dense
+(n_x + n_u, n_x) design.  The fit overwrites the outputs buffer with
+the model, so an identification holds one (T, d, d + n_u) array, not
+two.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _kernels
 from .pde import DivergenceError, aligned_runs
 
 
@@ -95,43 +104,50 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     are :func:`perturbation_scales` of the nominal; ``scales=(s_x, s_u)``
     replaces them where a test must choose the step.  The queries
     are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
-    cells, one simulator call each: runs of whole timesteps, and only at
-    full order, where one timestep's queries do not fit, consecutive
-    sample ranges of one timestep (see :func:`_units`); a horizon of 0
-    makes no call.  ``checkpoint``, if given, is called before every
-    simulator call after the first, so also between the units of one
-    full-order timestep, and may raise to abandon the identification.
-    Raises :class:`DivergenceError` naming the earliest diverged timestep
-    and its first diverged sample.
+    cells: runs of whole timesteps, and only at full order, where one
+    timestep's queries do not fit, consecutive sample ranges of one
+    timestep (see :func:`_units`).  Each unit is one simulator call, of
+    ``model.central`` (the PDE models' central-difference kernel), or of
+    ``model.step_batch`` through :func:`roilqr._kernels.central_numpy`
+    for a model without ``central``; a horizon of 0 makes no call.
+    ``checkpoint``, if given, is called before every simulator call
+    after the first, so also between the units of one full-order
+    timestep, and may raise to abandon the identification.  Raises
+    :class:`DivergenceError` naming the earliest diverged timestep and
+    its first diverged sample.
     """
     dim = basis.n_modes if basis is not None else model.n_x
     n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
     s_x, s_u = scales or perturbation_scales(nominal)
-    modes = basis.phi.T if basis is not None else None
+    central = getattr(model, "central", None) \
+        or partial(_kernels.central_numpy, model.step_batch)
 
     outputs = np.empty((nominal.horizon, dim, n_s))
     units = _units(nominal.horizon, n_s, n_x, cut=basis is None)
-    longest = max(((hi - lo) * (b - a) for lo, hi, a, b in units), default=0)
     widest = max((b - a for _, _, a, b in units), default=0)
-    # a unit holds the + rows of its samples, then their - rows, for each
-    # of its timesteps, and the design rows of its samples
-    x_buf = np.empty(2 * longest * n_x)
-    u_buf = np.empty(2 * longest * n_u)
-    dx_buf = np.empty((widest, n_x))
+    dx_buf = np.empty(n_x * widest)
     du_buf = np.empty((widest, n_u))
+    if basis is not None:
+        # a reduced unit's differences, (timesteps, samples, n_x), before
+        # they are projected
+        longest = max((hi - lo for lo, hi, _, _ in units), default=0)
+        dy_buf = np.empty(longest * n_s * n_x)
 
     def design(a, b):
-        # the design rows of samples a..b-1: s_x times a state coordinate
-        # (mode) or s_u times a control coordinate, zero elsewhere
-        dx, du = dx_buf[:b - a], du_buf[:b - a]
+        # the design of samples a..b-1, the state moves node-major: s_x
+        # times a state coordinate (mode) or s_u times a control
+        # coordinate, zero elsewhere
+        dx = dx_buf[:n_x * (b - a)].reshape(n_x, b - a)
+        du = du_buf[:b - a]
         dx.fill(0.0)
         du.fill(0.0)
         state = np.arange(a, min(b, dim))
-        if modes is None:
-            dx[state - a, state] = s_x
+        if basis is None:
+            dx[state, state - a] = s_x
         else:
-            np.multiply(s_x, modes[a:a + state.size], out=dx[:state.size])
+            np.multiply(s_x, basis.phi[:, a:a + state.size],
+                        out=dx[:, :state.size])
         control = np.arange(max(a, dim), b)
         du[control - a, control - dim] = s_u
         return dx, du
@@ -139,36 +155,24 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     for lo, hi, a, b in units:
         if checkpoint is not None and (lo, a) != (0, 0):
             checkpoint()
-        shape = (hi - lo, 2, b - a)
-        rows = 2 * (hi - lo) * (b - a)
-        x_grp = x_buf[:rows * n_x].reshape(*shape, n_x)
-        u_grp = u_buf[:rows * n_u].reshape(*shape, n_u)
-        dx, du = design(a, b)
-        x_nom = nominal.states[lo:hi, None]
-        u_nom = nominal.controls[lo:hi, None]
-        np.add(x_nom, dx, out=x_grp[:, 0])
-        np.subtract(x_nom, dx, out=x_grp[:, 1])
-        np.add(u_nom, du, out=u_grp[:, 0])
-        np.subtract(u_nom, du, out=u_grp[:, 1])
-        f_grp = model.step_batch(x_grp.reshape(-1, n_x),
-                                 u_grp.reshape(-1, n_u)).reshape(*shape, n_x)
-        # a sample diverged when either of its sides did; the first in
-        # (timestep, sample) order is reported
-        bad = ~np.all(np.isfinite(f_grp), axis=(1, 3))
-        if np.any(bad):
-            k, r = (int(i) for i in np.argwhere(bad)[0])
+        if basis is None:
+            out = outputs[lo:hi, :, a:b]
+        else:
+            dy = dy_buf[:(hi - lo) * n_s * n_x].reshape(hi - lo, n_s, n_x)
+            out = dy.transpose(0, 2, 1)
+        bad = central(nominal.states[lo:hi], nominal.controls[lo:hi],
+                      *design(a, b), out)
+        if bad >= 0:
+            # the first sample, in (timestep, sample) order, of which
+            # either side diverged
+            k, r = divmod(bad, b - a)
             raise DivergenceError(
                 f"perturbation rollout {a + r} diverged at timestep {lo + k}",
                 timestep=lo + k, rollout=a + r,
             )
-        # half the difference of the two sides, into the + rows
-        dy = f_grp[:, 0]
-        np.subtract(dy, f_grp[:, 1], out=dy)
-        dy *= 0.5
         if basis is not None:
-            dy = dy @ basis.phi   # a reduced unit holds whole timesteps
-        outputs[lo:hi, :, a:b] = dy.transpose(0, 2, 1)
-        del f_grp, dy   # not alive during the next unit's simulator call
+            # a reduced unit holds whole timesteps
+            outputs[lo:hi] = (dy @ basis.phi).transpose(0, 2, 1)
     return RegressionData(scale=np.repeat([s_x, s_u], [dim, n_u]),
                           outputs=outputs)
 

@@ -3,6 +3,7 @@ loop oracles kept here; steps must be local and deterministic."""
 
 import platform
 import shutil
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,223 @@ def test_kernels_do_not_mutate_inputs(rng):
                 for arg, a in inputs.items():
                     np.testing.assert_array_equal(
                         a, saved[arg], err_msg=f"{name}: {arg}, {rows} rows")
+
+
+# Central-difference units: <pde>_central on the C path and on numpy, the
+# model's central, and the generic composition over step_batch that a
+# model without a central kernel goes through, all against the halved
+# differences of the 2 k m rows stepped by step_batch, bit for bit.
+
+KINDS = ["burgers", "allen_cahn", "cahn_hilliard"]
+
+
+def _central_model(rng, kind, nsub=5):
+    """A small model of ``kind``: 24 Burgers nodes or a 6x6 phase-field
+    grid with a random mask."""
+    if kind == "burgers":
+        return BurgersModel(Grid(ndim=1, points=24, dx=2.0 / 23),
+                            PdeParams(dt=2e-3, substeps=nsub, nu=0.05))
+    cls = AllenCahnModel if kind == "allen_cahn" else CahnHilliardModel
+    return cls(Grid(ndim=2, points=6, dx=1.0 / 6),
+               PdeParams(dt=1e-4, substeps=nsub), _random_mask(rng, 6))
+
+
+def _centrals(compiled, kind, model):
+    """Every way to run a unit of ``model``, of ``kind``, by name, each
+    called as ``(states, controls, design_x, design_u, out)``."""
+    params = model._params
+    return {
+        "c": lambda *a: getattr(compiled, f"{kind}_central")(*a, *params),
+        "numpy": lambda *a: getattr(_kernels, f"{kind}_central_numpy")(
+            *a, *params),
+        "model": model.central,
+        "composition": partial(_kernels.central_numpy, model.step_batch),
+    }
+
+
+def _unit_design(rng, model, m, dense):
+    """A design of m samples, the state moves node-major (n_x, m): as a
+    full-order unit of the last m samples of a timestep (identity columns
+    of 1e-2, then one control moved by 1e-2 per sample), or dense random
+    moves of every state and control coordinate."""
+    n_x, n_u = model.n_x, model.n_u
+    if dense:
+        return (1e-2 * rng.standard_normal((n_x, m)),
+                1e-2 * rng.standard_normal((m, n_u)))
+    design = np.zeros((n_x + n_u, m))
+    design[n_x + n_u - m + np.arange(m), np.arange(m)] = 1e-2
+    return design[:n_x], np.ascontiguousarray(design[n_x:].T)
+
+
+def _unit(rng, model, k):
+    # k random nominal states and controls
+    return (0.3 * rng.standard_normal((k, model.n_x)),
+            0.3 * rng.standard_normal((k, model.n_u)))
+
+
+def _stepped_differences(model, states, controls, design_x, design_u):
+    """(k, n_x, m) halved differences of the + and - rows built one by
+    one and stepped in one step_batch call."""
+    k, m = len(states), len(design_u)
+    xs, us = [], []
+    for x, u in zip(states, controls):
+        for side in (np.add, np.subtract):
+            for j in range(m):
+                xs.append(side(x, design_x[:, j]))
+                us.append(side(u, design_u[j]))
+    f = model.step_batch(np.array(xs), np.array(us))
+    f = f.reshape(k, 2, m, model.n_x)
+    return ((f[:, 0] - f[:, 1]) * 0.5).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_central_bit_identical_to_stepped_rows(rng, compiled, kind, dense,
+                                               k):
+    model = _central_model(rng, kind)
+    # every sample count mod 8, below, at and above one cache line of rows
+    for m in range(1, 18):
+        states, controls = _unit(rng, model, k)
+        design_x, design_u = _unit_design(rng, model, m, dense)
+        inputs = (states, controls, design_x, design_u)
+        saved = [a.copy() for a in inputs]
+        ref = _stepped_differences(model, *inputs)
+        assert np.all(np.isfinite(ref))
+        for name, central in _centrals(compiled, kind, model).items():
+            out = np.full((k, model.n_x, m), np.nan)
+            assert central(*inputs, out) == -1
+            np.testing.assert_array_equal(_bits(out), _bits(ref),
+                                          err_msg=f"{name}, m = {m}")
+            for a, b in zip(inputs, saved):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_central_writes_through_strided_views(rng, compiled, kind):
+    model = _central_model(rng, kind)
+    n_x, n_u = model.n_x, model.n_u
+    k, m = 2, 11
+    states, controls = _unit(rng, model, k)
+    design_x, design_u = _unit_design(rng, model, m, True)
+    ref = _stepped_differences(model, states, controls, design_x, design_u)
+    for name, central in _centrals(compiled, kind, model).items():
+        # into timesteps 1-2, samples 3-13, of a (T, d, N) output, as a
+        # full-order unit writes; the rest of it is left as it was
+        outputs = np.full((5, n_x, n_x + n_u), 7.0)
+        assert central(states, controls, design_x, design_u,
+                       outputs[1:3, :, 3:14]) == -1
+        np.testing.assert_array_equal(_bits(outputs[1:3, :, 3:14]),
+                                      _bits(ref), err_msg=name)
+        outputs[1:3, :, 3:14] = 7.0
+        assert np.all(outputs == 7.0), name
+        # through the transposed view of a (k, m, n_x) buffer, as a
+        # reduced unit writes before it projects
+        buf = np.full((k, m, n_x), 7.0)
+        assert central(states, controls, design_x, design_u,
+                       buf.transpose(0, 2, 1)) == -1
+        np.testing.assert_array_equal(_bits(buf),
+                                      _bits(ref.transpose(0, 2, 1)),
+                                      err_msg=name)
+
+
+def test_burgers_central_pinned_boundary_columns_are_zero(rng, compiled):
+    # the boundary nodes hold the controls, so moving one of them moves
+    # no next state: its samples' differences are +0.0 throughout
+    model = _central_model(rng, "burgers")
+    n_x, n_u = model.n_x, model.n_u
+    states, controls = _unit(rng, model, 2)
+    design_x, design_u = _unit_design(rng, model, n_x + n_u, False)
+    for name, central in _centrals(compiled, "burgers", model).items():
+        out = np.full((2, n_x, n_x + n_u), np.nan)
+        assert central(states, controls, design_x, design_u, out) == -1
+        for j in (0, n_x - 1):
+            np.testing.assert_array_equal(_bits(out[:, :, j]),
+                                          _bits(np.zeros((2, n_x))),
+                                          err_msg=name)
+        # while moving an interior node moves its own next state
+        inner = out[:, 1:n_x - 1, 1:n_x - 1]
+        assert np.all(np.diagonal(inner, axis1=1, axis2=2) != 0.0), name
+
+
+def _overflow_scale(model):
+    """A value T such that, over one substep, a node of magnitude 1.1 T
+    overflows and one of 0.6 T or less stays finite everywhere: the
+    largest double for Burgers (the x +/- d of a row overflows), and
+    for the phase-field kernels the magnitude whose cubic bulk term
+    reaches it."""
+    big = np.finfo(np.float64).max
+    if isinstance(model, BurgersModel):
+        return big
+    p = model.params
+    cubic = 4.0 * p.dt * p.mobility
+    if isinstance(model, CahnHilliardModel):
+        cubic /= model.grid.dx**2
+    return big ** (1.0 / 3.0) / cubic ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_central_reports_a_diverging_minus_side(rng, compiled, kind):
+    # at timestep 2 of 3, only the minus side of sample 5 of 9 diverges:
+    # node 7 is 0.6 T there and sample 5 moves it by -0.5 T, so its plus
+    # side is 0.1 T and its minus side 1.1 T; every other row stays
+    # below 0.6 T
+    model = _central_model(rng, kind, nsub=1)
+    scale = _overflow_scale(model)
+    k, m, t_bad, j_bad, node = 3, 9, 2, 5, 7
+    states, controls = _unit(rng, model, k)
+    design_x, design_u = _unit_design(rng, model, m, True)
+    states[t_bad, node] = 0.6 * scale
+    design_x[node, j_bad] = -0.5 * scale
+    inputs = (states, controls, design_x, design_u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, central in _centrals(compiled, kind, model).items():
+            out = np.full((k, model.n_x, m), 7.0)
+            assert central(*inputs, out) == t_bad * m + j_bad, name
+            assert np.all(out == 7.0), name   # not written
+        # the same unit stepped whole: the reported sample's minus side,
+        # and only it, is not finite
+        xs = np.array([side(x, design_x[:, j]) for x in states
+                       for side in (np.add, np.subtract) for j in range(m)])
+        us = np.array([side(u, design_u[j]) for u in controls
+                       for side in (np.add, np.subtract) for j in range(m)])
+        f = model.step_batch(xs, us).reshape(k, 2, m, model.n_x)
+    bad = ~np.all(np.isfinite(f), axis=3)
+    assert bad[t_bad, 1, j_bad] and bad.sum() == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unclone_build_central_bit_identical(rng, unclone_build, kind):
+    model = _central_model(rng, kind)
+    central = _centrals(unclone_build, kind, model)["c"]
+    for m in range(1, 18):
+        states, controls = _unit(rng, model, 2)
+        inputs = (states, controls, *_unit_design(rng, model, m, True))
+        out = np.empty((2, model.n_x, m))
+        assert central(*inputs, out) == -1
+        np.testing.assert_array_equal(
+            _bits(out), _bits(_stepped_differences(model, *inputs)),
+            err_msg=f"m = {m}")
+
+
+@pytest.mark.parametrize("arg,bad", [
+    (1, np.zeros((2, 3))),         # controls: 3 per timestep
+    (2, np.zeros((5, 36))),        # design_x: not node-major
+    (3, np.zeros((36, 4))),        # design_u: (n_x, n_u)
+    (4, np.zeros((2, 36, 5), dtype=np.float32)),
+    (4, np.zeros((2, 5, 36)).transpose(0, 2, 1)[:, :, :4]),
+    (4, np.broadcast_to(np.zeros(1), (2, 36, 5))),    # read-only
+])
+def test_c_central_rejects_mismatched_arguments(rng, compiled, arg, bad):
+    # sizes, the output's type and writeability are checked before any
+    # pointer is handed to C
+    model = _central_model(rng, "allen_cahn")
+    states, controls = _unit(rng, model, 2)
+    args = [states, controls, *_unit_design(rng, model, 5, True),
+            np.empty((2, 36, 5)), *model._params]
+    args[arg] = bad
+    with pytest.raises(ValueError):
+        compiled.allen_cahn_central(*args)
 
 
 @pytest.mark.parametrize("rows,n_x,chunks", [

@@ -618,18 +618,18 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
         finally:
             inside[0] = False
 
-    step_batch = problem.model.step_batch
+    central = problem.model.central
 
-    def counting_step(states, controls):
-        out = step_batch(states, controls)
+    def counting_unit(*args):
+        bad = central(*args)
         if inside[0]:
             calls[-1] += 1
             if len(calls) == 2:
                 clock.now = 10.0
-        return out
+        return bad
 
     monkeypatch.setattr(solver, "generate_rollout_data", identify)
-    monkeypatch.setattr(problem.model, "step_batch", counting_step)
+    monkeypatch.setattr(problem.model, "central", counting_unit)
     report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3

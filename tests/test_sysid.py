@@ -384,31 +384,43 @@ def _allen_cahn_small_nominal():
     return problem.model, rollout(problem.model, problem.x0, problem.u_init)
 
 
+def _unit_rows(states, design_u):
+    # a central-difference unit steps a + and a - row per sample and
+    # timestep
+    return 2 * len(states) * len(design_u)
+
+
 def test_full_order_units_fit_one_kernel_call(monkeypatch):
-    # step_batch steps whatever it is given in one kernel call, so the
-    # callers keep every call within pde.MAX_CHUNK_CELLS cells
+    # step_batch and central step whatever they are given in one kernel
+    # call, so the callers keep every call within pde.MAX_CHUNK_CELLS cells
     model, nominal = _allen_cahn_small_nominal()
     rows = []
-    step_batch = model.step_batch
+    central = model.central
 
-    def recording(states, controls):
-        rows.append(len(states))
-        return step_batch(states, controls)
+    def recording(states, controls, design_x, design_u, out):
+        rows.append(_unit_rows(states, design_u))
+        return central(states, controls, design_x, design_u, out)
 
-    monkeypatch.setattr(model, "step_batch", recording)
+    monkeypatch.setattr(model, "central", recording)
     generate_rollout_data(model, nominal)
     # 404 samples of 2 rows of 400 cells: 48-sample units, then 20
     assert rows == ([96] * 8 + [40]) * nominal.horizon
 
-    # every call of one solver iteration: rollouts, identification units
-    # and line-search batches, as (rows, n_x)
+    # every call of one solver iteration: rollouts and line-search batches
+    # (step_batch) and identification units (central), as (rows, n_x)
     calls = []
     for cls in (pde.BurgersModel, pde.AllenCahnModel, pde.CahnHilliardModel):
         def recording_cls(self, states, controls, step_batch=cls.step_batch):
             calls.append((len(states), self.n_x))
             return step_batch(self, states, controls)
 
+        def recording_unit(self, states, controls, design_x, design_u, out,
+                           central=cls.central):
+            calls.append((_unit_rows(states, design_u), self.n_x))
+            return central(self, states, controls, design_x, design_u, out)
+
         monkeypatch.setattr(cls, "step_batch", recording_cls)
+        monkeypatch.setattr(cls, "central", recording_unit)
     cap = pde.MAX_CHUNK_CELLS
     for name, mode in [("burgers", "full"), ("allen_cahn", "reduced"),
                        ("allen_cahn_small", "full"),
@@ -436,14 +448,16 @@ def test_full_order_identification_holds_its_output_and_one_unit():
     output = nominal.horizon * model.n_x * n_s * 8
     # Bound on everything but the output, in units of one full unit's
     # state rows, MAX_CHUNK_CELLS float64 values.  Kept for the whole
-    # identification are the state rows (1) and the design rows (1/2).
-    # During a unit's simulator call the Allen-Cahn kernel adds its block
-    # of five node-major workspaces (field, linear coefficient, bulk term,
-    # neighbour sum, scratch: 5) and its row-major result (1): 7.5 units.
-    # After the call only the result (1) stays, the central differences
-    # computed in place in it, until the next unit.  Half a unit more
-    # covers the control rows (1/100 of the state rows here), the
-    # workspaces' cache-line padding and the small per-call arrays.
+    # identification are the design rows (1/2).  On the numpy path a
+    # unit's call holds its state rows (1) while the Allen-Cahn kernel
+    # adds its block of five node-major workspaces (field, linear
+    # coefficient, bulk term, neighbour sum, scratch: 5) and its row-major
+    # result (1): 7.5 units.  The central differences are computed in
+    # place in the result, which is freed before the next unit.  The C
+    # path allocates its workspace in C, where tracemalloc does not see
+    # it, and writes the differences straight into the output.  Half a
+    # unit more covers the control rows (1/100 of the state rows here),
+    # the workspaces' cache-line padding and the small per-call arrays.
     bound = 8 * pde.MAX_CHUNK_CELLS * 8
     tracemalloc.start()
     try:
