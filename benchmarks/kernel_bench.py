@@ -33,9 +33,16 @@ builds the 2 k m rows, steps them and writes the halved differences:
 * Burgers: reduced units of 12 and 8 timesteps of 11 samples (264 and
   176 rows) and the full-order unit of one timestep's 102 samples;
 * Allen-Cahn 50x50: reduced units of one timestep of 8 and 9 samples (16
-  and 18 rows);
+  and 18 rows), and full-order units of 8 samples (16 rows): samples
+  0-7, which move one state point each, and the timestep's last unit,
+  samples 2496-2503, four state points and the four controls;
 * Allen-Cahn and Cahn-Hilliard 20x20: full-order units of 48 and 20
-  samples (96 and 40 rows).
+  samples (96 and 40 rows): samples 0-47, all state points, and the
+  last unit, samples 384-403, 16 state points and the four controls.
+
+A full-order Allen-Cahn unit steps the samples that move one state point
+only inside their light cones (see ``_kernels.c``), so its time depends
+on how many of its samples do; the "samples" column names them.
 
 Each unit is timed as ``<pde>_central`` on the active path, as its
 ``<pde>_batch`` call alone on the same rows, and as that batch call with
@@ -81,14 +88,15 @@ CASES = [
     ("cahn_hilliard", (1, 56, 80, 96, 40)),
 ]
 
-# (preset, full order, (timesteps, samples) of each unit)
+# (preset, full order, (timesteps, first sample, samples) of each unit)
 UNIT_BURST = 4
 UNITS = [
-    ("burgers", False, ((12, 11), (8, 11))),
-    ("burgers", True, ((1, 102),)),
-    ("allen_cahn", False, ((1, 8), (1, 9))),
-    ("allen_cahn_small", True, ((1, 48), (1, 20))),
-    ("cahn_hilliard", True, ((1, 48), (1, 20))),
+    ("burgers", False, ((12, 0, 11), (8, 0, 11))),
+    ("burgers", True, ((1, 0, 102),)),
+    ("allen_cahn", False, ((1, 0, 8), (1, 0, 9))),
+    ("allen_cahn", True, ((1, 0, 8), (1, 2496, 8))),
+    ("allen_cahn_small", True, ((1, 0, 48), (1, 384, 20))),
+    ("cahn_hilliard", True, ((1, 0, 48), (1, 384, 20))),
 ]
 
 
@@ -98,9 +106,9 @@ def _time_once(fn, args):
     return time.perf_counter() - t0
 
 
-def _unit_args(rng, problem, k, m, full):
+def _unit_args(rng, problem, k, a, m, full):
     """The arguments of one unit of k timesteps and m samples about
-    perturbed initial states: at full order the last m samples of a
+    perturbed initial states: at full order samples a..a+m-1 of a
     timestep (state coordinates, then the controls), else m - n_u modes
     and the controls, each moved by 1e-2."""
     model = problem.model
@@ -109,7 +117,7 @@ def _unit_args(rng, problem, k, m, full):
     controls = 0.3 * rng.standard_normal((k, n_u))
     if full:
         moves = np.zeros((n_x + n_u, m))
-        moves[n_x + n_u - m + np.arange(m), np.arange(m)] = 1e-2
+        moves[a + np.arange(m), np.arange(m)] = 1e-2
         design_x, design_u = moves[:n_x], moves[n_x:].T.copy()
     else:
         modes = np.linalg.qr(rng.standard_normal((n_x, m - n_u)))[0]
@@ -159,8 +167,8 @@ def main():
         pde = preset(name).problem.name
         params = model._params
         batch = getattr(_kernels, f"{pde}_batch")
-        for k, m in sizes:
-            unit = _unit_args(rng, problem, k, m, full)
+        for k, a, m in sizes:
+            unit = _unit_args(rng, problem, k, a, m, full)
             x = np.repeat(unit[0], 2 * m, axis=0)
             u = np.repeat(unit[1], 2 * m, axis=0)
             calls = [
@@ -172,7 +180,7 @@ def main():
                  (*unit, *params)),
             ]
             calls = [(_burst, call) for call in calls]
-            units.append((name, full, model, k, m, calls,
+            units.append((name, full, model, k, a, m, calls,
                           tuple([] for _ in calls)))
     _round_robin(cases + units, args.repeat)
 
@@ -196,13 +204,15 @@ def main():
     print(f"identification units: {active} per unit, mean of "
           f"{UNIT_BURST} consecutive calls, median of {args.repeat} "
           f"interleaved rounds")
-    print(f"{'preset':18s} {'order':>7s} {'k':>3s} {'m':>4s} {'rows':>5s} "
-          f"{'central':>10s} {'batch':>10s} {'batch+numpy':>12s} "
+    print(f"{'preset':18s} {'order':>7s} {'k':>3s} {'samples':>9s} "
+          f"{'rows':>5s} {'central':>10s} {'batch':>10s} {'batch+numpy':>12s} "
           f"{'gain':>6s} {'numpy central':>14s}")
-    for name, full, model, k, m, _, times in units:
+    for name, full, model, k, a, m, _, times in units:
         central, batch, composed, numpy_central = (
             statistics.median(t) / UNIT_BURST * 1e6 for t in times)
-        print(f"{name:18s} {'full' if full else 'reduced':>7s} {k:3d} {m:4d} "
+        samples = f"{a}-{a + m - 1}"
+        print(f"{name:18s} {'full' if full else 'reduced':>7s} {k:3d} "
+              f"{samples:>9s} "
               f"{2 * k * m:5d} {central:8.1f}µs {batch:8.1f}µs "
               f"{composed:10.1f}µs {composed / central:5.2f}x "
               f"{numpy_central:12.1f}µs")

@@ -28,6 +28,13 @@
  * entry builds its rows node-major from the node-major design and reads
  * its differences from there, so it transposes nothing.
  *
+ * allen_cahn_central steps the samples of a full-order state design
+ * (each moves one point) only inside their light cones, the points a
+ * move can reach in the substeps taken, and stands two nominal rows per
+ * timestep for them everywhere else; the same bits come from fewer point
+ * updates (see the light cones below).  Its other samples, and every
+ * sample of the other two PDEs, are stepped as whole rows.
+ *
  * On x86-64 with glibc, each exported kernel and each helper that
  * several kernels share is built three times, for AVX-512F, for AVX2 and
  * for the baseline instruction set, and the dynamic loader picks one
@@ -48,6 +55,7 @@
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* target_clones needs ifunc support, which glibc provides on x86-64 */
 #if defined(__x86_64__) && defined(__GLIBC__)
@@ -155,26 +163,24 @@ SHARED void plus_minus_controls(const double *restrict u,
             }
 }
 
-/* The end of a unit whose rows were stepped into f (n, nb): the first
- * sample t*m + j, in (timestep, sample) order, one of whose two rows
- * holds a non-finite value, else -1 after writing out[t, p, j] =
- * (f+ - f-) * 0.5 at the element strides (st, sp, sj).  One sequential
- * pass sums 0 * value over each row into flag (nb values of scratch),
- * which comes out NaN exactly for the rows holding an inf or a NaN. */
-SHARED long central_result(const double *restrict f, double *restrict flag,
-                           double *restrict out, long k, long m, long n,
-                           long st, long sp, long sj)
+/* flag[b] = the sum of 0 * value over row b of f (n, nb), one sequential
+ * pass: NaN exactly for the rows holding an inf or a NaN. */
+INLINE void row_flags(const double *restrict f, double *restrict flag,
+                      long nb, long n)
 {
-    const long nb = 2 * k * m;
     for (long b = 0; b < nb; b++)
         flag[b] = 0.0;
     for (long p = 0; p < n; p++)
         for (long b = 0; b < nb; b++)
             flag[b] += 0.0 * f[p * nb + b];
-    for (long t = 0; t < k; t++)
-        for (long j = 0; j < m; j++)
-            if (isnan(flag[2 * t * m + j]) || isnan(flag[(2 * t + 1) * m + j]))
-                return t * m + j;
+}
+
+/* out[t, p, j] = (f+ - f-) * 0.5 at the element strides (st, sp, sj)
+ * for the rows of k timesteps and m samples stepped into f (n, nb) */
+INLINE void central_write(const double *restrict f, double *restrict out,
+                          long k, long m, long n, long st, long sp, long sj)
+{
+    const long nb = 2 * k * m;
     for (long p = 0; p < n; p++)
         for (long t = 0; t < k; t++) {
             const double *fp = f + p * nb + 2 * t * m, *fm = fp + m;
@@ -182,6 +188,23 @@ SHARED long central_result(const double *restrict f, double *restrict flag,
             for (long j = 0; j < m; j++)
                 o[j * sj] = (fp[j] - fm[j]) * 0.5;
         }
+}
+
+/* The end of a unit whose rows were stepped into f (n, nb): the first
+ * sample t*m + j, in (timestep, sample) order, one of whose two rows
+ * holds a non-finite value, else -1 after writing out[t, p, j] =
+ * (f+ - f-) * 0.5 at the element strides (st, sp, sj).  flag is nb
+ * values of scratch for the rows' flags. */
+SHARED long central_result(const double *restrict f, double *restrict flag,
+                           double *restrict out, long k, long m, long n,
+                           long st, long sp, long sj)
+{
+    row_flags(f, flag, 2 * k * m, n);
+    for (long t = 0; t < k; t++)
+        for (long j = 0; j < m; j++)
+            if (isnan(flag[2 * t * m + j]) || isnan(flag[(2 * t + 1) * m + j]))
+                return t * m + j;
+    central_write(f, out, k, m, n, st, sp, sj);
     return -1;
 }
 
@@ -283,18 +306,64 @@ struct segment {
     long at, len, l, r, u, d;
 };
 
-/* The three segments of grid row j: the first column, the interior
- * columns and the last column, whose left or right neighbours wrap. */
-INLINE void row_segments(struct segment seg[3], long j, long npts, long nb)
+/* The segments of grid row j over its columns lo..hi: the first column
+ * and the last column, whose left or right neighbours wrap, and the
+ * interior columns, those of them the run holds; returns their count. */
+INLINE int row_segments(struct segment seg[3], long j, long lo, long hi,
+                        long npts, long nb)
 {
     const long blk = npts * nb, row = j * blk;
     const long up = (j > 0 ? j - 1 : npts - 1) * blk;
     const long down = (j < npts - 1 ? j + 1 : 0) * blk;
-    seg[0] = (struct segment){row, nb, row + blk - nb, row + nb, up, down};
-    seg[1] = (struct segment){row + nb, blk - 2 * nb, row, row + 2 * nb,
-                              up + nb, down + nb};
-    seg[2] = (struct segment){row + blk - nb, nb, row + blk - 2 * nb, row,
-                              up + blk - nb, down + blk - nb};
+    const long first = lo > 1 ? lo : 1, last = hi < npts - 2 ? hi : npts - 2;
+    int count = 0;
+    if (lo == 0)
+        seg[count++] = (struct segment){row, nb, row + blk - nb, row + nb,
+                                        up, down};
+    if (first <= last) {
+        const long at = first * nb;
+        seg[count++] = (struct segment){row + at, (last - first + 1) * nb,
+                                        row + at - nb, row + at + nb,
+                                        up + at, down + at};
+    }
+    if (hi == npts - 1)
+        seg[count++] = (struct segment){row + blk - nb, nb,
+                                        row + blk - 2 * nb, row,
+                                        up + blk - nb, down + blk - nb};
+    return count;
+}
+
+/* ------------------------------------------------------------------------
+ * Allen-Cahn: f' = f*(A - 4c f^2) + k N(f) + H, with c = dt*mob,
+ * k = c*gamma/dx^2, A = 1 - 4k - 2c*temp and H = -c*h.
+ * ---------------------------------------------------------------------- */
+
+struct allen_cahn {
+    double c, k, a0, c4;   /* c, k, 1 - 4k and 4c */
+};
+
+INLINE struct allen_cahn allen_cahn_factors(double mob, double gamma,
+                                            double dx, double dt)
+{
+    const double c = dt * mob;
+    const double k = c * gamma / (dx * dx);
+    return (struct allen_cahn){c, k, 1.0 - 4.0 * k, 4.0 * c};
+}
+
+/* Each row's A and H per label from its controls (nb, 4): rows holds
+ * A+, A-, H+ and H-, nb values each. */
+INLINE void allen_cahn_rows(const double *controls, double *rows, long nb,
+                            struct allen_cahn p)
+{
+    double *ap = rows, *am = rows + nb, *hp = rows + 2 * nb,
+           *hm = rows + 3 * nb;
+    for (long b = 0; b < nb; b++) {
+        const double *ctl = controls + 4 * b;
+        ap[b] = p.a0 - 2.0 * p.c * ctl[0];
+        am[b] = p.a0 - 2.0 * p.c * ctl[2];
+        hp[b] = -p.c * ctl[1];
+        hm[b] = -p.c * ctl[3];
+    }
 }
 
 /* g = f*(a - c4 f^2) + k N(f) + hc on one segment, N(f) the periodic
@@ -314,41 +383,46 @@ INLINE void allen_cahn_segment(const double *restrict f,
     }
 }
 
+/* One substep of the node-major field f (npts, npts, nb) into g. */
+INLINE void allen_cahn_substep(const double *f, const double *a,
+                               const double *hc, double *g, long npts,
+                               long nb, struct allen_cahn p)
+{
+    for (long y = 0; y < npts; y++) {
+        struct segment seg[3];
+        const int count = row_segments(seg, y, 0, npts - 1, npts, nb);
+        for (int i = 0; i < count; i++)
+            allen_cahn_segment(f, a, hc, g, seg[i], p.c4, p.k);
+    }
+}
+
+/* A and H of the control rows controls (nb, 4), routed by label into
+ * the fields a and hc (npts^2, nb); rows takes each row's values per
+ * label (allen_cahn_rows). */
+INLINE void allen_cahn_route(double *a, double *hc, double *rows,
+                             const double *controls,
+                             const unsigned char *plus, long nb, long points,
+                             struct allen_cahn p)
+{
+    allen_cahn_rows(controls, rows, nb, p);
+    route(a, plus, rows, rows + nb, points, nb);
+    route(hc, plus, rows + 2 * nb, rows + 3 * nb, points, nb);
+}
+
 /* Step the node-major field at w nsub times under the control rows
- * controls (nb, 4): f' = f*(A - 4c f^2) + k N(f) + H, with c = dt*mob,
- * k = c*gamma/dx^2, A = 1 - 4k - 2c*temp and H = -c*h.  w holds 4 n
- * values (the field, its next value, A and H; n = npts^2 nb) and rows
- * 4 nb; returns the field of the result. */
+ * controls (nb, 4).  w holds 4 n values (the field, its next value, A
+ * and H; n = npts^2 nb) and rows 4 nb; returns the field of the
+ * result. */
 SHARED double *allen_cahn_steps(double *w, double *rows,
                                 const double *controls,
                                 const unsigned char *plus, long nb,
-                                long npts, double mob, double gamma,
-                                double dx, double dt, long nsub)
+                                long npts, struct allen_cahn p, long nsub)
 {
-    const double c = dt * mob;
-    const double k = c * gamma / (dx * dx);
-    const double a0 = 1.0 - 4.0 * k;
-    const double c4 = 4.0 * c;
     const long points = npts * npts, n = points * nb;
-    double *ap = rows, *am = rows + nb, *hp = rows + 2 * nb,
-           *hm = rows + 3 * nb;
-    for (long b = 0; b < nb; b++) {
-        const double *ctl = controls + 4 * b;
-        ap[b] = a0 - 2.0 * c * ctl[0];
-        am[b] = a0 - 2.0 * c * ctl[2];
-        hp[b] = -c * ctl[1];
-        hm[b] = -c * ctl[3];
-    }
     double *f = w, *g = w + n, *a = w + 2 * n, *hc = w + 3 * n;
-    route(a, plus, ap, am, points, nb);
-    route(hc, plus, hp, hm, points, nb);
+    allen_cahn_route(a, hc, rows, controls, plus, nb, points, p);
     for (long s = 0; s < nsub; s++) {
-        for (long j = 0; j < npts; j++) {
-            struct segment seg[3];
-            row_segments(seg, j, npts, nb);
-            for (int i = 0; i < 3; i++)
-                allen_cahn_segment(f, a, hc, g, seg[i], c4, k);
-        }
+        allen_cahn_substep(f, a, hc, g, npts, nb, p);
         double *t = f;
         f = g;
         g = t;
@@ -368,30 +442,519 @@ int allen_cahn_batch(const double *phi, const double *controls,
         return -1;
     to_node_major(phi, w, nb, points);
     to_row_major(allen_cahn_steps(w, w + 4 * n, controls, plus, nb, npts,
-                                  mob, gamma, dx, dt, nsub),
+                                  allen_cahn_factors(mob, gamma, dx, dt),
+                                  nsub),
                  out, nb, points);
     free(w);
     return 0;
 }
 
+/* ------------------------------------------------------------------------
+ * Light cones of the Allen-Cahn central unit.  A sample whose state move
+ * is one point (every other entry of its design column +0.0) and whose
+ * control move is +0.0 changes, after substep s, only the points within
+ * torus distance cone_radius(s) of its moved point.  Everywhere else its
+ * + row holds, bit for bit, the nominal row x_t + 0.0 stepped as often
+ * under u_t + 0.0, and its - row x_t - 0.0 under u_t - 0.0: the same
+ * operations on the same values.  (The zero must be +0.0: x + 0.0 and
+ * x - 0.0 differ where x is -0.0.)  So the rows of such a cone sample
+ * are stepped only inside that diamond, and the unit's nominal rows,
+ * stepped once per unit, stand for them everywhere else: there the
+ * output is the nominal rows' halved difference, and a non-finite
+ * nominal value makes the sample's row non-finite.  Where x_t and u_t
+ * hold no -0.0, the two nominal rows of timestep t are the same values
+ * and are stepped once.
+ *
+ * The cone lanes are the 2 k mc rows of the unit's mc cone samples,
+ * node-major and ordered as the rows of a unit, and each lane's grid is
+ * rolled so that its moved point sits at the frame centre (c, c),
+ * c = npts / 2.  All lanes then share one diamond, whose frame rows are
+ * single column runs (cone_span), and a substep steps them with the
+ * whole grid's segments and update, A and H picked by each lane's label
+ * (cone_substep).  Substep s steps the lanes within cone_radius(s) of
+ * the centre and reads them one stencil reach further, where the points
+ * it has not stepped yet are refilled with the nominal values of
+ * substep s - 1 (cone_fill).  The
+ * roll is read in runs of samples whose moved points are consecutive in
+ * a grid row (cone_runs): in a run, one frame point holds consecutive
+ * grid points, so the labels that route A and H (cone_labels), the
+ * refills and the output (cone_write) move whole runs of values.
+ * ---------------------------------------------------------------------- */
+
+/* how far one substep reaches: the 5-point stencil's radius */
+#define STENCIL_REACH 1
+
+/* the radius of the cone after substep s */
+INLINE long cone_radius(long s)
+{
+    return s * STENCIL_REACH;
+}
+
+/* The columns lo..hi of grid row y within distance r of the centre
+ * (c, c), c = npts / 2: |y - c| + |x - c| <= r, which is the torus
+ * distance, since no |x - c| exceeds c.  Returns 0 where the row holds
+ * none. */
+INLINE int cone_span(long y, long r, long npts, long *lo, long *hi)
+{
+    const long c = npts / 2, w = r - labs(y - c);
+    if (w < 0)
+        return 0;
+    *lo = c - w > 0 ? c - w : 0;
+    *hi = c + w < npts - 1 ? c + w : npts - 1;
+    return 1;
+}
+
+/* The bits of v are those of +0.0, or of -0.0. */
+INLINE int plus_zero(double v)
+{
+    unsigned long long bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits == 0;
+}
+
+INLINE int minus_zero(double v)
+{
+    return v == 0.0 && signbit(v);
+}
+
+/* Sort the m samples of a unit, state moves d (n, m) node-major and
+ * control moves du (m, nu), into cone samples, whose state move holds at
+ * most one entry that is not +0.0 and whose control move none, and the
+ * rest.  slot[j] numbers sample j among its kind: jc >= 0 for a cone
+ * sample, -1 - jw for another.  at[jc] is cone sample jc's moved point
+ * (0 where none moves), and cone[jc] and rest[jw] are the samples.
+ * Returns the cone sample count. */
+INLINE long cone_samples(const double *d, const double *du, long m, long n,
+                         long nu, long *slot, long *at, long *cone,
+                         long *rest)
+{
+    /* slot first counts the moved entries of each column, at records the
+     * last; a dense design is told apart within its first rows */
+    for (long j = 0; j < m; j++)
+        slot[j] = at[j] = 0;
+    for (long p = 0; p < n; p++) {
+        const double *dp = d + p * m;
+        for (long j = 0; j < m; j++) {
+            const long moved = !plus_zero(dp[j]);
+            slot[j] += moved;
+            at[j] = moved ? p : at[j];
+        }
+        long j = 0;
+        while (j < m && slot[j] > 1)
+            j++;
+        if (j == m)
+            break;
+    }
+    long mc = 0, mr = 0;
+    for (long j = 0; j < m; j++) {
+        int still = slot[j] <= 1;
+        for (long c = 0; c < nu; c++)
+            still = still && plus_zero(du[j * nu + c]);
+        if (still) {
+            at[mc] = at[j];
+            cone[mc] = j;
+            slot[j] = mc++;
+        } else {
+            rest[mr] = j;
+            slot[j] = -1 - mr++;
+        }
+    }
+    return mc;
+}
+
+/* A run of cone samples: lanes jc .. jc + len - 1 of the frame, whose
+ * moved points are consecutive points of one grid row, so that frame
+ * point (y, x) holds consecutive grid points in them too, wrapping once at
+ * the end of the grid row.  (ry, rx) is the roll of its first sample:
+ * frame point (y, x) of that sample is grid point ((y + ry) mod npts,
+ * (x + rx) mod npts). */
+struct run {
+    long jc, len, ry, rx;
+};
+
+/* The runs of the mc cone samples, whose moved points are at, into runs;
+ * returns their count. */
+INLINE long cone_runs(struct run *runs, const long *at, long mc, long npts)
+{
+    const long c = npts / 2;
+    long count = 0;
+    for (long jc = 0; jc < mc; jc++) {
+        if (count && at[jc] == at[jc - 1] + 1
+            && at[jc] / npts == at[jc - 1] / npts) {
+            runs[count - 1].len++;
+            continue;
+        }
+        runs[count++] = (struct run){jc, 1, (at[jc] / npts - c + npts) % npts,
+                                     (at[jc] % npts - c + npts) % npts};
+    }
+    return count;
+}
+
+/* The grid point g of a run's first lane at frame point (y, x); its lane
+ * i < split holds grid point g + i, and a lane i >= split grid point
+ * g + i - npts. */
+INLINE long run_point(struct run run, long y, long x, long npts, long *split)
+{
+    long gy = y + run.ry, gx = x + run.rx;
+    gy -= gy >= npts ? npts : 0;
+    gx -= gx >= npts ? npts : 0;
+    *split = npts - gx < run.len ? npts - gx : run.len;
+    return gy * npts + gx;
+}
+
+/* Set the cone lanes (points, nr mc) of f at the frame points within
+ * distance r1 of the centre and not within r0 to their nominal rows'
+ * values: lane ts * mc + jc at frame point (y, x) to nominal row ts,
+ * nom + row_at[ts], at the grid point sample jc holds there. */
+INLINE void cone_fill(double *restrict f, const double *restrict nom,
+                      const long *row_at, const struct run *runs, long count,
+                      long r0, long r1, long nr, long mc, long npts)
+{
+    for (long y = 0; y < npts; y++) {
+        long lo, hi, inner_lo, inner_hi;
+        if (!cone_span(y, r1, npts, &lo, &hi))
+            continue;
+        if (!cone_span(y, r0, npts, &inner_lo, &inner_hi))
+            inner_lo = inner_hi = hi + 1;
+        for (long x = lo; x <= hi; x++) {
+            if (x == inner_lo)
+                x = inner_hi + 1;
+            if (x > hi)
+                break;
+            double *fq = f + (y * npts + x) * nr * mc;
+            for (long ri = 0; ri < count; ri++) {
+                long split;
+                const long g = run_point(runs[ri], y, x, npts, &split);
+                for (long ts = 0; ts < nr; ts++) {
+                    const double *src = nom + row_at[ts] + g;
+                    double *dst = fq + ts * mc + runs[ri].jc;
+                    for (long i = 0; i < split; i++)
+                        dst[i] = src[i];
+                    for (long i = split; i < runs[ri].len; i++)
+                        dst[i] = src[i - npts];
+                }
+            }
+        }
+    }
+}
+
+/* labels[q * mc + jc]: the label (plus) of the grid point that cone
+ * sample jc holds at frame point q, for the frame points within distance
+ * r of the centre. */
+INLINE void cone_labels(long *restrict labels,
+                        const unsigned char *restrict plus,
+                        const struct run *runs, long count, long r, long mc,
+                        long npts)
+{
+    for (long y = 0; y < npts; y++) {
+        long lo, hi;
+        if (!cone_span(y, r, npts, &lo, &hi))
+            continue;
+        for (long x = lo; x <= hi; x++)
+            for (long ri = 0; ri < count; ri++) {
+                long split;
+                const long g = run_point(runs[ri], y, x, npts, &split);
+                long *lq = labels + (y * npts + x) * mc + runs[ri].jc;
+                for (long i = 0; i < split; i++)
+                    lq[i] = plus[g + i];
+                for (long i = split; i < runs[ri].len; i++)
+                    lq[i] = plus[g + i - npts];
+            }
+    }
+}
+
+/* allen_cahn_segment on a segment of the cone lanes (points, nr mc): lane
+ * ts * mc + jc at frame point q takes A and H of its nominal row ts, rows
+ * (A+, A-, H+, H-; nr values each), by labels[q * mc + jc]. */
+INLINE void cone_segment(const double *restrict f,
+                         const long *restrict labels,
+                         const double *restrict rows, double *restrict g,
+                         struct segment s, long nr, long mc, double c4,
+                         double k)
+{
+    const long nc = nr * mc;
+    const double *l = f + s.l, *r = f + s.r, *u = f + s.u, *d = f + s.d;
+    f += s.at, g += s.at, labels += s.at / nr;
+    for (long q = 0; q < s.len; q += nc, labels += mc)
+        for (long ts = 0; ts < nr; ts++) {
+            const double ap = rows[ts], am = rows[nr + ts],
+                         hp = rows[2 * nr + ts], hm = rows[3 * nr + ts];
+            const long e = q + ts * mc;
+            for (long jc = 0; jc < mc; jc++) {
+                const double v = f[e + jc];
+                const double a = labels[jc] ? ap : am,
+                             hc = labels[jc] ? hp : hm;
+                g[e + jc] = v * (a - c4 * (v * v))
+                            + k * ((l[e + jc] + r[e + jc])
+                                   + (u[e + jc] + d[e + jc]))
+                            + hc;
+            }
+        }
+}
+
+/* One substep of the cone lanes f (points, nr mc) into g at the frame
+ * points within distance r of the centre. */
+INLINE void cone_substep(const double *f, const long *labels,
+                         const double *rows, double *g, long r, long nr,
+                         long mc, long npts, struct allen_cahn p)
+{
+    for (long y = 0; y < npts; y++) {
+        struct segment seg[3];
+        long lo, hi;
+        if (!cone_span(y, r, npts, &lo, &hi))
+            continue;
+        const int count = row_segments(seg, y, lo, hi, npts, nr * mc);
+        for (int i = 0; i < count; i++)
+            cone_segment(f, labels, rows, g, seg[i], nr, mc, p.c4, p.k);
+    }
+}
+
+/* Each cone lane's flag: NaN where the lane holds a non-finite value
+ * within distance r of the centre, or its nominal row (as in cone_fill),
+ * whose row_flags are nom_flag, one beyond distance r of the lane's moved
+ * point. */
+INLINE void cone_flags(const double *restrict f, const double *restrict nom,
+                       const long *row_at, const double *nom_flag,
+                       double *restrict flag,
+                       const struct run *runs, long count, long r, long nr,
+                       long mc, long npts)
+{
+    const long nc = nr * mc, points = npts * npts, c = npts / 2;
+    for (long b = 0; b < nc; b++)
+        flag[b] = 0.0;
+    for (long y = 0; y < npts; y++) {
+        long lo, hi;
+        if (!cone_span(y, r, npts, &lo, &hi))
+            continue;
+        for (long q = y * npts + lo; q <= y * npts + hi; q++)
+            for (long b = 0; b < nc; b++)
+                flag[b] += 0.0 * f[q * nc + b];
+    }
+    for (long ts = 0; ts < nr; ts++) {
+        if (!isnan(nom_flag[ts]))
+            continue;
+        for (long p = 0; p < points; p++) {
+            if (isfinite(nom[row_at[ts] + p]))
+                continue;
+            for (long ri = 0; ri < count; ri++)
+                for (long i = 0; i < runs[ri].len; i++) {
+                    /* grid point p in the frame of the run's lane i */
+                    long y = p / npts - runs[ri].ry,
+                         x = p % npts - runs[ri].rx - i;
+                    y += y < 0 ? npts : 0;
+                    x += x < 0 ? npts : 0;
+                    if (labs(y - c) + labs(x - c) > r)
+                        flag[ts * mc + runs[ri].jc + i] = NAN;
+                }
+        }
+    }
+}
+
+/* out[t, p, j] = (f+ - f-) * 0.5 of a unit with cone samples, at the
+ * element strides (st, sp, sj), one row of out after the other: that of
+ * the rest's rows rest (points, 2 k mr) for a sample of the rest, that of
+ * the nominal rows (as in cone_fill) for a cone sample, and then, within
+ * distance r of the frame centre, that of the cone lanes f (points,
+ * 2 k mc) at the grid points they hold there.  slot, cone and mr are
+ * those of cone_samples. */
+INLINE void cone_write(const double *restrict f, const double *restrict nom,
+                       const long *row_at, const struct run *runs, long count,
+                       const double *restrict rest, const long *slot,
+                       const long *cone, double *restrict out, long k, long m,
+                       long mr, long npts, long r, long st, long sp, long sj)
+{
+    const long points = npts * npts, mc = m - mr, nc = 2 * k * mc,
+               nw = 2 * k * mr;
+    for (long p = 0; p < points; p++)
+        for (long t = 0; t < k; t++) {
+            const double v = (nom[row_at[2 * t] + p]
+                              - nom[row_at[2 * t + 1] + p]) * 0.5;
+            const double *rp = rest + p * nw + 2 * t * mr - 1, *rm = rp + mr;
+            double *o = out + t * st + p * sp;
+            if (!mr)
+                for (long j = 0; j < m; j++)
+                    o[j * sj] = v;
+            else
+                for (long j = 0; j < m; j++)
+                    o[j * sj] = slot[j] >= 0
+                                    ? v
+                                    : (rp[-slot[j]] - rm[-slot[j]]) * 0.5;
+        }
+    for (long y = 0; y < npts; y++) {
+        long lo, hi;
+        if (!cone_span(y, r, npts, &lo, &hi))
+            continue;
+        for (long x = lo; x <= hi; x++)
+            for (long ri = 0; ri < count; ri++) {
+                long split;
+                const long g = run_point(runs[ri], y, x, npts, &split),
+                           jc = runs[ri].jc;
+                const double *fq = f + (y * npts + x) * nc + jc;
+                for (long t = 0; t < k; t++) {
+                    const double *fp = fq + 2 * t * mc, *fm = fp + mc;
+                    double *o = out + t * st;
+                    for (long i = 0; i < runs[ri].len; i++) {
+                        const long gp = i < split ? g + i : g + i - npts;
+                        o[gp * sp + cone[jc + i] * sj] = (fp[i] - fm[i]) * 0.5;
+                    }
+                }
+            }
+    }
+}
+
+/* A central unit of Allen-Cahn (see the central-difference units above).
+ * Its cone samples are stepped in their light cones, next to their
+ * nominal rows; the rest of its samples (control moves and dense designs)
+ * are stepped as whole rows. */
 VECTOR_CLONES
 long allen_cahn_central(const double *x, const double *u, const double *d,
                         const double *du, double *out,
-                        const unsigned char *plus, long k, long m, long npts, long st,
-                        long sp, long sj, double mob, double gamma,
-                        double dx, double dt, long nsub)
+                        const unsigned char *plus, long k, long m,
+                        long npts, long st, long sp, long sj, double mob,
+                        double gamma, double dx, double dt, long nsub)
 {
-    const long nb = 2 * k * m, points = npts * npts, n = points * nb;
-    double *w = workspace(4 * n + 8 * nb);
-    if (!w)
+    const struct allen_cahn p = allen_cahn_factors(mob, gamma, dx, dt);
+    const long points = npts * npts, c = npts / 2, nr = 2 * k;
+    long *slot = malloc((4 * m + 2 * k) * sizeof(long)
+                        + m * sizeof(struct run));
+    if (!slot)
         return -2;
-    double *ctl = w + 4 * n;
-    plus_minus_states(x, d, w, k, m, points);
-    plus_minus_controls(u, du, ctl, k, m, 4);
-    const double *f = allen_cahn_steps(w, ctl + 4 * nb, ctl, plus, nb, npts,
-                                       mob, gamma, dx, dt, nsub);
-    const long bad = central_result(f, ctl, out, k, m, points, st, sp, sj);
+    long *at = slot + m, *cone = at + m, *rest = cone + m,
+         *row_at = rest + m;
+    struct run *runs = (struct run *)(row_at + nr);
+    const long mc = cone_samples(d, du, m, points, 4, slot, at, cone, rest);
+    const long mr = m - mc, nc = nr * mc, nw = nr * mr, split = mc && mr;
+    const long r = cone_radius(nsub);
+    /* the rest's fields, controls (then flags) and rows, and their design
+     * where the samples are split; the cone lanes' fields, flags and
+     * labels; the nominal rows' fields, one plane per row, and their
+     * controls (then flags) and rows */
+    const long whole = padded(points * nw), cone_field = padded(points * nc),
+               plane = padded(points), nom_field = nr * plane;
+    const long design = split ? padded(points * mr) + padded(4 * mr) : 0;
+    double *w = workspace(4 * whole + 8 * nw + design
+                          + (mc ? 2 * cone_field + padded(nc)
+                                  + padded(points * mc) + 4 * nom_field
+                                  + 8 * nr
+                                : 0));
+    if (!w) {
+        free(slot);
+        return -2;
+    }
+    double *ctl = w + 4 * whole, *rest_d = ctl + 8 * nw,
+           *lanes = rest_d + design, *flag = lanes + 2 * cone_field,
+           *nom = flag + padded(nc) + padded(points * mc),
+           *nom_ctl = nom + 4 * nom_field;
+    long *labels = (long *)(flag + padded(nc));
+
+    const double *rest_end = NULL;
+    if (mr) {
+        const double *dr = d, *dur = du;
+        if (split) {
+            double *rest_du = rest_d + padded(points * mr);
+            for (long q = 0; q < points; q++)
+                for (long jw = 0; jw < mr; jw++)
+                    rest_d[q * mr + jw] = d[q * m + rest[jw]];
+            for (long jw = 0; jw < mr; jw++)
+                for (long i = 0; i < 4; i++)
+                    rest_du[jw * 4 + i] = du[rest[jw] * 4 + i];
+            dr = rest_d;
+            dur = rest_du;
+        }
+        plus_minus_states(x, dr, w, k, mr, points);
+        plus_minus_controls(u, dur, ctl, k, mr, 4);
+        rest_end = allen_cahn_steps(w, ctl + 4 * nw, ctl, plus, nw, npts, p,
+                                    nsub);
+        row_flags(rest_end, ctl, nw, points);
+    }
+
+    long count = 0;
+    if (mc) {
+        /* the nominal rows x_t + 0.0 under u_t + 0.0 and x_t - 0.0 under
+         * u_t - 0.0, each a plane nom + row_at[ts]; where x_t and u_t hold
+         * no -0.0 the two are the same values, stepped once */
+        double *nf = nom, *ng = nom + nom_field, *na = nom + 2 * nom_field,
+               *nhc = nom + 3 * nom_field, *nom_rows = nom_ctl + 4 * nr;
+        const double zero[4] = {0.0, 0.0, 0.0, 0.0};
+        for (long t = 0; t < k; t++) {
+            int same = 1;
+            for (long q = 0; q < points; q++)
+                same &= !minus_zero(x[t * points + q]);
+            for (long i = 0; i < 4; i++)
+                same &= !minus_zero(u[t * 4 + i]);
+            row_at[2 * t] = 2 * t * plane;
+            row_at[2 * t + 1] = (2 * t + !same) * plane;
+            for (long q = 0; q < points; q++) {
+                nf[row_at[2 * t] + q] = x[t * points + q] + zero[0];
+                nf[row_at[2 * t + 1] + q] = x[t * points + q] - zero[0];
+            }
+        }
+        plus_minus_controls(u, zero, nom_ctl, k, 1, 4);
+        allen_cahn_rows(nom_ctl, nom_rows, nr, p);
+        for (long ts = 0; ts < nr; ts++) {
+            const double *v = nom_rows + ts;
+            route(na + row_at[ts], plus, v, v + nr, points, 1);
+            route(nhc + row_at[ts], plus, v + 2 * nr, v + 3 * nr, points, 1);
+        }
+
+        /* the cone lanes, started at their moved points, the frame
+         * centre, and their labels */
+        double *lf = lanes, *lg = lanes + cone_field;
+        double *f0 = lf + (c * npts + c) * nc;
+        for (long jc = 0; jc < mc; jc++)
+            for (long t = 0; t < k; t++) {
+                const double v = x[t * points + at[jc]],
+                             e = d[at[jc] * m + cone[jc]];
+                f0[2 * t * mc + jc] = v + e;
+                f0[(2 * t + 1) * mc + jc] = v - e;
+            }
+        count = cone_runs(runs, at, mc, npts);
+        cone_labels(labels, plus, runs, count, r, mc, npts);
+        for (long s = 1; s <= nsub; s++) {
+            cone_fill(lf, nf, row_at, runs, count, cone_radius(s - 1),
+                      cone_radius(s) + STENCIL_REACH, nr, mc, npts);
+            for (long ts = 0; ts < nr; ts++)
+                if (row_at[ts] == ts * plane)
+                    allen_cahn_substep(nf + ts * plane, na + ts * plane,
+                                       nhc + ts * plane, ng + ts * plane,
+                                       npts, 1, p);
+            cone_substep(lf, labels, nom_rows, lg, cone_radius(s), nr, mc,
+                         npts, p);
+            double *t = nf;
+            nf = ng;
+            ng = t;
+            t = lf;
+            lf = lg;
+            lg = t;
+        }
+        lanes = lf;
+        nom = nf;
+        for (long ts = 0; ts < nr; ts++)
+            row_flags(nom + row_at[ts], nom_ctl + ts, 1, points);
+        cone_flags(lanes, nom, row_at, nom_ctl, flag, runs, count, r, nr, mc,
+                   npts);
+    }
+
+    /* the first sample, in (timestep, sample) order, a side of which is
+     * not finite */
+    long bad = -1;
+    for (long t = 0; t < k && bad < 0; t++)
+        for (long j = 0; j < m; j++) {
+            const long s = slot[j];
+            const double *fl = s >= 0 ? flag + 2 * t * mc + s
+                                      : ctl + 2 * t * mr + (-1 - s);
+            if (isnan(fl[0]) || isnan(fl[s >= 0 ? mc : mr])) {
+                bad = t * m + j;
+                break;
+            }
+        }
+    if (bad < 0 && !mc)
+        central_write(rest_end, out, k, m, points, st, sp, sj);
+    else if (bad < 0)
+        cone_write(lanes, nom, row_at, runs, count, rest_end, slot, cone, out,
+                   k, m, mr, npts, r, st, sp, sj);
     free(w);
+    free(slot);
     return bad;
 }
 
@@ -454,13 +1017,13 @@ SHARED double *cahn_hilliard_steps(double *w, double *rows,
     for (long st = 0; st < nsub; st++) {
         struct segment seg[3];
         for (long j = 0; j < npts; j++) {
-            row_segments(seg, j, npts, nb);
-            for (int i = 0; i < 3; i++)
+            const int count = row_segments(seg, j, 0, npts - 1, npts, nb);
+            for (int i = 0; i < count; i++)
                 potential_segment(f, bc, hs, mu, seg[i], s4, k);
         }
         for (long j = 0; j < npts; j++) {
-            row_segments(seg, j, npts, nb);
-            for (int i = 0; i < 3; i++)
+            const int count = row_segments(seg, j, 0, npts - 1, npts, nb);
+            for (int i = 0; i < count; i++)
                 conserve_segment(f, mu, g, seg[i]);
         }
         double *t = f;

@@ -47,6 +47,16 @@ version builds the rows directly in its node-major workspace and reads
 the differences from there, so it spends no pass transposing rows in or
 out; it is bit-identical to the numpy version.
 
+The C ``allen_cahn_central`` steps a sample that moves one state point
+and no control (every full-order state sample) only within its light
+cone: after substep s only the points within torus distance s of the
+moved point differ from the unit's nominal rows ``x_t + 0.0`` under
+``u_t + 0.0`` and ``x_t - 0.0`` under ``u_t - 0.0``, which it steps
+once per unit and which stand for the sample's rows everywhere else, in
+the output and in the divergence check.  Its other samples, dense
+(reduced) designs and the other PDEs' units are stepped as whole rows.
+The numpy path steps every row whole and is the bit-equality oracle.
+
 Each scheme is evaluated in a folded form: its constant factors are
 gathered into scalars and per-point coefficient fields built once per
 call, before the substep loop.  With N(f) the sum of the four periodic
@@ -307,6 +317,21 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
 # ---------------------------------------------------------------------------
 
 
+# central_numpy's design and rows, kept from unit to unit and grown as
+# needed: identification steps thousands of equal units one after another
+_central_buffer = np.empty(0)
+
+
+def _central_rows(*shapes):
+    global _central_buffer
+    sizes = [math.prod(shape) for shape in shapes]
+    if _central_buffer.size < sum(sizes):
+        _central_buffer = np.empty(sum(sizes))
+    bounds = list(accumulate(sizes, initial=0))
+    return [_central_buffer[lo:hi].reshape(shape)
+            for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+
 def central_numpy(step, states, controls, design_x, design_u, out):
     """One central-difference unit stepped by ``step``, a batch stepper
     ``(B, n_x), (B, n_u) -> (B, n_x)``: the numpy path of the
@@ -325,10 +350,11 @@ def central_numpy(step, states, controls, design_x, design_u, out):
     """
     k, n_x = states.shape
     m, n_u = design_u.shape
-    x = np.empty((k, 2, m, n_x))
-    u = np.empty((k, 2, m, n_u))
-    np.add(states[:, None], design_x.T, out=x[:, 0])
-    np.subtract(states[:, None], design_x.T, out=x[:, 1])
+    d, x, u = _central_rows((m, n_x), (k, 2, m, n_x), (k, 2, m, n_u))
+    # the state moves row-major: read node-major, each add would stride
+    d[...] = design_x.T
+    np.add(states[:, None], d, out=x[:, 0])
+    np.subtract(states[:, None], d, out=x[:, 1])
     np.add(controls[:, None], design_u, out=u[:, 0])
     np.subtract(controls[:, None], design_u, out=u[:, 1])
     f = step(x.reshape(-1, n_x), u.reshape(-1, n_u)).reshape(k, 2, m, n_x)

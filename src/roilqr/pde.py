@@ -200,7 +200,10 @@ class _Model:
         returns -1; or returns the first sample t * m + j, in (timestep,
         sample) order, whose next states are not finite, and leaves
         ``out`` unwritten.  Bit-identical to stepping the 2 k m rows with
-        :meth:`step_batch` (:func:`roilqr._kernels.central_numpy`)."""
+        :meth:`step_batch` (:func:`roilqr._kernels.central_numpy`), though
+        the C Allen-Cahn kernel steps a sample that moves one state point
+        only within the points its move reaches (see
+        :mod:`roilqr._kernels`)."""
         return self._central(states, controls, design_x, design_u, out,
                              *self._params)
 

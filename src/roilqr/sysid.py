@@ -28,7 +28,10 @@ points and its own design, node-major, the kernel builds the + and -
 rows, steps them, checks them for divergence and writes the halved
 differences.  At full order it writes them straight into the
 (T, d, d + n_u) outputs; a reduced unit writes them into a buffer of its
-timesteps' (n_s, n_x) differences, which are then projected.  So besides
+timesteps' (n_s, n_x) differences, which are then projected.  A
+full-order state sample moves one state point, so the C Allen-Cahn
+kernel steps its rows only within the points that move reaches in one
+control step, and the unit's nominal rows everywhere else.  So besides
 the outputs an identification holds one unit's design and the kernel's
 workspace, never a whole full-order timestep's queries or the dense
 (n_x + n_u, n_x) design.  The fit overwrites the outputs buffer with
@@ -126,8 +129,10 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     outputs = np.empty((nominal.horizon, dim, n_s))
     units = _units(nominal.horizon, n_s, n_x, cut=basis is None)
     widest = max((b - a for _, _, a, b in units), default=0)
-    dx_buf = np.empty(n_x * widest)
-    du_buf = np.empty((widest, n_u))
+    # the units' designs, flat: zero but where the last unit moved
+    dx_buf = np.zeros(n_x * widest)
+    du_buf = np.zeros(widest * n_u)
+    moved = []
     if basis is not None:
         # a reduced unit's differences, (timesteps, samples, n_x), before
         # they are projected
@@ -137,20 +142,25 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     def design(a, b):
         # the design of samples a..b-1, the state moves node-major: s_x
         # times a state coordinate (mode) or s_u times a control
-        # coordinate, zero elsewhere
-        dx = dx_buf[:n_x * (b - a)].reshape(n_x, b - a)
-        du = du_buf[:b - a]
-        dx.fill(0.0)
-        du.fill(0.0)
-        state = np.arange(a, min(b, dim))
+        # coordinate, zero elsewhere.  The last unit's moves are cleared
+        # and the unit's own set: at full order two diagonals, state sample
+        # a + j at dx[a + j, j] and control sample c + j at
+        # du[c - a + j, c - dim + j]; reduced units share one design.
+        w = b - a
+        c = max(a, dim)   # the first control sample
+        n_state = max(0, min(b, dim) - a)
+        for diagonal in moved:
+            diagonal[...] = 0.0
+        dx = dx_buf[:n_x * w].reshape(n_x, w)
         if basis is None:
-            dx[state, state - a] = s_x
+            moved[:] = [dx_buf[a * w::w + 1][:n_state]]
+            moved[0][...] = s_x
         else:
-            np.multiply(s_x, basis.phi[:, a:a + state.size],
-                        out=dx[:, :state.size])
-        control = np.arange(max(a, dim), b)
-        du[control - a, control - dim] = s_u
-        return dx, du
+            moved.clear()
+            np.multiply(s_x, basis.phi[:, a:a + n_state], out=dx[:, :n_state])
+        moved.append(du_buf[(c - a) * n_u + c - dim::n_u + 1][:max(0, b - c)])
+        moved[-1][...] = s_u
+        return dx, du_buf[:w * n_u].reshape(w, n_u)
 
     for lo, hi, a, b in units:
         if checkpoint is not None and (lo, a) != (0, 0):

@@ -1,14 +1,17 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
 random LQ problems, the one-row model step, reference recursions for the
 backward pass (the V-forming Riccati sweep among them, which gives every
-value Hessian), and the one-step-size-at-a-time line search."""
+value Hessian), the one-step-size-at-a-time line search, and the
+Allen-Cahn central-difference units whose light cones are smaller than
+their grid, with the stepped rows they must equal."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
                         Regularizer, _cho_solve, apply_weight)
-from roilqr.pde import DivergenceError, Trajectory
+from roilqr.pde import (AllenCahnModel, DivergenceError, Grid, PdeParams,
+                        Trajectory)
 from roilqr.solver import STEP_SIZES, LineSearchResult
 from roilqr.sysid import LtvModel
 
@@ -253,3 +256,96 @@ def line_search_one_row(model, cost, prev, prev_cost, gains, basis, cfg):
             if z >= cfg.sigma1:
                 return LineSearchResult(traj, realized, alpha, trials, True)
     return LineSearchResult(None, prev_cost, 0.0, trials, False)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def stepped_differences(model, states, controls, design_x, design_u):
+    """(k, n_x, m) halved differences of the + and - rows built one by
+    one and stepped in one step_batch call."""
+    k, m = len(states), len(design_u)
+    xs, us = [], []
+    for x, u in zip(states, controls):
+        for side in (np.add, np.subtract):
+            for j in range(m):
+                xs.append(side(x, design_x[:, j]))
+                us.append(side(u, design_u[j]))
+    f = model.step_batch(np.array(xs), np.array(us))
+    f = f.reshape(k, 2, m, model.n_x)
+    return ((f[:, 0] - f[:, 1]) * 0.5).transpose(0, 2, 1)
+
+
+def cone_model(rng, npts, nsub):
+    """An Allen-Cahn model on an npts x npts grid with a random mask, whose
+    stencil weight k = dt*M*gamma/dx^2 = 0.05 carries a move of 1e-2 to
+    every point of its light cone above rounding."""
+    mask = np.where(rng.random(npts * npts) < 0.5, 1, -1).astype(np.int8)
+    return AllenCahnModel(Grid(ndim=2, points=npts, dx=1.0 / npts),
+                          PdeParams(dt=0.1, substeps=nsub), mask)
+
+
+def state_design(model, samples, move=1e-2):
+    """The design of the full-order samples ``samples``: sample i < n_x
+    moves state point i by ``move``, sample n_x + c control c."""
+    n_x, n_u = model.n_x, model.n_u
+    design = np.zeros((n_x + n_u, len(samples)))
+    design[samples, np.arange(len(samples))] = move
+    return design[:n_x].copy(), np.ascontiguousarray(design[n_x:].T)
+
+
+def cone_cases(rng, npts, nsub):
+    """Allen-Cahn central units on an npts x npts grid stepped nsub times,
+    where nsub is below npts / 2, so that the light cone of a moved point
+    is smaller than the grid: ``(name, model, states, controls, design_x,
+    design_u)`` for moved points at the corners and the wraps, a run of
+    consecutive samples across a grid row into the controls (as a
+    full-order unit cuts them), state and control samples interleaved,
+    -0.0 in the nominal states and controls, and a dense design."""
+    model = cone_model(rng, npts, nsub)
+    n, n_x = npts, model.n_x
+    corners = [0, n - 1, n * (n - 1), n_x - 1, n + 1, n_x // 2 + 3]
+
+    def nominal(k):
+        return (0.3 * rng.standard_normal((k, n_x)),
+                0.3 * rng.standard_normal((k, model.n_u)))
+
+    # -0.0 in a zero state and its controls at timestep 0, where x + 0.0
+    # and x - 0.0 differ and zeros keep their signs through the steps, and
+    # in a control at timestep 1; timestep 2 holds none, so its two
+    # nominal rows are the same values
+    negative = nominal(3)
+    negative[0][0] = 0.0
+    negative[0][0, ::3] = -0.0
+    negative[1][0] = [0.3, -0.0, -0.2, -0.0]
+    negative[1][1, 1] = -0.0
+    return [
+        ("corners", model, *nominal(2), *state_design(model, corners)),
+        ("run", model, *nominal(1),
+         *state_design(model, list(range(n_x - n - 5, n_x + 4)))),
+        ("interleaved", model, *nominal(2),
+         *state_design(model, [n_x, 0, n_x + 2, n - 1, n_x - 1, n_x + 1,
+                               n * (n - 1), n_x + 3])),
+        ("-0.0", model, *negative, *state_design(model, corners)),
+        ("dense", model, *nominal(2), 1e-2 * rng.standard_normal((n_x, 5)),
+         1e-2 * rng.standard_normal((5, model.n_u))),
+    ]
+
+
+def cone_reaches(model, design_x, ref):
+    """Whether the differences ``ref`` of the samples of ``design_x`` that
+    move one point are nonzero at torus distance exactly nsub from it, the
+    rim of its light cone, for every such sample: so that a cone one
+    point short would change them."""
+    npts, nsub = model.grid.points, model.params.substeps
+    y, x = np.divmod(np.arange(model.n_x), npts)
+    for j in range(design_x.shape[1]):
+        moved = np.flatnonzero(design_x[:, j])
+        if moved.size != 1:
+            continue
+        dy, dx = np.abs(y - moved // npts), np.abs(x - moved % npts)
+        rim = (np.minimum(dy, npts - dy) + np.minimum(dx, npts - dx)) == nsub
+        if not np.all(np.any(ref[:, rim, j] != 0.0, axis=1)):
+            return False
+    return True

@@ -1,16 +1,18 @@
 """Each paper check must be able to fail: a named mutant of the claim it
 guards, written here, is rejected by that check."""
 
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import (LQ_CASE, cost_increase, gains_match, lq_case,
-                     riccati_backward_pass)
+from helpers import (LQ_CASE, bits, cone_cases, cost_increase, gains_match,
+                     lq_case, riccati_backward_pass, stepped_differences)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import solver
+from roilqr import _kernels, solver
 from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import Regularizer, backward_pass
 from roilqr.pde import Trajectory, rollout
@@ -141,3 +143,39 @@ def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
                    replace(cfg.solver, max_iterations=1))
     assert [it.alpha for it in mutant.iterations] == [1.0]
     assert cost_increase(mutant.costs) > 0.0
+
+
+@pytest.fixture(scope="module")
+def cone_one_point_short(tmp_path_factory):
+    """The C kernels built with an Allen-Cahn light cone one point short:
+    substep s steps a moved point's lanes within s * rho - 1 of it."""
+    exact = "return s * STENCIL_REACH;"
+    source = Path(_kernels._C_SOURCE).read_text()
+    assert source.count(exact) == 1
+    directory = tmp_path_factory.mktemp("cone")
+    (directory / "_kernels.c").write_text(
+        source.replace(exact, "return s * STENCIL_REACH - 1;"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_C_SOURCE", str(directory / "_kernels.c"))
+        kernels = _kernels.load_compiled(directory / "cache",
+                                         shutil.which("cc"))
+    if kernels is None:
+        pytest.skip("no C compiler to build the C kernels with")
+    return kernels
+
+
+@pytest.mark.parametrize("npts,nsub", [(30, 10), (20, 3)])
+def test_cone_check_rejects_a_cone_one_point_short(cone_one_point_short,
+                                                   npts, nsub):
+    # mutant: the light cone of test_allen_cahn_central_cones_bit_identical
+    # one point short; its bit-equality check fails on every case whose
+    # samples move one point, and holds on the dense design, which is
+    # stepped as whole rows
+    rng = np.random.default_rng(42)
+    for name, model, *inputs in cone_cases(rng, npts, nsub):
+        ref = stepped_differences(model, *inputs)
+        out = np.empty((len(inputs[0]), model.n_x, len(inputs[3])))
+        assert cone_one_point_short.allen_cahn_central(
+            *inputs, out, *model._params) == -1
+        assert np.array_equal(bits(out), bits(ref)) == (name == "dense"), \
+            name

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import step
+from helpers import bits as _bits
+from helpers import (cone_cases, cone_model, cone_reaches, state_design,
+                     step, stepped_differences)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,10 +263,6 @@ def cahn_hilliard_scheme(phi, controls, mask, mob, gamma, dx, dt, nsub,
             - gamma * _lap2_rolled(f, dx)
         f = f + dt * mob * _lap2_rolled(mu, dx)
     return f.reshape(phi.shape)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _random_mask(rng, npts):
@@ -598,21 +596,6 @@ def _unit(rng, model, k):
             0.3 * rng.standard_normal((k, model.n_u)))
 
 
-def _stepped_differences(model, states, controls, design_x, design_u):
-    """(k, n_x, m) halved differences of the + and - rows built one by
-    one and stepped in one step_batch call."""
-    k, m = len(states), len(design_u)
-    xs, us = [], []
-    for x, u in zip(states, controls):
-        for side in (np.add, np.subtract):
-            for j in range(m):
-                xs.append(side(x, design_x[:, j]))
-                us.append(side(u, design_u[j]))
-    f = model.step_batch(np.array(xs), np.array(us))
-    f = f.reshape(k, 2, m, model.n_x)
-    return ((f[:, 0] - f[:, 1]) * 0.5).transpose(0, 2, 1)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
 @pytest.mark.parametrize("k", [1, 3])
@@ -625,7 +608,7 @@ def test_central_bit_identical_to_stepped_rows(rng, compiled, kind, dense,
         design_x, design_u = _unit_design(rng, model, m, dense)
         inputs = (states, controls, design_x, design_u)
         saved = [a.copy() for a in inputs]
-        ref = _stepped_differences(model, *inputs)
+        ref = stepped_differences(model, *inputs)
         assert np.all(np.isfinite(ref))
         for name, central in _centrals(compiled, kind, model).items():
             out = np.full((k, model.n_x, m), np.nan)
@@ -643,7 +626,7 @@ def test_central_writes_through_strided_views(rng, compiled, kind):
     k, m = 2, 11
     states, controls = _unit(rng, model, k)
     design_x, design_u = _unit_design(rng, model, m, True)
-    ref = _stepped_differences(model, states, controls, design_x, design_u)
+    ref = stepped_differences(model, states, controls, design_x, design_u)
     for name, central in _centrals(compiled, kind, model).items():
         # into timesteps 1-2, samples 3-13, of a (T, d, N) output, as a
         # full-order unit writes; the rest of it is left as it was
@@ -739,8 +722,73 @@ def test_unclone_build_central_bit_identical(rng, unclone_build, kind):
         out = np.empty((2, model.n_x, m))
         assert central(*inputs, out) == -1
         np.testing.assert_array_equal(
-            _bits(out), _bits(_stepped_differences(model, *inputs)),
+            _bits(out), _bits(stepped_differences(model, *inputs)),
             err_msg=f"m = {m}")
+
+
+# Light cones: allen_cahn_central steps a sample that moves one point only
+# within the points its move reaches, on grids larger than that cone.
+
+
+@pytest.mark.parametrize("npts,nsub", [(30, 10), (20, 3)])
+def test_allen_cahn_central_cones_bit_identical(rng, compiled, npts, nsub):
+    for name, model, *inputs in cone_cases(rng, npts, nsub):
+        ref = stepped_differences(model, *inputs)
+        assert np.all(np.isfinite(ref))
+        # the moves reach the rim of their cones, so a cone one point
+        # short would change the differences
+        assert name == "dense" or cone_reaches(model, inputs[2], ref), name
+        saved = [a.copy() for a in inputs]
+        for path, central in _centrals(compiled, "allen_cahn", model).items():
+            out = np.full((len(inputs[0]), model.n_x, len(inputs[3])), np.nan)
+            assert central(*inputs, out) == -1
+            np.testing.assert_array_equal(_bits(out), _bits(ref),
+                                          err_msg=f"{name}, {path}")
+            for a, b in zip(inputs, saved):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def _first_diverged(model, states, controls, design_x, design_u):
+    """The first sample t * m + j of which a row, stepped whole, is not
+    finite, or -1."""
+    m = len(design_u)
+    xs = [side(x, design_x[:, j]) for x in states
+          for side in (np.add, np.subtract) for j in range(m)]
+    us = [side(u, design_u[j]) for u in controls
+          for side in (np.add, np.subtract) for j in range(m)]
+    f = model.step_batch(np.array(xs), np.array(us))
+    bad = ~np.all(np.isfinite(f.reshape(len(states), 2, m, -1)), axis=(1, 3))
+    return int(np.flatnonzero(bad)[0]) if bad.any() else -1
+
+
+def test_allen_cahn_central_divergence_outside_a_cone(rng, compiled):
+    # One substep on a 20x20 grid: a sample's cone is its moved point and
+    # the four around it.  At timestep 2 of 3 the nominal holds a point P
+    # of 1.1 T, which overflows.  Sample 0 moves a point far from P, so
+    # only its nominal rows diverge, outside its cone; sample 2 moves a
+    # neighbour of P, inside whose cone P diverges.  At timestep 1 sample
+    # 5 moves a point Q of 0.6 T by -0.5 T, so that only its minus side
+    # diverges, inside its cone, while the nominal stays finite.
+    model = cone_model(rng, 20, 1)
+    scale = _overflow_scale(model)
+    n_x, p, q = model.n_x, 5 * 20 + 5, 12 * 20 + 3
+    states = 0.3 * rng.standard_normal((3, n_x))
+    controls = 0.3 * rng.standard_normal((3, model.n_u))
+    design_x, design_u = state_design(
+        model, [15 * 20 + 15, n_x, p + 1, n_x + 2, 7, q, n_x + 1, 0])
+    states[2, p] = 1.1 * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hazard in (True, False):
+            states[1, q] = 0.6 * scale if hazard else 0.3
+            design_x[q, 5] = -0.5 * scale if hazard else 1e-2
+            inputs = (states, controls, design_x, design_u)
+            first = _first_diverged(model, *inputs)
+            assert first == (1 * 8 + 5 if hazard else 2 * 8 + 0)
+            for path, central in _centrals(compiled, "allen_cahn",
+                                           model).items():
+                out = np.full((3, n_x, 8), 7.0)
+                assert central(*inputs, out) == first, path
+                assert np.all(out == 7.0), path   # not written
 
 
 @pytest.mark.parametrize("arg,bad", [

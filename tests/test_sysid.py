@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import LinearModel, random_stable_linear, step
+from helpers import (LinearModel, bits, cone_model, cone_reaches,
+                     random_stable_linear, step)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -440,6 +441,31 @@ def test_full_order_units_fit_one_kernel_call(monkeypatch):
         assert calls and all(2 * n_x <= cap and r * n_x <= cap
                              for r, n_x in calls), \
             (name, mode)
+
+
+class _StepOnly:
+    """A model with a step_batch and no central kernel, which
+    identification steps through _kernels.central_numpy."""
+
+    def __init__(self, model):
+        self.n_x, self.n_u = model.n_x, model.n_u
+        self.step_batch = model.step_batch
+
+
+def test_full_order_light_cones_equal_the_stepped_composition():
+    # 24x24 and 5 substeps: the light cone of a moved point (radius 5)
+    # is smaller than the grid, and a timestep's 580 samples are cut into
+    # units of 32 samples (64 rows of 576 cells) and a last one of 4
+    rng = np.random.default_rng(3)
+    model = cone_model(rng, 24, 5)
+    nominal = rollout(model, 0.3 * rng.standard_normal(model.n_x),
+                      0.3 * rng.standard_normal((3, model.n_u)))
+    data = generate_rollout_data(model, nominal)
+    ref = generate_rollout_data(_StepOnly(model), nominal)
+    # every state sample's differences reach the rim of its cone
+    assert cone_reaches(model, np.eye(model.n_x), ref.outputs[:, :, :576])
+    np.testing.assert_array_equal(bits(data.scale), bits(ref.scale))
+    np.testing.assert_array_equal(bits(data.outputs), bits(ref.outputs))
 
 
 def test_full_order_identification_holds_its_output_and_one_unit():
