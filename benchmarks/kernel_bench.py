@@ -35,14 +35,18 @@ builds the 2 k m rows, steps them and writes the halved differences:
 * Allen-Cahn 50x50: reduced units of one timestep of 8 and 9 samples (16
   and 18 rows), and full-order units of 8 samples (16 rows): samples
   0-7, which move one state point each, and the timestep's last unit,
-  samples 2496-2503, four state points and the four controls;
+  samples 2496-2503, four state points and the four controls, stepped
+  as whole rows;
 * Allen-Cahn and Cahn-Hilliard 20x20: full-order units of 48 and 20
   samples (96 and 40 rows): samples 0-47, all state points, and the
-  last unit, samples 384-403, 16 state points and the four controls.
+  last unit, samples 384-403, 16 state points and the four controls,
+  stepped as whole rows.
 
-A full-order Allen-Cahn unit steps the samples that move one state point
-only inside their light cones (see ``_kernels.c``), so its time depends
-on how many of its samples do; the "samples" column names them.
+A full-order Allen-Cahn unit whose samples all move one state point is
+stepped only inside their light cones (see ``_kernels.c``); a unit that
+holds a control sample, such as each timestep's last unit, is stepped as
+whole rows.  So its time depends on what its samples move; the "samples"
+column names them.
 
 Each unit is timed as ``<pde>_central`` on the active path, as its
 ``<pde>_batch`` call alone on the same rows, and as that batch call with

@@ -32,8 +32,9 @@
  * (each moves one point) only inside their light cones, the points a
  * move can reach in the substeps taken, and stands two nominal rows per
  * timestep for them everywhere else; the same bits come from fewer point
- * updates (see the light cones below).  Its other samples, and every
- * sample of the other two PDEs, are stepped as whole rows.
+ * updates (see the light cones below).  A unit is stepped in cones only
+ * if every sample is such a cone sample; any other unit, and every unit
+ * of the other two PDEs, is stepped as whole rows.
  *
  * On x86-64 with glibc, each exported kernel and each helper that
  * several kernels share is built three times, for AVX-512F, for AVX2 and
@@ -190,22 +191,32 @@ INLINE void central_write(const double *restrict f, double *restrict out,
         }
 }
 
+/* The first sample t*m + j, in (timestep, sample) order, one of whose two
+ * rows' flags (one per row of the unit, in its row order) is NaN, else
+ * -1. */
+INLINE long first_diverged(const double *flag, long k, long m)
+{
+    for (long t = 0; t < k; t++)
+        for (long j = 0; j < m; j++)
+            if (isnan(flag[2 * t * m + j]) || isnan(flag[(2 * t + 1) * m + j]))
+                return t * m + j;
+    return -1;
+}
+
 /* The end of a unit whose rows were stepped into f (n, nb): the first
- * sample t*m + j, in (timestep, sample) order, one of whose two rows
- * holds a non-finite value, else -1 after writing out[t, p, j] =
- * (f+ - f-) * 0.5 at the element strides (st, sp, sj).  flag is nb
- * values of scratch for the rows' flags. */
+ * sample one of whose two rows holds a non-finite value (first_diverged),
+ * else -1 after writing out[t, p, j] = (f+ - f-) * 0.5 at the element
+ * strides (st, sp, sj).  flag is nb values of scratch for the rows'
+ * flags. */
 SHARED long central_result(const double *restrict f, double *restrict flag,
                            double *restrict out, long k, long m, long n,
                            long st, long sp, long sj)
 {
     row_flags(f, flag, 2 * k * m, n);
-    for (long t = 0; t < k; t++)
-        for (long j = 0; j < m; j++)
-            if (isnan(flag[2 * t * m + j]) || isnan(flag[(2 * t + 1) * m + j]))
-                return t * m + j;
-    central_write(f, out, k, m, n, st, sp, sj);
-    return -1;
+    const long bad = first_diverged(flag, k, m);
+    if (bad < 0)
+        central_write(f, out, k, m, n, st, sp, sj);
+    return bad;
 }
 
 /* ------------------------------------------------------------------------
@@ -450,35 +461,36 @@ int allen_cahn_batch(const double *phi, const double *controls,
 }
 
 /* ------------------------------------------------------------------------
- * Light cones of the Allen-Cahn central unit.  A sample whose state move
- * is one point (every other entry of its design column +0.0) and whose
- * control move is +0.0 changes, after substep s, only the points within
- * torus distance cone_radius(s) of its moved point.  Everywhere else its
- * + row holds, bit for bit, the nominal row x_t + 0.0 stepped as often
- * under u_t + 0.0, and its - row x_t - 0.0 under u_t - 0.0: the same
- * operations on the same values.  (The zero must be +0.0: x + 0.0 and
- * x - 0.0 differ where x is -0.0.)  So the rows of such a cone sample
- * are stepped only inside that diamond, and the unit's nominal rows,
- * stepped once per unit, stand for them everywhere else: there the
+ * Light cones of the Allen-Cahn central unit.  A cone sample is one whose
+ * state move is one point (every other entry of its design column +0.0)
+ * and whose control move is +0.0: after substep s it changes only the
+ * points within torus distance cone_radius(s) of its moved point.
+ * Everywhere else its + row holds, bit for bit, the nominal row x_t + 0.0
+ * stepped as often under u_t + 0.0, and its - row x_t - 0.0 under
+ * u_t - 0.0: the same operations on the same values.  (The zero must be
+ * +0.0: x + 0.0 and x - 0.0 differ where x is -0.0.)  A unit is stepped
+ * in cones only if every sample is a cone sample: then the rows of each
+ * sample are stepped only inside its diamond, and the unit's nominal
+ * rows, stepped once per unit, stand for them everywhere else: there the
  * output is the nominal rows' halved difference, and a non-finite
  * nominal value makes the sample's row non-finite.  Where x_t and u_t
  * hold no -0.0, the two nominal rows of timestep t are the same values
- * and are stepped once.
+ * and are stepped once.  Any other unit is stepped as whole rows.
  *
- * The cone lanes are the 2 k mc rows of the unit's mc cone samples,
- * node-major and ordered as the rows of a unit, and each lane's grid is
- * rolled so that its moved point sits at the frame centre (c, c),
- * c = npts / 2.  All lanes then share one diamond, whose frame rows are
- * single column runs (cone_span), and a substep steps them with the
- * whole grid's segments and update, A and H picked by each lane's label
- * (cone_substep).  Substep s steps the lanes within cone_radius(s) of
- * the centre and reads them one stencil reach further, where the points
- * it has not stepped yet are refilled with the nominal values of
- * substep s - 1 (cone_fill).  The
- * roll is read in runs of samples whose moved points are consecutive in
- * a grid row (cone_runs): in a run, one frame point holds consecutive
- * grid points, so the labels that route A and H (cone_labels), the
- * refills and the output (cone_write) move whole runs of values.
+ * The cone lanes are the unit's 2 k m rows, node-major and ordered as the
+ * rows of a unit, so that sample j is lane j of each of its timesteps'
+ * two sides, and each lane's grid is rolled so that its moved point sits
+ * at the frame centre (c, c), c = npts / 2.  All lanes then share one
+ * diamond, whose frame rows are single column runs (cone_span), and a
+ * substep steps them with the whole grid's segments and update, A and H
+ * picked by each lane's label (cone_substep).  Substep s steps the lanes
+ * within cone_radius(s) of the centre and reads them one stencil reach
+ * further, where the points it has not stepped yet are refilled with the
+ * nominal values of substep s - 1 (cone_fill).  The roll is read in runs
+ * of samples whose moved points are consecutive in a grid row
+ * (cone_runs): in a run, one frame point holds consecutive grid points,
+ * so the labels that route A and H (cone_labels), the refills and the
+ * output (cone_write) move whole runs of values.
  * ---------------------------------------------------------------------- */
 
 /* how far one substep reaches: the 5-point stencil's radius */
@@ -517,75 +529,55 @@ INLINE int minus_zero(double v)
     return v == 0.0 && signbit(v);
 }
 
-/* Sort the m samples of a unit, state moves d (n, m) node-major and
- * control moves du (m, nu), into cone samples, whose state move holds at
- * most one entry that is not +0.0 and whose control move none, and the
- * rest.  slot[j] numbers sample j among its kind: jc >= 0 for a cone
- * sample, -1 - jw for another.  at[jc] is cone sample jc's moved point
- * (0 where none moves), and cone[jc] and rest[jw] are the samples.
- * Returns the cone sample count. */
-INLINE long cone_samples(const double *d, const double *du, long m, long n,
-                         long nu, long *slot, long *at, long *cone,
-                         long *rest)
+/* Whether every one of the m samples of a unit, state moves d (n, m)
+ * node-major and control moves du (m, nu), is a cone sample: its state
+ * move holds at most one entry that is not +0.0, and its control move
+ * none.  at[j] is then sample j's moved point (0 where none moves).  A
+ * dense design is told apart within its first rows. */
+INLINE int cone_samples(const double *d, const double *du, long m, long n,
+                        long nu, long *at)
 {
-    /* slot first counts the moved entries of each column, at records the
-     * last; a dense design is told apart within its first rows */
+    for (long q = 0; q < m * nu; q++)
+        if (!plus_zero(du[q]))
+            return 0;
     for (long j = 0; j < m; j++)
-        slot[j] = at[j] = 0;
-    for (long p = 0; p < n; p++) {
-        const double *dp = d + p * m;
-        for (long j = 0; j < m; j++) {
-            const long moved = !plus_zero(dp[j]);
-            slot[j] += moved;
-            at[j] = moved ? p : at[j];
-        }
-        long j = 0;
-        while (j < m && slot[j] > 1)
-            j++;
-        if (j == m)
-            break;
-    }
-    long mc = 0, mr = 0;
-    for (long j = 0; j < m; j++) {
-        int still = slot[j] <= 1;
-        for (long c = 0; c < nu; c++)
-            still = still && plus_zero(du[j * nu + c]);
-        if (still) {
-            at[mc] = at[j];
-            cone[mc] = j;
-            slot[j] = mc++;
-        } else {
-            rest[mr] = j;
-            slot[j] = -1 - mr++;
-        }
-    }
-    return mc;
+        at[j] = -1;
+    for (long p = 0; p < n; p++)
+        for (long j = 0; j < m; j++)
+            if (!plus_zero(d[p * m + j])) {
+                if (at[j] >= 0)
+                    return 0;
+                at[j] = p;
+            }
+    for (long j = 0; j < m; j++)
+        at[j] = at[j] < 0 ? 0 : at[j];
+    return 1;
 }
 
-/* A run of cone samples: lanes jc .. jc + len - 1 of the frame, whose
- * moved points are consecutive points of one grid row, so that frame
- * point (y, x) holds consecutive grid points in them too, wrapping once at
- * the end of the grid row.  (ry, rx) is the roll of its first sample:
- * frame point (y, x) of that sample is grid point ((y + ry) mod npts,
+/* A run of cone samples: lanes j .. j + len - 1 of the frame, whose moved
+ * points are consecutive points of one grid row, so that frame point
+ * (y, x) holds consecutive grid points in them too, wrapping once at the
+ * end of the grid row.  (ry, rx) is the roll of its first sample: frame
+ * point (y, x) of that sample is grid point ((y + ry) mod npts,
  * (x + rx) mod npts). */
 struct run {
-    long jc, len, ry, rx;
+    long j, len, ry, rx;
 };
 
-/* The runs of the mc cone samples, whose moved points are at, into runs;
+/* The runs of the m cone samples, whose moved points are at, into runs;
  * returns their count. */
-INLINE long cone_runs(struct run *runs, const long *at, long mc, long npts)
+INLINE long cone_runs(struct run *runs, const long *at, long m, long npts)
 {
     const long c = npts / 2;
     long count = 0;
-    for (long jc = 0; jc < mc; jc++) {
-        if (count && at[jc] == at[jc - 1] + 1
-            && at[jc] / npts == at[jc - 1] / npts) {
+    for (long j = 0; j < m; j++) {
+        if (count && at[j] == at[j - 1] + 1
+            && at[j] / npts == at[j - 1] / npts) {
             runs[count - 1].len++;
             continue;
         }
-        runs[count++] = (struct run){jc, 1, (at[jc] / npts - c + npts) % npts,
-                                     (at[jc] % npts - c + npts) % npts};
+        runs[count++] = (struct run){j, 1, (at[j] / npts - c + npts) % npts,
+                                     (at[j] % npts - c + npts) % npts};
     }
     return count;
 }
@@ -602,13 +594,13 @@ INLINE long run_point(struct run run, long y, long x, long npts, long *split)
     return gy * npts + gx;
 }
 
-/* Set the cone lanes (points, nr mc) of f at the frame points within
+/* Set the cone lanes (points, nr m) of f at the frame points within
  * distance r1 of the centre and not within r0 to their nominal rows'
- * values: lane ts * mc + jc at frame point (y, x) to nominal row ts,
- * nom + row_at[ts], at the grid point sample jc holds there. */
+ * values: lane ts * m + j at frame point (y, x) to nominal row ts,
+ * nom + row_at[ts], at the grid point sample j holds there. */
 INLINE void cone_fill(double *restrict f, const double *restrict nom,
                       const long *row_at, const struct run *runs, long count,
-                      long r0, long r1, long nr, long mc, long npts)
+                      long r0, long r1, long nr, long m, long npts)
 {
     for (long y = 0; y < npts; y++) {
         long lo, hi, inner_lo, inner_hi;
@@ -621,13 +613,13 @@ INLINE void cone_fill(double *restrict f, const double *restrict nom,
                 x = inner_hi + 1;
             if (x > hi)
                 break;
-            double *fq = f + (y * npts + x) * nr * mc;
+            double *fq = f + (y * npts + x) * nr * m;
             for (long ri = 0; ri < count; ri++) {
                 long split;
                 const long g = run_point(runs[ri], y, x, npts, &split);
                 for (long ts = 0; ts < nr; ts++) {
                     const double *src = nom + row_at[ts] + g;
-                    double *dst = fq + ts * mc + runs[ri].jc;
+                    double *dst = fq + ts * m + runs[ri].j;
                     for (long i = 0; i < split; i++)
                         dst[i] = src[i];
                     for (long i = split; i < runs[ri].len; i++)
@@ -638,12 +630,12 @@ INLINE void cone_fill(double *restrict f, const double *restrict nom,
     }
 }
 
-/* labels[q * mc + jc]: the label (plus) of the grid point that cone
- * sample jc holds at frame point q, for the frame points within distance
- * r of the centre. */
+/* labels[q * m + j]: the label (plus) of the grid point that cone sample
+ * j holds at frame point q, for the frame points within distance r of
+ * the centre. */
 INLINE void cone_labels(long *restrict labels,
                         const unsigned char *restrict plus,
-                        const struct run *runs, long count, long r, long mc,
+                        const struct run *runs, long count, long r, long m,
                         long npts)
 {
     for (long y = 0; y < npts; y++) {
@@ -654,7 +646,7 @@ INLINE void cone_labels(long *restrict labels,
             for (long ri = 0; ri < count; ri++) {
                 long split;
                 const long g = run_point(runs[ri], y, x, npts, &split);
-                long *lq = labels + (y * npts + x) * mc + runs[ri].jc;
+                long *lq = labels + (y * npts + x) * m + runs[ri].j;
                 for (long i = 0; i < split; i++)
                     lq[i] = plus[g + i];
                 for (long i = split; i < runs[ri].len; i++)
@@ -663,49 +655,49 @@ INLINE void cone_labels(long *restrict labels,
     }
 }
 
-/* allen_cahn_segment on a segment of the cone lanes (points, nr mc): lane
- * ts * mc + jc at frame point q takes A and H of its nominal row ts, rows
- * (A+, A-, H+, H-; nr values each), by labels[q * mc + jc]. */
+/* allen_cahn_segment on a segment of the cone lanes (points, nr m): lane
+ * ts * m + j at frame point q takes A and H of its nominal row ts, rows
+ * (A+, A-, H+, H-; nr values each), by labels[q * m + j]. */
 INLINE void cone_segment(const double *restrict f,
                          const long *restrict labels,
                          const double *restrict rows, double *restrict g,
-                         struct segment s, long nr, long mc, double c4,
+                         struct segment s, long nr, long m, double c4,
                          double k)
 {
-    const long nc = nr * mc;
+    const long nc = nr * m;
     const double *l = f + s.l, *r = f + s.r, *u = f + s.u, *d = f + s.d;
     f += s.at, g += s.at, labels += s.at / nr;
-    for (long q = 0; q < s.len; q += nc, labels += mc)
+    for (long q = 0; q < s.len; q += nc, labels += m)
         for (long ts = 0; ts < nr; ts++) {
             const double ap = rows[ts], am = rows[nr + ts],
                          hp = rows[2 * nr + ts], hm = rows[3 * nr + ts];
-            const long e = q + ts * mc;
-            for (long jc = 0; jc < mc; jc++) {
-                const double v = f[e + jc];
-                const double a = labels[jc] ? ap : am,
-                             hc = labels[jc] ? hp : hm;
-                g[e + jc] = v * (a - c4 * (v * v))
-                            + k * ((l[e + jc] + r[e + jc])
-                                   + (u[e + jc] + d[e + jc]))
-                            + hc;
+            const long e = q + ts * m;
+            for (long j = 0; j < m; j++) {
+                const double v = f[e + j];
+                const double a = labels[j] ? ap : am,
+                             hc = labels[j] ? hp : hm;
+                g[e + j] = v * (a - c4 * (v * v))
+                           + k * ((l[e + j] + r[e + j])
+                                  + (u[e + j] + d[e + j]))
+                           + hc;
             }
         }
 }
 
-/* One substep of the cone lanes f (points, nr mc) into g at the frame
+/* One substep of the cone lanes f (points, nr m) into g at the frame
  * points within distance r of the centre. */
 INLINE void cone_substep(const double *f, const long *labels,
                          const double *rows, double *g, long r, long nr,
-                         long mc, long npts, struct allen_cahn p)
+                         long m, long npts, struct allen_cahn p)
 {
     for (long y = 0; y < npts; y++) {
         struct segment seg[3];
         long lo, hi;
         if (!cone_span(y, r, npts, &lo, &hi))
             continue;
-        const int count = row_segments(seg, y, lo, hi, npts, nr * mc);
+        const int count = row_segments(seg, y, lo, hi, npts, nr * m);
         for (int i = 0; i < count; i++)
-            cone_segment(f, labels, rows, g, seg[i], nr, mc, p.c4, p.k);
+            cone_segment(f, labels, rows, g, seg[i], nr, m, p.c4, p.k);
     }
 }
 
@@ -717,9 +709,9 @@ INLINE void cone_flags(const double *restrict f, const double *restrict nom,
                        const long *row_at, const double *nom_flag,
                        double *restrict flag,
                        const struct run *runs, long count, long r, long nr,
-                       long mc, long npts)
+                       long m, long npts)
 {
-    const long nc = nr * mc, points = npts * npts, c = npts / 2;
+    const long nc = nr * m, points = npts * npts, c = npts / 2;
     for (long b = 0; b < nc; b++)
         flag[b] = 0.0;
     for (long y = 0; y < npts; y++) {
@@ -744,41 +736,30 @@ INLINE void cone_flags(const double *restrict f, const double *restrict nom,
                     y += y < 0 ? npts : 0;
                     x += x < 0 ? npts : 0;
                     if (labs(y - c) + labs(x - c) > r)
-                        flag[ts * mc + runs[ri].jc + i] = NAN;
+                        flag[ts * m + runs[ri].j + i] = NAN;
                 }
         }
     }
 }
 
-/* out[t, p, j] = (f+ - f-) * 0.5 of a unit with cone samples, at the
+/* out[t, p, j] = (f+ - f-) * 0.5 of a unit of cone samples, at the
  * element strides (st, sp, sj), one row of out after the other: that of
- * the rest's rows rest (points, 2 k mr) for a sample of the rest, that of
- * the nominal rows (as in cone_fill) for a cone sample, and then, within
- * distance r of the frame centre, that of the cone lanes f (points,
- * 2 k mc) at the grid points they hold there.  slot, cone and mr are
- * those of cone_samples. */
+ * the nominal rows (as in cone_fill), and then, within distance r of the
+ * frame centre, that of the cone lanes f (points, 2 k m) at the grid
+ * points they hold there. */
 INLINE void cone_write(const double *restrict f, const double *restrict nom,
                        const long *row_at, const struct run *runs, long count,
-                       const double *restrict rest, const long *slot,
-                       const long *cone, double *restrict out, long k, long m,
-                       long mr, long npts, long r, long st, long sp, long sj)
+                       double *restrict out, long k, long m, long npts,
+                       long r, long st, long sp, long sj)
 {
-    const long points = npts * npts, mc = m - mr, nc = 2 * k * mc,
-               nw = 2 * k * mr;
+    const long points = npts * npts, nc = 2 * k * m;
     for (long p = 0; p < points; p++)
         for (long t = 0; t < k; t++) {
             const double v = (nom[row_at[2 * t] + p]
                               - nom[row_at[2 * t + 1] + p]) * 0.5;
-            const double *rp = rest + p * nw + 2 * t * mr - 1, *rm = rp + mr;
             double *o = out + t * st + p * sp;
-            if (!mr)
-                for (long j = 0; j < m; j++)
-                    o[j * sj] = v;
-            else
-                for (long j = 0; j < m; j++)
-                    o[j * sj] = slot[j] >= 0
-                                    ? v
-                                    : (rp[-slot[j]] - rm[-slot[j]]) * 0.5;
+            for (long j = 0; j < m; j++)
+                o[j * sj] = v;
         }
     for (long y = 0; y < npts; y++) {
         long lo, hi;
@@ -788,24 +769,23 @@ INLINE void cone_write(const double *restrict f, const double *restrict nom,
             for (long ri = 0; ri < count; ri++) {
                 long split;
                 const long g = run_point(runs[ri], y, x, npts, &split),
-                           jc = runs[ri].jc;
-                const double *fq = f + (y * npts + x) * nc + jc;
+                           j = runs[ri].j;
+                const double *fq = f + (y * npts + x) * nc + j;
                 for (long t = 0; t < k; t++) {
-                    const double *fp = fq + 2 * t * mc, *fm = fp + mc;
-                    double *o = out + t * st;
+                    const double *fp = fq + 2 * t * m, *fm = fp + m;
+                    double *o = out + t * st + j * sj;
                     for (long i = 0; i < runs[ri].len; i++) {
                         const long gp = i < split ? g + i : g + i - npts;
-                        o[gp * sp + cone[jc + i] * sj] = (fp[i] - fm[i]) * 0.5;
+                        o[gp * sp + i * sj] = (fp[i] - fm[i]) * 0.5;
                     }
                 }
             }
     }
 }
 
-/* A central unit of Allen-Cahn (see the central-difference units above).
- * Its cone samples are stepped in their light cones, next to their
- * nominal rows; the rest of its samples (control moves and dense designs)
- * are stepped as whole rows. */
+/* A central unit of Allen-Cahn (see the central-difference units above):
+ * stepped in light cones, next to its nominal rows, if every sample is a
+ * cone sample, else as whole rows. */
 VECTOR_CLONES
 long allen_cahn_central(const double *x, const double *u, const double *d,
                         const double *du, double *out,
@@ -814,147 +794,108 @@ long allen_cahn_central(const double *x, const double *u, const double *d,
                         double gamma, double dx, double dt, long nsub)
 {
     const struct allen_cahn p = allen_cahn_factors(mob, gamma, dx, dt);
-    const long points = npts * npts, c = npts / 2, nr = 2 * k;
-    long *slot = malloc((4 * m + 2 * k) * sizeof(long)
-                        + m * sizeof(struct run));
-    if (!slot)
+    const long points = npts * npts, c = npts / 2, nr = 2 * k, nb = nr * m;
+    long *at = malloc((m + nr) * sizeof(long) + m * sizeof(struct run));
+    if (!at)
         return -2;
-    long *at = slot + m, *cone = at + m, *rest = cone + m,
-         *row_at = rest + m;
+    if (!cone_samples(d, du, m, points, 4, at)) {
+        free(at);
+        const long n = points * nb;
+        double *w = workspace(4 * n + 8 * nb);
+        if (!w)
+            return -2;
+        double *ctl = w + 4 * n;
+        plus_minus_states(x, d, w, k, m, points);
+        plus_minus_controls(u, du, ctl, k, m, 4);
+        const double *f = allen_cahn_steps(w, ctl + 4 * nb, ctl, plus, nb,
+                                           npts, p, nsub);
+        const long bad = central_result(f, ctl, out, k, m, points, st, sp, sj);
+        free(w);
+        return bad;
+    }
+
+    long *row_at = at + m;
     struct run *runs = (struct run *)(row_at + nr);
-    const long mc = cone_samples(d, du, m, points, 4, slot, at, cone, rest);
-    const long mr = m - mc, nc = nr * mc, nw = nr * mr, split = mc && mr;
     const long r = cone_radius(nsub);
-    /* the rest's fields, controls (then flags) and rows, and their design
-     * where the samples are split; the cone lanes' fields, flags and
-     * labels; the nominal rows' fields, one plane per row, and their
-     * controls (then flags) and rows */
-    const long whole = padded(points * nw), cone_field = padded(points * nc),
-               plane = padded(points), nom_field = nr * plane;
-    const long design = split ? padded(points * mr) + padded(4 * mr) : 0;
-    double *w = workspace(4 * whole + 8 * nw + design
-                          + (mc ? 2 * cone_field + padded(nc)
-                                  + padded(points * mc) + 4 * nom_field
-                                  + 8 * nr
-                                : 0));
+    /* the cone lanes' fields, flags and labels; the nominal rows' fields,
+     * one plane per row, and their controls (then flags) and rows */
+    const long cone_field = padded(points * nb), plane = padded(points),
+               nom_field = nr * plane;
+    double *w = workspace(2 * cone_field + padded(nb) + padded(points * m)
+                          + 4 * nom_field + 8 * nr);
     if (!w) {
-        free(slot);
+        free(at);
         return -2;
     }
-    double *ctl = w + 4 * whole, *rest_d = ctl + 8 * nw,
-           *lanes = rest_d + design, *flag = lanes + 2 * cone_field,
-           *nom = flag + padded(nc) + padded(points * mc),
-           *nom_ctl = nom + 4 * nom_field;
-    long *labels = (long *)(flag + padded(nc));
+    double *lf = w, *lg = w + cone_field, *flag = w + 2 * cone_field,
+           *nf = flag + padded(nb) + padded(points * m), *ng = nf + nom_field,
+           *na = nf + 2 * nom_field, *nhc = nf + 3 * nom_field,
+           *nom_ctl = nf + 4 * nom_field, *nom_rows = nom_ctl + 4 * nr;
+    long *labels = (long *)(flag + padded(nb));
 
-    const double *rest_end = NULL;
-    if (mr) {
-        const double *dr = d, *dur = du;
-        if (split) {
-            double *rest_du = rest_d + padded(points * mr);
-            for (long q = 0; q < points; q++)
-                for (long jw = 0; jw < mr; jw++)
-                    rest_d[q * mr + jw] = d[q * m + rest[jw]];
-            for (long jw = 0; jw < mr; jw++)
-                for (long i = 0; i < 4; i++)
-                    rest_du[jw * 4 + i] = du[rest[jw] * 4 + i];
-            dr = rest_d;
-            dur = rest_du;
+    /* the nominal rows x_t + 0.0 under u_t + 0.0 and x_t - 0.0 under
+     * u_t - 0.0, each a plane nf + row_at[ts]; where x_t and u_t hold no
+     * -0.0 the two are the same values, stepped once */
+    const double zero[4] = {0.0, 0.0, 0.0, 0.0};
+    for (long t = 0; t < k; t++) {
+        int same = 1;
+        for (long q = 0; q < points; q++)
+            same &= !minus_zero(x[t * points + q]);
+        for (long i = 0; i < 4; i++)
+            same &= !minus_zero(u[t * 4 + i]);
+        row_at[2 * t] = 2 * t * plane;
+        row_at[2 * t + 1] = (2 * t + !same) * plane;
+        for (long q = 0; q < points; q++) {
+            nf[row_at[2 * t] + q] = x[t * points + q] + zero[0];
+            nf[row_at[2 * t + 1] + q] = x[t * points + q] - zero[0];
         }
-        plus_minus_states(x, dr, w, k, mr, points);
-        plus_minus_controls(u, dur, ctl, k, mr, 4);
-        rest_end = allen_cahn_steps(w, ctl + 4 * nw, ctl, plus, nw, npts, p,
-                                    nsub);
-        row_flags(rest_end, ctl, nw, points);
+    }
+    plus_minus_controls(u, zero, nom_ctl, k, 1, 4);
+    allen_cahn_rows(nom_ctl, nom_rows, nr, p);
+    for (long ts = 0; ts < nr; ts++) {
+        const double *v = nom_rows + ts;
+        route(na + row_at[ts], plus, v, v + nr, points, 1);
+        route(nhc + row_at[ts], plus, v + 2 * nr, v + 3 * nr, points, 1);
     }
 
-    long count = 0;
-    if (mc) {
-        /* the nominal rows x_t + 0.0 under u_t + 0.0 and x_t - 0.0 under
-         * u_t - 0.0, each a plane nom + row_at[ts]; where x_t and u_t hold
-         * no -0.0 the two are the same values, stepped once */
-        double *nf = nom, *ng = nom + nom_field, *na = nom + 2 * nom_field,
-               *nhc = nom + 3 * nom_field, *nom_rows = nom_ctl + 4 * nr;
-        const double zero[4] = {0.0, 0.0, 0.0, 0.0};
+    /* the cone lanes, started at their moved points, the frame centre,
+     * and their labels */
+    double *f0 = lf + (c * npts + c) * nb;
+    for (long j = 0; j < m; j++)
         for (long t = 0; t < k; t++) {
-            int same = 1;
-            for (long q = 0; q < points; q++)
-                same &= !minus_zero(x[t * points + q]);
-            for (long i = 0; i < 4; i++)
-                same &= !minus_zero(u[t * 4 + i]);
-            row_at[2 * t] = 2 * t * plane;
-            row_at[2 * t + 1] = (2 * t + !same) * plane;
-            for (long q = 0; q < points; q++) {
-                nf[row_at[2 * t] + q] = x[t * points + q] + zero[0];
-                nf[row_at[2 * t + 1] + q] = x[t * points + q] - zero[0];
-            }
+            const double v = x[t * points + at[j]], e = d[at[j] * m + j];
+            f0[2 * t * m + j] = v + e;
+            f0[(2 * t + 1) * m + j] = v - e;
         }
-        plus_minus_controls(u, zero, nom_ctl, k, 1, 4);
-        allen_cahn_rows(nom_ctl, nom_rows, nr, p);
-        for (long ts = 0; ts < nr; ts++) {
-            const double *v = nom_rows + ts;
-            route(na + row_at[ts], plus, v, v + nr, points, 1);
-            route(nhc + row_at[ts], plus, v + 2 * nr, v + 3 * nr, points, 1);
-        }
-
-        /* the cone lanes, started at their moved points, the frame
-         * centre, and their labels */
-        double *lf = lanes, *lg = lanes + cone_field;
-        double *f0 = lf + (c * npts + c) * nc;
-        for (long jc = 0; jc < mc; jc++)
-            for (long t = 0; t < k; t++) {
-                const double v = x[t * points + at[jc]],
-                             e = d[at[jc] * m + cone[jc]];
-                f0[2 * t * mc + jc] = v + e;
-                f0[(2 * t + 1) * mc + jc] = v - e;
-            }
-        count = cone_runs(runs, at, mc, npts);
-        cone_labels(labels, plus, runs, count, r, mc, npts);
-        for (long s = 1; s <= nsub; s++) {
-            cone_fill(lf, nf, row_at, runs, count, cone_radius(s - 1),
-                      cone_radius(s) + STENCIL_REACH, nr, mc, npts);
-            for (long ts = 0; ts < nr; ts++)
-                if (row_at[ts] == ts * plane)
-                    allen_cahn_substep(nf + ts * plane, na + ts * plane,
-                                       nhc + ts * plane, ng + ts * plane,
-                                       npts, 1, p);
-            cone_substep(lf, labels, nom_rows, lg, cone_radius(s), nr, mc,
-                         npts, p);
-            double *t = nf;
-            nf = ng;
-            ng = t;
-            t = lf;
-            lf = lg;
-            lg = t;
-        }
-        lanes = lf;
-        nom = nf;
+    const long count = cone_runs(runs, at, m, npts);
+    cone_labels(labels, plus, runs, count, r, m, npts);
+    for (long s = 1; s <= nsub; s++) {
+        cone_fill(lf, nf, row_at, runs, count, cone_radius(s - 1),
+                  cone_radius(s) + STENCIL_REACH, nr, m, npts);
         for (long ts = 0; ts < nr; ts++)
-            row_flags(nom + row_at[ts], nom_ctl + ts, 1, points);
-        cone_flags(lanes, nom, row_at, nom_ctl, flag, runs, count, r, nr, mc,
-                   npts);
+            if (row_at[ts] == ts * plane)
+                allen_cahn_substep(nf + ts * plane, na + ts * plane,
+                                   nhc + ts * plane, ng + ts * plane, npts, 1,
+                                   p);
+        cone_substep(lf, labels, nom_rows, lg, cone_radius(s), nr, m, npts,
+                     p);
+        double *t = nf;
+        nf = ng;
+        ng = t;
+        t = lf;
+        lf = lg;
+        lg = t;
     }
+    for (long ts = 0; ts < nr; ts++)
+        row_flags(nf + row_at[ts], nom_ctl + ts, 1, points);
+    cone_flags(lf, nf, row_at, nom_ctl, flag, runs, count, r, nr, m, npts);
 
-    /* the first sample, in (timestep, sample) order, a side of which is
-     * not finite */
-    long bad = -1;
-    for (long t = 0; t < k && bad < 0; t++)
-        for (long j = 0; j < m; j++) {
-            const long s = slot[j];
-            const double *fl = s >= 0 ? flag + 2 * t * mc + s
-                                      : ctl + 2 * t * mr + (-1 - s);
-            if (isnan(fl[0]) || isnan(fl[s >= 0 ? mc : mr])) {
-                bad = t * m + j;
-                break;
-            }
-        }
-    if (bad < 0 && !mc)
-        central_write(rest_end, out, k, m, points, st, sp, sj);
-    else if (bad < 0)
-        cone_write(lanes, nom, row_at, runs, count, rest_end, slot, cone, out,
-                   k, m, mr, npts, r, st, sp, sj);
+    const long bad = first_diverged(flag, k, m);
+    if (bad < 0)
+        cone_write(lf, nf, row_at, runs, count, out, k, m, npts, r, st, sp,
+                   sj);
     free(w);
-    free(slot);
+    free(at);
     return bad;
 }
 

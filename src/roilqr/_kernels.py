@@ -53,9 +53,11 @@ cone: after substep s only the points within torus distance s of the
 moved point differ from the unit's nominal rows ``x_t + 0.0`` under
 ``u_t + 0.0`` and ``x_t - 0.0`` under ``u_t - 0.0``, which it steps
 once per unit and which stand for the sample's rows everywhere else, in
-the output and in the divergence check.  Its other samples, dense
-(reduced) designs and the other PDEs' units are stepped as whole rows.
-The numpy path steps every row whole and is the bit-equality oracle.
+the output and in the divergence check.  A unit is stepped in cones only
+if every sample is such a cone sample; a unit that holds a control
+sample, a dense (reduced) design and the other PDEs' units are stepped
+as whole rows.  The numpy path steps every row whole and is the
+bit-equality oracle.
 
 Each scheme is evaluated in a folded form: its constant factors are
 gathered into scalars and per-point coefficient fields built once per

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import bits as _bits
-from helpers import (cone_cases, cone_model, cone_reaches, state_design,
-                     step, stepped_differences)
+from helpers import (CLONE_GUARD, cone_cases, cone_model, cone_reaches,
+                     state_design, step, stepped_differences)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -438,7 +438,6 @@ def _cpu_flags():
 # Where the C source builds its kernels as clones (x86-64 with glibc,
 # whose loader dispatches them)
 CLONES = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
-CLONE_GUARD = "#if defined(__x86_64__) && defined(__GLIBC__)"
 
 
 def test_kernel_isa_names_the_host_clone(compiled):
@@ -736,7 +735,7 @@ def test_allen_cahn_central_cones_bit_identical(rng, compiled, npts, nsub):
         ref = stepped_differences(model, *inputs)
         assert np.all(np.isfinite(ref))
         # the moves reach the rim of their cones, so a cone one point
-        # short would change the differences
+        # short would change the differences of a unit stepped in cones
         assert name == "dense" or cone_reaches(model, inputs[2], ref), name
         saved = [a.copy() for a in inputs]
         for path, central in _centrals(compiled, "allen_cahn", model).items():
@@ -763,19 +762,22 @@ def _first_diverged(model, states, controls, design_x, design_u):
 
 def test_allen_cahn_central_divergence_outside_a_cone(rng, compiled):
     # One substep on a 20x20 grid: a sample's cone is its moved point and
-    # the four around it.  At timestep 2 of 3 the nominal holds a point P
-    # of 1.1 T, which overflows.  Sample 0 moves a point far from P, so
-    # only its nominal rows diverge, outside its cone; sample 2 moves a
-    # neighbour of P, inside whose cone P diverges.  At timestep 1 sample
-    # 5 moves a point Q of 0.6 T by -0.5 T, so that only its minus side
-    # diverges, inside its cone, while the nominal stays finite.
+    # the four around it.  Every sample moves one state point, so the unit
+    # is stepped in cones.  At timestep 2 of 3 the nominal holds a point P
+    # of 1.1 T, which overflows.  Samples 0, 1, 3, 4, 6 and 7 move points
+    # far from P, so only their nominal rows diverge, outside their cones;
+    # sample 2 moves a neighbour of P, inside whose cone P diverges.  At
+    # timestep 1 sample 5 moves a point Q of 0.6 T by -0.5 T, so that only
+    # its minus side diverges, inside its cone, while the nominal stays
+    # finite.
     model = cone_model(rng, 20, 1)
     scale = _overflow_scale(model)
     n_x, p, q = model.n_x, 5 * 20 + 5, 12 * 20 + 3
     states = 0.3 * rng.standard_normal((3, n_x))
     controls = 0.3 * rng.standard_normal((3, model.n_u))
     design_x, design_u = state_design(
-        model, [15 * 20 + 15, n_x, p + 1, n_x + 2, 7, q, n_x + 1, 0])
+        model, [15 * 20 + 15, 10 * 20 + 15, p + 1, 17 * 20 + 10, 7, q,
+                2 * 20 + 14, 0])
     states[2, p] = 1.1 * scale
     with np.errstate(over="ignore", invalid="ignore"):
         for hazard in (True, False):

@@ -452,18 +452,23 @@ class _StepOnly:
         self.step_batch = model.step_batch
 
 
-def test_full_order_light_cones_equal_the_stepped_composition():
-    # 24x24 and 5 substeps: the light cone of a moved point (radius 5)
-    # is smaller than the grid, and a timestep's 580 samples are cut into
-    # units of 32 samples (64 rows of 576 cells) and a last one of 4
+@pytest.mark.parametrize("npts,nsub", [(24, 5), (20, 4)])
+def test_full_order_light_cones_equal_the_stepped_composition(npts, nsub):
+    # The light cone of a moved point (radius nsub) is smaller than the
+    # grid.  At 24x24 a timestep's 580 samples are cut into units of 32
+    # samples (64 rows of 576 cells), all state samples, and a last one of
+    # the 4 controls.  At 20x20 its 404 samples are cut into units of 48,
+    # and the last unit, samples 384-403, mixes 16 state samples with the
+    # 4 controls, so it is stepped as whole rows.
     rng = np.random.default_rng(3)
-    model = cone_model(rng, 24, 5)
+    model = cone_model(rng, npts, nsub)
     nominal = rollout(model, 0.3 * rng.standard_normal(model.n_x),
                       0.3 * rng.standard_normal((3, model.n_u)))
     data = generate_rollout_data(model, nominal)
     ref = generate_rollout_data(_StepOnly(model), nominal)
     # every state sample's differences reach the rim of its cone
-    assert cone_reaches(model, np.eye(model.n_x), ref.outputs[:, :, :576])
+    assert cone_reaches(model, np.eye(model.n_x),
+                        ref.outputs[:, :, :model.n_x])
     np.testing.assert_array_equal(bits(data.scale), bits(ref.scale))
     np.testing.assert_array_equal(bits(data.outputs), bits(ref.outputs))
 
