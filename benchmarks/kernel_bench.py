@@ -42,9 +42,10 @@ builds the 2 k m rows, steps them and writes the halved differences:
   last unit, samples 384-403, 16 state points and the four controls,
   stepped as whole rows.
 
-A full-order Allen-Cahn unit whose samples all move one state point is
-stepped only inside their light cones (see ``_kernels.c``); a unit that
-holds a control sample, such as each timestep's last unit, is stepped as
+A full-order Allen-Cahn unit of one timestep, whose nominal holds no
+-0.0 and whose samples all move one state point, is stepped only inside
+their light cones (see ``_kernels.c``); any other unit, such as each
+timestep's last unit, which holds the control samples, is stepped as
 whole rows.  So its time depends on what its samples move; the "samples"
 column names them.
 

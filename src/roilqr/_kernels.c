@@ -30,11 +30,12 @@
  *
  * allen_cahn_central steps the samples of a full-order state design
  * (each moves one point) only inside their light cones, the points a
- * move can reach in the substeps taken, and stands two nominal rows per
- * timestep for them everywhere else; the same bits come from fewer point
- * updates (see the light cones below).  A unit is stepped in cones only
- * if every sample is such a cone sample; any other unit, and every unit
- * of the other two PDEs, is stepped as whole rows.
+ * move can reach in the substeps taken, and stands the nominal row for
+ * them everywhere else; the same bits come from fewer point updates (see
+ * the light cones below).  A unit is stepped in cones only if it is one
+ * timestep, its nominal holds no -0.0 and every sample is such a cone
+ * sample; any other unit, and every unit of the other two PDEs, is
+ * stepped as whole rows.
  *
  * On x86-64 with glibc, each exported kernel and each helper that
  * several kernels share is built three times, for AVX-512F, for AVX2 and
@@ -464,33 +465,32 @@ int allen_cahn_batch(const double *phi, const double *controls,
  * Light cones of the Allen-Cahn central unit.  A cone sample is one whose
  * state move is one point (every other entry of its design column +0.0)
  * and whose control move is +0.0: after substep s it changes only the
- * points within torus distance cone_radius(s) of its moved point.
- * Everywhere else its + row holds, bit for bit, the nominal row x_t + 0.0
- * stepped as often under u_t + 0.0, and its - row x_t - 0.0 under
- * u_t - 0.0: the same operations on the same values.  (The zero must be
- * +0.0: x + 0.0 and x - 0.0 differ where x is -0.0.)  A unit is stepped
- * in cones only if every sample is a cone sample: then the rows of each
- * sample are stepped only inside its diamond, and the unit's nominal
- * rows, stepped once per unit, stand for them everywhere else: there the
- * output is the nominal rows' halved difference, and a non-finite
- * nominal value makes the sample's row non-finite.  Where x_t and u_t
- * hold no -0.0, the two nominal rows of timestep t are the same values
- * and are stepped once.  Any other unit is stepped as whole rows.
+ * points within torus distance cone_radius(s) of its moved point.  A unit
+ * is stepped in cones only if it is one timestep, its nominal x and u hold
+ * no -0.0, and every sample is a cone sample (cone_unit).  Then x + 0.0,
+ * x - 0.0 and x are the same bits, and so are u + 0.0, u - 0.0 and u, so
+ * everywhere outside a sample's diamond both its rows hold, bit for bit,
+ * the one nominal row x stepped as often under u: the same operations on
+ * the same values.  The nominal row is stepped once per unit and each
+ * sample's rows only inside their diamond; outside it the output is the
+ * nominal row's (v - v) * 0.5 = +0.0, and a non-finite nominal value
+ * makes the sample's rows non-finite.  Any other unit is stepped as whole
+ * rows.
  *
- * The cone lanes are the unit's 2 k m rows, node-major and ordered as the
- * rows of a unit, so that sample j is lane j of each of its timesteps'
- * two sides, and each lane's grid is rolled so that its moved point sits
- * at the frame centre (c, c), c = npts / 2.  All lanes then share one
- * diamond, whose frame rows are single column runs (cone_span), and a
- * substep steps them with the whole grid's segments and update, A and H
- * picked by each lane's label (cone_substep).  Substep s steps the lanes
- * within cone_radius(s) of the centre and reads them one stencil reach
- * further, where the points it has not stepped yet are refilled with the
- * nominal values of substep s - 1 (cone_fill).  The roll is read in runs
- * of samples whose moved points are consecutive in a grid row
- * (cone_runs): in a run, one frame point holds consecutive grid points,
- * so the labels that route A and H (cone_labels), the refills and the
- * output (cone_write) move whole runs of values.
+ * The cone lanes are the unit's 2m rows, node-major and ordered as its
+ * rows, so that sample j's + row is lane j and its - row lane m + j, and
+ * each lane's grid is rolled so that its moved point sits at the frame
+ * centre (c, c), c = npts / 2.  All lanes then share one diamond, whose
+ * frame rows are single column runs (cone_span), and a substep steps them
+ * with the whole grid's segments and update, A and H picked by each
+ * lane's label (cone_substep).  Substep s steps the lanes within
+ * cone_radius(s) of the centre and reads them one stencil reach further,
+ * where the points it has not stepped yet are refilled with the nominal
+ * values of substep s - 1 (cone_fill).  The roll is read in runs of
+ * samples whose moved points are consecutive in a grid row (cone_runs):
+ * in a run, one frame point holds consecutive grid points, so the labels
+ * that route A and H (cone_labels), the refills and the output
+ * (cone_write) move whole runs of values.
  * ---------------------------------------------------------------------- */
 
 /* how far one substep reaches: the 5-point stencil's radius */
@@ -529,16 +529,27 @@ INLINE int minus_zero(double v)
     return v == 0.0 && signbit(v);
 }
 
-/* Whether every one of the m samples of a unit, state moves d (n, m)
- * node-major and control moves du (m, nu), is a cone sample: its state
- * move holds at most one entry that is not +0.0, and its control move
- * none.  at[j] is then sample j's moved point (0 where none moves).  A
- * dense design is told apart within its first rows. */
-INLINE int cone_samples(const double *d, const double *du, long m, long n,
-                        long nu, long *at)
+/* Whether a unit of k nominal states x (k, n) and controls u (k, nu) and
+ * m samples, state moves d (n, m) node-major and control moves du
+ * (m, nu), is stepped in light cones: it is one timestep, x and u hold
+ * no -0.0, and every sample is a cone sample, whose state move holds at
+ * most one entry that is not +0.0 and whose control move none.  at[j] is
+ * then sample j's moved point (0 where none moves).  A dense design is
+ * told apart within its first rows. */
+INLINE int cone_unit(const double *x, const double *u, const double *d,
+                     const double *du, long k, long m, long n, long nu,
+                     long *at)
 {
+    if (k != 1)
+        return 0;
     for (long q = 0; q < m * nu; q++)
         if (!plus_zero(du[q]))
+            return 0;
+    for (long i = 0; i < nu; i++)
+        if (minus_zero(u[i]))
+            return 0;
+    for (long p = 0; p < n; p++)
+        if (minus_zero(x[p]))
             return 0;
     for (long j = 0; j < m; j++)
         at[j] = -1;
@@ -554,11 +565,11 @@ INLINE int cone_samples(const double *d, const double *du, long m, long n,
     return 1;
 }
 
-/* A run of cone samples: lanes j .. j + len - 1 of the frame, whose moved
- * points are consecutive points of one grid row, so that frame point
- * (y, x) holds consecutive grid points in them too, wrapping once at the
- * end of the grid row.  (ry, rx) is the roll of its first sample: frame
- * point (y, x) of that sample is grid point ((y + ry) mod npts,
+/* A run of cone samples: samples j .. j + len - 1, whose moved points are
+ * consecutive points of one grid row, so that frame point (y, x) holds
+ * consecutive grid points in their lanes too, wrapping once at the end of
+ * the grid row.  (ry, rx) is the roll of its first sample: frame point
+ * (y, x) of that sample is grid point ((y + ry) mod npts,
  * (x + rx) mod npts). */
 struct run {
     long j, len, ry, rx;
@@ -582,9 +593,9 @@ INLINE long cone_runs(struct run *runs, const long *at, long m, long npts)
     return count;
 }
 
-/* The grid point g of a run's first lane at frame point (y, x); its lane
- * i < split holds grid point g + i, and a lane i >= split grid point
- * g + i - npts. */
+/* The grid point g of a run's first sample at frame point (y, x); its
+ * sample i < split holds grid point g + i, and a sample i >= split grid
+ * point g + i - npts. */
 INLINE long run_point(struct run run, long y, long x, long npts, long *split)
 {
     long gy = y + run.ry, gx = x + run.rx;
@@ -594,13 +605,13 @@ INLINE long run_point(struct run run, long y, long x, long npts, long *split)
     return gy * npts + gx;
 }
 
-/* Set the cone lanes (points, nr m) of f at the frame points within
- * distance r1 of the centre and not within r0 to their nominal rows'
- * values: lane ts * m + j at frame point (y, x) to nominal row ts,
- * nom + row_at[ts], at the grid point sample j holds there. */
+/* Set the cone lanes (points, 2m) of f at the frame points within
+ * distance r1 of the centre and not within r0 to the nominal row's
+ * values: lanes j and m + j at frame point (y, x) to nom at the grid
+ * point sample j holds there. */
 INLINE void cone_fill(double *restrict f, const double *restrict nom,
-                      const long *row_at, const struct run *runs, long count,
-                      long r0, long r1, long nr, long m, long npts)
+                      const struct run *runs, long count, long r0, long r1,
+                      long m, long npts)
 {
     for (long y = 0; y < npts; y++) {
         long lo, hi, inner_lo, inner_hi;
@@ -613,26 +624,24 @@ INLINE void cone_fill(double *restrict f, const double *restrict nom,
                 x = inner_hi + 1;
             if (x > hi)
                 break;
-            double *fq = f + (y * npts + x) * nr * m;
+            double *fq = f + (y * npts + x) * 2 * m;
             for (long ri = 0; ri < count; ri++) {
                 long split;
-                const long g = run_point(runs[ri], y, x, npts, &split);
-                for (long ts = 0; ts < nr; ts++) {
-                    const double *src = nom + row_at[ts] + g;
-                    double *dst = fq + ts * m + runs[ri].j;
-                    for (long i = 0; i < split; i++)
-                        dst[i] = src[i];
-                    for (long i = split; i < runs[ri].len; i++)
-                        dst[i] = src[i - npts];
-                }
+                const double *src = nom + run_point(runs[ri], y, x, npts,
+                                                    &split);
+                double *dst = fq + runs[ri].j;
+                for (long i = 0; i < split; i++)
+                    dst[i] = dst[m + i] = src[i];
+                for (long i = split; i < runs[ri].len; i++)
+                    dst[i] = dst[m + i] = src[i - npts];
             }
         }
     }
 }
 
-/* labels[q * m + j]: the label (plus) of the grid point that cone sample
- * j holds at frame point q, for the frame points within distance r of
- * the centre. */
+/* labels (points, 2m): lanes j and m + j at frame point q take the label
+ * (plus) of the grid point that cone sample j holds there, for the frame
+ * points within distance r of the centre. */
 INLINE void cone_labels(long *restrict labels,
                         const unsigned char *restrict plus,
                         const struct run *runs, long count, long r, long m,
@@ -646,72 +655,59 @@ INLINE void cone_labels(long *restrict labels,
             for (long ri = 0; ri < count; ri++) {
                 long split;
                 const long g = run_point(runs[ri], y, x, npts, &split);
-                long *lq = labels + (y * npts + x) * m + runs[ri].j;
+                long *lq = labels + (y * npts + x) * 2 * m + runs[ri].j;
                 for (long i = 0; i < split; i++)
-                    lq[i] = plus[g + i];
+                    lq[i] = lq[m + i] = plus[g + i];
                 for (long i = split; i < runs[ri].len; i++)
-                    lq[i] = plus[g + i - npts];
+                    lq[i] = lq[m + i] = plus[g + i - npts];
             }
     }
 }
 
-/* allen_cahn_segment on a segment of the cone lanes (points, nr m): lane
- * ts * m + j at frame point q takes A and H of its nominal row ts, rows
- * (A+, A-, H+, H-; nr values each), by labels[q * m + j]. */
+/* allen_cahn_segment on a segment of the cone lanes (points, 2m), each
+ * value taking A and H of the nominal row, rows (A+, A-, H+, H-), by its
+ * label. */
 INLINE void cone_segment(const double *restrict f,
                          const long *restrict labels,
                          const double *restrict rows, double *restrict g,
-                         struct segment s, long nr, long m, double c4,
-                         double k)
+                         struct segment s, double c4, double k)
 {
-    const long nc = nr * m;
+    const double ap = rows[0], am = rows[1], hp = rows[2], hm = rows[3];
     const double *l = f + s.l, *r = f + s.r, *u = f + s.u, *d = f + s.d;
-    f += s.at, g += s.at, labels += s.at / nr;
-    for (long q = 0; q < s.len; q += nc, labels += m)
-        for (long ts = 0; ts < nr; ts++) {
-            const double ap = rows[ts], am = rows[nr + ts],
-                         hp = rows[2 * nr + ts], hm = rows[3 * nr + ts];
-            const long e = q + ts * m;
-            for (long j = 0; j < m; j++) {
-                const double v = f[e + j];
-                const double a = labels[j] ? ap : am,
-                             hc = labels[j] ? hp : hm;
-                g[e + j] = v * (a - c4 * (v * v))
-                           + k * ((l[e + j] + r[e + j])
-                                  + (u[e + j] + d[e + j]))
-                           + hc;
-            }
-        }
+    f += s.at, g += s.at, labels += s.at;
+    for (long q = 0; q < s.len; q++) {
+        const double v = f[q];
+        const double a = labels[q] ? ap : am, hc = labels[q] ? hp : hm;
+        g[q] = v * (a - c4 * (v * v)) + k * ((l[q] + r[q]) + (u[q] + d[q]))
+               + hc;
+    }
 }
 
-/* One substep of the cone lanes f (points, nr m) into g at the frame
- * points within distance r of the centre. */
+/* One substep of the cone lanes f (points, 2m) into g at the frame points
+ * within distance r of the centre. */
 INLINE void cone_substep(const double *f, const long *labels,
-                         const double *rows, double *g, long r, long nr,
-                         long m, long npts, struct allen_cahn p)
+                         const double *rows, double *g, long r, long m,
+                         long npts, struct allen_cahn p)
 {
     for (long y = 0; y < npts; y++) {
         struct segment seg[3];
         long lo, hi;
         if (!cone_span(y, r, npts, &lo, &hi))
             continue;
-        const int count = row_segments(seg, y, lo, hi, npts, nr * m);
+        const int count = row_segments(seg, y, lo, hi, npts, 2 * m);
         for (int i = 0; i < count; i++)
-            cone_segment(f, labels, rows, g, seg[i], nr, m, p.c4, p.k);
+            cone_segment(f, labels, rows, g, seg[i], p.c4, p.k);
     }
 }
 
 /* Each cone lane's flag: NaN where the lane holds a non-finite value
- * within distance r of the centre, or its nominal row (as in cone_fill),
- * whose row_flags are nom_flag, one beyond distance r of the lane's moved
- * point. */
+ * within distance r of the centre, or, for sample j's lane j, where the
+ * nominal row nom holds one beyond distance r of its moved point. */
 INLINE void cone_flags(const double *restrict f, const double *restrict nom,
-                       const long *row_at, const double *nom_flag,
-                       double *restrict flag,
-                       const struct run *runs, long count, long r, long nr,
-                       long m, long npts)
+                       double *restrict flag, const struct run *runs,
+                       long count, long r, long m, long npts)
 {
-    const long nc = nr * m, points = npts * npts, c = npts / 2;
+    const long nc = 2 * m, points = npts * npts, c = npts / 2;
     for (long b = 0; b < nc; b++)
         flag[b] = 0.0;
     for (long y = 0; y < npts; y++) {
@@ -722,45 +718,33 @@ INLINE void cone_flags(const double *restrict f, const double *restrict nom,
             for (long b = 0; b < nc; b++)
                 flag[b] += 0.0 * f[q * nc + b];
     }
-    for (long ts = 0; ts < nr; ts++) {
-        if (!isnan(nom_flag[ts]))
+    for (long p = 0; p < points; p++) {
+        if (isfinite(nom[p]))
             continue;
-        for (long p = 0; p < points; p++) {
-            if (isfinite(nom[row_at[ts] + p]))
-                continue;
-            for (long ri = 0; ri < count; ri++)
-                for (long i = 0; i < runs[ri].len; i++) {
-                    /* grid point p in the frame of the run's lane i */
-                    long y = p / npts - runs[ri].ry,
-                         x = p % npts - runs[ri].rx - i;
-                    y += y < 0 ? npts : 0;
-                    x += x < 0 ? npts : 0;
-                    if (labs(y - c) + labs(x - c) > r)
-                        flag[ts * m + runs[ri].j + i] = NAN;
-                }
-        }
+        for (long ri = 0; ri < count; ri++)
+            for (long i = 0; i < runs[ri].len; i++) {
+                /* grid point p in the frame of the run's sample i */
+                long y = p / npts - runs[ri].ry,
+                     x = p % npts - runs[ri].rx - i;
+                y += y < 0 ? npts : 0;
+                x += x < 0 ? npts : 0;
+                if (labs(y - c) + labs(x - c) > r)
+                    flag[runs[ri].j + i] = NAN;
+            }
     }
 }
 
-/* out[t, p, j] = (f+ - f-) * 0.5 of a unit of cone samples, at the
- * element strides (st, sp, sj), one row of out after the other: that of
- * the nominal rows (as in cone_fill), and then, within distance r of the
- * frame centre, that of the cone lanes f (points, 2 k m) at the grid
+/* out[p, j] = (f+ - f-) * 0.5 of a unit of cone samples, at the element
+ * strides (sp, sj): the nominal row's +0.0, and then, within distance r
+ * of the frame centre, that of the cone lanes f (points, 2m) at the grid
  * points they hold there. */
-INLINE void cone_write(const double *restrict f, const double *restrict nom,
-                       const long *row_at, const struct run *runs, long count,
-                       double *restrict out, long k, long m, long npts,
-                       long r, long st, long sp, long sj)
+INLINE void cone_write(const double *restrict f, const struct run *runs,
+                       long count, double *restrict out, long m, long npts,
+                       long r, long sp, long sj)
 {
-    const long points = npts * npts, nc = 2 * k * m;
-    for (long p = 0; p < points; p++)
-        for (long t = 0; t < k; t++) {
-            const double v = (nom[row_at[2 * t] + p]
-                              - nom[row_at[2 * t + 1] + p]) * 0.5;
-            double *o = out + t * st + p * sp;
-            for (long j = 0; j < m; j++)
-                o[j * sj] = v;
-        }
+    for (long p = 0; p < npts * npts; p++)
+        for (long j = 0; j < m; j++)
+            out[p * sp + j * sj] = 0.0;
     for (long y = 0; y < npts; y++) {
         long lo, hi;
         if (!cone_span(y, r, npts, &lo, &hi))
@@ -770,22 +754,20 @@ INLINE void cone_write(const double *restrict f, const double *restrict nom,
                 long split;
                 const long g = run_point(runs[ri], y, x, npts, &split),
                            j = runs[ri].j;
-                const double *fq = f + (y * npts + x) * nc + j;
-                for (long t = 0; t < k; t++) {
-                    const double *fp = fq + 2 * t * m, *fm = fp + m;
-                    double *o = out + t * st + j * sj;
-                    for (long i = 0; i < runs[ri].len; i++) {
-                        const long gp = i < split ? g + i : g + i - npts;
-                        o[gp * sp + i * sj] = (fp[i] - fm[i]) * 0.5;
-                    }
+                const double *fp = f + (y * npts + x) * 2 * m + j,
+                             *fm = fp + m;
+                double *o = out + j * sj;
+                for (long i = 0; i < runs[ri].len; i++) {
+                    const long gp = i < split ? g + i : g + i - npts;
+                    o[gp * sp + i * sj] = (fp[i] - fm[i]) * 0.5;
                 }
             }
     }
 }
 
 /* A central unit of Allen-Cahn (see the central-difference units above):
- * stepped in light cones, next to its nominal rows, if every sample is a
- * cone sample, else as whole rows. */
+ * stepped in light cones, next to its nominal row, if cone_unit holds,
+ * else as whole rows. */
 VECTOR_CLONES
 long allen_cahn_central(const double *x, const double *u, const double *d,
                         const double *du, double *out,
@@ -794,11 +776,11 @@ long allen_cahn_central(const double *x, const double *u, const double *d,
                         double gamma, double dx, double dt, long nsub)
 {
     const struct allen_cahn p = allen_cahn_factors(mob, gamma, dx, dt);
-    const long points = npts * npts, c = npts / 2, nr = 2 * k, nb = nr * m;
-    long *at = malloc((m + nr) * sizeof(long) + m * sizeof(struct run));
+    const long points = npts * npts, c = npts / 2, nb = 2 * k * m;
+    long *at = malloc(m * (sizeof(long) + sizeof(struct run)));
     if (!at)
         return -2;
-    if (!cone_samples(d, du, m, points, 4, at)) {
+    if (!cone_unit(x, u, d, du, k, m, points, 4, at)) {
         free(at);
         const long n = points * nb;
         double *w = workspace(4 * n + 8 * nb);
@@ -814,71 +796,42 @@ long allen_cahn_central(const double *x, const double *u, const double *d,
         return bad;
     }
 
-    long *row_at = at + m;
-    struct run *runs = (struct run *)(row_at + nr);
+    struct run *runs = (struct run *)(at + m);
     const long r = cone_radius(nsub);
-    /* the cone lanes' fields, flags and labels; the nominal rows' fields,
-     * one plane per row, and their controls (then flags) and rows */
-    const long cone_field = padded(points * nb), plane = padded(points),
-               nom_field = nr * plane;
-    double *w = workspace(2 * cone_field + padded(nb) + padded(points * m)
-                          + 4 * nom_field + 8 * nr);
+    /* the cone lanes' field, its next value, their labels and their
+     * flags; the nominal row's field, its next value, A and H, one plane
+     * each */
+    const long cone_field = padded(points * nb), plane = padded(points);
+    double *w = workspace(3 * cone_field + padded(nb) + 4 * plane);
     if (!w) {
         free(at);
         return -2;
     }
-    double *lf = w, *lg = w + cone_field, *flag = w + 2 * cone_field,
-           *nf = flag + padded(nb) + padded(points * m), *ng = nf + nom_field,
-           *na = nf + 2 * nom_field, *nhc = nf + 3 * nom_field,
-           *nom_ctl = nf + 4 * nom_field, *nom_rows = nom_ctl + 4 * nr;
-    long *labels = (long *)(flag + padded(nb));
+    double *lf = w, *lg = w + cone_field, *flag = w + 3 * cone_field,
+           *nf = flag + padded(nb), *ng = nf + plane, *na = ng + plane,
+           *nhc = na + plane;
+    long *labels = (long *)(w + 2 * cone_field);
+    double rows[4];
 
-    /* the nominal rows x_t + 0.0 under u_t + 0.0 and x_t - 0.0 under
-     * u_t - 0.0, each a plane nf + row_at[ts]; where x_t and u_t hold no
-     * -0.0 the two are the same values, stepped once */
-    const double zero[4] = {0.0, 0.0, 0.0, 0.0};
-    for (long t = 0; t < k; t++) {
-        int same = 1;
-        for (long q = 0; q < points; q++)
-            same &= !minus_zero(x[t * points + q]);
-        for (long i = 0; i < 4; i++)
-            same &= !minus_zero(u[t * 4 + i]);
-        row_at[2 * t] = 2 * t * plane;
-        row_at[2 * t + 1] = (2 * t + !same) * plane;
-        for (long q = 0; q < points; q++) {
-            nf[row_at[2 * t] + q] = x[t * points + q] + zero[0];
-            nf[row_at[2 * t + 1] + q] = x[t * points + q] - zero[0];
-        }
-    }
-    plus_minus_controls(u, zero, nom_ctl, k, 1, 4);
-    allen_cahn_rows(nom_ctl, nom_rows, nr, p);
-    for (long ts = 0; ts < nr; ts++) {
-        const double *v = nom_rows + ts;
-        route(na + row_at[ts], plus, v, v + nr, points, 1);
-        route(nhc + row_at[ts], plus, v + 2 * nr, v + 3 * nr, points, 1);
-    }
+    /* the nominal row x under u */
+    memcpy(nf, x, points * sizeof(double));
+    allen_cahn_route(na, nhc, rows, u, plus, 1, points, p);
 
     /* the cone lanes, started at their moved points, the frame centre,
      * and their labels */
     double *f0 = lf + (c * npts + c) * nb;
-    for (long j = 0; j < m; j++)
-        for (long t = 0; t < k; t++) {
-            const double v = x[t * points + at[j]], e = d[at[j] * m + j];
-            f0[2 * t * m + j] = v + e;
-            f0[(2 * t + 1) * m + j] = v - e;
-        }
+    for (long j = 0; j < m; j++) {
+        const double v = x[at[j]], e = d[at[j] * m + j];
+        f0[j] = v + e;
+        f0[m + j] = v - e;
+    }
     const long count = cone_runs(runs, at, m, npts);
     cone_labels(labels, plus, runs, count, r, m, npts);
     for (long s = 1; s <= nsub; s++) {
-        cone_fill(lf, nf, row_at, runs, count, cone_radius(s - 1),
-                  cone_radius(s) + STENCIL_REACH, nr, m, npts);
-        for (long ts = 0; ts < nr; ts++)
-            if (row_at[ts] == ts * plane)
-                allen_cahn_substep(nf + ts * plane, na + ts * plane,
-                                   nhc + ts * plane, ng + ts * plane, npts, 1,
-                                   p);
-        cone_substep(lf, labels, nom_rows, lg, cone_radius(s), nr, m, npts,
-                     p);
+        cone_fill(lf, nf, runs, count, cone_radius(s - 1),
+                  cone_radius(s) + STENCIL_REACH, m, npts);
+        allen_cahn_substep(nf, na, nhc, ng, npts, 1, p);
+        cone_substep(lf, labels, rows, lg, cone_radius(s), m, npts, p);
         double *t = nf;
         nf = ng;
         ng = t;
@@ -886,14 +839,11 @@ long allen_cahn_central(const double *x, const double *u, const double *d,
         lf = lg;
         lg = t;
     }
-    for (long ts = 0; ts < nr; ts++)
-        row_flags(nf + row_at[ts], nom_ctl + ts, 1, points);
-    cone_flags(lf, nf, row_at, nom_ctl, flag, runs, count, r, nr, m, npts);
+    cone_flags(lf, nf, flag, runs, count, r, m, npts);
 
-    const long bad = first_diverged(flag, k, m);
+    const long bad = first_diverged(flag, 1, m);
     if (bad < 0)
-        cone_write(lf, nf, row_at, runs, count, out, k, m, npts, r, st, sp,
-                   sj);
+        cone_write(lf, runs, count, out, m, npts, r, sp, sj);
     free(w);
     free(at);
     return bad;

@@ -50,14 +50,15 @@ out; it is bit-identical to the numpy version.
 The C ``allen_cahn_central`` steps a sample that moves one state point
 and no control (every full-order state sample) only within its light
 cone: after substep s only the points within torus distance s of the
-moved point differ from the unit's nominal rows ``x_t + 0.0`` under
-``u_t + 0.0`` and ``x_t - 0.0`` under ``u_t - 0.0``, which it steps
-once per unit and which stand for the sample's rows everywhere else, in
-the output and in the divergence check.  A unit is stepped in cones only
-if every sample is such a cone sample; a unit that holds a control
-sample, a dense (reduced) design and the other PDEs' units are stepped
-as whole rows.  The numpy path steps every row whole and is the
-bit-equality oracle.
+moved point differ from the unit's nominal row ``x`` under ``u``, which
+it steps once per unit and which stands for both of the sample's rows
+everywhere else, in the output and in the divergence check.  A unit is
+stepped in cones only if it is one timestep, its nominal ``x`` and ``u``
+hold no -0.0 (so that ``x +/- 0.0`` and ``u +/- 0.0`` are ``x`` and
+``u``, bit for bit), and every sample is such a cone sample; any other
+unit (several timesteps, -0.0 in the nominal, a control sample, a dense
+reduced design) and the other PDEs' units are stepped as whole rows.
+The numpy path steps every row whole and is the bit-equality oracle.
 
 Each scheme is evaluated in a folded form: its constant factors are
 gathered into scalars and per-point coefficient fields built once per

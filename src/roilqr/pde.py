@@ -201,8 +201,9 @@ class _Model:
         sample) order, whose next states are not finite, and leaves
         ``out`` unwritten.  Bit-identical to stepping the 2 k m rows with
         :meth:`step_batch` (:func:`roilqr._kernels.central_numpy`), though
-        the C Allen-Cahn kernel steps a unit whose every sample moves one
-        state point only within the points those moves reach (see
+        the C Allen-Cahn kernel steps a unit of one timestep, whose
+        nominal holds no -0.0 and whose every sample moves one state
+        point, only within the points those moves reach (see
         :mod:`roilqr._kernels`); any other unit it steps whole."""
         return self._central(states, controls, design_x, design_u, out,
                              *self._params)

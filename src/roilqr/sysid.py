@@ -30,9 +30,10 @@ differences.  At full order it writes them straight into the
 (T, d, d + n_u) outputs; a reduced unit writes them into a buffer of its
 timesteps' (n_s, n_x) differences, which are then projected.  A
 full-order state sample moves one state point, so the C Allen-Cahn
-kernel steps a unit of state samples only within the points their moves
-reach in one control step, and the unit's nominal rows everywhere else;
-a unit that holds a control sample it steps as whole rows.  So besides
+kernel steps a unit of state samples of one timestep only within the
+points their moves reach in one control step, and the unit's nominal row
+everywhere else, if that nominal holds no -0.0; a unit that holds a
+control sample or several timesteps it steps as whole rows.  So besides
 the outputs an identification holds one unit's design and the kernel's
 workspace, never a whole full-order timestep's queries or the dense
 (n_x + n_u, n_x) design.  The fit overwrites the outputs buffer with

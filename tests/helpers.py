@@ -305,11 +305,12 @@ def cone_cases(rng, npts, nsub):
     """Allen-Cahn central units on an npts x npts grid stepped nsub times,
     where nsub is below npts / 2, so that the light cone of a moved point
     is smaller than the grid: ``(name, model, states, controls, design_x,
-    design_u)`` for moved points at the corners and the wraps, a run of
-    consecutive state samples across a grid row up to the grid's end, -0.0
-    in the nominal states and controls, all of which move one state point
-    each and are stepped in light cones; and state and control samples
-    mixed in one unit, and a dense design, which are stepped whole."""
+    design_u)``.  Two are stepped in light cones, one timestep each whose
+    samples all move one state point: moved points at the corners and the
+    wraps, and a run of consecutive state samples across a grid row up to
+    the grid's end.  The rest are stepped whole: the corner samples over
+    two timesteps, a timestep whose nominal states and controls hold -0.0,
+    state and control samples mixed in one unit, and a dense design."""
     model = cone_model(rng, npts, nsub)
     n, n_x = npts, model.n_x
     corners = [0, n - 1, n * (n - 1), n_x - 1, n + 1, n_x // 2 + 3]
@@ -318,23 +319,21 @@ def cone_cases(rng, npts, nsub):
         return (0.3 * rng.standard_normal((k, n_x)),
                 0.3 * rng.standard_normal((k, model.n_u)))
 
-    # -0.0 in a zero state and its controls at timestep 0, where x + 0.0
-    # and x - 0.0 differ and zeros keep their signs through the steps, and
-    # in a control at timestep 1; timestep 2 holds none, so its two
-    # nominal rows are the same values
-    negative = nominal(3)
+    # -0.0 in a zero state and in one control, where x + 0.0 and x - 0.0
+    # differ and zeros keep their signs through the steps
+    negative = nominal(1)
     negative[0][0] = 0.0
     negative[0][0, ::3] = -0.0
-    negative[1][0] = [0.3, -0.0, -0.2, -0.0]
-    negative[1][1, 1] = -0.0
+    negative[1][0] = [0.3, -0.0, -0.2, 0.1]
     return [
-        ("corners", model, *nominal(2), *state_design(model, corners)),
+        ("corners", model, *nominal(1), *state_design(model, corners)),
         ("run", model, *nominal(1),
          *state_design(model, list(range(n_x - n - 5, n_x)))),
+        ("timesteps", model, *nominal(2), *state_design(model, corners)),
+        ("-0.0", model, *negative, *state_design(model, corners)),
         ("mixed", model, *nominal(2),
          *state_design(model, [n_x, 0, n_x + 2, n - 1, n_x - 1, n_x + 1,
                                n * (n - 1), n_x + 3])),
-        ("-0.0", model, *negative, *state_design(model, corners)),
         ("dense", model, *nominal(2), 1e-2 * rng.standard_normal((n_x, 5)),
          1e-2 * rng.standard_normal((5, model.n_u))),
     ]

@@ -172,10 +172,10 @@ def cone_one_point_short(tmp_path_factory):
 def test_cone_check_rejects_a_cone_one_point_short(cone_one_point_short,
                                                    npts, nsub):
     # mutant: the light cone of test_allen_cahn_central_cones_bit_identical
-    # one point short; its bit-equality check fails on every case whose
-    # samples all move one state point, and holds on the unit that mixes
-    # state and control samples and on the dense design, which are
-    # stepped as whole rows
+    # one point short; its bit-equality check fails on every unit stepped
+    # in cones, one timestep whose samples all move one state point, and
+    # holds on the units stepped as whole rows: two timesteps, -0.0 in the
+    # nominal, state and control samples mixed, and a dense design
     rng = np.random.default_rng(42)
     for name, model, *inputs in cone_cases(rng, npts, nsub):
         ref = stepped_differences(model, *inputs)
@@ -183,4 +183,26 @@ def test_cone_check_rejects_a_cone_one_point_short(cone_one_point_short,
         assert cone_one_point_short.allen_cahn_central(
             *inputs, out, *model._params) == -1
         assert np.array_equal(bits(out), bits(ref)) == (
-            name in ("mixed", "dense")), name
+            name not in ("corners", "run")), name
+
+
+def test_preset_identification_takes_the_cone_path(cone_one_point_short,
+                                                   monkeypatch):
+    # The bit-equality checks cannot see a kernel that steps every unit as
+    # whole rows.  The full-order identification of allen_cahn_small's
+    # seed-0 guess is cut into units of 48 state samples, stepped in
+    # cones, and a last unit of 16 state samples and the 4 controls,
+    # stepped whole: the one-point-short cone changes the differences of
+    # samples 0-383 at every timestep, and only theirs.
+    cfg = preset("allen_cahn_small")
+    problem = build_problem(
+        cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+    nominal = rollout(problem.model, problem.x0, problem.u_init)
+    real = generate_rollout_data(problem.model, nominal).outputs
+    monkeypatch.setattr(_kernels, "allen_cahn_central",
+                        cone_one_point_short.allen_cahn_central)
+    mutant = generate_rollout_data(problem.model, nominal).outputs
+    assert np.all(np.any(bits(real[:, :, :384]) != bits(mutant[:, :, :384]),
+                         axis=(1, 2)))
+    np.testing.assert_array_equal(bits(real[:, :, 384:]),
+                                  bits(mutant[:, :, 384:]))

@@ -762,35 +762,36 @@ def _first_diverged(model, states, controls, design_x, design_u):
 
 def test_allen_cahn_central_divergence_outside_a_cone(rng, compiled):
     # One substep on a 20x20 grid: a sample's cone is its moved point and
-    # the four around it.  Every sample moves one state point, so the unit
-    # is stepped in cones.  At timestep 2 of 3 the nominal holds a point P
-    # of 1.1 T, which overflows.  Samples 0, 1, 3, 4, 6 and 7 move points
-    # far from P, so only their nominal rows diverge, outside their cones;
-    # sample 2 moves a neighbour of P, inside whose cone P diverges.  At
-    # timestep 1 sample 5 moves a point Q of 0.6 T by -0.5 T, so that only
-    # its minus side diverges, inside its cone, while the nominal stays
-    # finite.
+    # the four around it.  Each unit is one timestep whose samples all
+    # move one state point, so it is stepped in cones.  In the first the
+    # nominal holds a point P of 1.1 T, which overflows.  Samples 0, 1, 3,
+    # 4, 6 and 7 move points far from P, so only their nominal row
+    # diverges, outside their cones; sample 2 moves a neighbour of P,
+    # inside whose cone P diverges.  In the second sample 5 moves a point
+    # Q of 0.6 T by -0.5 T, so that only its minus side diverges, inside
+    # its cone, while the nominal stays finite.
     model = cone_model(rng, 20, 1)
     scale = _overflow_scale(model)
     n_x, p, q = model.n_x, 5 * 20 + 5, 12 * 20 + 3
-    states = 0.3 * rng.standard_normal((3, n_x))
-    controls = 0.3 * rng.standard_normal((3, model.n_u))
-    design_x, design_u = state_design(
-        model, [15 * 20 + 15, 10 * 20 + 15, p + 1, 17 * 20 + 10, 7, q,
-                2 * 20 + 14, 0])
-    states[2, p] = 1.1 * scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        for hazard in (True, False):
-            states[1, q] = 0.6 * scale if hazard else 0.3
-            design_x[q, 5] = -0.5 * scale if hazard else 1e-2
-            inputs = (states, controls, design_x, design_u)
-            first = _first_diverged(model, *inputs)
-            assert first == (1 * 8 + 5 if hazard else 2 * 8 + 0)
+    controls = 0.3 * rng.standard_normal((1, model.n_u))
+    for hazard, first in (("nominal", 0), ("sample", 5)):
+        states = 0.3 * rng.standard_normal((1, n_x))
+        design_x, design_u = state_design(
+            model, [15 * 20 + 15, 10 * 20 + 15, p + 1, 17 * 20 + 10, 7, q,
+                    2 * 20 + 14, 0])
+        if hazard == "nominal":
+            states[0, p] = 1.1 * scale
+        else:
+            states[0, q] = 0.6 * scale
+            design_x[q, 5] = -0.5 * scale
+        inputs = (states, controls, design_x, design_u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _first_diverged(model, *inputs) == first, hazard
             for path, central in _centrals(compiled, "allen_cahn",
                                            model).items():
-                out = np.full((3, n_x, 8), 7.0)
-                assert central(*inputs, out) == first, path
-                assert np.all(out == 7.0), path   # not written
+                out = np.full((1, n_x, 8), 7.0)
+                assert central(*inputs, out) == first, (hazard, path)
+                assert np.all(out == 7.0), (hazard, path)   # not written
 
 
 @pytest.mark.parametrize("arg,bad", [
