@@ -2,10 +2,11 @@
 """Step-kernel throughput at the batch sizes the solver issues, on the
 active kernel path and on the numpy path.
 
-Times each preset's batch kernel called as ``step_batch`` calls it (one
-call per batch, control routing included), and reports microseconds per
-row and nanoseconds per cell-substep (per row, divided by n_x *
-substeps), so that kernels of different sizes compare.  The row counts
+Times each preset's batch kernel called as ``step_batch`` calls it, one
+call ``<pde>_batch(rows, controls, *model._params)`` per batch (control
+routing included), and reports microseconds per row and nanoseconds per
+cell-substep (per row, divided by n_x * substeps), so that kernels of
+different sizes compare.  The row counts
 are those of seed-0 solves; the identification ones are the rows of its
 units, which identification steps through ``<pde>_central`` (second
 table) and which show the batch kernels' throughput on large batches:
@@ -52,8 +53,9 @@ column names them.
 Each unit is timed as ``<pde>_central`` on the active path, as its
 ``<pde>_batch`` call alone on the same rows, and as that batch call with
 the numpy passes around it that build the rows and take the differences
-(:func:`roilqr._kernels.central_numpy` over the active batch kernel, the
-way identification ran a unit before the central kernels); "gain" is the
+(:func:`roilqr._kernels.central_numpy` over the active batch kernel and
+the model's parameters, the way identification ran a unit before the
+central kernels); "gain" is the
 last over the first.  ``<pde>_central_numpy`` gives the numpy path.  A
 unit's time is the mean of a burst of UNIT_BURST consecutive calls, as
 identification makes its units one after another: a single call between
@@ -79,7 +81,6 @@ the C times depend on its vector width.
 import argparse
 import statistics
 import time
-from functools import partial
 
 import numpy as np
 
@@ -163,7 +164,7 @@ def main():
         for rows in batches:
             states = problem.x0 + 1e-2 * rng.standard_normal((rows, model.n_x))
             controls = 0.3 * rng.standard_normal((rows, model.n_u))
-            call_args = (states, *model._kernel_args(controls))
+            call_args = (states, controls, *model._params)
             calls = [(kernel, call_args) for kernel in kernels]
             cases.append((name, model, rows, calls, ([], [])))
     for name, full, sizes in UNITS:
@@ -179,8 +180,7 @@ def main():
             calls = [
                 (getattr(_kernels, f"{pde}_central"), (*unit, *params)),
                 (model.step_batch, (x, u)),
-                (_kernels.central_numpy,
-                 (partial(_batched, batch, model), *unit)),
+                (_kernels.central_numpy, (batch, *unit, *params)),
                 (getattr(_kernels, f"{pde}_central_numpy"),
                  (*unit, *params)),
             ]
@@ -226,11 +226,6 @@ def main():
 def _burst(fn, args):
     for _ in range(UNIT_BURST):
         fn(*args)
-
-
-def _batched(batch, model, states, controls):
-    # the active batch kernel called as step_batch calls it
-    return batch(states, *model._kernel_args(controls))
 
 
 if __name__ == "__main__":

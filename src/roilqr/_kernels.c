@@ -1,8 +1,9 @@
 /* Batched explicit finite-difference step kernels: the C path of
  * roilqr._kernels, two entries per PDE.
  *
- * <pde>_batch takes the arguments of its numpy kernel in _kernels.py
- * (the batch as row pointers and sizes) and steps the caller's rows.
+ * <pde>_batch takes the arguments of its numpy kernel in _kernels.py,
+ * the rows, their (nb, n_u) controls and the model's parameters (the
+ * arrays as pointers, with their sizes), and steps the caller's rows.
  * <pde>_central runs one central-difference identification unit: from k
  * nominal states and controls and a design of m samples it builds the +
  * and - rows in its workspace, steps them, checks them for divergence
@@ -237,19 +238,19 @@ INLINE void burgers_substep(const double *restrict src, double *restrict dst,
 }
 
 /* Step the node-major rows (n, nb) of bufs[0] nsub times, bufs[1] the
- * other buffer and the boundary nodes of both pinned to left[b * cs] and
- * right[b * cs]; returns the buffer of the result. */
-SHARED double *burgers_steps(double *bufs[2], const double *left,
-                             const double *right, long cs, long nb, long n,
-                             double nu, double dx, double dt, long nsub)
+ * other buffer and the boundary nodes of both pinned to each row's
+ * controls (nb, 2), (left, right); returns the buffer of the result. */
+SHARED double *burgers_steps(double *bufs[2], const double *ctl, long nb,
+                             long n, double nu, double dx, double dt,
+                             long nsub)
 {
     const double c_adv = dt / (2.0 * dx);
     const double c_dif = nu * dt / (dx * dx);
     const double k = 1.0 - 2.0 * c_dif;
     for (int w = 0; w < 2; w++)
         for (long b = 0; b < nb; b++) {
-            bufs[w][b] = left[b * cs];
-            bufs[w][(n - 1) * nb + b] = right[b * cs];
+            bufs[w][b] = ctl[2 * b];
+            bufs[w][(n - 1) * nb + b] = ctl[2 * b + 1];
         }
     for (long s = 0; s < nsub; s++)
         burgers_substep(bufs[s & 1], bufs[(s + 1) & 1], (n - 2) * nb, nb,
@@ -258,9 +259,8 @@ SHARED double *burgers_steps(double *bufs[2], const double *left,
 }
 
 VECTOR_CLONES
-int burgers_batch(const double *u, const double *left, const double *right,
-                  double *out, long nb, long n, double nu, double dx,
-                  double dt, long nsub)
+int burgers_batch(const double *u, const double *ctl, double *out, long nb,
+                  long n, double nu, double dx, double dt, long nsub)
 {
     const long span = padded(n * nb);
     double *w = workspace(2 * span);
@@ -268,8 +268,8 @@ int burgers_batch(const double *u, const double *left, const double *right,
         return -1;
     double *bufs[2] = {w, w + span};
     to_node_major(u, w, nb, n);
-    to_row_major(burgers_steps(bufs, left, right, 1, nb, n, nu, dx, dt, nsub),
-                 out, nb, n);
+    to_row_major(burgers_steps(bufs, ctl, nb, n, nu, dx, dt, nsub), out, nb,
+                 n);
     free(w);
     return 0;
 }
@@ -287,8 +287,7 @@ long burgers_central(const double *x, const double *u, const double *d,
     double *bufs[2] = {w, w + span}, *ctl = w + 2 * span;
     plus_minus_states(x, d, w, k, m, n);
     plus_minus_controls(u, du, ctl, k, m, 2);
-    const double *f = burgers_steps(bufs, ctl, ctl + 1, 2, nb, n, nu, dx, dt,
-                                    nsub);
+    const double *f = burgers_steps(bufs, ctl, nb, n, nu, dx, dt, nsub);
     const long bad = central_result(f, ctl, out, k, m, n, st, sp, sj);
     free(w);
     return bad;

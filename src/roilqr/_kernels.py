@@ -28,9 +28,13 @@ in every clone, and are bit-identical to them.  The plain-Python loop
 versions, the oracle both are tested against, live in
 ``tests/test_kernels.py``.
 
-The batch kernels take a batch of flattened float64 state rows
-``(B, n)`` and return a new array; inputs are never mutated.  2-D fields
-are stored row-major with periodic boundaries.
+Every kernel, on either path, takes one call shape: the rows, their
+controls ``(B, n_u)`` (a central kernel: then its design and output),
+and last the model's parameters (``_params`` of the models in
+:mod:`roilqr.pde`).  The batch kernels take a batch of flattened
+float64 state rows ``(B, n)`` and their controls and return a new
+array; inputs are never mutated.  2-D fields are stored row-major with
+periodic boundaries.
 
 A central kernel takes k nominal states ``(k, n)`` and controls
 ``(k, n_u)``, the state moves of m samples node-major ``(n, m)`` and
@@ -40,12 +44,11 @@ rows x_t +/- d_j under u_t +/- du_j and writes the halved differences
 ``(f+ - f-) * 0.5`` into the output; it returns the first sample
 ``t * m + j``, in (timestep, sample) order, of which a side is not
 finite, leaving the output unwritten, or -1.  On the numpy path it is
-:func:`central_numpy` over the batch kernel: identification's
-composition of row building, one batch call and numpy difference passes,
-which any model with only a ``step_batch`` also goes through.  The C
-version builds the rows directly in its node-major workspace and reads
-the differences from there, so it spends no pass transposing rows in or
-out; it is bit-identical to the numpy version.
+:func:`central_numpy` over the batch kernel: row building, one batch
+call and numpy difference passes.  The C version builds the rows
+directly in its node-major workspace and reads the differences from
+there, so it spends no pass transposing rows in or out; it is
+bit-identical to the numpy version.
 
 The C ``allen_cahn_central`` steps a sample that moves one state point
 and no control (every full-order state sample) only within its light
@@ -78,10 +81,12 @@ Those are the numpy kernels' passes.  A C substep is one pass over the
 state (Cahn-Hilliard: two, one per neighbour sum) that sums each point's
 neighbours where it updates the point.
 
+Burgers' controls are each row's two boundary values ``(left, right)``.
 The phase-field kernels take each row's controls ``(temp+, h+, temp-,
-h-)`` and the +1/-1 label mask, not per-point fields: a row's A and H
-(B and s*h) take one value per label, computed as a scalar with the
-operations of the per-point expression, and are then placed by label.
+h-)`` and, first of their parameters, the +1/-1 label mask, not
+per-point fields: a row's A and H (B and s*h) take one value per label,
+computed as a scalar with the operations of the per-point expression,
+and are then placed by label.
 The loop oracles evaluate the same expressions in the same order.
 
 The numpy kernels step the batch node-major (the batch index varies
@@ -107,6 +112,7 @@ import math
 import os
 import shutil
 import tempfile
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -150,11 +156,12 @@ def _workspaces(*shapes):
 
 # ---------------------------------------------------------------------------
 # 1-D viscous Burgers, Dirichlet boundary actuation.
-# du/dt + u du/dx = nu d2u/dx2; boundary nodes overwritten each substep.
+# du/dt + u du/dx = nu d2u/dx2; the boundary nodes are pinned to each row's
+# two controls (left, right).
 # ---------------------------------------------------------------------------
 
 
-def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
+def burgers_batch_numpy(u, controls, nu, dx, dt, nsub):
     # Node-major layout (n, B): a stencil shift by one node is a shift by
     # B in the flat buffer, so every stencil operand is one contiguous
     # slice.  Two buffers alternate as source and destination; the views
@@ -167,8 +174,8 @@ def burgers_batch_numpy(u, left, right, nu, dx, dt, nsub):
     *bufs, s1, s2 = _workspaces((n, nb), (n, nb), (m,), (m,))
     bufs[0][...] = u.T   # a copy even for one row, where u.T is contiguous
     for buf in bufs:
-        buf[0] = left
-        buf[-1] = right
+        buf[0] = controls[:, 0]
+        buf[-1] = controls[:, 1]
     flat = [buf.reshape(-1) for buf in bufs]
     views = [(src[:m], src[nb:nb + m], src[2 * nb:], dst[nb:nb + m])
              for src, dst in (flat, flat[::-1])]
@@ -335,21 +342,21 @@ def _central_rows(*shapes):
             for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
-def central_numpy(step, states, controls, design_x, design_u, out):
-    """One central-difference unit stepped by ``step``, a batch stepper
-    ``(B, n_x), (B, n_u) -> (B, n_x)``: the numpy path of the
-    ``<pde>_central`` kernels, and the one for any model that has only a
-    ``step_batch``.
+def central_numpy(batch, states, controls, design_x, design_u, out,
+                  *params):
+    """One central-difference unit stepped by ``batch``, a stepper with
+    the kernels' call shape ``(B, n_x), (B, n_u), *params -> (B, n_x)``:
+    over ``<pde>_batch_numpy``, the numpy path of ``<pde>_central``.
 
     ``states`` (k, n_x) and ``controls`` (k, n_u) are k nominal points,
     ``design_x`` (n_x, m) the state moves of m samples, node-major, and
     ``design_u`` (m, n_u) their control moves.  Sample j of timestep t
     steps x_t +/- design_x[:, j] under u_t +/- design_u[j], all 2 k m rows
-    in one call, timestep t's + rows and then its - rows.  Returns the
-    first sample t * m + j, in (timestep, sample) order, one of whose two
-    next states is not finite; else -1, after writing into ``out``
-    (k, n_x, m), a view of any strides, the halved differences
-    ``(f+ - f-) * 0.5``.
+    in one call ``batch(rows, controls, *params)``, timestep t's + rows
+    and then its - rows.  Returns the first sample t * m + j, in
+    (timestep, sample) order, one of whose two next states is not finite;
+    else -1, after writing into ``out`` (k, n_x, m), a view of any
+    strides, the halved differences ``(f+ - f-) * 0.5``.
     """
     k, n_x = states.shape
     m, n_u = design_u.shape
@@ -360,7 +367,8 @@ def central_numpy(step, states, controls, design_x, design_u, out):
     np.subtract(states[:, None], d, out=x[:, 1])
     np.add(controls[:, None], design_u, out=u[:, 0])
     np.subtract(controls[:, None], design_u, out=u[:, 1])
-    f = step(x.reshape(-1, n_x), u.reshape(-1, n_u)).reshape(k, 2, m, n_x)
+    f = batch(x.reshape(-1, n_x), u.reshape(-1, n_u),
+              *params).reshape(k, 2, m, n_x)
     bad = np.flatnonzero(~np.all(np.isfinite(f), axis=(1, 3)))
     if bad.size:
         return int(bad[0])
@@ -371,23 +379,9 @@ def central_numpy(step, states, controls, design_x, design_u, out):
     return -1
 
 
-def burgers_central_numpy(states, controls, design_x, design_u, out, nu, dx,
-                          dt, nsub):
-    return central_numpy(
-        lambda x, u: burgers_batch_numpy(x, u[:, 0], u[:, 1], nu, dx, dt,
-                                         nsub),
-        states, controls, design_x, design_u, out)
-
-
-def allen_cahn_central_numpy(states, controls, design_x, design_u, out, *args):
-    return central_numpy(lambda x, u: allen_cahn_batch_numpy(x, u, *args),
-                         states, controls, design_x, design_u, out)
-
-
-def cahn_hilliard_central_numpy(states, controls, design_x, design_u, out,
-                                *args):
-    return central_numpy(lambda x, u: cahn_hilliard_batch_numpy(x, u, *args),
-                         states, controls, design_x, design_u, out)
+burgers_central_numpy = partial(central_numpy, burgers_batch_numpy)
+allen_cahn_central_numpy = partial(central_numpy, allen_cahn_batch_numpy)
+cahn_hilliard_central_numpy = partial(central_numpy, cahn_hilliard_batch_numpy)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +497,15 @@ class CompiledKernels:
         ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
         for name, reals in (("burgers", 3), ("allen_cahn", 4),
                             ("cahn_hilliard", 4)):
+            # the phase-field kernels take one more pointer, the label mask
+            mask = 0 if name == "burgers" else 1
             fn = getattr(lib, f"{name}_batch")
-            fn.argtypes = [ptr] * 4 + [size] * 2 + [real] * reals + [size]
+            fn.argtypes = ([ptr] * (3 + mask) + [size] * 2
+                           + [real] * reals + [size])
             fn.restype = ctypes.c_int
-            # the phase-field units take the label mask after the output
             fn = getattr(lib, f"{name}_central")
-            fn.argtypes = ([ptr] * (5 if name == "burgers" else 6)
-                           + [size] * 6 + [real] * reals + [size])
+            fn.argtypes = ([ptr] * (5 + mask) + [size] * 6
+                           + [real] * reals + [size])
             fn.restype = ctypes.c_long
 
     @staticmethod
@@ -517,15 +513,14 @@ class CompiledKernels:
         if status != 0:
             raise MemoryError("step kernel workspace")
 
-    def burgers_batch(self, u, left, right, nu, dx, dt, nsub):
+    def burgers_batch(self, u, controls, nu, dx, dt, nsub):
         u = np.ascontiguousarray(u, dtype=np.float64)
         nb, n = u.shape
-        left = _c_array(left, (nb,), "left")
-        right = _c_array(right, (nb,), "right")
+        controls = _c_array(controls, (nb, 2), "controls")
         out = np.empty((nb, n))
         self._check(self._lib.burgers_batch(
-            u.ctypes.data, left.ctypes.data, right.ctypes.data,
-            out.ctypes.data, nb, n, nu, dx, dt, nsub))
+            u.ctypes.data, controls.ctypes.data, out.ctypes.data, nb, n, nu,
+            dx, dt, nsub))
         return out
 
     @staticmethod

@@ -171,8 +171,10 @@ def _as_batch(x, n, what="state"):
 
 class _Model:
     """The state dimension, ``step_batch`` and ``central`` of the three
-    models, each of which gives its ``_kernel``, ``_central``, the kernels'
-    trailing ``_params`` and its ``_kernel_args``."""
+    models, each of which gives its ``_kernel``, its ``_central`` and the
+    kernels' trailing ``_params``.  Both kernels of every PDE, on either
+    kernel path, take one call shape: the rows, their controls
+    ``(B, n_u)``, then ``_params``."""
 
     @property
     def n_x(self):
@@ -187,7 +189,7 @@ class _Model:
         if len(states) != len(controls):
             raise ValueError(f"{len(states)} state rows but "
                              f"{len(controls)} control rows")
-        return self._kernel(states, *self._kernel_args(controls))
+        return self._kernel(states, controls, *self._params)
 
     def central(self, states, controls, design_x, design_u, out):
         """One central-difference identification unit with one call of
@@ -240,10 +242,6 @@ class BurgersModel(_Model):
         p = self.params
         return p.nu, self.grid.dx, p.dt, p.substeps
 
-    def _kernel_args(self, controls):
-        return (np.ascontiguousarray(controls[:, 0]),
-                np.ascontiguousarray(controls[:, 1]), *self._params)
-
 
 def mask_from_goal(goal):
     """Label grid points by the sign of the target order parameter."""
@@ -274,9 +272,6 @@ class _PhaseFieldModel(_Model):
         p = self.params
         return (self.mask, p.mobility, self.gamma, self.grid.dx, p.dt,
                 p.substeps, self.grid.points)
-
-    def _kernel_args(self, controls):
-        return (controls, *self._params)
 
 
 class AllenCahnModel(_PhaseFieldModel):

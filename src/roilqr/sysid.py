@@ -22,13 +22,12 @@ cells, cuts a timestep that does not fit into runs of consecutive
 samples; a reduced timestep of 2 (l + n_u) rows is stepped whole even
 where it exceeds the cap, so each is projected in one product.  Each
 unit is one call of the model's ``central``, the central-difference
-kernel of its PDE (a model with only a ``step_batch`` goes through
-:func:`roilqr._kernels.central_numpy` over it): from the unit's nominal
-points and its own design, node-major, the kernel builds the + and -
-rows, steps them, checks them for divergence and writes the halved
-differences.  At full order it writes them straight into the
-(T, d, d + n_u) outputs; a reduced unit writes them into a buffer of its
-timesteps' (n_s, n_x) differences, which are then projected.  A
+kernel of its PDE: from the unit's nominal points and its own design,
+node-major, the kernel builds the + and - rows, steps them, checks them
+for divergence and writes the halved differences.  At full order it
+writes them straight into the (T, d, d + n_u) outputs; a reduced unit
+writes them into a buffer of its timesteps' (n_s, n_x) differences,
+which are then projected.  A
 full-order state sample moves one state point, so the C Allen-Cahn
 kernel steps a unit of state samples of one timestep only within the
 points their moves reach in one control step, and the unit's nominal row
@@ -42,11 +41,9 @@ two.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import _kernels
 from .pde import DivergenceError, aligned_runs
 
 
@@ -111,10 +108,9 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     are stepped in units of at most :data:`roilqr.pde.MAX_CHUNK_CELLS`
     cells: runs of whole timesteps, and only at full order, where one
     timestep's queries do not fit, consecutive sample ranges of one
-    timestep (see :func:`_units`).  Each unit is one simulator call, of
-    ``model.central`` (the PDE models' central-difference kernel), or of
-    ``model.step_batch`` through :func:`roilqr._kernels.central_numpy`
-    for a model without ``central``; a horizon of 0 makes no call.
+    timestep (see :func:`_units`).  Each unit is one call of
+    ``model.central`` (the PDE models' central-difference kernel); a
+    horizon of 0 makes no call.
     ``checkpoint``, if given, is called before every simulator call
     after the first, so also between the units of one full-order
     timestep, and may raise to abandon the identification.  Raises
@@ -125,8 +121,6 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
     n_x, n_u = model.n_x, model.n_u
     n_s = dim + n_u
     s_x, s_u = scales or perturbation_scales(nominal)
-    central = getattr(model, "central", None) \
-        or partial(_kernels.central_numpy, model.step_batch)
 
     outputs = np.empty((nominal.horizon, dim, n_s))
     units = _units(nominal.horizon, n_s, n_x, cut=basis is None)
@@ -172,8 +166,8 @@ def generate_rollout_data(model, nominal, basis=None, *, scales=None,
         else:
             dy = dy_buf[:(hi - lo) * n_s * n_x].reshape(hi - lo, n_s, n_x)
             out = dy.transpose(0, 2, 1)
-        bad = central(nominal.states[lo:hi], nominal.controls[lo:hi],
-                      *design(a, b), out)
+        bad = model.central(nominal.states[lo:hi], nominal.controls[lo:hi],
+                            *design(a, b), out)
         if bad >= 0:
             # the first sample, in (timestep, sample) order, of which
             # either side diverged

@@ -8,6 +8,7 @@ their grid, with the stepped rows they must equal."""
 import numpy as np
 from hypothesis import strategies as st
 
+from roilqr._kernels import central_numpy
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
                         Regularizer, _cho_solve, apply_weight)
 from roilqr.pde import (AllenCahnModel, DivergenceError, Grid, PdeParams,
@@ -17,7 +18,9 @@ from roilqr.sysid import LtvModel
 
 
 class LinearModel:
-    """x_{t+1} = A x + B u; duck-types a PDE model for the solver/sysid."""
+    """x_{t+1} = A x + B u; duck-types a PDE model for the solver/sysid,
+    its identification units stepped by ``central_numpy`` over its own
+    ``step_batch`` (so over a subclass's)."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=np.float64)
@@ -29,6 +32,10 @@ class LinearModel:
         states = np.atleast_2d(states)
         controls = np.atleast_2d(controls)
         return states @ self.a.T + controls @ self.b.T
+
+    def central(self, states, controls, design_x, design_u, out):
+        return central_numpy(self.step_batch, states, controls, design_x,
+                             design_u, out)
 
 
 def random_stable_linear(n_x, n_u, rng, radius=0.9):

@@ -48,8 +48,8 @@ def _files(directory):
 
 def _works(kernels):
     rng = np.random.default_rng(0)
-    args = (rng.standard_normal((3, 20)), rng.standard_normal(3),
-            rng.standard_normal(3), 0.05, 0.1, 1e-4, 5)
+    args = (rng.standard_normal((3, 20)), rng.standard_normal((3, 2)), 0.05,
+            0.1, 1e-4, 5)
     np.testing.assert_array_equal(kernels.burgers_batch(*args),
                                   _kernels.burgers_batch_numpy(*args))
     return True
@@ -164,53 +164,71 @@ class _CountingPopen(subprocess.Popen):
         super().__init__(*args, **kwargs)
 
 
-@needs_cc
-def test_cold_build_then_warm_load(tmp_path, monkeypatch):
+# What the cache tests check (one compiler run on a cold cache, a private
+# directory, one published file, a warm load without a compiler run, a
+# rebuild when the source or the flags change) does not depend on the
+# optimization level, so they build with -O0 appended to the flags: about
+# a tenth of an optimized build's time.  The production library, which
+# every bit-equality test runs, keeps the flags as they are.
+QUICK = ("-O0",)
+
+
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """A cache holding the quick library of the current source, flags and
+    compiler, built once, cold, for the tests that start from one; with
+    the loaded kernels and the compiler runs of that build."""
+    cache = tmp_path_factory.mktemp("built") / "cache"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + QUICK)
+        mp.setattr(subprocess, "Popen", _CountingPopen)
+        _CountingPopen.calls = 0
+        kernels = _kernels.load_compiled(str(cache), CC)
+    return cache, kernels, _CountingPopen.calls
+
+
+@pytest.fixture
+def counted_quick_builds(monkeypatch):
+    """The quick flags and a compiler-run count starting at 0."""
+    monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + QUICK)
     monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
     _CountingPopen.calls = 0
-    cache = tmp_path / "a" / "cache"
-    assert _works(_kernels.load_compiled(str(cache), CC))
-    assert _CountingPopen.calls == 1
+
+
+@needs_cc
+def test_cold_build_then_warm_load(built_cache, counted_quick_builds):
+    cache, kernels, cold_runs = built_cache
+    assert _works(kernels)
+    assert cold_runs == 1
     # a private directory, holding the one published library
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     [name] = _files(cache)
     assert name.startswith("kernels-") and name.endswith(".so")
     # warm: loaded without running the compiler
     assert _works(_kernels.load_compiled(str(cache), CC))
-    assert _CountingPopen.calls == 1
+    assert _CountingPopen.calls == 0
     assert _files(cache) == [name]
 
 
-@pytest.fixture(scope="module")
-def built_cache(tmp_path_factory):
-    """A cache holding the library of the current source, flags and
-    compiler, built once for the tests that start from one."""
-    cache = tmp_path_factory.mktemp("built") / "cache"
-    assert _kernels.load_compiled(str(cache), CC) is not None
-    return cache
-
-
 @needs_cc
-def test_changed_source_is_rebuilt(tmp_path, monkeypatch, built_cache):
-    cache = shutil.copytree(built_cache, tmp_path / "cache")
+def test_changed_source_is_rebuilt(tmp_path, monkeypatch, built_cache,
+                                   counted_quick_builds):
+    cache = shutil.copytree(built_cache[0], tmp_path / "cache")
     [old] = _files(cache)
     # the same kernels with one more comment: another key
     source = tmp_path / "_kernels.c"
     source.write_text(Path(_kernels._C_SOURCE).read_text() + "/* v2 */\n")
     monkeypatch.setattr(_kernels, "_C_SOURCE", str(source))
-    monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
-    _CountingPopen.calls = 0
     assert _works(_kernels.load_compiled(str(cache), CC))
     assert _CountingPopen.calls == 1
     assert len(_files(cache)) == 2 and old in _files(cache)
 
 
 @needs_cc
-def test_changed_flags_are_rebuilt(tmp_path, monkeypatch, built_cache):
-    cache = shutil.copytree(built_cache, tmp_path / "cache")
+def test_changed_flags_are_rebuilt(tmp_path, monkeypatch, built_cache,
+                                   counted_quick_builds):
+    cache = shutil.copytree(built_cache[0], tmp_path / "cache")
     monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-DUNUSED",))
-    monkeypatch.setattr(subprocess, "Popen", _CountingPopen)
-    _CountingPopen.calls = 0
     assert _works(_kernels.load_compiled(str(cache), CC))
     assert _CountingPopen.calls == 1
     assert len(_files(cache)) == 2

@@ -38,7 +38,7 @@ def compiled(tmp_path_factory):
     return kernels
 
 
-def burgers_batch_rowwise(u, left, right, nu, dx, dt, nsub):
+def burgers_batch_rowwise(u, controls, nu, dx, dt, nsub):
     """Row-major Burgers step in the folded form, one whole-array
     expression per substep: the bit-exact reference for the node-major
     numpy kernel."""
@@ -46,8 +46,8 @@ def burgers_batch_rowwise(u, left, right, nu, dx, dt, nsub):
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
     k = 1.0 - 2.0 * c_dif
-    u[:, 0] = left
-    u[:, -1] = right
+    u[:, 0] = controls[:, 0]
+    u[:, -1] = controls[:, 1]
     for _ in range(nsub):
         um = u[:, :-2]
         uc = u[:, 1:-1]
@@ -108,7 +108,7 @@ def cahn_hilliard_batch_rolled(phi, controls, mask, mob, gamma, dx, dt, nsub,
 # order.  The numpy kernels are bit-identical to them.
 
 
-def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
+def _burgers_batch_loops(u, controls, nu, dx, dt, nsub):
     nb, n = u.shape
     out = u.copy()
     buf = np.empty(n)
@@ -117,8 +117,8 @@ def _burgers_batch_loops(u, left, right, nu, dx, dt, nsub):
     k = 1.0 - 2.0 * c_dif
     for b in range(nb):
         row = out[b]
-        row[0] = left[b]
-        row[n - 1] = right[b]
+        row[0] = controls[b, 0]
+        row[n - 1] = controls[b, 1]
         for _ in range(nsub):
             for i in range(1, n - 1):
                 buf[i] = (
@@ -222,12 +222,12 @@ def _cahn_hilliard_loops(phi, controls, mask, mob, gamma, dx, dt, nsub, npts):
 # kernels agree with these to rounding.
 
 
-def burgers_scheme(u, left, right, nu, dx, dt, nsub):
+def burgers_scheme(u, controls, nu, dx, dt, nsub):
     u = u.copy()
     c_adv = dt / (2.0 * dx)
     c_dif = nu * dt / (dx * dx)
-    u[:, 0] = left
-    u[:, -1] = right
+    u[:, 0] = controls[:, 0]
+    u[:, -1] = controls[:, 1]
     for _ in range(nsub):
         um = u[:, :-2]
         uc = u[:, 1:-1]
@@ -273,8 +273,7 @@ def _random_mask(rng, npts):
 def test_burgers_numpy_bit_identical_to_rowwise(rng, rows):
     # the burgers preset's grid and substeps
     u = 0.5 * rng.standard_normal((rows, 100))
-    args = (u, rng.standard_normal(rows), rng.standard_normal(rows),
-            0.08, 2.0 / 99, 1e-3, 250)
+    args = (u, rng.standard_normal((rows, 2)), 0.08, 2.0 / 99, 1e-3, 250)
     out = _kernels.burgers_batch_numpy(*args)
     assert out.shape == (rows, 100) and out.flags.c_contiguous
     np.testing.assert_array_equal(_bits(out), _bits(burgers_batch_rowwise(*args)))
@@ -335,7 +334,7 @@ def test_folded_kernels_agree_with_scheme(rng, name, points, scheme):
     model, x0 = _preset_case(name, points, rng)
     states = x0 + 0.1 * rng.standard_normal((3, model.n_x))
     controls = 0.3 * rng.standard_normal((3, model.n_u))
-    args = (states, *model._kernel_args(controls))
+    args = (states, controls, *model._params)
     ref = scheme(*args)
     for kernel in (getattr(_kernels, f"{name}_batch_numpy"), LOOPS[name]):
         err = np.max(np.abs(kernel(*args) - ref))
@@ -353,7 +352,7 @@ def test_cahn_hilliard_kernel_conserves_mass(npts, rows, seed):
     mask = np.where(rng.random(npts * npts) < 0.5, 1, -1)
     model = CahnHilliardModel(grid, PdeParams(dt=5e-5, substeps=40), mask)
     phi = rng.uniform(-1.0, 1.0, (rows, model.n_x))
-    args = (phi, *model._kernel_args(rng.standard_normal((rows, 4))))
+    args = (phi, rng.standard_normal((rows, 4)), *model._params)
     for kernel in (_kernels.cahn_hilliard_batch_numpy,
                    _kernels.cahn_hilliard_batch):
         out = kernel(*args)
@@ -363,10 +362,8 @@ def test_cahn_hilliard_kernel_conserves_mass(npts, rows, seed):
 
 
 def test_burgers_paths_agree(rng):
-    u = rng.standard_normal((7, 50))
-    left = rng.standard_normal(7)
-    right = rng.standard_normal(7)
-    args = (u, left, right, 0.05, 0.04, 1e-4, 12)
+    args = (rng.standard_normal((7, 50)), rng.standard_normal((7, 2)), 0.05,
+            0.04, 1e-4, 12)
     out_np = _kernels.burgers_batch_numpy(*args)
     # the active kernel (C, or numpy itself) bit for bit
     np.testing.assert_array_equal(_bits(_kernels.burgers_batch(*args)),
@@ -405,8 +402,7 @@ def _c_case(rng, kind, rows, points):
     coefficients, on ``points`` nodes (Burgers) or points per axis."""
     if kind == "burgers":
         return (0.5 * rng.standard_normal((rows, points)),
-                rng.standard_normal(rows), rng.standard_normal(rows),
-                0.08, 2.0 / 99, 1e-3, 250)
+                rng.standard_normal((rows, 2)), 0.08, 2.0 / 99, 1e-3, 250)
     dt = 1e-4 if kind == "allen_cahn" else 1e-6
     return (0.5 * rng.standard_normal((rows, points * points)),
             rng.standard_normal((rows, 4)), _random_mask(rng, points),
@@ -502,12 +498,14 @@ def test_c_kernel_diverging_row(rng, compiled, kind):
 
 
 @pytest.mark.parametrize("kind,arg,bad", [
-    ("burgers", 1, np.zeros(2)),              # left: 2 values for 3 rows
-    ("burgers", 2, np.zeros((3, 1))),
+    ("burgers", 1, np.zeros(2)),              # controls: not rows
+    ("burgers", 1, np.zeros((3, 1))),         # controls: 1 per row
     ("allen_cahn", 1, np.zeros((3, 3))),      # controls: 3 per row
     ("allen_cahn", 2, np.ones(8)),            # mask: 8 labels for 9 points
     ("cahn_hilliard", 0, np.zeros((3, 10))),  # phi: 10 values per row
     ("cahn_hilliard", 8, 1),                  # npts below 2
+    ("burgers", 1, np.zeros((3, 3))),         # controls: 3 per row
+    ("burgers", 1, np.zeros((4, 2))),         # controls: 4 rows for 3
 ])
 def test_c_kernel_rejects_mismatched_arguments(rng, compiled, kind, arg,
                                                bad):
@@ -528,8 +526,7 @@ def test_kernels_do_not_mutate_inputs(rng):
             for rows in (1, 3):
                 if kind == "burgers":
                     inputs = {"u": rng.standard_normal((rows, 20)),
-                              "left": rng.standard_normal(rows),
-                              "right": rng.standard_normal(rows)}
+                              "controls": rng.standard_normal((rows, 2))}
                     params = (0.05, 0.1, 1e-4, 5)
                 else:
                     inputs = {"phi": 0.5 * rng.standard_normal((rows, p * p)),
@@ -544,9 +541,9 @@ def test_kernels_do_not_mutate_inputs(rng):
 
 
 # Central-difference units: <pde>_central on the C path and on numpy, the
-# model's central, and the generic composition over step_batch that a
-# model without a central kernel goes through, all against the halved
-# differences of the 2 k m rows stepped by step_batch, bit for bit.
+# model's central, and the generic composition over step_batch, all
+# against the halved differences of the 2 k m rows stepped by step_batch,
+# bit for bit.
 
 KINDS = ["burgers", "allen_cahn", "cahn_hilliard"]
 

@@ -9,7 +9,7 @@ from helpers import (LinearModel, bits, cone_model, cone_reaches,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roilqr import pde
+from roilqr import _kernels, pde
 from roilqr.harness import (build_problem, config_from_dict, gaussian_guess,
                             preset, run_solve)
 from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
@@ -444,12 +444,15 @@ def test_full_order_units_fit_one_kernel_call(monkeypatch):
 
 
 class _StepOnly:
-    """A model with a step_batch and no central kernel, which
-    identification steps through _kernels.central_numpy."""
+    """A model whose identification units step whole rows with its
+    step_batch, through _kernels.central_numpy, and never in cones."""
 
     def __init__(self, model):
         self.n_x, self.n_u = model.n_x, model.n_u
         self.step_batch = model.step_batch
+
+    def central(self, *unit):
+        return _kernels.central_numpy(self.step_batch, *unit)
 
 
 @pytest.mark.parametrize("npts,nsub", [(24, 5), (20, 4)])
