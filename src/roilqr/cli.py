@@ -7,7 +7,8 @@ overlays the previous one (preset < config file < flags) and is
 validated the same way.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 no-descent termination.
+4 no-descent termination; a ``solve --repeats`` sweep exits with its
+most severe status.
 """
 
 import argparse
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_DESCENT = 4
+_SEVERITY = (EXIT_OK, EXIT_NO_DESCENT, EXIT_NUMERICAL)   # least first
 
 # flag -> (config section, field)
 _FLAG_FIELDS = {"seed": ("solver", "seed"), "mode": ("solver", "mode"),
@@ -93,7 +95,7 @@ def _cmd_solve(cfg):
         print(f"[solve] seed={rep.seed} status={rep.status} "
               f"iterations={len(rep.iterations)} "
               f"final_cost={rep.final_cost:.6g}")
-        worst = max(worst, _status_exit(rep.status))
+        worst = max(worst, _status_exit(rep.status), key=_SEVERITY.index)
     return worst
 
 

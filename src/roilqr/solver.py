@@ -193,9 +193,10 @@ def forward_pass(model, cost, prev, gains, basis, alphas, buffers=None):
     x_prev_t) with P the basis projection (identity when ``basis`` is
     None).  The projection and the feedback are matrix-vector products
     row by row and the kernels act on each row alone, so every row is
-    bit-identical to a rollout of its step size by itself.  A row that
-    diverges is not stepped further and yields an infinite cost, so the
-    line search backs off; the other rows are unaffected.
+    bit-identical to a rollout of its step size by itself.  Every row is
+    stepped to the horizon; one that diverges carries inf/NaN to its
+    cost and is rejected by that non-finite cost, so the line search
+    backs off; the other rows are unaffected.
 
     ``buffers`` is a ``(states, controls)`` pair of shapes ``(T+1, B,
     n_x)`` and ``(T, B, n_u)`` with ``B >= len(alphas)``, overwritten;
@@ -208,29 +209,24 @@ def forward_pass(model, cost, prev, gains, basis, alphas, buffers=None):
         buffers = _rollout_buffers(model, prev.horizon, n)
     states, controls = buffers
     states[0, :n] = prev.states[0]
-    live = np.arange(n)
-    for t in range(prev.horizon):
-        if not live.size:
-            break
-        for j in live:
-            dev = states[t, j] - prev.states[t]
-            dz = basis.phi.T @ dev if basis is not None else dev
-            controls[t, j] = (prev.controls[t] - alphas[j] * gains.k[t]
-                              - gains.K[t] @ dz)
-        x = model.step_batch(states[t, live], controls[t, live])
-        finite = np.all(np.isfinite(x), axis=1)
-        states[t + 1, live] = x
-        live = live[finite]
-    results = []
-    for j, alpha in enumerate(alphas):
-        predicted = gains.expected_improvement(alpha)
-        traj, realized = None, float("inf")
-        if j in live:
+    # a diverged row's inf/NaN runs on through its feedback and its cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(prev.horizon):
+            for j in range(n):
+                dev = states[t, j] - prev.states[t]
+                dz = basis.phi.T @ dev if basis is not None else dev
+                controls[t, j] = (prev.controls[t] - alphas[j] * gains.k[t]
+                                  - gains.K[t] @ dz)
+            states[t + 1, :n] = model.step_batch(states[t, :n],
+                                                 controls[t, :n])
+        results = []
+        for j, alpha in enumerate(alphas):
             row = Trajectory(states=states[:, j], controls=controls[:, j])
-            cost_j = cost.trajectory_cost(row)
-            if np.isfinite(cost_j):
-                traj, realized = row, cost_j
-        results.append((traj, realized, predicted))
+            realized = cost.trajectory_cost(row)
+            predicted = gains.expected_improvement(alpha)
+            results.append((row, realized, predicted)
+                           if np.isfinite(realized)
+                           else (None, float("inf"), predicted))
     return results
 
 

@@ -2,11 +2,12 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from roilqr import harness
+from roilqr import cli, harness
 from roilqr.cli import build_parser, load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -316,6 +317,23 @@ def test_status_exit_codes():
     assert _status_exit("no_descent") == 4
     assert _status_exit("numerical_failure") == 3
     assert _status_exit("timeout") == 3
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (["numerical_failure", "no_descent"], 3),
+    (["no_descent", "numerical_failure"], 3),
+    (["no_descent", "timeout", "converged"], 3),
+    (["converged", "no_descent", "max_iterations"], 4),
+    (["converged", "max_iterations"], 0),
+])
+def test_solve_sweep_exits_with_its_most_severe_status(monkeypatch, statuses,
+                                                       code):
+    reports = [SimpleNamespace(seed=seed, status=status, iterations=[],
+                               final_cost=1.0)
+               for seed, status in enumerate(statuses)]
+    monkeypatch.setattr(cli, "run_solve", lambda cfg: reports)
+    assert main(["solve", "--preset", "burgers_small",
+                 "--repeats", str(len(statuses))]) == code
 
 
 def test_verify_bounds_command(tmp_path, capsys):

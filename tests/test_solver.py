@@ -3,6 +3,7 @@ monotone descent and determinism on the PDE problems."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,41 @@ def test_row_diverging_mid_batch_leaves_the_others(pde_nominals):
                                 0.125)[:2] == (None, float("inf"))
     np.testing.assert_array_equal(row5[0].states.view(np.uint64),
                                   res.trajectory.states.view(np.uint64))
+
+
+@pytest.mark.parametrize("weights", ["preset", "q=0"])
+def test_diverged_row_is_stepped_to_the_horizon(pde_nominals, weights):
+    # the first control is pushed by 10*alpha from mid-horizon on: the
+    # alpha = 1 row steps past the plant's limit there, alpha = 1/16 never
+    problem, nominal = pde_nominals["burgers_small"]
+    model, horizon = problem.model, nominal.horizon
+    cost = problem.cost
+    if weights == "q=0":   # the diverged row's cost meets 0 * inf
+        cost = CostModel(q=0.0, r=cost.r, q_terminal=0.0, goal=cost.goal)
+    gains = _gains_with_prediction((horizon, 2, model.n_x), 1.0, 0.0,
+                                   rng=np.random.default_rng(3))
+    gains.k[:, 0] = 0.0
+    gains.k[horizon // 2:, 0] = -10.0
+    plant = _Counting(
+        _DivergesAbove(model, nominal.controls[:, 0].max() + 1.0))
+    alphas = [1.0, 0.0625]
+    buffers = solver._rollout_buffers(plant, horizon, len(alphas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diverged, kept = forward_pass(plant, cost, nominal, gains, None,
+                                      alphas, buffers)
+    assert plant.rows == [len(alphas)] * horizon
+    states = buffers[0][:, 0]
+    assert np.isfinite(states[:horizon // 2 + 1]).all()
+    assert not np.isfinite(states[-1]).any()
+    assert diverged == (None, float("inf"),
+                        gains.expected_improvement(alphas[0]))
+    ref = forward_pass_one_row(model, cost, nominal, gains, None, alphas[1])
+    assert kept[1:] == ref[1:]
+    for got, want in ((kept[0].states, ref[0].states),
+                      (kept[0].controls, ref[0].controls)):
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 class _Counting:
