@@ -327,21 +327,6 @@ def cahn_hilliard_batch_numpy(phi, controls, mask, mob, gamma, dx, dt, nsub,
 # ---------------------------------------------------------------------------
 
 
-# central_numpy's design and rows, kept from unit to unit and grown as
-# needed: identification steps thousands of equal units one after another
-_central_buffer = np.empty(0)
-
-
-def _central_rows(*shapes):
-    global _central_buffer
-    sizes = [math.prod(shape) for shape in shapes]
-    if _central_buffer.size < sum(sizes):
-        _central_buffer = np.empty(sum(sizes))
-    bounds = list(accumulate(sizes, initial=0))
-    return [_central_buffer[lo:hi].reshape(shape)
-            for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-
-
 def central_numpy(batch, states, controls, design_x, design_u, out,
                   *params):
     """One central-difference unit stepped by ``batch``, a stepper with
@@ -360,7 +345,7 @@ def central_numpy(batch, states, controls, design_x, design_u, out,
     """
     k, n_x = states.shape
     m, n_u = design_u.shape
-    d, x, u = _central_rows((m, n_x), (k, 2, m, n_x), (k, 2, m, n_u))
+    d, x, u = _workspaces((m, n_x), (k, 2, m, n_x), (k, 2, m, n_u))
     # the state moves row-major: read node-major, each add would stride
     d[...] = design_x.T
     np.add(states[:, None], d, out=x[:, 0])

@@ -23,13 +23,20 @@ not a modeling judgement.  :func:`verify_iterates` verifies a solve:
 one walk over its accepted iterates flags each one's membership of the
 limit set { ||H^-1 grad|| <= delta }, with delta measured the same way,
 and the three inequalities are checked on the last iterate's pair.
+
+Every quadratic is evaluated from one stacked form (H, g, F) per model
+(:func:`roilqr.lqr.stack_quadratic`), built at most once per pair: the
+value at a flat control perturbation dU is 0.5 dU^T H dU + g^T dU, its
+deviations are F @ dU, and the minimizers and Newton steps are the
+dense minimizer -H^-1 g of :func:`roilqr.lqr.stacked_minimizer`.
 """
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .lqr import lqr_solve_dense, quad_objective, reduce_cost, stack_quadratic
+from .lqr import reduce_cost, stack_quadratic, stacked_minimizer
 from .pde import Trajectory, rollout
 from .pod import (DEFAULT_ENERGY_CUTOFF, method_of_snapshots,
                   projection_residual)
@@ -41,7 +48,8 @@ _SIGMA_FLOOR = 1e-10  # smallest stacked-Hessian eigenvalue deemed uniform
 
 @dataclass
 class LqrPair:
-    """Full- and reduced-order perturbed quadratics around one nominal."""
+    """Full- and reduced-order perturbed quadratics around one nominal,
+    each one's stacked form built on first use and kept."""
 
     fo_ltv: object
     fo_terms: object
@@ -54,6 +62,14 @@ class LqrPair:
     @property
     def horizon(self):
         return self.nominal.horizon
+
+    @cached_property
+    def fo_stacked(self):
+        return stack_quadratic(self.fo_ltv, self.fo_terms)
+
+    @cached_property
+    def ro_stacked(self):
+        return stack_quadratic(self.ro_ltv, self.ro_terms)
 
 
 def build_lqr_pair(model, cost, nominal, basis):
@@ -104,7 +120,8 @@ class _Measurement:
 
 
 def _measure(pair, du_list):
-    """Measure eps, cbar and the objective values over ``du_list``."""
+    """Measure eps, cbar and the objective values over the flat control
+    perturbations ``du_list``."""
     cost, basis, nominal = pair.cost, pair.basis, pair.nominal
     horizon = pair.horizon
     eps_nominal = projection_residual(basis, nominal)
@@ -114,10 +131,11 @@ def _measure(pair, du_list):
     weights = [cost.q] * horizon + [cost.q_terminal]
     eps_linear = 0.0
     values = []
+    forms = (pair.fo_stacked, pair.ro_stacked)
     for du in du_list:
-        val_fo, dx = quad_objective(pair.fo_ltv, pair.fo_terms, du)
-        val_ro, dz = quad_objective(pair.ro_ltv, pair.ro_terms, du)
-        values.append((val_fo, val_ro))
+        values.append(tuple(float(0.5 * du @ h @ du + g @ du)
+                            for h, g, _ in forms))
+        dx, dz = (f_maps @ du for _, _, f_maps in forms)
         lifted = dz @ basis.phi.T
         mism = np.linalg.norm(dx - lifted, axis=1)
         eps_linear = max(eps_linear, 0.5 * float(np.max(mism)))
@@ -134,8 +152,7 @@ def _draw_controls(pair, samples, seed, sigma):
             if pair.nominal.controls.size else 0.0
         sigma = 0.1 * max(1.0, scale)
     rng = np.random.default_rng(seed)
-    horizon, n_u = pair.nominal.controls.shape
-    return [sigma * rng.standard_normal((horizon, n_u))
+    return [sigma * rng.standard_normal(pair.nominal.controls.size)
             for _ in range(samples)]
 
 
@@ -174,12 +191,12 @@ def verify_bounds(pair, samples=200, seed=0, sigma=None):
     """Check the three inequalities of the module docstring, each
     against the bound measured on its own draws, and report them."""
     gap = _measure(pair, _draw_controls(pair, samples, seed, sigma))
-    du_star = lqr_solve_dense(pair.fo_ltv, pair.fo_terms)
-    du_hat = lqr_solve_dense(pair.ro_ltv, pair.ro_terms)
+    (h_full, g_full, _), (h_red, g_red, _) = pair.fo_stacked, pair.ro_stacked
+    du_star = stacked_minimizer(h_full, g_full)
+    du_hat = stacked_minimizer(h_red, g_red)
     draws = _draw_controls(pair, max(20, samples // 2), seed + 1, sigma)
     mini = _measure(pair, draws + [du_star, du_hat])
-    h_full, _ = stack_quadratic(pair.fo_ltv, pair.fo_terms)
-    sigma_min = float(np.min(np.linalg.eigvalsh(h_full)))
+    sigma_min = float(np.linalg.eigvalsh(h_full)[0])
 
     max_gap = float(max((abs(fo - ro) for fo, ro in gap.values), default=0.0))
     gap_bound = gap.cbar1 * gap.eps
@@ -230,10 +247,10 @@ def verify_iterates(problem, report, energy_cutoff=DEFAULT_ENERGY_CUTOFF,
         basis = method_of_snapshots(nominal.states.T,
                                     energy_cutoff=energy_cutoff)
         pair = build_lqr_pair(model, cost, nominal, basis)
-        h_full, grad = stack_quadratic(pair.fo_ltv, pair.fo_terms)
+        h_full, grad = pair.fo_stacked[:2]   # F is dropped with the pair
         sigma_min = float(np.linalg.eigvalsh(h_full)[0])
         hessian_ok = sigma_min > 0.0
-        newton = float(np.linalg.norm(np.linalg.solve(h_full, grad))) \
+        newton = float(np.linalg.norm(stacked_minimizer(h_full, grad))) \
             if hessian_ok else float("nan")
         meas = _measure(pair, _draw_controls(
             pair, max(20, samples // 10), seed + 2 + idx, sigma))

@@ -1,6 +1,7 @@
 """Quadratic cost machinery, the Riccati-style backward pass, and the
-dense stacked form of the perturbed quadratic (the backward pass's test
-oracle, and the exact minimizer for bound verification).
+dense stacked form of the perturbed quadratic: its one evaluator, from
+which bound verification reads every value, deviation and exact
+minimizer, and the backward pass's test oracle.
 
 Cost convention: J = sum_t [ 0.5 (x_t - g)^T Q (x_t - g) + 0.5 u_t^T R u_t ]
 + 0.5 (x_T - g)^T Q_T (x_T - g), Q = q I, Q_T = q_T I.  The expansion
@@ -268,14 +269,27 @@ def backward_pass(ltv, terms, reg=None):
                         sum_k_qu=sum_k_qu, sum_k_quu_k=sum_k_quu_k)
 
 
-def stack_quadratic(ltv, terms):
-    """Dense stacked form of the perturbed objective.
+# Largest stacked size T*n_u that is ever stacked: the desk scale that
+# bound verification accepts.
+DENSE_ORACLE_LIMIT = 200
 
-    Returns (H, g) with objective(dU) = 0.5 dU^T H dU + g^T dU over the
-    flattened control perturbation of length T*n_u.
+
+def stack_quadratic(ltv, terms):
+    """Dense stacked form of the perturbed objective, the one evaluator
+    of the perturbed quadratic.
+
+    Returns (H, g, F) over the flattened control perturbation dU of
+    length T*n_u: objective(dU) = 0.5 dU^T H dU + g^T dU, and the
+    (T+1, d, T*n_u) sensitivity maps F, with F[t] @ dU the deviation
+    state z_t that dU drives the LTV model to.  Stacked sizes above
+    :data:`DENSE_ORACLE_LIMIT` are a ``ValueError``, raised before
+    anything is stacked.
     """
     horizon, dim, n_u = ltv.horizon, ltv.dim, ltv.n_u
     m = horizon * n_u
+    if m > DENSE_ORACLE_LIMIT:
+        raise ValueError(f"stacked size {m} exceeds oracle limit "
+                         f"{DENSE_ORACLE_LIMIT}")
     f_maps = np.zeros((horizon + 1, dim, m))
     for t in range(horizon):
         f_maps[t + 1] = ltv.A[t] @ f_maps[t]
@@ -290,55 +304,29 @@ def stack_quadratic(ltv, terms):
         sl = slice(t * n_u, (t + 1) * n_u)
         h[sl, sl] += terms.r
         g[sl] += terms.lin_control[t]
-    return 0.5 * (h + h.T), g
+    return 0.5 * (h + h.T), g, f_maps
 
 
-def quad_objective(ltv, terms, du):
-    """Perturbed objective at a control perturbation ``du`` (T, n_u).
-
-    Returns ``(value, deviations)`` with the (T+1, d) deviation states
-    the perturbation drives the LTV model through.
-    """
-    dz = np.zeros(ltv.dim)
-    devs = np.empty((ltv.horizon + 1, ltv.dim))
-    devs[0] = dz
-    val = 0.0
-    for t in range(ltv.horizon):
-        val += float(terms.lin_state[t] @ dz)
-        val += 0.5 * float(dz @ apply_weight(terms.quad_state, dz))
-        val += float(terms.lin_control[t] @ du[t])
-        val += 0.5 * float(du[t] @ (terms.r @ du[t]))
-        dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
-        devs[t + 1] = dz
-    val += float(terms.lin_state[-1] @ dz)
-    val += 0.5 * float(dz @ apply_weight(terms.quad_terminal, dz))
-    return val, devs
-
-
-# Largest stacked size T*n_u that the dense oracle solves: the desk scale
-# that bound verification accepts.
-DENSE_ORACLE_LIMIT = 200
-
-
-def lqr_solve_dense(ltv, terms):
-    """Exact minimizer of the perturbed objective by one dense solve.
-
-    Independent oracle for the backward pass; restricted to desk-scale
-    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`, which
-    :func:`roilqr.harness.run_verify_bounds` checks before it solves).
-    A non-finite stacked Hessian or gradient is a ``ValueError``.
-    """
-    m = ltv.horizon * ltv.n_u
-    if m > DENSE_ORACLE_LIMIT:
-        raise ValueError(f"stacked size {m} exceeds oracle limit "
-                         f"{DENSE_ORACLE_LIMIT}")
-    h, g = stack_quadratic(ltv, terms)
+def stacked_minimizer(h, g):
+    """The flat dU* = -H^-1 g minimizing 0.5 dU^T H dU + g^T dU, by one
+    Cholesky factor.  A non-finite ``h`` or ``g`` is a ``ValueError``."""
     if not (np.isfinite(h).all() and np.isfinite(g).all()):
         raise ValueError("stacked Hessian or gradient is not finite")
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         raise IndefiniteHessianError("stacked Hessian is not positive definite")
-    du = -_cho_solve(chol, g)
-    return du.reshape(ltv.horizon, ltv.n_u)
+    return -_cho_solve(chol, g)
+
+
+def lqr_solve_dense(ltv, terms):
+    """Exact minimizer of the perturbed objective by one dense solve of
+    its stacked form.
+
+    Independent oracle for the backward pass; restricted to desk-scale
+    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`, which
+    :func:`roilqr.harness.run_verify_bounds` checks before it solves).
+    """
+    h, g, _ = stack_quadratic(ltv, terms)
+    return stacked_minimizer(h, g).reshape(ltv.horizon, ltv.n_u)
 

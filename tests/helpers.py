@@ -1,9 +1,10 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
-random LQ problems, the one-row model step, reference recursions for the
-backward pass (the V-forming Riccati sweep among them, which gives every
-value Hessian), the one-step-size-at-a-time line search, and the
-Allen-Cahn central-difference units whose light cones are smaller than
-their grid, with the stepped rows they must equal."""
+random LQ problems, the rollout of the perturbed quadratic that its
+stacked form must equal, the one-row model step, reference recursions
+for the backward pass (the V-forming Riccati sweep among them, which
+gives every value Hessian), the one-step-size-at-a-time line search, and
+the Allen-Cahn central-difference units whose light cones are smaller
+than their grid, with the stepped rows they must equal."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -87,6 +88,29 @@ def lq_case(horizon, dim, n_u, form, seed):
         r=0.2 * m @ m.T + 0.5 * np.eye(n_u),
     )
     return ltv, terms
+
+
+def quad_objective(ltv, terms, du):
+    """Perturbed objective at a control perturbation ``du`` (T, n_u), by
+    rolling the LTV model forward: the oracle of the stacked form.
+
+    Returns ``(value, deviations)`` with the (T+1, d) deviation states
+    the perturbation drives the LTV model through.
+    """
+    dz = np.zeros(ltv.dim)
+    devs = np.empty((ltv.horizon + 1, ltv.dim))
+    devs[0] = dz
+    val = 0.0
+    for t in range(ltv.horizon):
+        val += float(terms.lin_state[t] @ dz)
+        val += 0.5 * float(dz @ apply_weight(terms.quad_state, dz))
+        val += float(terms.lin_control[t] @ du[t])
+        val += 0.5 * float(du[t] @ (terms.r @ du[t]))
+        dz = ltv.A[t] @ dz + ltv.B[t] @ du[t]
+        devs[t + 1] = dz
+    val += float(terms.lin_state[-1] @ dz)
+    val += 0.5 * float(dz @ apply_weight(terms.quad_terminal, dz))
+    return val, devs
 
 
 def dense_weight(w, dim):

@@ -9,9 +9,11 @@ from helpers import LinearModel, random_stable_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roilqr.bounds
 from roilqr.bounds import (LqrPair, build_lqr_pair, verify_bounds,
                            verify_iterates)
-from roilqr.lqr import CostModel, ReducedCostTerms, reduce_cost
+from roilqr.lqr import (DENSE_ORACLE_LIMIT, CostModel, ReducedCostTerms,
+                        reduce_cost, stack_quadratic)
 from roilqr.pde import Trajectory, rollout
 from roilqr.pod import ReducedBasis, method_of_snapshots
 from roilqr.solver import SolverConfig, solve
@@ -195,6 +197,31 @@ def test_walk_checks_the_last_iterate(burgers_pair, burgers_walk):
         del walk[key], checks[key]
     assert walk == checks
     assert burgers_walk.limit_set_trace[-1]["cost"] == report.final_cost
+
+
+def test_walk_stacks_each_model_once(burgers_pair, monkeypatch):
+    # every value, deviation, minimizer, sigma_min and Newton step of a
+    # walk is read from each LTV model's one stacked form, the last
+    # pair's included, which the walk's checks read again
+    problem, report, _ = burgers_pair
+    stacked = []
+
+    def counting(ltv, terms):
+        stacked.append(ltv)
+        return stack_quadratic(ltv, terms)
+
+    monkeypatch.setattr(roilqr.bounds, "stack_quadratic", counting)
+    verify_iterates(problem, report, samples=20, seed=5)
+    assert len(stacked) == 2 * len(report.iterate_controls)
+    assert len({id(ltv) for ltv in stacked}) == len(stacked)
+
+
+def test_dense_limit_holds_for_verification():
+    # 101 timesteps of 2 controls stack to 202 > DENSE_ORACLE_LIMIT
+    pair = _invariant_subspace_pair(horizon=101)
+    assert pair.horizon * 2 > DENSE_ORACLE_LIMIT
+    with pytest.raises(ValueError, match="stacked size 202 exceeds oracle"):
+        verify_bounds(pair, samples=2, seed=0)
 
 
 def test_far_start_first_iterate_outside_set():

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import (LQ_CASE, dense_weight, gains_match, lq_case, random_ltv,
-                     riccati_backward_pass, simulate_feedback, value_hessians,
+from helpers import (LQ_CASE, dense_weight, gains_match, lq_case,
+                     quad_objective, random_ltv, riccati_backward_pass,
+                     simulate_feedback, value_hessians,
                      value_recursion_direct)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from roilqr.lqr import (BackwardPassError, CostModel, GainSchedule,
                         IndefiniteHessianError, Regularizer, ReducedCostTerms,
                         _cho_solve, backward_pass, lqr_solve_dense,
-                        quad_objective, reduce_cost, stack_quadratic)
+                        reduce_cost, stack_quadratic)
 from roilqr.pde import Trajectory
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import LtvModel
@@ -438,17 +439,23 @@ def test_regularizer_bounds_validation():
         Regularizer(mu=1e-3, mu_min=1e-2)
 
 
-def test_stack_quadratic_matches_recursion():
-    rng = np.random.default_rng(17)
-    ltv = random_ltv(rng, 3, 2, 4)
-    terms = _random_terms(rng, 3, 2, 4)
-    h, g = stack_quadratic(ltv, terms)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**LQ_CASE)
+def test_stack_quadratic_matches_recursion(horizon, dim, n_u, form, seed):
+    # the stacked form's value and deviations against the rollout oracle
+    ltv, terms = lq_case(horizon, dim, n_u, form, seed)
+    h, g, f_maps = stack_quadratic(ltv, terms)
+    assert f_maps.shape == (horizon + 1, dim, horizon * n_u)
+    rng = np.random.default_rng(seed)
     for _ in range(5):
-        du = rng.standard_normal((4, 2))
+        du = rng.standard_normal((horizon, n_u))
         flat = du.ravel()
-        direct = 0.5 * flat @ h @ flat + g @ flat
-        assert quad_objective(ltv, terms, du)[0] == pytest.approx(direct,
-                                                                  rel=1e-10)
+        val, devs = quad_objective(ltv, terms, du)
+        assert 0.5 * flat @ h @ flat + g @ flat == pytest.approx(val,
+                                                                 rel=1e-10)
+        scale = np.linalg.norm(devs)
+        for f_t, z_t in zip(f_maps, devs, strict=True):
+            assert np.linalg.norm(f_t @ flat - z_t) <= 1e-12 * scale
 
 
 def test_gain_schedule_dataclass_roundtrip():
