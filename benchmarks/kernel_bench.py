@@ -17,9 +17,10 @@ table) and which show the batch kernels' throughput on large batches:
   of 8 rows) and 204 rows (full-order identification: one timestep's
   2(100 + 2) rows per call);
 * Allen-Cahn 50x50 (10 substeps): 1 row, 2, 4, 8 and 12 rows (the
-  doubling batches of a 27-step no-descent line-search sweep, 1 + 2 + 4 +
-  8 + 12 rows) and 16 and 18 rows (reduced identification: one whole
-  timestep of 2(l + 4) rows per call, for l = 4 and 5 modes);
+  doubling batches of the 27-step line-search ladder, 1 + 2 + 4 + 8 + 12
+  rows; seed 0's no-descent search settles after its 4-row batch) and 16
+  and 18 rows (reduced identification: one whole timestep of 2(l + 4)
+  rows per call, for l = 4 and 5 modes);
 * Allen-Cahn 20x20: 1 row, 72 and 80 rows (reduced identification, runs
   of whole timesteps) and 96 and 40 rows (full-order identification: a
   timestep's 2(400 + 4) rows are stepped as eight units of 96 rows and

@@ -7,6 +7,7 @@ fixed (config, seed); wall-clock data and timestamps live in separate
 metadata/timing files so they never break reproducibility.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -239,6 +240,7 @@ PRESETS = {
 }
 
 
+@functools.cache   # a frozen config: built and validated once per name
 def preset(name):
     try:
         problem = PRESETS[name]
@@ -361,6 +363,7 @@ def _report_dict(cfg, report):
         "eps": [it.projection_eps for it in report.iterations],
         "alphas": [it.alpha for it in report.iterations],
         "trials": [it.trials for it in report.iterations],
+        "terminal_search": report.terminal_search,
         "sysid_samples": [it.sysid_samples for it in report.iterations],
         "total_sysid_samples": report.total_sysid_samples(),
         "final_controls": None if report.controls is None
@@ -388,8 +391,23 @@ def _dump_json(path, obj):
         fh.write("\n")
 
 
+def _check_out_dir(out_dir):
+    """Raise a config error unless ``out_dir`` can be made a directory:
+    the nearest path of it and its ancestors that exists must be a
+    directory this process may write into.  Nothing is made."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"run.out_dir: {path} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"run.out_dir: {path} is not writable")
+
+
 def write_solve_artifacts(out_dir, cfg, report):
-    """Persist ``report`` into the existing directory ``out_dir``."""
+    """Persist ``report`` into the directory ``out_dir``, made (with its
+    parents) if missing."""
+    os.makedirs(out_dir, exist_ok=True)
     _dump_json(os.path.join(out_dir, "report.json"), _report_dict(cfg, report))
     _write_iterations_csv(os.path.join(out_dir, "iterations.csv"), report)
     if report.trajectory is not None:
@@ -410,16 +428,14 @@ def _with_solver(cfg, **changes):
 def _solve_once(cfg, out_dir=None):
     """Draw the seeded guess, build the problem and solve it exactly as
     ``cfg`` says; with ``out_dir``, persist the report with that config.
-    The directory is made before the solve: one that cannot be made is a
-    config error, raised before any work.  Returns (problem, report)."""
+    A directory that cannot be made is a config error, raised before the
+    solve; it is made when the report is persisted.  Returns (problem,
+    report)."""
     u_init = gaussian_guess(cfg, cfg.solver.seed, cfg.run.guess_std) \
         if cfg.run.guess_std > 0 else None
     problem = build_problem(cfg, u_init=u_init)
     if out_dir is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"run.out_dir: {exc}")
+        _check_out_dir(out_dir)
     report = solve(problem, cfg.solver)
     if out_dir is not None:
         write_solve_artifacts(out_dir, cfg, report)

@@ -10,7 +10,12 @@ batches (2, 4, 8, ... step sizes, at most ``pde.items_per_call(n_x)``
 per batch), one row per step size and one simulator call per timestep;
 every row is bit-identical to a rollout of its step size alone, so the
 first step size in ladder order that passes is the one a
-one-at-a-time search would accept.  Terminates when the
+one-at-a-time search would accept.  A search that accepts nothing stops
+once its ratio has settled (:func:`_ratio_settled`): after a batch, the
+last three ratios z1, z2, z3 have differences d1 = z2 - z1, d2 = z3 - z2
+of one sign with |d2| <= |d1|/2, so if they keep halving the rest of the
+ladder adds at most |d2|, and z3 + |d2| < sigma1 bounds every later
+ratio below the threshold.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
 convergence coefficient, when the gradient is numerically zero, when no
 descent step can be found, or at the iteration/time budget (see
@@ -21,6 +26,7 @@ is the standard full-order algorithm and serves as the benchmark
 baseline.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -151,6 +157,9 @@ class SolveReport:
     # phase times of the iteration that ended the solve without being
     # accepted (zero gradient, no descent, numerical failure, budget out)
     terminal_phase_times: dict = field(default_factory=dict)
+    # the unaccepted line search of a no-descent solve: its step sizes
+    # judged and its last finite ratio ({"trials", "ratio"}), else None
+    terminal_search: dict | None = None
 
     @property
     def converged(self):
@@ -257,41 +266,70 @@ class LineSearchResult:
     alpha: float
     trials: int
     accepted: bool
+    # the last finite realized-to-predicted ratio z (None when none was)
+    ratio: float | None
+
+
+def _ratio_settled(ratios, sigma1):
+    """Whether the ratios of a search that has accepted nothing have
+    settled below ``sigma1``: the last three, z1, z2, z3, are finite, their
+    differences d1 = z2 - z1 and d2 = z3 - z2 share a sign with |d2| <=
+    |d1|/2, and z3 + |d2| < sigma1.  Differences that keep shrinking by
+    half add at most |d2| over the rest of the ladder, so z3 + |d2| bounds
+    every later ratio."""
+    if len(ratios) < 3 or not all(map(math.isfinite, ratios[-3:])):
+        return False
+    z1, z2, z3 = ratios[-3:]
+    d1, d2 = z2 - z1, z3 - z2
+    return abs(d2) <= 0.5 * abs(d1) and d1 * d2 > 0.0 \
+        and z3 + abs(d2) < sigma1
 
 
 def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
                 checkpoint=None):
     """Backtrack on alpha along :data:`STEP_SIZES` until the realized /
-    predicted improvement is >= sigma1.
+    predicted improvement z is >= sigma1.
 
     The ladder is rolled out in the batches of :func:`_ladder_batches`
     into one pair of buffers sized to the largest batch; the first step
     size in ladder order that passes is accepted and its rollout copied
     out, and ``trials`` is its position in the ladder.  Every accepted
-    step strictly decreases the cost (z*predicted > 0).  Returns an
-    unaccepted result, with alpha 0.0, when no step size of the ladder
-    passes (no-descent termination).  ``checkpoint``, if given, is called
-    before every rollout after the first and may raise to abandon the
-    search.
+    step strictly decreases the cost (z*predicted > 0).  After a batch
+    that passes nothing, the search stops once its ratio has settled
+    (:func:`_ratio_settled`: the last three ratios' differences shrink by
+    at least half with one sign, and z3 + |d2|, which bounds every later
+    ratio while they keep halving, is below sigma1).  A search that
+    accepts nothing (no-descent termination) returns an unaccepted
+    result, with alpha 0.0 and ``trials`` the number of step sizes
+    judged.  ``ratio`` is the last finite z.  ``checkpoint``, if given,
+    is called before every rollout after the first and may raise to
+    abandon the search.
     """
     batches = _ladder_batches(len(STEP_SIZES), items_per_call(model.n_x))
     buffers = _rollout_buffers(model, prev.horizon,
                                max(hi - lo for lo, hi in batches))
+    ratios = []   # z of each step size judged; nan where it has none
+    last = None
     for lo, hi in batches:
         if checkpoint is not None and lo > 0:
             checkpoint()
         results = forward_pass(model, cost, prev, gains, basis,
                                STEP_SIZES[lo:hi], buffers)
         for trial, (traj, realized, predicted) in enumerate(results, lo + 1):
-            if traj is not None and predicted > 0.0:
-                z = (prev_cost - realized) / predicted
-                if z >= cfg.sigma1:
-                    accepted = Trajectory(states=traj.states.copy(),
-                                          controls=traj.controls.copy())
-                    return LineSearchResult(accepted, realized,
-                                            STEP_SIZES[trial - 1], trial,
-                                            True)
-    return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False)
+            z = (prev_cost - realized) / predicted \
+                if traj is not None and predicted > 0.0 else math.nan
+            if z >= cfg.sigma1:
+                accepted = Trajectory(states=traj.states.copy(),
+                                      controls=traj.controls.copy())
+                return LineSearchResult(accepted, realized,
+                                        STEP_SIZES[trial - 1], trial, True,
+                                        z)
+            ratios.append(z)
+            if math.isfinite(z):
+                last = z
+        if _ratio_settled(ratios, cfg.sigma1):
+            break
+    return LineSearchResult(None, prev_cost, 0.0, len(ratios), False, last)
 
 
 class _Stop(Exception):
@@ -300,8 +338,8 @@ class _Stop(Exception):
 
 def solve(problem, cfg=None):
     """Run the full iteration loop; always returns a report, recording a
-    numerical failure or an expired budget in ``status`` rather than
-    raising.
+    numerical failure (a diverged or non-finite-cost initial rollout
+    among them) or an expired budget in ``status`` rather than raising.
 
     The time budget is one checkpoint, called before every line-search
     rollout after the first and, from the second iteration on, before
@@ -336,12 +374,19 @@ def solve(problem, cfg=None):
     try:
         traj = rollout(model, problem.x0, controls)
     except DivergenceError as exc:
+        current_cost, error = float("inf"), str(exc)
+    else:
+        # a cost that overflows is a failure, not a start to descend from
+        with np.errstate(over="ignore"):
+            current_cost = cost.trajectory_cost(traj)
+        error = None if math.isfinite(current_cost) \
+            else f"initial cost {current_cost!r} is not finite"
+    if error is not None:
         elapsed = time.perf_counter() - start
         return SolveReport(mode=cfg.mode, seed=cfg.seed,
-                           initial_cost=float("inf"),
-                           status="numerical_failure", error=str(exc),
+                           initial_cost=current_cost,
+                           status="numerical_failure", error=error,
                            wall_time_s=elapsed, initial_rollout_s=elapsed)
-    current_cost = cost.trajectory_cost(traj)
 
     report = SolveReport(mode=cfg.mode, seed=cfg.seed,
                          initial_cost=current_cost, trajectory=traj,
@@ -389,6 +434,8 @@ def solve(problem, cfg=None):
             ls = line_search(model, cost, traj, current_cost, gains, basis,
                              cfg, checkpoint=check_budget)
             if not ls.accepted:
+                report.terminal_search = {"trials": ls.trials,
+                                          "ratio": ls.ratio}
                 raise _Stop("no_descent")
             marks.append(time.perf_counter())
         except (_Stop, DivergenceError, BackwardPassError,

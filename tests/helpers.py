@@ -2,19 +2,23 @@
 random LQ problems, the rollout of the perturbed quadratic that its
 stacked form must equal, the one-row model step, reference recursions
 for the backward pass (the V-forming Riccati sweep among them, which
-gives every value Hessian), the one-step-size-at-a-time line search, and
+gives every value Hessian), the one-step-size-at-a-time line search and
+a solve on it, the recorded last line search of a solve, and
 the Allen-Cahn central-difference units whose light cones are smaller
 than their grid, with the stepped rows they must equal."""
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from roilqr import solver
 from roilqr._kernels import central_numpy
+from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
                         Regularizer, _cho_solve, apply_weight)
 from roilqr.pde import (AllenCahnModel, DivergenceError, Grid, PdeParams,
                         Trajectory)
-from roilqr.solver import STEP_SIZES, LineSearchResult
+from roilqr.solver import STEP_SIZES, LineSearchResult, forward_pass, solve
 from roilqr.sysid import LtvModel
 
 
@@ -278,15 +282,72 @@ def cost_increase(costs):
 
 def line_search_one_row(model, cost, prev, prev_cost, gains, basis, cfg):
     """Reference for ``solver.line_search``: one rollout per step size, in
-    ladder order, until one passes the sigma1 test."""
+    ladder order, until one passes the sigma1 test.  It has no stop rule:
+    a search that accepts nothing judges the whole ladder."""
+    ratio = None
     for trials, alpha in enumerate(STEP_SIZES, 1):
         traj, realized, predicted = forward_pass_one_row(
             model, cost, prev, gains, basis, alpha)
         if traj is not None and predicted > 0.0:
-            z = (prev_cost - realized) / predicted
-            if z >= cfg.sigma1:
-                return LineSearchResult(traj, realized, alpha, trials, True)
-    return LineSearchResult(None, prev_cost, 0.0, trials, False)
+            ratio = (prev_cost - realized) / predicted
+            if ratio >= cfg.sigma1:
+                return LineSearchResult(traj, realized, alpha, trials, True,
+                                        ratio)
+    return LineSearchResult(None, prev_cost, 0.0, trials, False, ratio)
+
+
+def allen_cahn_small_problem(seed=0):
+    """(config, problem) of the ``allen_cahn_small`` preset from its
+    Gaussian guess at ``seed``."""
+    cfg = preset("allen_cahn_small")
+    return cfg, build_problem(
+        cfg, u_init=gaussian_guess(cfg, seed, cfg.run.guess_std))
+
+
+def one_row_solve(problem, cfg):
+    """``solve`` with :func:`line_search_one_row` as its line search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "line_search", lambda *args, checkpoint=None:
+                   line_search_one_row(*args))
+        return solve(problem, cfg)
+
+
+def same_steps(report, ref):
+    """Whether two solves took the same steps: status, costs, step sizes,
+    trials and the final controls' bits."""
+    return report.status == ref.status and report.costs == ref.costs \
+        and [(it.alpha, it.trials) for it in report.iterations] \
+        == [(it.alpha, it.trials) for it in ref.iterations] \
+        and np.array_equal(bits(report.controls), bits(ref.controls))
+
+
+def last_search(problem, cfg):
+    """(report, args) of a solve and of the last ``line_search`` it ran."""
+    calls = []
+    line_search = solver.line_search
+
+    def record(*args, checkpoint=None):
+        calls.append(args)
+        return line_search(*args, checkpoint=checkpoint)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "line_search", record)
+        report = solve(problem, cfg)
+    return report, calls[-1]
+
+
+def search_rows(args):
+    """(result, rows of each rollout) of ``solver.line_search`` on
+    ``args``."""
+    rows = []
+
+    def forward(model, cost, prev, gains, basis, alphas, buffers=None):
+        rows.append(len(alphas))
+        return forward_pass(model, cost, prev, gains, basis, alphas, buffers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "forward_pass", forward)
+        return solver.line_search(*args), rows
 
 
 # The line of _kernels.c that builds the kernels as clones where the

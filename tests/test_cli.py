@@ -259,6 +259,22 @@ def test_mode_override(tmp_path):
     assert payload["mode"] == "full"
 
 
+def test_infinite_initial_cost_is_exit_3(tmp_path, capsys):
+    # a goal of 1e300 overflows the initial cost: a numerical failure
+    # before any iteration, not a no-descent end on a usable trajectory,
+    # and no overflow warning escapes (tier-1 makes one an error)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"problem": {"goal_value": 1e300}}))
+    assert main(["solve", "--preset", "burgers_small", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "status=numerical_failure" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["status"] == "numerical_failure"
+    assert payload["error"] == "initial cost inf is not finite"
+    assert payload["costs"] == [float("inf")]
+    assert payload["terminal_search"] is None
+
+
 def test_benchmark_command(tmp_path, capsys):
     code = main(["benchmark", "--preset", "burgers_small",
                  "--out", str(tmp_path)])

@@ -1,15 +1,17 @@
 """Each paper check must be able to fail: a named mutant of the claim it
 guards, written here, is rejected by that check."""
 
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import (CLONE_GUARD, LQ_CASE, bits, cone_cases, cost_increase,
-                     gains_match, lq_case, riccati_backward_pass,
-                     stepped_differences)
+from helpers import (CLONE_GUARD, LQ_CASE, allen_cahn_small_problem, bits,
+                     cone_cases, cost_increase, gains_match, last_search,
+                     lq_case, one_row_solve, riccati_backward_pass,
+                     same_steps, search_rows, stepped_differences)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,8 +127,9 @@ def _accept_first_finite(model, cost, prev, prev_cost, gains, basis, cfg,
             return LineSearchResult(
                 Trajectory(states=traj.states.copy(),
                            controls=traj.controls.copy()),
-                realized, alpha, trial, True)
-    return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False)
+                realized, alpha, trial, True, None)
+    return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False,
+                            None)
 
 
 def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
@@ -144,6 +147,61 @@ def test_descent_check_rejects_a_search_without_the_sigma1_test(monkeypatch):
                    replace(cfg.solver, max_iterations=1))
     assert [it.alpha for it in mutant.iterations] == [1.0]
     assert cost_increase(mutant.costs) > 0.0
+
+
+def _stop_at_first_miss(ratios, sigma1):
+    # mutant: a search stops at its first ratio below sigma1, as if no
+    # smaller step size could pass
+    return ratios[-1] < sigma1
+
+
+def _geometric_tail(ratios, sigma1):
+    # mutant: the later ratios bounded by z3 + |d2| q / (1 - q), q = d2/d1,
+    # the sum of a geometric tail, in place of the rule's z3 + |d2|
+    if len(ratios) < 3 or not all(map(math.isfinite, ratios[-3:])):
+        return False
+    z1, z2, z3 = ratios[-3:]
+    q = (z3 - z2) / (z2 - z1) if z2 != z1 else 0.0
+    return 0.0 < q <= 0.5 and z3 + abs(z3 - z2) * q / (1.0 - q) < sigma1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_check_rejects_a_stop_at_the_first_miss(monkeypatch, seed):
+    # at each of these seeds one search accepts at trial 2 or 4 after a
+    # full step whose ratio is below sigma1 (seed 0: 0.170, then 0.674)
+    cfg, problem = allen_cahn_small_problem(seed)
+    ref = one_row_solve(problem, cfg.solver)
+    assert same_steps(solve(problem, cfg.solver), ref)
+    monkeypatch.setattr(solver, "_ratio_settled", _stop_at_first_miss)
+    assert not same_steps(solve(problem, cfg.solver), ref)
+
+
+def test_search_check_rejects_a_geometric_tail_bound(monkeypatch):
+    # seed 3's search that accepts at trial 16 creeps up to sigma1: after
+    # trials 1-3 the geometric tail bounds the later ratios by 0.226, and
+    # after trials 5-7 (z = 0.26437, 0.28248, 0.29132) by 0.299746, so it
+    # stops the search; the rule's z3 + |d2| is 0.354, then 0.300162
+    cfg, problem = allen_cahn_small_problem(3)
+    ref = one_row_solve(problem, cfg.solver)
+    assert same_steps(solve(problem, cfg.solver), ref)
+    monkeypatch.setattr(solver, "_ratio_settled", _geometric_tail)
+    mutant = solve(problem, cfg.solver)
+    assert not same_steps(mutant, ref)
+    assert mutant.status == "no_descent"
+    assert mutant.terminal_search["trials"] == 3
+
+
+def test_row_count_check_rejects_a_search_that_never_settles(monkeypatch):
+    # mutant: no stop rule; allen_cahn_small's seed-0 no-descent search
+    # then steps the whole ladder in five rollouts
+    cfg, problem = allen_cahn_small_problem()
+    _, args = last_search(problem, cfg.solver)
+    assert search_rows(args)[1] == [1, 2]
+    monkeypatch.setattr(solver, "_ratio_settled", lambda ratios, sigma1:
+                        False)
+    res, rows = search_rows(args)
+    assert (res.accepted, res.trials) == (False, len(STEP_SIZES))
+    assert rows == [1, 2, 4, 8, 12]
 
 
 @pytest.fixture(scope="module")

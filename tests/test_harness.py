@@ -193,6 +193,22 @@ def test_artifacts_reproducible_byte_for_byte(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_run_directory_is_made_when_the_report_is_persisted(tmp_path,
+                                                            monkeypatch):
+    from roilqr import harness
+
+    out = tmp_path / "a" / "run"
+    solve = harness.solve
+
+    def solve_before_the_directory(*args):
+        assert not (tmp_path / "a").exists()
+        return solve(*args)
+
+    monkeypatch.setattr(harness, "solve", solve_before_the_directory)
+    run_solve(_tiny_burgers(), out_dir=str(out))
+    assert (out / "report.json").exists()
+
+
 def test_metadata_records_kernel_path(tmp_path):
     from roilqr import _kernels
 

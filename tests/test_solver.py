@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import (LinearModel, forward_pass_one_row, line_search_one_row,
-                     random_stable_linear)
+from helpers import (LinearModel, allen_cahn_small_problem,
+                     forward_pass_one_row, last_search, line_search_one_row,
+                     one_row_solve, random_stable_linear, same_steps,
+                     search_rows)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from roilqr.lqr import CostModel, GainSchedule, Regularizer, backward_pass, \
     reduce_cost
 from roilqr.pde import rollout
 from roilqr.pod import method_of_snapshots
-from roilqr.solver import (PHASES, ControlProblem, SolverConfig,
+from roilqr.solver import (PHASES, STEP_SIZES, ControlProblem, SolverConfig,
                            forward_pass, line_search, solve)
 from roilqr.sysid import fit_ltv, generate_rollout_data
 
@@ -355,26 +357,55 @@ def test_batched_line_search_is_bit_identical(pde_nominals, name, mode,
     assert res.trials == EXPECTED_TRIALS[case]
 
 
-def test_solve_matches_the_one_row_line_search(monkeypatch):
-    # a whole solve whose searches reject step sizes on the realized
-    # improvement and which ends in a no-descent sweep
-    from roilqr.harness import build_problem, gaussian_guess, preset
+# (status, largest accepted trial) of allen_cahn_small's solves, whose
+# searches reject step sizes on the realized improvement: seed 0 ends in a
+# no-descent search; at seed 3 one search creeps up to sigma1 and accepts
+# at trial 16 (alpha = 2^-15), after trials 5-7 at z = 0.26437, 0.28248,
+# 0.29132, whose z3 + |d2| = 0.300162 holds the stop rule off by 1.6e-4
+ONE_ROW_SOLVES = {0: ("no_descent", 2), 3: ("converged", 16)}
 
-    cfg = preset("allen_cahn_small")
-    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
-                                                       cfg.run.guess_std))
+
+@pytest.mark.parametrize("seed", sorted(ONE_ROW_SOLVES))
+def test_solve_matches_the_one_row_line_search(seed):
+    cfg, problem = allen_cahn_small_problem(seed)
     batched = solve(problem, cfg.solver)
-    monkeypatch.setattr(solver, "line_search",
-                        lambda *args, checkpoint=None:
-                        line_search_one_row(*args))
-    ref = solve(problem, cfg.solver)
-    assert batched.status == ref.status == "no_descent"
-    assert max(it.trials for it in ref.iterations) > 1
-    assert batched.costs == ref.costs
-    assert [(it.alpha, it.trials) for it in batched.iterations] == \
-        [(it.alpha, it.trials) for it in ref.iterations]
-    np.testing.assert_array_equal(batched.controls.view(np.uint64),
-                                  ref.controls.view(np.uint64))
+    ref = one_row_solve(problem, cfg.solver)
+    assert (ref.status, max(it.trials for it in ref.iterations)) == \
+        ONE_ROW_SOLVES[seed]
+    assert same_steps(batched, ref)
+
+
+def test_settled_search_steps_three_rows_and_no_later_row_passes():
+    # allen_cahn_small at seed 0 ends in a search whose ratios at 1, 1/2
+    # and 1/4 (-1.484, -0.412, -0.106) have settled: z3 + |d2| = 0.199 <
+    # sigma1, so it stops after its 1- and 2-row rollouts.  Stepped one
+    # row at a time, no step size of the whole ladder passes.
+    cfg, problem = allen_cahn_small_problem()
+    report, args = last_search(problem, cfg.solver)
+    res, rows = search_rows(args)
+    assert report.status == "no_descent" and not res.accepted
+    assert (res.trials, rows) == (3, [1, 2])
+    model, cost, prev, prev_cost, gains, basis, _ = args
+    _, realized, predicted = forward_pass_one_row(model, cost, prev, gains,
+                                                  basis, STEP_SIZES[2])
+    assert res.ratio == (prev_cost - realized) / predicted
+    assert report.terminal_search == {"trials": 3, "ratio": res.ratio}
+    ref = line_search_one_row(*args)
+    assert not ref.accepted and ref.trials == len(STEP_SIZES)
+
+
+@pytest.mark.parametrize("ratios,settled", [
+    ([-1.4843, -0.41186, -0.10611], True),     # z3 + |d2| = 0.199
+    ([0.26437, 0.28248, 0.29132], False),      # z3 + |d2| = 0.300162
+    ([0.1, 0.1, 0.1], False),                  # no difference: d1 d2 = 0
+    ([0.0, 0.2, 0.1], False),                  # the differences change sign
+    ([-1.0, -0.5, -0.2], False),               # |d2| > |d1|/2
+    ([math.nan, -0.5, -0.25], False),          # a step size without a ratio
+    ([-0.5, -0.25], False),                    # fewer than three ratios
+    ([9.0, -1.0, -0.5, -0.25], True),          # only the last three count
+])
+def test_ratio_settled(ratios, settled):
+    assert solver._ratio_settled(ratios, 0.3) is settled
 
 
 class _Abandon(Exception):
@@ -551,16 +582,13 @@ class _FakeClock:
 
 
 def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
-    # this solve ends in a no-descent sweep of 1 + 2 + 4 + 8 + 12 step
-    # sizes, after a search that accepts in its 2-row rollout.  The clock
-    # stands still until a 4-row rollout returns, then jumps past the
-    # budget: the sweep must stop before its 8-row rollout
+    # this solve ends in a no-descent sweep whose ratio settles after 1 + 2
+    # step sizes, after a search that accepts in its 2-row rollout.  The
+    # clock stands still until the sweep's 1-row rollout returns, then
+    # jumps past the budget: the sweep must stop before its 2-row rollout
     from roilqr.cli import EXIT_NUMERICAL, _status_exit
-    from roilqr.harness import build_problem, gaussian_guess, preset
 
-    cfg = preset("allen_cahn_small")
-    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
-                                                       cfg.run.guess_std))
+    _, problem = allen_cahn_small_problem()
     unbounded = solve(problem, SolverConfig(seed=0))
     assert unbounded.status == "no_descent"
 
@@ -571,7 +599,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     def forward(model, cost, prev, gains, basis, alphas, buffers=None):
         rollouts.append(len(alphas))
         out = forward_pass(model, cost, prev, gains, basis, alphas, buffers)
-        if len(alphas) == 4:
+        if rollouts[-2:] == [2, 1]:
             clock.now = 10.0
         return out
 
@@ -579,7 +607,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3
-    assert rollouts[-3:] == [1, 2, 4]
+    assert rollouts[-3:] == [1, 2, 1]
     assert report.costs == unbounded.costs
     assert set(report.terminal_phase_times) == set(PHASES)
     assert report.terminal_phase_times["t_forward"] == 10.0
@@ -589,7 +617,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
 def test_stops_after_an_accept_leave_no_terminal_phases(monkeypatch):
     # gamma-convergence and a budget found expired after an accepted
     # step end the solve on that iteration, whose phases are in its record
-    cfg, problem = _allen_cahn_small_problem()
+    cfg, problem = allen_cahn_small_problem()
     converged = solve(problem, SolverConfig(seed=0, gamma=0.99))
     assert converged.status == "converged"
     assert len(converged.iterations) == 1
@@ -621,15 +649,6 @@ def test_completed_statuses_end_on_a_usable_cost(status, completed):
     assert report.completed is completed
 
 
-def _allen_cahn_small_problem():
-    from roilqr.harness import build_problem, gaussian_guess, preset
-
-    cfg = preset("allen_cahn_small")
-    problem = build_problem(cfg, u_init=gaussian_guess(cfg, 0,
-                                                       cfg.run.guess_std))
-    return cfg, problem
-
-
 def test_time_budget_stops_identification_between_groups(monkeypatch):
     # reduced allen_cahn_small identifies each iteration in several
     # simulator calls of 2-3 timesteps.  The clock stands still until the
@@ -637,7 +656,7 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
     # jumps past the budget: no further call of that identification runs
     from roilqr.cli import EXIT_NUMERICAL, _status_exit
 
-    cfg, problem = _allen_cahn_small_problem()
+    cfg, problem = allen_cahn_small_problem()
     unbounded = solve(problem, SolverConfig(seed=0))
     assert len(unbounded.iterations) >= 2
 
@@ -682,7 +701,7 @@ def test_time_budget_stops_identification_between_groups(monkeypatch):
 
 
 def test_time_budget_stops_before_the_backward_pass(monkeypatch):
-    cfg, problem = _allen_cahn_small_problem()
+    cfg, problem = allen_cahn_small_problem()
     unbounded = solve(problem, SolverConfig(seed=0))
     assert len(unbounded.iterations) >= 2
 
