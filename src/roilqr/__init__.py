@@ -11,7 +11,7 @@ verifies the suboptimality guarantees of the reduced solution.
 from .bounds import (BoundsReport, LqrPair, build_lqr_pair, verify_bounds,
                      verify_iterates)
 from .lqr import (BackwardPassError, CostModel, GainSchedule, Regularizer,
-                  backward_pass, lqr_solve_dense, reduce_cost)
+                  backward_pass, reduce_cost)
 from .pde import (AllenCahnModel, BurgersModel, CahnHilliardModel,
                   DivergenceError, Grid, PdeParams, StabilityError,
                   Trajectory, mask_from_goal, rollout)

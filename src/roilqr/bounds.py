@@ -16,6 +16,11 @@ eigenvalue sigma_min.  :func:`verify_bounds` checks
   sqrt(2 cbar1 eps / sigma_min) of that second set (infinite, and
   ``uniformity_ok`` false, when sigma_min <= 1e-10).
 
+A verdict holds only against a finite bound: an infinite bound (or
+delta), be it a norm past the float range or the delta of a Hessian
+that is not uniformly positive definite, fails it, and so fails the
+limit-set membership of an iterate.
+
 The reported ``eps``, ``cbar`` and ``cbar1`` are the larger of the two
 sets' values.  Because every inequality is checked against constants
 measured on its own draws, a violation indicates an implementation bug,
@@ -126,8 +131,11 @@ def _measure(pair, du_list):
     horizon = pair.horizon
     eps_nominal = projection_residual(basis, nominal)
     cbar = 0.0
-    for g in cost.state_grads(nominal.states):
-        cbar = max(cbar, float(np.linalg.norm(g)))
+    # a norm past the float range is an infinite cbar, whose infinite
+    # bounds then fail their verdicts
+    with np.errstate(over="ignore"):
+        for g in cost.state_grads(nominal.states):
+            cbar = max(cbar, float(np.linalg.norm(g)))
     weights = [cost.q] * horizon + [cost.q_terminal]
     eps_linear = 0.0
     values = []
@@ -139,9 +147,10 @@ def _measure(pair, du_list):
         lifted = dz @ basis.phi.T
         mism = np.linalg.norm(dx - lifted, axis=1)
         eps_linear = max(eps_linear, 0.5 * float(np.max(mism)))
-        for w, x, z in zip(weights, dx, lifted):
-            cbar = max(cbar, float(np.linalg.norm(w * x)),
-                       float(np.linalg.norm(w * z)))
+        with np.errstate(over="ignore"):
+            for w, x, z in zip(weights, dx, lifted):
+                cbar = max(cbar, float(np.linalg.norm(w * x)),
+                           float(np.linalg.norm(w * z)))
     return _Measurement(eps=max(eps_nominal, eps_linear), cbar=cbar,
                         cbar1=7.0 * (horizon + 1) * cbar, values=values)
 
@@ -154,6 +163,12 @@ def _draw_controls(pair, samples, seed, sigma):
     rng = np.random.default_rng(seed)
     return [sigma * rng.standard_normal(pair.nominal.controls.size)
             for _ in range(samples)]
+
+
+def _holds(measured, bound):
+    """Whether ``measured`` is within the finite ``bound``: an infinite
+    bound bounds nothing, so its verdict fails."""
+    return bool(np.isfinite(bound) and measured <= bound + _SLACK)
 
 
 def _ratio(bound, measured):
@@ -216,9 +231,9 @@ def verify_bounds(pair, samples=200, seed=0, sigma=None):
         minima_gap=minima_gap,
         minima_gap_bound=minima_gap_bound,
         minimizer_distance=distance,
-        objective_gap_ok=bool(max_gap <= gap_bound + _SLACK),
-        minima_gap_ok=bool(minima_gap <= minima_gap_bound + _SLACK),
-        distance_ok=bool(distance <= delta + _SLACK),
+        objective_gap_ok=_holds(max_gap, gap_bound),
+        minima_gap_ok=_holds(minima_gap, minima_gap_bound),
+        distance_ok=_holds(distance, delta),
         objective_gap_looseness=_ratio(gap_bound, max_gap),
         distance_looseness=_ratio(delta, distance),
         uniformity_ok=sigma_min > _SIGMA_FLOOR,
@@ -260,7 +275,7 @@ def verify_iterates(problem, report, energy_cutoff=DEFAULT_ENERGY_CUTOFF,
             "cost": cost.trajectory_cost(nominal),
             "newton_norm": newton,
             "delta": delta,
-            "member": bool(hessian_ok and newton <= delta + _SLACK),
+            "member": hessian_ok and _holds(newton, delta),
             "hessian_ok": hessian_ok,
             "sigma_min": sigma_min,
             "eps": meas.eps,

@@ -12,6 +12,7 @@ most severe status.
 """
 
 import argparse
+import math
 import sys
 
 import yaml
@@ -116,29 +117,32 @@ def _cmd_benchmark(cfg):
     return EXIT_OK
 
 
+def _verdict(ok, bound):
+    if ok:
+        return "ok"
+    return "VIOLATED" if math.isfinite(bound) else "bound not finite"
+
+
 def _cmd_verify_bounds(cfg):
     try:
-        bounds_report, solve_report = run_verify_bounds(cfg)
+        rep, _ = run_verify_bounds(cfg)
     except NumericalFailure as exc:
         print(f"[bounds] status=numerical_failure: {exc}")
         return EXIT_NUMERICAL
-    ok = (bounds_report.objective_gap_ok and bounds_report.minima_gap_ok
-          and bounds_report.distance_ok)
-    print(f"[bounds] objective gap {bounds_report.max_objective_gap:.3g} "
-          f"(bound {bounds_report.gap_bound:.3g}) "
-          f"-> {'ok' if bounds_report.objective_gap_ok else 'VIOLATED'}")
-    print(f"[bounds] minima gap {bounds_report.minima_gap:.3g} "
-          f"(bound {bounds_report.minima_gap_bound:.3g}) "
-          f"-> {'ok' if bounds_report.minima_gap_ok else 'VIOLATED'}")
-    print(f"[bounds] minimizer distance "
-          f"{bounds_report.minimizer_distance:.3g} "
-          f"(delta {bounds_report.delta:.3g}, "
-          f"sigma_min {bounds_report.sigma_min:.3g}) "
-          f"-> {'ok' if bounds_report.distance_ok else 'VIOLATED'}")
-    members = sum(1 for e in bounds_report.limit_set_trace if e["member"])
+    ok = rep.objective_gap_ok and rep.minima_gap_ok and rep.distance_ok
+    print(f"[bounds] objective gap {rep.max_objective_gap:.3g} "
+          f"(bound {rep.gap_bound:.3g}) "
+          f"-> {_verdict(rep.objective_gap_ok, rep.gap_bound)}")
+    print(f"[bounds] minima gap {rep.minima_gap:.3g} "
+          f"(bound {rep.minima_gap_bound:.3g}) "
+          f"-> {_verdict(rep.minima_gap_ok, rep.minima_gap_bound)}")
+    print(f"[bounds] minimizer distance {rep.minimizer_distance:.3g} "
+          f"(delta {rep.delta:.3g}, sigma_min {rep.sigma_min:.3g}) "
+          f"-> {_verdict(rep.distance_ok, rep.delta)}")
+    members = sum(1 for e in rep.limit_set_trace if e["member"])
     print(f"[bounds] limit-set members {members}/"
-          f"{len(bounds_report.limit_set_trace)} iterates "
-          f"(consistent={bounds_report.limit_set_consistent})")
+          f"{len(rep.limit_set_trace)} iterates "
+          f"(consistent={rep.limit_set_consistent})")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -14,12 +14,16 @@ exists at full order, and every reader applies a weight through
 
 The backward pass works in whatever coordinates the supplied LTV model
 lives in (reduced or full; full order is the identity-basis special
-case).  Gains follow the convention du_t = -k_t - K_t dz_t, so k, K are
+case).  Neither it nor the stacked form reads A: the sensitivity maps
+and the products A_t^T X and X^T A_t are the model's
+(:class:`roilqr.sysid.LtvModel`), and B and the dims are all else they
+read.  Gains follow the convention du_t = -k_t - K_t dz_t, so k, K are
 the positive-form products of the inverted control Hessian.  The
 backward pass never forms a d x d value Hessian: O(T^2 d^2 n_u) work in
-place of the O(T d^3) of the V-forming sweep.  Both it and the dense
-oracle solve through one Cholesky factor (``np.linalg.cholesky``) and
-forward and back substitution; numpy is the only numerical dependency.
+place of the O(T d^3) of the V-forming sweep.  Both it and
+:func:`stacked_minimizer` solve through one Cholesky factor
+(``np.linalg.cholesky``) and forward and back substitution; numpy is
+the only numerical dependency.
 """
 
 from dataclasses import dataclass
@@ -196,6 +200,9 @@ def backward_pass(ltv, terms, reg=None):
     sweep carries G_t = V_t F_t, where the (d, t n_u) sensitivity F_t
     maps u_0..u_{t-1} to z_t (F_0 empty, F_{t+1} = [A_t F_t | B_t]): the
     last block of G_{t+1} is V_{t+1} B_t, the rest is V_{t+1} A_t F_t.
+    The maps and the A products are the model's
+    (``ltv.sensitivity_maps()``, ``ltv.a_transpose_times`` and
+    ``ltv.transpose_times_a``); the pass reads no A of its own.
 
     Q-function form: at each step the control Hessian gets mu*I damping
     through the next-step value Hessian (damping enters Q_uu and Q_uz
@@ -211,9 +218,7 @@ def backward_pass(ltv, terms, reg=None):
     if terms.dim != dim or terms.horizon != horizon:
         raise ValueError("cost terms and LTV model disagree on dimensions")
 
-    sens = [np.empty((dim, 0))]
-    for t in range(horizon):
-        sens.append(np.hstack((ltv.A[t] @ sens[t], ltv.B[t])))
+    sens = ltv.sensitivity_maps()
     k_all = np.empty((horizon, n_u))
     big_k = np.empty((horizon, n_u, dim))
     v = np.empty((horizon + 1, dim))
@@ -225,13 +230,14 @@ def backward_pass(ltv, terms, reg=None):
     sum_k_quu_k = 0.0
     bumped = False
     for t in range(horizon - 1, -1, -1):
-        a_t, b_t = ltv.A[t], ltv.B[t]
+        b_t = ltv.B[t]
         m = t * n_u
         v_b = g_next[:, m:]
-        q_z = terms.lin_state[t] + a_t.T @ v[t + 1]
+        q_z = terms.lin_state[t] + ltv.a_transpose_times(t, v[t + 1])
         q_u = terms.lin_control[t] + b_t.T @ v[t + 1]
         while True:
-            q_uz = v_b.T @ a_t + reg.mu * (b_t.T @ a_t)
+            q_uz = ltv.transpose_times_a(t, v_b) \
+                + reg.mu * ltv.transpose_times_a(t, b_t)
             q_uu = terms.r + b_t.T @ v_b + reg.mu * (b_t.T @ b_t)
             q_uu = 0.5 * (q_uu + q_uu.T)
             if not np.isfinite(q_uu).all():
@@ -259,7 +265,8 @@ def backward_pass(ltv, terms, reg=None):
         # G_t = V_t F_t, V_t = Q + A^T V' A + K^T Q_uu K - K^T Q_uz - Q_uz^T K
         f_t = sens[t]
         kf = big_k_t @ f_t
-        g_next = apply_weight(terms.quad_state, f_t) + a_t.T @ g_next[:, :m] \
+        g_next = apply_weight(terms.quad_state, f_t) \
+            + ltv.a_transpose_times(t, g_next[:, :m]) \
             + big_k_t.T @ (q_uu @ kf - q_uz @ f_t) - q_uz.T @ kf
         sum_k_qu += float(k_t @ q_u)
         sum_k_quu_k += float(k_t @ (q_uu @ k_t))
@@ -281,9 +288,10 @@ def stack_quadratic(ltv, terms):
     Returns (H, g, F) over the flattened control perturbation dU of
     length T*n_u: objective(dU) = 0.5 dU^T H dU + g^T dU, and the
     (T+1, d, T*n_u) sensitivity maps F, with F[t] @ dU the deviation
-    state z_t that dU drives the LTV model to.  Stacked sizes above
-    :data:`DENSE_ORACLE_LIMIT` are a ``ValueError``, raised before
-    anything is stacked.
+    state z_t that dU drives the LTV model to: the model's own maps
+    (``ltv.sensitivity_maps()``), zero-padded to the horizon's width.
+    Stacked sizes above :data:`DENSE_ORACLE_LIMIT` are a ``ValueError``,
+    raised before anything is stacked.
     """
     horizon, dim, n_u = ltv.horizon, ltv.dim, ltv.n_u
     m = horizon * n_u
@@ -291,9 +299,8 @@ def stack_quadratic(ltv, terms):
         raise ValueError(f"stacked size {m} exceeds oracle limit "
                          f"{DENSE_ORACLE_LIMIT}")
     f_maps = np.zeros((horizon + 1, dim, m))
-    for t in range(horizon):
-        f_maps[t + 1] = ltv.A[t] @ f_maps[t]
-        f_maps[t + 1][:, t * n_u:(t + 1) * n_u] += ltv.B[t]
+    for f_t, narrow in zip(f_maps, ltv.sensitivity_maps()):
+        f_t[:, :narrow.shape[1]] = narrow
     h = np.zeros((m, m))
     g = np.zeros(m)
     for t in range(horizon + 1):
@@ -317,16 +324,4 @@ def stacked_minimizer(h, g):
     except np.linalg.LinAlgError:
         raise IndefiniteHessianError("stacked Hessian is not positive definite")
     return -_cho_solve(chol, g)
-
-
-def lqr_solve_dense(ltv, terms):
-    """Exact minimizer of the perturbed objective by one dense solve of
-    its stacked form.
-
-    Independent oracle for the backward pass; restricted to desk-scale
-    stacked problems (T*n_u <= :data:`DENSE_ORACLE_LIMIT`, which
-    :func:`roilqr.harness.run_verify_bounds` checks before it solves).
-    """
-    h, g, _ = stack_quadratic(ltv, terms)
-    return stacked_minimizer(h, g).reshape(ltv.horizon, ltv.n_u)
 

@@ -38,6 +38,11 @@ workspace, never a whole full-order timestep's queries or the dense
 (n_x + n_u, n_x) design.  The fit overwrites the outputs buffer with
 the model, so an identification holds one (T, d, d + n_u) array, not
 two.
+
+The fitted :class:`LtvModel` owns its A: it builds the sensitivity maps
+F_{t+1} = [A_t F_t | B_t] and the products A_t^T X and X^T A_t that the
+backward pass and the stacked quadratic read, and nothing outside this
+module reads A.
 """
 
 from dataclasses import dataclass
@@ -77,7 +82,13 @@ class RegressionData:
 
 @dataclass(frozen=True)
 class LtvModel:
-    """Per-timestep linear maps A (T, d, d) and B (T, d, n_u)."""
+    """Per-timestep linear maps A (T, d, d) and B (T, d, n_u).
+
+    The model owns every read of A: its readers take the sensitivity maps
+    (:meth:`sensitivity_maps`) and the products A_t^T X and X^T A_t from
+    it, and B, the dims and these three methods are all they read.  How A
+    is stored (here a view of the fit's output) is this module's alone.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -93,6 +104,23 @@ class LtvModel:
     @property
     def n_u(self):
         return self.B.shape[2]
+
+    def sensitivity_maps(self):
+        """The T + 1 sensitivity maps F_t, each (d, t n_u), mapping the
+        controls u_0..u_{t-1} to the state z_t they drive the model to:
+        F_0 is empty and F_{t+1} = [A_t F_t | B_t]."""
+        maps = [np.empty((self.dim, 0))]
+        for a_t, b_t in zip(self.A, self.B):
+            maps.append(np.hstack((a_t @ maps[-1], b_t)))
+        return maps
+
+    def a_transpose_times(self, t, x):
+        """A_t^T x for a (d,) or (d, k) ``x``."""
+        return self.A[t].T @ x
+
+    def transpose_times_a(self, t, x):
+        """x^T A_t for a (d, k) ``x``."""
+        return x.T @ self.A[t]
 
 
 def generate_rollout_data(model, nominal, basis=None, *, scales=None,

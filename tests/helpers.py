@@ -1,6 +1,7 @@
 """Shared test fixtures: exactly-linear plants used as analytic oracles,
 random LQ problems, the rollout of the perturbed quadratic that its
-stacked form must equal, the one-row model step, reference recursions
+stacked form must equal, the dense solve of that form that the backward
+pass must equal, the one-row model step, reference recursions
 for the backward pass (the V-forming Riccati sweep among them, which
 gives every value Hessian), the one-step-size-at-a-time line search and
 a solve on it, the recorded last line search of a solve, and
@@ -15,7 +16,8 @@ from roilqr import solver
 from roilqr._kernels import central_numpy
 from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import (BackwardPassError, GainSchedule, ReducedCostTerms,
-                        Regularizer, _cho_solve, apply_weight)
+                        Regularizer, _cho_solve, apply_weight,
+                        stack_quadratic, stacked_minimizer)
 from roilqr.pde import (AllenCahnModel, DivergenceError, Grid, PdeParams,
                         Trajectory)
 from roilqr.solver import STEP_SIZES, LineSearchResult, forward_pass, solve
@@ -115,6 +117,15 @@ def quad_objective(ltv, terms, du):
     val += float(terms.lin_state[-1] @ dz)
     val += 0.5 * float(dz @ apply_weight(terms.quad_terminal, dz))
     return val, devs
+
+
+def lqr_solve_dense(ltv, terms):
+    """Exact minimizer dU* (T, n_u) of the perturbed objective by one
+    dense solve of its stacked form: the backward pass's independent
+    oracle, for stacked sizes up to :data:`roilqr.lqr.DENSE_ORACLE_LIMIT`.
+    """
+    h, g, _ = stack_quadratic(ltv, terms)
+    return stacked_minimizer(h, g).reshape(ltv.horizon, ltv.n_u)
 
 
 def dense_weight(w, dim):

@@ -8,13 +8,14 @@ module-scoped fixtures, so the whole gate runs in about a minute.
 
 import numpy as np
 import pytest
-from helpers import (cost_increase, gains_match, random_stable_linear,
-                     riccati_backward_pass, simulate_feedback, step)
+from helpers import (cost_increase, gains_match, lqr_solve_dense,
+                     random_stable_linear, riccati_backward_pass,
+                     simulate_feedback, step)
 
 from roilqr.bounds import build_lqr_pair, verify_bounds
 from roilqr.harness import (build_problem, gaussian_guess, preset,
                             run_benchmark, run_repeatability)
-from roilqr.lqr import Regularizer, backward_pass, lqr_solve_dense, reduce_cost
+from roilqr.lqr import Regularizer, backward_pass, reduce_cost
 from roilqr.pde import rollout
 from roilqr.pod import method_of_snapshots
 from roilqr.solver import SolverConfig, solve

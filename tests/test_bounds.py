@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import LinearModel, random_stable_linear
+from helpers import LinearModel, lqr_solve_dense, random_stable_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,8 +117,6 @@ def test_scalar_toy_hand_computable():
     # so du* = -g / h = -2.5 / 2
     assert report.minimizer_distance <= 1e-10
     du_star = -(0.5 + 2.0 * 1.0) / (1.0 + 1.0)
-    from roilqr.lqr import lqr_solve_dense
-
     np.testing.assert_allclose(lqr_solve_dense(fo, terms)[0, 0], du_star,
                                atol=1e-12)
 

@@ -379,6 +379,29 @@ def test_verify_bounds_prints_the_bounds_it_checked(tmp_path, capsys):
     assert saved["minimizer_distance"] <= saved["delta"]
 
 
+@pytest.mark.parametrize("problem", [
+    {"q_weight": 1e300, "qt_weight": 1e300},
+    {"q_weight": 1e200, "r_weight": 1e-200},
+])
+def test_verify_bounds_fails_an_infinite_bound(tmp_path, capsys, problem):
+    # cost gradients whose norms pass the float range make cbar, and with
+    # it every bound and delta, infinite: an infinite bound bounds nothing
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"problem": problem}))
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--preset", "burgers_small", "--config",
+                 str(path), "--out", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert printed.count("-> bound not finite") == 3
+    assert "VIOLATED" not in printed and "-> ok" not in printed
+    saved = json.loads((out / "bounds.json").read_text())
+    assert saved["gap_bound"] == saved["minima_gap_bound"] == float("inf")
+    assert not (saved["objective_gap_ok"] or saved["minima_gap_ok"]
+                or saved["distance_ok"])
+    assert saved["limit_set_trace"]
+    assert not any(e["member"] for e in saved["limit_set_trace"])
+
+
 @pytest.mark.parametrize("config,solve_status,message", [
     # the initial guess diverges: no nominal at all
     ({"run": {"guess_std": 200.0}}, "numerical_failure", "diverged"),

@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (LQ_CASE, dense_weight, gains_match, lq_case,
-                     quad_objective, random_ltv, riccati_backward_pass,
-                     simulate_feedback, value_hessians,
-                     value_recursion_direct)
+                     lqr_solve_dense, quad_objective, random_ltv,
+                     riccati_backward_pass, simulate_feedback,
+                     value_hessians, value_recursion_direct)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roilqr.lqr import (BackwardPassError, CostModel, GainSchedule,
                         IndefiniteHessianError, Regularizer, ReducedCostTerms,
-                        _cho_solve, backward_pass, lqr_solve_dense,
-                        reduce_cost, stack_quadratic)
+                        _cho_solve, backward_pass, reduce_cost,
+                        stack_quadratic)
 from roilqr.pde import Trajectory
 from roilqr.pod import method_of_snapshots
 from roilqr.sysid import LtvModel
@@ -456,6 +456,50 @@ def test_stack_quadratic_matches_recursion(horizon, dim, n_u, form, seed):
         scale = np.linalg.norm(devs)
         for f_t, z_t in zip(f_maps, devs, strict=True):
             assert np.linalg.norm(f_t @ flat - z_t) <= 1e-12 * scale
+        # the model's own maps, each as wide as the controls before it
+        for t, (f_t, z_t) in enumerate(zip(ltv.sensitivity_maps(), devs,
+                                           strict=True)):
+            assert f_t.shape == (dim, t * n_u)
+            assert np.linalg.norm(f_t @ flat[:t * n_u] - z_t) <= 1e-12 * scale
+    # the A products are the plain products, bit for bit
+    for t in range(horizon):
+        v, x = rng.standard_normal(dim), rng.standard_normal((dim, n_u))
+        for got, ref in ((ltv.a_transpose_times(t, v), ltv.A[t].T @ v),
+                         (ltv.a_transpose_times(t, x), ltv.A[t].T @ x),
+                         (ltv.transpose_times_a(t, x), x.T @ ltv.A[t])):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+
+class _ModelWithoutA:
+    """An LTV model that offers only what its readers may read: B, the
+    dims, the sensitivity maps and the two A products of ``ltv``, and no
+    A."""
+
+    def __init__(self, ltv):
+        self.B = ltv.B
+        self.horizon, self.dim, self.n_u = ltv.horizon, ltv.dim, ltv.n_u
+        self.sensitivity_maps = ltv.sensitivity_maps
+        self.a_transpose_times = ltv.a_transpose_times
+        self.transpose_times_a = ltv.transpose_times_a
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mu=st.sampled_from([0.0, 1e-6, 1.0]), **LQ_CASE)
+def test_readers_need_no_a(mu, horizon, dim, n_u, form, seed):
+    # the backward pass and the stacked form give the same bits on a model
+    # that keeps A to itself as on the LtvModel it wraps
+    ltv, terms = lq_case(horizon, dim, n_u, form, seed)
+    bare = _ModelWithoutA(ltv)
+    assert not hasattr(bare, "A")
+    got, ref = (backward_pass(m, terms, Regularizer(mu=mu, mu_min=0.0))
+                for m in (bare, ltv))
+    for f in ("k", "K", "v"):
+        np.testing.assert_array_equal(_bits(getattr(got, f)),
+                                      _bits(getattr(ref, f)))
+    assert (got.sum_k_qu, got.sum_k_quu_k) == (ref.sum_k_qu, ref.sum_k_quu_k)
+    for a, b in zip(stack_quadratic(bare, terms), stack_quadratic(ltv, terms),
+                    strict=True):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
 def test_gain_schedule_dataclass_roundtrip():
