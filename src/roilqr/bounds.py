@@ -248,9 +248,10 @@ def verify_iterates(problem, report, energy_cutoff=DEFAULT_ENERGY_CUTOFF,
     max(20, samples // 10) draws from ``seed + 2 + idx``; then run
     :func:`verify_bounds` on the last iterate's pair with ``samples``
     draws from ``seed``.  ``limit_set_consistent`` is the exhaustion
-    property: once the cost falls below every non-member iterate's
-    cost, membership never flips back off.  Desk-scale problems only:
-    each iterate's full-order model is identified.
+    property: some iterate is a member, and once the cost falls below
+    every non-member iterate's cost, membership never flips back off.
+    Desk-scale problems only: each iterate's full-order model is
+    identified.
     """
     if not report.iterate_controls:
         raise ValueError("the report has no iterate to verify around")
@@ -282,6 +283,8 @@ def verify_iterates(problem, report, energy_cutoff=DEFAULT_ENERGY_CUTOFF,
         })
     non_member_costs = [e["cost"] for e in trace if not e["member"]]
     floor = min(non_member_costs) if non_member_costs else float("inf")
-    consistent = all(e["member"] for e in trace if e["cost"] < floor)
+    # a walk with no member shows no exhaustion to be consistent with
+    consistent = any(e["member"] for e in trace) \
+        and all(e["member"] for e in trace if e["cost"] < floor)
     return replace(verify_bounds(pair, samples, seed, sigma),
                    limit_set_trace=trace, limit_set_consistent=consistent)

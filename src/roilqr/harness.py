@@ -386,9 +386,26 @@ def _metadata_dict(report):
 
 
 def _dump_json(path, obj):
+    """Write ``obj`` to ``path`` as strict JSON: a float that is not
+    finite is written as null.  The encoder already tests every float,
+    so a finite ``obj`` is encoded once."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:   # a float that is not finite
+        text = json.dumps(_nulled(obj), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _nulled(obj):
+    # ``obj`` with every float that is not finite replaced by None
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _nulled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(value) for value in obj]
+    return obj
 
 
 def _check_out_dir(out_dir):

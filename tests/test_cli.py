@@ -13,6 +13,13 @@ from roilqr.cli import build_parser, load_config, main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _strict_json(path):
+    # Infinity, -Infinity and NaN are not JSON
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_solve_preset(tmp_path, capsys):
     code = main(["solve", "--preset", "burgers_small",
                  "--out", str(tmp_path), "--seed", "1"])
@@ -268,10 +275,12 @@ def test_infinite_initial_cost_is_exit_3(tmp_path, capsys):
     assert main(["solve", "--preset", "burgers_small", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 3
     assert "status=numerical_failure" in capsys.readouterr().out
-    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    # an artifact is strict JSON: the cost that is not finite is null
+    payload = _strict_json(tmp_path / "out" / "report.json")
     assert payload["status"] == "numerical_failure"
     assert payload["error"] == "initial cost inf is not finite"
-    assert payload["costs"] == [float("inf")]
+    assert payload["initial_cost"] is payload["final_cost"] is None
+    assert payload["costs"] == [None]
     assert payload["terminal_search"] is None
 
 
@@ -394,12 +403,16 @@ def test_verify_bounds_fails_an_infinite_bound(tmp_path, capsys, problem):
     printed = capsys.readouterr().out
     assert printed.count("-> bound not finite") == 3
     assert "VIOLATED" not in printed and "-> ok" not in printed
-    saved = json.loads((out / "bounds.json").read_text())
-    assert saved["gap_bound"] == saved["minima_gap_bound"] == float("inf")
+    # strict JSON: each infinite bound is saved as null
+    saved = _strict_json(out / "bounds.json")
+    assert saved["gap_bound"] is saved["minima_gap_bound"] is None
     assert not (saved["objective_gap_ok"] or saved["minima_gap_ok"]
                 or saved["distance_ok"])
     assert saved["limit_set_trace"]
     assert not any(e["member"] for e in saved["limit_set_trace"])
+    # a walk with no member iterate is not consistent
+    assert saved["limit_set_consistent"] is False
+    assert "(consistent=False)" in printed
 
 
 @pytest.mark.parametrize("config,solve_status,message", [
