@@ -125,21 +125,14 @@ class Trajectory:
         return self.controls.shape[0]
 
 
-# Largest batch, in cells (rows x n_x), that a caller hands to one
-# step_batch or central call.  Each steps its rows in one kernel call, so
-# this bounds the kernels' workspaces only because the callers keep to
-# it: identification steps its experiments in units cut by aligned_runs,
-# and the line search its step sizes in batches of items_per_call rows.
-# Either still steps one item whole where a single item is larger: a
-# step size's row, or a reduced timestep's queries.  Only full order
-# cuts a timestep into sample ranges.
+# Largest identification unit, in cells (rows x n_x), that one central
+# call is handed.  It steps its rows in one kernel call, so this bounds
+# the kernels' workspaces only because identification keeps to it,
+# stepping its experiments in units cut by aligned_runs.  It still steps
+# one item whole where a single item is larger: a reduced timestep's
+# queries.  Only full order cuts a timestep into sample ranges.
+# Rollouts and the line search step one row per step_batch call.
 MAX_CHUNK_CELLS = 40_000
-
-
-def items_per_call(item_cells):
-    """How many items of ``item_cells`` cells fit in
-    :data:`MAX_CHUNK_CELLS` cells; at least one."""
-    return max(1, MAX_CHUNK_CELLS // item_cells)
 
 
 def aligned_runs(count, item_rows, n_x):
@@ -149,7 +142,7 @@ def aligned_runs(count, item_rows, n_x):
     fit, else equal runs and a shorter last one.  The equal runs hold a
     multiple of ``_kernels.VALUES_PER_LINE`` rows, so that the kernels'
     stencil shifts start cache lines, unless fewer rows than that fit."""
-    per_call = items_per_call(item_rows * n_x)
+    per_call = max(1, MAX_CHUNK_CELLS // (item_rows * n_x))
     runs = -(-count // per_call)
     if runs <= 1:
         return [(0, count)] if count else []

@@ -4,18 +4,14 @@ Each iteration: refresh the snapshot basis from the currently accepted
 trajectory (reduced mode only), fit a local LTV model around it,
 run the backward pass for gains, and accept a new trajectory through a
 backtracking line search on the nonlinear model.  The line search walks
-one fixed ladder of step sizes, 1, 1/2, ..., 2^-26 (:data:`STEP_SIZES`):
-it tries 1 alone, then rolls out the rest of the ladder in doubling
-batches (2, 4, 8, ... step sizes, at most ``pde.items_per_call(n_x)``
-per batch), one row per step size and one simulator call per timestep;
-every row is bit-identical to a rollout of its step size alone, so the
-first step size in ladder order that passes is the one a
-one-at-a-time search would accept.  A search that accepts nothing stops
-once its ratio has settled (:func:`_ratio_settled`): after a batch, the
-last three ratios z1, z2, z3 have differences d1 = z2 - z1, d2 = z3 - z2
-of one sign with |d2| <= |d1|/2, so if they keep halving the rest of the
-ladder adds at most |d2|, and z3 + |d2| < sigma1 bounds every later
-ratio below the threshold.  Terminates when the
+one fixed ladder of step sizes, 1, 1/2, ..., 2^-26 (:data:`STEP_SIZES`),
+one rollout per step size, and accepts the first that passes.  A search
+that accepts nothing stops once its ratio has settled
+(:func:`_ratio_settled`): after a step size, the last three ratios z1,
+z2, z3 have differences d1 = z2 - z1, d2 = z3 - z2 of one sign with
+|d2| <= |d1|/2, so if they keep halving the rest of the ladder adds at
+most |d2|, and z3 + |d2| < sigma1 bounds every later ratio below the
+threshold.  Terminates when the
 relative cost improvement of an accepted iteration falls below the
 convergence coefficient, when the gradient is numerically zero, when no
 descent step can be found, or at the iteration/time budget (see
@@ -33,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lqr import BackwardPassError, Regularizer, backward_pass, reduce_cost
-from .pde import DivergenceError, Trajectory, items_per_call, rollout
+from .pde import DivergenceError, Trajectory, rollout
 from .pod import (DEFAULT_ENERGY_CUTOFF, DegenerateSnapshotsError,
                   method_of_snapshots, projection_residual)
 from .sysid import fit_ltv, generate_rollout_data
@@ -194,69 +190,35 @@ class SolveReport:
         return sum(it.sysid_samples for it in self.iterations)
 
 
-def forward_pass(model, cost, prev, gains, basis, alphas, buffers=None):
-    """Roll the nonlinear model under the feedback law, one row per step
-    size, all rows stepped by one ``step_batch`` call per timestep.
+def forward_pass(model, cost, prev, gains, basis, alpha):
+    """Roll the nonlinear model out under the feedback law at step size
+    ``alpha``, one single-row ``step_batch`` call per timestep.
 
-    Row j's controls: u_t = u_prev_t - alphas[j]*k_t - K_t * P(x_t -
-    x_prev_t) with P the basis projection (identity when ``basis`` is
-    None).  The projection and the feedback are matrix-vector products
-    row by row and the kernels act on each row alone, so every row is
-    bit-identical to a rollout of its step size by itself.  Every row is
-    stepped to the horizon; one that diverges carries inf/NaN to its
-    cost and is rejected by that non-finite cost, so the line search
-    backs off; the other rows are unaffected.
-
-    ``buffers`` is a ``(states, controls)`` pair of shapes ``(T+1, B,
-    n_x)`` and ``(T, B, n_u)`` with ``B >= len(alphas)``, overwritten;
-    fresh ones are allocated when it is None.  Returns one
-    (trajectory_or_None, realized_cost, predicted_improvement) per step
-    size; the trajectories are views into the buffers.
+    The controls are u_t = u_prev_t - alpha*k_t - K_t * P(x_t - x_prev_t)
+    with P the basis projection (identity when ``basis`` is None).  The
+    rollout is stepped to the horizon; one that diverges carries inf/NaN
+    to its cost and is rejected by that non-finite cost, so the line
+    search backs off.  Returns (trajectory_or_None, realized_cost,
+    predicted_improvement).
     """
-    n = len(alphas)
-    if buffers is None:
-        buffers = _rollout_buffers(model, prev.horizon, n)
-    states, controls = buffers
-    states[0, :n] = prev.states[0]
-    # a diverged row's inf/NaN runs on through its feedback and its cost
+    states = np.empty_like(prev.states)
+    controls = np.empty_like(prev.controls)
+    states[0] = prev.states[0]
+    # a diverged rollout's inf/NaN runs on through its feedback and its cost
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(prev.horizon):
-            for j in range(n):
-                dev = states[t, j] - prev.states[t]
-                dz = basis.phi.T @ dev if basis is not None else dev
-                controls[t, j] = (prev.controls[t] - alphas[j] * gains.k[t]
-                                  - gains.K[t] @ dz)
-            states[t + 1, :n] = model.step_batch(states[t, :n],
-                                                 controls[t, :n])
-        results = []
-        for j, alpha in enumerate(alphas):
-            row = Trajectory(states=states[:, j], controls=controls[:, j])
-            realized = cost.trajectory_cost(row)
-            predicted = gains.expected_improvement(alpha)
-            results.append((row, realized, predicted)
-                           if np.isfinite(realized)
-                           else (None, float("inf"), predicted))
-    return results
-
-
-def _rollout_buffers(model, horizon, rows):
-    return (np.empty((horizon + 1, rows, model.n_x)),
-            np.empty((horizon, rows, model.n_u)))
-
-
-def _ladder_batches(count, max_rows):
-    """``(lo, hi)`` bounds of the rollouts of a ladder of ``count`` step
-    sizes: the first alone, then 2, 4, 8, ... at a time, at most
-    ``max_rows`` each."""
-    batches = []
-    lo = 0
-    size = 1
-    while lo < count:
-        hi = min(lo + size, count)
-        batches.append((lo, hi))
-        lo = hi
-        size = min(2 * size, max_rows)
-    return batches
+            dev = states[t] - prev.states[t]
+            dz = basis.phi.T @ dev if basis is not None else dev
+            controls[t] = (prev.controls[t] - alpha * gains.k[t]
+                           - gains.K[t] @ dz)
+            states[t + 1:t + 2] = model.step_batch(states[t:t + 1],
+                                                   controls[t:t + 1])
+        traj = Trajectory(states=states, controls=controls)
+        realized = cost.trajectory_cost(traj)
+    predicted = gains.expected_improvement(alpha)
+    if not np.isfinite(realized):
+        return None, float("inf"), predicted
+    return traj, realized, predicted
 
 
 @dataclass
@@ -290,12 +252,10 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
     """Backtrack on alpha along :data:`STEP_SIZES` until the realized /
     predicted improvement z is >= sigma1.
 
-    The ladder is rolled out in the batches of :func:`_ladder_batches`
-    into one pair of buffers sized to the largest batch; the first step
-    size in ladder order that passes is accepted and its rollout copied
-    out, and ``trials`` is its position in the ladder.  Every accepted
-    step strictly decreases the cost (z*predicted > 0).  After a batch
-    that passes nothing, the search stops once its ratio has settled
+    Each step size is one :func:`forward_pass`; the first that passes is
+    accepted, and ``trials`` is its position in the ladder.  Every
+    accepted step strictly decreases the cost (z*predicted > 0).  After a
+    step size that fails, the search stops once its ratio has settled
     (:func:`_ratio_settled`: the last three ratios' differences shrink by
     at least half with one sign, and z3 + |d2|, which bounds every later
     ratio while they keep halving, is below sigma1).  A search that
@@ -305,28 +265,20 @@ def line_search(model, cost, prev, prev_cost, gains, basis, cfg,
     is called before every rollout after the first and may raise to
     abandon the search.
     """
-    batches = _ladder_batches(len(STEP_SIZES), items_per_call(model.n_x))
-    buffers = _rollout_buffers(model, prev.horizon,
-                               max(hi - lo for lo, hi in batches))
     ratios = []   # z of each step size judged; nan where it has none
     last = None
-    for lo, hi in batches:
-        if checkpoint is not None and lo > 0:
+    for trial, alpha in enumerate(STEP_SIZES, 1):
+        if checkpoint is not None and trial > 1:
             checkpoint()
-        results = forward_pass(model, cost, prev, gains, basis,
-                               STEP_SIZES[lo:hi], buffers)
-        for trial, (traj, realized, predicted) in enumerate(results, lo + 1):
-            z = (prev_cost - realized) / predicted \
-                if traj is not None and predicted > 0.0 else math.nan
-            if z >= cfg.sigma1:
-                accepted = Trajectory(states=traj.states.copy(),
-                                      controls=traj.controls.copy())
-                return LineSearchResult(accepted, realized,
-                                        STEP_SIZES[trial - 1], trial, True,
-                                        z)
-            ratios.append(z)
-            if math.isfinite(z):
-                last = z
+        traj, realized, predicted = forward_pass(model, cost, prev, gains,
+                                                 basis, alpha)
+        z = (prev_cost - realized) / predicted \
+            if traj is not None and predicted > 0.0 else math.nan
+        if z >= cfg.sigma1:
+            return LineSearchResult(traj, realized, alpha, trial, True, z)
+        ratios.append(z)
+        if math.isfinite(z):
+            last = z
         if _ratio_settled(ratios, cfg.sigma1):
             break
     return LineSearchResult(None, prev_cost, 0.0, len(ratios), False, last)

@@ -261,9 +261,10 @@ def simulate_feedback(ltv, gains, alpha=1.0):
 
 
 def forward_pass_one_row(model, cost, prev, gains, basis, alpha):
-    """Reference for one row of ``solver.forward_pass``: the rollout of one
-    step size by itself, one single-row simulator call per timestep.
-    Returns (trajectory_or_None, realized_cost, predicted_improvement)."""
+    """Reference for ``solver.forward_pass``: the rollout of one step
+    size, one single-row simulator call per timestep, that stops at the
+    first non-finite state.  Returns (trajectory_or_None, realized_cost,
+    predicted_improvement)."""
     horizon = prev.horizon
     predicted = gains.expected_improvement(alpha)
     states = np.empty_like(prev.states)
@@ -347,18 +348,18 @@ def last_search(problem, cfg):
     return report, calls[-1]
 
 
-def search_rows(args):
-    """(result, rows of each rollout) of ``solver.line_search`` on
+def search_rollouts(args):
+    """(result, step size of each rollout) of ``solver.line_search`` on
     ``args``."""
-    rows = []
+    alphas = []
 
-    def forward(model, cost, prev, gains, basis, alphas, buffers=None):
-        rows.append(len(alphas))
-        return forward_pass(model, cost, prev, gains, basis, alphas, buffers)
+    def forward(model, cost, prev, gains, basis, alpha):
+        alphas.append(alpha)
+        return forward_pass(model, cost, prev, gains, basis, alpha)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "forward_pass", forward)
-        return solver.line_search(*args), rows
+        return solver.line_search(*args), alphas
 
 
 # The line of _kernels.c that builds the kernels as clones where the

@@ -11,14 +11,14 @@ import pytest
 from helpers import (CLONE_GUARD, LQ_CASE, allen_cahn_small_problem, bits,
                      cone_cases, cost_increase, gains_match, last_search,
                      lq_case, one_row_solve, riccati_backward_pass,
-                     same_steps, search_rows, stepped_differences)
+                     same_steps, search_rollouts, stepped_differences)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roilqr import _kernels, solver
 from roilqr.harness import build_problem, gaussian_guess, preset
 from roilqr.lqr import Regularizer, backward_pass
-from roilqr.pde import Trajectory, rollout
+from roilqr.pde import rollout
 from roilqr.solver import (STEP_SIZES, LineSearchResult, forward_pass,
                            solve)
 from roilqr.sysid import fit_ltv, generate_rollout_data, perturbation_scales
@@ -121,13 +121,10 @@ def _accept_first_finite(model, cost, prev, prev_cost, gains, basis, cfg,
     # mutant: the line search without its z >= sigma1 test, accepting the
     # first step size whose rollout stays finite
     for trial, alpha in enumerate(STEP_SIZES, 1):
-        [(traj, realized, _)] = forward_pass(model, cost, prev, gains, basis,
-                                             [alpha])
+        traj, realized, _ = forward_pass(model, cost, prev, gains, basis,
+                                         alpha)
         if traj is not None:
-            return LineSearchResult(
-                Trajectory(states=traj.states.copy(),
-                           controls=traj.controls.copy()),
-                realized, alpha, trial, True, None)
+            return LineSearchResult(traj, realized, alpha, trial, True, None)
     return LineSearchResult(None, prev_cost, 0.0, len(STEP_SIZES), False,
                             None)
 
@@ -193,15 +190,15 @@ def test_search_check_rejects_a_geometric_tail_bound(monkeypatch):
 
 def test_row_count_check_rejects_a_search_that_never_settles(monkeypatch):
     # mutant: no stop rule; allen_cahn_small's seed-0 no-descent search
-    # then steps the whole ladder in five rollouts
+    # then rolls out all 27 step sizes of the ladder, not three
     cfg, problem = allen_cahn_small_problem()
     _, args = last_search(problem, cfg.solver)
-    assert search_rows(args)[1] == [1, 2]
+    assert search_rollouts(args)[1] == list(STEP_SIZES[:3])
     monkeypatch.setattr(solver, "_ratio_settled", lambda ratios, sigma1:
                         False)
-    res, rows = search_rows(args)
+    res, alphas = search_rollouts(args)
     assert (res.accepted, res.trials) == (False, len(STEP_SIZES))
-    assert rows == [1, 2, 4, 8, 12]
+    assert alphas == list(STEP_SIZES)
 
 
 @pytest.fixture(scope="module")

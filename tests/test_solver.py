@@ -10,7 +10,7 @@ import pytest
 from helpers import (LinearModel, allen_cahn_small_problem,
                      forward_pass_one_row, last_search, line_search_one_row,
                      one_row_solve, random_stable_linear, same_steps,
-                     search_rows)
+                     search_rollouts)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,8 +43,7 @@ def lq_setup():
 def test_forward_alpha_zero_zero_feedforward_is_identity(lq_setup):
     model, cost, nominal, gains = lq_setup
     base = cost.trajectory_cost(nominal)
-    [(traj, realized, _)] = forward_pass(model, cost, nominal, gains, None,
-                                         [0.0])
+    traj, realized, _ = forward_pass(model, cost, nominal, gains, None, 0.0)
     # alpha=0 keeps the feedforward off; feedback sees zero deviation
     np.testing.assert_allclose(traj.states, nominal.states, atol=1e-12)
     assert realized == pytest.approx(base, rel=1e-12)
@@ -57,8 +56,7 @@ def test_forward_zero_gains_replays_controls(lq_setup):
         K=np.zeros((nominal.horizon, 2, 5)),
         v=np.zeros((nominal.horizon + 1, 5)),
         sum_k_qu=0.0, sum_k_quu_k=0.0)
-    [(traj, _, _)] = forward_pass(model, cost, nominal, zero_gains, None,
-                                  [1.0])
+    traj, _, _ = forward_pass(model, cost, nominal, zero_gains, None, 1.0)
     np.testing.assert_array_equal(traj.controls, nominal.controls)
     np.testing.assert_allclose(traj.states, nominal.states, atol=1e-12)
 
@@ -66,8 +64,8 @@ def test_forward_zero_gains_replays_controls(lq_setup):
 def test_lq_realized_equals_predicted(lq_setup):
     model, cost, nominal, gains = lq_setup
     base = cost.trajectory_cost(nominal)
-    [(traj, realized, predicted)] = forward_pass(model, cost, nominal,
-                                                 gains, None, [1.0])
+    _, realized, predicted = forward_pass(model, cost, nominal, gains, None,
+                                          1.0)
     assert base - realized == pytest.approx(predicted, abs=1e-8)
 
 
@@ -284,7 +282,8 @@ def test_initial_guess_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# The batched line search against the one-step-size-at-a-time reference.
+# The line search against the reference search that steps every rollout
+# until it diverges and judges the whole ladder.
 # ---------------------------------------------------------------------------
 
 
@@ -301,8 +300,8 @@ def _gains_with_prediction(shape, s, h, rng):
 
 
 # (s, h) of the predicted improvement: accepted at trial 1, at trial 6
-# (alpha = 1/32, third of the four step sizes of the third rollout), and
-# never (predicted improvement negative for every step size)
+# (alpha = 1/32), and never (predicted improvement negative for every
+# step size)
 PREDICTIONS = {"trial_1": (1.0, 0.0), "trial_6": (0.75 / 32, 1.0),
                "no_descent": (-1.0, 0.0)}
 EXPECTED_TRIALS = {"trial_1": 1, "trial_6": 6, "no_descent": 27}
@@ -378,18 +377,44 @@ def test_solve_matches_the_one_row_line_search(seed):
 def test_settled_search_steps_three_rows_and_no_later_row_passes():
     # allen_cahn_small at seed 0 ends in a search whose ratios at 1, 1/2
     # and 1/4 (-1.484, -0.412, -0.106) have settled: z3 + |d2| = 0.199 <
-    # sigma1, so it stops after its 1- and 2-row rollouts.  Stepped one
-    # row at a time, no step size of the whole ladder passes.
+    # sigma1, so it stops after those three rollouts.  Judged over the
+    # whole ladder, no step size passes.
     cfg, problem = allen_cahn_small_problem()
     report, args = last_search(problem, cfg.solver)
-    res, rows = search_rows(args)
+    res, alphas = search_rollouts(args)
     assert report.status == "no_descent" and not res.accepted
-    assert (res.trials, rows) == (3, [1, 2])
+    assert (res.trials, alphas) == (3, list(STEP_SIZES[:3]))
     model, cost, prev, prev_cost, gains, basis, _ = args
     _, realized, predicted = forward_pass_one_row(model, cost, prev, gains,
                                                   basis, STEP_SIZES[2])
     assert res.ratio == (prev_cost - realized) / predicted
     assert report.terminal_search == {"trials": 3, "ratio": res.ratio}
+    ref = line_search_one_row(*args)
+    assert not ref.accepted and ref.trials == len(STEP_SIZES)
+
+
+def test_search_stops_at_its_first_settled_step_size():
+    # reduced allen_cahn at seed 0 ends in a search whose ratios first
+    # settle at 1/2, 1/4 and 1/8 (-2.663, -1.077, -0.543): z3 + |d2| =
+    # -0.009 < sigma1, where 1, 1/2 and 1/4 give 0.509.  It stops after
+    # those four rollouts, and no later step size of the ladder passes.
+    cfg = preset("allen_cahn")
+    problem = build_problem(
+        cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+    report, args = last_search(problem, cfg.solver)
+    model, cost, prev, prev_cost, gains, basis, _ = args
+    ratios = []
+    for alpha in STEP_SIZES:
+        _, realized, predicted = forward_pass_one_row(model, cost, prev,
+                                                      gains, basis, alpha)
+        ratios.append((prev_cost - realized) / predicted)
+    first = next(k for k in range(1, len(ratios) + 1)
+                 if solver._ratio_settled(ratios[:k], cfg.solver.sigma1))
+    res, alphas = search_rollouts(args)
+    assert first == 4 and not res.accepted
+    assert (res.trials, alphas, res.ratio) == \
+        (first, list(STEP_SIZES[:first]), ratios[first - 1])
+    assert report.terminal_search == {"trials": first, "ratio": res.ratio}
     ref = line_search_one_row(*args)
     assert not ref.accepted and ref.trials == len(STEP_SIZES)
 
@@ -414,7 +439,7 @@ class _Abandon(Exception):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_line_search_checkpoint_stops_after_rollout_k(lq_setup, k):
-    # a no-descent sweep of 27 step sizes in 5 rollouts; a checkpoint
+    # a no-descent sweep of 27 step sizes, one rollout each; a checkpoint
     # raising on its k-th call stops the search after rollout k
     model, cost, nominal, _ = lq_setup
     plant = _Counting(model)
@@ -448,8 +473,7 @@ def test_quiet_checkpoint_leaves_the_search_unchanged(lq_setup, case):
     ref = line_search(model, cost, nominal, 1e12, gains, None, cfg)
     _assert_same_search(res, ref)
     assert res.trials == EXPECTED_TRIALS[case]
-    assert len(calls) == _doubling_rollouts(
-        res.trials, pde.items_per_call(model.n_x)) - 1
+    assert len(calls) == res.trials - 1
 
 
 class _DivergesAbove:
@@ -467,7 +491,8 @@ class _DivergesAbove:
         return out
 
 
-def test_row_diverging_mid_batch_leaves_the_others(pde_nominals):
+def test_diverging_rollout_is_rejected_and_the_search_backs_off(
+        pde_nominals):
     problem, nominal = pde_nominals["burgers_small"]
     gains = _gains_with_prediction((nominal.horizon, 2, problem.model.n_x),
                                    1.0, 0.0, rng=np.random.default_rng(3))
@@ -478,25 +503,22 @@ def test_row_diverging_mid_batch_leaves_the_others(pde_nominals):
     ref = line_search_one_row(plant, problem.cost, nominal, 1e12, gains,
                               None, cfg)
     _assert_same_search(res, ref)
-    # alpha = 1/8 (trial 4) diverges; alpha = 1/16 rode in the same rollout
+    # alpha = 1, ..., 1/8 (trials 1-4) diverge, alpha = 1/16 is accepted
     assert res.accepted and res.trials == 5
-    [row4, row5] = forward_pass(plant, problem.cost, nominal, gains, None,
-                                [0.125, 0.0625])
-    assert row4[:2] == (None, float("inf"))
-    assert forward_pass_one_row(plant, problem.cost, nominal, gains, None,
-                                0.125)[:2] == (None, float("inf"))
-    np.testing.assert_array_equal(row5[0].states.view(np.uint64),
-                                  res.trajectory.states.view(np.uint64))
+    for alpha in STEP_SIZES[:4]:
+        assert forward_pass(plant, problem.cost, nominal, gains, None,
+                            alpha)[:2] == (None, float("inf"))
 
 
 @pytest.mark.parametrize("weights", ["preset", "q=0"])
 def test_diverged_row_is_stepped_to_the_horizon(pde_nominals, weights):
     # the first control is pushed by 10*alpha from mid-horizon on: the
-    # alpha = 1 row steps past the plant's limit there, alpha = 1/16 never
+    # alpha = 1 rollout steps past the plant's limit there, alpha = 1/16
+    # never
     problem, nominal = pde_nominals["burgers_small"]
     model, horizon = problem.model, nominal.horizon
     cost = problem.cost
-    if weights == "q=0":   # the diverged row's cost meets 0 * inf
+    if weights == "q=0":   # the diverged rollout's cost meets 0 * inf
         cost = CostModel(q=0.0, r=cost.r, q_terminal=0.0, goal=cost.goal)
     gains = _gains_with_prediction((horizon, 2, model.n_x), 1.0, 0.0,
                                    rng=np.random.default_rng(3))
@@ -504,19 +526,18 @@ def test_diverged_row_is_stepped_to_the_horizon(pde_nominals, weights):
     gains.k[horizon // 2:, 0] = -10.0
     plant = _Counting(
         _DivergesAbove(model, nominal.controls[:, 0].max() + 1.0))
-    alphas = [1.0, 0.0625]
-    buffers = solver._rollout_buffers(plant, horizon, len(alphas))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        diverged, kept = forward_pass(plant, cost, nominal, gains, None,
-                                      alphas, buffers)
-    assert plant.rows == [len(alphas)] * horizon
-    states = buffers[0][:, 0]
-    assert np.isfinite(states[:horizon // 2 + 1]).all()
-    assert not np.isfinite(states[-1]).any()
-    assert diverged == (None, float("inf"),
-                        gains.expected_improvement(alphas[0]))
-    ref = forward_pass_one_row(model, cost, nominal, gains, None, alphas[1])
+        diverged = forward_pass(plant, cost, nominal, gains, None, 1.0)
+        kept = forward_pass(plant, cost, nominal, gains, None, 0.0625)
+    assert plant.rows == [1] * (2 * horizon)
+    assert diverged == (None, float("inf"), gains.expected_improvement(1.0))
+    # the reference stops at the first non-finite state, mid-horizon
+    plant.rows.clear()
+    assert forward_pass_one_row(plant, cost, nominal, gains, None,
+                                1.0)[:2] == (None, float("inf"))
+    assert plant.rows == [1] * (horizon // 2 + 1)
+    ref = forward_pass_one_row(model, cost, nominal, gains, None, 0.0625)
     assert kept[1:] == ref[1:]
     for got, want in ((kept[0].states, ref[0].states),
                       (kept[0].controls, ref[0].controls)):
@@ -537,40 +558,24 @@ class _Counting:
         return self.model.step_batch(states, controls)
 
 
-def _doubling_rollouts(trials, cap):
-    """Rollouts of a ladder stepped 1, 2, 4, ... at a time, at most
-    ``cap`` at a time, up to its ``trials``-th step size: the doubling
-    ones, then the capped tail."""
-    doubling = cap.bit_length()   # batches 1, 2, ..., 2**(doubling-1)
-    covered = 2**doubling - 1
-    if trials <= covered:
-        return math.ceil(math.log2(trials + 1))
-    return doubling + math.ceil((trials - covered) / cap)
-
-
 @pytest.mark.parametrize("cap", [1, 3, 4, 16, None])
 @pytest.mark.parametrize("case", sorted(PREDICTIONS))
 def test_line_search_rollout_and_row_counts(lq_setup, monkeypatch, cap,
                                             case):
+    # one rollout per step size judged, one single-row simulator call per
+    # timestep, whatever identification's cell cap
     model, cost, nominal, _ = lq_setup
     if cap is not None:
         monkeypatch.setattr(pde, "MAX_CHUNK_CELLS", cap * model.n_x)
-    cap = pde.items_per_call(model.n_x)
     plant = _Counting(model)
     gains = _gains_with_prediction((nominal.horizon, model.n_u, model.n_x),
                                    *PREDICTIONS[case],
                                    rng=np.random.default_rng(5))
-    res = line_search(plant, cost, nominal, 1e12, gains, None,
-                      SolverConfig(mode="full"))
+    res, alphas = search_rollouts((plant, cost, nominal, 1e12, gains, None,
+                                   SolverConfig(mode="full")))
     assert res.trials == EXPECTED_TRIALS[case]
-    assert len(plant.rows) == nominal.horizon * _doubling_rollouts(
-        res.trials, cap)
-    assert max(plant.rows) <= cap
-    # one call per timestep: each rollout keeps its row count
-    per_rollout = plant.rows[::nominal.horizon]
-    assert plant.rows == [r for r in per_rollout
-                          for _ in range(nominal.horizon)]
-    assert per_rollout[0] == 1
+    assert alphas == list(STEP_SIZES[:res.trials])
+    assert plant.rows == [1] * (nominal.horizon * res.trials)
 
 
 class _FakeClock:
@@ -582,24 +587,25 @@ class _FakeClock:
 
 
 def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
-    # this solve ends in a no-descent sweep whose ratio settles after 1 + 2
-    # step sizes, after a search that accepts in its 2-row rollout.  The
-    # clock stands still until the sweep's 1-row rollout returns, then
-    # jumps past the budget: the sweep must stop before its 2-row rollout
+    # this solve ends in a no-descent sweep whose ratio settles after 3
+    # step sizes.  The clock stands still until the sweep's first rollout
+    # returns, then jumps past the budget: the sweep must stop before its
+    # second rollout
     from roilqr.cli import EXIT_NUMERICAL, _status_exit
 
     _, problem = allen_cahn_small_problem()
     unbounded = solve(problem, SolverConfig(seed=0))
     assert unbounded.status == "no_descent"
+    searches = len(unbounded.iterations) + 1
 
     clock = _FakeClock()
     monkeypatch.setattr(solver, "time", clock)
-    rollouts = []
+    alphas = []
 
-    def forward(model, cost, prev, gains, basis, alphas, buffers=None):
-        rollouts.append(len(alphas))
-        out = forward_pass(model, cost, prev, gains, basis, alphas, buffers)
-        if rollouts[-2:] == [2, 1]:
+    def forward(model, cost, prev, gains, basis, alpha):
+        alphas.append(alpha)
+        out = forward_pass(model, cost, prev, gains, basis, alpha)
+        if alphas.count(1.0) == searches:   # each search starts at 1
             clock.now = 10.0
         return out
 
@@ -607,7 +613,7 @@ def test_time_budget_stops_a_sweep_mid_search(monkeypatch):
     report = solve(problem, SolverConfig(seed=0, time_budget_s=1.0))
     assert report.status == "timeout"
     assert _status_exit(report.status) == EXIT_NUMERICAL == 3
-    assert rollouts[-3:] == [1, 2, 1]
+    assert alphas.count(1.0) == searches and alphas[-1] == 1.0
     assert report.costs == unbounded.costs
     assert set(report.terminal_phase_times) == set(PHASES)
     assert report.terminal_phase_times["t_forward"] == 10.0

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from roilqr import _kernels, pde
 from roilqr.harness import (build_problem, config_from_dict, gaussian_guess,
                             preset, run_solve)
-from roilqr.pde import BurgersModel, DivergenceError, Grid, PdeParams, rollout
+from roilqr.pde import (BurgersModel, DivergenceError, Grid, PdeParams,
+                        Trajectory, rollout)
 from roilqr.pod import ReducedBasis, method_of_snapshots
+from roilqr.solver import solve
 from roilqr.sysid import fit_ltv, generate_rollout_data, perturbation_scales
 
 
@@ -220,6 +222,36 @@ def test_coordinate_design_is_exactly_determined(dim, n_u, s_x, s_u, seed,
                                atol=1e-8)
 
 
+def test_perturbation_scales_follow_the_burgers_nominals():
+    # 1% of the largest state and control magnitudes, floored at 1e-2:
+    # burgers' seed-0 guess keeps both within 1, and its solve converges
+    # to states and controls down to -2.229 (the boundary nodes are pinned
+    # to the controls)
+    cfg = preset("burgers")
+    problem = build_problem(
+        cfg, u_init=gaussian_guess(cfg, 0, cfg.run.guess_std))
+    guess = rollout(problem.model, problem.x0, problem.u_init)
+    solved = solve(problem, cfg.solver).trajectory
+    assert perturbation_scales(guess) == (1e-2, 1e-2)
+    peak = -float(solved.states.min())
+    assert peak == -float(solved.controls.min()) == pytest.approx(2.229,
+                                                                 abs=1e-3)
+    assert perturbation_scales(solved) == (1e-2 * peak, 1e-2 * peak)
+
+
+@pytest.mark.parametrize("states,controls,scales", [
+    ([[0.5, -3.0], [0.1, 0.2]], [[0.4]], (1e-2 * 3.0, 1e-2)),
+    ([[0.5, -0.2], [0.1, 0.2]], [[-1.5]], (1e-2, 1e-2 * 1.5)),
+    ([[0.5, -0.2], [0.1, 0.2]], [[0.4]], (1e-2, 1e-2)),
+    ([[-4.0, 0.2]], np.zeros((0, 1)), (1e-2 * 4.0, 1e-2)),   # no controls
+])
+def test_perturbation_scales_floor_each_magnitude_at_one(states, controls,
+                                                         scales):
+    nominal = Trajectory(states=np.array(states, dtype=np.float64),
+                         controls=np.array(controls, dtype=np.float64))
+    assert perturbation_scales(nominal) == scales
+
+
 def _two_call_rollout_data(model, nominal, basis):
     """Reference sampler: one timestep at a time, separate simulator calls
     for the + and - rows, one coordinate per sample."""
@@ -393,7 +425,8 @@ def _unit_rows(states, design_u):
 
 def test_full_order_units_fit_one_kernel_call(monkeypatch):
     # step_batch and central step whatever they are given in one kernel
-    # call, so the callers keep every call within pde.MAX_CHUNK_CELLS cells
+    # call, so the callers keep every call small: identification's units
+    # within pde.MAX_CHUNK_CELLS cells, rollouts to one row
     model, nominal = _allen_cahn_small_nominal()
     rows = []
     central = model.central
@@ -407,17 +440,18 @@ def test_full_order_units_fit_one_kernel_call(monkeypatch):
     # 404 samples of 2 rows of 400 cells: 48-sample units, then 20
     assert rows == ([96] * 8 + [40]) * nominal.horizon
 
-    # every call of one solver iteration: rollouts and line-search batches
-    # (step_batch) and identification units (central), as (rows, n_x)
-    calls = []
+    # every call of one solver iteration: the rollouts and the line search
+    # step one row per step_batch call, and identification keeps its
+    # units (central) within the cap
+    steps, units = [], []
     for cls in (pde.BurgersModel, pde.AllenCahnModel, pde.CahnHilliardModel):
         def recording_cls(self, states, controls, step_batch=cls.step_batch):
-            calls.append((len(states), self.n_x))
+            steps.append(len(states))
             return step_batch(self, states, controls)
 
         def recording_unit(self, states, controls, design_x, design_u, out,
                            central=cls.central):
-            calls.append((_unit_rows(states, design_u), self.n_x))
+            units.append((_unit_rows(states, design_u), self.n_x))
             return central(self, states, controls, design_x, design_u, out)
 
         monkeypatch.setattr(cls, "step_batch", recording_cls)
@@ -429,18 +463,19 @@ def test_full_order_units_fit_one_kernel_call(monkeypatch):
         cfg = config_from_dict({"solver": {"mode": mode, "seed": 0,
                                            "max_iterations": 1}},
                                base=preset(name))
-        calls.clear()
+        steps.clear()
+        units.clear()
         run_solve(cfg)
+        assert steps and set(steps) == {1}, (name, mode)
         if name == "allen_cahn":
-            # after the 10-step rollout, identification steps each
-            # timestep's 9 samples (5 modes, 4 controls) whole: 18 rows
-            # of 2500 cells, one item above the cap
-            assert [r for r, _ in calls[10:20]] == [18] * 10
-            del calls[10:20]
-        # one sample's pair of rows fits, so every other call fits
-        assert calls and all(2 * n_x <= cap and r * n_x <= cap
-                             for r, n_x in calls), \
-            (name, mode)
+            # identification steps each timestep's 9 samples (5 modes, 4
+            # controls) whole: 18 rows of 2500 cells, one item above the
+            # cap
+            assert units == [(18, 2500)] * 10
+            continue
+        # one sample's pair of rows fits, so every unit fits
+        assert units and all(2 * n_x <= cap and r * n_x <= cap
+                             for r, n_x in units), (name, mode)
 
 
 class _StepOnly:
